@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -38,12 +39,10 @@ func main() {
 	cfg := graphabcd.DefaultConfig(64)
 	cfg.Epsilon = 0
 	cfg.Sim = sim
-	cc, err := graphabcd.RunCC(g, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rt := graphabcd.NewRuntime()
+	cc := run(rt, graphabcd.NewJobSpec("cc", g, graphabcd.WithConfig(cfg)))
 	sizes := map[uint64]int{}
-	for _, l := range cc.Values {
+	for _, l := range cc.Uint {
 		sizes[l]++
 	}
 	var counts []int
@@ -58,14 +57,25 @@ func main() {
 	// Community detection by label propagation inside the giant component.
 	lpCfg := graphabcd.DefaultConfig(64)
 	lpCfg.MaxEpochs = 30
-	lp, err := graphabcd.RunLabelProp(g, lpCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lp := run(rt, graphabcd.NewJobSpec("labelprop", g, graphabcd.WithConfig(lpCfg)))
 	communities := map[uint64]int{}
-	for _, l := range lp.Values {
+	for _, l := range lp.Uint {
 		communities[l]++
 	}
 	fmt.Printf("label propagation found %d communities in %.1f epochs\n",
 		len(communities), lp.Stats.Epochs)
+}
+
+// run executes one job on the runtime and waits for its result.
+func run(rt graphabcd.Runtime, spec graphabcd.JobSpec) *graphabcd.JobResult {
+	ctx := context.Background()
+	job, err := rt.Run(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := job.Wait(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,33 +24,43 @@ func main() {
 	}
 
 	// Single-node reference.
-	single, err := graphabcd.RunDistributedPageRank(g, graphabcd.ClusterConfig{
+	rt := graphabcd.NewRuntime()
+	single := run(rt, graphabcd.NewJobSpec("pagerank", g, graphabcd.WithClusterConfig(graphabcd.ClusterConfig{
 		Nodes: 1, BlockSize: 64, WorkersPerNode: 4, Epsilon: 1e-12,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	})))
 
 	// Four nodes, messages delayed by 500µs each way.
-	multi, err := graphabcd.RunDistributedPageRank(g, graphabcd.ClusterConfig{
+	multi := run(rt, graphabcd.NewJobSpec("pagerank", g, graphabcd.WithClusterConfig(graphabcd.ClusterConfig{
 		Nodes: 4, BlockSize: 64, WorkersPerNode: 1, Epsilon: 1e-12,
 		NetDelay: 500 * time.Microsecond, BatchSize: 128,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	})))
 
 	worst := 0.0
-	for v := range single.Values {
-		if d := math.Abs(single.Values[v] - multi.Values[v]); d > worst {
+	for v := range single.Float {
+		if d := math.Abs(single.Float[v] - multi.Float[v]); d > worst {
 			worst = d
 		}
 	}
 	fmt.Printf("graph: %s\n", g)
 	fmt.Printf("single node : %.1f epochs, %d local writes\n",
-		single.Stats.Epochs, single.Stats.LocalWrites)
+		single.Stats.Epochs, single.Cluster.LocalWrites)
 	fmt.Printf("four nodes  : %.1f epochs, %d messages in %d batches (%.0f%% of writes remote)\n",
-		multi.Stats.Epochs, multi.Stats.MessagesSent, multi.Stats.BatchesSent,
-		100*float64(multi.Stats.MessagesSent)/float64(multi.Stats.ScatterWrites))
+		multi.Stats.Epochs, multi.Cluster.MessagesSent, multi.Cluster.BatchesSent,
+		100*float64(multi.Cluster.MessagesSent)/float64(multi.Stats.ScatterWrites))
 	fmt.Printf("max rank disagreement: %.2g (asynchronous BCD: delay never changes the fixpoint)\n", worst)
+}
+
+// run executes one job on the runtime (the distributed statistics land in
+// JobResult.Cluster) and waits for its result.
+func run(rt graphabcd.Runtime, spec graphabcd.JobSpec) *graphabcd.JobResult {
+	ctx := context.Background()
+	job, err := rt.Run(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := job.Wait(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

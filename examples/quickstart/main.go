@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -33,7 +34,14 @@ func main() {
 	cfg := graphabcd.DefaultConfig(2 /* vertices per BCD block */)
 	cfg.Policy = graphabcd.Priority
 
-	res, err := graphabcd.RunPageRank(g, cfg)
+	// A Runtime runs JobSpecs: the algorithm by registry name, the graph,
+	// and options. The Handle also streams progress events and cancels.
+	ctx := context.Background()
+	job, err := graphabcd.NewRuntime().Run(ctx, graphabcd.NewJobSpec("pagerank", g, graphabcd.WithConfig(cfg)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := job.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,8 +50,8 @@ func main() {
 		id   int
 		rank float64
 	}
-	pages := make([]page, len(res.Values))
-	for v, r := range res.Values {
+	pages := make([]page, len(res.Float))
+	for v, r := range res.Float {
 		pages[v] = page{v, r}
 	}
 	sort.Slice(pages, func(a, b int) bool { return pages[a].rank > pages[b].rank })

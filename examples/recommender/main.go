@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -26,12 +27,19 @@ func main() {
 	cfg.Policy = graphabcd.Priority
 	cfg.MaxEpochs = 30 // CF iterates until its budget
 
-	res, err := graphabcd.RunCF(rg.Graph, params, cfg)
+	ctx := context.Background()
+	job, err := graphabcd.NewRuntime().Run(ctx, graphabcd.NewJobSpec("cf", rg.Graph,
+		graphabcd.WithCFParams(params), graphabcd.WithConfig(cfg)))
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := job.Wait(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	factors := res.Vectors // one factor vector per user and movie vertex
 	fmt.Printf("trained %d factors in %.1f epochs, RMSE %.3f\n",
-		len(res.Values), res.Stats.Epochs, params.RMSE(rg.Graph, res.Values))
+		len(factors), res.Stats.Epochs, params.RMSE(rg.Graph, factors))
 
 	// Recommend for user 0: score every movie by the dot product of
 	// factor vectors, skipping movies the user already rated.
@@ -51,7 +59,7 @@ func main() {
 		if rated[mv] {
 			continue
 		}
-		score := dot(res.Values[user], res.Values[mv])
+		score := dot(factors[user], factors[mv])
 		recs = append(recs, rec{mv, score})
 	}
 	sort.Slice(recs, func(a, b int) bool { return recs[a].score > recs[b].score })

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,11 +24,16 @@ func main() {
 	}
 	source := uint32(0) // top-left corner
 
-	run := func(policy graphabcd.Policy) *graphabcd.Result[float64] {
+	rt, ctx := graphabcd.NewRuntime(), context.Background()
+	run := func(policy graphabcd.Policy) *graphabcd.JobResult {
 		cfg := graphabcd.DefaultConfig(64)
 		cfg.Policy = policy
 		cfg.Epsilon = 0 // monotone relaxation converges exactly
-		res, err := graphabcd.RunSSSP(g, source, cfg)
+		job, err := rt.Run(ctx, graphabcd.NewJobSpec("sssp", g, graphabcd.WithSource(source), graphabcd.WithConfig(cfg)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := job.Wait(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,14 +44,14 @@ func main() {
 	cyc := run(graphabcd.Cyclic)
 
 	// Both must agree exactly: asynchronous relaxation is monotone.
-	for v := range prio.Values {
-		if prio.Values[v] != cyc.Values[v] {
+	for v := range prio.Float {
+		if prio.Float[v] != cyc.Float[v] {
 			log.Fatalf("policy changed the answer at vertex %d", v)
 		}
 	}
 
 	corner := uint32(rows*cols - 1)
-	fmt.Printf("distance corner-to-corner: %.0f\n", prio.Values[corner])
+	fmt.Printf("distance corner-to-corner: %.0f\n", prio.Float[corner])
 	fmt.Printf("priority scheduling: %.1f epochs, %d edges relaxed\n",
 		prio.Stats.Epochs, prio.Stats.EdgesTraversed)
 	fmt.Printf("cyclic   scheduling: %.1f epochs, %d edges relaxed\n",
@@ -53,7 +59,7 @@ func main() {
 
 	// Farthest reachable vertex.
 	far, farD := uint32(0), 0.0
-	for v, d := range prio.Values {
+	for v, d := range prio.Float {
 		if !math.IsInf(d, 1) && d > farD {
 			far, farD = uint32(v), d
 		}

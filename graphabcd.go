@@ -8,8 +8,9 @@
 // typical use:
 //
 //	g, _ := graphabcd.NewGraph(4, []graphabcd.Edge{{Src: 0, Dst: 1, Weight: 1}, ...})
-//	res, _ := graphabcd.RunPageRank(g, graphabcd.DefaultConfig(256))
-//	fmt.Println(res.Values[0], res.Stats.Epochs)
+//	job, _ := graphabcd.NewRuntime().Run(ctx, graphabcd.NewJobSpec("pagerank", g))
+//	res, _ := job.Wait(ctx)
+//	fmt.Println(res.Float[0], res.Stats.Epochs)
 //
 // Key knobs (Sec. III-B of the paper): Config.BlockSize trades convergence
 // rate against scheduling overhead, Config.Policy selects cyclic or
@@ -233,108 +234,6 @@ type PPR = bcd.PPR
 // of 0 means the 0.85 default.
 func NewPPR(damping float64, seeds []uint32) (PPR, error) { return bcd.NewPPR(damping, seeds) }
 
-// RunPageRank runs PageRank with default damping (0.85) to convergence.
-//
-// Deprecated: Use a Runtime with NewJobSpec("pagerank", g,
-// WithConfig(cfg)); it validates once at the Runtime boundary and
-// returns a Handle with progress events.
-func RunPageRank(g *Graph, cfg Config) (*Result[float64], error) {
-	return runFloatHelper(NewJobSpec("pagerank", g, WithConfig(cfg)))
-}
-
-// RunSSSP runs single-source shortest path from source. Unreachable
-// vertices hold +Inf.
-//
-// Deprecated: Use a Runtime with NewJobSpec("sssp", g,
-// WithSource(source), WithConfig(cfg)).
-func RunSSSP(g *Graph, source uint32, cfg Config) (*Result[float64], error) {
-	return runFloatHelper(NewJobSpec("sssp", g, WithSource(source), WithConfig(cfg)))
-}
-
-// RunPPR runs personalized PageRank from the seed set with default
-// damping (0.85).
-//
-// Deprecated: Use a Runtime with NewJobSpec("ppr", g,
-// WithSeeds(seeds...), WithConfig(cfg)).
-func RunPPR(g *Graph, seeds []uint32, cfg Config) (*Result[float64], error) {
-	return runFloatHelper(NewJobSpec("ppr", g, WithSeeds(seeds...), WithConfig(cfg)))
-}
-
-// RunBFS computes BFS levels from source (Unreached if unreachable).
-//
-// Deprecated: Use a Runtime with NewJobSpec("bfs", g,
-// WithSource(source), WithConfig(cfg)).
-func RunBFS(g *Graph, source uint32, cfg Config) (*Result[uint64], error) {
-	return runUintHelper(NewJobSpec("bfs", g, WithSource(source), WithConfig(cfg)))
-}
-
-// RunCC computes connected components (directed min-label propagation;
-// symmetrize the graph for undirected components).
-//
-// Deprecated: Use a Runtime with NewJobSpec("cc", g, WithConfig(cfg)).
-func RunCC(g *Graph, cfg Config) (*Result[uint64], error) {
-	return runUintHelper(NewJobSpec("cc", g, WithConfig(cfg)))
-}
-
-// RunLabelProp runs majority label propagation. Set cfg.MaxEpochs: label
-// propagation may oscillate under synchronous execution.
-//
-// Deprecated: Use a Runtime with NewJobSpec("labelprop", g,
-// WithConfig(cfg)).
-func RunLabelProp(g *Graph, cfg Config) (*Result[uint64], error) {
-	return runUintHelper(NewJobSpec("labelprop", g, WithConfig(cfg)))
-}
-
-// RunCF runs collaborative filtering with the given parameters. Set
-// cfg.MaxEpochs — CF iterates until its budget. Evaluate quality with
-// params.RMSE(g, res.Values).
-//
-// Deprecated: Use a Runtime with NewJobSpec("cf", g, WithCFParams(params),
-// WithConfig(cfg)); the result vectors land in JobResult.Vectors.
-func RunCF(g *Graph, params CF, cfg Config) (*Result[[]float32], error) {
-	res, err := runJob(context.Background(), NewJobSpec("cf", g, WithCFParams(params), WithConfig(cfg)))
-	if err != nil {
-		return nil, err
-	}
-	return &Result[[]float32]{Values: res.Vectors, Stats: res.Stats}, nil
-}
-
-// RunPageRankDelta runs the operation-based PageRank variant. It reaches
-// the same fixpoint as RunPageRank but exercises the engine's atomic
-// delta-accumulation path.
-//
-// Deprecated: Use a Runtime with NewJobSpec("pagerank-delta", g,
-// WithConfig(cfg)).
-func RunPageRankDelta(g *Graph, cfg Config) (*Result[float64], error) {
-	return runFloatHelper(NewJobSpec("pagerank-delta", g, WithConfig(cfg)))
-}
-
-// RunKCore computes every vertex's coreness. The graph must be symmetric
-// (both edge directions present).
-//
-// Deprecated: Use a Runtime with NewJobSpec("kcore", g, WithConfig(cfg)).
-func RunKCore(g *Graph, cfg Config) (*Result[uint64], error) {
-	return runUintHelper(NewJobSpec("kcore", g, WithConfig(cfg)))
-}
-
-// runFloatHelper adapts a synchronous default-runtime job to the legacy
-// typed Result shape the deprecated helpers return.
-func runFloatHelper(spec JobSpec) (*Result[float64], error) {
-	res, err := runJob(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[float64]{Values: res.Float, Stats: res.Stats}, nil
-}
-
-func runUintHelper(spec JobSpec) (*Result[uint64], error) {
-	res, err := runJob(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[uint64]{Values: res.Uint, Stats: res.Stats}, nil
-}
-
 // Simulator is the HARPv2 accelerator cost model; attach one via
 // Config.Sim to collect modeled time, traffic, and utilization.
 type Simulator = accel.Simulator
@@ -414,33 +313,6 @@ func RunDistributed[V, M any](g *Graph, prog Program[V, M], cfg ClusterConfig) (
 // partial fixed-point computed so far with Stats.Converged == false.
 func RunDistributedContext[V, M any](ctx context.Context, g *Graph, prog Program[V, M], cfg ClusterConfig) (*ClusterResult[V], error) {
 	return cluster.Run(ctx, g, prog, cfg)
-}
-
-// RunDistributedPageRank runs PageRank across cfg.Nodes nodes.
-//
-// Deprecated: Use a Runtime with NewJobSpec("pagerank", g,
-// WithClusterConfig(cfg)); the distributed statistics land in
-// JobResult.Cluster.
-func RunDistributedPageRank(g *Graph, cfg ClusterConfig) (*ClusterResult[float64], error) {
-	return runDistFloatHelper(clusterSpec("pagerank", g, cfg))
-}
-
-// RunDistributedSSSP runs SSSP across cfg.Nodes nodes.
-//
-// Deprecated: Use a Runtime with NewJobSpec("sssp", g,
-// WithSource(source), WithClusterConfig(cfg)).
-func RunDistributedSSSP(g *Graph, source uint32, cfg ClusterConfig) (*ClusterResult[float64], error) {
-	return runDistFloatHelper(clusterSpec("sssp", g, cfg, WithSource(source)))
-}
-
-// runDistFloatHelper adapts a synchronous default-runtime distributed
-// job to the legacy typed ClusterResult shape.
-func runDistFloatHelper(spec JobSpec) (*ClusterResult[float64], error) {
-	res, err := runJob(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterResult[float64]{Values: res.Float, Stats: *res.Cluster}, nil
 }
 
 // Edge storage backends (out-of-core and compressed execution).

@@ -2,9 +2,25 @@ package graphabcd
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
+
+// runSpec runs one job to completion on a fresh Runtime — the one public
+// way to run a built-in algorithm.
+func runSpec(t *testing.T, spec JobSpec) *JobResult {
+	t.Helper()
+	h, err := NewRuntime().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // ring builds 0->1->...->n-1->0 with unit weights.
 func ring(t *testing.T, n int) *Graph {
@@ -22,14 +38,11 @@ func ring(t *testing.T, n int) *Graph {
 
 func TestFacadePageRank(t *testing.T) {
 	g := ring(t, 64)
-	res, err := RunPageRank(g, DefaultConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, NewJobSpec("pagerank", g, WithConfig(DefaultConfig(8))))
 	if !res.Stats.Converged {
 		t.Fatal("did not converge")
 	}
-	for v, x := range res.Values {
+	for v, x := range res.Float {
 		if math.Abs(x-1.0/64) > 1e-6 {
 			t.Fatalf("ring rank[%d] = %g, want uniform", v, x)
 		}
@@ -39,32 +52,23 @@ func TestFacadePageRank(t *testing.T) {
 func TestFacadeTraversals(t *testing.T) {
 	g := ring(t, 16)
 	cfg := DefaultConfig(4)
-	sp, err := RunSSSP(g, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
+	sp := runSpec(t, NewJobSpec("sssp", g, WithSource(0), WithConfig(cfg)))
+	if sp.Float[5] != 5 {
+		t.Fatalf("dist[5] = %g", sp.Float[5])
 	}
-	if sp.Values[5] != 5 {
-		t.Fatalf("dist[5] = %g", sp.Values[5])
+	bfs := runSpec(t, NewJobSpec("bfs", g, WithSource(0), WithConfig(cfg)))
+	if bfs.Uint[7] != 7 {
+		t.Fatalf("level[7] = %d", bfs.Uint[7])
 	}
-	bfs, err := RunBFS(g, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfs.Values[7] != 7 {
-		t.Fatalf("level[7] = %d", bfs.Values[7])
-	}
-	cc, err := RunCC(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, l := range cc.Values {
+	cc := runSpec(t, NewJobSpec("cc", g, WithConfig(cfg)))
+	for v, l := range cc.Uint {
 		if l != 0 {
 			t.Fatalf("label[%d] = %d, want 0 (single ring)", v, l)
 		}
 	}
 	cfg.MaxEpochs = 10
-	if _, err := RunLabelProp(g, cfg); err != nil {
-		t.Fatal(err)
+	if lp := runSpec(t, NewJobSpec("labelprop", g, WithConfig(cfg))); len(lp.Uint) != g.NumVertices() {
+		t.Fatalf("labelprop returned %d labels for %d vertices", len(lp.Uint), g.NumVertices())
 	}
 }
 
@@ -76,11 +80,8 @@ func TestFacadeCF(t *testing.T) {
 	params := CF{Rank: 8, LearnRate: 0.3, Lambda: 0.01}
 	cfg := DefaultConfig(16)
 	cfg.MaxEpochs = 30
-	res, err := RunCF(rg.Graph, params, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse := params.RMSE(rg.Graph, res.Values); rmse > 2.5 {
+	res := runSpec(t, NewJobSpec("cf", rg.Graph, WithCFParams(params), WithConfig(cfg)))
+	if rmse := params.RMSE(rg.Graph, res.Vectors); rmse > 2.5 {
 		t.Fatalf("RMSE = %g, CF did not learn", rmse)
 	}
 }
@@ -105,10 +106,7 @@ func TestFacadeSimulatorAndIO(t *testing.T) {
 	}
 	cfg := DefaultConfig(8)
 	cfg.Sim = sim
-	res, err := RunPageRank(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, NewJobSpec("pagerank", g, WithConfig(cfg)))
 	if res.Stats.SimTimeNs <= 0 {
 		t.Fatal("simulator not driven")
 	}

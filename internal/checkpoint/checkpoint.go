@@ -157,6 +157,26 @@ func (st *State) validate() error {
 	return nil
 }
 
+// countingWriter counts the bytes an encode pushes through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
+// EncodeCounted is Encode that also reports the bytes written, so the
+// checkpoint cost counters reflect actual state file sizes.
+func EncodeCounted(w io.Writer, st *State) (int64, error) {
+	cw := &countingWriter{w: w}
+	err := Encode(cw, st)
+	return cw.n, err
+}
+
 // Encode writes st in the GABC format. The writer is buffered internally;
 // callers pair it with Store.WriteState for atomic temp+rename placement.
 func Encode(w io.Writer, st *State) error {

@@ -4,15 +4,19 @@
 // platforms without further coordination logic") but only prototypes on a
 // single CPU-FPGA pair.
 //
-// Each node owns a set of vertex blocks: its vertex values, the
-// edge-cache slots of its vertices' in-edges, and a private scheduler
-// and worker set. SCATTER updates whose destination block lives on
-// another node travel as state-based messages through a pluggable
+// Each node (Node, node.go) owns a set of vertex blocks: its vertex
+// values, the edge-cache slots of its vertices' in-edges, and a private
+// scheduler and worker set. SCATTER updates whose destination block lives
+// on another node travel as state-based messages through a pluggable
 // Transport. Because updates are state-based, messages are idempotent
 // and tolerate delay and redelivery — the bounded-staleness condition of
 // asynchronous BCD is the only correctness requirement, so there are
 // still no locks and no barriers on the steady-state path, only channels
 // and atomics.
+//
+// There is one node implementation and two runtimes around it: Run
+// (inproc.go) hosts every node in this process over shared arrays, and
+// internal/cluster/tcp hosts one node per OS process over real sockets.
 //
 // The transport contract is deliberately weak: messages may be dropped,
 // duplicated, delayed, or reordered (internal/chaos injects exactly
@@ -30,7 +34,7 @@
 // and its acknowledgment has come back, and a coordinator that accepts
 // termination only when no rebuild is in progress, no batch is
 // unsettled, every live node is quiescent, and nothing changed while it
-// looked. See checkQuiescence in node.go for the argument.
+// looked. See checkQuiescence in inproc.go for the argument.
 package cluster
 
 import (
@@ -132,42 +136,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) batchSize() int {
+// WithDefaults returns c with every zero-valued tuning knob resolved to
+// its documented default — the one place those defaults are defined. The
+// result is a fixed point (resolving twice changes nothing), so a
+// resolved Config can travel to another process and be resolved again.
+func (c Config) WithDefaults() Config {
 	if c.BatchSize == 0 {
-		return 64
+		c.BatchSize = 64
 	}
-	return c.BatchSize
-}
-
-func (c Config) maxUnacked() int {
 	if c.MaxUnacked == 0 {
-		return 1024
+		c.MaxUnacked = 1024
+	} else if c.MaxUnacked < 0 {
+		c.MaxUnacked = -1 // unbounded
 	}
-	if c.MaxUnacked < 0 {
-		return 0 // unbounded
-	}
-	return c.MaxUnacked
-}
-
-func (c Config) retryBase() time.Duration {
 	if c.RetryBase == 0 {
-		return 2 * time.Millisecond
+		c.RetryBase = 2 * time.Millisecond
 	}
-	return c.RetryBase
-}
-
-func (c Config) retryDeadline() time.Duration {
 	if c.RetryDeadline == 0 {
-		return 30 * time.Second
+		c.RetryDeadline = 30 * time.Second
 	}
-	return c.RetryDeadline
-}
-
-func (c Config) watchdogPeriod() time.Duration {
 	if c.Watchdog == 0 {
-		return 500 * time.Millisecond
+		c.Watchdog = 500 * time.Millisecond
 	}
-	return c.Watchdog
+	return c
 }
 
 // Stats summarizes a distributed run.

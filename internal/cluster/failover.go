@@ -26,30 +26,27 @@ type Control interface {
 }
 
 func (c *clusterRun[V, M]) LiveNodes() int     { return int(c.liveNodes.Load()) }
-func (c *clusterRun[V, M]) BatchesSent() int64 { return c.tel.Total(telemetry.CtrBatchesSent) }
+func (c *clusterRun[V, M]) BatchesSent() int64 { return c.Tel.Total(telemetry.CtrBatchesSent) }
 
 // FailNode implements Control. The recovery argument mirrors the paper's
 // correctness story: vertex values are the ground truth of a state-based
 // program, so every cache slot and every lost in-flight batch can be
 // reconstructed by re-scattering ScatterValue(src, values[src]) — the
 // same idempotent write the normal path performs. The rebuild runs with
-// the world paused (workers parked at the fence, appliers parked at an
+// the world paused (workers parked at the fence, applies parked at an
 // envelope boundary) and fences the rebuilt slots with a fresh write
 // stamp so stale in-flight envelopes that surface later are discarded.
 func (c *clusterRun[V, M]) FailNode(id int) error {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	if id < 0 || id >= len(c.nodes) {
+	switch {
+	case id < 0 || id >= len(c.nodes):
 		return fmt.Errorf("cluster: FailNode(%d): no such node", id)
-	}
-	n := c.nodes[id]
-	if n.failed.Load() {
+	case c.dead[id].Load():
 		return fmt.Errorf("cluster: FailNode(%d): node already failed", id)
-	}
-	if c.liveNodes.Load() <= 1 {
+	case c.liveNodes.Load() <= 1:
 		return fmt.Errorf("cluster: FailNode(%d): cannot fail the last live node", id)
-	}
-	if c.stopping.Load() {
+	case c.stopping.Load():
 		return fmt.Errorf("cluster: FailNode(%d): run already stopping", id)
 	}
 
@@ -61,16 +58,16 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	c.sh0.Add(telemetry.CtrNodesFailed, 1)
 	c.liveNodes.Add(-1)
 
-	// 1. Kill: the node's workers observe the flag and exit; its applier
-	// switches to discard mode so senders never block on the dead inbox.
-	n.failed.Store(true)
-	close(n.down)
+	// 1. Kill: the node's workers observe the flag and exit; its applies
+	// discard, and senders never block on the dead inbox.
+	c.dead[id].Store(true)
+	close(c.down[id])
 
 	// 2. Pause the world. The fence write lock waits for every worker's
 	// in-progress claim-process-done iteration (so no scatter is mid-
-	// flight and ownership reads are stable); the appliers' per-envelope
-	// locks park them at an envelope boundary (so no cache slot is being
-	// written while we rebuild it).
+	// flight and ownership reads are stable); the per-envelope apply
+	// locks park every node at an envelope boundary (so no cache slot is
+	// being written while we rebuild it).
 	c.fence.Lock()
 	defer c.fence.Unlock()
 	for _, m := range c.nodes {
@@ -80,76 +77,51 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 
 	// 3. Abandon the dead node's own unacked batches: nobody will retry
 	// them. Their payloads are re-derived in step 5b from values[].
-	n.unackedMu.Lock()
-	orphans := len(n.unacked)
-	for bid := range n.unacked {
-		delete(n.unacked, bid)
-	}
-	n.unackedMu.Unlock()
-	n.releaseWindow(orphans)
-	if orphans > 0 {
-		c.sh0.Add(telemetry.CtrBatchesDropped, int64(orphans))
-		c.inflight.Add(int64(-orphans))
-	}
+	c.nodes[id].abandonAll()
 
 	// 4. Reassign the dead node's blocks round-robin across survivors.
-	survivors := make([]*node[V, M], 0, len(c.nodes)-1)
+	survivors := make([]*Node[V, M], 0, len(c.nodes)-1)
 	for _, m := range c.nodes {
-		if !m.failed.Load() {
+		if !c.dead[m.ID].Load() {
 			survivors = append(survivors, m)
 		}
 	}
-	adopted := make(map[int]*node[V, M])
-	next := 0
-	for b := 0; b < c.part.NumBlocks(); b++ {
-		if c.owner(b) != id {
-			continue
+	var adopted []int
+	for b := range c.owner {
+		if int(c.owner[b].Load()) == id {
+			c.owner[b].Store(int32(survivors[len(adopted)%len(survivors)].ID))
+			adopted = append(adopted, b)
 		}
-		heir := survivors[next%len(survivors)]
-		next++
-		c.blockOwner[b].Store(int32(heir.id))
-		adopted[b] = heir
 	}
 
 	// 5. Rebuild, fencing every rewritten slot with a stamp newer than
 	// any envelope created before this pause (retries keep their
 	// original id, so late redeliveries lose against the fence).
 	fenceSeq := c.seq.Add(1)
-	buf := make([]uint64, max(c.values.Words(), 2))
+	buf := make([]uint64, max(c.Values.Words(), 2))
 	var val V
+	for _, b := range adopted {
+		// 5a. In-edge slots: batches in flight *to* the dead node died
+		// with its inbox; recompute every slot from the source vertex's
+		// current value and re-activate the block on its heir so the
+		// refreshed inputs are re-processed.
+		c.RebuildInEdges(b, fenceSeq)
+		c.nodes[c.owner[b].Load()].Sched.Activate(b, 1)
 
-	// 5a. In-edge slots of adopted blocks: batches in flight *to* the
-	// dead node died with its inbox; recompute every slot from the
-	// source vertex's current value and re-activate the block on its
-	// heir so the refreshed inputs are re-processed.
-	for b, heir := range adopted {
-		lo, hi := c.part.VertexRange(b)
+		// 5b. Out-edges of the dead node's vertices: batches in flight
+		// *from* the dead node (step 3) carried scatter images of these
+		// vertices; rewrite every out-slot from the current value and
+		// re-activate the destination blocks on their owners.
+		lo, hi := c.Part.VertexRange(b)
 		for v := lo; v < hi; v++ {
-			for s := c.g.InOffset(v); s < c.g.InOffset(v+1); s++ {
-				src := c.g.InSrc(s)
-				c.values.LoadBuf(int64(src), &val, buf)
-				c.cache.StoreBuf(s, c.prog.ScatterValue(src, val, c.g), buf)
-				c.slotSeq[s].Store(fenceSeq)
-			}
-		}
-		heir.st.Activate(b, 1)
-	}
-
-	// 5b. Out-edges of the dead node's vertices: batches in flight
-	// *from* the dead node (step 3) carried scatter images of these
-	// vertices; rewrite every out-slot from the current value and
-	// re-activate the destination blocks on their owners.
-	for b := range adopted {
-		lo, hi := c.part.VertexRange(b)
-		for v := lo; v < hi; v++ {
-			c.values.LoadBuf(int64(v), &val, buf)
-			sval := c.prog.ScatterValue(uint32(v), val, c.g)
-			for i := c.g.OutOffset(v); i < c.g.OutOffset(v+1); i++ {
-				slot := c.g.OutPos(i)
+			c.Values.LoadBuf(int64(v), &val, buf)
+			sval := c.Prog.ScatterValue(uint32(v), val, c.G)
+			for i := c.G.OutOffset(v); i < c.G.OutOffset(v+1); i++ {
+				slot := c.G.OutPos(i)
 				c.cache.StoreBuf(slot, sval, buf)
 				c.slotSeq[slot].Store(fenceSeq)
-				db := c.part.BlockOf(c.g.OutDst(i))
-				c.nodes[c.owner(db)].st.Activate(db, 1)
+				db := c.Part.BlockOf(c.G.OutDst(i))
+				c.nodes[c.owner[db].Load()].Sched.Activate(db, 1)
 			}
 		}
 	}

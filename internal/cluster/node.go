@@ -8,21 +8,25 @@ import (
 	"time"
 
 	"graphabcd/internal/bcd"
-	"graphabcd/internal/core"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
 	"graphabcd/internal/word"
 )
 
-// clusterRun is the shared state of one distributed execution.
-type clusterRun[V, M any] struct {
-	g    *graph.Graph
-	prog bcd.Program[V, M]
-	cfg  Config
-	part *graph.Partition
+// Shared is the engine state the nodes hosted by one process hold in
+// common: the value and edge-cache arrays, the block ownership table,
+// the envelope sequence, and the stop latch. The in-process runtime
+// hosts every node over one Shared; a -listen/-join process hosts one
+// node over its own (internal/cluster/tcp), whose graph carries only
+// that node's edge sections.
+type Shared[V, M any] struct {
+	G    *graph.Graph
+	Prog bcd.Program[V, M]
+	Part *graph.Partition
+	Tel  *telemetry.Registry // never nil: a bare counter registry when the caller passed none
 
-	values *word.Array[V] // vertex values (each owned by one node)
+	Values *word.Array[V] // vertex values (each owned by one node)
 	cache  *word.Array[V] // in-edge cache slots (owned by the dst's node)
 
 	// slotSeq holds the write stamp of the last update applied to each
@@ -34,73 +38,69 @@ type clusterRun[V, M any] struct {
 	// of one slot never coexist (failover fences the handover).
 	slotSeq []atomic.Uint64 //abcd:stamped
 
-	blockOwner []atomic.Int32 // global block id -> current owner node id
-	nodes      []*node[V, M]
-	transport  Transport
+	owner []atomic.Int32 // global block id -> current owner node id
+	dead  []atomic.Bool  // node id -> killed by failover (never set across processes)
+	seq   atomic.Uint64  // logical batch ids / write stamps
 
-	// fence serializes failover against normal execution: workers hold
-	// the read side for each claim-process-done iteration, FailNode
-	// holds the write side while it reassigns blocks and rebuilds cache
-	// slots, so ownership changes are atomic w.r.t. block processing.
-	fence sync.RWMutex
-
-	// Distributed-termination accounting (see checkQuiescence). These
-	// stay exact single atomics: the quiescence protocol needs a
-	// linearizable counter, not the monotone-but-merged view a sharded
-	// sum gives. Only the stats counters below moved into telemetry
-	// shards.
-	seq        atomic.Uint64 // logical batch ids / write stamps
-	totalSent  atomic.Int64  // monotone count of logical batches ever created
-	inflight   atomic.Int64  // batches created but neither acked nor abandoned
-	recovering atomic.Int64  // FailNode calls currently rebuilding state
-
-	// Work accounting lands in per-worker telemetry shards: shard 0
-	// belongs to the run's auxiliary goroutines (retry loop, watchdog,
-	// failover), shards 1..Nodes*WorkersPerNode to the workers, and the
-	// last Nodes shards to the appliers (which also observe StageApply
-	// batch-application latency when timing is on).
-	tel    *telemetry.Registry
+	cfg    Config // defaults resolved
+	tr     Transport
 	shards []telemetry.Shard
-	sh0    *telemetry.Shard
 
-	liveNodes atomic.Int64
-
-	budget    int64         // vertex-update budget from MaxEpochs
-	done      chan struct{} // closed at teardown; releases appliers
-	stopping  atomic.Bool
-	stopped   chan struct{} // closed when stopping flips; releases blocked senders
-	stopOnce  sync.Once
-	converged atomic.Bool
-	failure   atomic.Pointer[error]
-
-	failMu sync.Mutex // serializes FailNode calls
+	// stopping is the cheap poll the hot loops read; stopped is the same
+	// fact as a closed channel for goroutines parked in a select — a
+	// worker blocked on a full send window (e.g. under a partition) needs
+	// a teardown escape, because the retry loop strands the window slots
+	// of not-yet-due batches when it exits.
+	stopping atomic.Bool
+	stopped  chan struct{}
+	stopOnce sync.Once
+	failure  atomic.Pointer[error]
 }
 
-// node is one member of the cluster.
-type node[V, M any] struct {
-	id     int
-	st     *sched.State // indexed by GLOBAL block id; only owned blocks activate
-	inbox  chan Envelope
-	down   chan struct{} // closed by FailNode; applier switches to discard mode
-	failed atomic.Bool
+// Node is one member of the cluster: the fused gather-apply + scatter
+// kernel over the blocks it owns, and the at-least-once delivery state
+// machine (unacked table, send window, stamp-guarded apply, retry) that
+// carries its remote scatter writes over the Transport. Both runtimes
+// run this type; they differ only in how envelopes reach Deliver and in
+// how termination is detected.
+type Node[V, M any] struct {
+	*Shared[V, M]
+	ID    int
+	Sched *sched.State // indexed by GLOBAL block id; only owned blocks activate
+	// Ctl is the node's control-plane telemetry shard: applies, retries,
+	// checkpoint captures. Its counters are atomics; its trace ring is
+	// written only under applyMu. workers holds one shard per worker.
+	Ctl     *telemetry.Shard
+	workers []telemetry.Shard
 
-	// applyMu is held by the applier around each envelope; FailNode
-	// acquires every live node's applyMu to park appliers at an
-	// envelope boundary while it rebuilds cache slots.
-	applyMu sync.Mutex
+	// Termination accounting. sent and applied are monotone; inflight
+	// counts batches created but neither acked nor abandoned. They stay
+	// exact single atomics: quiescence detection needs linearizable
+	// counters, not the merged view a sharded sum gives.
+	sent     atomic.Uint64
+	applied  atomic.Uint64
+	inflight atomic.Int64
 
-	// unacked holds this node's sent-but-unacknowledged batches for the
-	// at-least-once retry loop.
+	// unacked holds the sent-but-unacknowledged batches for the retry
+	// tick; due is the tick's reusable scratch.
 	unackedMu sync.Mutex
 	unacked   map[uint64]*pending
+	due       []*pending
 
-	// sendWindow is the MaxUnacked flow-control semaphore: flush
-	// acquires a slot per batch it registers, and every path that
-	// retires an unacked entry (first ack, dead-destination abandon,
-	// deadline failure, failover orphan sweep) releases one. nil means
-	// the window is unbounded. Safe against deadlock because acks are
-	// produced by appliers — goroutines that never wait on the window.
-	sendWindow chan struct{}
+	// window is the MaxUnacked flow-control semaphore: flush acquires a
+	// slot per batch it registers, and every path that retires an unacked
+	// entry (first ack, dead-destination abandon, deadline failure,
+	// failover orphan sweep) releases one. nil means unbounded. Safe
+	// against deadlock because acks are produced by apply, which never
+	// waits on the window.
+	window chan struct{}
+
+	// applyMu serializes applies (transport read loops may deliver
+	// concurrently) and guards the transfer scratch; failover holds it to
+	// park the node at an envelope boundary.
+	applyMu       sync.Mutex
+	old, incoming V
+	buf           []uint64
 }
 
 // pending is one unacknowledged batch awaiting its ack or retransmission.
@@ -120,302 +120,186 @@ type batch struct {
 	words  []uint64
 }
 
-func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*clusterRun[V, M], error) {
+// NewNodes builds the shared state for a cfg.Nodes-node cluster over g
+// and the nodes with the given ids on top of it. Blocks are split
+// contiguously (BlockRange); every vertex value is initialized, and each
+// node initializes and activates only what it owns — the only in-edge
+// slots it ever gathers from, which is all a partial graph carries.
+func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids []int) ([]*Node[V, M], error) {
 	part, err := graph.NewPartition(g, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.WithDefaults()
 	nb := part.NumBlocks()
-	if cfg.Nodes > nb && nb > 0 {
-		// More nodes than blocks would leave zero-block nodes spinning
-		// workers against a permanently empty scheduler; clamp so every
-		// node owns at least one block.
-		cfg.Nodes = nb
-	}
-	codec := prog.Codec()
-	c := &clusterRun[V, M]{
-		g:       g,
-		prog:    prog,
-		cfg:     cfg,
-		part:    part,
-		values:  word.NewArray(codec, g.NumVertices()),
-		cache:   word.NewArray(codec, g.NumEdges()),
+	s := &Shared[V, M]{
+		G: g, Prog: prog, Part: part, Tel: cfg.Telemetry,
+		Values:  word.NewArray(prog.Codec(), g.NumVertices()),
+		cache:   word.NewArray(prog.Codec(), g.NumEdges()),
 		slotSeq: make([]atomic.Uint64, g.NumEdges()),
-		done:    make(chan struct{}),
+		owner:   make([]atomic.Int32, nb),
+		dead:    make([]atomic.Bool, cfg.Nodes),
+		cfg:     cfg,
+		tr:      cfg.Transport,
 		stopped: make(chan struct{}),
 	}
-	c.transport = cfg.Transport
-	if c.transport == nil {
-		c.transport = &directTransport{}
+	if s.Tel == nil {
+		s.Tel = telemetry.New(telemetry.Options{})
 	}
-	c.blockOwner = make([]atomic.Int32, nb)
-	c.nodes = make([]*node[V, M], cfg.Nodes)
+	s.Tel.SetVertices(g.NumVertices())
+	// Shard 0 belongs to the runtime's auxiliary goroutines (watchdog,
+	// failover); each node then gets one shard per worker plus its Ctl.
+	per := cfg.WorkersPerNode + 1
+	s.shards = s.Tel.Shards(1 + len(ids)*per)
 	for i := 0; i < cfg.Nodes; i++ {
-		lo, hi := i*nb/cfg.Nodes, (i+1)*nb/cfg.Nodes
+		lo, hi := s.BlockRange(i)
 		for b := lo; b < hi; b++ {
-			c.blockOwner[b].Store(int32(i))
+			s.owner[b].Store(int32(i))
 		}
-		c.nodes[i] = &node[V, M]{
-			id:      i,
-			st:      sched.NewState(nb),
-			inbox:   make(chan Envelope, 1024),
-			down:    make(chan struct{}),
+	}
+	buf := make([]uint64, max(s.Values.Words(), 2))
+	for v := 0; v < g.NumVertices(); v++ {
+		s.Values.StoreBuf(int64(v), prog.Init(uint32(v), g), buf)
+	}
+	nodes := make([]*Node[V, M], len(ids))
+	for k, id := range ids {
+		base := 1 + k*per
+		n := &Node[V, M]{
+			Shared:  s,
+			ID:      id,
+			Sched:   sched.NewState(nb),
+			Ctl:     &s.shards[base+cfg.WorkersPerNode],
+			workers: s.shards[base : base+cfg.WorkersPerNode],
 			unacked: make(map[uint64]*pending),
+			buf:     make([]uint64, len(buf)),
 		}
-		if w := cfg.maxUnacked(); w > 0 {
-			c.nodes[i].sendWindow = make(chan struct{}, w)
+		if cfg.MaxUnacked > 0 {
+			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
-	}
-	c.liveNodes.Store(int64(cfg.Nodes))
-	c.tel = cfg.Telemetry
-	if c.tel == nil {
-		c.tel = telemetry.New(telemetry.Options{})
-	}
-	c.shards = c.tel.Shards(1 + cfg.Nodes*cfg.WorkersPerNode + cfg.Nodes)
-	c.sh0 = &c.shards[0]
-	c.tel.SetVertices(g.NumVertices())
-	c.tel.RegisterGauge("live_nodes", func() float64 { return float64(c.liveNodes.Load()) })
-	c.tel.RegisterGauge("inflight_batches", func() float64 { return float64(c.inflight.Load()) })
-	c.initArrays()
-	return c, nil
-}
-
-// workerShard returns worker w of node n's telemetry shard.
-func (c *clusterRun[V, M]) workerShard(nodeID, w int) *telemetry.Shard {
-	return &c.shards[1+nodeID*c.cfg.WorkersPerNode+w]
-}
-
-// applierShard returns node n's applier shard.
-func (c *clusterRun[V, M]) applierShard(nodeID int) *telemetry.Shard {
-	return &c.shards[1+c.cfg.Nodes*c.cfg.WorkersPerNode+nodeID]
-}
-
-// vertexUpdates is the cross-shard total driving the budget checks and
-// the watchdog.
-func (c *clusterRun[V, M]) vertexUpdates() int64 {
-	return c.tel.Total(telemetry.CtrVertexUpdates)
-}
-
-func (c *clusterRun[V, M]) owner(b int) int { return int(c.blockOwner[b].Load()) }
-
-func (c *clusterRun[V, M]) initArrays() {
-	buf := make([]uint64, c.values.Words())
-	for v := 0; v < c.g.NumVertices(); v++ {
-		c.values.StoreBuf(int64(v), c.prog.Init(uint32(v), c.g), buf)
-		for s := c.g.InOffset(v); s < c.g.InOffset(v+1); s++ {
-			c.cache.StoreBuf(s, c.prog.InitEdge(c.g.InSrc(s), c.g), buf)
+		lo, hi := s.BlockRange(id)
+		for b := lo; b < hi; b++ {
+			slo, shi := part.EdgeRange(b)
+			for sl := slo; sl < shi; sl++ {
+				s.cache.StoreBuf(sl, prog.InitEdge(g.InSrc(sl), g), buf)
+			}
+			n.Sched.Activate(b, 1)
 		}
+		nodes[k] = n
 	}
+	return nodes, nil
 }
 
-// stop flips the run into teardown. stopping is the cheap poll the hot
-// loops read; stopped is the same fact as a closed channel for
-// goroutines parked in a select. Both are needed: when the retry loop
-// exits on stopping it strands the window slots of not-yet-due unacked
-// batches, so a worker blocked on a full send window (e.g. under a
-// partition) must have a teardown escape — done cannot serve, it only
-// closes after the workers exit.
-func (c *clusterRun[V, M]) stop() {
-	c.stopping.Store(true)
-	c.stopOnce.Do(func() { close(c.stopped) })
+// BlockRange returns the contiguous global block span [lo, hi) node i of
+// nodes is seeded with out of numBlocks. Across processes the split is
+// static; in-process failover reassigns blocks afterwards through the
+// owner table.
+func BlockRange(numBlocks, nodes, i int) (lo, hi int) {
+	return i * numBlocks / nodes, (i + 1) * numBlocks / nodes
 }
 
-// fail records the first failure; the coordinator stops the run and Run
-// returns the error.
-func (c *clusterRun[V, M]) fail(err error) {
-	c.failure.CompareAndSwap(nil, &err)
-	c.stop()
+// BlockRange is the package-level BlockRange under this run's shape.
+func (s *Shared[V, M]) BlockRange(i int) (lo, hi int) {
+	return BlockRange(s.Part.NumBlocks(), s.cfg.Nodes, i)
+}
+
+// VertexRange returns the vertex span of node i's BlockRange.
+func (s *Shared[V, M]) VertexRange(i int) (lo, hi int) {
+	blo, bhi := s.BlockRange(i)
+	if blo >= bhi {
+		return 0, 0
+	}
+	lo, _ = s.Part.VertexRange(blo)
+	_, hi = s.Part.VertexRange(bhi - 1)
+	return lo, hi
+}
+
+// CollectValues decodes the whole value array; exact once every writer
+// is quiescent.
+func (s *Shared[V, M]) CollectValues() []V {
+	out := make([]V, s.G.NumVertices())
+	buf := make([]uint64, s.Values.Words())
+	for v := range out {
+		s.Values.LoadBuf(int64(v), &out[v], buf)
+	}
+	return out
+}
+
+// Stop flips the run into teardown: workers exit at their next step,
+// blocked flushes return, the retry loop ends.
+func (s *Shared[V, M]) Stop() {
+	s.stopping.Store(true)
+	s.stopOnce.Do(func() { close(s.stopped) })
+}
+
+// fail records the first failure and stops the run.
+func (s *Shared[V, M]) fail(err error) {
+	s.failure.CompareAndSwap(nil, &err)
+	s.Stop()
+}
+
+// Err returns the run's recorded failure, if any.
+func (s *Shared[V, M]) Err() error {
+	if p := s.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // recoverToFailure converts a worker or applier panic into a run failure
 // instead of a process crash. Deferred at every goroutine boundary.
-func (c *clusterRun[V, M]) recoverToFailure() {
+func (s *Shared[V, M]) recoverToFailure() {
 	if r := recover(); r != nil {
-		c.fail(fmt.Errorf("cluster: worker panic: %v", r))
+		s.fail(fmt.Errorf("cluster: worker panic: %v", r))
 	}
 }
 
-// run starts every node's workers and appliers, the retry and watchdog
-// goroutines, the coordinator, and collects the result.
-func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
-	start := time.Now()
-	c.budget = 1<<63 - 1
-	if c.cfg.MaxEpochs > 0 {
-		c.budget = int64(c.cfg.MaxEpochs * float64(c.g.NumVertices()))
-	}
-	for b := 0; b < c.part.NumBlocks(); b++ {
-		c.nodes[c.owner(b)].st.Activate(b, 1)
-	}
-	c.transport.Bind(len(c.nodes), c.deliverLocal)
+// Seq returns the envelope sequence — an upper bound on every write
+// stamp this process has issued. SetSeq restarts it (checkpoint resume).
+func (s *Shared[V, M]) Seq() uint64     { return s.seq.Load() }
+func (s *Shared[V, M]) SetSeq(v uint64) { s.seq.Store(v) }
 
-	var workers, appliers, aux sync.WaitGroup
-	for _, n := range c.nodes {
-		appliers.Add(1)
-		go func(n *node[V, M]) {
-			defer appliers.Done()
-			defer c.recoverToFailure()
-			c.applyLoop(n, c.applierShard(n.id))
-		}(n)
-		for w := 0; w < c.cfg.WorkersPerNode; w++ {
-			workers.Add(1)
-			go func(n *node[V, M], w int) {
-				defer workers.Done()
-				defer c.recoverToFailure()
-				c.workerLoop(n, c.workerShard(n.id, w))
-			}(n, w)
-		}
-	}
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		c.retryLoop(ctx)
-	}()
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		c.watchdog(ctx)
-	}()
-	if c.cfg.OnStart != nil {
-		c.cfg.OnStart(c)
-	}
-
-	c.coordinate(ctx)
-	workers.Wait()
-	aux.Wait()
-	// Workers and the retry loop are gone, so no new data envelopes can
-	// originate. Close the transport (draining its in-flight delayed
-	// deliveries) while appliers still consume, then release the appliers
-	// via the done channel. Inboxes are never closed — appliers may still
-	// be sending acks into each other's inboxes right up to the moment
-	// they observe done, and a send racing a close would panic.
-	c.transport.Close()
-	close(c.done)
-	appliers.Wait()
-
-	res := &Result[V]{Values: make([]V, c.g.NumVertices())}
-	buf := make([]uint64, c.values.Words())
-	for v := range res.Values {
-		c.values.LoadBuf(int64(v), &res.Values[v], buf)
-	}
-	nv := c.g.NumVertices()
-	var tDropped, tDuplicated int64
-	if fc, ok := c.transport.(FaultCounter); ok {
-		tDropped, tDuplicated = fc.FaultCounts()
-	}
-	// Fold the transport's own fault counts into the registry so a live
-	// Snapshot and the final Stats agree.
-	c.sh0.Add(telemetry.CtrBatchesDropped, tDropped)
-	c.sh0.Add(telemetry.CtrBatchesDuplicated, tDuplicated)
-	t := c.tel.CounterTotals()
-	res.Stats = Stats{
-		Stats: core.Stats{
-			BlockUpdates:   t[telemetry.CtrBlockUpdates],
-			VertexUpdates:  t[telemetry.CtrVertexUpdates],
-			EdgesTraversed: t[telemetry.CtrEdgesTraversed],
-			ScatterWrites:  t[telemetry.CtrLocalWrites] + t[telemetry.CtrMessagesSent],
-			Converged:      c.converged.Load(),
-			StallWindows:   t[telemetry.CtrStallWindows],
-			WallTime:       time.Since(start),
-		},
-		Nodes:             c.cfg.Nodes,
-		MessagesSent:      t[telemetry.CtrMessagesSent],
-		BatchesSent:       t[telemetry.CtrBatchesSent],
-		LocalWrites:       t[telemetry.CtrLocalWrites],
-		BatchesRetried:    t[telemetry.CtrBatchesRetried],
-		BatchesDropped:    t[telemetry.CtrBatchesDropped],
-		BatchesDuplicated: t[telemetry.CtrBatchesDuplicated],
-		NodesFailed:       t[telemetry.CtrNodesFailed],
-	}
-	if nv > 0 {
-		res.Stats.Epochs = float64(res.Stats.VertexUpdates) / float64(nv)
-	}
-	if errp := c.failure.Load(); errp != nil {
-		return nil, *errp
-	}
-	return res, nil
-}
-
-// deliverLocal is the transport's injection point into node inboxes. Data
-// envelopes queue on the receiver's inbox and apply backpressure; acks
-// settle directly on the delivering goroutine — settle only takes the
-// receiving node's unacked lock, so it can never block on an applier,
-// never competes with data for inbox space, and never deadlocks two
-// appliers acking each other. (A transport may still drop or delay the
-// ack in flight; the sender's retry of the idempotent batch covers that.)
-func (c *clusterRun[V, M]) deliverLocal(to int, e Envelope) {
-	n := c.nodes[to]
-	if e.kind != envData {
-		c.settle(n, e.id)
-		return
-	}
-	// A parked channel send, never a poll loop: under heavy chaos tens of
-	// thousands of delayed deliveries can be in flight at once, and
-	// spin-waiting on a full inbox melts the scheduler. The two escape
-	// hatches are channels too — down unblocks senders to a dead node
-	// (the failover rebuild compensates for the batch), done unblocks
-	// everything at teardown (the run is over; the batch cannot matter).
-	select {
-	case n.inbox <- e:
-	case <-n.down:
-	case <-c.done:
+// SnapshotStamps copies the write stamps of slots [lo, lo+len(dst)) with
+// atomic loads; RestoreStamps is its inverse.
+func (s *Shared[V, M]) SnapshotStamps(lo int64, dst []uint64) {
+	for i := range dst {
+		dst[i] = s.slotSeq[lo+int64(i)].Load()
 	}
 }
 
-// workerLoop is one node-local fused gather-apply-scatter worker, cycling
-// over the blocks its node currently owns.
-func (c *clusterRun[V, M]) workerLoop(n *node[V, M], sh *telemetry.Shard) {
-	sch, err := sched.New(sched.Cyclic, n.st, uint64(n.id)+1)
-	if err != nil {
-		c.fail(fmt.Errorf("cluster: node %d scheduler: %w", n.id, err))
-		return
+func (s *Shared[V, M]) RestoreStamps(lo int64, src []uint64) {
+	for i, stamp := range src {
+		s.slotSeq[lo+int64(i)].Store(stamp)
 	}
-	ws := newWorkerState(c.prog, c.cfg)
-	spins := 0
-	for {
-		nap := c.workerStep(n, sch, ws, sh, &spins)
-		if nap < 0 {
-			return
-		}
-		if nap > 0 {
-			// Back off outside the fence so a pending failover is never
-			// delayed by an idle worker's nap.
-			time.Sleep(nap)
+}
+
+// RebuildInEdges re-derives every in-edge cache slot of block b from the
+// current values: slot s caches ScatterValue of its source vertex,
+// whatever node owns that source — the same idempotent write the normal
+// path performs, which is what reconstructs any batch lost in flight
+// (to a dead node, or across a fuzzy checkpoint). A non-zero fence
+// stamps the rebuilt slots so older envelopes surfacing later lose the
+// staleness race. Callers guarantee no worker or apply touches the block
+// meanwhile.
+func (s *Shared[V, M]) RebuildInEdges(b int, fence uint64) {
+	buf := make([]uint64, max(s.Values.Words(), 2))
+	var val V
+	lo, hi := s.Part.EdgeRange(b)
+	for sl := lo; sl < hi; sl++ {
+		src := s.G.InSrc(sl)
+		s.Values.LoadBuf(int64(src), &val, buf)
+		s.cache.StoreBuf(sl, s.Prog.ScatterValue(src, val, s.G), buf)
+		if fence != 0 {
+			s.slotSeq[sl].Store(fence)
 		}
 	}
 }
 
-// workerStep runs one claim-process-done iteration under the failover
-// fence. It returns a backoff duration (0 = progress was made), or a
-// negative duration when the worker should exit.
-func (c *clusterRun[V, M]) workerStep(n *node[V, M], sch sched.Scheduler, ws *workerState[V, M], sh *telemetry.Shard, spins *int) time.Duration {
-	c.fence.RLock()
-	defer c.fence.RUnlock()
-	if c.stopping.Load() || n.failed.Load() {
-		return -1
-	}
-	if c.vertexUpdates() >= c.budget {
-		// Workers police the budget themselves; the coordinator's
-		// polling interval would otherwise allow a large overshoot.
-		c.stop()
-		return -1
-	}
-	b, ok := sch.Next()
-	if !ok {
-		*spins++
-		if *spins < 64 {
-			// Another worker may hold every active block; yield.
-			return time.Microsecond
-		}
-		return 50 * time.Microsecond
-	}
-	*spins = 0
-	c.processBlock(n, b, ws, sh)
-	n.st.Done(b)
-	return 0
-}
-
-// workerState is the per-worker scratch.
-type workerState[V, M any] struct {
+// worker is one worker goroutine's scratch, scheduler cursor and
+// telemetry shard.
+type worker[V, M any] struct {
+	sch      sched.Scheduler
+	sh       *telemetry.Shard
+	spins    int
 	acc      M
 	old, src V
 	buf      []uint64
@@ -424,403 +308,374 @@ type workerState[V, M any] struct {
 	pending  []batch // one building batch per destination node
 }
 
-func newWorkerState[V, M any](prog bcd.Program[V, M], cfg Config) *workerState[V, M] {
-	words := prog.Codec().Words()
-	if words < 2 {
-		words = 2
+func (n *Node[V, M]) newWorker(w int) (*worker[V, M], error) {
+	sch, err := sched.New(sched.Cyclic, n.Sched, uint64(n.ID*n.cfg.WorkersPerNode+w+1))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %d scheduler: %w", n.ID, err)
 	}
-	return &workerState[V, M]{
-		acc:     prog.NewAccum(),
-		buf:     make([]uint64, words),
-		enc:     make([]uint64, prog.Codec().Words()),
-		pending: make([]batch, cfg.Nodes),
+	words := n.Prog.Codec().Words()
+	return &worker[V, M]{
+		sch:     sch,
+		sh:      &n.workers[w],
+		acc:     n.Prog.NewAccum(),
+		buf:     make([]uint64, max(words, 2)),
+		enc:     make([]uint64, words),
+		pending: make([]batch, n.cfg.Nodes),
+	}, nil
+}
+
+// Work runs worker w until the run stops.
+func (n *Node[V, M]) Work(w int) { n.work(w, n.step) }
+
+// work is Work with the per-iteration body made explicit: the in-process
+// runtime wraps step in its failover fence and epoch budget.
+func (n *Node[V, M]) work(w int, step func(*worker[V, M]) time.Duration) {
+	defer n.recoverToFailure()
+	ws, err := n.newWorker(w)
+	if err != nil {
+		n.fail(err)
+		return
+	}
+	for {
+		nap := step(ws)
+		if nap < 0 {
+			return
+		}
+		if nap > 0 {
+			time.Sleep(nap)
+		}
 	}
 }
 
-// processBlock runs the fused GAS chain for one global block on node n.
-// Work counters land in the calling worker's telemetry shard sh.
+// step runs one claim-process-done iteration. It returns a backoff
+// duration (0 = progress was made), or a negative duration when the
+// worker should exit.
+func (n *Node[V, M]) step(ws *worker[V, M]) time.Duration {
+	if n.stopping.Load() {
+		return -1
+	}
+	b, ok := ws.sch.Next()
+	if !ok {
+		ws.spins++
+		if ws.spins < 64 {
+			// Another worker may hold every active block; yield.
+			return time.Microsecond
+		}
+		return 50 * time.Microsecond
+	}
+	ws.spins = 0
+	n.processBlock(b, ws)
+	n.Sched.Done(b)
+	return 0
+}
+
+// processBlock runs the fused GAS chain for one owned block: gather and
+// apply every vertex, then scatter — local slots store directly, remote
+// slots batch into state-based messages for their owner node. Work
+// counters and stage timings land in the calling worker's shard.
 //
 //abcd:hotpath
-func (c *clusterRun[V, M]) processBlock(n *node[V, M], b int, ws *workerState[V, M], sh *telemetry.Shard) {
-	lo, hi := c.part.VertexRange(b)
+func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
+	s, g, prog := n.Shared, n.G, n.Prog
+	lo, hi := s.Part.VertexRange(b)
 	if cap(ws.deltas) < hi-lo {
 		ws.deltas = make([]float64, hi-lo) //abcdlint:ignore hotpath -- amortized: grows once to the largest owned block, then reused
 	}
 	deltas := ws.deltas[:hi-lo]
+	gStart := s.Tel.Stamp()
 	var edges int64
-
 	for v := lo; v < hi; v++ {
-		c.values.LoadBuf(int64(v), &ws.old, ws.buf)
-		c.prog.ResetAccum(&ws.acc)
-		slo, shi := c.g.InOffset(v), c.g.InOffset(v+1)
-		for s := slo; s < shi; s++ {
-			c.cache.LoadBuf(s, &ws.src, ws.buf)
-			c.prog.EdgeGather(&ws.acc, ws.old, c.g.InWeight(s), ws.src)
+		s.Values.LoadBuf(int64(v), &ws.old, ws.buf)
+		prog.ResetAccum(&ws.acc)
+		slo, shi := g.InOffset(v), g.InOffset(v+1)
+		for e := slo; e < shi; e++ {
+			s.cache.LoadBuf(e, &ws.src, ws.buf)
+			prog.EdgeGather(&ws.acc, ws.old, g.InWeight(e), ws.src)
 		}
 		edges += shi - slo
-		newVal := c.prog.Apply(uint32(v), ws.old, &ws.acc, shi-slo, c.g)
-		if c.prog.Delta(ws.old, newVal) == 0 {
+		newVal := prog.Apply(uint32(v), ws.old, &ws.acc, shi-slo, g)
+		if prog.Delta(ws.old, newVal) == 0 {
 			deltas[v-lo] = 0
 			continue
 		}
-		deltas[v-lo] = c.prog.Delta(
-			c.prog.ScatterValue(uint32(v), ws.old, c.g),
-			c.prog.ScatterValue(uint32(v), newVal, c.g))
-		c.values.StoreBuf(int64(v), newVal, ws.buf)
+		deltas[v-lo] = prog.Delta(
+			prog.ScatterValue(uint32(v), ws.old, g),
+			prog.ScatterValue(uint32(v), newVal, g))
+		s.Values.StoreBuf(int64(v), newVal, ws.buf)
 	}
-	sh.Add(telemetry.CtrBlockUpdates, 1)
-	sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
-	sh.Add(telemetry.CtrEdgesTraversed, edges)
+	ws.sh.Add(telemetry.CtrBlockUpdates, 1)
+	ws.sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
+	ws.sh.Add(telemetry.CtrEdgesTraversed, edges)
+	sStart := s.Tel.Stamp()
+	ws.sh.Observe(telemetry.StageGather, sStart-gStart)
+	ws.sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
 
-	// Scatter: local slots store directly; remote slots batch into
-	// state-based messages for their owner node.
-	codec := c.prog.Codec()
+	codec := prog.Codec()
+	var writes, locals int64
 	for v := lo; v < hi; v++ {
 		d := deltas[v-lo]
-		if d <= c.cfg.Epsilon {
+		if d <= s.cfg.Epsilon {
 			continue
 		}
-		c.values.LoadBuf(int64(v), &ws.old, ws.buf)
-		sval := c.prog.ScatterValue(uint32(v), ws.old, c.g)
+		s.Values.LoadBuf(int64(v), &ws.old, ws.buf)
+		sval := prog.ScatterValue(uint32(v), ws.old, g)
 		codec.Encode(sval, ws.enc)
-		for i := c.g.OutOffset(v); i < c.g.OutOffset(v+1); i++ {
-			slot := c.g.OutPos(i)
-			db := c.part.BlockOf(c.g.OutDst(i))
-			owner := c.owner(db)
-			if owner == n.id {
-				c.cache.StoreBuf(slot, sval, ws.buf)
-				n.st.Activate(db, d)
-				sh.Add(telemetry.CtrLocalWrites, 1)
+		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
+			slot := g.OutPos(i)
+			db := s.Part.BlockOf(g.OutDst(i))
+			owner := int(s.owner[db].Load())
+			writes++
+			if owner == n.ID {
+				s.cache.StoreBuf(slot, sval, ws.buf)
+				n.Sched.Activate(db, d)
+				locals++
 				continue
 			}
 			p := &ws.pending[owner]
 			p.slots = append(p.slots, slot)        //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
 			p.blocks = append(p.blocks, int32(db)) //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
 			p.words = append(p.words, ws.enc...)   //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			if len(p.slots) >= c.cfg.batchSize() {
-				c.flush(n, owner, p, sh)
+			if len(p.slots) >= s.cfg.BatchSize {
+				n.flush(owner, p, ws.sh)
 			}
 		}
 	}
 	for owner := range ws.pending {
 		if len(ws.pending[owner].slots) > 0 {
-			c.flush(n, owner, &ws.pending[owner], sh)
+			n.flush(owner, &ws.pending[owner], ws.sh)
 		}
+	}
+	ws.sh.Add(telemetry.CtrScatterWrites, writes)
+	ws.sh.Add(telemetry.CtrLocalWrites, locals)
+	if end := s.Tel.Stamp(); end > 0 {
+		ws.sh.Observe(telemetry.StageScatter, end-sStart)
+		ws.sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)
 	}
 }
 
 // flush turns the building batch into a data envelope, registers it for
-// at-least-once retry, and hands it to the transport. Counter order
-// matters for termination: totalSent and inflight rise before the send,
-// and inflight falls only when the ack comes back (or the destination
-// dies and the failover rebuild takes over the batch's duty).
-func (c *clusterRun[V, M]) flush(n *node[V, M], owner int, p *batch, sh *telemetry.Shard) {
-	if n.sendWindow != nil {
+// at-least-once retry, and hands it to the transport, honoring the
+// MaxUnacked send window. Counter order matters for termination: sent
+// and inflight rise before the send, and inflight falls only when the
+// ack comes back (or the destination dies and the failover rebuild takes
+// over the batch's duty).
+func (n *Node[V, M]) flush(to int, p *batch, sh *telemetry.Shard) {
+	if n.window != nil {
 		select {
-		case n.sendWindow <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
-		case <-c.stopped:
-			// Teardown: the batch dies with the run. Waiting on done
-			// instead would deadlock — done closes only after the
-			// workers exit, and under a partition the window slots held
-			// by undeliverable batches are never coming back.
+		case n.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
+		case <-n.stopped:
+			// Teardown: the batch dies with the run. Under a partition
+			// the window slots held by undeliverable batches are never
+			// coming back, so this is the only way out.
 			return
-		case <-c.done:
-			return // shutdown: the batch dies with the run
 		}
 	}
 	now := time.Now()
 	e := Envelope{
 		kind:   envData,
-		from:   n.id,
-		id:     c.seq.Add(1),
+		from:   n.ID,
+		id:     n.seq.Add(1),
 		sentAt: now,
 		slots:  append([]int64(nil), p.slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		blocks: append([]int32(nil), p.blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		words:  append([]uint64(nil), p.words...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 	}
 	p.slots, p.blocks, p.words = p.slots[:0], p.blocks[:0], p.words[:0]
-	c.totalSent.Add(1)
-	c.inflight.Add(1)
+	n.sent.Add(1)
+	n.inflight.Add(1)
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
 	sh.Add(telemetry.CtrBatchesSent, 1)
+	sh.FlowSend(to, e.id, n.Tel.Stamp())
 	n.unackedMu.Lock()          //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
 	n.unacked[e.id] = &pending{ //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-		to:        owner,
+		to:        to,
 		env:       e,
-		nextRetry: now.Add(c.cfg.retryBase()),
-		deadline:  now.Add(c.cfg.retryDeadline()),
+		nextRetry: now.Add(n.cfg.RetryBase),
+		deadline:  now.Add(n.cfg.RetryDeadline),
 	}
 	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
-	c.transport.Send(n.id, owner, e)
+	n.tr.Send(n.ID, to, e)
 }
 
-// applyLoop consumes a node's inbox until the node fails (after which it
-// discards traffic so senders never block on a dead node) or the run's
-// done channel closes at shutdown.
-func (c *clusterRun[V, M]) applyLoop(n *node[V, M], sh *telemetry.Shard) {
-	as := &applyScratch[V]{buf: make([]uint64, max(c.cache.Words(), 2))}
-	for {
-		select {
-		case <-n.down:
-			for { // discard traffic until shutdown
-				select {
-				case <-c.done:
-					return
-				case <-n.inbox:
-				}
-			}
-		case <-c.done:
-			return
-		case e := <-n.inbox:
-			n.applyMu.Lock()
-			if !n.failed.Load() {
-				start := c.tel.Stamp()
-				c.handleEnvelope(n, e, as)
-				sh.Observe(telemetry.StageApply, c.tel.Stamp()-start)
-			}
-			n.applyMu.Unlock()
-		}
+// Deliver is the transport's entry point into the node. Acks settle
+// directly on the delivering goroutine — settle only takes the unacked
+// lock, so it can never block on an apply and never deadlocks two nodes
+// acking each other. Data envelopes apply inline and ack back.
+func (n *Node[V, M]) Deliver(to int, e Envelope) {
+	if to != n.ID {
+		return // misrouted frame: a peer dialed the wrong address
+	}
+	if e.kind == envAck {
+		n.settle(e.id)
+	} else {
+		n.apply(e)
 	}
 }
 
-// applyScratch is the applier's reusable transfer scratch.
-type applyScratch[V any] struct {
-	old, incoming V
-	buf           []uint64
+// apply installs one data batch and acknowledges it — every time, even
+// when every slot was stale, because a duplicate usually means the
+// previous ack was lost. Only a batch install refuses goes unacked.
+func (n *Node[V, M]) apply(e Envelope) {
+	if n.install(e) {
+		n.tr.Send(n.ID, e.from, Envelope{kind: envAck, from: n.ID, id: e.id})
+	}
 }
 
-// handleEnvelope applies one data batch on node n under the per-slot
-// write-stamp guard and acknowledges it — every time, even when every
-// slot was stale, because a duplicate usually means the previous ack was
-// lost. (Acks themselves never reach here; deliverLocal settles them on
-// the delivering goroutine.)
-func (c *clusterRun[V, M]) handleEnvelope(n *node[V, M], e Envelope, as *applyScratch[V]) {
-	if c.cfg.NetDelay > 0 {
-		if wait := time.Until(e.sentAt.Add(c.cfg.NetDelay)); wait > 0 {
-			time.Sleep(wait)
-		}
+// install writes one data batch into the cache under the per-slot
+// write-stamp guard: a slot never regresses past a newer write, and
+// every effective change re-activates its destination block. Envelopes
+// come off a wire: a batch whose lengths disagree is refused whole (the
+// sender's retry re-delivers), an entry naming a slot out of range or a
+// block this node does not own is skipped. A dead node refuses all
+// traffic.
+func (n *Node[V, M]) install(e Envelope) bool {
+	words := n.cache.Words()
+	if len(e.blocks) != len(e.slots) || len(e.words) != len(e.slots)*words {
+		return false
 	}
-	words := c.cache.Words()
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	if n.dead[n.ID].Load() {
+		return false
+	}
+	start := n.Tel.Stamp()
+	n.Ctl.FlowRecv(e.from, e.id, start)
 	for i, slot := range e.slots {
-		if c.slotSeq[slot].Load() > e.id {
+		b := int(e.blocks[i])
+		if slot < 0 || slot >= int64(len(n.slotSeq)) || b < 0 || b >= len(n.owner) || int(n.owner[b].Load()) != n.ID {
+			continue
+		}
+		if n.slotSeq[slot].Load() > e.id {
 			continue // stale redelivery: a newer write already landed
 		}
-		c.cache.LoadBuf(slot, &as.old, as.buf)
-		c.prog.Codec().DecodeInto(e.words[i*words:(i+1)*words], &as.incoming)
-		c.cache.StoreBuf(slot, as.incoming, as.buf)
-		c.slotSeq[slot].Store(e.id)
-		if d := c.prog.Delta(as.old, as.incoming); d > c.cfg.Epsilon {
-			n.st.Activate(int(e.blocks[i]), d)
+		n.cache.LoadBuf(slot, &n.old, n.buf)
+		n.Prog.Codec().DecodeInto(e.words[i*words:(i+1)*words], &n.incoming)
+		n.cache.StoreBuf(slot, n.incoming, n.buf)
+		n.slotSeq[slot].Store(e.id)
+		if d := n.Prog.Delta(n.old, n.incoming); d > n.cfg.Epsilon {
+			n.Sched.Activate(b, d)
 		}
 	}
-	c.transport.Send(n.id, e.from, Envelope{kind: envAck, from: n.id, id: e.id})
+	n.applied.Add(1)
+	if end := n.Tel.Stamp(); end > 0 {
+		n.Ctl.Observe(telemetry.StageApply, end-start)
+		// Propagation delay stands in for the staleness the single-node
+		// engine measures in milli-epochs: how long this batch's values
+		// were in flight (sender's scatter to this apply), in ms — the
+		// bounded-delay quantity async-BCD convergence reasons about.
+		if !e.sentAt.IsZero() {
+			n.Ctl.Observe(telemetry.StageStaleness, int64(time.Since(e.sentAt)/time.Millisecond))
+		}
+	}
+	return true
 }
 
 // settle clears one unacked batch on first ack; duplicate acks find the
-// entry gone and decrement nothing, keeping inflight exact.
-func (c *clusterRun[V, M]) settle(n *node[V, M], id uint64) {
+// entry gone and release nothing, keeping inflight and the window exact.
+func (n *Node[V, M]) settle(id uint64) {
 	n.unackedMu.Lock()
 	_, ok := n.unacked[id]
-	if ok {
-		delete(n.unacked, id)
-	}
+	delete(n.unacked, id)
 	n.unackedMu.Unlock()
 	if ok {
-		c.inflight.Add(-1)
-		n.releaseWindow(1)
+		n.retire(1)
 	}
 }
 
-// releaseWindow returns k MaxUnacked slots after unacked entries retire.
-// Acquire and release are one-to-one with the unacked map, so the
-// non-blocking receive never actually misses; it only keeps a bookkeeping
-// bug from turning into a hang.
-func (n *node[V, M]) releaseWindow(k int) {
-	if n.sendWindow == nil {
-		return
-	}
-	for i := 0; i < k; i++ {
+// retire accounts for k unacked entries leaving the table: inflight
+// falls and k window slots free up. Acquire and release are one-to-one
+// with the table, so the non-blocking receive never actually misses; it
+// only keeps a bookkeeping bug from turning into a hang.
+func (n *Node[V, M]) retire(k int) {
+	n.inflight.Add(int64(-k))
+	for ; k > 0 && n.window != nil; k-- {
 		select {
-		case <-n.sendWindow:
+		case <-n.window:
 		default:
 			return
 		}
 	}
 }
 
-// retrySend is one due retransmission collected under the unacked lock
-// and sent after it is released.
-type retrySend struct {
-	to  int
-	env Envelope
+// abandonAll drops every unacked batch of a node that just died: nobody
+// will retry them, and the failover rebuild re-derives their payloads
+// from the values.
+func (n *Node[V, M]) abandonAll() {
+	n.unackedMu.Lock()
+	k := len(n.unacked)
+	clear(n.unacked)
+	n.unackedMu.Unlock()
+	n.Ctl.Add(telemetry.CtrBatchesDropped, int64(k))
+	n.retire(k)
 }
 
-// retryLoop is the at-least-once delivery engine: it rescans every node's
-// unacked batches, retransmits the due ones with exponential backoff,
-// abandons batches whose destination died (the failover rebuild is their
-// compensation), and fails the run if a batch to a live node outlives its
-// delivery deadline.
-func (c *clusterRun[V, M]) retryLoop(ctx context.Context) {
-	base := c.cfg.retryBase()
-	tick := base / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
+// retryTick is one pass of the at-least-once delivery engine at time
+// now: it retransmits the due batches with exponential backoff, abandons
+// batches whose destination died (the failover rebuild is their
+// compensation), and fails the run if a batch to a live node outlived
+// its delivery deadline. Scan under the lock, send outside it.
+func (n *Node[V, M]) retryTick(now time.Time) {
+	n.due = n.due[:0]
+	abandoned := 0
+	n.unackedMu.Lock()
+	for id, p := range n.unacked {
+		switch {
+		case n.dead[p.to].Load():
+			delete(n.unacked, id)
+			abandoned++
+		case now.Before(p.nextRetry):
+		case now.After(p.deadline):
+			delete(n.unacked, id)
+			abandoned++
+			n.fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
+				id, n.ID, p.to, n.cfg.RetryDeadline, p.attempts))
+		default:
+			p.attempts++
+			// The shift is clamped so a long partition cannot overflow the
+			// backoff into a retransmission per tick.
+			p.nextRetry = now.Add(min(n.cfg.RetryBase<<min(p.attempts, 16), 50*time.Millisecond))
+			n.due = append(n.due, p)
+		}
 	}
+	n.unackedMu.Unlock()
+	if abandoned > 0 {
+		n.Ctl.Add(telemetry.CtrBatchesDropped, int64(abandoned))
+		n.retire(abandoned)
+	}
+	for _, p := range n.due {
+		if n.stopping.Load() {
+			return
+		}
+		n.Ctl.Add(telemetry.CtrBatchesRetried, 1)
+		n.tr.Send(n.ID, p.to, p.env)
+	}
+}
+
+// RetryLoop drives retryTick for the given nodes of one Shared until the
+// run stops or ctx ends.
+func RetryLoop[V, M any](ctx context.Context, nodes ...*Node[V, M]) {
+	s := nodes[0].Shared
+	tick := max(s.cfg.RetryBase/4, 200*time.Microsecond)
 	timer := time.NewTimer(tick)
 	defer timer.Stop()
-	var due []retrySend
-	for !c.stopping.Load() {
+	for {
 		select {
 		case <-ctx.Done():
-			// coordinate flips stopping on cancellation; returning here
-			// just skips the rest of the tick.
+			return
+		case <-s.stopped:
 			return
 		case <-timer.C:
 		}
 		timer.Reset(tick)
 		now := time.Now()
-		for _, n := range c.nodes {
-			due = due[:0]
-			abandoned := 0
-			n.unackedMu.Lock()
-			for id, p := range n.unacked {
-				if c.nodes[p.to].failed.Load() {
-					delete(n.unacked, id)
-					abandoned++
-					continue
-				}
-				if now.Before(p.nextRetry) {
-					continue
-				}
-				if now.After(p.deadline) {
-					delete(n.unacked, id)
-					abandoned++
-					c.fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
-						id, n.id, p.to, c.cfg.retryDeadline(), p.attempts))
-					continue
-				}
-				p.attempts++
-				backoff := base << uint(p.attempts)
-				if backoff > 50*time.Millisecond {
-					backoff = 50 * time.Millisecond
-				}
-				p.nextRetry = now.Add(backoff)
-				due = append(due, retrySend{to: p.to, env: p.env})
-			}
-			n.unackedMu.Unlock()
-			if abandoned > 0 {
-				c.sh0.Add(telemetry.CtrBatchesDropped, int64(abandoned))
-				c.inflight.Add(int64(-abandoned))
-				n.releaseWindow(abandoned)
-			}
-			for _, r := range due {
-				c.sh0.Add(telemetry.CtrBatchesRetried, 1)
-				c.transport.Send(n.id, r.to, r.env)
-			}
+		for _, n := range nodes {
+			n.retryTick(now)
 		}
 	}
 }
 
-// watchdog samples run progress once per watchdog period and counts the
-// periods in which nothing moved — neither a vertex update nor a batch
-// application. The count surfaces as Stats.StallWindows so a hung or
-// partitioned run is visible even when it eventually completes.
-func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
-	period := c.cfg.watchdogPeriod()
-	if period <= 0 {
-		return
-	}
-	step := period / 8
-	if step < time.Millisecond {
-		step = time.Millisecond
-	}
-	timer := time.NewTimer(step)
-	defer timer.Stop()
-	last := int64(-1)
-	for {
-		deadline := time.Now().Add(period)
-		for time.Now().Before(deadline) {
-			if c.stopping.Load() {
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-timer.C:
-			}
-			timer.Reset(step)
-		}
-		progress := c.vertexUpdates() + c.totalSent.Load() - c.inflight.Load()
-		if progress == last {
-			c.sh0.Add(telemetry.CtrStallWindows, 1)
-		}
-		last = progress
-	}
-}
-
-// coordinate is the cluster's termination unit. It stops the run when the
-// context is cancelled, a failure is recorded, the epoch budget is
-// exhausted, or distributed quiescence is certain.
-func (c *clusterRun[V, M]) coordinate(ctx context.Context) {
-	done := ctx.Done()
-	for {
-		if c.stopping.Load() {
-			return
-		}
-		select {
-		case <-done:
-			// Graceful cancellation: stop scheduling, keep the partial
-			// result. Converged stays false.
-			c.stop()
-			return
-		default:
-		}
-		if c.vertexUpdates() >= c.budget {
-			c.stop()
-			return
-		}
-		if c.checkQuiescence() {
-			c.converged.Store(true)
-			c.stop()
-			return
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-}
-
-// checkQuiescence implements the exact distributed termination test,
-// ack-based so it stays exact under retries, duplicates, and node death.
-//
-// Order of observation: (1) snapshot the monotone totalSent counter;
-// (2) require no failover rebuild in progress — a rebuild is about to
-// re-activate blocks, so the system is not quiet; (3) require
-// inflight == 0 — every logical batch ever created has either been acked
-// (the receiver raised the destination's active bit *before* sending the
-// ack, and the sender decremented inflight only after processing the
-// ack, so all resulting activations are visible) or been abandoned at a
-// failed node *after* the rebuild that compensates for it started, which
-// step (2) covers; retries and duplicate deliveries never touch the
-// counter, and duplicate acks find the unacked entry already gone;
-// (4) require every live node quiescent — any worker still processing
-// holds its block in-flight and would fail this (dead nodes' scheduler
-// state is orphaned by reassignment and excluded); (5) require totalSent
-// unchanged and still no rebuild — no new batch was created and no node
-// died while we looked. If all five hold, no work exists anywhere.
-func (c *clusterRun[V, M]) checkQuiescence() bool {
-	s1 := c.totalSent.Load()
-	if c.recovering.Load() != 0 {
-		return false
-	}
-	if c.inflight.Load() != 0 {
-		return false
-	}
-	for _, n := range c.nodes {
-		if n.failed.Load() {
-			continue
-		}
-		if !n.st.Quiescent() {
-			return false
-		}
-	}
-	return c.totalSent.Load() == s1 && c.recovering.Load() == 0
+// Probe returns the node's termination accounting: monotone batches
+// sent and applied, exact inflight, and scheduler quiescence.
+func (n *Node[V, M]) Probe() (sent, applied uint64, inflight int64, quiescent bool) {
+	return n.sent.Load(), n.applied.Load(), n.inflight.Load(), n.Sched.Quiescent()
 }

@@ -1,0 +1,356 @@
+package cluster
+
+import (
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"graphabcd/internal/bcd"
+	"graphabcd/internal/gen"
+	"graphabcd/internal/telemetry"
+)
+
+// scriptTransport is a fake Transport that delivers nothing: it records
+// every Send and the test script decides what arrives, when, how often.
+type scriptTransport struct {
+	mu   sync.Mutex // only the blocked-flush case sends off the test goroutine
+	sent []scriptSend
+}
+
+type scriptSend struct {
+	from, to int
+	env      Envelope
+}
+
+func (t *scriptTransport) Bind(int, func(int, Envelope)) {}
+func (t *scriptTransport) Close()                        {}
+func (t *scriptTransport) Send(from, to int, e Envelope) {
+	t.mu.Lock()
+	t.sent = append(t.sent, scriptSend{from, to, e})
+	t.mu.Unlock()
+}
+
+// take drains the recorded sends.
+func (t *scriptTransport) take() []scriptSend {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.sent
+	t.sent = nil
+	return out
+}
+
+// rig is a two-node cluster over one Shared and a scriptTransport, driven
+// step by step from the test goroutine. Node 0 is the sender under test,
+// node 1 the receiver. Every step ends in check, which asserts the
+// delivery state machine's conservation law.
+type rig struct {
+	t        *testing.T
+	tr       *scriptTransport
+	src, dst *Node[float64, float64]
+	edges    []remoteEdge // src-owned vertex -> dst-owned vertex
+	acked    uint64       // first acks the script delivered to src
+	t0       time.Time
+}
+
+// remoteEdge is one scatter target crossing from node 0 to node 1.
+type remoteEdge struct {
+	slot  int64
+	block int32
+}
+
+func newRig(t *testing.T, tune func(*Config)) *rig {
+	t.Helper()
+	g, err := gen.RMAT(gen.DefaultRMAT(7, 6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &scriptTransport{}
+	cfg := Config{Nodes: 2, BlockSize: 16, WorkersPerNode: 1, Transport: tr,
+		RetryBase: time.Hour, RetryDeadline: 10 * time.Hour}
+	if tune != nil {
+		tune(&cfg)
+	}
+	nodes, err := NewNodes[float64, float64](g, bcd.PageRank{}, cfg, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{t: t, tr: tr, src: nodes[0], dst: nodes[1], t0: time.Now()}
+	lo, hi := r.src.VertexRange(0)
+	for v := lo; v < hi; v++ {
+		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
+			if b := r.src.Part.BlockOf(g.OutDst(i)); int(r.src.owner[b].Load()) == 1 {
+				r.edges = append(r.edges, remoteEdge{g.OutPos(i), int32(b)})
+			}
+		}
+	}
+	if len(r.edges) < 4 {
+		t.Fatalf("test graph has only %d node0->node1 edges", len(r.edges))
+	}
+	// Retire the receiver's seed activations so that any activation seen
+	// later was caused by an apply.
+	blo, bhi := r.dst.BlockRange(1)
+	for b := blo; b < bhi; b++ {
+		r.dst.Sched.Claim(b)
+		r.dst.Sched.Done(b)
+	}
+	if !r.dst.Sched.Quiescent() {
+		t.Fatal("receiver not quiescent after retiring its seed activations")
+	}
+	return r
+}
+
+// check asserts sent = acked + abandoned + pending on the sender, and
+// that inflight and the window mirror the unacked table exactly.
+func (r *rig) check() {
+	r.t.Helper()
+	n := r.src
+	n.unackedMu.Lock()
+	pending := len(n.unacked)
+	n.unackedMu.Unlock()
+	abandoned := uint64(n.Tel.Total(telemetry.CtrBatchesDropped))
+	if sent := n.sent.Load(); sent != r.acked+abandoned+uint64(pending) {
+		r.t.Fatalf("conservation broken: sent %d != acked %d + abandoned %d + pending %d", sent, r.acked, abandoned, pending)
+	}
+	if in := n.inflight.Load(); in != int64(pending) {
+		r.t.Fatalf("inflight %d, unacked table holds %d", in, pending)
+	}
+	if n.window != nil && len(n.window) != pending {
+		r.t.Fatalf("window holds %d slots, unacked table holds %d", len(n.window), pending)
+	}
+}
+
+// batchFor builds a one-update batch carrying value val on edge e.
+func (r *rig) batchFor(e remoteEdge, val float64) *batch {
+	p := &batch{slots: []int64{e.slot}, blocks: []int32{e.block}, words: make([]uint64, 1)}
+	r.src.Prog.Codec().Encode(val, p.words)
+	return p
+}
+
+// flush sends one batch carrying value val on edge e and returns the data
+// envelope the transport saw (nil if flush sent nothing).
+func (r *rig) flush(e remoteEdge, val float64) *Envelope {
+	r.t.Helper()
+	r.src.flush(1, r.batchFor(e, val), &r.src.workers[0])
+	sends := r.tr.take()
+	r.check()
+	if len(sends) == 0 {
+		return nil
+	}
+	if len(sends) != 1 || sends[0].to != 1 || sends[0].env.kind != envData {
+		r.t.Fatalf("flush produced %+v", sends)
+	}
+	return &sends[0].env
+}
+
+// deliver hands a data envelope to the receiver and returns the acks it
+// sent back (not yet delivered to the sender).
+func (r *rig) deliver(e Envelope) []Envelope {
+	r.t.Helper()
+	r.dst.Deliver(1, e)
+	var acks []Envelope
+	for _, s := range r.tr.take() {
+		if s.env.kind != envAck || s.from != 1 || s.to != e.from {
+			r.t.Fatalf("receiver sent %+v, want an ack to node %d", s, e.from)
+		}
+		acks = append(acks, s.env)
+	}
+	r.check()
+	return acks
+}
+
+// ack delivers one ack to the sender; first says whether the script
+// expects it to be the batch's first ack.
+func (r *rig) ack(a Envelope, first bool) {
+	r.t.Helper()
+	if first {
+		r.acked++
+	}
+	r.src.Deliver(0, a)
+	r.check()
+}
+
+// tick runs the sender's retry pass at t0+d and returns the resends.
+func (r *rig) tick(d time.Duration) []scriptSend {
+	r.t.Helper()
+	r.src.retryTick(r.t0.Add(d))
+	out := r.tr.take()
+	r.check()
+	return out
+}
+
+func (r *rig) slotValue(slot int64) float64 {
+	var v float64
+	r.dst.cache.LoadBuf(slot, &v, make([]uint64, 2))
+	return v
+}
+
+func TestNodeDeliveryStateMachine(t *testing.T) {
+	cases := []struct {
+		name string
+		tune func(*Config)
+		run  func(t *testing.T, r *rig)
+	}{
+		{name: "ack settles once, duplicate ack releases nothing", tune: func(c *Config) { c.MaxUnacked = 2 },
+			run: func(t *testing.T, r *rig) {
+				a, b := r.flush(r.edges[0], 0.25), r.flush(r.edges[1], 0.5)
+				if len(r.src.window) != 2 {
+					t.Fatalf("window holds %d slots after two flushes", len(r.src.window))
+				}
+				acks := r.deliver(*a)
+				if len(acks) != 1 || acks[0].id != a.id {
+					t.Fatalf("acks = %+v", acks)
+				}
+				r.ack(acks[0], true)
+				r.ack(acks[0], false) // duplicate: check() proves inflight and the window did not move again
+				if in, w := r.src.inflight.Load(), len(r.src.window); in != 1 || w != 1 {
+					t.Fatalf("after ack + duplicate ack: inflight %d, window %d; want 1, 1", in, w)
+				}
+				r.ack(r.deliver(*b)[0], true)
+				if !r.dst.Sched.Active(int(a.blocks[0])) {
+					t.Fatal("applied update did not activate its destination block")
+				}
+			}},
+		{name: "retry backs off, redelivery is acked again", run: func(t *testing.T, r *rig) {
+			a := r.flush(r.edges[0], 0.25)
+			if got := r.tick(time.Minute); len(got) != 0 {
+				t.Fatalf("retried %d batches before RetryBase elapsed", len(got))
+			}
+			got := r.tick(time.Hour + time.Minute)
+			if len(got) != 1 || got[0].env.id != a.id || got[0].to != 1 {
+				t.Fatalf("retry sent %+v", got)
+			}
+			if got := r.tick(time.Hour + time.Minute + time.Millisecond); len(got) != 0 {
+				t.Fatal("retried again inside the backoff window")
+			}
+			if got := r.tick(time.Hour + 2*time.Minute); len(got) != 1 {
+				t.Fatalf("second retry sent %d batches", len(got))
+			}
+			if n := r.src.Tel.Total(telemetry.CtrBatchesRetried); n != 2 {
+				t.Fatalf("BatchesRetried = %d", n)
+			}
+			first := r.deliver(*a)
+			again := r.deliver(got[0].env) // the retransmission arrives too
+			if len(first) != 1 || len(again) != 1 {
+				t.Fatalf("every delivery must be acked: %d then %d acks", len(first), len(again))
+			}
+			r.ack(first[0], true)
+			r.ack(again[0], false)
+		}},
+		{name: "stale redelivery never regresses a slot and is still acked", run: func(t *testing.T, r *rig) {
+			e := r.edges[0]
+			older, newer := r.flush(e, 0.25), r.flush(e, 0.75)
+			r.ack(r.deliver(*newer)[0], true)
+			acks := r.deliver(*older) // reordered: the older write arrives last
+			if len(acks) != 1 || acks[0].id != older.id {
+				t.Fatalf("stale envelope acks = %+v", acks)
+			}
+			if v := r.slotValue(e.slot); v != 0.75 {
+				t.Fatalf("slot regressed to %g", v)
+			}
+			if stamp := r.dst.slotSeq[e.slot].Load(); stamp != newer.id {
+				t.Fatalf("stamp %d, want %d", stamp, newer.id)
+			}
+			r.ack(acks[0], true)
+		}},
+		{name: "batch past RetryDeadline fails the run", run: func(t *testing.T, r *rig) {
+			r.flush(r.edges[0], 0.25)
+			if got := r.tick(11 * time.Hour); len(got) != 0 {
+				t.Fatalf("expired batch was retransmitted: %+v", got)
+			}
+			err := r.src.Err()
+			if err == nil || !strings.Contains(err.Error(), "undelivered after 10h0m0s") ||
+				!strings.Contains(err.Error(), "transport partitioned beyond the retry deadline") {
+				t.Fatalf("deadline error = %v", err)
+			}
+			if !r.src.stopping.Load() {
+				t.Fatal("failure did not stop the run")
+			}
+		}},
+		{name: "batches to a dead node are abandoned", run: func(t *testing.T, r *rig) {
+			r.flush(r.edges[0], 0.25)
+			r.flush(r.edges[1], 0.5)
+			r.src.dead[1].Store(true)
+			if got := r.tick(time.Second); len(got) != 0 {
+				t.Fatalf("retried %d batches to a dead node", len(got))
+			}
+			if in := r.src.inflight.Load(); in != 0 {
+				t.Fatalf("inflight %d after abandon", in)
+			}
+			if r.src.Err() != nil {
+				t.Fatalf("abandon must not fail the run: %v", r.src.Err())
+			}
+		}},
+		{name: "full window blocks flush; an ack or teardown unblocks it", tune: func(c *Config) { c.MaxUnacked = 1 },
+			run: func(t *testing.T, r *rig) {
+				a := r.flush(r.edges[0], 0.25)
+				// The window is full. A second flush parks until the ack
+				// below frees the slot; receiving from done is the only
+				// wait, so the case cannot pass by timing.
+				done := make(chan struct{})
+				p := r.batchFor(r.edges[1], 0.5)
+				go func() {
+					defer close(done)
+					r.src.flush(1, p, &r.src.workers[0])
+				}()
+				acks := r.deliver(*a)
+				r.acked++
+				r.src.Deliver(0, acks[0])
+				<-done
+				if got := r.tr.take(); len(got) != 1 || got[0].env.kind != envData {
+					t.Fatalf("unblocked flush sent %+v", got)
+				}
+				r.check()
+				// Full again, and now the run tears down: flush must return
+				// without sending or accounting anything.
+				sent := r.src.sent.Load()
+				r.src.Stop()
+				if e := r.flush(r.edges[2], 0.5); e != nil {
+					t.Fatalf("flush after teardown sent %+v", e)
+				}
+				if r.src.sent.Load() != sent {
+					t.Fatal("flush after teardown counted a batch")
+				}
+			}},
+		{name: "malformed envelopes are dropped without panic", run: func(t *testing.T, r *rig) {
+			e := r.edges[0]
+			before := r.slotValue(e.slot)
+			ownedBySrc, _ := r.src.BlockRange(0)
+			bad := []struct {
+				name  string
+				env   Envelope
+				acked bool
+			}{
+				{"blocks shorter than slots", Envelope{kind: envData, id: 90, slots: []int64{e.slot, e.slot}, blocks: []int32{e.block}, words: []uint64{1, 2}}, false},
+				{"words not slots*codec width", Envelope{kind: envData, id: 91, slots: []int64{e.slot}, blocks: []int32{e.block}, words: []uint64{1, 2, 3}}, false},
+				{"slot past the edge array", Envelope{kind: envData, id: 92, slots: []int64{int64(r.dst.G.NumEdges()) + 7}, blocks: []int32{e.block}, words: []uint64{1}}, true},
+				{"negative slot", Envelope{kind: envData, id: 93, slots: []int64{-1}, blocks: []int32{e.block}, words: []uint64{1}}, true},
+				{"block out of range", Envelope{kind: envData, id: 94, slots: []int64{e.slot}, blocks: []int32{int32(r.dst.Part.NumBlocks())}, words: []uint64{1}}, true},
+				{"negative block", Envelope{kind: envData, id: 95, slots: []int64{e.slot}, blocks: []int32{-3}, words: []uint64{1}}, true},
+				{"foreign block", Envelope{kind: envData, id: 96, slots: []int64{e.slot}, blocks: []int32{int32(ownedBySrc)}, words: []uint64{1}}, true},
+			}
+			for _, b := range bad {
+				if acks := r.deliver(b.env); (len(acks) == 1) != b.acked {
+					t.Fatalf("%s: %d acks, want acked=%v", b.name, len(acks), b.acked)
+				}
+				if v := r.slotValue(e.slot); v != before {
+					t.Fatalf("%s: slot changed to %g", b.name, v)
+				}
+				if !r.dst.Sched.Quiescent() {
+					t.Fatalf("%s: activated a block on the receiver", b.name)
+				}
+			}
+			r.dst.Deliver(0, Envelope{kind: envData, id: 97, slots: []int64{e.slot}, blocks: []int32{e.block}, words: []uint64{1}})
+			if got := r.tr.take(); len(got) != 0 {
+				t.Fatalf("misrouted envelope produced %+v", got)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, tc.tune)
+			r.check()
+			tc.run(t, r)
+		})
+	}
+}

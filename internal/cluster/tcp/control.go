@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"graphabcd/internal/checkpoint"
+	"graphabcd/internal/cluster"
 )
 
 // Distributed-graph sanity bounds: a coordinator is operator-provided,
@@ -45,30 +46,20 @@ const (
 	algoCC
 )
 
+var algoNames = [...]string{algoPR: "pr", algoSSSP: "sssp", algoBFS: "bfs", algoCC: "cc"}
+
 func algoCode(name string) (byte, error) {
-	switch name {
-	case "pr":
-		return algoPR, nil
-	case "sssp":
-		return algoSSSP, nil
-	case "bfs":
-		return algoBFS, nil
-	case "cc":
-		return algoCC, nil
+	for code := algoPR; int(code) < len(algoNames); code++ {
+		if algoNames[code] == name {
+			return code, nil
+		}
 	}
 	return 0, fmt.Errorf("tcp: algorithm %q does not support distributed mode (pick pr, sssp, bfs, or cc)", name)
 }
 
 func algoName(code byte) string {
-	switch code {
-	case algoPR:
-		return "pr"
-	case algoSSSP:
-		return "sssp"
-	case algoBFS:
-		return "bfs"
-	case algoCC:
-		return "cc"
+	if code >= algoPR && int(code) < len(algoNames) {
+		return algoNames[code]
 	}
 	return fmt.Sprintf("algo%d", code)
 }
@@ -129,29 +120,17 @@ func (cc *ctrlConn) sendError(err error) {
 // joiner: identity, topology, algorithm, engine tuning, and the data
 // addresses of every node.
 type distAssign struct {
-	node, nodes    int
-	n, m           int
-	blockSize      int
-	workersPerNode int
-	batchSize      int
-	maxUnacked     int
-	algo           byte
-	source         uint32
-	epsilon        float64
-	retryBase      time.Duration
-	retryDeadline  time.Duration
-	// Checkpoint plan. ckptDir names a store directory every node can
-	// reach (the protocol assumes a shared filesystem); empty disables
-	// checkpointing. resumeEpoch > 0 restores that committed epoch before
-	// the run starts, and seqBase then seeds every node's envelope
-	// sequence above every stamp the restored state can hold, so the
-	// staleness filter never drops a fresh post-resume write.
-	ckptDir      string
-	ckptRunID    string
-	ckptInterval time.Duration
-	resumeEpoch  uint64
-	seqBase      uint64
-	addrs        []string
+	node   int
+	n, m   int
+	algo   byte
+	source uint32
+	// cfg is the engine tuning every node runs under, defaults already
+	// resolved by the coordinator (cluster.Config.WithDefaults): Nodes,
+	// BlockSize, WorkersPerNode, BatchSize, MaxUnacked, Epsilon, RetryBase
+	// and RetryDeadline travel; the rest is per-process.
+	cfg   cluster.Config
+	ckpt  ckptPlan
+	addrs []string
 }
 
 // maxCtrlDir bounds the checkpoint directory path in an assignment.
@@ -159,34 +138,31 @@ const maxCtrlDir = 4096
 
 func appendAssign(f []byte, a distAssign) []byte {
 	f = binary.LittleEndian.AppendUint32(f, uint32(a.node))
-	f = binary.LittleEndian.AppendUint32(f, uint32(a.nodes))
+	f = binary.LittleEndian.AppendUint32(f, uint32(a.cfg.Nodes))
 	f = binary.LittleEndian.AppendUint64(f, uint64(a.n))
 	f = binary.LittleEndian.AppendUint64(f, uint64(a.m))
-	f = binary.LittleEndian.AppendUint32(f, uint32(a.blockSize))
-	f = binary.LittleEndian.AppendUint32(f, uint32(a.workersPerNode))
-	f = binary.LittleEndian.AppendUint32(f, uint32(a.batchSize))
-	f = binary.LittleEndian.AppendUint32(f, uint32(int32(a.maxUnacked)))
+	f = binary.LittleEndian.AppendUint32(f, uint32(a.cfg.BlockSize))
+	f = binary.LittleEndian.AppendUint32(f, uint32(a.cfg.WorkersPerNode))
+	f = binary.LittleEndian.AppendUint32(f, uint32(a.cfg.BatchSize))
+	f = binary.LittleEndian.AppendUint32(f, uint32(int32(a.cfg.MaxUnacked)))
 	f = append(f, a.algo)
 	f = binary.LittleEndian.AppendUint32(f, a.source)
-	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.retryBase)))
-	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.retryDeadline)))
-	f = binary.LittleEndian.AppendUint64(f, floatBits(a.epsilon))
-	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.ckptInterval)))
-	f = binary.LittleEndian.AppendUint64(f, a.resumeEpoch)
-	f = binary.LittleEndian.AppendUint64(f, a.seqBase)
-	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckptDir)))
-	f = append(f, a.ckptDir...)
-	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckptRunID)))
-	f = append(f, a.ckptRunID...)
+	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.cfg.RetryBase)))
+	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.cfg.RetryDeadline)))
+	f = binary.LittleEndian.AppendUint64(f, math.Float64bits(a.cfg.Epsilon))
+	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.ckpt.interval)))
+	f = binary.LittleEndian.AppendUint64(f, a.ckpt.resumeEpoch)
+	f = binary.LittleEndian.AppendUint64(f, a.ckpt.seqBase)
+	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckpt.dir)))
+	f = append(f, a.ckpt.dir...)
+	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckpt.runID)))
+	f = append(f, a.ckpt.runID...)
 	for _, addr := range a.addrs {
 		f = binary.LittleEndian.AppendUint16(f, uint16(len(addr)))
 		f = append(f, addr...)
 	}
 	return f
 }
-
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // decodeAssign parses and validates an fAssign body (type byte removed).
 // Every decoded size is range-checked here, at the boundary, before any
@@ -198,71 +174,71 @@ func decodeAssign(b []byte) (distAssign, error) {
 		return a, fmt.Errorf("tcp: assign frame %d bytes, want at least %d", len(b), fixed)
 	}
 	a.node = int(binary.LittleEndian.Uint32(b[0:]))
-	a.nodes = int(binary.LittleEndian.Uint32(b[4:]))
+	a.cfg.Nodes = int(binary.LittleEndian.Uint32(b[4:]))
 	a.n = int(binary.LittleEndian.Uint64(b[8:]))
 	a.m = int(binary.LittleEndian.Uint64(b[16:]))
-	a.blockSize = int(binary.LittleEndian.Uint32(b[24:]))
-	a.workersPerNode = int(binary.LittleEndian.Uint32(b[28:]))
-	a.batchSize = int(binary.LittleEndian.Uint32(b[32:]))
-	a.maxUnacked = int(int32(binary.LittleEndian.Uint32(b[36:]))) // signed: negative means unbounded
+	a.cfg.BlockSize = int(binary.LittleEndian.Uint32(b[24:]))
+	a.cfg.WorkersPerNode = int(binary.LittleEndian.Uint32(b[28:]))
+	a.cfg.BatchSize = int(binary.LittleEndian.Uint32(b[32:]))
+	a.cfg.MaxUnacked = int(int32(binary.LittleEndian.Uint32(b[36:]))) // signed: negative means unbounded
 	a.algo = b[40]
 	a.source = binary.LittleEndian.Uint32(b[41:])
-	a.retryBase = time.Duration(binary.LittleEndian.Uint64(b[45:]))
-	a.retryDeadline = time.Duration(binary.LittleEndian.Uint64(b[53:]))
-	a.epsilon = bitsFloat(binary.LittleEndian.Uint64(b[61:]))
-	a.ckptInterval = time.Duration(binary.LittleEndian.Uint64(b[69:]))
-	a.resumeEpoch = binary.LittleEndian.Uint64(b[77:])
-	a.seqBase = binary.LittleEndian.Uint64(b[85:])
+	a.cfg.RetryBase = time.Duration(binary.LittleEndian.Uint64(b[45:]))
+	a.cfg.RetryDeadline = time.Duration(binary.LittleEndian.Uint64(b[53:]))
+	a.cfg.Epsilon = math.Float64frombits(binary.LittleEndian.Uint64(b[61:]))
+	a.ckpt.interval = time.Duration(binary.LittleEndian.Uint64(b[69:]))
+	a.ckpt.resumeEpoch = binary.LittleEndian.Uint64(b[77:])
+	a.ckpt.seqBase = binary.LittleEndian.Uint64(b[85:])
 	switch {
-	case a.nodes < 1 || a.nodes > maxDistNodes:
-		return a, fmt.Errorf("tcp: assign nodes %d outside [1, %d]", a.nodes, maxDistNodes)
-	case a.node < 0 || a.node >= a.nodes:
-		return a, fmt.Errorf("tcp: assign node id %d outside [0, %d)", a.node, a.nodes)
+	case a.cfg.Nodes < 1 || a.cfg.Nodes > maxDistNodes:
+		return a, fmt.Errorf("tcp: assign nodes %d outside [1, %d]", a.cfg.Nodes, maxDistNodes)
+	case a.node < 0 || a.node >= a.cfg.Nodes:
+		return a, fmt.Errorf("tcp: assign node id %d outside [0, %d)", a.node, a.cfg.Nodes)
 	case a.n < 1 || a.n > maxDistVertices:
 		return a, fmt.Errorf("tcp: assign vertex count %d outside [1, %d]", a.n, maxDistVertices)
 	case a.m < 0 || a.m > maxDistEdges:
 		return a, fmt.Errorf("tcp: assign edge count %d outside [0, %d]", a.m, maxDistEdges)
-	case a.blockSize < 1 || a.blockSize > a.n:
-		return a, fmt.Errorf("tcp: assign block size %d outside [1, %d]", a.blockSize, a.n)
-	case a.workersPerNode < 1 || a.workersPerNode > 1024:
-		return a, fmt.Errorf("tcp: assign workers per node %d outside [1, 1024]", a.workersPerNode)
-	case a.batchSize < 1 || a.batchSize > 1<<20:
-		return a, fmt.Errorf("tcp: assign batch size %d outside [1, 1<<20]", a.batchSize)
-	case a.maxUnacked < -1 || a.maxUnacked > 1<<20:
-		return a, fmt.Errorf("tcp: assign send window %d outside [-1, 1<<20]", a.maxUnacked)
-	case a.retryBase < 0 || a.retryDeadline < 0:
-		return a, fmt.Errorf("tcp: assign negative retry timing %v/%v", a.retryBase, a.retryDeadline)
-	case !(a.epsilon >= 0):
-		return a, fmt.Errorf("tcp: assign epsilon %g is negative or NaN", a.epsilon)
-	case a.ckptInterval < 0:
-		return a, fmt.Errorf("tcp: assign negative checkpoint interval %v", a.ckptInterval)
+	case a.cfg.BlockSize < 1 || a.cfg.BlockSize > a.n:
+		return a, fmt.Errorf("tcp: assign block size %d outside [1, %d]", a.cfg.BlockSize, a.n)
+	case a.cfg.WorkersPerNode < 1 || a.cfg.WorkersPerNode > 1024:
+		return a, fmt.Errorf("tcp: assign workers per node %d outside [1, 1024]", a.cfg.WorkersPerNode)
+	case a.cfg.BatchSize < 1 || a.cfg.BatchSize > 1<<20:
+		return a, fmt.Errorf("tcp: assign batch size %d outside [1, 1<<20]", a.cfg.BatchSize)
+	case a.cfg.MaxUnacked < -1 || a.cfg.MaxUnacked > 1<<20:
+		return a, fmt.Errorf("tcp: assign send window %d outside [-1, 1<<20]", a.cfg.MaxUnacked)
+	case a.cfg.RetryBase < 0 || a.cfg.RetryDeadline < 0:
+		return a, fmt.Errorf("tcp: assign negative retry timing %v/%v", a.cfg.RetryBase, a.cfg.RetryDeadline)
+	case !(a.cfg.Epsilon >= 0):
+		return a, fmt.Errorf("tcp: assign epsilon %g is negative or NaN", a.cfg.Epsilon)
+	case a.ckpt.interval < 0:
+		return a, fmt.Errorf("tcp: assign negative checkpoint interval %v", a.ckpt.interval)
 	}
 	rest := b[fixed:]
 	var err error
-	if a.ckptDir, rest, err = takeString(rest, maxCtrlDir, "checkpoint dir"); err != nil {
+	if a.ckpt.dir, rest, err = takeString(rest, maxCtrlDir, "checkpoint dir"); err != nil {
 		return a, err
 	}
-	if a.ckptRunID, rest, err = takeString(rest, 128, "checkpoint run id"); err != nil {
+	if a.ckpt.runID, rest, err = takeString(rest, 128, "checkpoint run id"); err != nil {
 		return a, err
 	}
 	switch {
-	case a.ckptRunID != "" && !checkpoint.ValidRunID(a.ckptRunID):
-		return a, fmt.Errorf("tcp: assign checkpoint run id %q invalid", a.ckptRunID)
-	case a.ckptDir == "" && (a.ckptRunID != "" || a.ckptInterval > 0 || a.resumeEpoch > 0):
+	case a.ckpt.runID != "" && !checkpoint.ValidRunID(a.ckpt.runID):
+		return a, fmt.Errorf("tcp: assign checkpoint run id %q invalid", a.ckpt.runID)
+	case a.ckpt.dir == "" && (a.ckpt.runID != "" || a.ckpt.interval > 0 || a.ckpt.resumeEpoch > 0):
 		return a, fmt.Errorf("tcp: assign has checkpoint plan but no store directory")
-	case a.resumeEpoch > 0 && a.ckptRunID == "":
-		return a, fmt.Errorf("tcp: assign resumes epoch %d without a run id", a.resumeEpoch)
+	case a.ckpt.resumeEpoch > 0 && a.ckpt.runID == "":
+		return a, fmt.Errorf("tcp: assign resumes epoch %d without a run id", a.ckpt.resumeEpoch)
 	}
-	a.addrs = make([]string, 0, presizeCap(a.nodes, 16))
-	for len(a.addrs) < a.nodes {
+	a.addrs = make([]string, 0, presizeCap(a.cfg.Nodes, 16))
+	for len(a.addrs) < a.cfg.Nodes {
 		if len(rest) < 2 {
-			return a, fmt.Errorf("tcp: assign truncated at address %d/%d", len(a.addrs), a.nodes)
+			return a, fmt.Errorf("tcp: assign truncated at address %d/%d", len(a.addrs), a.cfg.Nodes)
 		}
 		alen := int(binary.LittleEndian.Uint16(rest))
 		if alen < 1 || alen > maxCtrlAddr || len(rest) < 2+alen {
 			return a, fmt.Errorf("tcp: assign address %d length %d invalid", len(a.addrs), alen)
 		}
-		a.addrs = growEarned(a.addrs, 1, a.nodes)
+		a.addrs = growEarned(a.addrs, 1, a.cfg.Nodes)
 		a.addrs = append(a.addrs, string(rest[2:2+alen]))
 		rest = rest[2+alen:]
 	}
@@ -366,11 +342,6 @@ func decodeProbeReply(b []byte) (probeReply, error) {
 type valuesChunk struct {
 	vlo   int64
 	words []byte // count*codecWords little-endian u64s
-}
-
-func appendValuesChunk(f []byte, c valuesChunk) []byte {
-	f = binary.LittleEndian.AppendUint64(f, uint64(c.vlo))
-	return append(f, c.words...)
 }
 
 func decodeValuesChunk(b []byte) (valuesChunk, error) {

@@ -1,15 +1,15 @@
 // The -listen/-join distributed runtime: Serve runs the coordinator
 // (node 0) against a plain GABS snapshot file and Join runs one joiner
-// process. Unlike cluster.Run, which simulates every node inside one
-// process, each process here hosts exactly one node: it receives only
-// its own blocks' slices of the snapshot's edge sections (positioned
-// reads at SnapshotSectionLayout offsets — a joiner never sees the rest
-// of the graph's edges), runs the same fused gather-apply-scatter chain
-// over its owned blocks, and exchanges state-based update batches with
-// its peers over the TCP transport under the engine's at-least-once
-// retry/stamp discipline. The coordinator detects global quiescence
-// with a two-round probe over the control connections and collects the
-// converged values.
+// process. Unlike cluster.Run, which hosts every node inside one
+// process, each process here hosts exactly one cluster.Node — the same
+// type, kernel and delivery state machine — over a partial graph: it
+// receives only its own blocks' slices of the snapshot's edge sections
+// (positioned reads at SnapshotSectionLayout offsets — a joiner never
+// sees the rest of the graph's edges) and exchanges state-based update
+// batches with its peers over the TCP transport. What this file adds is
+// only what crossing processes needs: join/assign/section shipping, the
+// coordinator's two-round quiescence probe over the control
+// connections, telemetry rounds, and value collection.
 package tcp
 
 import (
@@ -22,7 +22,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphabcd/internal/bcd"
@@ -30,9 +29,7 @@ import (
 	"graphabcd/internal/cluster"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/obslog"
-	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
-	"graphabcd/internal/word"
 )
 
 // DistConfig tunes a distributed run. Only Nodes and Algo are required.
@@ -180,12 +177,12 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	if ccfg.WorkersPerNode == 0 {
 		ccfg.WorkersPerNode = 2
 	}
-	if ccfg.BatchSize == 0 {
-		ccfg.BatchSize = 64
-	}
 	if err := ccfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Every remaining zero knob takes cluster.Config's default here, once;
+	// the assignment ships resolved values to the joiners.
+	ccfg = ccfg.WithDefaults()
 	plan, err := resolveCheckpointPlan(cfg, snap, ccfg.BlockSize)
 	if err != nil {
 		return nil, err
@@ -242,24 +239,12 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 
 	// Phase 3: assignment and section distribution.
 	assign := distAssign{
-		nodes:          cfg.Nodes,
-		n:              snap.n,
-		m:              snap.m,
-		blockSize:      ccfg.BlockSize,
-		workersPerNode: ccfg.WorkersPerNode,
-		batchSize:      ccfg.BatchSize,
-		maxUnacked:     cfg.MaxUnacked,
-		algo:           algo,
-		source:         cfg.Source,
-		epsilon:        cfg.Epsilon,
-		retryBase:      cfg.RetryBase,
-		retryDeadline:  cfg.RetryDeadline,
-		ckptDir:        plan.dir,
-		ckptRunID:      plan.runID,
-		ckptInterval:   plan.interval,
-		resumeEpoch:    plan.resumeEpoch,
-		seqBase:        plan.seqBase,
-		addrs:          dataAddrs,
+		n: snap.n, m: snap.m,
+		algo:   algo,
+		source: cfg.Source,
+		cfg:    ccfg,
+		ckpt:   plan,
+		addrs:  dataAddrs,
 	}
 	fail := func(err error) (*DistResult, error) {
 		for _, j := range joiners {
@@ -328,51 +313,56 @@ func Join(ctx context.Context, coordAddr string, opts Options) error {
 	if err != nil {
 		return err
 	}
-	join := newFrame(fJoin)
-	join = append(join, dataAddr...)
-	if err := cc.write(join); err != nil {
-		_ = dataLn.Close()
+	started := false // the transport owns the listener once the run starts
+	defer func() {
+		if !started {
+			_ = dataLn.Close()
+		}
+	}()
+	if err := cc.write(append(newFrame(fJoin), dataAddr...)); err != nil {
 		return fmt.Errorf("tcp: join handshake: %w", err)
 	}
 
 	body, err := cc.expect(fAssign)
 	if err != nil {
-		_ = dataLn.Close()
 		return fmt.Errorf("tcp: waiting for assignment: %w", err)
 	}
 	assign, err := decodeAssign(body[1:])
 	if err != nil {
-		_ = dataLn.Close()
 		cc.sendError(err)
 		return err
 	}
 	obslog.L().Info("assignment received",
-		"event", "cluster.assign", "node", assign.node, "nodes", assign.nodes,
+		"event", "cluster.assign", "node", assign.node, "nodes", assign.cfg.Nodes,
 		"vertices", assign.n, "edges", assign.m)
 	g, err := receiveSections(cc, assign)
 	if err != nil {
-		_ = dataLn.Close()
 		cc.sendError(err)
 		return err
 	}
 	if err := cc.write(newFrame(fReady)); err != nil {
-		_ = dataLn.Close()
 		return err
 	}
 	if _, err := cc.expect(fStart); err != nil {
-		_ = dataLn.Close()
 		return fmt.Errorf("tcp: waiting for start: %w", err)
 	}
 
-	listeners := make([]net.Listener, assign.nodes)
+	listeners := make([]net.Listener, assign.cfg.Nodes)
 	listeners[assign.node] = dataLn
 	tr := New(listeners, assign.addrs, opts)
+	started = true
 	_, err = runDist(ctx, g, assign, tr, nil, cc, 0, time.Now())
 	return err
 }
 
 // ckptPlan is the coordinator's resolved checkpoint/resume decision,
-// broadcast to every node through the assignment.
+// broadcast to every node through the assignment. dir names a store
+// directory every node can reach (the protocol assumes a shared
+// filesystem); empty disables checkpointing. resumeEpoch > 0 restores
+// that committed epoch before the run starts, and seqBase then seeds
+// every node's envelope sequence above every stamp the restored state
+// can hold, so the staleness filter never drops a fresh post-resume
+// write.
 type ckptPlan struct {
 	dir         string
 	runID       string
@@ -532,12 +522,21 @@ func runDist(ctx context.Context, g *graph.Graph, a distAssign, tr *Transport, j
 }
 
 func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, prog bcd.Program[V, M], tr *Transport, joiners []*ctrlConn, cc *ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
-	d, err := newDistNode(g, a, prog, tr)
+	cfg := a.cfg
+	cfg.Transport, cfg.Telemetry = tr, tr.opts.Telemetry
+	nodes, err := cluster.NewNodes(g, prog, cfg, []int{a.node})
 	if err != nil {
 		return nil, err
 	}
-	if a.ckptDir != "" {
-		if d.ckpt, err = newDistCheckpointer(d); err == nil && a.resumeEpoch > 0 {
+	d := &distRun[V, M]{Node: nodes[0], a: a, tr: tr}
+	if t := d.Tel.Tracer(); t != nil {
+		// Node id as the Perfetto pid: merged per-node trace shards show
+		// up as distinct process tracks, and the transport's flow ids
+		// encode the sending node the same way.
+		t.SetProcess(a.node, fmt.Sprintf("graphabcd-node%d", a.node))
+	}
+	if a.ckpt.dir != "" {
+		if d.ckpt, err = newDistCheckpointer(d); err == nil && a.ckpt.resumeEpoch > 0 {
 			err = d.ckpt.resumeNode()
 		}
 		if err != nil {
@@ -548,7 +547,7 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 			return nil, err
 		}
 	}
-	d.start()
+	d.start(ctx)
 	defer d.shutdown()
 	if cc == nil {
 		return d.coordinate(ctx, joiners, probeEvery, start)
@@ -556,48 +555,16 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 	return nil, d.follow(ctx, cc)
 }
 
-// distNode is one process's node: the owned slice of the global engine
-// state plus the at-least-once delivery bookkeeping that the in-process
-// engine keeps per node.
-type distNode[V, M any] struct {
-	g    *graph.Graph
-	prog bcd.Program[V, M]
-	a    distAssign
-	part *graph.Partition
-	tr   *Transport
-
-	values     *word.Array[V]
-	cache      *word.Array[V]
-	slotSeq    []atomic.Uint64
-	st         *sched.State
-	blockOwner []int32 // static contiguous split; no failover in dist mode
-	blockLo    int     // owned global blocks: [blockLo, blockHi)
-	blockHi    int
-
-	seq       atomic.Uint64
-	totalSent atomic.Uint64
-	applied   atomic.Uint64
-	inflight  atomic.Int64
-
-	unackedMu sync.Mutex
-	unacked   map[uint64]*distPending
-	window    chan struct{}
-
-	applyMu  sync.Mutex
-	stopping atomic.Bool
-	done     chan struct{}
-	failure  atomic.Pointer[error]
-	wg       sync.WaitGroup
-
-	// tel is never nil (a bare no-op registry when the caller passed
-	// none), mirroring the in-process engine, so the hot path takes no
-	// nil checks. shards[w] belongs to worker w; shC is the shared
-	// control-plane shard (appliers on the transport read loops, the
-	// retry loop, the checkpointer) — safe because Shard slots are
-	// atomics.
-	tel    *telemetry.Registry
-	shards []telemetry.Shard
-	shC    *telemetry.Shard
+// distRun is one process's share of a -listen/-join run: the cluster
+// node every runtime runs (kernel, delivery state machine, owned state)
+// plus what only exists across processes — the control-lane rounds that
+// replace shared-memory quiescence detection, telemetry shipping, value
+// collection, and checkpoint epochs (dist_ckpt.go).
+type distRun[V, M any] struct {
+	*cluster.Node[V, M]
+	a  distAssign
+	tr *Transport
+	wg sync.WaitGroup
 
 	// lastShipped is the cumulative NodeStats snapshot as of the last
 	// fStats delta this node shipped (or, on the coordinator, folded into
@@ -605,508 +572,64 @@ type distNode[V, M any] struct {
 	// touches it.
 	lastShipped telemetry.NodeStats
 
-	// ckpt is non-nil when the assignment carries a checkpoint plan; see
-	// dist_ckpt.go for the capture/resume protocol.
+	// ckpt is non-nil when the assignment carries a checkpoint plan.
 	ckpt *distCheckpointer[V, M]
-}
-
-type distPending struct {
-	to        int
-	env       cluster.Envelope
-	attempts  int
-	nextRetry time.Time
-	deadline  time.Time
-}
-
-// distBlockRange computes the contiguous global block span node i owns —
-// the same formula the in-process engine seeds its owner table with.
-func distBlockRange(nb, nodes, i int) (lo, hi int) {
-	return i * nb / nodes, (i + 1) * nb / nodes
-}
-
-func newDistNode[V, M any](g *graph.Graph, a distAssign, prog bcd.Program[V, M], tr *Transport) (*distNode[V, M], error) {
-	part, err := graph.NewPartition(g, a.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	nb := part.NumBlocks()
-	lo, hi := distBlockRange(nb, a.nodes, a.node)
-	d := &distNode[V, M]{
-		g: g, prog: prog, a: a, part: part, tr: tr,
-		values:     word.NewArray(prog.Codec(), g.NumVertices()),
-		cache:      word.NewArray(prog.Codec(), g.NumEdges()),
-		slotSeq:    make([]atomic.Uint64, g.NumEdges()),
-		st:         sched.NewState(nb),
-		blockOwner: make([]int32, nb),
-		blockLo:    lo, blockHi: hi,
-		unacked: make(map[uint64]*distPending),
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < a.nodes; i++ {
-		blo, bhi := distBlockRange(nb, a.nodes, i)
-		for b := blo; b < bhi; b++ {
-			d.blockOwner[b] = int32(i)
-		}
-	}
-	if w := a.maxUnackedOrDefault(); w > 0 {
-		d.window = make(chan struct{}, w)
-	}
-	d.tel = tr.opts.Telemetry
-	if d.tel == nil {
-		d.tel = telemetry.New(telemetry.Options{})
-	}
-	d.shards = d.tel.Shards(a.workersPerNode + 1)
-	d.shC = &d.shards[a.workersPerNode]
-	d.tel.SetVertices(g.NumVertices())
-	if t := d.tel.Tracer(); t != nil {
-		// Node id as the Perfetto pid: merged per-node trace shards show
-		// up as distinct process tracks, and the flow ids below encode the
-		// sending node the same way.
-		t.SetProcess(a.node, fmt.Sprintf("graphabcd-node%d", a.node))
-	}
-	// Initialize owned state exactly like the in-process engine: vertex
-	// values everywhere (cheap, deterministic, needs only degrees), edge
-	// cache slots only in the owned in-edge ranges — the only slots this
-	// node ever gathers from.
-	buf := make([]uint64, d.values.Words())
-	for v := 0; v < g.NumVertices(); v++ {
-		d.values.StoreBuf(int64(v), prog.Init(uint32(v), g), buf)
-	}
-	vlo, vhi := d.ownedVertexRange()
-	for v := vlo; v < vhi; v++ {
-		for s := g.InOffset(v); s < g.InOffset(v+1); s++ {
-			d.cache.StoreBuf(s, prog.InitEdge(g.InSrc(s), g), buf)
-		}
-	}
-	for b := lo; b < hi; b++ {
-		d.st.Activate(b, 1)
-	}
-	return d, nil
-}
-
-func (a distAssign) maxUnackedOrDefault() int {
-	if a.maxUnacked == 0 {
-		return 1024
-	}
-	if a.maxUnacked < 0 {
-		return 0 // unbounded
-	}
-	return a.maxUnacked
-}
-
-func (a distAssign) retryBaseOrDefault() time.Duration {
-	if a.retryBase == 0 {
-		return 2 * time.Millisecond
-	}
-	return a.retryBase
-}
-
-func (a distAssign) retryDeadlineOrDefault() time.Duration {
-	if a.retryDeadline == 0 {
-		return 30 * time.Second
-	}
-	return a.retryDeadline
-}
-
-func (d *distNode[V, M]) ownedVertexRange() (int, int) {
-	if d.blockLo >= d.blockHi {
-		return 0, 0
-	}
-	vlo, _ := d.part.VertexRange(d.blockLo)
-	_, vhi := d.part.VertexRange(d.blockHi - 1)
-	return vlo, vhi
-}
-
-func (d *distNode[V, M]) owner(b int) int { return int(d.blockOwner[b]) }
-
-func (d *distNode[V, M]) fail(err error) {
-	d.failure.CompareAndSwap(nil, &err)
-	d.stopping.Store(true)
 }
 
 // start binds the transport and launches the workers and retry loop.
 // The node is ready — joined, assigned, state initialized or restored —
 // once start returns.
-func (d *distNode[V, M]) start() {
-	d.tr.Bind(d.a.nodes, d.deliver)
-	for w := 0; w < d.a.workersPerNode; w++ {
+func (d *distRun[V, M]) start(ctx context.Context) {
+	d.tr.Bind(d.a.cfg.Nodes, d.Deliver)
+	for w := 0; w < d.a.cfg.WorkersPerNode; w++ {
 		d.wg.Add(1)
-		go func(w int, seed uint64) {
+		go func(w int) {
 			defer d.wg.Done()
-			d.workerLoop(w, seed)
-		}(w, uint64(d.a.node*d.a.workersPerNode+w+1))
+			d.Work(w)
+		}(w)
 	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		d.retryLoop()
+		cluster.RetryLoop(ctx, d.Node)
 	}()
 	if h := d.tr.opts.Health; h != nil {
 		h.SetReady(true, "running")
 	}
+	lo, hi := d.BlockRange(d.ID)
 	obslog.L().Info("dist node running",
-		"event", "dist.start", "node", d.a.node,
-		"blocks", d.blockHi-d.blockLo, "workers", d.a.workersPerNode)
+		"event", "dist.start", "node", d.ID,
+		"blocks", hi-lo, "workers", d.a.cfg.WorkersPerNode)
 }
 
 // shutdown stops the workers and closes the transport; safe to call
 // more than once.
-func (d *distNode[V, M]) shutdown() {
+func (d *distRun[V, M]) shutdown() {
 	if h := d.tr.opts.Health; h != nil {
 		h.SetReady(false, "stopped")
 	}
-	d.stopping.Store(true)
-	select {
-	case <-d.done:
-	default:
-		close(d.done)
-	}
+	d.Stop()
 	d.wg.Wait()
 	d.tr.Close()
 }
 
-// deliver is the transport's entry point. Data envelopes apply inline on
-// the read loop (TCP backpressure is the inbox) and ack back; acks
-// settle the sender's bookkeeping.
-func (d *distNode[V, M]) deliver(to int, e cluster.Envelope) {
-	if to != d.a.node {
-		return // misrouted frame: a peer dialed the wrong address
-	}
-	if e.IsAck() {
-		d.settle(e.ID())
-		return
-	}
-	d.applyEnvelope(e)
-	d.tr.Send(d.a.node, e.From(), cluster.NewAck(d.a.node, e.ID()))
-}
-
-// applyEnvelope installs a remote scatter batch under the write stamps,
-// mirroring the in-process engine's handleEnvelope: a slot never
-// regresses past a newer write, and every effective change re-activates
-// its destination block. Each cache slot has exactly one writing node
-// (the owner of its in-edge's source vertex), so per-sender envelope
-// ids are a total order per slot.
-func (d *distNode[V, M]) applyEnvelope(e cluster.Envelope) {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	aStart := d.tel.Stamp()
-	d.shC.FlowRecv(e.From(), e.ID(), aStart)
-	words := d.cache.Words()
-	slots, blocks, wordsIn := e.Slots(), e.Blocks(), e.Words()
-	if len(blocks) != len(slots) || len(wordsIn) != len(slots)*words {
-		return // malformed batch: drop; the sender's retry re-delivers
-	}
-	buf := make([]uint64, words)
-	var old, incoming V
-	for i, slot := range slots {
-		if slot < 0 || slot >= int64(d.g.NumEdges()) {
-			continue // out-of-range slot in a decoded batch: skip defensively
-		}
-		b := int(blocks[i])
-		if b < d.blockLo || b >= d.blockHi {
-			continue // not ours: a stale assignment or corrupt batch
-		}
-		if d.slotSeq[slot].Load() > e.ID() {
-			continue // stale redelivery: a newer write already landed
-		}
-		d.cache.LoadBuf(slot, &old, buf)
-		d.prog.Codec().DecodeInto(wordsIn[i*words:(i+1)*words], &incoming)
-		d.cache.StoreBuf(slot, incoming, buf)
-		d.slotSeq[slot].Store(e.ID())
-		if delta := d.prog.Delta(old, incoming); delta > d.a.epsilon {
-			d.st.Activate(b, delta)
-		}
-	}
-	d.applied.Add(1)
-	if end := d.tel.Stamp(); end > 0 {
-		d.shC.Observe(telemetry.StageApply, end-aStart)
-		// Cross-node propagation delay stands in for the staleness the
-		// in-process engine measures in milli-epochs: how long this batch's
-		// values were in flight (sender's scatter to this apply), in ms —
-		// the bounded-delay quantity async-BCD convergence reasons about.
-		if sentAt := e.SentAt(); !sentAt.IsZero() {
-			d.shC.Observe(telemetry.StageStaleness, int64(time.Since(sentAt)/time.Millisecond))
-		}
-	}
-}
-
-// settle clears one unacked batch on first ack; duplicate acks find the
-// entry gone and release nothing, keeping inflight and the window exact.
-func (d *distNode[V, M]) settle(id uint64) {
-	d.unackedMu.Lock()
-	_, ok := d.unacked[id]
-	if ok {
-		delete(d.unacked, id)
-	}
-	d.unackedMu.Unlock()
-	if ok {
-		d.inflight.Add(-1)
-		if d.window != nil {
-			select {
-			case <-d.window:
-			default:
-			}
-		}
-	}
-}
-
-// workerLoop mirrors the in-process engine's worker for a single node.
-func (d *distNode[V, M]) workerLoop(w int, seed uint64) {
-	defer func() {
-		if r := recover(); r != nil {
-			d.fail(fmt.Errorf("tcp: dist worker panic: %v", r))
-		}
-	}()
-	sch, err := sched.New(sched.Cyclic, d.st, seed)
-	if err != nil {
-		d.fail(err)
-		return
-	}
-	ws := newDistWorkerState(d.prog, d.a)
-	ws.sh = &d.shards[w]
-	spins := 0
-	for !d.stopping.Load() {
-		b, ok := sch.Next()
-		if !ok {
-			spins++
-			nap := time.Microsecond
-			if spins >= 64 {
-				nap = 50 * time.Microsecond
-			}
-			time.Sleep(nap)
-			continue
-		}
-		spins = 0
-		d.processBlock(b, ws)
-		d.st.Done(b)
-	}
-}
-
-// distWorkerState is the per-worker scratch, mirroring the in-process
-// engine's workerState.
-type distWorkerState[V, M any] struct {
-	acc      M
-	old, src V
-	buf      []uint64
-	enc      []uint64 // encoded scatter value
-	deltas   []float64
-	pending  []distBatch      // one building batch per destination node
-	sh       *telemetry.Shard // this worker's telemetry shard
-}
-
-type distBatch struct {
-	slots  []int64
-	blocks []int32
-	words  []uint64
-}
-
-func newDistWorkerState[V, M any](prog bcd.Program[V, M], a distAssign) *distWorkerState[V, M] {
-	words := prog.Codec().Words()
-	if words < 2 {
-		words = 2
-	}
-	return &distWorkerState[V, M]{
-		acc:     prog.NewAccum(),
-		buf:     make([]uint64, words),
-		enc:     make([]uint64, prog.Codec().Words()),
-		pending: make([]distBatch, a.nodes),
-	}
-}
-
-// processBlock runs the fused GAS chain for one owned block, batching
-// remote scatter writes per destination node.
-//
-//abcd:hotpath
-func (d *distNode[V, M]) processBlock(b int, ws *distWorkerState[V, M]) {
-	lo, hi := d.part.VertexRange(b)
-	if cap(ws.deltas) < hi-lo {
-		ws.deltas = make([]float64, hi-lo) //abcdlint:ignore hotpath -- amortized: grows once to the largest owned block, then reused
-	}
-	deltas := ws.deltas[:hi-lo]
-	gStart := d.tel.Stamp()
-	var edges int64
-	for v := lo; v < hi; v++ {
-		d.values.LoadBuf(int64(v), &ws.old, ws.buf)
-		d.prog.ResetAccum(&ws.acc)
-		slo, shi := d.g.InOffset(v), d.g.InOffset(v+1)
-		for s := slo; s < shi; s++ {
-			d.cache.LoadBuf(s, &ws.src, ws.buf)
-			d.prog.EdgeGather(&ws.acc, ws.old, d.g.InWeight(s), ws.src)
-		}
-		edges += shi - slo
-		newVal := d.prog.Apply(uint32(v), ws.old, &ws.acc, shi-slo, d.g)
-		if d.prog.Delta(ws.old, newVal) == 0 {
-			deltas[v-lo] = 0
-			continue
-		}
-		deltas[v-lo] = d.prog.Delta(
-			d.prog.ScatterValue(uint32(v), ws.old, d.g),
-			d.prog.ScatterValue(uint32(v), newVal, d.g))
-		d.values.StoreBuf(int64(v), newVal, ws.buf)
-	}
-	ws.sh.Add(telemetry.CtrBlockUpdates, 1)
-	ws.sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
-	ws.sh.Add(telemetry.CtrEdgesTraversed, edges)
-	sStart := d.tel.Stamp()
-	ws.sh.Observe(telemetry.StageGather, sStart-gStart)
-	ws.sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
-
-	// Scatter: local slots store directly; remote slots batch into
-	// state-based messages for their owner node.
-	codec := d.prog.Codec()
-	var writes, locals int64
-	for v := lo; v < hi; v++ {
-		delta := deltas[v-lo]
-		if delta <= d.a.epsilon {
-			continue
-		}
-		d.values.LoadBuf(int64(v), &ws.old, ws.buf)
-		sval := d.prog.ScatterValue(uint32(v), ws.old, d.g)
-		codec.Encode(sval, ws.enc)
-		for i := d.g.OutOffset(v); i < d.g.OutOffset(v+1); i++ {
-			slot := d.g.OutPos(i)
-			db := d.part.BlockOf(d.g.OutDst(i))
-			owner := d.owner(db)
-			writes++
-			if owner == d.a.node {
-				d.cache.StoreBuf(slot, sval, ws.buf)
-				d.st.Activate(db, delta)
-				locals++
-				continue
-			}
-			p := &ws.pending[owner]
-			p.slots = append(p.slots, slot)        //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			p.blocks = append(p.blocks, int32(db)) //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			p.words = append(p.words, ws.enc...)   //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			if len(p.slots) >= d.a.batchSize {
-				d.flush(owner, p, ws.sh)
-			}
-		}
-	}
-	for owner := range ws.pending {
-		if len(ws.pending[owner].slots) > 0 {
-			d.flush(owner, &ws.pending[owner], ws.sh)
-		}
-	}
-	ws.sh.Add(telemetry.CtrScatterWrites, writes)
-	ws.sh.Add(telemetry.CtrLocalWrites, locals)
-	if end := d.tel.Stamp(); end > 0 {
-		ws.sh.Observe(telemetry.StageScatter, end-sStart)
-		ws.sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)
-	}
-}
-
-// flush turns the building batch into a data envelope, registers it for
-// at-least-once retry, and hands it to the transport, honoring the
-// MaxUnacked send window.
-func (d *distNode[V, M]) flush(owner int, p *distBatch, sh *telemetry.Shard) {
-	if d.window != nil {
-		select {
-		case d.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
-		case <-d.done:
-			return // shutdown: the batch dies with the run
-		}
-	}
-	now := time.Now()
-	e := cluster.NewDataEnvelope(d.a.node, d.seq.Add(1), now,
-		append([]int64(nil), p.slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		append([]int32(nil), p.blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		append([]uint64(nil), p.words...)) //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-	p.slots, p.blocks, p.words = p.slots[:0], p.blocks[:0], p.words[:0]
-	d.totalSent.Add(1)
-	d.inflight.Add(1)
-	sh.Add(telemetry.CtrMessagesSent, int64(len(e.Slots())))
-	sh.Add(telemetry.CtrBatchesSent, 1)
-	sh.FlowSend(owner, e.ID(), d.tel.Stamp())
-	d.unackedMu.Lock()                //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
-	d.unacked[e.ID()] = &distPending{ //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-		to:        owner,
-		env:       e,
-		nextRetry: now.Add(d.a.retryBaseOrDefault()),
-		deadline:  now.Add(d.a.retryDeadlineOrDefault()),
-	}
-	d.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
-	d.tr.Send(d.a.node, owner, e)
-}
-
-// retryLoop is the single-node edition of the in-process engine's retry
-// loop: scan under the lock, send outside it.
-func (d *distNode[V, M]) retryLoop() {
-	base := d.a.retryBaseOrDefault()
-	tick := base / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	var due []*distPending
-	for !d.stopping.Load() {
-		select {
-		case <-d.done:
-			return
-		case <-time.After(tick):
-		}
-		now := time.Now()
-		due = due[:0]
-		var expired *distPending
-		d.unackedMu.Lock()
-		for _, p := range d.unacked {
-			if now.Before(p.nextRetry) {
-				continue
-			}
-			if now.After(p.deadline) {
-				expired = p
-				break
-			}
-			p.attempts++
-			backoff := base << uint(p.attempts)
-			if backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
-			}
-			p.nextRetry = now.Add(backoff)
-			due = append(due, p)
-		}
-		d.unackedMu.Unlock()
-		if expired != nil {
-			d.fail(fmt.Errorf("tcp: batch %d to node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
-				expired.env.ID(), expired.to, d.a.retryDeadlineOrDefault(), expired.attempts))
-			return
-		}
-		for _, p := range due {
-			if d.stopping.Load() {
-				return
-			}
-			d.shC.Add(telemetry.CtrBatchesRetried, 1)
-			d.tr.Send(d.a.node, p.to, p.env)
-		}
-	}
-}
-
-func (d *distNode[V, M]) probe() probeReply {
-	return probeReply{
-		sent:      d.totalSent.Load(),
-		applied:   d.applied.Load(),
-		inflight:  d.inflight.Load(),
-		quiescent: d.st.Quiescent(),
-	}
+func (d *distRun[V, M]) probe() probeReply {
+	var r probeReply
+	r.sent, r.applied, r.inflight, r.quiescent = d.Probe()
+	return r
 }
 
 // collectStats snapshots this node's cumulative telemetry — registry
 // counters and histograms plus the transport's socket counters.
-func (d *distNode[V, M]) collectStats() telemetry.NodeStats {
-	s := d.tel.CollectNodeStats(d.a.node)
-	w := d.tr.WireStats()
-	s.Wire = telemetry.WireCounters{
-		BytesSent: w.BytesSent, FramesSent: w.FramesSent,
-		BytesRecv: w.BytesRecv, FramesRecv: w.FramesRecv,
-		Reconnects: w.Reconnects, Drops: w.Drops,
-		CRCDrops: w.CRCDrops, DecodeErrors: w.DecodeErrors,
-		QueueHighWater: w.QueueHighWater,
-	}
+func (d *distRun[V, M]) collectStats() telemetry.NodeStats {
+	s := d.Tel.CollectNodeStats(d.ID)
+	s.Wire = d.tr.WireStats()
 	return s
 }
 
 // shipStatsDelta returns the delta since the last shipped snapshot and
 // advances the watermark. Only the control goroutine calls it.
-func (d *distNode[V, M]) shipStatsDelta() telemetry.NodeStats {
+func (d *distRun[V, M]) shipStatsDelta() telemetry.NodeStats {
 	cur := d.collectStats()
 	delta := cur.DeltaFrom(&d.lastShipped)
 	d.lastShipped = cur
@@ -1118,7 +641,7 @@ func (d *distNode[V, M]) shipStatsDelta() telemetry.NodeStats {
 // for theirs. Rounds interleave with probe and checkpoint rounds on the
 // same lockstep control lane; a round reads counters without mutating
 // engine state, so it cannot disturb quiescence detection.
-func (d *distNode[V, M]) statsRound(joiners []*ctrlConn) error {
+func (d *distRun[V, M]) statsRound(joiners []*ctrlConn) error {
 	sink := d.tr.opts.Cluster
 	if sink == nil {
 		return nil
@@ -1158,12 +681,12 @@ func (d *distNode[V, M]) statsRound(joiners []*ctrlConn) error {
 // scheduler-quiescent with zero unacked batches and identical monotone
 // sent/applied counters — nothing moved between the observations, so no
 // update exists anywhere in the system.
-func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
+func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
 	var prev []probeReply
 	quietRounds := 0
 	var nextCkpt time.Time
 	if d.ckpt != nil {
-		nextCkpt = time.Now().Add(d.a.ckptInterval)
+		nextCkpt = time.Now().Add(d.a.ckpt.interval)
 	}
 	var nextStats time.Time
 	if d.tr.opts.Cluster != nil {
@@ -1175,8 +698,8 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 			return nil, ctx.Err()
 		case <-time.After(probeEvery):
 		}
-		if errp := d.failure.Load(); errp != nil {
-			return nil, *errp
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		// Checkpoint rounds interleave with probe rounds on the same
 		// lockstep control lane. A capture reads counters and state
@@ -1186,7 +709,7 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 			if err := d.checkpointRound(joiners); err != nil {
 				return nil, err
 			}
-			nextCkpt = time.Now().Add(d.a.ckptInterval)
+			nextCkpt = time.Now().Add(d.a.ckpt.interval)
 		}
 		// Telemetry aggregation rounds interleave the same way.
 		if !nextStats.IsZero() && !time.Now().Before(nextStats) {
@@ -1239,23 +762,20 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 		return nil, err
 	}
 	obslog.L().Info("cluster quiescent, collecting values",
-		"event", "dist.quiesce", "nodes", d.a.nodes)
+		"event", "dist.quiesce", "nodes", d.a.cfg.Nodes)
 	var sent int64
 	for _, r := range prev {
 		sent += int64(r.sent)
 	}
-	d.stopping.Store(true)
+	d.Stop()
 	res := &DistResult{Algo: algoName(d.a.algo), BatchesSent: sent}
-	vals := word.NewArray(d.prog.Codec(), d.g.NumVertices())
-	vlo, vhi := d.ownedVertexRange()
-	d.copyValues(vals, vlo, vhi)
 	for _, j := range joiners {
 		if err := j.write(newFrame(fStop)); err != nil {
 			return nil, fmt.Errorf("tcp: stop: %w", err)
 		}
 	}
 	for i, j := range joiners {
-		if err := d.receiveValues(j, vals, i+1); err != nil {
+		if err := d.receiveValues(j, i+1); err != nil {
 			return nil, err
 		}
 		if err := j.write(newFrame(fDone)); err != nil {
@@ -1264,7 +784,13 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 	}
 	res.WallTime = time.Since(start)
 	res.Wire = d.tr.WireStats()
-	fillResult(res, vals)
+	// Every node's owned range now sits in this node's value array.
+	switch vals := any(d.CollectValues()).(type) {
+	case []float64:
+		res.Float = vals
+	case []uint64:
+		res.Uint = vals
+	}
 	return res, nil
 }
 
@@ -1275,14 +801,14 @@ func (d *distNode[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pr
 // mid-frame (which would desync the stream) needs the kernel to split a
 // tens-of-bytes loopback write — treated as the connection loss it
 // effectively is.
-func (d *distNode[V, M]) follow(ctx context.Context, cc *ctrlConn) error {
+func (d *distRun[V, M]) follow(ctx context.Context, cc *ctrlConn) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if errp := d.failure.Load(); errp != nil {
-			cc.sendError(*errp)
-			return *errp
+		if err := d.Err(); err != nil {
+			cc.sendError(err)
+			return err
 		}
 		_ = cc.c.SetReadDeadline(time.Now().Add(time.Second))
 		body, err := cc.read()
@@ -1325,7 +851,7 @@ func (d *distNode[V, M]) follow(ctx context.Context, cc *ctrlConn) error {
 				return err
 			}
 		case fStop:
-			d.stopping.Store(true)
+			d.Stop()
 			_ = cc.c.SetReadDeadline(time.Time{})
 			if err := d.sendValues(cc); err != nil {
 				return err
@@ -1340,35 +866,18 @@ func (d *distNode[V, M]) follow(ctx context.Context, cc *ctrlConn) error {
 	}
 }
 
-// copyValues copies this node's owned vertex range out of its live
-// array. Only called after global quiescence, when no worker writes.
-func (d *distNode[V, M]) copyValues(dst *word.Array[V], vlo, vhi int) {
-	buf := make([]uint64, d.values.Words())
-	var v V
-	for i := vlo; i < vhi; i++ {
-		d.values.LoadBuf(int64(i), &v, buf)
-		dst.StoreBuf(int64(i), v, buf)
-	}
-}
-
-// sendValues streams the owned vertex values as fValues chunks followed
-// by an fDone terminator.
-func (d *distNode[V, M]) sendValues(cc *ctrlConn) error {
-	words := d.values.Words()
-	vlo, vhi := d.ownedVertexRange()
+// sendValues streams the owned vertex values as fValues chunks of raw
+// codec words followed by an fDone terminator. Only called after global
+// quiescence, when no worker writes.
+func (d *distRun[V, M]) sendValues(cc *ctrlConn) error {
+	vlo, vhi := d.VertexRange(d.ID)
 	const chunkVerts = 32 << 10
-	buf := make([]uint64, words)
-	var v V
+	raw := make([]uint64, chunkVerts*d.Values.Words())
 	for base := vlo; base < vhi; base += chunkVerts {
-		end := min(base+chunkVerts, vhi)
-		f := newFrame(fValues)
-		f = binary.LittleEndian.AppendUint64(f, uint64(base))
-		for i := base; i < end; i++ {
-			d.values.LoadBuf(int64(i), &v, buf)
-			d.prog.Codec().Encode(v, buf)
-			for _, w := range buf[:words] {
-				f = binary.LittleEndian.AppendUint64(f, w)
-			}
+		f := binary.LittleEndian.AppendUint64(newFrame(fValues), uint64(base))
+		n := d.Values.SnapshotWords(int64(base), int64(min(base+chunkVerts, vhi)), raw)
+		for _, w := range raw[:n] {
+			f = binary.LittleEndian.AppendUint64(f, w)
 		}
 		if err := cc.write(f); err != nil {
 			return err
@@ -1378,18 +887,11 @@ func (d *distNode[V, M]) sendValues(cc *ctrlConn) error {
 }
 
 // receiveValues installs one joiner's owned range from its fValues
-// stream into dst.
-func (d *distNode[V, M]) receiveValues(cc *ctrlConn, dst *word.Array[V], node int) error {
-	words := d.values.Words()
-	nb := d.part.NumBlocks()
-	blo, bhi := distBlockRange(nb, d.a.nodes, node)
-	vlo, vhi := 0, 0
-	if blo < bhi {
-		vlo, _ = d.part.VertexRange(blo)
-		_, vhi = d.part.VertexRange(bhi - 1)
-	}
-	buf := make([]uint64, words)
-	var v V
+// stream into this node's value array (which nothing reads outside its
+// own range once the run has stopped).
+func (d *distRun[V, M]) receiveValues(cc *ctrlConn, node int) error {
+	words := d.Values.Words()
+	vlo, vhi := d.VertexRange(node)
 	for {
 		body, err := cc.read()
 		if err != nil {
@@ -1413,35 +915,11 @@ func (d *distNode[V, M]) receiveValues(cc *ctrlConn, dst *word.Array[V], node in
 			return fmt.Errorf("tcp: node %d values [%d,%d) outside its owned range [%d,%d)",
 				node, c.vlo, c.vlo+int64(count), vlo, vhi)
 		}
-		for i := 0; i < count; i++ {
-			for w := 0; w < words; w++ {
-				buf[w] = binary.LittleEndian.Uint64(c.words[(i*words+w)*8:])
-			}
-			d.prog.Codec().DecodeInto(buf[:words], &v)
-			dst.StoreBuf(c.vlo+int64(i), v, buf)
+		raw := make([]uint64, count*words)
+		for i := range raw {
+			raw[i] = binary.LittleEndian.Uint64(c.words[i*8:])
 		}
-	}
-}
-
-// fillResult converts the assembled value array into the concrete
-// result slice for the algorithm's value type.
-func fillResult[V any](res *DistResult, vals *word.Array[V]) {
-	n := vals.Len()
-	buf := make([]uint64, vals.Words())
-	var v V
-	switch any(v).(type) {
-	case float64:
-		res.Float = make([]float64, n)
-		for i := 0; i < n; i++ {
-			vals.LoadBuf(int64(i), &v, buf)
-			res.Float[i] = any(v).(float64)
-		}
-	case uint64:
-		res.Uint = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			vals.LoadBuf(int64(i), &v, buf)
-			res.Uint[i] = any(v).(uint64)
-		}
+		d.Values.RestoreWords(c.vlo, raw)
 	}
 }
 
@@ -1518,13 +996,13 @@ func (s *snapshotSections) readOffsets(off int64) ([]int64, error) {
 // nodeRanges computes one node's owned vertex and edge ranges under the
 // assignment's partition.
 func (s *snapshotSections) nodeRanges(a distAssign, node int) (vlo, vhi int, inLo, inHi, outLo, outHi int64) {
-	nb := (s.n + a.blockSize - 1) / a.blockSize
-	blo, bhi := distBlockRange(nb, a.nodes, node)
+	nb := (s.n + a.cfg.BlockSize - 1) / a.cfg.BlockSize
+	blo, bhi := cluster.BlockRange(nb, a.cfg.Nodes, node)
 	if blo >= bhi {
 		return 0, 0, 0, 0, 0, 0
 	}
-	vlo = blo * a.blockSize
-	vhi = min(bhi*a.blockSize, s.n)
+	vlo = blo * a.cfg.BlockSize
+	vhi = min(bhi*a.cfg.BlockSize, s.n)
 	return vlo, vhi, s.inOff[vlo], s.inOff[vhi], s.outOff[vlo], s.outOff[vhi]
 }
 

@@ -30,22 +30,9 @@ import (
 	"graphabcd/internal/telemetry"
 )
 
-// countingWriter counts the bytes an encode pushes through it, so the
-// checkpoint cost counters reflect actual state file sizes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // distCheckpointer is one node's view of the cluster checkpoint plan.
 type distCheckpointer[V, M any] struct {
-	d        *distNode[V, M]
+	d        *distRun[V, M]
 	store    *checkpoint.DirStore
 	runID    string
 	digest   string
@@ -53,29 +40,22 @@ type distCheckpointer[V, M any] struct {
 	epoch    uint64 // last locally written epoch (committed only on node 0)
 }
 
-func newDistCheckpointer[V, M any](d *distNode[V, M]) (*distCheckpointer[V, M], error) {
-	store, err := checkpoint.NewDirStore(d.a.ckptDir)
+func newDistCheckpointer[V, M any](d *distRun[V, M]) (*distCheckpointer[V, M], error) {
+	store, err := checkpoint.NewDirStore(d.a.ckpt.dir)
 	if err != nil {
 		return nil, err
 	}
 	return &distCheckpointer[V, M]{
 		d:     d,
 		store: store,
-		runID: d.a.ckptRunID,
+		runID: d.a.ckpt.runID,
 		// The partial graphs carry both full offset arrays, so every node
 		// computes the same digest the coordinator computed from the
 		// snapshot file — and the same one a single-process run computes.
-		digest:   checkpoint.DigestGraph(d.g),
-		confHash: checkpoint.ConfigHash(algoName(d.a.algo), int64(d.g.NumVertices()), int64(d.part.NumBlocks()), d.values.Words(), d.a.nodes),
-		epoch:    d.a.resumeEpoch,
+		digest:   checkpoint.DigestGraph(d.G),
+		confHash: checkpoint.ConfigHash(algoName(d.a.algo), int64(d.G.NumVertices()), int64(d.Part.NumBlocks()), d.Values.Words(), d.a.cfg.Nodes),
+		epoch:    d.a.ckpt.resumeEpoch,
 	}, nil
-}
-
-// ownedSlotRange returns the in-edge slot span of the node's owned
-// vertex range — the only cache and stamp slots this node ever writes.
-func (d *distNode[V, M]) ownedSlotRange() (int64, int64) {
-	vlo, vhi := d.ownedVertexRange()
-	return d.g.InOffset(vlo), d.g.InOffset(vhi)
 }
 
 // captureNode writes this node's state file for the given epoch: owned
@@ -84,44 +64,39 @@ func (d *distNode[V, M]) ownedSlotRange() (int64, int64) {
 // workers use, while the workers keep running.
 func (dc *distCheckpointer[V, M]) captureNode(epoch uint64) error {
 	d := dc.d
-	ckStart := d.tel.Stamp()
-	vlo, vhi := d.ownedVertexRange()
-	slo, shi := d.ownedSlotRange()
-	words := d.values.Words()
+	ckStart := d.Tel.Stamp()
+	vlo, vhi, slo, shi, blo, bhi := dc.nodeSpans(d.ID)
+	words := d.Values.Words()
 	st := &checkpoint.State{
-		NumVertices: int64(d.g.NumVertices()),
-		NumBlocks:   int64(d.part.NumBlocks()),
+		NumVertices: int64(d.G.NumVertices()),
+		NumBlocks:   int64(d.Part.NumBlocks()),
 		Words:       words,
-		Node:        d.a.node,
-		Nodes:       d.a.nodes,
-		VertexLo:    int64(vlo), VertexHi: int64(vhi),
-		BlockLo: int64(d.blockLo), BlockHi: int64(d.blockHi),
+		Node:        d.ID,
+		Nodes:       d.a.cfg.Nodes,
+		VertexLo:    vlo, VertexHi: vhi,
+		BlockLo: int64(blo), BlockHi: int64(bhi),
 		SlotBase: slo,
-		Values:   make([]uint64, (vhi-vlo)*words),
-		Priority: make([]uint64, d.blockHi-d.blockLo),
-		Active:   make([]byte, d.blockHi-d.blockLo),
+		Values:   make([]uint64, (vhi-vlo)*int64(words)),
+		Priority: make([]uint64, bhi-blo),
+		Active:   make([]byte, bhi-blo),
 		Stamps:   make([]uint64, shi-slo),
-		Counters: checkpoint.Counters{Seq: d.seq.Load()},
+		Counters: checkpoint.Counters{Seq: d.Seq()},
 	}
-	d.values.SnapshotWords(int64(vlo), int64(vhi), st.Values)
-	d.st.SnapshotBlocks(d.blockLo, d.blockHi, st.Priority, st.Active)
-	for s := slo; s < shi; s++ {
-		st.Stamps[s-slo] = d.slotSeq[s].Load()
-	}
+	d.Values.SnapshotWords(vlo, vhi, st.Values)
+	d.Sched.SnapshotBlocks(blo, bhi, st.Priority, st.Active)
+	d.SnapshotStamps(slo, st.Stamps)
 	var written int64
-	if err := dc.store.WriteState(dc.runID, epoch, d.a.node, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := checkpoint.Encode(cw, st)
-		written = cw.n
+	if err := dc.store.WriteState(dc.runID, epoch, d.ID, func(w io.Writer) (err error) {
+		written, err = checkpoint.EncodeCounted(w, st)
 		return err
 	}); err != nil {
 		return err
 	}
 	// The durability cost of this epoch, on the control-plane shard: the
 	// capture runs on the control goroutine, never a worker.
-	d.shC.Add(telemetry.CtrCkptEpochs, 1)
-	d.shC.Add(telemetry.CtrCkptBytes, written)
-	d.shC.Observe(telemetry.StageCkpt, d.tel.Stamp()-ckStart)
+	d.Ctl.Add(telemetry.CtrCkptEpochs, 1)
+	d.Ctl.Add(telemetry.CtrCkptBytes, written)
+	d.Ctl.Observe(telemetry.StageCkpt, d.Tel.Stamp()-ckStart)
 	dc.epoch = epoch
 	return nil
 }
@@ -134,7 +109,7 @@ func (dc *distCheckpointer[V, M]) captureNode(epoch uint64) error {
 // (assign.seqBase, computed by the coordinator from all state files).
 func (dc *distCheckpointer[V, M]) resumeNode() error {
 	d := dc.d
-	epoch := d.a.resumeEpoch
+	epoch := d.a.ckpt.resumeEpoch
 	// A scrape mid-restore would read a half-restored iterate: the node
 	// is explicitly not ready until the rebuild below completes (start()
 	// flips it back).
@@ -142,11 +117,11 @@ func (dc *distCheckpointer[V, M]) resumeNode() error {
 		h.SetReady(false, "checkpoint resume")
 	}
 	obslog.L().Info("resuming from checkpoint",
-		"event", "ckpt.resume", "node", d.a.node, "runID", dc.runID, "epoch", epoch)
-	n := int64(d.g.NumVertices())
-	nb := int64(d.part.NumBlocks())
-	words := d.values.Words()
-	for node := 0; node < d.a.nodes; node++ {
+		"event", "ckpt.resume", "node", d.ID, "runID", dc.runID, "epoch", epoch)
+	n := int64(d.G.NumVertices())
+	nb := int64(d.Part.NumBlocks())
+	words := d.Values.Words()
+	for node := 0; node < d.a.cfg.Nodes; node++ {
 		st, err := dc.readState(epoch, node)
 		if err != nil {
 			return err
@@ -155,51 +130,46 @@ func (dc *distCheckpointer[V, M]) resumeNode() error {
 			return fmt.Errorf("tcp: resume epoch %d node %d: state shape %dx%dx%d does not match the run (%dx%dx%d)",
 				epoch, node, st.NumVertices, st.NumBlocks, st.Words, n, nb, words)
 		}
-		wantVlo, wantVhi, wantSlo, _, _, _ := dc.nodeSpans(node)
+		wantVlo, wantVhi, wantSlo, wantShi, blo, bhi := dc.nodeSpans(node)
 		if st.VertexLo != wantVlo || st.VertexHi != wantVhi {
 			return fmt.Errorf("tcp: resume epoch %d node %d: vertex range [%d,%d), want [%d,%d)",
 				epoch, node, st.VertexLo, st.VertexHi, wantVlo, wantVhi)
 		}
-		d.values.RestoreWords(st.VertexLo, st.Values)
-		if node != d.a.node {
+		d.Values.RestoreWords(st.VertexLo, st.Values)
+		if node != d.ID {
 			continue
 		}
-		if st.SlotBase != wantSlo || int64(len(st.Stamps)) != dc.ownedSlotCount() {
+		if st.SlotBase != wantSlo || int64(len(st.Stamps)) != wantShi-wantSlo {
 			return fmt.Errorf("tcp: resume epoch %d node %d: slot range [%d,+%d), want [%d,+%d)",
-				epoch, node, st.SlotBase, len(st.Stamps), wantSlo, dc.ownedSlotCount())
+				epoch, node, st.SlotBase, len(st.Stamps), wantSlo, wantShi-wantSlo)
 		}
-		for i, stamp := range st.Stamps {
-			d.slotSeq[st.SlotBase+int64(i)].Store(stamp)
-		}
+		d.RestoreStamps(st.SlotBase, st.Stamps)
 		// Add the captured Gauss-Southwell mass on top of the baseline
-		// activation newDistNode seeded: every owned block restarts
+		// activation the node was seeded with: every owned block restarts
 		// active (a fuzzy capture may have missed an activation), and
 		// the restored priorities preserve the scheduling order.
-		for b := d.blockLo; b < d.blockHi; b++ {
-			d.st.Activate(b, math.Float64frombits(st.Priority[b-d.blockLo]))
+		for b := blo; b < bhi; b++ {
+			d.Sched.Activate(b, math.Float64frombits(st.Priority[b-blo]))
 		}
 	}
-	d.rebuildOwnedCache()
-	d.seq.Store(d.a.seqBase)
+	// Re-derive every owned in-edge cache slot from the restored global
+	// values — this is what reconstructs any update batch the fuzzy
+	// capture lost in flight. The restored stamps stay: seqBase already
+	// sits above all of them.
+	blo, bhi := d.BlockRange(d.ID)
+	for b := blo; b < bhi; b++ {
+		d.RebuildInEdges(b, 0)
+	}
+	d.SetSeq(d.a.ckpt.seqBase)
 	return nil
-}
-
-func (dc *distCheckpointer[V, M]) ownedSlotCount() int64 {
-	slo, shi := dc.d.ownedSlotRange()
-	return shi - slo
 }
 
 // nodeSpans mirrors the owned ranges any node computes for itself.
 func (dc *distCheckpointer[V, M]) nodeSpans(node int) (vlo, vhi, slo, shi int64, blo, bhi int) {
 	d := dc.d
-	nb := d.part.NumBlocks()
-	blo, bhi = distBlockRange(nb, d.a.nodes, node)
-	if blo >= bhi {
-		return 0, 0, 0, 0, blo, bhi
-	}
-	lo, _ := d.part.VertexRange(blo)
-	_, hi := d.part.VertexRange(bhi - 1)
-	return int64(lo), int64(hi), d.g.InOffset(lo), d.g.InOffset(hi), blo, bhi
+	blo, bhi = d.BlockRange(node)
+	lo, hi := d.VertexRange(node)
+	return int64(lo), int64(hi), d.G.InOffset(lo), d.G.InOffset(hi), blo, bhi
 }
 
 func (dc *distCheckpointer[V, M]) readState(epoch uint64, node int) (*checkpoint.State, error) {
@@ -212,28 +182,11 @@ func (dc *distCheckpointer[V, M]) readState(epoch uint64, node int) (*checkpoint
 	if err != nil {
 		return nil, fmt.Errorf("tcp: resume epoch %d node %d: %w", epoch, node, err)
 	}
-	if st.Node != node || st.Nodes != dc.d.a.nodes {
+	if st.Node != node || st.Nodes != dc.d.a.cfg.Nodes {
 		return nil, fmt.Errorf("tcp: resume epoch %d: state file claims node %d/%d, want %d/%d",
-			epoch, st.Node, st.Nodes, node, dc.d.a.nodes)
+			epoch, st.Node, st.Nodes, node, dc.d.a.cfg.Nodes)
 	}
 	return st, nil
-}
-
-// rebuildOwnedCache re-derives every owned in-edge cache slot from the
-// restored global values: slot s caches ScatterValue of its source
-// vertex, whatever node owns that source. This is what reconstructs any
-// update batch the fuzzy capture lost in flight.
-func (d *distNode[V, M]) rebuildOwnedCache() {
-	vlo, vhi := d.ownedVertexRange()
-	buf := make([]uint64, d.values.Words())
-	var val V
-	for v := vlo; v < vhi; v++ {
-		for s := d.g.InOffset(v); s < d.g.InOffset(v+1); s++ {
-			src := d.g.InSrc(s)
-			d.values.LoadBuf(int64(src), &val, buf)
-			d.cache.StoreBuf(s, d.prog.ScatterValue(src, val, d.g), buf)
-		}
-	}
 }
 
 // checkpointRound drives one cluster-wide checkpoint epoch from the
@@ -241,7 +194,7 @@ func (d *distNode[V, M]) rebuildOwnedCache() {
 // only then — the manifest commit. The control lane is lockstep, so the
 // acks arrive in joiner order; the fuzziness is in when each node's
 // capture samples its live state, not in the commit.
-func (d *distNode[V, M]) checkpointRound(joiners []*ctrlConn) error {
+func (d *distRun[V, M]) checkpointRound(joiners []*ctrlConn) error {
 	dc := d.ckpt
 	epoch := dc.epoch + 1
 	for _, j := range joiners {
@@ -268,17 +221,17 @@ func (d *distNode[V, M]) checkpointRound(joiners []*ctrlConn) error {
 	if err := dc.store.Commit(&checkpoint.Manifest{
 		RunID:       dc.runID,
 		Epoch:       epoch,
-		Nodes:       d.a.nodes,
+		Nodes:       d.a.cfg.Nodes,
 		Program:     algoName(d.a.algo),
 		GraphDigest: dc.digest,
 		ConfigHash:  dc.confHash,
-		NumVertices: int64(d.g.NumVertices()),
-		NumBlocks:   int64(d.part.NumBlocks()),
+		NumVertices: int64(d.G.NumVertices()),
+		NumBlocks:   int64(d.Part.NumBlocks()),
 		SavedUnixMs: time.Now().UnixMilli(),
 	}); err != nil {
 		return err
 	}
 	obslog.L().Info("checkpoint epoch committed",
-		"event", "ckpt.commit", "runID", dc.runID, "epoch", epoch, "nodes", d.a.nodes)
+		"event", "ckpt.commit", "runID", dc.runID, "epoch", epoch, "nodes", d.a.cfg.Nodes)
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/cluster/tcp"
+	"graphabcd/internal/graph"
 )
 
 // TestDistCheckpointResumePageRank interrupts a two-node PageRank run
@@ -99,6 +100,59 @@ func TestDistCheckpointResumePageRank(t *testing.T) {
 	}
 	if m.Epoch < committed.Epoch {
 		t.Fatalf("manifest epoch went backwards: %d after resuming from %d", m.Epoch, committed.Epoch)
+	}
+}
+
+// TestDistResumeParentCommitCheckpoint is the on-disk compatibility
+// guard for the shared-node refactor: testdata/parent_ckpt holds a tiny
+// snapshot plus the epoch a two-node PageRank run of the commit *before*
+// the refactor (bdc79d5, the dist.go engine copy) committed mid-run —
+// manifest and both GABC shards, byte for byte as that binary wrote
+// them. The current runtime must accept the identity triple, restore the
+// shards (values, priorities, stamps, sequence), rebuild its caches and
+// converge to the reference ranks.
+func TestDistResumeParentCommitCheckpoint(t *testing.T) {
+	const runID = "parent-bdc79d5"
+	fixture := filepath.Join("testdata", "parent_ckpt")
+	snap := filepath.Join(fixture, "graph.gabs")
+	// Resume under a copy: the resumed run commits further epochs into the
+	// store, and the checked-in files must stay untouched.
+	ckdir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.CopyFS(ckdir, os.DirFS(filepath.Join(fixture, "ckpt"))); err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.NewDirStore(ckdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.Load(runID)
+	if err != nil {
+		t.Fatalf("fixture manifest: %v", err)
+	}
+
+	cfg := distConfig(2, "pr") // the shape the fixture was written under
+	cfg.Epsilon = 1e-12
+	cfg.CheckpointDir = ckdir
+	cfg.CheckpointInterval = 2 * time.Millisecond
+	cfg.Resume = runID
+	res := runDistLoopback(t, snap, cfg)
+
+	g, err := graph.Load(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
+	for v := range want {
+		if d := math.Abs(res.Float[v] - want[v]); d > 1e-7 {
+			t.Fatalf("rank[%d] resumed from the parent commit's checkpoint is off by %g", v, d)
+		}
+	}
+	after, err := store.Load(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Epoch < before.Epoch || after.GraphDigest != before.GraphDigest || after.ConfigHash != before.ConfigHash {
+		t.Fatalf("manifest after resume %+v does not continue %+v", after, before)
 	}
 }
 

@@ -36,9 +36,8 @@ const envelopeHdrLen = 1 + 4 + 8 + 8 + 4 + 4
 // smuggling absurd ids into delivery paths that index by node.
 const maxWireNode = 1 << 20
 
-// NewDataEnvelope builds a data-batch envelope for transports and
-// distributed runtimes that reimplement the node send path. The slices
-// are retained, not copied; the caller must not mutate them afterwards.
+// NewDataEnvelope builds a data-batch envelope (codec tests and fuzzers;
+// the node's flush builds its own). The slices are retained, not copied.
 // len(words) must be a multiple of len(slots) (codec words per slot).
 func NewDataEnvelope(from int, id uint64, sentAt time.Time, slots []int64, blocks []int32, words []uint64) Envelope {
 	return Envelope{kind: envData, from: from, id: id, sentAt: sentAt,
@@ -53,19 +52,6 @@ func NewAck(from int, id uint64) Envelope {
 
 // From returns the sending node id.
 func (e Envelope) From() int { return e.from }
-
-// SentAt returns the send timestamp (zero for acks that never set one).
-func (e Envelope) SentAt() time.Time { return e.sentAt }
-
-// Slots returns the CSC slot indices of a data envelope. The slice is
-// shared with the envelope; treat it as read-only.
-func (e Envelope) Slots() []int64 { return e.slots }
-
-// Blocks returns the global block id per slot, aligned with Slots.
-func (e Envelope) Blocks() []int32 { return e.blocks }
-
-// Words returns the encoded values, len(Slots) * codec.Words() entries.
-func (e Envelope) Words() []uint64 { return e.words }
 
 // EnvelopeWireSize returns the exact encoded size of e in bytes.
 func EnvelopeWireSize(e Envelope) int {

@@ -12,19 +12,6 @@ import (
 	"graphabcd/internal/telemetry"
 )
 
-// countingWriter counts encoded bytes on their way to the store, so the
-// checkpoint cost counters reflect actual state file sizes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // checkpointer drives the single-process crash-safety loop: every
 // Config.Checkpoint.Interval it captures a fuzzy snapshot of the engine —
 // vertex values, scheduler priorities and active flags, progress counters
@@ -249,10 +236,8 @@ func (ck *checkpointer[V, M]) capture() error {
 	}
 	epoch := ck.epoch + 1
 	var written int64
-	if err := ck.store.WriteState(ck.runID, epoch, 0, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := checkpoint.Encode(cw, st)
-		written = cw.n
+	if err := ck.store.WriteState(ck.runID, epoch, 0, func(w io.Writer) (err error) {
+		written, err = checkpoint.EncodeCounted(w, st)
 		return err
 	}); err != nil {
 		return err

@@ -81,10 +81,7 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
-		// Claim unconditionally: the recorded run claimed this block at
-		// this point, so the replay repeats it whether or not the block
-		// looks active now (activation raced differently in the recording).
-		e.st.Claim(int(id))
+		e.st.ClaimRecorded(int(id))
 		t, _ := e.gatherApply(int(id), ws, sh)
 		e.scatter(t, ws, mass, &touched, sh)
 		e.st.Done(int(id))

@@ -67,14 +67,27 @@ func (s *State) ActivateAll(mass float64) {
 
 // Claim attempts to transition block b from active to in-flight,
 // consuming its accumulated gradient mass. It returns false if b is
-// already in flight.
-func (s *State) Claim(b int) bool {
+// already in flight or no longer active: schedulers look (Active &&
+// !InFlight) and then claim, and another worker may claim *and finish* b
+// in between — succeeding then would process the block a second time.
+func (s *State) Claim(b int) bool { return s.claim(b, true) }
+
+// ClaimRecorded is Claim for deterministic schedule replay: the recorded
+// run claimed b at this point, so the replay takes it whether or not it
+// looks active now (activation raced differently in the recording).
+func (s *State) ClaimRecorded(b int) bool { return s.claim(b, false) }
+
+func (s *State) claim(b int, mustBeActive bool) bool {
 	if !s.inflight.Set(b) {
 		return false
 	}
 	s.outstanding.Add(1)
 	if s.active.Clear(b) {
 		s.outstanding.Add(-1)
+	} else if mustBeActive {
+		s.inflight.Clear(b)
+		s.outstanding.Add(-1)
+		return false
 	}
 	s.priority.Swap(b, 0)
 	return true

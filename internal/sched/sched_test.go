@@ -41,6 +41,44 @@ func TestStateLifecycle(t *testing.T) {
 	}
 }
 
+// The scheduler double-claim, interleaved by hand: worker A sees block 1
+// claimable, worker B claims and finishes it, then A's Claim lands. It
+// must fail — the block is no longer active, and succeeding would process
+// it twice (the root cause of TestConcurrentClaimExclusive's flake).
+func TestClaimFailsOnBlockFinishedSinceLook(t *testing.T) {
+	st := NewState(4)
+	st.Activate(1, 2)
+	if !st.Active(1) || st.InFlight(1) { // worker A looks
+		t.Fatal("block 1 should look claimable")
+	}
+	if !st.Claim(1) { // worker B claims...
+		t.Fatal("worker B's claim failed")
+	}
+	st.Done(1)       // ...and finishes
+	if st.Claim(1) { // worker A's claim lands late
+		t.Fatal("claimed a block that is no longer active: it would be processed twice")
+	}
+	if st.InFlight(1) || !st.Quiescent() {
+		t.Fatal("failed claim must leave no in-flight bit or outstanding count behind")
+	}
+	st.Activate(1, 1) // new incoming mass makes it claimable again
+	if !st.Claim(1) || st.Priority(1) != 0 {
+		t.Fatal("re-activated block must be claimable")
+	}
+	st.Done(1)
+	// Replay claims by recorded id, active or not, but never a block in flight.
+	if !st.ClaimRecorded(1) || !st.InFlight(1) || st.Quiescent() {
+		t.Fatal("ClaimRecorded must take an inactive block")
+	}
+	if st.ClaimRecorded(1) {
+		t.Fatal("ClaimRecorded must still refuse a block in flight")
+	}
+	st.Done(1)
+	if !st.Quiescent() {
+		t.Fatal("not quiescent after replay claim + Done")
+	}
+}
+
 func TestReactivationDuringFlight(t *testing.T) {
 	st := NewState(2)
 	st.Activate(0, 1)

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -193,12 +195,46 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// writeJSON encodes before it commits the status line, so a value
+// encoding/json refuses becomes a 500 with an error body instead of a
+// 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "serve: encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// jsonFloat is x, or nil (JSON null) when x is ±Inf or NaN — values JSON
+// cannot carry, e.g. the SSSP distance of an unreachable vertex.
+func jsonFloat(x float64) any {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return nil
+	}
+	return x
+}
+
+// jsonFloats is xs itself when every value is finite — the common case,
+// encoded exactly as a []float64 always was — and otherwise a copy with
+// null in place of each non-finite value.
+func jsonFloats(xs []float64) any {
+	for i := range xs {
+		if jsonFloat(xs[i]) == nil {
+			out := make([]any, len(xs))
+			for j, x := range xs {
+				out[j] = jsonFloat(x)
+			}
+			return out
+		}
+	}
+	return xs
 }
 
 // jobStatus is the wire form of a job.
@@ -217,10 +253,10 @@ type jobStatus struct {
 
 	Stats *statsBody `json:"stats,omitempty"`
 
-	Float     []float64   `json:"float,omitempty"`
+	Float     any         `json:"float,omitempty"` // []float64, or []any with null for non-finite values
 	Uint      []uint64    `json:"uint,omitempty"`
 	Vectors   [][]float32 `json:"vectors,omitempty"`
-	Residuals []float64   `json:"residuals,omitempty"`
+	Residuals any         `json:"residuals,omitempty"`
 }
 
 type statsBody struct {
@@ -257,7 +293,13 @@ func (s *Server) status(v JobView, includeValues bool) jobStatus {
 			st.Stats.Nodes = res.Cluster.Nodes
 		}
 		if includeValues {
-			st.Float, st.Uint, st.Vectors, st.Residuals = res.Float, res.Uint, res.Vectors, res.Residuals
+			st.Uint, st.Vectors = res.Uint, res.Vectors
+			if len(res.Float) > 0 {
+				st.Float = jsonFloats(res.Float)
+			}
+			if len(res.Residuals) > 0 {
+				st.Residuals = jsonFloats(res.Residuals)
+			}
 		}
 	}
 	return st
@@ -467,7 +509,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res := v.Result
 	value := func(i uint32) any {
 		if res.Float != nil {
-			return res.Float[i]
+			return jsonFloat(res.Float[i])
 		}
 		return res.Uint[i]
 	}
@@ -496,18 +538,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		type ranked struct {
-			Vertex uint32  `json:"vertex"`
-			Value  float64 `json:"value"`
+			Vertex uint32 `json:"vertex"`
+			Value  any    `json:"value"`
 		}
-		idx := make([]ranked, len(res.Float))
-		for i, x := range res.Float {
-			idx[i] = ranked{Vertex: uint32(i), Value: x}
+		order := make([]uint32, len(res.Float))
+		for i := range order {
+			order[i] = uint32(i)
 		}
-		sort.Slice(idx, func(a, b int) bool { return idx[a].Value > idx[b].Value })
-		if topK > len(idx) {
-			topK = len(idx)
+		sort.Slice(order, func(a, b int) bool { return res.Float[order[a]] > res.Float[order[b]] })
+		top := make([]ranked, min(topK, len(order)))
+		for i := range top {
+			top[i] = ranked{Vertex: order[i], Value: jsonFloat(res.Float[order[i]])}
 		}
-		body["top"] = idx[:topK]
+		body["top"] = top
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -515,5 +516,82 @@ func TestJournalResume(t *testing.T) {
 	}
 	if final["durable"] != true || final["tenant"] != "acme" {
 		t.Fatalf("resumed job lost its identity: %v", final)
+	}
+}
+
+// An unreached SSSP distance is +Inf, which JSON cannot carry. The
+// server must answer valid JSON with null at that vertex — not a 200
+// with an empty body (the status line used to be committed before the
+// encode failed) — on the job route and the point-query route alike;
+// every finite value must still come through as a number.
+func TestUnreachableDistanceEncodesAsNull(t *testing.T) {
+	dir := t.TempDir()
+	g, err := graphabcd.NewGraph(4, []graphabcd.Edge{
+		{Src: 0, Dst: 1, Weight: 2}, {Src: 1, Dst: 2, Weight: 3}, // vertex 3 is isolated
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphabcd.Save(filepath.Join(dir, "iso.gabs"), g); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{GraphDir: dir})
+
+	// strictGet refuses what getJSON tolerates: an empty or invalid body.
+	strictGet := func(path string) map[string]any {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]any
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &out) != nil {
+			t.Fatalf("GET %s: status %d, body %q", path, resp.StatusCode, raw)
+		}
+		return out
+	}
+
+	code, body := postJob(t, ts, "", `{"algorithm":"sssp","graph":"iso","source":0}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d (%v)", code, body)
+	}
+	id := body["id"].(string)
+	if final := waitState(t, ts, id); final["state"] != "done" {
+		t.Fatalf("job ended %v: %v", final["state"], final["error"])
+	}
+	dist, ok := strictGet("/v1/jobs/" + id + "?values=true")["float"].([]any)
+	if !ok || len(dist) != 4 {
+		t.Fatalf("float = %v", dist)
+	}
+	if dist[0] != 0.0 || dist[1] != 2.0 || dist[2] != 5.0 || dist[3] != nil {
+		t.Fatalf("distances %v, want [0 2 5 null]", dist)
+	}
+
+	q := strictGet("/v1/query?graph=iso&algorithm=sssp&source=0&vertices=2,3&top=4")
+	values := q["values"].(map[string]any)
+	if v, present := values["3"]; !present || v != nil || values["2"] != 5.0 {
+		t.Fatalf("query values %v, want 2:5 and 3:null", values)
+	}
+	top := q["top"].([]any)
+	if first := top[0].(map[string]any); first["vertex"] != 3.0 || first["value"] != nil {
+		t.Fatalf("top[0] = %v, want the unreachable vertex with a null value", first)
+	}
+	if second := top[1].(map[string]any); second["vertex"] != 2.0 || second["value"] != 5.0 {
+		t.Fatalf("top[1] = %v", second)
+	}
+}
+
+// writeJSON must never commit a 200 for a value it cannot encode.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"x": math.Inf(1)})
+	var out map[string]string
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &out) != nil || out["error"] == "" {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
 }

@@ -26,11 +26,25 @@ import (
 type WireCounters struct {
 	BytesSent, FramesSent int64
 	BytesRecv, FramesRecv int64
-	Reconnects            int64
-	Drops                 int64
-	CRCDrops              int64
-	DecodeErrors          int64
-	QueueHighWater        int64
+	// Reconnects counts successful dials that replaced an earlier
+	// connection to the same peer (initial connects are not reconnects).
+	Reconnects int64
+	// Drops counts envelopes abandoned at this layer: queue overflow
+	// plus batches discarded on a write error. The engine's unacked
+	// retry path re-sends every one of them.
+	Drops int64
+	// CRCDrops counts frames discarded for a checksum mismatch. The
+	// stream stays frame-aligned through these, so only the damaged
+	// frame is lost, not the connection.
+	CRCDrops int64
+	// DecodeErrors counts connections killed by stream desync: a
+	// framing error or an envelope that failed to decode.
+	DecodeErrors int64
+	// QueueHighWater is the deepest outbound data queue observed at
+	// enqueue time across all links — a watermark, not a counter. A
+	// value near QueueDepth means workers spent time blocked on wire
+	// backpressure.
+	QueueHighWater int64
 }
 
 // numWireCounters is the wire field count of WireCounters; keep in sync

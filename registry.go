@@ -52,8 +52,8 @@ type ParamSpec struct {
 
 // AlgorithmSpec is one registry entry: the canonical name, what the
 // algorithm needs from a JobSpec, and the type-erased program factories
-// the Runtime dispatches through. The CLI's -algo flag, the deprecated
-// Run* helpers, and the HTTP layer's "algorithm" field all resolve here.
+// the Runtime dispatches through. The CLI's -algo flag and the HTTP
+// layer's "algorithm" field both resolve here.
 type AlgorithmSpec struct {
 	// Name is the canonical algorithm name.
 	Name string

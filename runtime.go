@@ -28,9 +28,8 @@ type JobSpec struct {
 	Config Config
 	// Cluster, when non-nil, runs the job on the in-process distributed
 	// engine across Cluster.Nodes nodes instead of the single-node
-	// engine. Validated once at the Runtime boundary — the regression
-	// the ad-hoc RunDistributed* helpers historically left to the
-	// engine's interior.
+	// engine. Validated once at the Runtime boundary, before any node
+	// goroutine starts.
 	Cluster *ClusterConfig
 
 	// Source is the source vertex for traversal algorithms (sssp, bfs).
@@ -156,8 +155,8 @@ type Event struct {
 	Err string
 }
 
-// Runtime executes JobSpecs. It is the one execution surface the CLI,
-// the deprecated Run* helpers, and the HTTP serving layer all share:
+// Runtime executes JobSpecs. It is the one execution surface the CLI
+// and the HTTP serving layer share:
 // Run validates the spec once (algorithm lookup, graph presence, core
 // and cluster Config.Validate) before any goroutine starts, dispatches
 // through the algorithm registry, and returns a Handle the caller polls,
@@ -401,25 +400,4 @@ func defaultBlockSize(g *Graph) int {
 		bs = 16
 	}
 	return bs
-}
-
-// defaultRuntime backs the deprecated Run* helpers.
-var defaultRuntime = sync.OnceValue(NewRuntime)
-
-// runJob executes spec synchronously on the default runtime.
-func runJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	h, err := defaultRuntime().Run(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	<-h.Done()
-	return h.Result()
-}
-
-// clusterSpecConfig converts the distributed wrapper arguments into the
-// cluster side of a JobSpec. The cluster engine reads engine knobs from
-// ClusterConfig directly, so Config stays default.
-func clusterSpec(algorithm string, g *Graph, ccfg ClusterConfig, opts ...JobOption) JobSpec {
-	opts = append([]JobOption{WithClusterConfig(ccfg)}, opts...)
-	return NewJobSpec(algorithm, g, opts...)
 }

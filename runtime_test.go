@@ -9,34 +9,27 @@ import (
 	"time"
 )
 
-// TestRuntimeMatchesLegacyHelpers pins the API redesign's contract: the
-// deprecated Run* wrappers and a Runtime JobSpec produce identical
-// results, because both are the same registry dispatch.
-func TestRuntimeMatchesLegacyHelpers(t *testing.T) {
+// TestRuntimeMatchesGenericRun pins the API's contract: a Runtime JobSpec
+// for a built-in algorithm (by alias) and the typed Run entry point for
+// custom programs produce identical results, because both drive the same
+// engine over the same program.
+func TestRuntimeMatchesGenericRun(t *testing.T) {
 	g := ring(t, 64)
 	cfg := DefaultConfig(8)
-	legacy, err := RunPageRank(g, cfg)
+	typed, err := Run[float64, float64](g, PageRank{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime()
-	h, err := rt.Run(context.Background(), NewJobSpec("pr", g, WithConfig(cfg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, NewJobSpec("pr", g, WithConfig(cfg)))
 	if res.Algorithm != "pagerank" {
 		t.Fatalf("alias not canonicalized: %q", res.Algorithm)
 	}
-	if len(res.Float) != len(legacy.Values) {
-		t.Fatalf("value lengths differ: %d vs %d", len(res.Float), len(legacy.Values))
+	if len(res.Float) != len(typed.Values) {
+		t.Fatalf("value lengths differ: %d vs %d", len(res.Float), len(typed.Values))
 	}
 	for v := range res.Float {
-		if math.Abs(res.Float[v]-legacy.Values[v]) > 1e-9 {
-			t.Fatalf("rank[%d]: runtime %g vs legacy %g", v, res.Float[v], legacy.Values[v])
+		if math.Abs(res.Float[v]-typed.Values[v]) > 1e-9 {
+			t.Fatalf("rank[%d]: runtime %g vs typed %g", v, res.Float[v], typed.Values[v])
 		}
 	}
 }
@@ -175,26 +168,23 @@ func TestPPRConcentratesOnSeeds(t *testing.T) {
 	// Star-ish graph: ring plus extra edges into the seed so the seed's
 	// neighborhood outranks the far side.
 	g := ring(t, 64)
-	res, err := RunPPR(g, []uint32{3}, DefaultConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, NewJobSpec("ppr", g, WithSeeds(3), WithConfig(DefaultConfig(8))))
 	sum := 0.0
-	for _, x := range res.Values {
+	for _, x := range res.Float {
 		sum += x
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("ppr mass sums to %g, want 1", sum)
 	}
-	if res.Values[3] <= res.Values[35] {
-		t.Fatalf("seed rank %g not above far vertex %g", res.Values[3], res.Values[35])
+	if res.Float[3] <= res.Float[35] {
+		t.Fatalf("seed rank %g not above far vertex %g", res.Float[3], res.Float[35])
 	}
 	// The fixpoint satisfies the personalized equation.
 	prog, err := NewPPR(0, []uint32{3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := prog.L1Residual(g, res.Values); r > 1e-6 {
+	if r := prog.L1Residual(g, res.Float); r > 1e-6 {
 		t.Fatalf("ppr residual %g", r)
 	}
 }

@@ -144,6 +144,21 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== bench module (vet + unit tests; its own module, invisible to ./... above)"
+# bench/ imports the root packages through a replace directive, so a
+# refactor here can break it without the root build noticing. Same
+# in-tree cache convention as bench/run.sh; unit tests only — the
+# benchmark itself is bench/run.sh.
+(
+    root=$PWD
+    mkdir -p "$root/.bench_build/tmp"
+    export GOCACHE="$root/.bench_build/gocache" TMPDIR="$root/.bench_build/tmp" \
+        GOPATH="$root/.bench_build/gopath" XDG_CONFIG_HOME="$root/.bench_build/config" \
+        GOTOOLCHAIN=local
+    go -C bench vet ./...
+    go -C bench test -count=1 ./...
+)
+
 echo "== go test -race -short"
 # -short gates the internal/exp experiment sweeps: race instrumentation
 # slows those numeric kernels ~35x, past go test's per-package timeout.
