@@ -449,8 +449,15 @@ func run() error {
 	}
 	stats := res.Stats
 	switch alg.Name {
-	case "pagerank", "pagerank-delta", "ppr", "sssp", "bfs", "cc":
-		printValues(alg.Name, src, *top, res.Float, res.Uint)
+	case "pagerank", "pagerank-delta", "ppr":
+		printTopFloat(res.Float, *top, "rank")
+	case "sssp":
+		fmt.Printf("source: %d\n", src)
+		printTopFloat(res.Float, *top, "dist")
+	case "bfs":
+		fmt.Printf("source: %d, reached: %d\n", src, countReached(res.Uint))
+	case "cc":
+		fmt.Printf("components: %d\n", countComponents(res.Uint))
 	case "labelprop":
 		fmt.Printf("communities: %d\n", countComponents(res.Uint))
 	case "kcore":
@@ -571,7 +578,17 @@ func runListen(ctx context.Context, g *graph.Graph, addr, valuesOut string, o di
 	if err != nil {
 		return err
 	}
-	printValues(o.algo, o.src, o.top, res.Float, res.Uint)
+	switch {
+	case res.Float != nil:
+		if o.algo == "sssp" {
+			fmt.Printf("source: %d\n", o.src)
+		}
+		printTopFloat(res.Float, o.top, map[string]string{"pr": "rank", "sssp": "dist"}[o.algo])
+	case o.algo == "bfs":
+		fmt.Printf("source: %d, reached: %d\n", o.src, countReached(res.Uint))
+	default:
+		fmt.Printf("components: %d\n", countComponents(res.Uint))
+	}
 	fmt.Printf("nodes: %d\nbatches sent: %d\nwall time: %v\n", o.nodes, res.BatchesSent, res.WallTime)
 	if w := res.Wire; w.FramesSent > 0 || w.FramesRecv > 0 {
 		fmt.Printf("wire: %d B in %d frames sent, %d B in %d frames recv, %d reconnects, %d drops (%d crc), queue high water %d\n",
@@ -662,7 +679,17 @@ func runDistributed(ctx context.Context, g *graph.Graph, o distOpts) error {
 		return err
 	}
 	stats := *res.Cluster
-	printValues(alg.Name, o.src, o.top, res.Float, res.Uint)
+	switch alg.Name {
+	case "pagerank":
+		printTopFloat(res.Float, o.top, "rank")
+	case "sssp":
+		fmt.Printf("source: %d\n", o.src)
+		printTopFloat(res.Float, o.top, "dist")
+	case "bfs":
+		fmt.Printf("source: %d, reached: %d\n", o.src, countReached(res.Uint))
+	case "cc":
+		fmt.Printf("components: %d\n", countComponents(res.Uint))
+	}
 
 	fmt.Printf("converged: %v\nnodes: %d\nepochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
 		stats.Converged, stats.Nodes, stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
@@ -744,22 +771,6 @@ func maxOutDegreeVertex(g *graph.Graph) uint32 {
 		}
 	}
 	return best
-}
-
-// printValues is the result summary every run mode shares for the
-// rank / distance / level / component algorithms.
-func printValues(algo string, src uint32, top int, f []float64, u []uint64) {
-	switch algo {
-	case "sssp":
-		fmt.Printf("source: %d\n", src)
-		printTopFloat(f, top, "dist")
-	case "bfs":
-		fmt.Printf("source: %d, reached: %d\n", src, countReached(u))
-	case "cc":
-		fmt.Printf("components: %d\n", countComponents(u))
-	default: // pagerank and its variants, under any alias
-		printTopFloat(f, top, "rank")
-	}
 }
 
 func printTopFloat(vals []float64, k int, label string) {

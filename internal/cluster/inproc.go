@@ -250,21 +250,16 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 	if period <= 0 {
 		return
 	}
-	step := max(period/8, time.Millisecond)
-	timer := time.NewTimer(step)
-	defer timer.Stop()
+	tick := time.NewTicker(period)
+	defer tick.Stop()
 	last := int64(-1)
 	for {
-		deadline := time.Now().Add(period)
-		for time.Now().Before(deadline) {
-			select {
-			case <-ctx.Done():
-				return
-			case <-c.stopped:
-				return
-			case <-timer.C:
-			}
-			timer.Reset(step)
+		select {
+		case <-ctx.Done():
+			return
+		case <-c.stopped:
+			return
+		case <-tick.C:
 		}
 		sent, inflight := c.batchTotals()
 		progress := c.vertexUpdates() + int64(sent) - inflight

@@ -407,8 +407,10 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 	ws.sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
 	ws.sh.Add(telemetry.CtrEdgesTraversed, edges)
 	sStart := s.Tel.Stamp()
-	ws.sh.Observe(telemetry.StageGather, sStart-gStart)
-	ws.sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
+	if sStart > 0 {
+		ws.sh.Observe(telemetry.StageGather, sStart-gStart)
+		ws.sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
+	}
 
 	codec := prog.Codec()
 	var writes, locals int64
@@ -500,23 +502,16 @@ func (n *Node[V, M]) flush(to int, p *batch, sh *telemetry.Shard) {
 // Deliver is the transport's entry point into the node. Acks settle
 // directly on the delivering goroutine — settle only takes the unacked
 // lock, so it can never block on an apply and never deadlocks two nodes
-// acking each other. Data envelopes apply inline and ack back.
+// acking each other. Data envelopes install inline and are acknowledged
+// every time, even when every slot was stale, because a duplicate usually
+// means the previous ack was lost. Only a batch install refuses goes
+// unacked.
 func (n *Node[V, M]) Deliver(to int, e Envelope) {
-	if to != n.ID {
-		return // misrouted frame: a peer dialed the wrong address
-	}
-	if e.kind == envAck {
+	switch {
+	case to != n.ID: // misrouted frame: a peer dialed the wrong address
+	case e.kind == envAck:
 		n.settle(e.id)
-	} else {
-		n.apply(e)
-	}
-}
-
-// apply installs one data batch and acknowledges it — every time, even
-// when every slot was stale, because a duplicate usually means the
-// previous ack was lost. Only a batch install refuses goes unacked.
-func (n *Node[V, M]) apply(e Envelope) {
-	if n.install(e) {
+	case n.install(e):
 		n.tr.Send(n.ID, e.from, Envelope{kind: envAck, from: n.ID, id: e.id})
 	}
 }

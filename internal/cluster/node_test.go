@@ -127,9 +127,9 @@ func (r *rig) batchFor(e remoteEdge, val float64) *batch {
 	return p
 }
 
-// flush sends one batch carrying value val on edge e and returns the data
+// sendBatch flushes one batch carrying value val on edge e and returns the data
 // envelope the transport saw (nil if flush sent nothing).
-func (r *rig) flush(e remoteEdge, val float64) *Envelope {
+func (r *rig) sendBatch(e remoteEdge, val float64) *Envelope {
 	r.t.Helper()
 	r.src.flush(1, r.batchFor(e, val), &r.src.workers[0])
 	sends := r.tr.take()
@@ -193,7 +193,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 	}{
 		{name: "ack settles once, duplicate ack releases nothing", tune: func(c *Config) { c.MaxUnacked = 2 },
 			run: func(t *testing.T, r *rig) {
-				a, b := r.flush(r.edges[0], 0.25), r.flush(r.edges[1], 0.5)
+				a, b := r.sendBatch(r.edges[0], 0.25), r.sendBatch(r.edges[1], 0.5)
 				if len(r.src.window) != 2 {
 					t.Fatalf("window holds %d slots after two flushes", len(r.src.window))
 				}
@@ -212,7 +212,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				}
 			}},
 		{name: "retry backs off, redelivery is acked again", run: func(t *testing.T, r *rig) {
-			a := r.flush(r.edges[0], 0.25)
+			a := r.sendBatch(r.edges[0], 0.25)
 			if got := r.tick(time.Minute); len(got) != 0 {
 				t.Fatalf("retried %d batches before RetryBase elapsed", len(got))
 			}
@@ -239,7 +239,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 		}},
 		{name: "stale redelivery never regresses a slot and is still acked", run: func(t *testing.T, r *rig) {
 			e := r.edges[0]
-			older, newer := r.flush(e, 0.25), r.flush(e, 0.75)
+			older, newer := r.sendBatch(e, 0.25), r.sendBatch(e, 0.75)
 			r.ack(r.deliver(*newer)[0], true)
 			acks := r.deliver(*older) // reordered: the older write arrives last
 			if len(acks) != 1 || acks[0].id != older.id {
@@ -254,7 +254,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			r.ack(acks[0], true)
 		}},
 		{name: "batch past RetryDeadline fails the run", run: func(t *testing.T, r *rig) {
-			r.flush(r.edges[0], 0.25)
+			r.sendBatch(r.edges[0], 0.25)
 			if got := r.tick(11 * time.Hour); len(got) != 0 {
 				t.Fatalf("expired batch was retransmitted: %+v", got)
 			}
@@ -268,8 +268,8 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			}
 		}},
 		{name: "batches to a dead node are abandoned", run: func(t *testing.T, r *rig) {
-			r.flush(r.edges[0], 0.25)
-			r.flush(r.edges[1], 0.5)
+			r.sendBatch(r.edges[0], 0.25)
+			r.sendBatch(r.edges[1], 0.5)
 			r.src.dead[1].Store(true)
 			if got := r.tick(time.Second); len(got) != 0 {
 				t.Fatalf("retried %d batches to a dead node", len(got))
@@ -283,7 +283,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 		}},
 		{name: "full window blocks flush; an ack or teardown unblocks it", tune: func(c *Config) { c.MaxUnacked = 1 },
 			run: func(t *testing.T, r *rig) {
-				a := r.flush(r.edges[0], 0.25)
+				a := r.sendBatch(r.edges[0], 0.25)
 				// The window is full. A second flush parks until the ack
 				// below frees the slot; receiving from done is the only
 				// wait, so the case cannot pass by timing.
@@ -305,7 +305,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				// without sending or accounting anything.
 				sent := r.src.sent.Load()
 				r.src.Stop()
-				if e := r.flush(r.edges[2], 0.5); e != nil {
+				if e := r.sendBatch(r.edges[2], 0.5); e != nil {
 					t.Fatalf("flush after teardown sent %+v", e)
 				}
 				if r.src.sent.Load() != sent {

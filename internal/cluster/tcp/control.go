@@ -46,20 +46,30 @@ const (
 	algoCC
 )
 
-var algoNames = [...]string{algoPR: "pr", algoSSSP: "sssp", algoBFS: "bfs", algoCC: "cc"}
-
 func algoCode(name string) (byte, error) {
-	for code := algoPR; int(code) < len(algoNames); code++ {
-		if algoNames[code] == name {
-			return code, nil
-		}
+	switch name {
+	case "pr":
+		return algoPR, nil
+	case "sssp":
+		return algoSSSP, nil
+	case "bfs":
+		return algoBFS, nil
+	case "cc":
+		return algoCC, nil
 	}
 	return 0, fmt.Errorf("tcp: algorithm %q does not support distributed mode (pick pr, sssp, bfs, or cc)", name)
 }
 
 func algoName(code byte) string {
-	if code >= algoPR && int(code) < len(algoNames) {
-		return algoNames[code]
+	switch code {
+	case algoPR:
+		return "pr"
+	case algoSSSP:
+		return "sssp"
+	case algoBFS:
+		return "bfs"
+	case algoCC:
+		return "cc"
 	}
 	return fmt.Sprintf("algo%d", code)
 }

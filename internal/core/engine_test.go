@@ -307,14 +307,20 @@ func TestSmallerBlocksConvergeInFewerEpochs(t *testing.T) {
 	// The Fig. 4 headline: small asynchronous blocks beat BSP on epochs.
 	g := testGraph(t)
 	bspRes := runPR(t, g, Config{Mode: BSP, NumPEs: 4, NumScatter: 2, Epsilon: 1e-10})
-	if !bspRes.Stats.Converged {
-		t.Fatal("BSP run did not converge")
+	// One PE and one scatter unit: the claim is about the algorithm (block
+	// size and asynchrony), and a single-worker schedule follows the
+	// priority order instead of the host's goroutine interleaving, so one
+	// draw decides it (34.5-35.5 epochs against BSP's 60). With 4+2
+	// goroutines on a 2-vCPU host a descheduled PE acts on stale
+	// priorities and the same draw ranges from 36 to 88 epochs.
+	asyncRes := runPR(t, g, Config{BlockSize: 16, Mode: Async, Policy: sched.Priority,
+		NumPEs: 1, NumScatter: 1, Epsilon: 1e-10})
+	if !bspRes.Stats.Converged || !asyncRes.Stats.Converged {
+		t.Fatal("runs did not converge")
 	}
-	async := bestAsyncEpochs(t, g, Config{BlockSize: 16, Mode: Async, Policy: sched.Priority,
-		NumPEs: 4, NumScatter: 2, Epsilon: 1e-10},
-		func(e float64) bool { return e < bspRes.Stats.Epochs })
-	if async >= bspRes.Stats.Epochs {
-		t.Fatalf("async/priority epochs %.2f should beat BSP %.2f", async, bspRes.Stats.Epochs)
+	if asyncRes.Stats.Epochs >= bspRes.Stats.Epochs {
+		t.Fatalf("async/priority epochs %.2f should beat BSP %.2f",
+			asyncRes.Stats.Epochs, bspRes.Stats.Epochs)
 	}
 }
 
