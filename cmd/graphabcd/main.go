@@ -51,6 +51,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,7 +117,7 @@ func run() error {
 
 		listenAddr = flag.String("listen", "", "run as the TCP cluster coordinator on this address; waits for -nodes minus one joiners")
 		joinAddr   = flag.String("join", "", "join a TCP cluster coordinator at this address (all other run flags come from it)")
-		valuesOut  = flag.String("values-out", "", "coordinator: write the converged per-vertex values to this file, one per line")
+		valuesOut  = flag.String("values-out", "", "write the final per-vertex values to this file, one vertex per line")
 
 		ckptDir      = flag.String("ckpt-dir", "", "write committed checkpoint epochs to this directory (single-node and -listen runs)")
 		ckptInterval = flag.Duration("ckpt-interval", 5*time.Second, "checkpoint period (needs -ckpt-dir)")
@@ -134,11 +135,6 @@ func run() error {
 		logLevel    = flag.String("log-level", "", "enable structured logging to stderr at this level: debug | info | warn | error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text | json")
 	)
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "source" {
-			srcSet = true
-		}
-	})
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "source" {
@@ -232,7 +228,7 @@ func run() error {
 	}
 	blockSize := *block
 	if blockSize == 0 {
-		blockSize = max(16, g.NumVertices()/256)
+		blockSize = graph.DefaultBlockSize(g.NumVertices())
 	}
 
 	src := uint32(*source)
@@ -263,13 +259,14 @@ func run() error {
 		if tses != nil {
 			clus, health = tses.cluster, tses.health
 		}
-		err := runListen(ctx, g, *listenAddr, *valuesOut, distOpts{
+		err := runListen(ctx, g, *listenAddr, distOpts{
 			tel:          telReg,
 			cluster:      clus,
 			health:       health,
 			algo:         *algo,
 			src:          src,
 			top:          *top,
+			valuesOut:    *valuesOut,
 			nodes:        *nodes,
 			blockSize:    blockSize,
 			wpn:          *wpn,
@@ -302,6 +299,7 @@ func run() error {
 			algo:      *algo,
 			src:       src,
 			top:       *top,
+			valuesOut: *valuesOut,
 			nodes:     *nodes,
 			blockSize: blockSize,
 			wpn:       *wpn,
@@ -448,27 +446,7 @@ func run() error {
 		fmt.Printf("residual after epoch %d: %.17g\n", i+1, r)
 	}
 	stats := res.Stats
-	switch alg.Name {
-	case "pagerank", "pagerank-delta", "ppr":
-		printTopFloat(res.Float, *top, "rank")
-	case "sssp":
-		fmt.Printf("source: %d\n", src)
-		printTopFloat(res.Float, *top, "dist")
-	case "bfs":
-		fmt.Printf("source: %d, reached: %d\n", src, countReached(res.Uint))
-	case "cc":
-		fmt.Printf("components: %d\n", countComponents(res.Uint))
-	case "labelprop":
-		fmt.Printf("communities: %d\n", countComponents(res.Uint))
-	case "kcore":
-		var maxCore uint64
-		for _, c := range res.Uint {
-			maxCore = max(maxCore, c)
-		}
-		fmt.Printf("max core: %d\n", maxCore)
-	case "cf":
-		fmt.Printf("rmse: %.4f\n", cfParams.RMSE(g, res.Vectors))
-	}
+	printResult(alg, src, *top, res, g, cfParams)
 
 	fmt.Printf("converged: %v\nepochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
 		stats.Converged, stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
@@ -490,7 +468,7 @@ func run() error {
 	if tses != nil {
 		tses.finish()
 	}
-	return nil
+	return writeValues(*valuesOut, res)
 }
 
 // parseSeeds splits a comma-separated vertex id list for -seeds.
@@ -522,6 +500,7 @@ type distOpts struct {
 	algo         string
 	src          uint32
 	top          int
+	valuesOut    string
 	nodes        int
 	blockSize    int
 	wpn          int
@@ -543,7 +522,7 @@ type distOpts struct {
 // is staged as a plain snapshot (the section server needs positioned
 // reads), joiners are awaited on the control listener, and the collected
 // values are reported like a local run.
-func runListen(ctx context.Context, g *graph.Graph, addr, valuesOut string, o distOpts) error {
+func runListen(ctx context.Context, g *graph.Graph, addr string, o distOpts) error {
 	dir, err := os.MkdirTemp("", "graphabcd-dist")
 	if err != nil {
 		return err
@@ -578,51 +557,78 @@ func runListen(ctx context.Context, g *graph.Graph, addr, valuesOut string, o di
 	if err != nil {
 		return err
 	}
-	switch {
-	case res.Float != nil:
-		if o.algo == "sssp" {
-			fmt.Printf("source: %d\n", o.src)
-		}
-		printTopFloat(res.Float, o.top, map[string]string{"pr": "rank", "sssp": "dist"}[o.algo])
-	case o.algo == "bfs":
-		fmt.Printf("source: %d, reached: %d\n", o.src, countReached(res.Uint))
-	default:
-		fmt.Printf("components: %d\n", countComponents(res.Uint))
+	alg, err := graphabcd.LookupAlgorithm(o.algo)
+	if err != nil {
+		return err
 	}
+	values := &graphabcd.JobResult{Float: res.Float, Uint: res.Uint}
+	// No graph: only cf's rmse line reads it, and naming g here would keep
+	// the whole loaded graph live through Serve (the nodes run on sections).
+	printResult(alg, o.src, o.top, values, nil, bcd.CF{})
 	fmt.Printf("nodes: %d\nbatches sent: %d\nwall time: %v\n", o.nodes, res.BatchesSent, res.WallTime)
 	if w := res.Wire; w.FramesSent > 0 || w.FramesRecv > 0 {
 		fmt.Printf("wire: %d B in %d frames sent, %d B in %d frames recv, %d reconnects, %d drops (%d crc), queue high water %d\n",
 			w.BytesSent, w.FramesSent, w.BytesRecv, w.FramesRecv,
 			w.Reconnects, w.Drops, w.CRCDrops, w.QueueHighWater)
 	}
-	if valuesOut != "" {
-		if err := writeValues(valuesOut, res); err != nil {
-			return err
-		}
-		fmt.Printf("values: %s\n", valuesOut)
-	}
-	return nil
+	return writeValues(o.valuesOut, values)
 }
 
-// writeValues dumps the converged values one per line, floats with full
-// round-trip precision so runs can be compared exactly. The write is
-// crash-atomic (temp file + sync + rename): a run killed mid-write
-// leaves the previous file intact, never a truncated mix.
-func writeValues(path string, res *tcp.DistResult) error {
-	return checkpoint.AtomicWriteFile(path, func(out io.Writer) error {
+// printResult prints a finished job's headline lines. The registry
+// entry's value kind picks the shape; every front end (local, -nodes N,
+// -listen) prints through here.
+func printResult(alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphabcd.JobResult, g *graph.Graph, cf bcd.CF) {
+	switch alg.Values {
+	case graphabcd.FloatValues:
+		label := "rank"
+		if alg.NeedsSource {
+			fmt.Printf("source: %d\n", src)
+			label = "dist"
+		}
+		printTopFloat(res.Float, top, label)
+	case graphabcd.VectorValues:
+		fmt.Printf("rmse: %.4f\n", cf.RMSE(g, res.Vectors))
+	case graphabcd.UintValues:
+		switch alg.Name {
+		case "bfs":
+			fmt.Printf("source: %d, reached: %d\n", src, countReached(res.Uint))
+		case "kcore":
+			fmt.Printf("max core: %d\n", slices.Max(append(res.Uint, 0)))
+		case "labelprop":
+			fmt.Printf("communities: %d\n", countComponents(res.Uint))
+		default:
+			fmt.Printf("components: %d\n", countComponents(res.Uint))
+		}
+	}
+}
+
+// writeValues dumps the final values to path (-values-out; empty writes
+// nothing) one vertex per line, floats with full round-trip precision so
+// runs can be compared exactly. The write is crash-atomic (temp file +
+// sync + rename): a run killed mid-write leaves the previous file intact,
+// never a truncated mix.
+func writeValues(path string, res *graphabcd.JobResult) error {
+	if path == "" {
+		return nil
+	}
+	err := checkpoint.AtomicWriteFile(path, func(out io.Writer) error {
 		// bufio's error is sticky: a failed write here surfaces at Flush.
 		w := bufio.NewWriter(out)
-		if res.Float != nil {
-			for _, v := range res.Float {
-				_, _ = fmt.Fprintf(w, "%.17g\n", v)
-			}
-		} else {
-			for _, v := range res.Uint {
-				_, _ = fmt.Fprintf(w, "%d\n", v)
-			}
+		for _, v := range res.Float {
+			_, _ = fmt.Fprintf(w, "%.17g\n", v)
+		}
+		for _, v := range res.Uint {
+			_, _ = fmt.Fprintf(w, "%d\n", v)
+		}
+		for _, v := range res.Vectors {
+			_, _ = fmt.Fprintln(w, strings.Trim(fmt.Sprint(v), "[]"))
 		}
 		return w.Flush()
 	})
+	if err == nil {
+		fmt.Printf("values: %s\n", path)
+	}
+	return err
 }
 
 // runDistributed executes pr/sssp/bfs/cc on the cluster engine, wiring up
@@ -679,17 +685,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, o distOpts) error {
 		return err
 	}
 	stats := *res.Cluster
-	switch alg.Name {
-	case "pagerank":
-		printTopFloat(res.Float, o.top, "rank")
-	case "sssp":
-		fmt.Printf("source: %d\n", o.src)
-		printTopFloat(res.Float, o.top, "dist")
-	case "bfs":
-		fmt.Printf("source: %d, reached: %d\n", o.src, countReached(res.Uint))
-	case "cc":
-		fmt.Printf("components: %d\n", countComponents(res.Uint))
-	}
+	printResult(alg, o.src, o.top, res, g, bcd.CF{})
 
 	fmt.Printf("converged: %v\nnodes: %d\nepochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
 		stats.Converged, stats.Nodes, stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
@@ -700,7 +696,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, o distOpts) error {
 	if stats.StallWindows > 0 {
 		fmt.Printf("stall windows: %d\n", stats.StallWindows)
 	}
-	return nil
+	return writeValues(o.valuesOut, res)
 }
 
 // openEdgeStore prepares the requested edge storage backend, spilling the

@@ -154,8 +154,8 @@ type Config struct {
 func DefaultConfig() *Config {
 	return &Config{
 		HotRoots: []string{
-			"internal/core:gatherApply",
-			"internal/core:scatter",
+			"internal/core:GatherApply",
+			"internal/core:Scatter",
 			"internal/cluster:processBlock",
 			"internal/cluster:applyLoop",
 			"internal/accel:RunBlock",

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"strings"
+	"time"
 
 	"graphabcd/internal/graph"
 )
@@ -63,4 +65,74 @@ func ConfigHash(program string, numVertices, numBlocks int64, words, nodes int) 
 	h := fnv.New64a()
 	_, _ = fmt.Fprintf(h, "prog=%s n=%d nb=%d words=%d nodes=%d", program, numVertices, numBlocks, words, nodes)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// Identity is the run shape a checkpoint is only resumable under: the
+// program, the graph (by digest), the block geometry, the codec width and
+// the cluster size. Every runtime that checkpoints — the single-node
+// engine and the -listen/-join cluster — builds one, and through it
+// derives its default run id, stamps its manifests, and refuses a
+// manifest written under any other shape.
+type Identity struct {
+	Program                string
+	GraphDigest            string
+	NumVertices, NumBlocks int64
+	Words, Nodes           int
+}
+
+// ConfigHash is the package-level ConfigHash of this run shape.
+func (id Identity) ConfigHash() string {
+	return ConfigHash(id.Program, id.NumVertices, id.NumBlocks, id.Words, id.Nodes)
+}
+
+// RunID is the stable default run id: rerunning the same job on the same
+// graph lands in the same run directory, which is what makes a bare
+// `-resume latest` after a crash do the right thing.
+func (id Identity) RunID() string {
+	return fmt.Sprintf("%s-%.8s%.8s", id.Program, id.GraphDigest, id.ConfigHash())
+}
+
+// Manifest returns the commit record of epoch under runID, stamped with
+// this identity and the current time.
+func (id Identity) Manifest(runID string, epoch uint64) *Manifest {
+	return &Manifest{
+		RunID: runID, Epoch: epoch, Nodes: id.Nodes,
+		Program: id.Program, GraphDigest: id.GraphDigest, ConfigHash: id.ConfigHash(),
+		NumVertices: id.NumVertices, NumBlocks: id.NumBlocks,
+		SavedUnixMs: time.Now().UnixMilli(),
+	}
+}
+
+// Check refuses a manifest this run cannot resume, naming every field
+// that differs.
+func (id Identity) Check(m *Manifest) error {
+	var diff []string
+	if m.Program != id.Program {
+		diff = append(diff, fmt.Sprintf("program mismatch: it is a %s run, this run is %s", m.Program, id.Program))
+	}
+	if m.Nodes != id.Nodes {
+		diff = append(diff, fmt.Sprintf("it was written by %d nodes, this run has %d", m.Nodes, id.Nodes))
+	}
+	if m.NumVertices != id.NumVertices || m.NumBlocks != id.NumBlocks {
+		diff = append(diff, fmt.Sprintf("shape %dx%d, this run is %dx%d (vertices x blocks)", m.NumVertices, m.NumBlocks, id.NumVertices, id.NumBlocks))
+	}
+	if m.GraphDigest != id.GraphDigest {
+		diff = append(diff, fmt.Sprintf("graph digest %s, this graph is %s", m.GraphDigest, id.GraphDigest))
+	}
+	if h := id.ConfigHash(); m.ConfigHash != h {
+		diff = append(diff, fmt.Sprintf("config hash %s, this run is %s (program, graph, block size and node count must be identical)", m.ConfigHash, h))
+	}
+	if diff == nil {
+		return nil
+	}
+	return fmt.Errorf("checkpoint: %s does not match this run: %s", m.RunID, strings.Join(diff, "; "))
+}
+
+// Lookup resolves a resume request against s: "latest" is the store's
+// most recently committed manifest, anything else a run id.
+func Lookup(s Store, resume string) (*Manifest, error) {
+	if resume == "latest" {
+		return s.Latest()
+	}
+	return s.Load(resume)
 }

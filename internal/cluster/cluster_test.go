@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +26,57 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func baseCfg(nodes int) Config {
 	return Config{Nodes: nodes, BlockSize: 32, WorkersPerNode: 2, Epsilon: 1e-12}
+}
+
+// degenerateGraph is a seeded 41-vertex graph with everything a block or
+// node boundary can trip on: random edges among the first 33 vertices, a
+// few self-loops, and 8 isolated vertices at the end.
+func degenerateGraph(t *testing.T, seed int64, maxWeight int, symmetric bool) *graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var edges []graph.Edge
+	for i := 0; i < 120; i++ {
+		e := graph.Edge{Src: uint32(rng.Intn(33)), Dst: uint32(rng.Intn(33)), Weight: 1}
+		if i%17 == 0 {
+			e.Dst = e.Src
+		}
+		if maxWeight > 1 {
+			e.Weight = float32(1 + rng.Intn(maxWeight))
+		}
+		edges = append(edges, e)
+		if symmetric {
+			edges = append(edges, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+		}
+	}
+	g, err := graph.FromEdges(41, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// eachClusterShape runs prog over g on 1 and 3 nodes with block sizes 1,
+// 7 and |V| — the last leaves one block, so 3 nodes exceed the block
+// count — and hands every converged result to check.
+func eachClusterShape[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64, check func(name string, vals []V)) {
+	t.Helper()
+	for _, nodes := range []int{1, 3} {
+		for _, blockSize := range []int{1, 7, max(1, g.NumVertices())} {
+			name := fmt.Sprintf("%d nodes, block %d", nodes, blockSize)
+			cfg := Config{Nodes: nodes, BlockSize: blockSize, WorkersPerNode: 2, Epsilon: eps}
+			res, err := Run[V, M](context.Background(), g, prog, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !res.Stats.Converged {
+				t.Fatalf("%s: did not converge", name)
+			}
+			if nb := max(1, (g.NumVertices()+blockSize-1)/blockSize); res.Stats.Nodes != min(nodes, nb) {
+				t.Fatalf("%s: ran on %d nodes over %d blocks", name, res.Stats.Nodes, nb)
+			}
+			check(name, res.Values)
+		}
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -74,6 +128,27 @@ func TestDistributedPageRankMatchesReference(t *testing.T) {
 			t.Fatalf("stats report %d nodes", res.Stats.Nodes)
 		}
 	}
+	empty, err := graph.FromEdges(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := graph.FromEdges(1, []graph.Edge{{Src: 0, Dst: 0, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{degenerateGraph(t, 11, 1, false), empty, single} {
+		want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
+		eachClusterShape[float64, float64](t, g, bcd.PageRank{}, 1e-12, func(name string, vals []float64) {
+			if len(vals) != len(want) {
+				t.Fatalf("%d-vertex graph, %s: %d ranks", g.NumVertices(), name, len(vals))
+			}
+			for v := range want {
+				if d := math.Abs(vals[v] - want[v]); d > 1e-6 {
+					t.Fatalf("%d-vertex graph, %s: rank[%d] off by %g", g.NumVertices(), name, v, d)
+				}
+			}
+		})
+	}
 }
 
 func TestDistributedSSSPExact(t *testing.T) {
@@ -97,6 +172,29 @@ func TestDistributedSSSPExact(t *testing.T) {
 			t.Fatalf("dist[%d] = %g, want %g", v, got, want[v])
 		}
 	}
+	// Exact on every cluster shape, for each monotone program.
+	dg := degenerateGraph(t, 12, 16, false)
+	dwant := bcd.RefSSSP(dg, src)
+	eachClusterShape[float64, float64](t, dg, bcd.SSSP{Source: src}, 0, func(name string, vals []float64) {
+		for v := range dwant {
+			if vals[v] != dwant[v] && !(math.IsInf(vals[v], 1) && math.IsInf(dwant[v], 1)) {
+				t.Fatalf("degenerate graph, %s: dist[%d] = %g, want %g", name, v, vals[v], dwant[v])
+			}
+		}
+	})
+	levels := bcd.RefBFS(dg, src)
+	eachClusterShape[uint64, uint64](t, dg, bcd.BFS{Source: src}, 0, func(name string, vals []uint64) {
+		if !slices.Equal(vals, levels) {
+			t.Fatalf("degenerate graph, bfs, %s: levels %v, want %v", name, vals, levels)
+		}
+	})
+	sg := degenerateGraph(t, 14, 1, true)
+	labels := bcd.RefCC(sg)
+	eachClusterShape[uint64, uint64](t, sg, bcd.CC{}, 0, func(name string, vals []uint64) {
+		if !slices.Equal(vals, labels) {
+			t.Fatalf("degenerate graph, cc, %s: labels %v, want %v", name, vals, labels)
+		}
+	})
 }
 
 // Injected network latency must not affect the fixpoint — the bounded

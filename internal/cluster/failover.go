@@ -87,9 +87,9 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		}
 	}
 	var adopted []int
-	for b := range c.owner {
-		if int(c.owner[b].Load()) == id {
-			c.owner[b].Store(int32(survivors[len(adopted)%len(survivors)].ID))
+	for b := range c.Owner {
+		if int(c.Owner[b].Load()) == id {
+			c.Owner[b].Store(int32(survivors[len(adopted)%len(survivors)].ID))
 			adopted = append(adopted, b)
 		}
 	}
@@ -105,23 +105,28 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		// with its inbox; recompute every slot from the source vertex's
 		// current value and re-activate the block on its heir so the
 		// refreshed inputs are re-processed.
-		c.RebuildInEdges(b, fenceSeq)
-		c.nodes[c.owner[b].Load()].Sched.Activate(b, 1)
+		lo, hi := c.Part.VertexRange(b)
+		if err := c.RebuildInEdges(lo, hi); err != nil {
+			return err
+		}
+		for sl, shi := c.Part.EdgeRange(b); sl < shi; sl++ {
+			c.slotSeq[sl].Store(fenceSeq)
+		}
+		c.nodes[c.Owner[b].Load()].Sched.Activate(b, 1)
 
 		// 5b. Out-edges of the dead node's vertices: batches in flight
 		// *from* the dead node (step 3) carried scatter images of these
 		// vertices; rewrite every out-slot from the current value and
 		// re-activate the destination blocks on their owners.
-		lo, hi := c.Part.VertexRange(b)
 		for v := lo; v < hi; v++ {
 			c.Values.LoadBuf(int64(v), &val, buf)
 			sval := c.Prog.ScatterValue(uint32(v), val, c.G)
 			for i := c.G.OutOffset(v); i < c.G.OutOffset(v+1); i++ {
 				slot := c.G.OutPos(i)
-				c.cache.StoreBuf(slot, sval, buf)
+				c.Cache.StoreBuf(slot, sval, buf)
 				c.slotSeq[slot].Store(fenceSeq)
 				db := c.Part.BlockOf(c.G.OutDst(i))
-				c.nodes[c.owner[db].Load()].Sched.Activate(db, 1)
+				c.nodes[c.Owner[db].Load()].Sched.Activate(db, 1)
 			}
 		}
 	}

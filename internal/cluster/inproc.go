@@ -159,15 +159,7 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	}
 	t := c.Tel.CounterTotals()
 	res.Stats = Stats{
-		Stats: core.Stats{
-			BlockUpdates:   t[telemetry.CtrBlockUpdates],
-			VertexUpdates:  t[telemetry.CtrVertexUpdates],
-			EdgesTraversed: t[telemetry.CtrEdgesTraversed],
-			ScatterWrites:  t[telemetry.CtrLocalWrites] + t[telemetry.CtrMessagesSent],
-			Converged:      c.converged.Load(),
-			StallWindows:   t[telemetry.CtrStallWindows],
-			WallTime:       time.Since(start),
-		},
+		Stats:             core.StatsFromTelemetry(c.Tel, c.G.NumVertices(), c.converged.Load(), time.Since(start)),
 		Nodes:             c.cfg.Nodes,
 		MessagesSent:      t[telemetry.CtrMessagesSent],
 		BatchesSent:       t[telemetry.CtrBatchesSent],
@@ -176,9 +168,6 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 		BatchesDropped:    t[telemetry.CtrBatchesDropped],
 		BatchesDuplicated: t[telemetry.CtrBatchesDuplicated],
 		NodesFailed:       t[telemetry.CtrNodesFailed],
-	}
-	if nv := c.G.NumVertices(); nv > 0 {
-		res.Stats.Epochs = float64(res.Stats.VertexUpdates) / float64(nv)
 	}
 	return res, nil
 }

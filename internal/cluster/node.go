@@ -8,26 +8,23 @@ import (
 	"time"
 
 	"graphabcd/internal/bcd"
+	"graphabcd/internal/core"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
-	"graphabcd/internal/word"
 )
 
 // Shared is the engine state the nodes hosted by one process hold in
-// common: the value and edge-cache arrays, the block ownership table,
-// the envelope sequence, and the stop latch. The in-process runtime
-// hosts every node over one Shared; a -listen/-join process hosts one
-// node over its own (internal/cluster/tcp), whose graph carries only
-// that node's edge sections.
+// common: the block kernel (graph, program, partition, the value and
+// edge-cache arrays, and the block ownership table — each vertex value
+// is owned by one node, each in-edge slot by its destination's node),
+// the slot stamps, the envelope sequence, and the stop latch. The
+// in-process runtime hosts every node over one Shared; a -listen/-join
+// process hosts one node over its own (internal/cluster/tcp), whose graph
+// carries only that node's edge sections.
 type Shared[V, M any] struct {
-	G    *graph.Graph
-	Prog bcd.Program[V, M]
-	Part *graph.Partition
-	Tel  *telemetry.Registry // never nil: a bare counter registry when the caller passed none
-
-	Values *word.Array[V] // vertex values (each owned by one node)
-	cache  *word.Array[V] // in-edge cache slots (owned by the dst's node)
+	*core.Kernel[V, M]
+	Tel *telemetry.Registry // never nil: a bare counter registry when the caller passed none
 
 	// slotSeq holds the write stamp of the last update applied to each
 	// cache slot over the transport. Remote applies are guarded by it:
@@ -38,9 +35,8 @@ type Shared[V, M any] struct {
 	// of one slot never coexist (failover fences the handover).
 	slotSeq []atomic.Uint64 //abcd:stamped
 
-	owner []atomic.Int32 // global block id -> current owner node id
-	dead  []atomic.Bool  // node id -> killed by failover (never set across processes)
-	seq   atomic.Uint64  // logical batch ids / write stamps
+	dead []atomic.Bool // node id -> killed by failover (never set across processes)
+	seq  atomic.Uint64 // logical batch ids / write stamps
 
 	cfg    Config // defaults resolved
 	tr     Transport
@@ -57,12 +53,12 @@ type Shared[V, M any] struct {
 	failure  atomic.Pointer[error]
 }
 
-// Node is one member of the cluster: the fused gather-apply + scatter
-// kernel over the blocks it owns, and the at-least-once delivery state
-// machine (unacked table, send window, stamp-guarded apply, retry) that
-// carries its remote scatter writes over the Transport. Both runtimes
-// run this type; they differ only in how envelopes reach Deliver and in
-// how termination is detected.
+// Node is one member of the cluster: a caller of the block kernel for
+// the blocks it owns, and the at-least-once delivery state machine
+// (unacked table, send window, stamp-guarded apply, retry) that carries
+// the batches the kernel's scatter builds for other owners over the
+// Transport. Both runtimes run this type; they differ only in how
+// envelopes reach Deliver and in how termination is detected.
 type Node[V, M any] struct {
 	*Shared[V, M]
 	ID    int
@@ -112,32 +108,22 @@ type pending struct {
 	deadline  time.Time
 }
 
-// batch is a building buffer of state-based edge-cache updates destined
-// for blocks of a single node; flush turns it into a data Envelope.
-type batch struct {
-	slots  []int64
-	blocks []int32
-	words  []uint64
-}
-
 // NewNodes builds the shared state for a cfg.Nodes-node cluster over g
 // and the nodes with the given ids on top of it. Blocks are split
-// contiguously (BlockRange); every vertex value is initialized, and each
-// node initializes and activates only what it owns — the only in-edge
-// slots it ever gathers from, which is all a partial graph carries.
+// contiguously (BlockRange); each node initializes and activates only
+// what it owns — its vertex values and the only in-edge slots it ever
+// gathers from, which is all a partial graph carries.
 func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids []int) ([]*Node[V, M], error) {
-	part, err := graph.NewPartition(g, cfg.BlockSize)
+	cfg = cfg.WithDefaults()
+	kern, err := core.NewKernel(g, prog, cfg.BlockSize, nil, cfg.Epsilon, cfg.BatchSize)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithDefaults()
-	nb := part.NumBlocks()
+	nb := kern.Part.NumBlocks()
 	s := &Shared[V, M]{
-		G: g, Prog: prog, Part: part, Tel: cfg.Telemetry,
-		Values:  word.NewArray(prog.Codec(), g.NumVertices()),
-		cache:   word.NewArray(prog.Codec(), g.NumEdges()),
+		Kernel:  kern,
+		Tel:     cfg.Telemetry,
 		slotSeq: make([]atomic.Uint64, g.NumEdges()),
-		owner:   make([]atomic.Int32, nb),
 		dead:    make([]atomic.Bool, cfg.Nodes),
 		cfg:     cfg,
 		tr:      cfg.Transport,
@@ -154,12 +140,8 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 	for i := 0; i < cfg.Nodes; i++ {
 		lo, hi := s.BlockRange(i)
 		for b := lo; b < hi; b++ {
-			s.owner[b].Store(int32(i))
+			s.Owner[b].Store(int32(i))
 		}
-	}
-	buf := make([]uint64, max(s.Values.Words(), 2))
-	for v := 0; v < g.NumVertices(); v++ {
-		s.Values.StoreBuf(int64(v), prog.Init(uint32(v), g), buf)
 	}
 	nodes := make([]*Node[V, M], len(ids))
 	for k, id := range ids {
@@ -171,17 +153,16 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 			Ctl:     &s.shards[base+cfg.WorkersPerNode],
 			workers: s.shards[base : base+cfg.WorkersPerNode],
 			unacked: make(map[uint64]*pending),
-			buf:     make([]uint64, len(buf)),
+			buf:     make([]uint64, max(s.Values.Words(), 2)),
 		}
 		if cfg.MaxUnacked > 0 {
 			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
+		if err := s.Init(s.VertexRange(id)); err != nil {
+			return nil, err
+		}
 		lo, hi := s.BlockRange(id)
 		for b := lo; b < hi; b++ {
-			slo, shi := part.EdgeRange(b)
-			for sl := slo; sl < shi; sl++ {
-				s.cache.StoreBuf(sl, prog.InitEdge(g.InSrc(sl), g), buf)
-			}
 			n.Sched.Activate(b, 1)
 		}
 		nodes[k] = n
@@ -211,17 +192,6 @@ func (s *Shared[V, M]) VertexRange(i int) (lo, hi int) {
 	lo, _ = s.Part.VertexRange(blo)
 	_, hi = s.Part.VertexRange(bhi - 1)
 	return lo, hi
-}
-
-// CollectValues decodes the whole value array; exact once every writer
-// is quiescent.
-func (s *Shared[V, M]) CollectValues() []V {
-	out := make([]V, s.G.NumVertices())
-	buf := make([]uint64, s.Values.Words())
-	for v := range out {
-		s.Values.LoadBuf(int64(v), &out[v], buf)
-	}
-	return out
 }
 
 // Stop flips the run into teardown: workers exit at their next step,
@@ -272,40 +242,13 @@ func (s *Shared[V, M]) RestoreStamps(lo int64, src []uint64) {
 	}
 }
 
-// RebuildInEdges re-derives every in-edge cache slot of block b from the
-// current values: slot s caches ScatterValue of its source vertex,
-// whatever node owns that source — the same idempotent write the normal
-// path performs, which is what reconstructs any batch lost in flight
-// (to a dead node, or across a fuzzy checkpoint). A non-zero fence
-// stamps the rebuilt slots so older envelopes surfacing later lose the
-// staleness race. Callers guarantee no worker or apply touches the block
-// meanwhile.
-func (s *Shared[V, M]) RebuildInEdges(b int, fence uint64) {
-	buf := make([]uint64, max(s.Values.Words(), 2))
-	var val V
-	lo, hi := s.Part.EdgeRange(b)
-	for sl := lo; sl < hi; sl++ {
-		src := s.G.InSrc(sl)
-		s.Values.LoadBuf(int64(src), &val, buf)
-		s.cache.StoreBuf(sl, s.Prog.ScatterValue(src, val, s.G), buf)
-		if fence != 0 {
-			s.slotSeq[sl].Store(fence)
-		}
-	}
-}
-
-// worker is one worker goroutine's scratch, scheduler cursor and
-// telemetry shard.
+// worker is one worker goroutine: its kernel worker (scratch, telemetry
+// shard, per-owner building batches), scheduler cursor and delta buffer.
 type worker[V, M any] struct {
-	sch      sched.Scheduler
-	sh       *telemetry.Shard
-	spins    int
-	acc      M
-	old, src V
-	buf      []uint64
-	enc      []uint64 // encoded scatter value
-	deltas   []float64
-	pending  []batch // one building batch per destination node
+	*core.Worker[V, M]
+	sch    sched.Scheduler
+	spins  int
+	deltas []float64
 }
 
 func (n *Node[V, M]) newWorker(w int) (*worker[V, M], error) {
@@ -313,15 +256,9 @@ func (n *Node[V, M]) newWorker(w int) (*worker[V, M], error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d scheduler: %w", n.ID, err)
 	}
-	words := n.Prog.Codec().Words()
-	return &worker[V, M]{
-		sch:     sch,
-		sh:      &n.workers[w],
-		acc:     n.Prog.NewAccum(),
-		buf:     make([]uint64, max(words, 2)),
-		enc:     make([]uint64, words),
-		pending: make([]batch, n.cfg.Nodes),
-	}, nil
+	kw := n.NewWorker(&n.workers[w], n.ID, n.Sched, n.flush)
+	kw.Out = make([]core.Batch, n.cfg.Nodes)
+	return &worker[V, M]{Worker: kw, sch: sch, deltas: make([]float64, n.Part.BlockSize())}, nil
 }
 
 // Work runs worker w until the run stops.
@@ -369,89 +306,35 @@ func (n *Node[V, M]) step(ws *worker[V, M]) time.Duration {
 	return 0
 }
 
-// processBlock runs the fused GAS chain for one owned block: gather and
-// apply every vertex, then scatter — local slots store directly, remote
-// slots batch into state-based messages for their owner node. Work
-// counters and stage timings land in the calling worker's shard.
+// processBlock runs the block kernel's two halves back to back for one
+// owned block: gather-apply, then scatter — owned slots store directly,
+// the rest leave as batches through flush. Stage timings land in the
+// calling worker's shard.
 //
 //abcd:hotpath
 func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
-	s, g, prog := n.Shared, n.G, n.Prog
-	lo, hi := s.Part.VertexRange(b)
-	if cap(ws.deltas) < hi-lo {
-		ws.deltas = make([]float64, hi-lo) //abcdlint:ignore hotpath -- amortized: grows once to the largest owned block, then reused
-	}
+	lo, hi := n.Part.VertexRange(b)
 	deltas := ws.deltas[:hi-lo]
-	gStart := s.Tel.Stamp()
-	var edges int64
-	for v := lo; v < hi; v++ {
-		s.Values.LoadBuf(int64(v), &ws.old, ws.buf)
-		prog.ResetAccum(&ws.acc)
-		slo, shi := g.InOffset(v), g.InOffset(v+1)
-		for e := slo; e < shi; e++ {
-			s.cache.LoadBuf(e, &ws.src, ws.buf)
-			prog.EdgeGather(&ws.acc, ws.old, g.InWeight(e), ws.src)
-		}
-		edges += shi - slo
-		newVal := prog.Apply(uint32(v), ws.old, &ws.acc, shi-slo, g)
-		if prog.Delta(ws.old, newVal) == 0 {
-			deltas[v-lo] = 0
-			continue
-		}
-		deltas[v-lo] = prog.Delta(
-			prog.ScatterValue(uint32(v), ws.old, g),
-			prog.ScatterValue(uint32(v), newVal, g))
-		s.Values.StoreBuf(int64(v), newVal, ws.buf)
+	gStart := n.Tel.Stamp()
+	if _, err := n.GatherApply(lo, hi, deltas, nil, ws.Worker); err != nil {
+		n.fail(err)
+		return
 	}
-	ws.sh.Add(telemetry.CtrBlockUpdates, 1)
-	ws.sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
-	ws.sh.Add(telemetry.CtrEdgesTraversed, edges)
-	sStart := s.Tel.Stamp()
+	ws.Sh.Add(telemetry.CtrBlockUpdates, 1)
+	sStart := n.Tel.Stamp()
 	if sStart > 0 {
-		ws.sh.Observe(telemetry.StageGather, sStart-gStart)
-		ws.sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
+		ws.Sh.Observe(telemetry.StageGather, sStart-gStart)
+		ws.Sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
 	}
-
-	codec := prog.Codec()
-	var writes, locals int64
-	for v := lo; v < hi; v++ {
-		d := deltas[v-lo]
-		if d <= s.cfg.Epsilon {
-			continue
-		}
-		s.Values.LoadBuf(int64(v), &ws.old, ws.buf)
-		sval := prog.ScatterValue(uint32(v), ws.old, g)
-		codec.Encode(sval, ws.enc)
-		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
-			slot := g.OutPos(i)
-			db := s.Part.BlockOf(g.OutDst(i))
-			owner := int(s.owner[db].Load())
-			writes++
-			if owner == n.ID {
-				s.cache.StoreBuf(slot, sval, ws.buf)
-				n.Sched.Activate(db, d)
-				locals++
-				continue
-			}
-			p := &ws.pending[owner]
-			p.slots = append(p.slots, slot)        //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			p.blocks = append(p.blocks, int32(db)) //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			p.words = append(p.words, ws.enc...)   //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-			if len(p.slots) >= s.cfg.BatchSize {
-				n.flush(owner, p, ws.sh)
-			}
+	n.Scatter(lo, hi, deltas, nil, ws.Worker)
+	for owner := range ws.Out {
+		if len(ws.Out[owner].Slots) > 0 {
+			n.flush(owner, &ws.Out[owner], ws.Sh)
 		}
 	}
-	for owner := range ws.pending {
-		if len(ws.pending[owner].slots) > 0 {
-			n.flush(owner, &ws.pending[owner], ws.sh)
-		}
-	}
-	ws.sh.Add(telemetry.CtrScatterWrites, writes)
-	ws.sh.Add(telemetry.CtrLocalWrites, locals)
-	if end := s.Tel.Stamp(); end > 0 {
-		ws.sh.Observe(telemetry.StageScatter, end-sStart)
-		ws.sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)
+	if end := n.Tel.Stamp(); end > 0 {
+		ws.Sh.Observe(telemetry.StageScatter, end-sStart)
+		ws.Sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)
 	}
 }
 
@@ -461,7 +344,7 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 // and inflight rise before the send, and inflight falls only when the
 // ack comes back (or the destination dies and the failover rebuild takes
 // over the batch's duty).
-func (n *Node[V, M]) flush(to int, p *batch, sh *telemetry.Shard) {
+func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	if n.window != nil {
 		select {
 		case n.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
@@ -478,11 +361,11 @@ func (n *Node[V, M]) flush(to int, p *batch, sh *telemetry.Shard) {
 		from:   n.ID,
 		id:     n.seq.Add(1),
 		sentAt: now,
-		slots:  append([]int64(nil), p.slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		blocks: append([]int32(nil), p.blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		words:  append([]uint64(nil), p.words...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		slots:  append([]int64(nil), p.Slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		blocks: append([]int32(nil), p.Blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		words:  append([]uint64(nil), p.Words...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
 	}
-	p.slots, p.blocks, p.words = p.slots[:0], p.blocks[:0], p.words[:0]
+	p.Slots, p.Blocks, p.Words = p.Slots[:0], p.Blocks[:0], p.Words[:0]
 	n.sent.Add(1)
 	n.inflight.Add(1)
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
@@ -524,7 +407,7 @@ func (n *Node[V, M]) Deliver(to int, e Envelope) {
 // block this node does not own is skipped. A dead node refuses all
 // traffic.
 func (n *Node[V, M]) install(e Envelope) bool {
-	words := n.cache.Words()
+	words := n.Cache.Words()
 	if len(e.blocks) != len(e.slots) || len(e.words) != len(e.slots)*words {
 		return false
 	}
@@ -537,15 +420,15 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	n.Ctl.FlowRecv(e.from, e.id, start)
 	for i, slot := range e.slots {
 		b := int(e.blocks[i])
-		if slot < 0 || slot >= int64(len(n.slotSeq)) || b < 0 || b >= len(n.owner) || int(n.owner[b].Load()) != n.ID {
+		if slot < 0 || slot >= int64(len(n.slotSeq)) || b < 0 || b >= len(n.Owner) || int(n.Owner[b].Load()) != n.ID {
 			continue
 		}
 		if n.slotSeq[slot].Load() > e.id {
 			continue // stale redelivery: a newer write already landed
 		}
-		n.cache.LoadBuf(slot, &n.old, n.buf)
+		n.Cache.LoadBuf(slot, &n.old, n.buf)
 		n.Prog.Codec().DecodeInto(e.words[i*words:(i+1)*words], &n.incoming)
-		n.cache.StoreBuf(slot, n.incoming, n.buf)
+		n.Cache.StoreBuf(slot, n.incoming, n.buf)
 		n.slotSeq[slot].Store(e.id)
 		if d := n.Prog.Delta(n.old, n.incoming); d > n.cfg.Epsilon {
 			n.Sched.Activate(b, d)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphabcd/internal/bcd"
+	"graphabcd/internal/core"
 	"graphabcd/internal/gen"
 	"graphabcd/internal/telemetry"
 )
@@ -79,7 +80,7 @@ func newRig(t *testing.T, tune func(*Config)) *rig {
 	lo, hi := r.src.VertexRange(0)
 	for v := lo; v < hi; v++ {
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
-			if b := r.src.Part.BlockOf(g.OutDst(i)); int(r.src.owner[b].Load()) == 1 {
+			if b := r.src.Part.BlockOf(g.OutDst(i)); int(r.src.Owner[b].Load()) == 1 {
 				r.edges = append(r.edges, remoteEdge{g.OutPos(i), int32(b)})
 			}
 		}
@@ -121,9 +122,9 @@ func (r *rig) check() {
 }
 
 // batchFor builds a one-update batch carrying value val on edge e.
-func (r *rig) batchFor(e remoteEdge, val float64) *batch {
-	p := &batch{slots: []int64{e.slot}, blocks: []int32{e.block}, words: make([]uint64, 1)}
-	r.src.Prog.Codec().Encode(val, p.words)
+func (r *rig) batchFor(e remoteEdge, val float64) *core.Batch {
+	p := &core.Batch{Slots: []int64{e.slot}, Blocks: []int32{e.block}, Words: make([]uint64, 1)}
+	r.src.Prog.Codec().Encode(val, p.Words)
 	return p
 }
 
@@ -181,7 +182,7 @@ func (r *rig) tick(d time.Duration) []scriptSend {
 
 func (r *rig) slotValue(slot int64) float64 {
 	var v float64
-	r.dst.cache.LoadBuf(slot, &v, make([]uint64, 2))
+	r.dst.Cache.LoadBuf(slot, &v, make([]uint64, 2))
 	return v
 }
 

@@ -172,7 +172,7 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 		MaxUnacked:     cfg.MaxUnacked,
 	}
 	if ccfg.BlockSize == 0 {
-		ccfg.BlockSize = max(16, snap.n/256)
+		ccfg.BlockSize = graph.DefaultBlockSize(snap.n)
 	}
 	if ccfg.WorkersPerNode == 0 {
 		ccfg.WorkersPerNode = 2
@@ -399,14 +399,17 @@ func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int
 	if err != nil {
 		return p, err
 	}
-	nb := int64((snap.n + blockSize - 1) / blockSize)
-	digest := checkpoint.DigestOffsets(int64(snap.n), int64(snap.m), snap.inOff, snap.outOff)
-	confHash := checkpoint.ConfigHash(program, int64(snap.n), nb, words, cfg.Nodes)
+	id := checkpoint.Identity{
+		Program:     program,
+		GraphDigest: checkpoint.DigestOffsets(int64(snap.n), int64(snap.m), snap.inOff, snap.outOff),
+		NumVertices: int64(snap.n), NumBlocks: int64((snap.n + blockSize - 1) / blockSize),
+		Words: words, Nodes: cfg.Nodes,
+	}
 	p.dir = cfg.CheckpointDir
 	p.interval = cfg.checkpointInterval()
 	p.runID = cfg.RunID
 	if p.runID == "" {
-		p.runID = fmt.Sprintf("%s-%.8s%.8s", program, digest, confHash)
+		p.runID = id.RunID()
 	}
 	if !checkpoint.ValidRunID(p.runID) {
 		return p, fmt.Errorf("tcp: checkpoint run id %q invalid (want [A-Za-z0-9._-], no leading dot)", p.runID)
@@ -418,26 +421,12 @@ func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int
 	if err != nil {
 		return p, err
 	}
-	var m *checkpoint.Manifest
-	if cfg.Resume == "latest" {
-		m, err = store.Latest()
-	} else {
-		m, err = store.Load(cfg.Resume)
-	}
+	m, err := checkpoint.Lookup(store, cfg.Resume)
 	if err != nil {
 		return p, err
 	}
-	switch {
-	case m.Program != program:
-		return p, fmt.Errorf("tcp: checkpoint %s is a %s run, this cluster runs %s (program mismatch)", m.RunID, m.Program, program)
-	case m.Nodes != cfg.Nodes:
-		return p, fmt.Errorf("tcp: checkpoint %s was written by %d nodes, this cluster has %d", m.RunID, m.Nodes, cfg.Nodes)
-	case m.NumVertices != int64(snap.n) || m.NumBlocks != nb:
-		return p, fmt.Errorf("tcp: checkpoint %s shape %dx%d does not match this run (%dx%d)", m.RunID, m.NumVertices, m.NumBlocks, snap.n, nb)
-	case m.GraphDigest != digest:
-		return p, fmt.Errorf("tcp: checkpoint %s graph digest %s does not match this snapshot (%s)", m.RunID, m.GraphDigest, digest)
-	case m.ConfigHash != confHash:
-		return p, fmt.Errorf("tcp: checkpoint %s config hash %s does not match this run (%s)", m.RunID, m.ConfigHash, confHash)
+	if err := id.Check(m); err != nil {
+		return p, fmt.Errorf("tcp: resume: %w", err)
 	}
 	p.runID = m.RunID
 	p.resumeEpoch = m.Epoch

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/obslog"
@@ -32,12 +31,11 @@ import (
 
 // distCheckpointer is one node's view of the cluster checkpoint plan.
 type distCheckpointer[V, M any] struct {
-	d        *distRun[V, M]
-	store    *checkpoint.DirStore
-	runID    string
-	digest   string
-	confHash string
-	epoch    uint64 // last locally written epoch (committed only on node 0)
+	d     *distRun[V, M]
+	store *checkpoint.DirStore
+	runID string
+	id    checkpoint.Identity
+	epoch uint64 // last locally written epoch (committed only on node 0)
 }
 
 func newDistCheckpointer[V, M any](d *distRun[V, M]) (*distCheckpointer[V, M], error) {
@@ -52,9 +50,12 @@ func newDistCheckpointer[V, M any](d *distRun[V, M]) (*distCheckpointer[V, M], e
 		// The partial graphs carry both full offset arrays, so every node
 		// computes the same digest the coordinator computed from the
 		// snapshot file — and the same one a single-process run computes.
-		digest:   checkpoint.DigestGraph(d.G),
-		confHash: checkpoint.ConfigHash(algoName(d.a.algo), int64(d.G.NumVertices()), int64(d.Part.NumBlocks()), d.Values.Words(), d.a.cfg.Nodes),
-		epoch:    d.a.ckpt.resumeEpoch,
+		id: checkpoint.Identity{
+			Program: algoName(d.a.algo), GraphDigest: checkpoint.DigestGraph(d.G),
+			NumVertices: int64(d.G.NumVertices()), NumBlocks: int64(d.Part.NumBlocks()),
+			Words: d.Values.Words(), Nodes: d.a.cfg.Nodes,
+		},
+		epoch: d.a.ckpt.resumeEpoch,
 	}, nil
 }
 
@@ -156,9 +157,8 @@ func (dc *distCheckpointer[V, M]) resumeNode() error {
 	// values — this is what reconstructs any update batch the fuzzy
 	// capture lost in flight. The restored stamps stay: seqBase already
 	// sits above all of them.
-	blo, bhi := d.BlockRange(d.ID)
-	for b := blo; b < bhi; b++ {
-		d.RebuildInEdges(b, 0)
+	if err := d.RebuildInEdges(d.VertexRange(d.ID)); err != nil {
+		return err
 	}
 	d.SetSeq(d.a.ckpt.seqBase)
 	return nil
@@ -218,17 +218,7 @@ func (d *distRun[V, M]) checkpointRound(joiners []*ctrlConn) error {
 			return fmt.Errorf("tcp: node %d acked checkpoint epoch %d, want %d", i+1, got, epoch)
 		}
 	}
-	if err := dc.store.Commit(&checkpoint.Manifest{
-		RunID:       dc.runID,
-		Epoch:       epoch,
-		Nodes:       d.a.cfg.Nodes,
-		Program:     algoName(d.a.algo),
-		GraphDigest: dc.digest,
-		ConfigHash:  dc.confHash,
-		NumVertices: int64(d.G.NumVertices()),
-		NumBlocks:   int64(d.Part.NumBlocks()),
-		SavedUnixMs: time.Now().UnixMilli(),
-	}); err != nil {
+	if err := dc.store.Commit(dc.id.Manifest(dc.runID, epoch)); err != nil {
 		return err
 	}
 	obslog.L().Info("checkpoint epoch committed",

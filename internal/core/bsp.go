@@ -11,9 +11,13 @@ import (
 // gather-apply and scatter phases of every sweep (Sec. II-A, the GraphMat
 // execution model). All vertices read the edge caches written at the end
 // of the previous sweep, so updates within a sweep never see each other.
-// It reports whether the run converged within the epoch budget.
+// The update rule is the shared kernel's; what is BSP here is only the
+// schedule: the one block is claimed per sweep, each worker runs its
+// vertex slice of the kernel between the two barriers, and the sweep's
+// scatters re-activate the block iff some vertex moved by more than
+// epsilon. It reports whether the run converged within the epoch budget.
 func (e *engine[V, M]) runBSP() bool {
-	n := e.g.NumVertices()
+	n := e.G.NumVertices()
 	if n == 0 {
 		return true
 	}
@@ -23,14 +27,32 @@ func (e *engine[V, M]) runBSP() bool {
 	if e.op != nil {
 		dvals = make([]V, n)
 	}
-	workers := e.cfg.NumPEs
-
-	// chunk v-ranges are fixed across sweeps: worker w owns [starts[w], starts[w+1]).
-	starts := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		starts[w] = w * n / workers
+	slice := func(vlo, vhi int) ([]float64, []V) {
+		if dvals == nil {
+			return deltas[vlo:vhi], nil
+		}
+		return deltas[vlo:vhi], dvals[vlo:vhi]
+	}
+	// sweep runs fn over the vertex set cut into one contiguous slice per
+	// worker and returns once every slice is done: a global memory barrier.
+	sweep := func(stage string, shard0, workers int, fn func(vlo, vhi int, w *Worker[V, M])) {
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer e.recoverToFailure()
+				e.stall(stage)
+				fn(i*n/workers, (i+1)*n/workers, e.worker(shard0+i))
+			}(i)
+		}
+		wg.Wait()
+		if sim := e.cfg.Sim; sim != nil {
+			sim.Barrier()
+		}
 	}
 
+	e.st.ActivateAll(1)
 	epochsSeen := 0
 	for {
 		epochsSeen = e.fireEpochHook(epochsSeen)
@@ -38,134 +60,32 @@ func (e *engine[V, M]) runBSP() bool {
 			return false
 		}
 		e.stall("schedule")
+		if !e.st.Claim(0) {
+			return true // the last sweep's scatters activated nothing
+		}
 
 		// Phase 1: gather-apply every vertex against the previous sweep's
 		// edge caches.
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer e.recoverToFailure()
-				e.stall("gather")
-				sh := &e.shards[1+w]
-				ws := newScratch(e.prog)
-				vlo, vhi := starts[w], starts[w+1]
-				if vlo == vhi {
-					return
-				}
-				clo, chi := e.g.InOffset(vlo), e.g.InOffset(vhi)
-				_, weights, release, err := e.edges.Block(vlo, vhi, clo, chi)
-				if err != nil {
-					e.fail(err)
-					return
-				}
-				defer release()
-				var edges int64
-				for v := vlo; v < vhi; v++ {
-					e.values.LoadBuf(int64(v), &ws.old, ws.buf)
-					e.prog.ResetAccum(&ws.acc)
-					slo, shi := e.g.InOffset(v), e.g.InOffset(v+1)
-					for s := slo; s < shi; s++ {
-						if e.op != nil {
-							e.cache.SwapValue(s, e.op.ZeroDelta(), ws.buf, &ws.src)
-						} else {
-							e.cache.LoadBuf(s, &ws.src, ws.buf)
-						}
-						e.prog.EdgeGather(&ws.acc, ws.old, weights[s-clo], ws.src)
-					}
-					edges += shi - slo
-					newVal := e.prog.Apply(uint32(v), ws.old, &ws.acc, shi-slo, e.g)
-					if e.prog.Delta(ws.old, newVal) == 0 {
-						deltas[v] = 0
-						continue
-					}
-					if e.op != nil {
-						dvals[v] = e.op.OutDelta(uint32(v), ws.old, newVal, e.g)
-						deltas[v] = e.prog.Delta(ws.old, newVal)
-					} else {
-						// Scatter-image delta, as in the async engine.
-						deltas[v] = e.prog.Delta(
-							e.prog.ScatterValue(uint32(v), ws.old, e.g),
-							e.prog.ScatterValue(uint32(v), newVal, e.g))
-					}
-					e.values.StoreBuf(int64(v), newVal, ws.buf)
-				}
-				sh.Add(telemetry.CtrVertexUpdates, int64(starts[w+1]-starts[w]))
-				sh.Add(telemetry.CtrEdgesTraversed, edges)
-				if sim := e.cfg.Sim; sim != nil {
-					sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes,
-						int64(starts[w+1]-starts[w])*e.valueBytes)
-				}
-			}(w)
-		}
-		wg.Wait() // global memory barrier #1
+		sweep("gather", 1, e.cfg.NumPEs, func(vlo, vhi int, w *Worker[V, M]) {
+			d, dv := slice(vlo, vhi)
+			edges, err := e.GatherApply(vlo, vhi, d, dv, w)
+			if err != nil {
+				e.fail(err)
+			}
+			if sim := e.cfg.Sim; sim != nil && vlo < vhi {
+				sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes, int64(vhi-vlo)*e.valueBytes)
+			}
+		})
 		e.sh0.Add(telemetry.CtrBlockUpdates, 1)
-		if sim := e.cfg.Sim; sim != nil {
-			sim.Barrier()
-		}
 
 		// Phase 2: commit all updates to the edge caches at once.
-		anyActive := false
-		var mu sync.Mutex
-		scatterWorkers := e.cfg.NumScatter
-		sstarts := make([]int, scatterWorkers+1)
-		for w := 0; w <= scatterWorkers; w++ {
-			sstarts[w] = w * n / scatterWorkers
-		}
-		for w := 0; w < scatterWorkers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer e.recoverToFailure()
-				e.stall("scatter")
-				sh := &e.shards[1+e.cfg.NumPEs+w]
-				ws := newScratch(e.prog)
-				var writes int64
-				active := false
-				for v := sstarts[w]; v < sstarts[w+1]; v++ {
-					d := deltas[v]
-					if d <= e.cfg.Epsilon && (e.op == nil || d == 0) {
-						continue
-					}
-					if d > e.cfg.Epsilon {
-						active = true
-					}
-					if e.op != nil {
-						dval := dvals[v]
-						for i := e.g.OutOffset(v); i < e.g.OutOffset(v+1); i++ {
-							e.cache.RMW(e.g.OutPos(i), ws.buf, &ws.val, func(cur V) V {
-								return e.op.AccumulateDelta(cur, dval)
-							})
-							writes++
-						}
-						continue
-					}
-					e.values.LoadBuf(int64(v), &ws.val, ws.buf)
-					sval := e.prog.ScatterValue(uint32(v), ws.val, e.g)
-					for i := e.g.OutOffset(v); i < e.g.OutOffset(v+1); i++ {
-						e.cache.StoreBuf(e.g.OutPos(i), sval, ws.buf)
-						writes++
-					}
-				}
-				sh.Add(telemetry.CtrScatterWrites, writes)
-				if sim := e.cfg.Sim; sim != nil && writes > 0 {
-					sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
-				}
-				if active {
-					mu.Lock()
-					anyActive = true
-					mu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait() // global memory barrier #2
-		if sim := e.cfg.Sim; sim != nil {
-			sim.Barrier()
-		}
-
-		if !anyActive {
-			return true
-		}
+		sweep("scatter", 1+e.cfg.NumPEs, e.cfg.NumScatter, func(vlo, vhi int, w *Worker[V, M]) {
+			d, dv := slice(vlo, vhi)
+			writes := e.Scatter(vlo, vhi, d, dv, w)
+			if sim := e.cfg.Sim; sim != nil && writes > 0 {
+				sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
+			}
+		})
+		e.st.Done(0)
 	}
 }

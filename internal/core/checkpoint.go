@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"graphabcd/internal/checkpoint"
@@ -24,11 +23,9 @@ type checkpointer[V, M any] struct {
 	e        *engine[V, M]
 	store    checkpoint.Store
 	interval time.Duration
+	id       checkpoint.Identity
 	runID    string
 	epoch    uint64 // last written checkpoint epoch
-
-	digest   string
-	confHash string
 
 	// Capture buffers, allocated once: a checkpoint must not grow the
 	// engine's allocation footprint every interval.
@@ -50,9 +47,9 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 		// run would converge to the wrong fixed point. Refuse rather than
 		// resume wrong.
 		obslog.L().Warn("checkpoint request refused",
-			"event", "ckpt.refused", "program", e.prog.Name(),
+			"event", "ckpt.refused", "program", e.Prog.Name(),
 			"reason", "operation-based program: in-flight delta mass is not capturable")
-		return nil, fmt.Errorf("core: checkpointing is not supported for operation-based program %q (in-flight delta mass is not captured); use its state-based form", e.prog.Name())
+		return nil, fmt.Errorf("core: checkpointing is not supported for operation-based program %q (in-flight delta mass is not captured); use its state-based form", e.Prog.Name())
 	}
 	store := cc.Store
 	if store == nil {
@@ -62,24 +59,23 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 		}
 		store = ds
 	}
-	n := int64(e.g.NumVertices())
-	nb := int64(e.part.NumBlocks())
+	id := checkpoint.Identity{
+		Program: e.Prog.Name(), GraphDigest: checkpoint.DigestGraph(e.G),
+		NumVertices: e.nv, NumBlocks: int64(e.Part.NumBlocks()),
+		Words: e.Values.Words(), Nodes: 1,
+	}
 	ck := &checkpointer[V, M]{
 		e:        e,
 		store:    store,
 		interval: cc.Interval,
-		digest:   checkpoint.DigestGraph(e.g),
-		confHash: checkpoint.ConfigHash(e.prog.Name(), n, nb, e.values.Words(), 1),
-		valbuf:   make([]uint64, n*int64(e.values.Words())),
-		pribuf:   make([]uint64, nb),
-		actbuf:   make([]byte, nb),
+		id:       id,
+		runID:    cc.RunID,
+		valbuf:   make([]uint64, id.NumVertices*int64(id.Words)),
+		pribuf:   make([]uint64, id.NumBlocks),
+		actbuf:   make([]byte, id.NumBlocks),
 	}
-	ck.runID = cc.RunID
 	if ck.runID == "" {
-		// A stable derived id: rerunning the same job on the same graph
-		// lands in the same run directory, which is what makes a bare
-		// `-resume latest` after a crash do the right thing.
-		ck.runID = fmt.Sprintf("%s-%.8s%.8s", e.prog.Name(), ck.digest, ck.confHash)
+		ck.runID = id.RunID()
 	}
 	return ck, nil
 }
@@ -95,29 +91,12 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 // premature fixed point.
 func (ck *checkpointer[V, M]) resume(resumeID string) error {
 	e := ck.e
-	var m *checkpoint.Manifest
-	var err error
-	if resumeID == "latest" {
-		m, err = ck.store.Latest()
-	} else {
-		m, err = ck.store.Load(resumeID)
-	}
+	m, err := checkpoint.Lookup(ck.store, resumeID)
 	if err != nil {
 		return err
 	}
-	n := int64(e.g.NumVertices())
-	nb := int64(e.part.NumBlocks())
-	switch {
-	case m.Program != e.prog.Name():
-		return fmt.Errorf("core: resume %s: checkpoint is from program %q, this run is %q", m.RunID, m.Program, e.prog.Name())
-	case m.GraphDigest != ck.digest:
-		return fmt.Errorf("core: resume %s: checkpoint graph digest %s does not match this graph (%s)", m.RunID, m.GraphDigest, ck.digest)
-	case m.ConfigHash != ck.confHash:
-		return fmt.Errorf("core: resume %s: checkpoint config hash %s does not match this run (%s); block size, program, and graph must be identical", m.RunID, m.ConfigHash, ck.confHash)
-	case m.Nodes != 1:
-		return fmt.Errorf("core: resume %s: checkpoint is from a %d-node cluster run; resume it with the distributed runtime", m.RunID, m.Nodes)
-	case m.NumVertices != n || m.NumBlocks != nb:
-		return fmt.Errorf("core: resume %s: checkpoint shape %dx%d, run is %dx%d", m.RunID, m.NumVertices, m.NumBlocks, n, nb)
+	if err := ck.id.Check(m); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
 	}
 	rc, err := ck.store.ReadState(m.RunID, m.Epoch, 0)
 	if err != nil {
@@ -128,12 +107,16 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 	if err != nil {
 		return fmt.Errorf("core: resume %s epoch %d: %w", m.RunID, m.Epoch, err)
 	}
-	if st.Nodes != 1 || st.NumVertices != n || st.NumBlocks != nb || st.Words != e.values.Words() ||
+	n, nb := ck.id.NumVertices, ck.id.NumBlocks
+	if st.Nodes != 1 || st.NumVertices != n || st.NumBlocks != nb || st.Words != ck.id.Words ||
 		st.VertexLo != 0 || st.VertexHi != n || st.BlockLo != 0 || st.BlockHi != nb {
 		return fmt.Errorf("core: resume %s epoch %d: state shape does not match the manifest", m.RunID, m.Epoch)
 	}
-	e.values.RestoreWords(0, st.Values)
-	ck.rebuildCache()
+	e.Values.RestoreWords(0, st.Values)
+	// The cache is deliberately not checkpointed — it is |E| derived words
+	// whose ground truth is the |V| values array, and re-scattering is the
+	// same O(E) pass initialization already pays.
+	e.eachSlice(e.RebuildInEdges)
 	if err := e.failure.Load(); err != nil {
 		return *err // an edge-source failure during the rebuild
 	}
@@ -151,43 +134,6 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 	obslog.L().Info("resumed from checkpoint",
 		"event", "ckpt.resume", "runID", m.RunID, "epoch", m.Epoch)
 	return nil
-}
-
-// rebuildCache re-derives every in-edge cache slot from the restored
-// vertex values: slot s caches the scatter image of its source vertex.
-// The cache is deliberately not checkpointed — it is |E| derived words
-// whose ground truth is the |V| values array, and re-scattering is the
-// same O(E) pass initArrays already pays.
-func (ck *checkpointer[V, M]) rebuildCache() {
-	e := ck.e
-	n := e.g.NumVertices()
-	workers := e.cfg.NumPEs + e.cfg.NumScatter
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vlo, vhi := w*n/workers, (w+1)*n/workers
-			if vlo == vhi {
-				return
-			}
-			slo, shi := e.g.InOffset(vlo), e.g.InOffset(vhi)
-			srcs, _, release, err := e.edges.Block(vlo, vhi, slo, shi)
-			if err != nil {
-				e.fail(err)
-				return
-			}
-			defer release()
-			buf := make([]uint64, e.values.Words())
-			var val V
-			for s := slo; s < shi; s++ {
-				src := srcs[s-slo]
-				e.values.LoadBuf(int64(src), &val, buf)
-				e.cache.StoreBuf(s, e.prog.ScatterValue(src, val, e.g), buf)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // loop runs the periodic capture until the run stops. A capture failure
@@ -218,15 +164,14 @@ func (ck *checkpointer[V, M]) capture() error {
 	e.ckptGen.Add(1) // odd: capture in progress
 	defer e.ckptGen.Add(1)
 	ckStart := e.tel.Stamp()
-	n := int64(e.g.NumVertices())
-	nb := e.part.NumBlocks()
-	e.values.SnapshotWords(0, n, ck.valbuf)
-	e.st.SnapshotBlocks(0, nb, ck.pribuf, ck.actbuf)
+	n, nb := ck.id.NumVertices, ck.id.NumBlocks
+	e.Values.SnapshotWords(0, n, ck.valbuf)
+	e.st.SnapshotBlocks(0, int(nb), ck.pribuf, ck.actbuf)
 	st := &checkpoint.State{
-		NumVertices: n, NumBlocks: int64(nb), Words: e.values.Words(),
+		NumVertices: n, NumBlocks: nb, Words: ck.id.Words,
 		Node: 0, Nodes: 1,
 		VertexLo: 0, VertexHi: n,
-		BlockLo: 0, BlockHi: int64(nb),
+		BlockLo: 0, BlockHi: nb,
 		Values: ck.valbuf, Priority: ck.pribuf, Active: ck.actbuf,
 		Counters: checkpoint.Counters{
 			VertexUpdates:  e.tel.Total(telemetry.CtrVertexUpdates),
@@ -242,12 +187,7 @@ func (ck *checkpointer[V, M]) capture() error {
 	}); err != nil {
 		return err
 	}
-	if err := ck.store.Commit(&checkpoint.Manifest{
-		RunID: ck.runID, Epoch: epoch, Nodes: 1,
-		Program: e.prog.Name(), GraphDigest: ck.digest, ConfigHash: ck.confHash,
-		NumVertices: n, NumBlocks: int64(nb),
-		SavedUnixMs: time.Now().UnixMilli(),
-	}); err != nil {
+	if err := ck.store.Commit(ck.id.Manifest(ck.runID, epoch)); err != nil {
 		return err
 	}
 	// The epoch's durability cost, observed on the checkpoint goroutine's

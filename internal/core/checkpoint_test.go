@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -332,4 +335,57 @@ func TestReplayDeterminism(t *testing.T) {
 	if d := maxAbsDiff(r1.Values, want); d > 1e-7 {
 		t.Fatalf("replayed fixed point differs from reference by %g", d)
 	}
+}
+
+// TestReplayMatchesParentCommitTrace is the cross-commit golden for the
+// move onto the shared block kernel: testdata/parent_2bd56f4.gabr is a
+// priority-policy PageRank schedule recorded by the 2bd56f4 engine on
+// testGraph, and the .trace beside it is what that engine's replay printed
+// — every per-epoch residual with %.17g plus an FNV-1a hash of the final
+// value bits, once for the state-based and once for the operation-based
+// program. A replay that reorders one floating-point operation in
+// gather-apply, scatter or the per-block mass sum prints a different line.
+func TestReplayMatchesParentCommitTrace(t *testing.T) {
+	g := testGraph(t)
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_2bd56f4.gabr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{BlockSize: 64, Policy: sched.Priority, NumPEs: 4, NumScatter: 2, Epsilon: 1e-12}
+	ids, err := checkpoint.ReadSchedule(bytes.NewReader(raw), (g.NumVertices()+cfg.BlockSize-1)/cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, c := range []struct {
+		name string
+		prog bcd.Program[float64, float64]
+	}{{"pagerank", bcd.PageRank{}}, {"pagerank-delta", bcd.PageRankDelta{}}} {
+		r, err := ReplaySchedule[float64, float64](context.Background(), g, c.prog, cfg, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range r.Residuals {
+			fmt.Fprintf(&got, "%s %.17g\n", c.name, x)
+		}
+		h := fnv.New64a()
+		for _, v := range r.Values {
+			_, _ = h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		fmt.Fprintf(&got, "%s-values %016x\n", c.name, h.Sum64())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_2bd56f4.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("trace line %d: got %q, the parent commit printed %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("trace has %d lines, the parent commit printed %d", len(gotLines), len(wantLines))
 }

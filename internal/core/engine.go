@@ -11,11 +11,9 @@ import (
 
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/checkpoint"
-	"graphabcd/internal/edgestore"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
-	"graphabcd/internal/word"
 )
 
 // Run executes prog over g under cfg and returns the final vertex values
@@ -91,22 +89,15 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 	return e.result(converged, time.Since(start)), nil
 }
 
-// engine holds the shared state of one run.
+// engine holds the shared state of one run: the block kernel (graph,
+// program, partition, value and cache arrays — the single-node engine is
+// its one-owner case) and everything that is scheduling around it.
 type engine[V, M any] struct {
-	g    *graph.Graph
-	prog bcd.Program[V, M]
-	// op is non-nil when prog is operation-based (bcd.OpBased): edge
-	// slots then hold pending deltas that SCATTER accumulates with atomic
-	// read-modify-writes and GATHER consumes with atomic swaps.
-	op   bcd.OpBased[V, M]
-	cfg  Config
-	part *graph.Partition
+	*Kernel[V, M]
+	cfg Config
 	// ctx carries the run's cancellation signal; the scheduling loops
 	// poll it and stop gracefully with a partial result.
 	ctx context.Context
-
-	values *word.Array[V] // vertex values, |V| entries
-	cache  *word.Array[V] // cached source values per in-edge slot, |E| entries
 
 	st *sched.State
 	// tel is the run's telemetry registry (Config.Telemetry, or a private
@@ -121,7 +112,6 @@ type engine[V, M any] struct {
 	live   bool             // tel records timings (histograms or tracing)
 	nv     int64            // |V|, cached for the staleness observation
 
-	edges edgestore.Source
 	// failure holds the first edge-source error; the scheduler aborts the
 	// run when it is set and Run returns it. failCh is closed alongside
 	// the first fail() so goroutines parked on channel sends can abort
@@ -156,7 +146,7 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	if cfg.Mode == BSP {
 		blockSize = g.NumVertices() // full-gradient Jacobi
 	}
-	part, err := graph.NewPartition(g, blockSize)
+	k, err := NewKernel(g, prog, blockSize, cfg.Edges, cfg.Epsilon, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -169,25 +159,14 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 			return nil, fmt.Errorf("core: NumScatter %d exceeds simulator's %d CPU threads", cfg.NumScatter, sc.CPUThreads)
 		}
 	}
-	codec := prog.Codec()
+	words := int64(k.Values.Words())
 	e := &engine[V, M]{
-		g:          g,
-		prog:       prog,
+		Kernel:     k,
 		cfg:        cfg,
-		part:       part,
-		values:     word.NewArray(codec, g.NumVertices()),
-		cache:      word.NewArray(codec, g.NumEdges()),
-		st:         sched.NewState(part.NumBlocks()),
+		st:         sched.NewState(k.Part.NumBlocks()),
 		failCh:     make(chan struct{}),
-		valueBytes: int64(codec.Words()) * 8,
-		edgeBytes:  int64(codec.Words())*8 + 4,
-	}
-	if op, ok := prog.(bcd.OpBased[V, M]); ok {
-		if codec.Words() != 1 {
-			return nil, fmt.Errorf("core: operation-based program %q needs a single-word codec (got %d words)",
-				prog.Name(), codec.Words())
-		}
-		e.op = op
+		valueBytes: words * 8,
+		edgeBytes:  words*8 + 4,
 	}
 	e.tel = cfg.Telemetry
 	if e.tel == nil {
@@ -202,50 +181,38 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	e.tel.SetVertices(g.NumVertices())
 	e.tel.RegisterGauge("active_blocks", func() float64 { return float64(e.st.NumActive()) })
 	e.tel.RegisterGauge("residual", e.st.PendingMass)
-	e.edges = cfg.Edges
-	if e.edges == nil {
-		e.edges = edgestore.InMemory(g)
-	}
 	e.deltaPool.New = func() any {
-		buf := make([]float64, part.BlockSize())
+		buf := make([]float64, k.Part.BlockSize())
 		return &buf
 	}
 	e.dvalPool.New = func() any {
-		buf := make([]V, part.BlockSize())
+		buf := make([]V, k.Part.BlockSize())
 		return &buf
 	}
-	e.initArrays()
+	e.eachSlice(e.Init)
 	return e, nil
 }
 
-// initArrays populates vertex values and edge caches in parallel.
-func (e *engine[V, M]) initArrays() {
-	n := e.g.NumVertices()
+// worker builds the kernel worker that counts into shard i. The engine is
+// node 0 of a one-owner table, so it has no flush hook.
+func (e *engine[V, M]) worker(i int) *Worker[V, M] {
+	return e.NewWorker(&e.shards[i], 0, e.st, nil)
+}
+
+// eachSlice runs fn over the vertex set cut into one contiguous slice per
+// worker, in parallel; an edge-source error fails the run.
+func (e *engine[V, M]) eachSlice(fn func(vlo, vhi int) error) {
+	n := e.G.NumVertices()
 	workers := e.cfg.NumPEs + e.cfg.NumScatter
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(vlo, vhi int) {
 			defer wg.Done()
-			vlo, vhi := w*n/workers, (w+1)*n/workers
-			if vlo == vhi {
-				return
-			}
-			slo, shi := e.g.InOffset(vlo), e.g.InOffset(vhi)
-			srcs, _, release, err := e.edges.Block(vlo, vhi, slo, shi)
-			if err != nil {
+			if err := fn(vlo, vhi); err != nil {
 				e.fail(err)
-				return
 			}
-			defer release()
-			buf := make([]uint64, e.values.Words())
-			for v := vlo; v < vhi; v++ {
-				e.values.StoreBuf(int64(v), e.prog.Init(uint32(v), e.g), buf)
-				for s := e.g.InOffset(v); s < e.g.InOffset(v+1); s++ {
-					e.cache.StoreBuf(s, e.prog.InitEdge(srcs[s-slo], e.g), buf)
-				}
-			}
-		}(w)
+		}(w*n/workers, (w+1)*n/workers)
 	}
 	wg.Wait()
 }
@@ -255,7 +222,7 @@ func (e *engine[V, M]) maxVertexUpdates() int64 {
 	if e.cfg.MaxEpochs == 0 {
 		return math.MaxInt64
 	}
-	return int64(e.cfg.MaxEpochs * float64(e.g.NumVertices()))
+	return int64(e.cfg.MaxEpochs * float64(e.G.NumVertices()))
 }
 
 // vertexUpdates is the cross-shard total driving the epoch budget, the
@@ -345,7 +312,7 @@ type task struct {
 // runBlocked executes Async and Barrier modes. It reports whether the run
 // converged (as opposed to hitting the MaxEpochs budget).
 func (e *engine[V, M]) runBlocked() bool {
-	nb := e.part.NumBlocks()
+	nb := e.Part.NumBlocks()
 	if !e.resumed {
 		e.st.ActivateAll(1)
 	}
@@ -489,7 +456,7 @@ func (e *engine[V, M]) fireEpochHook(seen int) int {
 	if e.cfg.OnEpoch == nil && !e.live {
 		return seen
 	}
-	n := int64(e.g.NumVertices())
+	n := e.nv
 	if n == 0 {
 		return seen
 	}
@@ -526,7 +493,7 @@ func (e *engine[V, M]) scheduleBarrier(s sched.Scheduler, accelQ chan<- blockIte
 		// that is what distinguishes synchronized execution from the
 		// async engine, where they would be dispatched immediately.
 		wave := 0
-		for b := 0; b < e.part.NumBlocks(); b++ {
+		for b := 0; b < e.Part.NumBlocks(); b++ {
 			if e.st.Active(b) && !e.st.InFlight(b) && e.st.Claim(b) {
 				e.sh0.Add(telemetry.CtrTasksIssued, 1)
 				if e.rec != nil {
@@ -578,21 +545,20 @@ func idle(spins *int) {
 // bare-counter mode.
 func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task) {
 	defer e.recoverToFailure()
-	sh := &e.shards[1+i]
-	ws := newScratch(e.prog)
+	w := e.worker(1 + i)
 	for it := range accelQ {
 		e.stall("gather")
 		now := e.tel.Stamp()
-		sh.Observe(telemetry.StageAccelWait, now-it.enq)
-		sh.Trace(telemetry.StageAccelWait, it.b, it.enq, now-it.enq)
-		t, edges := e.gatherApply(it.b, ws, sh)
+		w.Sh.Observe(telemetry.StageAccelWait, now-it.enq)
+		w.Sh.Trace(telemetry.StageAccelWait, it.b, it.enq, now-it.enq)
+		t, edges := e.gatherBlock(it.b, w)
 		if sim := e.cfg.Sim; sim != nil {
-			lo, hi := e.part.VertexRange(it.b)
+			lo, hi := e.Part.VertexRange(it.b)
 			sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes, int64(hi-lo)*e.valueBytes)
 		}
 		t.enq = e.tel.Stamp()
-		sh.Observe(telemetry.StageGather, t.enq-now)
-		sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
+		w.Sh.Observe(telemetry.StageGather, t.enq-now)
+		w.Sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
 		if !e.sendTask(cpuQ, t) {
 			return
 		}
@@ -604,25 +570,22 @@ func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task
 // scatter work is pending (Sec. IV-B).
 func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blockItem) {
 	defer e.recoverToFailure()
-	sh := &e.shards[1+e.cfg.NumPEs+j]
-	ws := newScratch(e.prog)
-	mass := make([]float64, e.part.NumBlocks())
-	touched := make([]int, 0, 64)
+	w := e.worker(1 + e.cfg.NumPEs + j)
 	runHybrid := func(it blockItem, ok bool) bool {
 		if !ok {
 			return false
 		}
 		e.stall("gather")
 		now := e.tel.Stamp()
-		t, edges := e.gatherApply(it.b, ws, sh)
+		t, edges := e.gatherBlock(it.b, w)
 		if sim := e.cfg.Sim; sim != nil {
 			sim.LeastLoadedCPU().RunGather(edges, edges*e.edgeBytes)
 		}
-		sh.Add(telemetry.CtrHybridBlocks, 1)
+		w.Sh.Add(telemetry.CtrHybridBlocks, 1)
 		t.enq = e.tel.Stamp()
-		sh.Observe(telemetry.StageGather, t.enq-now)
-		sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
-		e.scatter(t, ws, mass, &touched, sh)
+		w.Sh.Observe(telemetry.StageGather, t.enq-now)
+		w.Sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
+		e.scatterBlock(t, w)
 		return true
 	}
 	for {
@@ -633,7 +596,7 @@ func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blo
 			if !ok {
 				return
 			}
-			e.scatter(t, ws, mass, &touched, sh)
+			e.scatterBlock(t, w)
 			continue
 		default:
 		}
@@ -652,7 +615,7 @@ func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blo
 			if !ok {
 				return
 			}
-			e.scatter(t, ws, mass, &touched, sh)
+			e.scatterBlock(t, w)
 		case it, ok := <-hq:
 			if !runHybrid(it, ok) {
 				hybridQ = nil // accelerator queue closed; drain cpuQ only
@@ -661,174 +624,48 @@ func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blo
 	}
 }
 
-// workerScratch holds per-worker reusable buffers so hot loops do not
-// allocate.
-type workerScratch[V, M any] struct {
-	acc      M
-	old, src V
-	val      V
-	buf      []uint64 // word-array transfer buffer
-}
-
-func newScratch[V, M any](prog bcd.Program[V, M]) *workerScratch[V, M] {
-	words := prog.Codec().Words()
-	if words < 2 {
-		words = 2 // word.Array.RMW needs two transfer slots
-	}
-	return &workerScratch[V, M]{
-		acc: prog.NewAccum(),
-		buf: make([]uint64, words),
-	}
-}
-
-// gatherApply processes block b (steps 4-6): stream the block's in-edge
-// cache sequentially, run GATHER-APPLY per vertex, store new values, and
-// record per-vertex deltas for the scatter stage. Work counters land in
-// the calling worker's shard sh.
+// gatherBlock runs the kernel's GATHER-APPLY over block b and packages the
+// per-vertex deltas, in pooled buffers, as the task the scatter side
+// consumes. It returns the in-edges streamed, for the platform model.
 //
 //abcd:hotpath
-func (e *engine[V, M]) gatherApply(b int, ws *workerScratch[V, M], sh *telemetry.Shard) (task, int64) {
-	lo, hi := e.part.VertexRange(b)
-	deltasPtr := e.deltaPool.Get().(*[]float64)
-	deltas := (*deltasPtr)[:hi-lo]
-	var dvalsPtr *[]V
+func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task, int64) {
+	lo, hi := e.Part.VertexRange(b)
+	t := task{block: b, deltas: e.deltaPool.Get().(*[]float64)}
 	var dvals []V
 	if e.op != nil {
-		dvalsPtr = e.dvalPool.Get().(*[]V)
-		dvals = (*dvalsPtr)[:hi-lo]
+		p := e.dvalPool.Get().(*[]V)
+		t.dvals, dvals = p, (*p)[:hi-lo] // assigned only when non-nil: no typed nil in the interface
 	}
-	var gatherV int64
 	if e.live {
-		gatherV = e.vertexUpdates()
+		t.gatherV = e.vertexUpdates()
 	}
-	// Stream the block's static edge range from the configured source —
-	// one contiguous read per block task, by the pull-push layout.
-	blo, bhi := e.part.EdgeRange(b)
-	_, weights, release, err := e.edges.Block(lo, hi, blo, bhi)
+	edges, err := e.GatherApply(lo, hi, (*t.deltas)[:hi-lo], dvals, w)
 	if err != nil {
 		e.fail(err)
-		for i := range deltas {
-			deltas[i] = 0
-		}
-		t := task{block: b, deltas: deltasPtr, gatherV: gatherV}
-		if dvalsPtr != nil {
-			t.dvals = dvalsPtr
-		}
 		return t, 0
 	}
-	defer release()
-	var edges int64
-	for v := lo; v < hi; v++ {
-		e.values.LoadBuf(int64(v), &ws.old, ws.buf)
-		e.prog.ResetAccum(&ws.acc)
-		slo, shi := e.g.InOffset(v), e.g.InOffset(v+1)
-		for s := slo; s < shi; s++ {
-			if e.op != nil {
-				// Consume the pending delta: swap the slot to the zero
-				// delta so concurrent scatters can keep accumulating.
-				e.cache.SwapValue(s, e.op.ZeroDelta(), ws.buf, &ws.src)
-			} else {
-				e.cache.LoadBuf(s, &ws.src, ws.buf)
-			}
-			e.prog.EdgeGather(&ws.acc, ws.old, weights[s-blo], ws.src)
-		}
-		n := shi - slo
-		edges += n
-		newVal := e.prog.Apply(uint32(v), ws.old, &ws.acc, n, e.g)
-		if e.prog.Delta(ws.old, newVal) == 0 {
-			deltas[v-lo] = 0
-			continue
-		}
-		if e.op != nil {
-			dvals[v-lo] = e.op.OutDelta(uint32(v), ws.old, newVal, e.g)
-			deltas[v-lo] = e.prog.Delta(ws.old, newVal)
-		} else {
-			// The gradient mass driving activation and Gauss-Southwell
-			// priority is the change of the *scatter image* — the value
-			// that will actually be written onto out-edges. For PageRank
-			// that is delta/outdeg: using the raw vertex delta would
-			// overweight hub sources by their out-degree and misguide
-			// the priority rule.
-			deltas[v-lo] = e.prog.Delta(
-				e.prog.ScatterValue(uint32(v), ws.old, e.g),
-				e.prog.ScatterValue(uint32(v), newVal, e.g))
-		}
-		e.values.StoreBuf(int64(v), newVal, ws.buf)
-	}
-	sh.Add(telemetry.CtrBlockUpdates, 1)
-	sh.Add(telemetry.CtrVertexUpdates, int64(hi-lo))
-	sh.Add(telemetry.CtrEdgesTraversed, edges)
-	t := task{block: b, deltas: deltasPtr, gatherV: gatherV}
-	if dvalsPtr != nil {
-		t.dvals = dvalsPtr // avoid wrapping a typed nil in the interface
-	}
+	w.Sh.Add(telemetry.CtrBlockUpdates, 1)
 	return t, edges
 }
 
-// scatter processes one finished block (steps 9-11): state-based updates
-// are copied onto out-edge cache slots, Gauss-Southwell mass accumulates
-// onto destination blocks, and the active list is updated. Marking the
-// block done last keeps the termination unit's quiescence test sound.
-// The CPU-queue wait, the scatter latency, and the block's staleness are
-// observed into the calling worker's shard sh.
+// scatterBlock runs the kernel's SCATTER for one gathered block and
+// retires it. Marking the block done last keeps the termination unit's
+// quiescence test sound. The CPU-queue wait, the scatter latency, and
+// the block's staleness are observed into the calling worker's shard.
 //
 //abcd:hotpath
-func (e *engine[V, M]) scatter(t task, ws *workerScratch[V, M], mass []float64, touched *[]int, sh *telemetry.Shard) {
+func (e *engine[V, M]) scatterBlock(t task, w *Worker[V, M]) {
 	e.stall("scatter")
 	start := e.tel.Stamp()
-	sh.Observe(telemetry.StageCPUWait, start-t.enq)
-	sh.Trace(telemetry.StageCPUWait, t.block, t.enq, start-t.enq)
-	lo, hi := e.part.VertexRange(t.block)
-	deltas := (*t.deltas)[:hi-lo]
+	w.Sh.Observe(telemetry.StageCPUWait, start-t.enq)
+	w.Sh.Trace(telemetry.StageCPUWait, t.block, t.enq, start-t.enq)
+	lo, hi := e.Part.VertexRange(t.block)
 	var dvals []V
 	if t.dvals != nil {
 		dvals = (*t.dvals.(*[]V))[:hi-lo]
 	}
-	var writes int64
-	for v := lo; v < hi; v++ {
-		d := deltas[v-lo]
-		// State-based updates are self-healing, so sub-epsilon changes
-		// can be dropped entirely. Operation-based deltas are mass that
-		// would leak if dropped: scatter every nonzero change and use
-		// epsilon only to gate activation below.
-		if d <= e.cfg.Epsilon && (e.op == nil || d == 0) {
-			continue
-		}
-		if e.op != nil {
-			dval := dvals[v-lo]
-			for i := e.g.OutOffset(v); i < e.g.OutOffset(v+1); i++ {
-				e.cache.RMW(e.g.OutPos(i), ws.buf, &ws.val, func(cur V) V {
-					return e.op.AccumulateDelta(cur, dval)
-				})
-				writes++
-			}
-		} else {
-			e.values.LoadBuf(int64(v), &ws.val, ws.buf)
-			sval := e.prog.ScatterValue(uint32(v), ws.val, e.g)
-			for i := e.g.OutOffset(v); i < e.g.OutOffset(v+1); i++ {
-				e.cache.StoreBuf(e.g.OutPos(i), sval, ws.buf)
-				writes++
-			}
-		}
-		if d <= e.cfg.Epsilon {
-			continue // scattered, but not worth re-activating anyone
-		}
-		for i := e.g.OutOffset(v); i < e.g.OutOffset(v+1); i++ {
-			tb := e.part.BlockOf(e.g.OutDst(i))
-			if mass[tb] == 0 {
-				*touched = append(*touched, tb) //abcdlint:ignore hotalloc,hotpath -- amortized: per-worker buffer, reset to [:0] below with capacity retained
-			}
-			mass[tb] += d
-		}
-	}
-	// Step 11: update the destination blocks' active-list entries and
-	// their pending gradient mass (the Sec. IV-B priority estimate).
-	for _, tb := range *touched {
-		e.st.Activate(tb, mass[tb])
-		mass[tb] = 0
-	}
-	*touched = (*touched)[:0]
-	sh.Add(telemetry.CtrScatterWrites, writes)
+	writes := e.Scatter(lo, hi, (*t.deltas)[:hi-lo], dvals, w)
 	if sim := e.cfg.Sim; sim != nil && writes > 0 {
 		sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
 	}
@@ -837,12 +674,12 @@ func (e *engine[V, M]) scatter(t task, ws *workerScratch[V, M], mass []float64, 
 		e.dvalPool.Put(t.dvals.(*[]V))
 	}
 	e.st.Done(t.block)
-	sh.Add(telemetry.CtrTasksFinished, 1)
+	w.Sh.Add(telemetry.CtrTasksFinished, 1)
 	if end := e.tel.Stamp(); e.live {
-		sh.Observe(telemetry.StageScatter, end-start)
-		sh.Trace(telemetry.StageScatter, t.block, start, end-start)
+		w.Sh.Observe(telemetry.StageScatter, end-start)
+		w.Sh.Trace(telemetry.StageScatter, t.block, start, end-start)
 		if e.nv > 0 {
-			sh.Observe(telemetry.StageStaleness, (e.vertexUpdates()-t.gatherV)*1000/e.nv)
+			w.Sh.Observe(telemetry.StageStaleness, (e.vertexUpdates()-t.gatherV)*1000/e.nv)
 		}
 	}
 }
@@ -850,15 +687,9 @@ func (e *engine[V, M]) scatter(t task, ws *workerScratch[V, M], mass []float64, 
 // result decodes the final values and assembles statistics: Stats is the
 // final merged snapshot of the run's telemetry registry.
 func (e *engine[V, M]) result(converged bool, wall time.Duration) *Result[V] {
-	n := e.g.NumVertices()
-	vals := make([]V, n)
-	buf := make([]uint64, e.values.Words())
-	for v := 0; v < n; v++ {
-		e.values.LoadBuf(int64(v), &vals[v], buf)
-	}
-	st := statsFromTelemetry(e.tel, n, converged, wall)
+	st := StatsFromTelemetry(e.tel, int(e.nv), converged, wall)
 	if e.cfg.Sim != nil {
 		st.SimTimeNs = e.cfg.Sim.SimTimeNs()
 	}
-	return &Result[V]{Values: vals, Stats: st}
+	return &Result[V]{Values: e.CollectValues(), Stats: st}
 }

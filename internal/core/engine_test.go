@@ -1,14 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"graphabcd/internal/accel"
 	"graphabcd/internal/bcd"
+	"graphabcd/internal/checkpoint"
+	"graphabcd/internal/edgestore"
 	"graphabcd/internal/gen"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
@@ -52,6 +58,90 @@ func maxAbsDiff(a, b []float64) float64 {
 		}
 	}
 	return m
+}
+
+// degenerateGraph is a seeded 41-vertex graph with everything a block
+// boundary can trip on: random edges among the first 33 vertices, a few
+// self-loops, and 8 isolated vertices at the end (41 is prime, so block
+// sizes 7 and 16 both leave a short last block).
+func degenerateGraph(t *testing.T, seed int64, maxWeight int, symmetric bool) *graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var edges []graph.Edge
+	for i := 0; i < 120; i++ {
+		e := graph.Edge{Src: uint32(rng.Intn(33)), Dst: uint32(rng.Intn(33)), Weight: 1}
+		if i%17 == 0 {
+			e.Dst = e.Src
+		}
+		if maxWeight > 1 {
+			e.Weight = float32(1 + rng.Intn(maxWeight))
+		}
+		edges = append(edges, e)
+		if symmetric {
+			edges = append(edges, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+		}
+	}
+	g, err := graph.FromEdges(41, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// eachKernelCaller runs prog over g once per shape of caller the block
+// kernel has in this package — the async pipeline with one worker per
+// stage and with 4+2 under priority, the hybrid steal, barrier waves, the
+// BSP sweeps, a pread snapshot as the edge source, and the replay of a
+// schedule recorded just before — and hands every converged result to
+// check, for block sizes 1, 7 and |V|.
+func eachKernelCaller[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64, check func(name string, vals []V)) {
+	t.Helper()
+	snapPath := filepath.Join(t.TempDir(), "g.gabs")
+	if err := graph.SaveFormat(snapPath, g, graph.FormatSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := edgestore.OpenSnapshot(g, snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = snap.Close() }()
+	for _, blockSize := range []int{1, 7, max(1, g.NumVertices())} {
+		base := Config{BlockSize: blockSize, NumPEs: 4, NumScatter: 2, Epsilon: eps}
+		var rec bytes.Buffer
+		for _, c := range []struct {
+			name string
+			tune func(*Config)
+		}{
+			{"async 1+1", func(c *Config) { c.NumPEs, c.NumScatter = 1, 1 }},
+			{"async 4+2 priority", func(c *Config) { c.Policy = sched.Priority }},
+			{"hybrid", func(c *Config) { c.Hybrid = true }},
+			{"barrier", func(c *Config) { c.Mode = Barrier }},
+			{"bsp", func(c *Config) { c.Mode = BSP }},
+			{"snapshot edges", func(c *Config) { c.Edges = snap }},
+			{"recorded", func(c *Config) { c.RecordSchedule = &rec }},
+		} {
+			cfg := base
+			c.tune(&cfg)
+			res, err := Run[V, M](g, prog, cfg)
+			if err != nil {
+				t.Fatalf("%s, block %d: %v", c.name, blockSize, err)
+			}
+			if !res.Stats.Converged {
+				t.Fatalf("%s, block %d: did not converge", c.name, blockSize)
+			}
+			check(c.name, res.Values)
+		}
+		nb := max(1, (g.NumVertices()+blockSize-1)/blockSize)
+		ids, err := checkpoint.ReadSchedule(bytes.NewReader(rec.Bytes()), nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := ReplaySchedule[V, M](context.Background(), g, prog, base, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("replay", rr.Values)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -117,6 +207,20 @@ func TestPageRankMatchesReferenceAcrossConfigs(t *testing.T) {
 			}
 		})
 	}
+	// Every kernel caller, state-based and operation-based, on the
+	// degenerate graph.
+	dg := degenerateGraph(t, 11, 1, false)
+	dwant := bcd.RefPageRank(dg, 0.85, 1e-13, 1000)
+	eachKernelCaller[float64, float64](t, dg, bcd.PageRank{}, 1e-12, func(name string, vals []float64) {
+		if d := maxAbsDiff(vals, dwant); d > 1e-6 {
+			t.Fatalf("degenerate graph, %s: max diff vs reference = %g", name, d)
+		}
+	})
+	eachKernelCaller[float64, float64](t, dg, bcd.PageRankDelta{}, 1e-12, func(name string, vals []float64) {
+		if d := maxAbsDiff(vals, dwant); d > 1e-6 {
+			t.Fatalf("degenerate graph, pagerank-delta, %s: max diff vs pagerank = %g", name, d)
+		}
+	})
 }
 
 func TestSSSPExactAcrossConfigs(t *testing.T) {
@@ -142,6 +246,13 @@ func TestSSSPExactAcrossConfigs(t *testing.T) {
 			}
 		}
 	}
+	dg := degenerateGraph(t, 12, 16, false)
+	dwant := bcd.RefSSSP(dg, src)
+	eachKernelCaller[float64, float64](t, dg, bcd.SSSP{Source: src}, 0, func(name string, vals []float64) {
+		if d := maxAbsDiff(vals, dwant); d != 0 {
+			t.Fatalf("degenerate graph, %s: distances off by %g", name, d)
+		}
+	})
 }
 
 func TestBFSExact(t *testing.T) {
@@ -158,6 +269,13 @@ func TestBFSExact(t *testing.T) {
 			t.Fatalf("level[%d] = %d, want %d", v, res.Values[v], want[v])
 		}
 	}
+	dg := degenerateGraph(t, 13, 1, false)
+	dwant := bcd.RefBFS(dg, src)
+	eachKernelCaller[uint64, uint64](t, dg, bcd.BFS{Source: src}, 0, func(name string, vals []uint64) {
+		if !slices.Equal(vals, dwant) {
+			t.Fatalf("degenerate graph, %s: levels %v, want %v", name, vals, dwant)
+		}
+	})
 }
 
 func TestCCExactOnSymmetricGraph(t *testing.T) {
@@ -186,6 +304,13 @@ func TestCCExactOnSymmetricGraph(t *testing.T) {
 			}
 		}
 	}
+	dg := degenerateGraph(t, 14, 1, true)
+	dwant := bcd.RefCC(dg)
+	eachKernelCaller[uint64, uint64](t, dg, bcd.CC{}, 0, func(name string, vals []uint64) {
+		if !slices.Equal(vals, dwant) {
+			t.Fatalf("degenerate graph, %s: labels %v, want %v", name, vals, dwant)
+		}
+	})
 }
 
 func TestLabelPropTerminatesUnderBudget(t *testing.T) {
@@ -213,7 +338,7 @@ func TestCFRMSEDecreases(t *testing.T) {
 		}
 		return prog.RMSE(rg.Graph, x)
 	}()
-	cfg := Config{BlockSize: 16, Mode: Async, Policy: sched.Cyclic, NumPEs: 4, NumScatter: 2, MaxEpochs: 40, Epsilon: 1e-9}
+	cfg := Config{BlockSize: 16, Mode: Async, Policy: sched.Cyclic, NumPEs: 1, NumScatter: 1, MaxEpochs: 40, Epsilon: 1e-9}
 	res, err := Run[[]float32, []float64](rg.Graph, prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +514,14 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	res = runPR(t, single, DefaultConfig(8))
 	if math.Abs(res.Values[0]-1) > 1e-6 { // self-loop PR: x = 0.15 + 0.85x -> 1
 		t.Fatalf("self-loop PR = %g, want 1", res.Values[0])
+	}
+	for _, g := range []*graph.Graph{empty, single} {
+		want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
+		eachKernelCaller[float64, float64](t, g, bcd.PageRank{}, 1e-12, func(name string, vals []float64) {
+			if len(vals) != len(want) || maxAbsDiff(vals, want) > 1e-6 {
+				t.Fatalf("%d-vertex graph, %s: ranks %v, want %v", g.NumVertices(), name, vals, want)
+			}
+		})
 	}
 }
 

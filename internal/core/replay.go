@@ -65,11 +65,8 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 	if !e.resumed {
 		e.st.ActivateAll(1)
 	}
-	nb := e.part.NumBlocks()
-	sh := &e.shards[1]
-	ws := newScratch(e.prog)
-	mass := make([]float64, nb)
-	touched := make([]int, 0, 64)
+	nb := e.Part.NumBlocks()
+	w := e.worker(1)
 	var residuals []float64
 	n := int64(g.NumVertices())
 	nextEpoch := int64(1)
@@ -82,8 +79,8 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 			break
 		}
 		e.st.ClaimRecorded(int(id))
-		t, _ := e.gatherApply(int(id), ws, sh)
-		e.scatter(t, ws, mass, &touched, sh)
+		t, _ := e.gatherBlock(int(id), w)
+		e.scatterBlock(t, w)
 		e.st.Done(int(id))
 		if e.failed() {
 			break

@@ -18,7 +18,7 @@ import (
 // (internal/telemetry): the engine tallies into per-worker padded shards
 // — the old single counter struct put eight adjacent atomics on shared
 // cache lines, a measured false-sharing hotspot (DESIGN.md §9) — and
-// statsFromTelemetry merges them once at the end. For live visibility
+// StatsFromTelemetry merges them once at the end. For live visibility
 // into the same registry, pass Config.Telemetry and read
 // Registry.Snapshot while the run executes.
 type Stats struct {
@@ -51,9 +51,10 @@ func (s Stats) MTEPS() float64 {
 	return float64(s.EdgesTraversed) / s.WallTime.Seconds() / 1e6
 }
 
-// statsFromTelemetry builds the scalar run summary from the registry's
-// cross-shard counter totals.
-func statsFromTelemetry(tel *telemetry.Registry, numVertices int, converged bool, wall time.Duration) Stats {
+// StatsFromTelemetry builds the scalar run summary from the registry's
+// cross-shard counter totals — the one place a run's counters become a
+// Stats, for the single-node engine and the cluster runtimes alike.
+func StatsFromTelemetry(tel *telemetry.Registry, numVertices int, converged bool, wall time.Duration) Stats {
 	t := tel.CounterTotals()
 	st := Stats{
 		BlockUpdates:   t[telemetry.CtrBlockUpdates],

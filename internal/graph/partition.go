@@ -12,6 +12,11 @@ type Partition struct {
 	numBlocks int
 }
 
+// DefaultBlockSize is the block size every front end uses when the caller
+// names none: |V|/256, floored at 16 — a few hundred blocks to schedule on
+// a large graph, without degenerate one-vertex blocks on a small one.
+func DefaultBlockSize(numVertices int) int { return max(16, numVertices/256) }
+
 // NewPartition partitions g into blocks of blockSize vertices. A blockSize
 // of 0 or >= |V| yields a single block (the BSP / full-gradient extreme).
 func NewPartition(g *Graph, blockSize int) (*Partition, error) {

@@ -149,6 +149,17 @@ func TestSubmitPollValues(t *testing.T) {
 	if _, ok := slim["float"]; ok {
 		t.Fatal("values=false still returned the value array")
 	}
+
+	// A cluster request naming no block size gets the same |V|/256 default
+	// as a plain one; left at 0 it ran on one node with one |V|-sized block.
+	code, body = postJob(t, ts, "", `{"algorithm":"pagerank","graph":"ring","cluster":{"nodes":2,"workers_per_node":2}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("cluster submit: %d (%v)", code, body)
+	}
+	final = waitState(t, ts, body["id"].(string))
+	if stats := final["stats"].(map[string]any); final["state"] != "done" || stats["nodes"] != 2.0 {
+		t.Fatalf("cluster job ended %v on %v nodes, want done on 2: %v", final["state"], stats["nodes"], final["error"])
+	}
 }
 
 func TestUnknownAlgorithmAndGraph(t *testing.T) {

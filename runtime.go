@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphabcd/internal/graph"
 	"graphabcd/internal/telemetry"
 )
 
@@ -22,8 +23,8 @@ type JobSpec struct {
 	Algorithm string
 	// Graph is the graph to run over.
 	Graph *Graph
-	// Config is the engine configuration. A zero BlockSize is defaulted
-	// to the |V|/256 heuristic; the rest is validated by Config.Validate
+	// Config is the engine configuration. A zero BlockSize — here or in
+	// Cluster — is defaulted to the |V|/256 heuristic; the rest is validated by Config.Validate
 	// at the Runtime boundary, before any goroutine starts.
 	Config Config
 	// Cluster, when non-nil, runs the job on the in-process distributed
@@ -261,15 +262,22 @@ func (r *localRuntime) Run(ctx context.Context, spec JobSpec) (*Handle, error) {
 		return nil, err
 	}
 	spec.Algorithm = alg.Name // canonicalize aliases for results and logs
+	bs := 0
+	if spec.Graph != nil {
+		bs = graph.DefaultBlockSize(spec.Graph.NumVertices())
+	}
 	if !spec.configSet {
-		bs := 0
-		if spec.Graph != nil {
-			bs = defaultBlockSize(spec.Graph)
-		}
 		spec.Config = DefaultConfig(bs)
 	}
-	if spec.Config.BlockSize == 0 && spec.Graph != nil {
-		spec.Config.BlockSize = defaultBlockSize(spec.Graph)
+	if spec.Config.BlockSize == 0 {
+		spec.Config.BlockSize = bs
+	}
+	if spec.Cluster != nil && spec.Cluster.BlockSize == 0 {
+		// Left at 0 the cluster would cut one |V|-sized block and clamp
+		// itself to a single node.
+		c := *spec.Cluster
+		c.BlockSize = bs
+		spec.Cluster = &c
 	}
 	if err := validateSpec(alg, &spec); err != nil {
 		return nil, err
@@ -392,12 +400,4 @@ func validateSpec(alg *AlgorithmSpec, spec *JobSpec) error {
 		return nil
 	}
 	return spec.Config.Validate()
-}
-
-func defaultBlockSize(g *Graph) int {
-	bs := g.NumVertices() / 256
-	if bs < 16 {
-		bs = 16
-	}
-	return bs
 }

@@ -90,26 +90,23 @@ func TestRuntimeValidatesSpecParams(t *testing.T) {
 	}
 }
 
-// TestRuntimeDistributed runs a real in-process cluster job through the
-// registry and checks the distributed stats surface.
+// TestRuntimeDistributed runs real in-process cluster jobs through the
+// registry and checks the distributed stats surface. The BlockSize 0 row
+// is the regression case: the Runtime boundary must default it like
+// Config.BlockSize, or the cluster cuts one |V|-sized block, clamps
+// itself to a single node and never sends a batch.
 func TestRuntimeDistributed(t *testing.T) {
 	g := ring(t, 128)
-	rt := NewRuntime()
-	h, err := rt.Run(context.Background(), NewJobSpec("cc", g,
-		WithClusterConfig(ClusterConfig{Nodes: 2, WorkersPerNode: 2, BlockSize: 16})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cluster == nil || res.Cluster.Nodes != 2 {
-		t.Fatalf("cluster stats missing or wrong: %+v", res.Cluster)
-	}
-	for v, l := range res.Uint {
-		if l != 0 {
-			t.Fatalf("label[%d] = %d, want 0", v, l)
+	for _, blockSize := range []int{16, 0} {
+		res := runSpec(t, NewJobSpec("cc", g,
+			WithClusterConfig(ClusterConfig{Nodes: 2, WorkersPerNode: 2, BlockSize: blockSize})))
+		if res.Cluster == nil || res.Cluster.Nodes != 2 || res.Cluster.BatchesSent == 0 {
+			t.Fatalf("BlockSize %d: cluster stats missing or wrong: %+v", blockSize, res.Cluster)
+		}
+		for v, l := range res.Uint {
+			if l != 0 {
+				t.Fatalf("BlockSize %d: label[%d] = %d, want 0", blockSize, v, l)
+			}
 		}
 	}
 }

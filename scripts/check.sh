@@ -141,6 +141,19 @@ if ! go run ./cmd/abcdlint -format json -baseline lint_baseline.json ./... >lint
     exit 1
 fi
 
+echo "== one kernel (the gather-apply loop exists once)"
+# internal/core/kernel.go is the only place the update rule may be written;
+# a second non-test caller of EdgeGather outside the reference oracles is
+# a second engine growing back.
+callers=$(grep -rl --include='*.go' '\.EdgeGather(' . |
+    grep -v -e '_test\.go$' -e '^\./internal/bcd/' -e '^\./internal/graphmat/' \
+        -e '^\./examples/' -e '^\./bench/' -e '^\./\.' || true)
+if [[ $(grep -c . <<<"$callers") -ne 1 ]]; then
+    echo "EdgeGather must be called from exactly one non-test file, found:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -176,6 +189,11 @@ go test -count=1 -run 'Fuzz' \
 
 echo "== chaos suite (seeded fault injection, race detector)"
 go test -race -count=1 -timeout 90s ./internal/chaos
+
+echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
+go test -race -count=1 -timeout 300s \
+    -run 'PageRankMatchesReference|SSSPExact|BFSExact|CCExact|EmptyAndTinyGraphs|KernelScatter|ReplayMatchesParentCommitTrace' \
+    ./internal/core ./internal/cluster
 
 echo "== socket chaos suite (TCP transport + mangling proxy, race detector)"
 # Full suite, not -short: this is the gate for the PageRank equivalence
