@@ -149,7 +149,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by cmd/abcdlint: the hot
 // roots are the engine's GATHER-APPLY loop, the SCATTER loop, the cluster
-// node's fused worker and batch applier, and the accelerator model's
+// node's fused worker and batch delivery, and the accelerator model's
 // per-task accounting — the paths a block task traverses on every update.
 func DefaultConfig() *Config {
 	return &Config{
@@ -157,7 +157,7 @@ func DefaultConfig() *Config {
 			"internal/core:GatherApply",
 			"internal/core:Scatter",
 			"internal/cluster:processBlock",
-			"internal/cluster:applyLoop",
+			"internal/cluster:Deliver",
 			"internal/accel:RunBlock",
 			"internal/accel:RunScatter",
 			"internal/accel:RunGather",

@@ -66,7 +66,12 @@ type Transport struct {
 	// sendMu fences senders against Close: Send holds it for read, and
 	// Close takes the write side before waiting on wg, so every wg.Add
 	// is ordered before the Wait (concurrent Add/Wait on a WaitGroup
-	// that may be at zero is a race). Uncontended in steady state.
+	// that may be at zero is a race). Uncontended in steady state. Send
+	// re-enters itself — an undelayed data delivery installs inline and
+	// acks through Send — and the nested read lock is safe because the
+	// one writer, Close, runs after the cluster has joined every
+	// originator of data envelopes (workers, retry loop); the deliveries
+	// still in flight by then were posted with a delay and run unlocked.
 	sendMu     sync.RWMutex
 	closed     atomic.Bool
 	wg         sync.WaitGroup // in-flight delayed deliveries
@@ -167,11 +172,12 @@ func (t *Transport) jitterLocked() time.Duration {
 // Blocking the sender here is the backpressure that keeps the producer
 // and consumer rates coupled.
 //
-// Acks are exempt from the cap: they are sent by the appliers — the very
-// consumers that drain the inboxes the capped data deliveries wait on —
-// so an applier blocking on a slot held by a delivery waiting for that
-// applier would deadlock the whole mesh. Ack goroutines are bounded by
-// the applied-data rate and live at most one jitter interval.
+// Acks are exempt from the cap: a node acks from inside deliver, so the
+// goroutine sending an ack is a delayed data delivery that still holds
+// its own slot. If acks needed a slot too, a full complement of data
+// deliveries finishing together would each wait for a slot only another
+// of them can release, and the mesh would deadlock. Ack goroutines are
+// bounded by the applied-data rate and live at most one jitter interval.
 func (t *Transport) post(to int, e cluster.Envelope, d time.Duration) {
 	if d <= 0 {
 		t.deliver(to, e)
@@ -198,7 +204,8 @@ func (t *Transport) post(to int, e cluster.Envelope, d time.Duration) {
 func (t *Transport) Close() {
 	// The write side waits out every in-flight Send, so after the store
 	// no new delivery goroutine can register; release before Wait so the
-	// appliers' late ack Sends (no-ops now) never queue behind it.
+	// late ack Sends of deliveries still in flight (no-ops now) never
+	// queue behind it.
 	t.sendMu.Lock()
 	t.closed.Store(true)
 	t.sendMu.Unlock()

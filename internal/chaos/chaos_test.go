@@ -10,6 +10,7 @@ package chaos_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +195,27 @@ func TestChaosPartitionExceedsDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("partition detection took %v", elapsed)
+	}
+}
+
+// Under the full fault mix with a mid-run kill, every goroutine the run
+// and the transport start — delayed deliveries, ack carriers, the fault
+// callback — is gone once Run has returned and Close has drained.
+func TestChaosRunLeavesNoGoroutines(t *testing.T) {
+	g := chaosGraph(t, 82)
+	before := runtime.NumGoroutine()
+	res, err := cluster.Run[float64, float64](context.Background(), g, bcd.PageRank{}, faultyCfg(4, 6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.NodesFailed != 1 {
+		t.Fatalf("NodesFailed = %d, want 1", res.Stats.NodesFailed)
+	}
+	// A joined goroutine is still counted for the instant between its
+	// last statement and its exit; give that instant, nothing more.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the run, %d after", before, runtime.NumGoroutine())
+		}
 	}
 }

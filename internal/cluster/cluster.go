@@ -17,6 +17,10 @@
 // There is one node implementation and two runtimes around it: Run
 // (inproc.go) hosts every node in this process over shared arrays, and
 // internal/cluster/tcp hosts one node per OS process over real sockets.
+// Both launch their nodes through Shared.Start and reach them one way:
+// the Transport is bound straight to Node.Deliver, so an envelope is
+// applied by whoever carries it and a node has no receive goroutine.
+// Latency, loss and reordering therefore belong to the Transport alone.
 //
 // The transport contract is deliberately weak: messages may be dropped,
 // duplicated, delayed, or reordered (internal/chaos injects exactly
@@ -63,17 +67,14 @@ type Config struct {
 	// MaxEpochs bounds total work at MaxEpochs * |V| vertex updates
 	// across the cluster; 0 means run to convergence.
 	MaxEpochs float64
-	// NetDelay delays every inter-node data message by this duration,
-	// modeling network latency. Asynchronous BCD requires only that the
-	// delay is bounded; correctness tests inject it.
-	NetDelay time.Duration
 	// BatchSize groups remote updates per message (amortizes the
 	// per-message cost, increases staleness). 0 means 64.
 	BatchSize int
 
 	// Transport overrides how envelopes move between nodes. nil means
 	// the perfect in-process transport; chaos.New builds a seeded faulty
-	// one (drops, duplicates, delay jitter, partitions).
+	// one (drops, duplicates, delay jitter, partitions). It is the one
+	// place latency is injected.
 	Transport Transport
 	// RetryBase is the initial at-least-once retransmission backoff for
 	// unacked batches; it doubles per attempt (capped at 50ms). 0 means
@@ -124,8 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative epsilon %g", c.Epsilon)
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("cluster: negative MaxEpochs %g", c.MaxEpochs)
-	case c.NetDelay < 0:
-		return fmt.Errorf("cluster: negative NetDelay %v", c.NetDelay)
 	case c.BatchSize < 0:
 		return fmt.Errorf("cluster: negative BatchSize %d", c.BatchSize)
 	case c.RetryBase < 0:

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,25 @@ import (
 	"graphabcd/internal/gen"
 	"graphabcd/internal/graph"
 )
+
+// delayed is a Transport that delivers every envelope d late, on a timer
+// goroutine — latency injected at the seam that owns it. Close waits out
+// the deliveries in flight, including the acks they send.
+type delayed struct {
+	d       time.Duration
+	deliver func(int, Envelope)
+	wg      sync.WaitGroup
+}
+
+func (t *delayed) Bind(_ int, deliver func(int, Envelope)) { t.deliver = deliver }
+func (t *delayed) Send(_, to int, e Envelope) {
+	t.wg.Add(1)
+	time.AfterFunc(t.d, func() {
+		defer t.wg.Done()
+		t.deliver(to, e)
+	})
+}
+func (t *delayed) Close() { t.wg.Wait() }
 
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -74,6 +95,12 @@ func eachClusterShape[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V
 			if nb := max(1, (g.NumVertices()+blockSize-1)/blockSize); res.Stats.Nodes != min(nodes, nb) {
 				t.Fatalf("%s: ran on %d nodes over %d blocks", name, res.Stats.Nodes, nb)
 			}
+			// The default transport loses nothing and delivers on the
+			// sender's goroutine, so nothing is ever retransmitted.
+			if res.Stats.BatchesRetried != 0 || res.Stats.BatchesDropped != 0 {
+				t.Fatalf("%s: loss-free transport retried %d and dropped %d of %d batches",
+					name, res.Stats.BatchesRetried, res.Stats.BatchesDropped, res.Stats.BatchesSent)
+			}
 			check(name, res.Values)
 		}
 	}
@@ -89,7 +116,6 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 1, WorkersPerNode: 1, BlockSize: -1},
 		{Nodes: 1, WorkersPerNode: 1, Epsilon: -1},
 		{Nodes: 1, WorkersPerNode: 1, MaxEpochs: -1},
-		{Nodes: 1, WorkersPerNode: 1, NetDelay: -time.Second},
 		{Nodes: 1, WorkersPerNode: 1, BatchSize: -1},
 	}
 	for i, cfg := range bad {
@@ -203,7 +229,7 @@ func TestDistributedToleratesNetworkDelay(t *testing.T) {
 	g := testGraph(t)
 	want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
 	cfg := baseCfg(4)
-	cfg.NetDelay = 2 * time.Millisecond
+	cfg.Transport = &delayed{d: 2 * time.Millisecond}
 	cfg.BatchSize = 16
 	res, err := Run[float64, float64](context.Background(), g, bcd.PageRank{}, cfg)
 	if err != nil {
@@ -333,7 +359,7 @@ func TestDistributedCancellation(t *testing.T) {
 	ctx, cancel2 := context.WithCancel(context.Background())
 	cfg = baseCfg(4)
 	cfg.Epsilon = 0
-	cfg.NetDelay = time.Millisecond
+	cfg.Transport = &delayed{d: time.Millisecond}
 	cfg.BatchSize = 4
 	go func() {
 		time.Sleep(25 * time.Millisecond)
@@ -373,6 +399,73 @@ func TestDistributedUnbatchedMessages(t *testing.T) {
 	for v := range want {
 		if d := math.Abs(res.Values[v] - want[v]); d > 1e-7 {
 			t.Fatalf("rank[%d] off by %g", v, d)
+		}
+	}
+}
+
+// blackhole is a Transport that loses every envelope.
+type blackhole struct{}
+
+func (blackhole) Bind(int, func(int, Envelope)) {}
+func (blackhole) Send(int, int, Envelope)       {}
+func (blackhole) Close()                        {}
+
+// Every goroutine Run starts — workers, the retry loop, the watchdog, a
+// transport's in-flight deliveries — is joined before Run returns, however
+// the run ends.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	g := testGraph(t)
+	endless := func(nodes int) Config {
+		cfg := baseCfg(nodes)
+		cfg.Epsilon = 0
+		return cfg
+	}
+	cases := []struct {
+		name    string
+		cfg     func() (context.Context, Config)
+		wantErr bool
+	}{
+		{name: "converged", cfg: func() (context.Context, Config) { return context.Background(), baseCfg(3) }},
+		{name: "cancelled", cfg: func() (context.Context, Config) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(10*time.Millisecond, cancel)
+			cfg := endless(4)
+			cfg.Transport = &delayed{d: time.Millisecond}
+			return ctx, cfg
+		}},
+		{name: "budget-stopped", cfg: func() (context.Context, Config) {
+			cfg := endless(2)
+			cfg.MaxEpochs = 2
+			return context.Background(), cfg
+		}},
+		{name: "failed past RetryDeadline", wantErr: true, cfg: func() (context.Context, Config) {
+			cfg := endless(2)
+			cfg.Transport = blackhole{}
+			cfg.RetryDeadline = 10 * time.Millisecond
+			return context.Background(), cfg
+		}},
+		{name: "node failed mid-run", cfg: func() (context.Context, Config) {
+			cfg := baseCfg(3)
+			cfg.OnStart = func(c Control) {
+				if err := c.FailNode(1); err != nil {
+					t.Errorf("FailNode: %v", err)
+				}
+			}
+			return context.Background(), cfg
+		}},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		ctx, cfg := tc.cfg()
+		if _, err := Run[float64, float64](ctx, g, bcd.PageRank{}, cfg); (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		// A joined goroutine is still counted for the instant between its
+		// last statement and its exit; give that instant, nothing more.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines before the run, %d after", tc.name, before, runtime.NumGoroutine())
+			}
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 // concurrent use and safe to call after the run has finished (they
 // become errors or no-ops).
 type Control interface {
-	// FailNode kills node id mid-run: its workers and applier stop, its
-	// unacked outgoing batches are abandoned, its blocks are reassigned
-	// to the surviving nodes, and the orphaned edge-cache state is
-	// rebuilt by re-scattering current owner values. The last live node
-	// cannot be failed.
+	// FailNode kills node id mid-run: its workers stop, its unacked
+	// outgoing batches are abandoned, its blocks are reassigned to the
+	// surviving nodes, and the orphaned edge-cache state is rebuilt by
+	// re-scattering current owner values. The last live node cannot be
+	// failed.
 	FailNode(id int) error
 	// LiveNodes returns the number of nodes still alive.
 	LiveNodes() int
@@ -46,7 +46,7 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		return fmt.Errorf("cluster: FailNode(%d): node already failed", id)
 	case c.liveNodes.Load() <= 1:
 		return fmt.Errorf("cluster: FailNode(%d): cannot fail the last live node", id)
-	case c.stopping.Load():
+	case c.Stopped():
 		return fmt.Errorf("cluster: FailNode(%d): run already stopping", id)
 	}
 
@@ -58,10 +58,9 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	c.sh0.Add(telemetry.CtrNodesFailed, 1)
 	c.liveNodes.Add(-1)
 
-	// 1. Kill: the node's workers observe the flag and exit; its applies
-	// discard, and senders never block on the dead inbox.
+	// 1. Kill: the node's workers observe the flag and exit; install
+	// refuses its traffic, and retryTick abandons batches addressed to it.
 	c.dead[id].Store(true)
-	close(c.down[id])
 
 	// 2. Pause the world. The fence write lock waits for every worker's
 	// in-progress claim-process-done iteration (so no scatter is mid-
@@ -101,8 +100,8 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	buf := make([]uint64, max(c.Values.Words(), 2))
 	var val V
 	for _, b := range adopted {
-		// 5a. In-edge slots: batches in flight *to* the dead node died
-		// with its inbox; recompute every slot from the source vertex's
+		// 5a. In-edge slots: batches in flight *to* the dead node were
+		// refused; recompute every slot from the source vertex's
 		// current value and re-activate the block on its heir so the
 		// refreshed inputs are re-processed.
 		lo, hi := c.Part.VertexRange(b)

@@ -14,14 +14,11 @@ import (
 
 // clusterRun is the in-process runtime: every Node of the cluster over
 // one Shared, plus what only exists when all nodes live in one address
-// space — inbox/applier glue (so NetDelay and transport backpressure
-// have a queue to act on), the failover fence, shared-atomic quiescence
-// detection, and the stall watchdog.
+// space — the failover fence, shared-atomic quiescence detection, and the
+// stall watchdog.
 type clusterRun[V, M any] struct {
 	*Shared[V, M]
 	nodes []*Node[V, M]
-	inbox []chan Envelope
-	down  []chan struct{} // closed by FailNode; the node's applier switches to discard mode
 
 	// fence serializes failover against normal execution: workers hold
 	// the read side for each claim-process-done iteration, FailNode
@@ -34,7 +31,6 @@ type clusterRun[V, M any] struct {
 
 	sh0       *telemetry.Shard // watchdog and failover counters
 	budget    int64            // vertex-update budget from MaxEpochs
-	done      chan struct{}    // closed at teardown; releases appliers
 	converged atomic.Bool
 }
 
@@ -61,14 +57,7 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 	c := &clusterRun[V, M]{
 		Shared: nodes[0].Shared,
 		nodes:  nodes,
-		inbox:  make([]chan Envelope, len(nodes)),
-		down:   make([]chan struct{}, len(nodes)),
-		done:   make(chan struct{}),
 		budget: 1<<63 - 1,
-	}
-	for i := range nodes {
-		c.inbox[i] = make(chan Envelope, 1024)
-		c.down[i] = make(chan struct{})
 	}
 	if cfg.MaxEpochs > 0 {
 		c.budget = int64(cfg.MaxEpochs * float64(g.NumVertices()))
@@ -98,35 +87,15 @@ func (c *clusterRun[V, M]) batchTotals() (sent uint64, inflight int64) {
 	return sent, inflight
 }
 
-// run starts every node's workers and applier, the retry and watchdog
-// goroutines, the coordinator, and collects the result.
+// run starts the nodes (Shared.start: the only goroutines are the
+// workers and the retry loop) and the watchdog, coordinates until the run
+// stops, and collects the result.
 func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	start := time.Now()
-	c.tr.Bind(len(c.nodes), c.deliverLocal)
-
-	var workers, appliers, aux sync.WaitGroup
-	for _, n := range c.nodes {
-		appliers.Add(1)
-		go func(n *Node[V, M]) {
-			defer appliers.Done()
-			defer c.recoverToFailure()
-			c.applyLoop(n)
-		}(n)
-		for w := 0; w < c.cfg.WorkersPerNode; w++ {
-			workers.Add(1)
-			go func(n *Node[V, M], w int) {
-				defer workers.Done()
-				n.work(w, func(ws *worker[V, M]) time.Duration { return c.fencedStep(n, ws) })
-			}(n, w)
-		}
-	}
-	aux.Add(2)
+	shutdown := c.start(ctx, c.deliver, c.nodes, c.fencedStep)
+	watched := make(chan struct{})
 	go func() {
-		defer aux.Done()
-		RetryLoop(ctx, c.nodes...)
-	}()
-	go func() {
-		defer aux.Done()
+		defer close(watched)
 		c.watchdog(ctx)
 	}()
 	if c.cfg.OnStart != nil {
@@ -134,17 +103,8 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	}
 
 	c.coordinate(ctx)
-	workers.Wait()
-	aux.Wait()
-	// Workers and the retry loop are gone, so no new data envelopes can
-	// originate. Close the transport (draining its in-flight delayed
-	// deliveries) while appliers still consume, then release the appliers
-	// via the done channel. Inboxes are never closed — appliers may still
-	// be sending acks into each other's inboxes right up to the moment
-	// they observe done, and a send racing a close would panic.
-	c.tr.Close()
-	close(c.done)
-	appliers.Wait()
+	shutdown()
+	<-watched
 
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -172,6 +132,12 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	return res, nil
 }
 
+// deliver is the transport's injection point: the envelope is applied to
+// its node here, on whichever goroutine the transport carried it in on.
+func (c *clusterRun[V, M]) deliver(to int, e Envelope) {
+	c.nodes[to].Deliver(to, e)
+}
+
 // fencedStep is a worker iteration under the failover fence. Workers
 // police the epoch budget themselves; the coordinator's polling interval
 // would otherwise allow a large overshoot. Backoff naps happen outside
@@ -190,46 +156,6 @@ func (c *clusterRun[V, M]) fencedStep(n *Node[V, M], ws *worker[V, M]) time.Dura
 	return n.step(ws)
 }
 
-// deliverLocal is the transport's injection point. Acks settle directly
-// on the delivering goroutine and never compete with data for inbox
-// space; data envelopes queue on the receiver's inbox and apply
-// backpressure. (A transport may still drop or delay the ack in flight;
-// the sender's retry of the idempotent batch covers that.)
-func (c *clusterRun[V, M]) deliverLocal(to int, e Envelope) {
-	if e.kind != envData {
-		c.nodes[to].Deliver(to, e)
-		return
-	}
-	// A parked channel send, never a poll loop: under heavy chaos tens of
-	// thousands of delayed deliveries can be in flight at once, and
-	// spin-waiting on a full inbox melts the scheduler. The two escape
-	// hatches are channels too — down unblocks senders to a dead node
-	// (the failover rebuild compensates for the batch), done unblocks
-	// everything at teardown (the run is over; the batch cannot matter).
-	select {
-	case c.inbox[to] <- e:
-	case <-c.down[to]:
-	case <-c.done:
-	}
-}
-
-// applyLoop feeds a node's inbox to its Deliver until the run's done
-// channel closes at shutdown. A failed node keeps draining (Deliver
-// discards) so senders never block on a dead node.
-func (c *clusterRun[V, M]) applyLoop(n *Node[V, M]) {
-	for {
-		select {
-		case <-c.done:
-			return
-		case e := <-c.inbox[n.ID]:
-			if c.cfg.NetDelay > 0 {
-				time.Sleep(time.Until(e.sentAt.Add(c.cfg.NetDelay)))
-			}
-			n.Deliver(n.ID, e)
-		}
-	}
-}
-
 // watchdog samples run progress once per watchdog period and counts the
 // periods in which nothing moved — neither a vertex update nor a batch
 // settled. The count surfaces as Stats.StallWindows so a hung or
@@ -246,7 +172,7 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-c.stopped:
+		case <-c.Done():
 			return
 		case <-tick.C:
 		}
@@ -263,7 +189,7 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 // context is cancelled, a failure is recorded, the epoch budget is
 // exhausted, or distributed quiescence is certain.
 func (c *clusterRun[V, M]) coordinate(ctx context.Context) {
-	for !c.stopping.Load() {
+	for !c.Stopped() {
 		switch {
 		case ctx.Err() != nil:
 			// Graceful cancellation: stop scheduling, keep the partial

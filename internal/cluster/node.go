@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +19,16 @@ import (
 // common: the block kernel (graph, program, partition, the value and
 // edge-cache arrays, and the block ownership table — each vertex value
 // is owned by one node, each in-edge slot by its destination's node),
-// the slot stamps, the envelope sequence, and the stop latch. The
-// in-process runtime hosts every node over one Shared; a -listen/-join
-// process hosts one node over its own (internal/cluster/tcp), whose graph
-// carries only that node's edge sections.
+// the slot stamps, the envelope sequence, and the stop latch (a worker
+// blocked on a full send window, e.g. under a partition, parks on its
+// Done channel — the retry loop strands the window slots of not-yet-due
+// batches when it exits). The in-process runtime hosts every node over
+// one Shared; a -listen/-join process hosts one node over its own
+// (internal/cluster/tcp), whose graph carries only that node's edge
+// sections.
 type Shared[V, M any] struct {
 	*core.Kernel[V, M]
+	*core.Latch
 	Tel *telemetry.Registry // never nil: a bare counter registry when the caller passed none
 
 	// slotSeq holds the write stamp of the last update applied to each
@@ -41,24 +46,17 @@ type Shared[V, M any] struct {
 	cfg    Config // defaults resolved
 	tr     Transport
 	shards []telemetry.Shard
-
-	// stopping is the cheap poll the hot loops read; stopped is the same
-	// fact as a closed channel for goroutines parked in a select — a
-	// worker blocked on a full send window (e.g. under a partition) needs
-	// a teardown escape, because the retry loop strands the window slots
-	// of not-yet-due batches when it exits.
-	stopping atomic.Bool
-	stopped  chan struct{}
-	stopOnce sync.Once
-	failure  atomic.Pointer[error]
 }
 
 // Node is one member of the cluster: a caller of the block kernel for
 // the blocks it owns, and the at-least-once delivery state machine
 // (unacked table, send window, stamp-guarded apply, retry) that carries
 // the batches the kernel's scatter builds for other owners over the
-// Transport. Both runtimes run this type; they differ only in how
-// envelopes reach Deliver and in how termination is detected.
+// Transport. Both runtimes run this type and launch it through
+// Shared.Start; they differ only in how termination is detected. An
+// envelope is delivered by whoever carries it — a worker or the retry
+// loop on a direct transport, a timer goroutine under injected delay, a
+// socket read loop over TCP: a node has no receive goroutine.
 type Node[V, M any] struct {
 	*Shared[V, M]
 	ID    int
@@ -101,10 +99,13 @@ type Node[V, M any] struct {
 
 // pending is one unacknowledged batch awaiting its ack or retransmission.
 type pending struct {
-	to        int
-	env       Envelope
-	attempts  int
-	nextRetry time.Time
+	to       int
+	env      Envelope
+	attempts int
+	// nextRetry (unix nanoseconds) is atomic because flush arms it after
+	// the first Send, outside unackedMu; retryTick reads and re-arms it
+	// under the lock.
+	nextRetry atomic.Int64
 	deadline  time.Time
 }
 
@@ -122,12 +123,12 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 	nb := kern.Part.NumBlocks()
 	s := &Shared[V, M]{
 		Kernel:  kern,
+		Latch:   core.NewLatch(),
 		Tel:     cfg.Telemetry,
 		slotSeq: make([]atomic.Uint64, g.NumEdges()),
 		dead:    make([]atomic.Bool, cfg.Nodes),
 		cfg:     cfg,
 		tr:      cfg.Transport,
-		stopped: make(chan struct{}),
 	}
 	if s.Tel == nil {
 		s.Tel = telemetry.New(telemetry.Options{})
@@ -194,32 +195,39 @@ func (s *Shared[V, M]) VertexRange(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Stop flips the run into teardown: workers exit at their next step,
-// blocked flushes return, the retry loop ends.
-func (s *Shared[V, M]) Stop() {
-	s.stopping.Store(true)
-	s.stopOnce.Do(func() { close(s.stopped) })
+// Start is the launch sequence both runtimes run: bind the transport to
+// deliver, start WorkersPerNode workers for each hosted node, and start
+// the retry loop. The returned shutdown is the matching teardown — stop
+// the run, join those goroutines, then close the transport, in that
+// order: once the workers and retries are gone no new data envelope can
+// originate, so Close only has in-flight deliveries left to drain.
+func (s *Shared[V, M]) Start(ctx context.Context, deliver func(to int, e Envelope), nodes ...*Node[V, M]) (shutdown func()) {
+	return s.start(ctx, deliver, nodes, (*Node[V, M]).step)
 }
 
-// fail records the first failure and stops the run.
-func (s *Shared[V, M]) fail(err error) {
-	s.failure.CompareAndSwap(nil, &err)
-	s.Stop()
-}
-
-// Err returns the run's recorded failure, if any.
-func (s *Shared[V, M]) Err() error {
-	if p := s.failure.Load(); p != nil {
-		return *p
+// start is Start with the worker iteration made explicit: the in-process
+// runtime passes step wrapped in its failover fence and epoch budget.
+func (s *Shared[V, M]) start(ctx context.Context, deliver func(to int, e Envelope), nodes []*Node[V, M], step func(*Node[V, M], *worker[V, M]) time.Duration) (shutdown func()) {
+	s.tr.Bind(s.cfg.Nodes, deliver)
+	var wg sync.WaitGroup
+	for _, n := range nodes {
+		for w := 0; w < s.cfg.WorkersPerNode; w++ {
+			wg.Add(1)
+			go func(n *Node[V, M], w int) {
+				defer wg.Done()
+				n.work(w, step)
+			}(n, w)
+		}
 	}
-	return nil
-}
-
-// recoverToFailure converts a worker or applier panic into a run failure
-// instead of a process crash. Deferred at every goroutine boundary.
-func (s *Shared[V, M]) recoverToFailure() {
-	if r := recover(); r != nil {
-		s.fail(fmt.Errorf("cluster: worker panic: %v", r))
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		retryLoop(ctx, nodes)
+	}()
+	return func() {
+		s.Stop()
+		wg.Wait()
+		s.tr.Close()
 	}
 }
 
@@ -261,20 +269,16 @@ func (n *Node[V, M]) newWorker(w int) (*worker[V, M], error) {
 	return &worker[V, M]{Worker: kw, sch: sch, deltas: make([]float64, n.Part.BlockSize())}, nil
 }
 
-// Work runs worker w until the run stops.
-func (n *Node[V, M]) Work(w int) { n.work(w, n.step) }
-
-// work is Work with the per-iteration body made explicit: the in-process
-// runtime wraps step in its failover fence and epoch budget.
-func (n *Node[V, M]) work(w int, step func(*worker[V, M]) time.Duration) {
-	defer n.recoverToFailure()
+// work runs worker w, one step per iteration, until step says to exit.
+func (n *Node[V, M]) work(w int, step func(*Node[V, M], *worker[V, M]) time.Duration) {
+	defer n.Recover("cluster: worker panic")
 	ws, err := n.newWorker(w)
 	if err != nil {
-		n.fail(err)
+		n.Fail(err)
 		return
 	}
 	for {
-		nap := step(ws)
+		nap := step(n, ws)
 		if nap < 0 {
 			return
 		}
@@ -288,7 +292,7 @@ func (n *Node[V, M]) work(w int, step func(*worker[V, M]) time.Duration) {
 // duration (0 = progress was made), or a negative duration when the
 // worker should exit.
 func (n *Node[V, M]) step(ws *worker[V, M]) time.Duration {
-	if n.stopping.Load() {
+	if n.Stopped() {
 		return -1
 	}
 	b, ok := ws.sch.Next()
@@ -317,7 +321,7 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 	deltas := ws.deltas[:hi-lo]
 	gStart := n.Tel.Stamp()
 	if _, err := n.GatherApply(lo, hi, deltas, nil, ws.Worker); err != nil {
-		n.fail(err)
+		n.Fail(err)
 		return
 	}
 	ws.Sh.Add(telemetry.CtrBlockUpdates, 1)
@@ -348,7 +352,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	if n.window != nil {
 		select {
 		case n.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
-		case <-n.stopped:
+		case <-n.Done():
 			// Teardown: the batch dies with the run. Under a partition
 			// the window slots held by undeliverable batches are never
 			// coming back, so this is the only way out.
@@ -371,15 +375,16 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(to, e.id, n.Tel.Stamp())
-	n.unackedMu.Lock()          //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
-	n.unacked[e.id] = &pending{ //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-		to:        to,
-		env:       e,
-		nextRetry: now.Add(n.cfg.RetryBase),
-		deadline:  now.Add(n.cfg.RetryDeadline),
-	}
+	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
+	u.nextRetry.Store(math.MaxInt64)
+	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
+	n.unacked[e.id] = u
 	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
 	n.tr.Send(n.ID, to, e)
+	// The retransmission clock starts once the first transmission has been
+	// handed over, not before: Send may deliver inline or block on
+	// backpressure, and a sender descheduled in there has lost nothing.
+	u.nextRetry.Store(time.Now().Add(n.cfg.RetryBase).UnixNano())
 }
 
 // Deliver is the transport's entry point into the node. Acks settle
@@ -501,17 +506,17 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 		case n.dead[p.to].Load():
 			delete(n.unacked, id)
 			abandoned++
-		case now.Before(p.nextRetry):
+		case now.UnixNano() < p.nextRetry.Load():
 		case now.After(p.deadline):
 			delete(n.unacked, id)
 			abandoned++
-			n.fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
+			n.Fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
 				id, n.ID, p.to, n.cfg.RetryDeadline, p.attempts))
 		default:
 			p.attempts++
 			// The shift is clamped so a long partition cannot overflow the
 			// backoff into a retransmission per tick.
-			p.nextRetry = now.Add(min(n.cfg.RetryBase<<min(p.attempts, 16), 50*time.Millisecond))
+			p.nextRetry.Store(now.Add(min(n.cfg.RetryBase<<min(p.attempts, 16), 50*time.Millisecond)).UnixNano())
 			n.due = append(n.due, p)
 		}
 	}
@@ -521,7 +526,7 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 		n.retire(abandoned)
 	}
 	for _, p := range n.due {
-		if n.stopping.Load() {
+		if n.Stopped() {
 			return
 		}
 		n.Ctl.Add(telemetry.CtrBatchesRetried, 1)
@@ -529,9 +534,9 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 	}
 }
 
-// RetryLoop drives retryTick for the given nodes of one Shared until the
+// retryLoop drives retryTick for the given nodes of one Shared until the
 // run stops or ctx ends.
-func RetryLoop[V, M any](ctx context.Context, nodes ...*Node[V, M]) {
+func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
 	s := nodes[0].Shared
 	tick := max(s.cfg.RetryBase/4, 200*time.Microsecond)
 	timer := time.NewTimer(tick)
@@ -540,7 +545,7 @@ func RetryLoop[V, M any](ctx context.Context, nodes ...*Node[V, M]) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-s.stopped:
+		case <-s.Done():
 			return
 		case <-timer.C:
 		}

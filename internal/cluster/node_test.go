@@ -264,7 +264,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				!strings.Contains(err.Error(), "transport partitioned beyond the retry deadline") {
 				t.Fatalf("deadline error = %v", err)
 			}
-			if !r.src.stopping.Load() {
+			if !r.src.Stopped() {
 				t.Fatal("failure did not stop the run")
 			}
 		}},

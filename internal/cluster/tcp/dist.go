@@ -21,7 +21,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"graphabcd/internal/bcd"
@@ -43,7 +42,10 @@ type DistConfig struct {
 	Source uint32
 	// BlockSize, WorkersPerNode, BatchSize, Epsilon, MaxUnacked,
 	// RetryBase, and RetryDeadline mean exactly what they mean in
-	// cluster.Config; zero values take the same defaults.
+	// cluster.Config. A zero BatchSize, MaxUnacked, RetryBase or
+	// RetryDeadline takes cluster.Config's default; a zero BlockSize is
+	// graph.DefaultBlockSize and a zero WorkersPerNode is 2. Epsilon has
+	// no default: 0 is literal (exact convergence), as in cluster.Config.
 	BlockSize      int
 	WorkersPerNode int
 	BatchSize      int
@@ -109,21 +111,11 @@ func (c DistConfig) checkpointInterval() time.Duration {
 	return c.CheckpointInterval
 }
 
-func (c DistConfig) transportOptions() Options {
-	o := c.Transport
-	if o.Telemetry == nil {
-		o.Telemetry = c.Telemetry
+func (c DistConfig) statsEvery() time.Duration {
+	if c.StatsEvery <= 0 {
+		return 500 * time.Millisecond
 	}
-	if o.Cluster == nil {
-		o.Cluster = c.Cluster
-	}
-	if o.StatsEvery <= 0 {
-		o.StatsEvery = c.StatsEvery
-	}
-	if o.Health == nil {
-		o.Health = c.Health
-	}
-	return o
+	return c.StatsEvery
 }
 
 // DistResult is a completed distributed run. Exactly one of Float/Uint
@@ -278,7 +270,15 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	// Phase 4: run. The coordinator is node 0 of the same data plane.
 	listeners := make([]net.Listener, cfg.Nodes)
 	listeners[0] = dataLn
-	tr := New(listeners, dataAddrs, cfg.transportOptions())
+	topts := cfg.Transport
+	if topts.Telemetry == nil {
+		topts.Telemetry = cfg.Telemetry
+	}
+	health := topts.Health
+	if health == nil {
+		health = cfg.Health
+	}
+	tr := New(listeners, dataAddrs, topts)
 	for _, j := range joiners {
 		if err := j.write(newFrame(fStart)); err != nil {
 			return fail(fmt.Errorf("tcp: start: %w", err))
@@ -287,7 +287,10 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	obslog.L().Info("cluster assembled, starting run",
 		"event", "cluster.start", "nodes", cfg.Nodes, "algo", cfg.Algo,
 		"vertices", snap.n, "edges", snap.m)
-	res, err := runDist(ctx, g, selfAssign, tr, joiners, nil, cfg.probeEvery(), start)
+	res, err := runDist(ctx, g, selfAssign, tr, distSide{
+		health: health, joiners: joiners, probeEvery: cfg.probeEvery(),
+		sink: cfg.Cluster, statsEvery: cfg.statsEvery(), began: start,
+	})
 	if err != nil {
 		return fail(err)
 	}
@@ -351,7 +354,7 @@ func Join(ctx context.Context, coordAddr string, opts Options) error {
 	listeners[assign.node] = dataLn
 	tr := New(listeners, assign.addrs, opts)
 	started = true
-	_, err = runDist(ctx, g, assign, tr, nil, cc, 0, time.Now())
+	_, err = runDist(ctx, g, assign, tr, distSide{health: opts.Health, cc: cc})
 	return err
 }
 
@@ -493,31 +496,44 @@ func listenSameHost(addr net.Addr) (net.Listener, string, error) {
 	return ln, net.JoinHostPort(host, port), nil
 }
 
+// distSide is the program-independent part of a distRun: which end of
+// the control lane this process is on, and where it reports. A joiner
+// has cc; the coordinator has the joiners and its round settings.
+type distSide struct {
+	health *telemetry.Health // readiness transitions; may be nil
+	cc     *ctrlConn         // joiner: the lane to the coordinator
+
+	joiners    []*ctrlConn
+	probeEvery time.Duration
+	sink       *telemetry.ClusterStats // merged telemetry; nil disables fStats rounds
+	statsEvery time.Duration
+	began      time.Time // Serve's entry, for DistResult.WallTime
+}
+
 // runDist dispatches on the assignment's algorithm code to the generic
-// node runtime. Exactly one of joiners (coordinator) and cc (joiner) is
-// non-nil.
-func runDist(ctx context.Context, g *graph.Graph, a distAssign, tr *Transport, joiners []*ctrlConn, cc *ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
+// node runtime.
+func runDist(ctx context.Context, g *graph.Graph, a distAssign, tr *Transport, side distSide) (*DistResult, error) {
 	switch a.algo {
 	case algoPR:
-		return runDistProg[float64, float64](ctx, g, a, bcd.PageRank{}, tr, joiners, cc, probeEvery, start)
+		return runDistProg[float64, float64](ctx, g, a, bcd.PageRank{}, tr, side)
 	case algoSSSP:
-		return runDistProg[float64, float64](ctx, g, a, bcd.SSSP{Source: a.source}, tr, joiners, cc, probeEvery, start)
+		return runDistProg[float64, float64](ctx, g, a, bcd.SSSP{Source: a.source}, tr, side)
 	case algoBFS:
-		return runDistProg[uint64, uint64](ctx, g, a, bcd.BFS{Source: a.source}, tr, joiners, cc, probeEvery, start)
+		return runDistProg[uint64, uint64](ctx, g, a, bcd.BFS{Source: a.source}, tr, side)
 	case algoCC:
-		return runDistProg[uint64, uint64](ctx, g, a, bcd.CC{}, tr, joiners, cc, probeEvery, start)
+		return runDistProg[uint64, uint64](ctx, g, a, bcd.CC{}, tr, side)
 	}
 	return nil, fmt.Errorf("tcp: unknown algorithm code %d", a.algo)
 }
 
-func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, prog bcd.Program[V, M], tr *Transport, joiners []*ctrlConn, cc *ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
+func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, prog bcd.Program[V, M], tr *Transport, side distSide) (*DistResult, error) {
 	cfg := a.cfg
 	cfg.Transport, cfg.Telemetry = tr, tr.opts.Telemetry
 	nodes, err := cluster.NewNodes(g, prog, cfg, []int{a.node})
 	if err != nil {
 		return nil, err
 	}
-	d := &distRun[V, M]{Node: nodes[0], a: a, tr: tr}
+	d := &distRun[V, M]{Node: nodes[0], distSide: side, a: a, tr: tr}
 	if t := d.Tel.Tracer(); t != nil {
 		// Node id as the Perfetto pid: merged per-node trace shards show
 		// up as distinct process tracks, and the transport's flow ids
@@ -529,19 +545,19 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 			err = d.ckpt.resumeNode()
 		}
 		if err != nil {
-			if cc != nil {
-				cc.sendError(err)
+			if d.cc != nil {
+				d.cc.sendError(err)
 			}
 			d.tr.Close()
 			return nil, err
 		}
 	}
-	d.start(ctx)
-	defer d.shutdown()
-	if cc == nil {
-		return d.coordinate(ctx, joiners, probeEvery, start)
+	shutdown := d.start(ctx)
+	defer shutdown()
+	if d.cc == nil {
+		return d.coordinate(ctx)
 	}
-	return nil, d.follow(ctx, cc)
+	return nil, d.follow(ctx)
 }
 
 // distRun is one process's share of a -listen/-join run: the cluster
@@ -551,9 +567,9 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 // collection, and checkpoint epochs (dist_ckpt.go).
 type distRun[V, M any] struct {
 	*cluster.Node[V, M]
+	distSide
 	a  distAssign
 	tr *Transport
-	wg sync.WaitGroup
 
 	// lastShipped is the cumulative NodeStats snapshot as of the last
 	// fStats delta this node shipped (or, on the coordinator, folded into
@@ -565,41 +581,26 @@ type distRun[V, M any] struct {
 	ckpt *distCheckpointer[V, M]
 }
 
-// start binds the transport and launches the workers and retry loop.
-// The node is ready — joined, assigned, state initialized or restored —
-// once start returns.
-func (d *distRun[V, M]) start(ctx context.Context) {
-	d.tr.Bind(d.a.cfg.Nodes, d.Deliver)
-	for w := 0; w < d.a.cfg.WorkersPerNode; w++ {
-		d.wg.Add(1)
-		go func(w int) {
-			defer d.wg.Done()
-			d.Work(w)
-		}(w)
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		cluster.RetryLoop(ctx, d.Node)
-	}()
-	if h := d.tr.opts.Health; h != nil {
-		h.SetReady(true, "running")
-	}
+// start launches the node (cluster.Shared.Start: bind, workers, retry
+// loop) and returns its shutdown. The node is ready — joined, assigned,
+// state initialized or restored — once start returns.
+func (d *distRun[V, M]) start(ctx context.Context) (shutdown func()) {
+	stop := d.Start(ctx, d.Deliver, d.Node)
+	d.setReady(true, "running")
 	lo, hi := d.BlockRange(d.ID)
 	obslog.L().Info("dist node running",
 		"event", "dist.start", "node", d.ID,
 		"blocks", hi-lo, "workers", d.a.cfg.WorkersPerNode)
+	return func() {
+		d.setReady(false, "stopped")
+		stop()
+	}
 }
 
-// shutdown stops the workers and closes the transport; safe to call
-// more than once.
-func (d *distRun[V, M]) shutdown() {
-	if h := d.tr.opts.Health; h != nil {
-		h.SetReady(false, "stopped")
+func (d *distRun[V, M]) setReady(ready bool, reason string) {
+	if d.health != nil {
+		d.health.SetReady(ready, reason)
 	}
-	d.Stop()
-	d.wg.Wait()
-	d.tr.Close()
 }
 
 func (d *distRun[V, M]) probe() probeReply {
@@ -630,8 +631,8 @@ func (d *distRun[V, M]) shipStatsDelta() telemetry.NodeStats {
 // for theirs. Rounds interleave with probe and checkpoint rounds on the
 // same lockstep control lane; a round reads counters without mutating
 // engine state, so it cannot disturb quiescence detection.
-func (d *distRun[V, M]) statsRound(joiners []*ctrlConn) error {
-	sink := d.tr.opts.Cluster
+func (d *distRun[V, M]) statsRound() error {
+	sink := d.sink
 	if sink == nil {
 		return nil
 	}
@@ -643,7 +644,7 @@ func (d *distRun[V, M]) statsRound(joiners []*ctrlConn) error {
 	}()
 	own := d.shipStatsDelta()
 	sink.Apply(&own)
-	for _, j := range joiners {
+	for _, j := range d.joiners {
 		if err := j.write(newFrame(fStats)); err != nil {
 			return fmt.Errorf("tcp: stats round: %w", err)
 		}
@@ -670,7 +671,8 @@ func (d *distRun[V, M]) statsRound(joiners []*ctrlConn) error {
 // scheduler-quiescent with zero unacked batches and identical monotone
 // sent/applied counters — nothing moved between the observations, so no
 // update exists anywhere in the system.
-func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, probeEvery time.Duration, start time.Time) (*DistResult, error) {
+func (d *distRun[V, M]) coordinate(ctx context.Context) (*DistResult, error) {
+	joiners := d.joiners
 	var prev []probeReply
 	quietRounds := 0
 	var nextCkpt time.Time
@@ -678,14 +680,14 @@ func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pro
 		nextCkpt = time.Now().Add(d.a.ckpt.interval)
 	}
 	var nextStats time.Time
-	if d.tr.opts.Cluster != nil {
-		nextStats = time.Now().Add(d.tr.opts.statsEvery())
+	if d.sink != nil {
+		nextStats = time.Now().Add(d.statsEvery)
 	}
 	for quietRounds < 2 {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(probeEvery):
+		case <-time.After(d.probeEvery):
 		}
 		if err := d.Err(); err != nil {
 			return nil, err
@@ -702,10 +704,10 @@ func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pro
 		}
 		// Telemetry aggregation rounds interleave the same way.
 		if !nextStats.IsZero() && !time.Now().Before(nextStats) {
-			if err := d.statsRound(joiners); err != nil {
+			if err := d.statsRound(); err != nil {
 				return nil, err
 			}
-			nextStats = time.Now().Add(d.tr.opts.statsEvery())
+			nextStats = time.Now().Add(d.statsEvery)
 		}
 		round := make([]probeReply, 0, len(joiners)+1)
 		round = append(round, d.probe())
@@ -747,7 +749,7 @@ func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pro
 
 	// Quiesced: run one final stats round so the merged snapshot covers
 	// the tail interval, then stop everyone and collect values.
-	if err := d.statsRound(joiners); err != nil {
+	if err := d.statsRound(); err != nil {
 		return nil, err
 	}
 	obslog.L().Info("cluster quiescent, collecting values",
@@ -771,7 +773,7 @@ func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pro
 			return nil, fmt.Errorf("tcp: done: %w", err)
 		}
 	}
-	res.WallTime = time.Since(start)
+	res.WallTime = time.Since(d.began)
 	res.Wire = d.tr.WireStats()
 	// Every node's owned range now sits in this node's value array.
 	switch vals := any(d.CollectValues()).(type) {
@@ -790,7 +792,8 @@ func (d *distRun[V, M]) coordinate(ctx context.Context, joiners []*ctrlConn, pro
 // mid-frame (which would desync the stream) needs the kernel to split a
 // tens-of-bytes loopback write — treated as the connection loss it
 // effectively is.
-func (d *distRun[V, M]) follow(ctx context.Context, cc *ctrlConn) error {
+func (d *distRun[V, M]) follow(ctx context.Context) error {
+	cc := d.cc
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -114,9 +114,7 @@ func (dc *distCheckpointer[V, M]) resumeNode() error {
 	// A scrape mid-restore would read a half-restored iterate: the node
 	// is explicitly not ready until the rebuild below completes (start()
 	// flips it back).
-	if h := d.tr.opts.Health; h != nil {
-		h.SetReady(false, "checkpoint resume")
-	}
+	d.setReady(false, "checkpoint resume")
 	obslog.L().Info("resuming from checkpoint",
 		"event", "ckpt.resume", "node", d.ID, "runID", dc.runID, "epoch", epoch)
 	n := int64(d.G.NumVertices())

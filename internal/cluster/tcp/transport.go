@@ -38,28 +38,11 @@ type Options struct {
 	// receiver will ever apply. 0 keeps the OS default.
 	SocketBuffer int
 
-	// The fields below tune the dist node runtime riding on this
-	// transport (Serve/Join), not the sockets themselves; the transport
-	// ignores them. They live here so a joiner can opt into the
-	// observability plane through Join's existing Options parameter.
-
-	// Cluster is the coordinator's merged telemetry sink; nil disables
-	// fStats aggregation rounds. Joiners leave it nil — they only ship
-	// deltas when asked.
-	Cluster *telemetry.ClusterStats
-	// StatsEvery is the coordinator's aggregation period (default 500ms
-	// when Cluster is set).
-	StatsEvery time.Duration
-	// Health, when non-nil, tracks the node's readiness transitions for
-	// the /readyz endpoint.
+	// Health, when non-nil, tracks the readiness transitions of the dist
+	// node riding on this transport, for the /readyz endpoint. The
+	// sockets ignore it; it lives here so a joiner can set it through
+	// Join's Options parameter.
 	Health *telemetry.Health
-}
-
-func (o Options) statsEvery() time.Duration {
-	if o.StatsEvery <= 0 {
-		return 500 * time.Millisecond
-	}
-	return o.StatsEvery
 }
 
 func (o Options) dialBackoff() time.Duration {
@@ -91,9 +74,10 @@ type WireStats = telemetry.WireCounters
 // dedicated writer goroutine that owns the connection and its
 // redial/backoff state. Data and acks travel in separate queues: data
 // enqueues with blocking backpressure so workers pace themselves to
-// wire speed, while acks enqueue without ever blocking — an applier
-// that had to wait for its own outbound queue while that queue's drain
-// depended on the peer's applier doing the same would deadlock the
+// wire speed, while acks enqueue without ever blocking — acks are sent
+// by the read loop that just delivered the batch, and a read loop that
+// had to wait for its own outbound queue while that queue's drain
+// depended on the peer's read loop doing the same would deadlock the
 // ring, so acks get a reserved, drop-on-full lane with writer priority.
 type link struct {
 	addr      string
@@ -353,7 +337,7 @@ func (t *Transport) acceptLoop(node int, ln net.Listener) {
 }
 
 // readLoop decodes envelope frames off one accepted connection and
-// injects them into node's inbox. Any framing, CRC, or decode error
+// delivers them to node on this goroutine. Any framing, CRC, or decode error
 // kills the connection; the peer's writer redials.
 func (t *Transport) readLoop(node int, conn net.Conn) {
 	defer func() {

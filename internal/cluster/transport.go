@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // envKind distinguishes the two message classes on the wire.
 type envKind int8
@@ -44,9 +41,12 @@ func (e Envelope) ID() uint64 { return e.id }
 // for concurrent use; envelopes handed to deliver after Close are the
 // implementation's responsibility to suppress.
 type Transport interface {
-	// Bind is called once before the run starts: deliver injects an
-	// envelope into the destination node's inbox (it may block briefly
-	// for backpressure and silently discards traffic to failed nodes).
+	// Bind is called once before the run starts. deliver applies an
+	// envelope to node `to` on the calling goroutine and, for a data
+	// batch, sends the ack back through this Transport before it
+	// returns — so Send is re-entered from inside deliver, and deliver
+	// may be called from any number of goroutines at once. A failed node
+	// refuses its traffic silently.
 	Bind(numNodes int, deliver func(to int, e Envelope))
 	// Send conveys e from node `from` to node `to`, asynchronously.
 	Send(from, to int, e Envelope)
@@ -63,21 +63,10 @@ type FaultCounter interface {
 }
 
 // directTransport is the default perfect in-process transport: every
-// envelope is delivered exactly once, immediately, in send order.
-type directTransport struct {
-	deliver func(int, Envelope)
-	closed  atomic.Bool
-}
+// envelope is delivered exactly once, inline, on the sender's goroutine.
+// Close has nothing to suppress: the cluster joins every sender first.
+type directTransport struct{ deliver func(int, Envelope) }
 
-func (t *directTransport) Bind(numNodes int, deliver func(int, Envelope)) {
-	t.deliver = deliver
-}
-
-func (t *directTransport) Send(from, to int, e Envelope) {
-	if t.closed.Load() {
-		return
-	}
-	t.deliver(to, e)
-}
-
-func (t *directTransport) Close() { t.closed.Store(true) }
+func (t *directTransport) Bind(_ int, deliver func(int, Envelope)) { t.deliver = deliver }
+func (t *directTransport) Send(_, to int, e Envelope)              { t.deliver(to, e) }
+func (t *directTransport) Close()                                  {}

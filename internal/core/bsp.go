@@ -41,7 +41,7 @@ func (e *engine[V, M]) runBSP() bool {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				defer e.recoverToFailure()
+				defer e.Recover(workerPanic)
 				e.stall(stage)
 				fn(i*n/workers, (i+1)*n/workers, e.worker(shard0+i))
 			}(i)
@@ -56,7 +56,7 @@ func (e *engine[V, M]) runBSP() bool {
 	epochsSeen := 0
 	for {
 		epochsSeen = e.fireEpochHook(epochsSeen)
-		if e.failed() || e.cancelled() || e.vertexUpdates() >= budget {
+		if e.Err() != nil || e.cancelled() || e.vertexUpdates() >= budget {
 			return false
 		}
 		e.stall("schedule")
@@ -70,7 +70,7 @@ func (e *engine[V, M]) runBSP() bool {
 			d, dv := slice(vlo, vhi)
 			edges, err := e.GatherApply(vlo, vhi, d, dv, w)
 			if err != nil {
-				e.fail(err)
+				e.Fail(err)
 			}
 			if sim := e.cfg.Sim; sim != nil && vlo < vhi {
 				sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes, int64(vhi-vlo)*e.valueBytes)

@@ -117,8 +117,8 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 	// whose ground truth is the |V| values array, and re-scattering is the
 	// same O(E) pass initialization already pays.
 	e.eachSlice(e.RebuildInEdges)
-	if err := e.failure.Load(); err != nil {
-		return *err // an edge-source failure during the rebuild
+	if err := e.Err(); err != nil {
+		return err // an edge-source failure during the rebuild
 	}
 	// Seed the progress counters so Stats and the MaxEpochs budget span
 	// the whole logical run, not just the post-resume segment.
@@ -149,7 +149,7 @@ func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		if err := ck.capture(); err != nil {
-			ck.e.fail(fmt.Errorf("core: checkpoint epoch %d: %w", ck.epoch+1, err))
+			ck.e.Fail(fmt.Errorf("core: checkpoint epoch %d: %w", ck.epoch+1, err))
 			return
 		}
 	}

@@ -80,11 +80,11 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 		// A lost schedule is a corrupt replay; surface the sink's first
 		// error as the run's.
 		if err := e.rec.Close(); err != nil {
-			e.fail(fmt.Errorf("core: schedule recording: %w", err))
+			e.Fail(fmt.Errorf("core: schedule recording: %w", err))
 		}
 	}
-	if errp := e.failure.Load(); errp != nil {
-		return nil, *errp
+	if err := e.Err(); err != nil {
+		return nil, err
 	}
 	return e.result(converged, time.Since(start)), nil
 }
@@ -94,6 +94,10 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 // its one-owner case) and everything that is scheduling around it.
 type engine[V, M any] struct {
 	*Kernel[V, M]
+	// Latch holds the first failure (an edge-source error, a worker panic);
+	// the scheduler aborts the run when it is set and Run returns it, and
+	// goroutines parked on channel sends abort on its Done channel.
+	*Latch
 	cfg Config
 	// ctx carries the run's cancellation signal; the scheduling loops
 	// poll it and stop gracefully with a partial result.
@@ -111,14 +115,6 @@ type engine[V, M any] struct {
 	sh0    *telemetry.Shard // scheduler/watchdog shard
 	live   bool             // tel records timings (histograms or tracing)
 	nv     int64            // |V|, cached for the staleness observation
-
-	// failure holds the first edge-source error; the scheduler aborts the
-	// run when it is set and Run returns it. failCh is closed alongside
-	// the first fail() so goroutines parked on channel sends can abort
-	// without polling.
-	failure  atomic.Pointer[error]
-	failCh   chan struct{}
-	failOnce sync.Once
 
 	deltaPool sync.Pool // *[]float64 buffers of block size
 	dvalPool  sync.Pool // *[]V out-delta buffers (operation-based mode)
@@ -162,9 +158,9 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	words := int64(k.Values.Words())
 	e := &engine[V, M]{
 		Kernel:     k,
+		Latch:      NewLatch(),
 		cfg:        cfg,
 		st:         sched.NewState(k.Part.NumBlocks()),
-		failCh:     make(chan struct{}),
 		valueBytes: words * 8,
 		edgeBytes:  words*8 + 4,
 	}
@@ -210,7 +206,7 @@ func (e *engine[V, M]) eachSlice(fn func(vlo, vhi int) error) {
 		go func(vlo, vhi int) {
 			defer wg.Done()
 			if err := fn(vlo, vhi); err != nil {
-				e.fail(err)
+				e.Fail(err)
 			}
 		}(w*n/workers, (w+1)*n/workers)
 	}
@@ -237,29 +233,17 @@ func (e *engine[V, M]) stall(stage string) {
 	}
 }
 
-// fail records the first edge-source error; the scheduler aborts the run.
-func (e *engine[V, M]) fail(err error) {
-	e.failure.CompareAndSwap(nil, &err)
-	e.failOnce.Do(func() { close(e.failCh) })
-}
-
-func (e *engine[V, M]) failed() bool { return e.failure.Load() != nil }
-
 // cancelled reports whether the run's context has been cancelled or has
 // passed its deadline.
 func (e *engine[V, M]) cancelled() bool {
 	return e.ctx != nil && e.ctx.Err() != nil
 }
 
-// recoverToFailure converts a worker panic into a run failure instead of
-// a process crash. Deferred at every worker-goroutine boundary; the
-// panicked worker's in-flight block stays unfinished, so the scheduler
-// exits through the failure check rather than quiescence.
-func (e *engine[V, M]) recoverToFailure() {
-	if r := recover(); r != nil {
-		e.fail(fmt.Errorf("core: worker panic: %v", r))
-	}
-}
+// workerPanic names the engine in the failure a recovered worker panic
+// becomes (Latch.Recover). The panicked worker's in-flight block stays
+// unfinished, so the scheduler exits through the failure check rather
+// than quiescence.
+const workerPanic = "core: worker panic"
 
 // watchdog counts sampling periods in which no vertex update happened,
 // surfacing them as Stats.StallWindows.
@@ -321,7 +305,7 @@ func (e *engine[V, M]) runBlocked() bool {
 		// Config.Validate rejects unknown policies, so this is normally
 		// unreachable — but a scheduler failure must surface as an error
 		// from Run, never crash the process.
-		e.fail(err)
+		e.Fail(err)
 		return false
 	}
 
@@ -382,39 +366,50 @@ func (e *engine[V, M]) runBlocked() bool {
 }
 
 // schedule is the termination unit plus scheduler of the Sec. IV-C flow
-// (steps 1-2): it selects blocks until the active list drains (converged)
-// or the epoch budget is exhausted.
+// (steps 1-2): it dispatches blocks until the active list drains
+// (converged) or the epoch budget is exhausted. The only mode-dependent
+// step is what one dispatch is: Async issues the scheduler's next block;
+// Barrier — the 'Barrier' baseline of Fig. 7 — issues a whole wave and
+// drains it.
 func (e *engine[V, M]) schedule(s sched.Scheduler, accelQ chan<- blockItem) bool {
-	if e.cfg.Mode == Barrier {
-		return e.scheduleBarrier(s, accelQ)
-	}
 	budget := e.maxVertexUpdates()
 	spins := 0
 	epochsSeen := 0
 	for {
 		e.stall("schedule")
 		epochsSeen = e.fireEpochHook(epochsSeen)
-		if e.failed() || e.cancelled() || e.vertexUpdates() >= budget {
+		if e.Err() != nil || e.cancelled() || e.vertexUpdates() >= budget {
 			return false
 		}
 		if e.st.Quiescent() {
 			return true
 		}
-		b, ok := s.Next()
-		if !ok {
+		issued, ok := 0, true
+		if e.cfg.Mode == Barrier {
+			issued, ok = e.dispatchWave(accelQ)
+		} else if b, claimed := s.Next(); claimed {
+			issued, ok = 1, e.dispatch(accelQ, b)
+		}
+		switch {
+		case !ok:
+			return false
+		case issued == 0:
 			// Nothing claimable: blocks are in flight. Yield and re-poll.
 			idle(&spins)
-			continue
-		}
-		spins = 0
-		e.sh0.Add(telemetry.CtrTasksIssued, 1)
-		if e.rec != nil {
-			e.rec.Record(b)
-		}
-		if !e.sendBlock(accelQ, b) {
-			return false
+		default:
+			spins = 0
 		}
 	}
+}
+
+// dispatch issues one claimed block: count it, record it for replay,
+// enqueue it. false means the queue can no longer drain (sendBlock).
+func (e *engine[V, M]) dispatch(accelQ chan<- blockItem, b int) bool {
+	e.sh0.Add(telemetry.CtrTasksIssued, 1)
+	if e.rec != nil {
+		e.rec.Record(b)
+	}
+	return e.sendBlock(accelQ, b)
 }
 
 // sendBlock enqueues a claimed block, aborting if a worker failure or
@@ -429,7 +424,7 @@ func (e *engine[V, M]) sendBlock(accelQ chan<- blockItem, b int) bool {
 	select {
 	case accelQ <- blockItem{b: b, enq: e.tel.Stamp()}:
 		return true
-	case <-e.failCh:
+	case <-e.Done():
 		return false
 	case <-cancel:
 		return false
@@ -444,7 +439,7 @@ func (e *engine[V, M]) sendTask(cpuQ chan<- task, t task) bool {
 	select {
 	case cpuQ <- t:
 		return true
-	case <-e.failCh:
+	case <-e.Done():
 		return false
 	}
 }
@@ -470,51 +465,30 @@ func (e *engine[V, M]) fireEpochHook(seen int) int {
 	return seen
 }
 
-// scheduleBarrier is the 'Barrier' baseline of Fig. 7: blocks are
-// dispatched in waves and a memory barrier (full drain of the gather-
-// apply-scatter chain) separates consecutive waves. Convergence behaviour
-// matches Async — the same blocks run with the same update rule — but PEs
-// idle at every wave tail.
-func (e *engine[V, M]) scheduleBarrier(s sched.Scheduler, accelQ chan<- blockItem) bool {
-	budget := e.maxVertexUpdates()
-	spins := 0
-	epochsSeen := 0
-	for {
-		e.stall("schedule")
-		epochsSeen = e.fireEpochHook(epochsSeen)
-		if e.failed() || e.cancelled() || e.vertexUpdates() >= budget {
-			return false
-		}
-		if e.st.Quiescent() {
-			return true
-		}
-		// Snapshot the active set: one wave is the blocks claimable *now*.
-		// Blocks activated while the wave runs wait for the next wave —
-		// that is what distinguishes synchronized execution from the
-		// async engine, where they would be dispatched immediately.
-		wave := 0
-		for b := 0; b < e.Part.NumBlocks(); b++ {
-			if e.st.Active(b) && !e.st.InFlight(b) && e.st.Claim(b) {
-				e.sh0.Add(telemetry.CtrTasksIssued, 1)
-				if e.rec != nil {
-					e.rec.Record(b)
-				}
-				if !e.sendBlock(accelQ, b) {
-					return false
-				}
-				wave++
+// dispatchWave issues one Barrier-mode wave and waits for the full drain
+// of the gather-apply-scatter chain that separates consecutive waves.
+// Convergence behaviour matches Async — the same blocks run with the same
+// update rule — but PEs idle at every wave tail.
+func (e *engine[V, M]) dispatchWave(accelQ chan<- blockItem) (wave int, ok bool) {
+	// Snapshot the active set: one wave is the blocks claimable *now*.
+	// Blocks activated while the wave runs wait for the next wave —
+	// that is what distinguishes synchronized execution from the
+	// async engine, where they would be dispatched immediately.
+	for b := 0; b < e.Part.NumBlocks(); b++ {
+		if e.st.Active(b) && !e.st.InFlight(b) && e.st.Claim(b) {
+			if !e.dispatch(accelQ, b) {
+				return wave, false
 			}
+			wave++
 		}
-		if wave == 0 {
-			idle(&spins)
-			continue
-		}
-		spins = 0
+	}
+	if wave > 0 {
 		e.awaitDrain()
 		if e.cfg.Sim != nil {
 			e.cfg.Sim.Barrier() // model the wave barrier's idle time
 		}
 	}
+	return wave, true
 }
 
 // awaitDrain blocks until every issued task has completed its scatter,
@@ -522,7 +496,7 @@ func (e *engine[V, M]) scheduleBarrier(s sched.Scheduler, accelQ chan<- blockIte
 func (e *engine[V, M]) awaitDrain() {
 	spins := 0
 	for e.tel.Total(telemetry.CtrTasksFinished) < e.tel.Total(telemetry.CtrTasksIssued) {
-		if e.failed() {
+		if e.Err() != nil {
 			return
 		}
 		idle(&spins)
@@ -544,7 +518,7 @@ func idle(spins *int) {
 // latency into its own telemetry shard; both calls are no-ops in the
 // bare-counter mode.
 func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task) {
-	defer e.recoverToFailure()
+	defer e.Recover(workerPanic)
 	w := e.worker(1 + i)
 	for it := range accelQ {
 		e.stall("gather")
@@ -569,7 +543,7 @@ func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task
 // also steals gather-apply tasks from the accelerator queue when no
 // scatter work is pending (Sec. IV-B).
 func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blockItem) {
-	defer e.recoverToFailure()
+	defer e.Recover(workerPanic)
 	w := e.worker(1 + e.cfg.NumPEs + j)
 	runHybrid := func(it blockItem, ok bool) bool {
 		if !ok {
@@ -642,7 +616,7 @@ func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task, int64) {
 	}
 	edges, err := e.GatherApply(lo, hi, (*t.deltas)[:hi-lo], dvals, w)
 	if err != nil {
-		e.fail(err)
+		e.Fail(err)
 		return t, 0
 	}
 	w.Sh.Add(telemetry.CtrBlockUpdates, 1)

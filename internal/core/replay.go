@@ -82,7 +82,7 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 		t, _ := e.gatherBlock(int(id), w)
 		e.scatterBlock(t, w)
 		e.st.Done(int(id))
-		if e.failed() {
+		if e.Err() != nil {
 			break
 		}
 		for n > 0 && e.vertexUpdates() >= nextEpoch*n {
@@ -90,8 +90,8 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 			nextEpoch++
 		}
 	}
-	if errp := e.failure.Load(); errp != nil {
-		return nil, *errp
+	if err := e.Err(); err != nil {
+		return nil, err
 	}
 	res := e.result(e.st.Quiescent(), time.Since(start))
 	return &ReplayResult[V]{Result: res, Residuals: residuals}, nil

@@ -573,6 +573,10 @@ func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) (graphabcd.JobSpec, er
 			Nodes:          req.Cluster.Nodes,
 			WorkersPerNode: req.Cluster.WorkersPerNode,
 			BlockSize:      req.Cluster.BlockSize,
+			// ClusterConfig has no defaults of its own for these two (a zero
+			// Epsilon is literal): it runs with what a plain job would get.
+			Epsilon:   cfg.Epsilon,
+			MaxEpochs: cfg.MaxEpochs,
 		}))
 	}
 	return graphabcd.NewJobSpec(req.Algorithm, g, opts...), nil

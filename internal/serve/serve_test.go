@@ -160,6 +160,19 @@ func TestSubmitPollValues(t *testing.T) {
 	if stats := final["stats"].(map[string]any); final["state"] != "done" || stats["nodes"] != 2.0 {
 		t.Fatalf("cluster job ended %v on %v nodes, want done on 2: %v", final["state"], stats["nodes"], final["error"])
 	}
+
+	// A cluster job runs under the request's max_epochs (and epsilon) like
+	// a plain one; dropped, this 256-hop SSSP ran its full ~16 epochs. The
+	// slack over 2 is the blocks in flight when the budget is reached.
+	code, body = postJob(t, ts, "", `{"algorithm":"sssp","graph":"ring","source":0,"max_epochs":2,"cluster":{"nodes":2,"workers_per_node":2}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("budgeted cluster submit: %d (%v)", code, body)
+	}
+	final = waitState(t, ts, body["id"].(string))
+	if stats := final["stats"].(map[string]any); final["state"] != "done" || stats["epochs"].(float64) > 2.5 || stats["converged"] != false {
+		t.Fatalf("budgeted cluster job ended %v after %v epochs (converged %v), want done within 2: %v",
+			final["state"], stats["epochs"], stats["converged"], final["error"])
+	}
 }
 
 func TestUnknownAlgorithmAndGraph(t *testing.T) {

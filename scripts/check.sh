@@ -154,6 +154,19 @@ if [[ $(grep -c . <<<"$callers") -ne 1 ]]; then
     exit 1
 fi
 
+echo "== one delivery path (a node has no receive queue)"
+# An envelope reaches a node one way: the Transport calls Node.Deliver on
+# the goroutine that carried it. An envelope channel or a NetDelay knob
+# under internal/cluster is the inbox/applier glue growing back.
+# (tcp/transport.go's socket queues hold encoded frames, below the seam.)
+queues=$(grep -rnE 'chan +(cluster\.)?Envelope|NetDelay' --include='*.go' internal/cluster |
+    grep -v -e '_test\.go:' -e '^internal/cluster/tcp/transport\.go:' || true)
+if [[ -n "$queues" ]]; then
+    echo "internal/cluster must not queue envelopes or delay them itself:" >&2
+    echo "$queues" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -187,8 +200,8 @@ go test -count=1 -run 'Fuzz' \
     ./internal/checkpoint ./internal/cluster ./internal/cluster/tcp \
     ./internal/edgestore ./internal/graph ./internal/word
 
-echo "== chaos suite (seeded fault injection, race detector)"
-go test -race -count=1 -timeout 90s ./internal/chaos
+echo "== cluster + chaos suites (direct delivery, seeded fault injection, FailNode; race detector, 3 runs)"
+go test -race -count=3 -timeout 600s ./internal/cluster ./internal/chaos
 
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
 go test -race -count=1 -timeout 300s \
