@@ -185,7 +185,7 @@ func allocAdvice(msg string) string {
 	case strings.Contains(msg, "fmt."):
 		return "move formatting out of the hot path"
 	default:
-		return "hoist the buffer into per-worker scratch or a sync.Pool"
+		return "hoist the buffer into per-worker scratch or a run-scoped free list"
 	}
 }
 

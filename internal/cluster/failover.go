@@ -97,7 +97,8 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	// any envelope created before this pause (retries keep their
 	// original id, so late redeliveries lose against the fence).
 	fenceSeq := c.seq.Add(1)
-	buf := make([]uint64, max(c.Values.Words(), 2))
+	buf := make([]uint64, c.Values.Words())
+	enc := make([]uint64, c.Values.Words())
 	var val V
 	for _, b := range adopted {
 		// 5a. In-edge slots: batches in flight *to* the dead node were
@@ -119,10 +120,10 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		// re-activate the destination blocks on their owners.
 		for v := lo; v < hi; v++ {
 			c.Values.LoadBuf(int64(v), &val, buf)
-			sval := c.Prog.ScatterValue(uint32(v), val, c.G)
+			c.Prog.Codec().Encode(c.Prog.ScatterValue(uint32(v), val, c.G), enc)
 			for i := c.G.OutOffset(v); i < c.G.OutOffset(v+1); i++ {
 				slot := c.G.OutPos(i)
-				c.Cache.StoreBuf(slot, sval, buf)
+				c.Cache.StoreWords(slot, enc)
 				c.slotSeq[slot].Store(fenceSeq)
 				db := c.Part.BlockOf(c.G.OutDst(i))
 				c.nodes[c.Owner[db].Load()].Sched.Activate(db, 1)

@@ -432,8 +432,11 @@ func (n *Node[V, M]) install(e Envelope) bool {
 			continue // stale redelivery: a newer write already landed
 		}
 		n.Cache.LoadBuf(slot, &n.old, n.buf)
-		n.Prog.Codec().DecodeInto(e.words[i*words:(i+1)*words], &n.incoming)
-		n.Cache.StoreBuf(slot, n.incoming, n.buf)
+		// The wire words are the sender's encoding: stored as they came,
+		// decoded only for the delta.
+		enc := e.words[i*words : (i+1)*words]
+		n.Prog.Codec().DecodeInto(enc, &n.incoming)
+		n.Cache.StoreWords(slot, enc)
 		n.slotSeq[slot].Store(e.id)
 		if d := n.Prog.Delta(n.old, n.incoming); d > n.cfg.Epsilon {
 			n.Sched.Activate(b, d)

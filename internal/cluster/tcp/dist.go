@@ -911,7 +911,7 @@ func (d *distRun[V, M]) receiveValues(cc *ctrlConn, node int) error {
 		for i := range raw {
 			raw[i] = binary.LittleEndian.Uint64(c.words[i*8:])
 		}
-		d.Values.RestoreWords(c.vlo, raw)
+		d.Values.StoreWords(c.vlo, raw)
 	}
 }
 

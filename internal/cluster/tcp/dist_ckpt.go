@@ -134,7 +134,7 @@ func (dc *distCheckpointer[V, M]) resumeNode() error {
 			return fmt.Errorf("tcp: resume epoch %d node %d: vertex range [%d,%d), want [%d,%d)",
 				epoch, node, st.VertexLo, st.VertexHi, wantVlo, wantVhi)
 		}
-		d.Values.RestoreWords(st.VertexLo, st.Values)
+		d.Values.StoreWords(st.VertexLo, st.Values)
 		if node != d.ID {
 			continue
 		}

@@ -112,7 +112,7 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 		st.VertexLo != 0 || st.VertexHi != n || st.BlockLo != 0 || st.BlockHi != nb {
 		return fmt.Errorf("core: resume %s epoch %d: state shape does not match the manifest", m.RunID, m.Epoch)
 	}
-	e.Values.RestoreWords(0, st.Values)
+	e.Values.StoreWords(0, st.Values)
 	// The cache is deliberately not checkpointed — it is |E| derived words
 	// whose ground truth is the |V| values array, and re-scattering is the
 	// same O(E) pass initialization already pays.

@@ -116,8 +116,11 @@ type engine[V, M any] struct {
 	live   bool             // tel records timings (histograms or tracing)
 	nv     int64            // |V|, cached for the staleness observation
 
-	deltaPool sync.Pool // *[]float64 buffers of block size
-	dvalPool  sync.Pool // *[]V out-delta buffers (operation-based mode)
+	// free recycles block buffers from the scatter stage back to the
+	// gather stage. A channel the run owns, so it is garbage with the run:
+	// a Pool of package sync here would keep the finished engine reachable
+	// through the runtime's pool list for two more GC cycles.
+	free chan *blockBuf[V]
 
 	// resumed is set when a checkpoint resume seeded values and scheduler
 	// state; runBlocked then skips the fresh-run ActivateAll (resume did
@@ -177,14 +180,10 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	e.tel.SetVertices(g.NumVertices())
 	e.tel.RegisterGauge("active_blocks", func() float64 { return float64(e.st.NumActive()) })
 	e.tel.RegisterGauge("residual", e.st.PendingMass)
-	e.deltaPool.New = func() any {
-		buf := make([]float64, k.Part.BlockSize())
-		return &buf
-	}
-	e.dvalPool.New = func() any {
-		buf := make([]V, k.Part.BlockSize())
-		return &buf
-	}
+	// A buffer is live from its gather's start to its scatter's end: at
+	// most one per worker plus the CPU queue's depth, so a put never finds
+	// the list full.
+	e.free = make(chan *blockBuf[V], cfg.NumPEs+cfg.NumScatter+max(cfg.QueueDepth, 2*cfg.NumScatter))
 	e.eachSlice(e.Init)
 	return e, nil
 }
@@ -281,12 +280,18 @@ type blockItem struct {
 	enq int64
 }
 
+// blockBuf is what one block's GATHER-APPLY leaves for its SCATTER, one
+// entry per block vertex.
+type blockBuf[V any] struct {
+	deltas []float64 // update magnitudes
+	dvals  []V       // out-deltas (operation-based programs only)
+}
+
 // task carries one processed block from GATHER-APPLY to SCATTER.
-type task struct {
-	block  int
-	deltas *[]float64 // per-vertex update magnitudes, pooled
-	dvals  any        // *[]V per-vertex out-deltas (operation-based only)
-	enq    int64      // Stamp at hand-off to the CPU queue
+type task[V any] struct {
+	block int
+	buf   *blockBuf[V] // recycled through engine.free
+	enq   int64        // Stamp at hand-off to the CPU queue
 	// gatherV is the global vertex-update count when the gather read its
 	// inputs; the scatter end subtracts it to observe per-block staleness
 	// in milli-epochs. 0 when timing is disabled.
@@ -332,7 +337,7 @@ func (e *engine[V, M]) runBlocked() bool {
 		return c
 	}
 	accelQ := make(chan blockItem, qcap(e.cfg.NumPEs))
-	cpuQ := make(chan task, qcap(e.cfg.NumScatter))
+	cpuQ := make(chan task[V], qcap(e.cfg.NumScatter))
 	e.tel.RegisterGauge("accel_queue_depth", func() float64 { return float64(len(accelQ)) })
 	e.tel.RegisterGauge("cpu_queue_depth", func() float64 { return float64(len(cpuQ)) })
 
@@ -435,7 +440,7 @@ func (e *engine[V, M]) sendBlock(accelQ chan<- blockItem, b int) bool {
 // same failure-aware discipline as sendBlock. Cancellation does not
 // abort it: the scatter stage outlives the gather stage at teardown, so
 // the send completes and the block retires cleanly in the partial result.
-func (e *engine[V, M]) sendTask(cpuQ chan<- task, t task) bool {
+func (e *engine[V, M]) sendTask(cpuQ chan<- task[V], t task[V]) bool {
 	select {
 	case cpuQ <- t:
 		return true
@@ -517,7 +522,7 @@ func idle(spins *int) {
 // hand off to the CPU task queue. It observes its queue wait and gather
 // latency into its own telemetry shard; both calls are no-ops in the
 // bare-counter mode.
-func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task) {
+func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task[V]) {
 	defer e.Recover(workerPanic)
 	w := e.worker(1 + i)
 	for it := range accelQ {
@@ -542,7 +547,7 @@ func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task
 // scatterWorker is one CPU thread (steps 8-11). With hybrid execution it
 // also steals gather-apply tasks from the accelerator queue when no
 // scatter work is pending (Sec. IV-B).
-func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blockItem) {
+func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task[V], hybridQ <-chan blockItem) {
 	defer e.Recover(workerPanic)
 	w := e.worker(1 + e.cfg.NumPEs + j)
 	runHybrid := func(it blockItem, ok bool) bool {
@@ -599,22 +604,22 @@ func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task, hybridQ <-chan blo
 }
 
 // gatherBlock runs the kernel's GATHER-APPLY over block b and packages the
-// per-vertex deltas, in pooled buffers, as the task the scatter side
+// per-vertex deltas, in a recycled buffer, as the task the scatter side
 // consumes. It returns the in-edges streamed, for the platform model.
 //
 //abcd:hotpath
-func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task, int64) {
+func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task[V], int64) {
 	lo, hi := e.Part.VertexRange(b)
-	t := task{block: b, deltas: e.deltaPool.Get().(*[]float64)}
-	var dvals []V
-	if e.op != nil {
-		p := e.dvalPool.Get().(*[]V)
-		t.dvals, dvals = p, (*p)[:hi-lo] // assigned only when non-nil: no typed nil in the interface
+	t := task[V]{block: b}
+	select {
+	case t.buf = <-e.free:
+	default:
+		t.buf = e.newBlockBuf()
 	}
 	if e.live {
 		t.gatherV = e.vertexUpdates()
 	}
-	edges, err := e.GatherApply(lo, hi, (*t.deltas)[:hi-lo], dvals, w)
+	edges, err := e.GatherApply(lo, hi, t.buf.deltas[:hi-lo], t.buf.dvals, w)
 	if err != nil {
 		e.Fail(err)
 		return t, 0
@@ -623,29 +628,35 @@ func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task, int64) {
 	return t, edges
 }
 
+// newBlockBuf allocates a block buffer; the free list makes that a
+// once-per-pipeline-slot cost.
+func (e *engine[V, M]) newBlockBuf() *blockBuf[V] {
+	b := &blockBuf[V]{deltas: make([]float64, e.Part.BlockSize())} //abcdlint:ignore hotpath -- free-list miss: at most once per pipeline slot per run, recycled from then on
+	if e.op != nil {
+		b.dvals = make([]V, e.Part.BlockSize()) //abcdlint:ignore hotpath -- free-list miss: see deltas above
+	}
+	return b
+}
+
 // scatterBlock runs the kernel's SCATTER for one gathered block and
 // retires it. Marking the block done last keeps the termination unit's
 // quiescence test sound. The CPU-queue wait, the scatter latency, and
 // the block's staleness are observed into the calling worker's shard.
 //
 //abcd:hotpath
-func (e *engine[V, M]) scatterBlock(t task, w *Worker[V, M]) {
+func (e *engine[V, M]) scatterBlock(t task[V], w *Worker[V, M]) {
 	e.stall("scatter")
 	start := e.tel.Stamp()
 	w.Sh.Observe(telemetry.StageCPUWait, start-t.enq)
 	w.Sh.Trace(telemetry.StageCPUWait, t.block, t.enq, start-t.enq)
 	lo, hi := e.Part.VertexRange(t.block)
-	var dvals []V
-	if t.dvals != nil {
-		dvals = (*t.dvals.(*[]V))[:hi-lo]
-	}
-	writes := e.Scatter(lo, hi, (*t.deltas)[:hi-lo], dvals, w)
+	writes := e.Scatter(lo, hi, t.buf.deltas[:hi-lo], t.buf.dvals, w)
 	if sim := e.cfg.Sim; sim != nil && writes > 0 {
 		sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
 	}
-	e.deltaPool.Put(t.deltas)
-	if t.dvals != nil {
-		e.dvalPool.Put(t.dvals.(*[]V))
+	select {
+	case e.free <- t.buf:
+	default:
 	}
 	e.st.Done(t.block)
 	w.Sh.Add(telemetry.CtrTasksFinished, 1)

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"graphabcd/internal/accel"
 	"graphabcd/internal/bcd"
@@ -93,9 +95,11 @@ func degenerateGraph(t *testing.T, seed int64, maxWeight int, symmetric bool) *g
 // stage and with 4+2 under priority, the hybrid steal, barrier waves, the
 // BSP sweeps, a pread snapshot as the edge source, and the replay of a
 // schedule recorded just before — and hands every converged result to
-// check, for block sizes 1, 7 and |V|.
+// check, for block sizes 1, 7 and |V|. Before any of them runs, the
+// kernel's store path is checked by hand on the same graph and program.
 func eachKernelCaller[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64, check func(name string, vals []V)) {
 	t.Helper()
+	scatterMatchesPerEdgeStores(t, g, prog, eps)
 	snapPath := filepath.Join(t.TempDir(), "g.gabs")
 	if err := graph.SaveFormat(snapPath, g, graph.FormatSnapshot); err != nil {
 		t.Fatal(err)
@@ -603,6 +607,34 @@ func TestKCoreExactOnSymmetricGraph(t *testing.T) {
 		for v := range want {
 			if res.Values[v] != want[v] {
 				t.Fatalf("%v: core[%d] = %d, want %d", policy, v, res.Values[v], want[v])
+			}
+		}
+	}
+}
+
+// TestFinishedRunIsGarbage: nothing may keep a run's engine — its |E|-word
+// cache array above all — reachable once RunContext has returned. The
+// witness is an edge source only the run's kernel refers to, the same
+// struct that holds the arrays. (Two sync.Pool fields on the engine once
+// did: a used Pool sits in the runtime's global pool list for two more GC
+// cycles, so back-to-back jobs stacked their engines up.)
+func TestFinishedRunIsGarbage(t *testing.T) {
+	g := testGraph(t)
+	run := func(prog bcd.Program[float64, float64], mode Mode) weak.Pointer[failingSource] {
+		witness := &failingSource{inner: edgestore.InMemory(g)}
+		witness.left.Store(math.MaxInt64)
+		cfg := Config{BlockSize: 16, Mode: mode, NumPEs: 2, NumScatter: 1, Epsilon: 1e-9, Edges: witness}
+		if _, err := RunContext[float64, float64](context.Background(), g, prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(witness)
+	}
+	for _, prog := range []bcd.Program[float64, float64]{bcd.PageRank{}, bcd.PageRankDelta{}} {
+		for _, mode := range []Mode{Async, Barrier, BSP} {
+			witness := run(prog, mode)
+			runtime.GC()
+			if witness.Value() != nil {
+				t.Errorf("%s, %v: the finished run's kernel is still reachable after a collection", prog.Name(), mode)
 			}
 		}
 	}

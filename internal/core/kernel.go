@@ -248,6 +248,17 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 // entries — the receiver stores and activates on arrival. It returns the
 // number of slots written.
 //
+// The store path: a vertex's image is the same on all its out-edges, so
+// it is encoded once, and its out-edge run is walked twice. Pass one only
+// loads the owned destination slots — ordinary MOVs, so the run's cache
+// misses are in flight together. Pass two does the atomic stores, each an
+// XCHG on amd64, a full fence. The split is per vertex and whole: in the
+// sizing runs, loading a fixed distance ahead inside the store loop was
+// slower than not loading at all (every XCHG drains the loads issued
+// before it) and a touch pass over a whole block's slots slower than the
+// per-vertex one. What each half is worth on the last host it was
+// measured on is in EXPERIMENTS.md.
+//
 //abcd:hotpath
 func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Worker[V, M]) int64 {
 	g := k.G
@@ -262,24 +273,24 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 			continue
 		}
 		activate := d > k.Epsilon
-		var sval, dval V
+		var dval V
 		if k.op != nil {
 			dval = dvals[v-vlo]
 		} else {
 			k.Values.LoadBuf(int64(v), &w.val, w.buf)
-			sval = k.Prog.ScatterValue(uint32(v), w.val, g)
+			k.Prog.Codec().Encode(k.Prog.ScatterValue(uint32(v), w.val, g), w.enc)
 		}
-		encoded := false
 		olo, ohi := g.OutOffset(v), g.OutOffset(v+1)
 		writes += ohi - olo
+		for i := olo; i < ohi; i++ {
+			if int(k.Owner[k.Part.BlockOf(g.OutDst(i))].Load()) == w.self {
+				k.Cache.Touch(g.OutPos(i))
+			}
+		}
 		for i := olo; i < ohi; i++ {
 			slot := g.OutPos(i)
 			db := k.Part.BlockOf(g.OutDst(i))
 			if owner := int(k.Owner[db].Load()); owner != w.self {
-				if !encoded {
-					k.Prog.Codec().Encode(sval, w.enc)
-					encoded = true
-				}
 				p := &w.Out[owner]
 				p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
 				p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
@@ -295,7 +306,7 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 					return k.op.AccumulateDelta(cur, dval)
 				})
 			} else {
-				k.Cache.StoreBuf(slot, sval, w.buf)
+				k.Cache.StoreWords(slot, w.enc)
 			}
 			if activate {
 				if w.mass[db] == 0 {

@@ -63,12 +63,23 @@ func (a *Array[V]) StoreBuf(i int64, v V, buf []uint64) {
 	}
 }
 
-// Fill stores v into every slot. Not atomic with respect to concurrent
-// writers; intended for initialization.
+// Touch reads the first word of value i and drops it: an ordinary load
+// whose only effect is to start the slot's cache line on its way in. A
+// run of Touches has its misses in flight together; a run of atomic
+// stores is a run of XCHGs, full fences, and overlaps only as far as the
+// core speculates past one — so a writer about to store scattered slots
+// touches them all first (core.Kernel.Scatter).
+func (a *Array[V]) Touch(i int64) {
+	atomic.LoadUint64(&a.data[i*int64(a.words)])
+}
+
+// Fill stores v into every slot, encoding it once. Not atomic with respect
+// to concurrent writers; intended for initialization.
 func (a *Array[V]) Fill(v V) {
-	buf := make([]uint64, a.words)
+	enc := make([]uint64, a.words)
+	a.codec.Encode(v, enc)
 	for i := int64(0); i < int64(a.Len()); i++ {
-		a.StoreBuf(i, v, buf)
+		a.StoreWords(i, enc)
 	}
 }
 
@@ -91,9 +102,11 @@ func (a *Array[V]) SnapshotWords(lo, hi int64, dst []uint64) int {
 	return int(n)
 }
 
-// RestoreWords stores src's raw words into values [lo, lo+len/words) with
-// per-word atomic stores — the checkpoint-resume inverse of SnapshotWords.
-func (a *Array[V]) RestoreWords(lo int64, src []uint64) {
+// StoreWords stores src's raw words into values [lo, lo+len/words) with
+// per-word atomic stores and no codec call: one value a writer encoded
+// once for many slots (SCATTER) or took off the wire already encoded, or
+// a run of values — the checkpoint-resume inverse of SnapshotWords.
+func (a *Array[V]) StoreWords(lo int64, src []uint64) {
 	base := lo * int64(a.words)
 	for w := range src {
 		atomic.StoreUint64(&a.data[base+int64(w)], src[w])

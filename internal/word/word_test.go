@@ -2,6 +2,7 @@ package word
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -342,6 +343,34 @@ func TestRMWPanicsOnMultiWord(t *testing.T) {
 	a.RMW(0, make([]uint64, 2), &cur, func(v []float32) []float32 { return v })
 }
 
+// The pre-encoded paths must leave exactly the words the per-value
+// StoreBuf leaves: one value encoded once into every slot (StoreWords,
+// Fill), and a Touch in between changes nothing.
+func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
+	codec := Vec32{Dim: 3} // 2 words per value, one padding lane
+	val := []float32{1.5, -2, 3.25}
+	enc := make([]uint64, codec.Words())
+	codec.Encode(val, enc)
+	want, stored, filled := NewArray[[]float32](codec, 5), NewArray[[]float32](codec, 5), NewArray[[]float32](codec, 5)
+	buf := make([]uint64, codec.Words())
+	for i := int64(0); i < 5; i++ {
+		want.StoreBuf(i, val, buf)
+		stored.StoreWords(i, enc)
+		stored.Touch(i)
+	}
+	filled.Fill(val)
+	snap := func(a *Array[[]float32]) []uint64 {
+		out := make([]uint64, 5*codec.Words())
+		a.SnapshotWords(0, 5, out)
+		return out
+	}
+	for name, a := range map[string]*Array[[]float32]{"StoreWords+Touch": stored, "Fill": filled} {
+		if got := snap(a); !slices.Equal(got, snap(want)) {
+			t.Errorf("%s left words %#x, StoreBuf leaves %#x", name, got, snap(want))
+		}
+	}
+}
+
 func TestArraySnapshotRestoreWords(t *testing.T) {
 	a := NewArray[[]float32](Vec32{Dim: 3}, 10) // 2 words per value
 	for i := int64(0); i < 10; i++ {
@@ -353,7 +382,7 @@ func TestArraySnapshotRestoreWords(t *testing.T) {
 		t.Fatalf("SnapshotWords wrote %d words, want %d", n, 4*words)
 	}
 	b := NewArray[[]float32](Vec32{Dim: 3}, 10)
-	b.RestoreWords(3, dst)
+	b.StoreWords(3, dst)
 	var got []float32
 	for i := int64(3); i < 7; i++ {
 		b.Load(i, &got)

@@ -154,6 +154,20 @@ if [[ $(grep -c . <<<"$callers") -ne 1 ]]; then
     exit 1
 fi
 
+echo "== no sync.Pool on a run (a used Pool pins its owner past the run)"
+# A Pool that has been used sits in the runtime's global pool list for two
+# more GC cycles, and a Pool that is a field keeps the whole struct around
+# it reachable that long: finished engines (8 MB cache arrays) stacked up
+# under back-to-back jobs. Run state recycles through a run-scoped free
+# list (engine.free) or per-worker scratch.
+pools=$(grep -rn 'sync\.Pool' --include='*.go' internal/core internal/cluster |
+    grep -v '_test\.go:' || true)
+if [[ -n "$pools" ]]; then
+    echo "internal/core and internal/cluster must not use sync.Pool:" >&2
+    echo "$pools" >&2
+    exit 1
+fi
+
 echo "== one delivery path (a node has no receive queue)"
 # An envelope reaches a node one way: the Transport calls Node.Deliver on
 # the goroutine that carried it. An envelope channel or a NetDelay knob
