@@ -185,6 +185,7 @@ func run() error {
 			tracePath:   *tracePath,
 			traceSample: *traceSample,
 			metricsAddr: *metricsAddr,
+			distributed: true,
 		}
 		var jses *telemetrySession
 		topts := tcp.Options{}
@@ -243,6 +244,7 @@ func run() error {
 		metricsAddr: *metricsAddr,
 		progress:    *progress,
 		cluster:     *listenAddr != "",
+		distributed: *listenAddr != "" || *nodes > 1,
 	}
 	var tses *telemetrySession
 	var telReg *telemetry.Registry

@@ -22,6 +22,7 @@ type telemetryOpts struct {
 	metricsAddr string // -metrics-addr: /metrics + expvar + pprof listener
 	progress    bool   // -progress: 1 Hz status line on stderr
 	cluster     bool   // coordinator: aggregate and expose cluster families
+	distributed bool   // cluster node: staleness is one-way delay in ms
 }
 
 // active reports whether any observability feature was requested.
@@ -40,6 +41,7 @@ type telemetrySession struct {
 	traceFile *os.File
 	tracePath string
 	listener  net.Listener
+	staleUnit string // "me" (milli-epochs) on one node, "ms" on a cluster node
 	stop      chan struct{}
 	done      chan struct{}
 }
@@ -47,7 +49,10 @@ type telemetrySession struct {
 // startTelemetry builds the registry and starts whatever the flags asked
 // for. On error everything already started is torn down.
 func startTelemetry(o telemetryOpts) (*telemetrySession, error) {
-	s := &telemetrySession{health: telemetry.NewHealth("starting")}
+	s := &telemetrySession{health: telemetry.NewHealth("starting"), staleUnit: "me"}
+	if o.distributed {
+		s.staleUnit = "ms"
+	}
 	if o.cluster {
 		s.cluster = telemetry.NewClusterStats()
 	}
@@ -194,11 +199,14 @@ func (s *telemetrySession) printReport() {
 		for _, name := range names {
 			st := snap.Stages[name]
 			if name == telemetry.StageStaleness.Name() {
-				// Staleness is in milli-epochs, not nanoseconds.
+				// Staleness is not in nanoseconds: the single-node engine
+				// counts milli-epochs, a cluster node the ms a batch spent
+				// in flight.
+				u := s.staleUnit
 				t.Row("  "+name, st.Count,
-					fmt.Sprintf("%.1fme", st.Mean), fmt.Sprintf("%dme", st.P50),
-					fmt.Sprintf("%dme", st.P95), fmt.Sprintf("%dme", st.P99),
-					fmt.Sprintf("%dme", st.Max))
+					fmt.Sprintf("%.1f%s", st.Mean, u), fmt.Sprintf("%d%s", st.P50, u),
+					fmt.Sprintf("%d%s", st.P95, u), fmt.Sprintf("%d%s", st.P99, u),
+					fmt.Sprintf("%d%s", st.Max, u))
 				continue
 			}
 			t.Row("  "+name, st.Count,

@@ -64,7 +64,6 @@ func faultyCfg(nodes int, seed uint64, killNode int) cluster.Config {
 		WorkersPerNode: 2,
 		Epsilon:        1e-12,
 		BatchSize:      8,
-		RetryBase:      500 * time.Microsecond,
 		Transport:      chaos.New(tcfg),
 	}
 	if killNode >= 0 {
@@ -148,7 +147,6 @@ func TestChaosAtLeastOnceAccounting(t *testing.T) {
 		WorkersPerNode: 2,
 		Epsilon:        1e-12,
 		BatchSize:      8,
-		RetryBase:      500 * time.Microsecond,
 		Transport:      tr,
 	}
 	res, err := cluster.Run[float64, float64](context.Background(), g, bcd.PageRank{}, cfg)
@@ -181,7 +179,6 @@ func TestChaosPartitionExceedsDeadline(t *testing.T) {
 		WorkersPerNode: 2,
 		Epsilon:        1e-12,
 		BatchSize:      8,
-		RetryBase:      time.Millisecond,
 		RetryDeadline:  50 * time.Millisecond,
 		Transport:      tr,
 	}

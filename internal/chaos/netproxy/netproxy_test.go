@@ -81,12 +81,7 @@ func proxiedCluster(t *testing.T, nodes int, pcfg netproxy.Config) (cluster.Conf
 		WorkersPerNode: 2,
 		Epsilon:        1e-12,
 		BatchSize:      8,
-		// The retry base must exceed the socket path's round trip
-		// (queue + proxy + apply + ack, ~10ms here): a base below it
-		// re-sends every healthy in-flight batch, and the redundant
-		// traffic compounds into a retry spiral under load.
-		RetryBase:     20 * time.Millisecond,
-		RetryDeadline: 60 * time.Second,
+		RetryDeadline:  60 * time.Second,
 		// A tight window keeps staleness low on the slow, lossy wire:
 		// fewer concurrently in-flight batches means less redundant
 		// recomputation and a small, fast retry scan.

@@ -25,7 +25,8 @@
 // The transport contract is deliberately weak: messages may be dropped,
 // duplicated, delayed, or reordered (internal/chaos injects exactly
 // those faults). The cluster compensates with at-least-once delivery —
-// unacked batches are retried with exponential backoff — and per-slot
+// unacked batches are retried after a timeout learned from each peer's
+// ack round trips, backing off while they keep timing out — and per-slot
 // write stamps that discard stale redeliveries. Nodes may also be killed
 // mid-run (Control.FailNode): the dead node's blocks are reassigned to
 // survivors and the orphaned edge-cache state is rebuilt by
@@ -76,10 +77,6 @@ type Config struct {
 	// one (drops, duplicates, delay jitter, partitions). It is the one
 	// place latency is injected.
 	Transport Transport
-	// RetryBase is the initial at-least-once retransmission backoff for
-	// unacked batches; it doubles per attempt (capped at 50ms). 0 means
-	// 2ms. Retries are idempotent by the state-based update discipline.
-	RetryBase time.Duration
 	// RetryDeadline bounds how long one batch may stay undelivered to a
 	// live node before the run fails (an unbounded partition is the one
 	// fault the cluster does not tolerate — see DESIGN.md §8). 0 means
@@ -127,8 +124,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative MaxEpochs %g", c.MaxEpochs)
 	case c.BatchSize < 0:
 		return fmt.Errorf("cluster: negative BatchSize %d", c.BatchSize)
-	case c.RetryBase < 0:
-		return fmt.Errorf("cluster: negative RetryBase %v", c.RetryBase)
 	case c.RetryDeadline < 0:
 		return fmt.Errorf("cluster: negative RetryDeadline %v", c.RetryDeadline)
 	}
@@ -147,9 +142,6 @@ func (c Config) WithDefaults() Config {
 		c.MaxUnacked = 1024
 	} else if c.MaxUnacked < 0 {
 		c.MaxUnacked = -1 // unbounded
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 2 * time.Millisecond
 	}
 	if c.RetryDeadline == 0 {
 		c.RetryDeadline = 30 * time.Second

@@ -46,6 +46,7 @@ type Shared[V, M any] struct {
 	cfg    Config // defaults resolved
 	tr     Transport
 	shards []telemetry.Shard
+	now    func() time.Time // every clock read of the delivery state machine; time.Now outside tests
 }
 
 // Node is one member of the cluster: a caller of the block kernel for
@@ -76,10 +77,12 @@ type Node[V, M any] struct {
 	inflight atomic.Int64
 
 	// unacked holds the sent-but-unacknowledged batches for the retry
-	// tick; due is the tick's reusable scratch.
+	// tick; due is the tick's reusable scratch; peers holds one
+	// retransmission timer estimate per destination node.
 	unackedMu sync.Mutex
 	unacked   map[uint64]*pending
 	due       []*pending
+	peers     []peerRTO
 
 	// window is the MaxUnacked flow-control semaphore: flush acquires a
 	// slot per batch it registers, and every path that retires an unacked
@@ -102,11 +105,105 @@ type pending struct {
 	to       int
 	env      Envelope
 	attempts int
-	// nextRetry (unix nanoseconds) is atomic because flush arms it after
-	// the first Send, outside unackedMu; retryTick reads and re-arms it
-	// under the lock.
-	nextRetry atomic.Int64
-	deadline  time.Time
+	// armed (unix nanoseconds) is when the latest transmission was handed
+	// over, math.MaxInt64 while the first Send is still running. It is
+	// atomic because flush arms it after that Send, outside unackedMu;
+	// retryTick reads and re-arms it under the lock.
+	armed    atomic.Int64
+	deadline time.Time
+}
+
+// Retransmission timing. A node learns one timeout per destination peer
+// from that peer's ack round trips (RFC 6298); these constants bound it.
+const (
+	// rtoMin floors the learned timeout: below it, a scheduler or GC
+	// pause on either end reads as loss.
+	rtoMin = time.Millisecond
+	// rtoInitial is a peer's timeout until its first round-trip sample,
+	// and about the slowest pace a silent peer is retried at.
+	rtoInitial = 50 * time.Millisecond
+	// rtoMax caps the timeout, backoff included, so a run of stalled round
+	// trips cannot park every later loss for longer.
+	rtoMax = time.Second
+	// retryEvery is the retry loop's period: the resolution of every
+	// timeout.
+	retryEvery = rtoMin / 4
+)
+
+// peerRTO is one destination peer's retransmission timer, guarded by
+// unackedMu. Every unacked batch to the peer is due once it has waited
+// timeout(): the RTO, srtt + 4·rttvar, doubled once per step of backoff.
+//
+// Karn's rule decides what moves it. The ack of a batch sent once lifts
+// the backoff and is a round-trip sample; the ack of a retransmitted
+// batch cannot say which transmission it answers and moves neither. A
+// first transmission that times out with no fresh ack since it was sent
+// says the path may be slower than the timeout: the peer backs off a
+// step, for every batch, and holds it until the next fresh ack. A
+// retransmission that times out says nothing new — the batch may just be
+// lost twice — so it does not. The backoff doubles the RTO once, and
+// again while under rtoInitial; beyond that, only while the peer keeps
+// answering (a slow path, which the backoff must outgrow for a fresh ack
+// to return) — not a peer gone silent, whose lost batches a longer
+// timeout only strands.
+type peerRTO struct {
+	srtt, rttvar time.Duration
+	rto          time.Duration // srtt + 4·rttvar clamped; 0 until the first sample
+	backoff      int
+	// Unix ns of the latest sample, ack of a batch sent once, first ack
+	// of any batch, and backoff step.
+	timed, acked, heard, stepped int64
+}
+
+// settled records, at unix ns `at`, the first ack of a batch first sent r
+// ago and retransmitted `retries` times. A batch sent once lifts the
+// backoff and, at most once per round trip, is a sample (RFC 6298 §2):
+// RFC 6298 times one transmission per round trip, and a window of acks
+// arriving together would otherwise be a burst of near-equal samples
+// that collapses rttvar.
+func (p *peerRTO) settled(retries int, r time.Duration, at int64) {
+	p.heard = at
+	if retries > 0 {
+		return
+	}
+	p.backoff, p.acked = 0, at
+	switch {
+	case p.rto == 0:
+		p.srtt, p.rttvar = r, r/2
+	case time.Duration(at-p.timed) < p.srtt:
+		return
+	default:
+		p.rttvar += (max(p.srtt-r, r-p.srtt) - p.rttvar) / 4
+		p.srtt += (r - p.srtt) / 8
+	}
+	p.rto = min(max(p.srtt+4*p.rttvar, rtoMin), rtoMax)
+	p.timed = at
+}
+
+// base is the learned RTO, or rtoInitial before the first sample.
+func (p *peerRTO) base() time.Duration {
+	if p.rto == 0 {
+		return rtoInitial
+	}
+	return p.rto
+}
+
+// timeout is how long a transmission to the peer waits for its ack.
+func (p *peerRTO) timeout() time.Duration { return min(p.base()<<p.backoff, rtoMax) }
+
+// expired records, at unix ns `now`, the timeout of a first transmission
+// handed over at unix ns `armed`.
+func (p *peerRTO) expired(armed, now int64) {
+	if armed < p.acked {
+		return // a fresh ack came in since: this batch was lost, not late
+	}
+	ceiling := max(2*p.base(), rtoInitial)
+	if p.heard > p.stepped {
+		ceiling = rtoMax
+	}
+	if p.timeout() < ceiling {
+		p.backoff, p.stepped = p.backoff+1, now
+	}
 }
 
 // NewNodes builds the shared state for a cfg.Nodes-node cluster over g
@@ -129,6 +226,7 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		dead:    make([]atomic.Bool, cfg.Nodes),
 		cfg:     cfg,
 		tr:      cfg.Transport,
+		now:     time.Now,
 	}
 	if s.Tel == nil {
 		s.Tel = telemetry.New(telemetry.Options{})
@@ -154,11 +252,13 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 			Ctl:     &s.shards[base+cfg.WorkersPerNode],
 			workers: s.shards[base : base+cfg.WorkersPerNode],
 			unacked: make(map[uint64]*pending),
+			peers:   make([]peerRTO, cfg.Nodes),
 			buf:     make([]uint64, max(s.Values.Words(), 2)),
 		}
 		if cfg.MaxUnacked > 0 {
 			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
+		n.registerRTOGauges()
 		if err := s.Init(s.VertexRange(id)); err != nil {
 			return nil, err
 		}
@@ -169,6 +269,27 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		nodes[k] = n
 	}
 	return nodes, nil
+}
+
+// registerRTOGauges exposes what the retransmission timer learned about
+// each peer: the smoothed round trip and the timeout a batch sent now
+// would wait, both in ms.
+func (n *Node[V, M]) registerRTOGauges() {
+	for peer := range n.peers {
+		if peer == n.ID {
+			continue
+		}
+		read := func(f func(p *peerRTO) time.Duration) func() float64 {
+			return func() float64 {
+				n.unackedMu.Lock()
+				defer n.unackedMu.Unlock()
+				return float64(f(&n.peers[peer])) / float64(time.Millisecond)
+			}
+		}
+		prefix := fmt.Sprintf("node%d_peer%d_", n.ID, peer)
+		n.Tel.RegisterGauge(prefix+"srtt_ms", read(func(p *peerRTO) time.Duration { return p.srtt }))
+		n.Tel.RegisterGauge(prefix+"rto_ms", read(func(p *peerRTO) time.Duration { return p.timeout() }))
+	}
 }
 
 // BlockRange returns the contiguous global block span [lo, hi) node i of
@@ -359,7 +480,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 			return
 		}
 	}
-	now := time.Now()
+	now := n.now()
 	e := Envelope{
 		kind:   envData,
 		from:   n.ID,
@@ -376,7 +497,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(to, e.id, n.Tel.Stamp())
 	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
-	u.nextRetry.Store(math.MaxInt64)
+	u.armed.Store(math.MaxInt64)
 	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
 	n.unacked[e.id] = u
 	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
@@ -384,7 +505,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	// The retransmission clock starts once the first transmission has been
 	// handed over, not before: Send may deliver inline or block on
 	// backpressure, and a sender descheduled in there has lost nothing.
-	u.nextRetry.Store(time.Now().Add(n.cfg.RetryBase).UnixNano())
+	u.armed.Store(n.now().UnixNano())
 }
 
 // Deliver is the transport's entry point into the node. Acks settle
@@ -450,7 +571,7 @@ func (n *Node[V, M]) install(e Envelope) bool {
 		// were in flight (sender's scatter to this apply), in ms — the
 		// bounded-delay quantity async-BCD convergence reasons about.
 		if !e.sentAt.IsZero() {
-			n.Ctl.Observe(telemetry.StageStaleness, int64(time.Since(e.sentAt)/time.Millisecond))
+			n.Ctl.Observe(telemetry.StageStaleness, int64(n.now().Sub(e.sentAt)/time.Millisecond))
 		}
 	}
 	return true
@@ -458,10 +579,18 @@ func (n *Node[V, M]) install(e Envelope) bool {
 
 // settle clears one unacked batch on first ack; duplicate acks find the
 // entry gone and release nothing, keeping inflight and the window exact.
+// The first ack of a batch sent once is a round-trip sample of its peer,
+// measured from before its Send so that an ack delivered inside that
+// Send counts too. A retransmitted batch's ack yields none (Karn's rule):
+// it cannot say which transmission it answers.
 func (n *Node[V, M]) settle(id uint64) {
+	now := n.now()
 	n.unackedMu.Lock()
-	_, ok := n.unacked[id]
-	delete(n.unacked, id)
+	p, ok := n.unacked[id]
+	if ok {
+		n.peers[p.to].settled(p.attempts, now.Sub(p.env.sentAt), now.UnixNano())
+		delete(n.unacked, id)
+	}
 	n.unackedMu.Unlock()
 	if ok {
 		n.retire(1)
@@ -496,30 +625,33 @@ func (n *Node[V, M]) abandonAll() {
 }
 
 // retryTick is one pass of the at-least-once delivery engine at time
-// now: it retransmits the due batches with exponential backoff, abandons
-// batches whose destination died (the failover rebuild is their
-// compensation), and fails the run if a batch to a live node outlived
-// its delivery deadline. Scan under the lock, send outside it.
+// now: it retransmits the batches that waited out their peer's timeout
+// (backing the peer off), abandons batches whose destination died (the
+// failover rebuild is their compensation), and fails the run if a batch
+// to a live node outlived its delivery deadline. Scan under the lock,
+// send outside it.
 func (n *Node[V, M]) retryTick(now time.Time) {
 	n.due = n.due[:0]
 	abandoned := 0
 	n.unackedMu.Lock()
 	for id, p := range n.unacked {
+		peer := &n.peers[p.to]
 		switch {
 		case n.dead[p.to].Load():
 			delete(n.unacked, id)
 			abandoned++
-		case now.UnixNano() < p.nextRetry.Load():
+		case time.Duration(now.UnixNano()-p.armed.Load()) < peer.timeout():
 		case now.After(p.deadline):
 			delete(n.unacked, id)
 			abandoned++
 			n.Fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
 				id, n.ID, p.to, n.cfg.RetryDeadline, p.attempts))
 		default:
+			if p.attempts == 0 {
+				peer.expired(p.armed.Load(), now.UnixNano())
+			}
 			p.attempts++
-			// The shift is clamped so a long partition cannot overflow the
-			// backoff into a retransmission per tick.
-			p.nextRetry.Store(now.Add(min(n.cfg.RetryBase<<min(p.attempts, 16), 50*time.Millisecond)).UnixNano())
+			p.armed.Store(now.UnixNano())
 			n.due = append(n.due, p)
 		}
 	}
@@ -541,8 +673,7 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 // run stops or ctx ends.
 func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
 	s := nodes[0].Shared
-	tick := max(s.cfg.RetryBase/4, 200*time.Microsecond)
-	timer := time.NewTimer(tick)
+	timer := time.NewTimer(retryEvery)
 	defer timer.Stop()
 	for {
 		select {
@@ -552,8 +683,8 @@ func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
 			return
 		case <-timer.C:
 		}
-		timer.Reset(tick)
-		now := time.Now()
+		timer.Reset(retryEvery)
+		now := s.now()
 		for _, n := range nodes {
 			n.retryTick(now)
 		}

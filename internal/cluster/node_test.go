@@ -14,9 +14,12 @@ import (
 
 // scriptTransport is a fake Transport that delivers nothing: it records
 // every Send and the test script decides what arrives, when, how often.
+// A script may set inline to also act from inside Send, the way the
+// direct and chaos transports deliver.
 type scriptTransport struct {
-	mu   sync.Mutex // only the blocked-flush case sends off the test goroutine
-	sent []scriptSend
+	mu     sync.Mutex // only the blocked-flush case sends off the test goroutine
+	sent   []scriptSend
+	inline func(Envelope)
 }
 
 type scriptSend struct {
@@ -30,6 +33,9 @@ func (t *scriptTransport) Send(from, to int, e Envelope) {
 	t.mu.Lock()
 	t.sent = append(t.sent, scriptSend{from, to, e})
 	t.mu.Unlock()
+	if t.inline != nil {
+		t.inline(e)
+	}
 }
 
 // take drains the recorded sends.
@@ -42,9 +48,9 @@ func (t *scriptTransport) take() []scriptSend {
 }
 
 // rig is a two-node cluster over one Shared and a scriptTransport, driven
-// step by step from the test goroutine. Node 0 is the sender under test,
-// node 1 the receiver. Every step ends in check, which asserts the
-// delivery state machine's conservation law.
+// step by step from the test goroutine on an injected clock. Node 0 is
+// the sender under test, node 1 the receiver. Every step ends in check,
+// which asserts the delivery state machine's conservation law.
 type rig struct {
 	t        *testing.T
 	tr       *scriptTransport
@@ -52,6 +58,7 @@ type rig struct {
 	edges    []remoteEdge // src-owned vertex -> dst-owned vertex
 	acked    uint64       // first acks the script delivered to src
 	t0       time.Time
+	clock    time.Time // what the nodes' now returns; only at and tick move it
 }
 
 // remoteEdge is one scatter target crossing from node 0 to node 1.
@@ -67,8 +74,7 @@ func newRig(t *testing.T, tune func(*Config)) *rig {
 		t.Fatal(err)
 	}
 	tr := &scriptTransport{}
-	cfg := Config{Nodes: 2, BlockSize: 16, WorkersPerNode: 1, Transport: tr,
-		RetryBase: time.Hour, RetryDeadline: 10 * time.Hour}
+	cfg := Config{Nodes: 2, BlockSize: 16, WorkersPerNode: 1, Transport: tr, RetryDeadline: 10 * time.Hour}
 	if tune != nil {
 		tune(&cfg)
 	}
@@ -77,6 +83,8 @@ func newRig(t *testing.T, tune func(*Config)) *rig {
 		t.Fatal(err)
 	}
 	r := &rig{t: t, tr: tr, src: nodes[0], dst: nodes[1], t0: time.Now()}
+	r.clock = r.t0
+	r.src.now = func() time.Time { return r.clock } // src and dst share one Shared
 	lo, hi := r.src.VertexRange(0)
 	for v := lo; v < hi; v++ {
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
@@ -171,13 +179,43 @@ func (r *rig) ack(a Envelope, first bool) {
 	r.check()
 }
 
+// at moves the clock to t0+d.
+func (r *rig) at(d time.Duration) {
+	r.t.Helper()
+	c := r.t0.Add(d)
+	if c.Before(r.clock) {
+		r.t.Fatalf("clock moved back from t0+%v to t0+%v", r.clock.Sub(r.t0), d)
+	}
+	r.clock = c
+}
+
 // tick runs the sender's retry pass at t0+d and returns the resends.
 func (r *rig) tick(d time.Duration) []scriptSend {
 	r.t.Helper()
-	r.src.retryTick(r.t0.Add(d))
+	r.at(d)
+	r.src.retryTick(r.clock)
 	out := r.tr.take()
 	r.check()
 	return out
+}
+
+// peer returns a copy of the sender's timer state for the receiver.
+func (r *rig) peer() peerRTO {
+	r.src.unackedMu.Lock()
+	defer r.src.unackedMu.Unlock()
+	return r.src.peers[1]
+}
+
+// roundTrip sends one batch at t0+d, acks it at t0+d+rtt — one fresh
+// sample — and returns the peer state after it.
+func (r *rig) roundTrip(d, rtt time.Duration) peerRTO {
+	r.t.Helper()
+	r.at(d)
+	e := r.sendBatch(r.edges[3], 0.5)
+	acks := r.deliver(*e)
+	r.at(d + rtt)
+	r.ack(acks[0], true)
+	return r.peer()
 }
 
 func (r *rig) slotValue(slot int64) float64 {
@@ -187,6 +225,7 @@ func (r *rig) slotValue(slot int64) float64 {
 }
 
 func TestNodeDeliveryStateMachine(t *testing.T) {
+	const ms = time.Millisecond
 	cases := []struct {
 		name string
 		tune func(*Config)
@@ -213,18 +252,19 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				}
 			}},
 		{name: "retry backs off, redelivery is acked again", run: func(t *testing.T, r *rig) {
+			r.roundTrip(0, 4*ms) // rto 12 ms
 			a := r.sendBatch(r.edges[0], 0.25)
-			if got := r.tick(time.Minute); len(got) != 0 {
-				t.Fatalf("retried %d batches before RetryBase elapsed", len(got))
+			if got := r.tick(16*ms - time.Nanosecond); len(got) != 0 {
+				t.Fatalf("retried %d batches before the timeout", len(got))
 			}
-			got := r.tick(time.Hour + time.Minute)
+			got := r.tick(16 * ms)
 			if len(got) != 1 || got[0].env.id != a.id || got[0].to != 1 {
 				t.Fatalf("retry sent %+v", got)
 			}
-			if got := r.tick(time.Hour + time.Minute + time.Millisecond); len(got) != 0 {
-				t.Fatal("retried again inside the backoff window")
+			if got := r.tick(40*ms - time.Nanosecond); len(got) != 0 {
+				t.Fatal("retried again inside the doubled timeout")
 			}
-			if got := r.tick(time.Hour + 2*time.Minute); len(got) != 1 {
+			if got := r.tick(40 * ms); len(got) != 1 {
 				t.Fatalf("second retry sent %d batches", len(got))
 			}
 			if n := r.src.Tel.Total(telemetry.CtrBatchesRetried); n != 2 {
@@ -237,6 +277,150 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			}
 			r.ack(first[0], true)
 			r.ack(again[0], false)
+		}},
+		{name: "the first sample sets srtt and rttvar, later ones smooth them", run: func(t *testing.T, r *rig) {
+			if p := r.roundTrip(0, 8*ms); p.srtt != 8*ms || p.rttvar != 4*ms || p.rto != 24*ms {
+				t.Fatalf("after an 8 ms sample: %+v, want srtt 8ms rttvar 4ms rto 24ms", p)
+			}
+			// rttvar = 3/4·4 + 1/4·|8−16| = 5, srtt = 7/8·8 + 1/8·16 = 9.
+			if p := r.roundTrip(10*ms, 16*ms); p.srtt != 9*ms || p.rttvar != 5*ms || p.rto != 29*ms {
+				t.Fatalf("after a 16 ms sample: %+v, want srtt 9ms rttvar 5ms rto 29ms", p)
+			}
+			// One sample per round trip: an ack within srtt of the last
+			// sample is not one.
+			if p := r.roundTrip(26*ms, 5*ms); p.srtt != 9*ms || p.rttvar != 5*ms {
+				t.Fatalf("an ack 5 ms after a sample moved the estimate: %+v", p)
+			}
+		}},
+		{name: "an ack delivered inside Send is a sample", run: func(t *testing.T, r *rig) {
+			// The direct and chaos transports deliver on the sender's
+			// goroutine: the batch settles before flush arms its timer.
+			r.tr.inline = func(e Envelope) {
+				if e.kind == envData {
+					r.at(3 * ms)
+					r.dst.Deliver(1, e)
+				} else {
+					r.acked++
+					r.src.Deliver(0, e)
+				}
+			}
+			r.src.flush(1, r.batchFor(r.edges[0], 0.25), &r.src.workers[0])
+			if sends := r.tr.take(); len(sends) != 2 || sends[1].env.kind != envAck {
+				t.Fatalf("inline flush sent %+v, want the batch and its ack", sends)
+			}
+			r.check()
+			if p := r.peer(); p.srtt != 3*ms {
+				t.Fatalf("inline ack left %+v, want a 3 ms sample", p)
+			}
+		}},
+		{name: "Karn: the ack of a retransmitted batch moves nothing", run: func(t *testing.T, r *rig) {
+			r.roundTrip(0, 4*ms) // srtt 4, rttvar 2, rto 12 ms
+			a := r.sendBatch(r.edges[0], 0.25)
+			if got := r.tick(16 * ms); len(got) != 1 {
+				t.Fatalf("retry sent %d batches", len(got))
+			}
+			acks := r.deliver(*a)
+			r.at(21 * ms)
+			r.ack(acks[0], true)
+			if p := r.peer(); p.srtt != 4*ms || p.rttvar != 2*ms || p.rto != 12*ms || p.backoff != 1 {
+				t.Fatalf("ack of a retransmitted batch moved the estimator: %+v", p)
+			}
+			// rttvar = 3/4·2 + 1/4·|4−6| = 2, srtt = 7/8·4 + 1/8·6 = 4.25.
+			if p := r.roundTrip(21*ms, 6*ms); p.srtt != 4250*time.Microsecond || p.rttvar != 2*ms || p.backoff != 0 {
+				t.Fatalf("the next fresh ack is a sample: %+v", p)
+			}
+		}},
+		{name: "a timeout holds the doubled timeout for later batches until a fresh sample", run: func(t *testing.T, r *rig) {
+			if p := r.roundTrip(0, 4*ms); p.rto != 12*ms {
+				t.Fatalf("rto %v, want 12ms", p.rto)
+			}
+			a := r.sendBatch(r.edges[0], 0.25) // at 4 ms
+			if got := r.tick(16 * ms); len(got) != 1 || got[0].env.id != a.id {
+				t.Fatalf("retry sent %+v", got)
+			}
+			r.ack(r.deliver(*a)[0], true)
+			if p := r.peer(); p.backoff != 1 || p.timeout() != 24*ms {
+				t.Fatalf("after a timeout and an ambiguous ack: %+v, want backoff 1 (24 ms)", p)
+			}
+			b := r.sendBatch(r.edges[1], 0.5) // a new batch, at 16 ms
+			if got := r.tick(40*ms - time.Nanosecond); len(got) != 0 {
+				t.Fatal("a batch sent after a timeout was retried before the doubled timeout")
+			}
+			if got := r.tick(40 * ms); len(got) != 1 || got[0].env.id != b.id {
+				t.Fatalf("retry sent %+v", got)
+			}
+			if p := r.peer(); p.backoff != 2 {
+				t.Fatalf("backoff %d after a second timeout, want 2", p.backoff)
+			}
+			r.ack(r.deliver(*b)[0], true)
+			// rttvar = 3/4·2 + 1/4·0 = 1.5, srtt 4: rto 10 ms, backoff lifted.
+			if p := r.roundTrip(41*ms, 4*ms); p.backoff != 0 || p.rto != 10*ms {
+				t.Fatalf("a fresh sample left %+v, want backoff 0 rto 10ms", p)
+			}
+			c := r.sendBatch(r.edges[2], 0.75) // at 45 ms
+			if got := r.tick(55*ms - time.Nanosecond); len(got) != 0 {
+				t.Fatal("retried before the learned timeout")
+			}
+			if got := r.tick(55 * ms); len(got) != 1 || got[0].env.id != c.id {
+				t.Fatalf("retry sent %+v", got)
+			}
+		}},
+		{name: "a batch lost while the peer answers others, or lost again, backs nothing off", run: func(t *testing.T, r *rig) {
+			r.roundTrip(0, 4*ms)
+			a := r.sendBatch(r.edges[0], 0.25) // at 4 ms
+			// rttvar = 3/4·2 + 1/4·0 = 1.5, srtt 4: rto 10 ms.
+			if p := r.roundTrip(5*ms, 4*ms); p.rto != 10*ms {
+				t.Fatalf("rto %v, want 10ms", p.rto)
+			}
+			if got := r.tick(14 * ms); len(got) != 1 || got[0].env.id != a.id {
+				t.Fatalf("retry sent %+v", got)
+			}
+			if got := r.tick(24 * ms); len(got) != 1 || got[0].env.id != a.id {
+				t.Fatalf("second retry sent %+v", got)
+			}
+			if p := r.peer(); p.backoff != 0 {
+				t.Fatalf("backoff %d, want 0", p.backoff)
+			}
+		}},
+		{name: "the timeout stays inside its clamps, backoff included", run: func(t *testing.T, r *rig) {
+			if p := r.roundTrip(0, 100*time.Microsecond); p.rto != rtoMin {
+				t.Fatalf("100µs round trip: rto %v, want the %v floor", p.rto, rtoMin)
+			}
+			// A silent peer's timeout doubles while it is under rtoInitial.
+			at := 100 * time.Microsecond
+			var silent []*Envelope
+			for i := 0; i < 10; i++ {
+				r.at(at)
+				silent = append(silent, r.sendBatch(r.edges[i%3], 0.25))
+				p := r.peer()
+				at += p.timeout()
+				r.tick(at)
+			}
+			if p := r.peer(); p.timeout() != 64*ms {
+				t.Fatalf("silent peer's timeout %v, want 64ms", p.timeout())
+			}
+			// A peer that answers, if only ambiguously, is backed off up
+			// to rtoMax: each first transmission that times out doubles it.
+			for _, e := range silent {
+				r.ack(r.deliver(*e)[0], true)
+			}
+			for i, wait := range []time.Duration{64 * ms, 128 * ms, 256 * ms, 512 * ms, rtoMax, rtoMax} {
+				b := r.sendBatch(r.edges[i%3], 0.25)
+				at += wait
+				if got := r.tick(at - time.Nanosecond); len(got) != 0 {
+					t.Fatalf("timeout %d: retried before %v", i, wait)
+				}
+				if got := r.tick(at); len(got) != 1 || got[0].env.id != b.id {
+					t.Fatalf("timeout %d: retry after %v sent %+v", i, wait, got)
+				}
+				acks := r.deliver(*b)
+				at += time.Nanosecond
+				r.at(at)
+				r.ack(acks[0], true)
+			}
+			if p := r.roundTrip(at, 3*time.Second); p.rto != rtoMax || p.backoff != 0 {
+				t.Fatalf("3 s round trip: %+v, want the %v ceiling", p, rtoMax)
+			}
 		}},
 		{name: "stale redelivery never regresses a slot and is still acked", run: func(t *testing.T, r *rig) {
 			e := r.edges[0]

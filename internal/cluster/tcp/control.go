@@ -136,8 +136,8 @@ type distAssign struct {
 	source uint32
 	// cfg is the engine tuning every node runs under, defaults already
 	// resolved by the coordinator (cluster.Config.WithDefaults): Nodes,
-	// BlockSize, WorkersPerNode, BatchSize, MaxUnacked, Epsilon, RetryBase
-	// and RetryDeadline travel; the rest is per-process.
+	// BlockSize, WorkersPerNode, BatchSize, MaxUnacked, Epsilon and
+	// RetryDeadline travel; the rest is per-process.
 	cfg   cluster.Config
 	ckpt  ckptPlan
 	addrs []string
@@ -157,7 +157,7 @@ func appendAssign(f []byte, a distAssign) []byte {
 	f = binary.LittleEndian.AppendUint32(f, uint32(int32(a.cfg.MaxUnacked)))
 	f = append(f, a.algo)
 	f = binary.LittleEndian.AppendUint32(f, a.source)
-	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.cfg.RetryBase)))
+	f = binary.LittleEndian.AppendUint64(f, 0) // reserved, zero: retry timing is learned per peer, not assigned
 	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.cfg.RetryDeadline)))
 	f = binary.LittleEndian.AppendUint64(f, math.Float64bits(a.cfg.Epsilon))
 	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.ckpt.interval)))
@@ -193,7 +193,6 @@ func decodeAssign(b []byte) (distAssign, error) {
 	a.cfg.MaxUnacked = int(int32(binary.LittleEndian.Uint32(b[36:]))) // signed: negative means unbounded
 	a.algo = b[40]
 	a.source = binary.LittleEndian.Uint32(b[41:])
-	a.cfg.RetryBase = time.Duration(binary.LittleEndian.Uint64(b[45:]))
 	a.cfg.RetryDeadline = time.Duration(binary.LittleEndian.Uint64(b[53:]))
 	a.cfg.Epsilon = math.Float64frombits(binary.LittleEndian.Uint64(b[61:]))
 	a.ckpt.interval = time.Duration(binary.LittleEndian.Uint64(b[69:]))
@@ -216,8 +215,8 @@ func decodeAssign(b []byte) (distAssign, error) {
 		return a, fmt.Errorf("tcp: assign batch size %d outside [1, 1<<20]", a.cfg.BatchSize)
 	case a.cfg.MaxUnacked < -1 || a.cfg.MaxUnacked > 1<<20:
 		return a, fmt.Errorf("tcp: assign send window %d outside [-1, 1<<20]", a.cfg.MaxUnacked)
-	case a.cfg.RetryBase < 0 || a.cfg.RetryDeadline < 0:
-		return a, fmt.Errorf("tcp: assign negative retry timing %v/%v", a.cfg.RetryBase, a.cfg.RetryDeadline)
+	case a.cfg.RetryDeadline < 0:
+		return a, fmt.Errorf("tcp: assign negative retry deadline %v", a.cfg.RetryDeadline)
 	case !(a.cfg.Epsilon >= 0):
 		return a, fmt.Errorf("tcp: assign epsilon %g is negative or NaN", a.cfg.Epsilon)
 	case a.ckpt.interval < 0:

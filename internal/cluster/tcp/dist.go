@@ -40,18 +40,17 @@ type DistConfig struct {
 	Algo string
 	// Source is the source vertex for sssp/bfs.
 	Source uint32
-	// BlockSize, WorkersPerNode, BatchSize, Epsilon, MaxUnacked,
-	// RetryBase, and RetryDeadline mean exactly what they mean in
-	// cluster.Config. A zero BatchSize, MaxUnacked, RetryBase or
-	// RetryDeadline takes cluster.Config's default; a zero BlockSize is
-	// graph.DefaultBlockSize and a zero WorkersPerNode is 2. Epsilon has
-	// no default: 0 is literal (exact convergence), as in cluster.Config.
+	// BlockSize, WorkersPerNode, BatchSize, Epsilon, MaxUnacked and
+	// RetryDeadline mean exactly what they mean in cluster.Config. A zero
+	// BatchSize, MaxUnacked or RetryDeadline takes cluster.Config's
+	// default; a zero BlockSize is graph.DefaultBlockSize and a zero
+	// WorkersPerNode is 2. Epsilon has no default: 0 is literal (exact
+	// convergence), as in cluster.Config.
 	BlockSize      int
 	WorkersPerNode int
 	BatchSize      int
 	Epsilon        float64
 	MaxUnacked     int
-	RetryBase      time.Duration
 	RetryDeadline  time.Duration
 	// ProbeEvery is the coordinator's quiescence probe period (default
 	// 2ms). Termination needs two consecutive all-quiet rounds, so it
@@ -159,7 +158,6 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 		WorkersPerNode: cfg.WorkersPerNode,
 		Epsilon:        cfg.Epsilon,
 		BatchSize:      cfg.BatchSize,
-		RetryBase:      cfg.RetryBase,
 		RetryDeadline:  cfg.RetryDeadline,
 		MaxUnacked:     cfg.MaxUnacked,
 	}

@@ -15,6 +15,8 @@ import (
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/cluster/tcp"
+	"graphabcd/internal/gen"
+	"graphabcd/internal/graph"
 	"graphabcd/internal/telemetry"
 )
 
@@ -132,6 +134,36 @@ func TestDistStatsAggregation(t *testing.T) {
 	}
 	if res.Wire.FramesSent == 0 {
 		t.Error("DistResult carries no coordinator wire snapshot")
+	}
+}
+
+// TestDistRetransmitsLessThanItSends runs a loopback PageRank with the
+// default delivery tuning over a loss-free wire. Every retransmission is
+// then spurious — a timeout shorter than the loaded round trip — and the
+// cluster-wide count must stay below the batches sent. A fixed 2 ms
+// retransmission timeout resent 1.3–1.8 batches for every one sent here.
+func TestDistRetransmitsLessThanItSends(t *testing.T) {
+	g, err := gen.Uniform(1<<13, 1<<17, 0, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "graph.gabs")
+	if err := graph.SaveFormat(snap, g, graph.FormatSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tcp.DistConfig{Nodes: 2, Algo: "pr", WorkersPerNode: 1, Epsilon: 1e-9,
+		Telemetry: telemetry.New(telemetry.Options{}), Cluster: telemetry.NewClusterStats()}
+	res := runDistLoopback(t, snap, cfg)
+	total := cfg.Cluster.Total()
+	sent, retried := total.Counters[telemetry.CtrBatchesSent], total.Counters[telemetry.CtrBatchesRetried]
+	gauges := cfg.Telemetry.Snapshot().Gauges
+	t.Logf("batches sent %d, retransmitted %d, coordinator srtt %.2f ms rto %.2f ms, wire %+v",
+		sent, retried, gauges["node0_peer1_srtt_ms"], gauges["node0_peer1_rto_ms"], res.Wire)
+	if sent == 0 || retried >= sent {
+		t.Fatalf("retransmitted %d batches for %d sent over a loss-free loopback", retried, sent)
+	}
+	if gauges["node0_peer1_srtt_ms"] <= 0 || gauges["node0_peer1_rto_ms"] < 1 {
+		t.Fatalf("the coordinator's timer gauges show nothing learned: %v", gauges)
 	}
 }
 

@@ -84,7 +84,7 @@ func runDistLoopback(t *testing.T, snapPath string, cfg tcp.DistConfig) *tcp.Dis
 }
 
 // distConfig is the suite's engine tuning: the same sizing the loopback
-// transport tests use, with a retry base above the socket round trip.
+// transport tests use.
 func distConfig(nodes int, algo string) tcp.DistConfig {
 	return tcp.DistConfig{
 		Nodes:          nodes,
@@ -93,7 +93,6 @@ func distConfig(nodes int, algo string) tcp.DistConfig {
 		WorkersPerNode: 2,
 		BatchSize:      8,
 		MaxUnacked:     256,
-		RetryBase:      20 * time.Millisecond,
 		RetryDeadline:  60 * time.Second,
 		ProbeEvery:     time.Millisecond,
 	}

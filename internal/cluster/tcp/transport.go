@@ -467,7 +467,7 @@ func (t *Transport) writer(l *link) {
 			l.writeConn.Store(nil)
 			conn = nil
 			// The batch is gone; the engine's unacked bookkeeping
-			// re-sends every envelope in it after its retry backoff.
+			// re-sends every envelope in it after its retransmission timeout.
 			t.drops.Add(int64(len(batch)))
 			continue
 		}

@@ -41,7 +41,6 @@ func tcpCfg(t *testing.T, nodes int, opts tcp.Options) (cluster.Config, *tcp.Tra
 		WorkersPerNode: 2,
 		Epsilon:        1e-12,
 		BatchSize:      8,
-		RetryBase:      20 * time.Millisecond,
 		Transport:      tr,
 	}, tr
 }

@@ -181,6 +181,17 @@ if [[ -n "$queues" ]]; then
     exit 1
 fi
 
+echo "== learned retransmission timeout (no fixed retry base)"
+# A node learns each peer's retransmission timeout from its ack round
+# trips (internal/cluster/node.go, peerRTO). A RetryBase knob under
+# internal/ is the fixed constant growing back beside it.
+knobs=$(grep -rn 'RetryBase' --include='*.go' internal | grep -v '_test\.go:' || true)
+if [[ -n "$knobs" ]]; then
+    echo "internal/ must not configure a fixed retry base:" >&2
+    echo "$knobs" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -227,6 +238,9 @@ echo "== socket chaos suite (TCP transport + mangling proxy, race detector)"
 # run through the 20% drop / 10% dup / corrupting proxy and the slow
 # distributed loopback + two-process runs.
 go test -race -count=1 -timeout 600s ./internal/cluster/tcp ./internal/chaos/netproxy
+# A loss-free loopback run must retransmit fewer batches than it sends:
+# the learned timeout has to keep up with the race detector's round trips.
+go test -race -count=3 -timeout 600s -run '^TestDistRetransmitsLessThanItSends$' ./internal/cluster/tcp
 
 echo "== bench smoke (tier-1 perf set, 1 iteration, small shrink)"
 ./scripts/bench.sh --smoke
