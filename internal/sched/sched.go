@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"graphabcd/internal/word"
@@ -29,6 +30,15 @@ type State struct {
 	active   *word.Bitset     // block has pending incoming updates
 	inflight *word.Bitset     // block currently owned by a PE / worker
 	priority *word.FloatArray // pending incoming gradient mass
+
+	// touched marks blocks that may have become claimable, or whose mass
+	// moved, since the priority scheduler last summarised their word. A
+	// mark is set after the transition it announces, never before: the
+	// scheduler takes a word's marks and then reads the word's state, so a
+	// mark set early could be taken while the block still looks inactive,
+	// and the block would never be looked at again. Nil until a priority
+	// scheduler attaches it (New), so the other rules pay one load.
+	touched atomic.Pointer[word.Bitset]
 
 	// outstanding counts set bits in active plus set bits in inflight.
 	// Zero means the system is quiescent (algorithm converged).
@@ -55,6 +65,25 @@ func (s *State) Activate(b int, mass float64) {
 	if s.active.Set(b) {
 		s.outstanding.Add(1)
 	}
+	if t := s.touched.Load(); t != nil {
+		mark(t, b)
+	}
+}
+
+// mark sets block b's touched bit, after the transition that made b a
+// candidate or moved its mass. A bit that is already set has not been
+// taken yet, and whoever takes it reads b's state after this load, so the
+// load alone suffices then.
+func mark(touched *word.Bitset, b int) {
+	if !touched.Get(b) {
+		touched.Set(b)
+	}
+}
+
+// candidates returns the claimable blocks of word w (blocks 64w..64w+63):
+// active and not in flight, as one bit each.
+func (s *State) candidates(w int) uint64 {
+	return s.active.Word(w) &^ s.inflight.Word(w)
 }
 
 // ActivateAll marks every block active with the given uniform mass, the
@@ -85,8 +114,10 @@ func (s *State) claim(b int, mustBeActive bool) bool {
 	if s.active.Clear(b) {
 		s.outstanding.Add(-1)
 	} else if mustBeActive {
-		s.inflight.Clear(b)
-		s.outstanding.Add(-1)
+		// Undo the in-flight bit exactly as a finished block would: an
+		// Activate that landed meanwhile saw b in flight, so the undo is
+		// what makes b a candidate again.
+		s.Done(b)
 		return false
 	}
 	s.priority.Swap(b, 0)
@@ -94,9 +125,13 @@ func (s *State) claim(b int, mustBeActive bool) bool {
 }
 
 // Done marks block b's processing (gather-apply-scatter chain) complete.
+// A block re-activated while in flight becomes a candidate here.
 func (s *State) Done(b int) {
 	if s.inflight.Clear(b) {
 		s.outstanding.Add(-1)
+		if t := s.touched.Load(); t != nil && s.active.Get(b) {
+			mark(t, b)
+		}
 	}
 }
 
@@ -146,9 +181,16 @@ func (s *State) SnapshotBlocks(lo, hi int, pri []uint64, active []byte) {
 	}
 }
 
-// Scheduler selects the next block to process. Implementations must be
-// safe for concurrent use; a successful Next has claimed the block (the
-// caller must call State.Done when the block's processing chain finishes).
+// Scheduler selects the next block to process; a successful Next has
+// claimed the block (the caller must call State.Done when the block's
+// processing chain finishes).
+//
+// An instance has one driver: Next is not called concurrently on one
+// instance, because random's generator and priority's word summaries are
+// private, unsynchronised state (cyclic's cursor happens to be atomic).
+// Several instances over one State may run concurrently — the cluster
+// runs one cyclic per worker — since every claim is an atomic State
+// transition; a State has at most one priority scheduler (see New).
 type Scheduler interface {
 	// Name identifies the selection rule in reports.
 	Name() string
@@ -185,13 +227,19 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// New constructs a scheduler with the given policy over st.
+// New constructs a scheduler with the given policy over st. A priority
+// scheduler takes the State's touched marks as it reads them, so a second
+// one over the same State would miss what the first took: New refuses it.
 func New(p Policy, st *State, seed uint64) (Scheduler, error) {
 	switch p {
 	case Cyclic:
 		return &cyclic{st: st}, nil
 	case Priority:
-		return &priority{st: st}, nil
+		touched := word.NewBitset(st.NumBlocks())
+		if !st.touched.CompareAndSwap(nil, touched) {
+			return nil, fmt.Errorf("sched: state already has a priority scheduler")
+		}
+		return newPriority(st, touched), nil
 	case Random:
 		return &random{st: st, state: seed | 1}, nil
 	}
@@ -206,49 +254,157 @@ type cyclic struct {
 
 func (c *cyclic) Name() string { return "cyclic" }
 
+// Next takes the first candidate at or after the cursor, wrapping once.
+// Like every rule it walks the candidates a 64-bit word at a time; the
+// cursor's word is visited first for its bits from the cursor on and last
+// for the bits before it.
+//
+//abcd:hotpath
 func (c *cyclic) Next() (int, bool) {
 	n := c.st.NumBlocks()
 	if n == 0 {
 		return 0, false
 	}
 	start := int(c.cursor.Load())
-	for i := 0; i < n; i++ {
-		b := (start + i) % n
-		if c.st.Active(b) && !c.st.InFlight(b) && c.st.Claim(b) {
-			c.cursor.Store(int64((b + 1) % n))
-			return b, true
+	nw, w, sbit := c.st.active.NumWords(), start/64, uint(start%64)
+	for i := 0; i <= nw; i++ {
+		cand := c.st.candidates(w)
+		switch i {
+		case 0:
+			cand &= ^uint64(0) << sbit
+		case nw:
+			cand &= uint64(1)<<sbit - 1
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			b := w*64 + bits.TrailingZeros64(cand)
+			if c.st.Claim(b) {
+				next := b + 1
+				if next == n {
+					next = 0
+				}
+				c.cursor.Store(int64(next))
+				return b, true
+			}
+		}
+		if w++; w == nw {
+			w = 0
 		}
 	}
 	return 0, false
 }
 
-// priority scans for the maximum-mass active block (Gauss-Southwell).
-type priority struct{ st *State }
+// priority picks the maximum-mass active block (Gauss-Southwell) without
+// reading every block: it keeps a summary of each 64-block word and, per
+// pick, rebuilds only the words whose blocks were touched since, plus the
+// word of the block it claims.
+//
+// The rule is the linear scan's: take the first candidate, then any later
+// one with strictly more mass. So a NaN first candidate wins (NaN compares
+// false, which keeps a diverging program from starving the scheduler), and
+// otherwise the earliest block holding the largest non-NaN mass wins — a
+// rule that composes across words from each word's first candidate and
+// its earliest non-NaN maximum.
+type priority struct {
+	st      *State
+	touched *word.Bitset // st's, attached before the first summary
+	sum     []wordBest
+}
+
+// wordBest summarises one word's candidates; first and best are -1 when
+// the word has none (best also when every candidate's mass is NaN).
+type wordBest struct {
+	first    int     // first candidate
+	firstNaN bool    // first's mass is NaN
+	best     int     // earliest candidate holding the largest non-NaN mass
+	mass     float64 // best's mass
+}
+
+// newPriority summarises every word once touched is attached: a transition
+// that saw no touched bitset happened before this first read.
+func newPriority(st *State, touched *word.Bitset) *priority {
+	p := &priority{st: st, touched: touched, sum: make([]wordBest, st.active.NumWords())}
+	for w := range p.sum {
+		p.rebuild(w)
+	}
+	return p
+}
 
 func (p *priority) Name() string { return "priority" }
 
-func (p *priority) Next() (int, bool) {
-	n := p.st.NumBlocks()
-	for attempt := 0; attempt < 4; attempt++ {
-		best, bestMass, found := 0, -1.0, false
-		for b := 0; b < n; b++ {
-			if !p.st.Active(b) || p.st.InFlight(b) {
-				continue
-			}
-			// The first candidate is always taken so that non-comparable
-			// masses (NaN from a diverging program) cannot starve the
-			// scheduler of progress.
-			if m := p.st.Priority(b); !found || m > bestMass {
-				best, bestMass, found = b, m, true
+// rebuild re-reads word w's candidates and their masses.
+func (p *priority) rebuild(w int) {
+	s := wordBest{first: -1, best: -1}
+	for cand := p.st.candidates(w); cand != 0; cand &= cand - 1 {
+		b := w*64 + bits.TrailingZeros64(cand)
+		m := p.st.Priority(b)
+		if s.first < 0 {
+			s.first, s.firstNaN = b, m != m
+		}
+		if m == m && (s.best < 0 || m > s.mass) {
+			s.best, s.mass = b, m
+		}
+	}
+	p.sum[w] = s
+}
+
+// pick applies the rule to the word summaries. It returns the block to
+// claim and the first candidate, which decides between the rule's two
+// cases; both are -1 when no word has a candidate.
+func (p *priority) pick() (block, first int) {
+	block, first = -1, -1
+	var mass float64
+	for i := range p.sum {
+		s := &p.sum[i]
+		if first < 0 && s.first >= 0 {
+			first = s.first
+			if s.firstNaN {
+				return first, first
 			}
 		}
-		if !found {
+		if s.best >= 0 && (block < 0 || s.mass > mass) {
+			block, mass = s.best, s.mass
+		}
+	}
+	return block, first
+}
+
+// stale reports whether block b has stopped being a candidate since its
+// word was summarised — claimed by someone else, as Barrier mode's
+// dispatchWave does — and if so rebuilds the word. Blocks only become
+// candidates with a touched mark, so a summary can hold too many
+// candidates but never too few; checking the two blocks the pick rests on
+// makes it the pick a fresh scan would make.
+func (p *priority) stale(b int) bool {
+	w := b / 64
+	if p.st.candidates(w)&(1<<uint(b%64)) != 0 {
+		return false
+	}
+	p.rebuild(w)
+	return true
+}
+
+//abcd:hotpath
+func (p *priority) Next() (int, bool) {
+	for w := range p.sum {
+		if p.touched.Word(w) != 0 {
+			p.touched.TakeWord(w)
+			p.rebuild(w)
+		}
+	}
+	for attempt := 0; attempt < 4; {
+		b, first := p.pick()
+		if b < 0 {
 			return 0, false
 		}
-		if p.st.Claim(best) {
-			return best, true
+		if p.stale(first) || (b != first && p.stale(b)) {
+			continue
 		}
-		// Lost a race for the best block; rescan.
+		claimed := p.st.Claim(b)
+		p.rebuild(b / 64)
+		if claimed {
+			return b, true
+		}
+		attempt++ // lost a race for the block; pick again
 	}
 	return 0, false
 }
@@ -256,13 +412,12 @@ func (p *priority) Next() (int, bool) {
 // random picks a uniform active block via reservoir sampling over the scan.
 type random struct {
 	st    *State
-	state uint64 // SplitMix64, mutated under CAS-free single-owner use
+	state uint64 // SplitMix64, private to the instance's one driver
 }
 
 func (r *random) Name() string { return "random" }
 
 func (r *random) next64() uint64 {
-	// Scheduler instances are driven by one goroutine; plain state is fine.
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -270,17 +425,19 @@ func (r *random) next64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Next draws once per candidate, in block order.
+//
+//abcd:hotpath
 func (r *random) Next() (int, bool) {
-	n := r.st.NumBlocks()
+	nw := r.st.active.NumWords()
 	for attempt := 0; attempt < 4; attempt++ {
 		chosen, seen := 0, 0
-		for b := 0; b < n; b++ {
-			if !r.st.Active(b) || r.st.InFlight(b) {
-				continue
-			}
-			seen++
-			if r.next64()%uint64(seen) == 0 {
-				chosen = b
+		for w := 0; w < nw; w++ {
+			for cand := r.st.candidates(w); cand != 0; cand &= cand - 1 {
+				seen++
+				if r.next64()%uint64(seen) == 0 {
+					chosen = w*64 + bits.TrailingZeros64(cand)
+				}
 			}
 		}
 		if seen == 0 {

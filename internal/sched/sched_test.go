@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -274,40 +277,48 @@ func TestPropertyOutstandingBalanced(t *testing.T) {
 	}
 }
 
-// Concurrent schedulers must never claim the same block twice at once.
+// Concurrent schedulers must never claim the same block twice at once:
+// eight goroutines sharing one cyclic (its cursor is atomic), and one
+// cyclic per goroutine over one State, the cluster's per-worker shape.
 func TestConcurrentClaimExclusive(t *testing.T) {
-	st := NewState(64)
-	st.ActivateAll(1)
-	s, _ := New(Cyclic, st, 0)
-	var mu sync.Mutex
-	claims := map[int]int{}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b, ok := s.Next()
-				if !ok {
-					return
-				}
-				mu.Lock()
-				claims[b]++
-				mu.Unlock()
-				st.Done(b)
+	for _, perGoroutine := range []bool{false, true} {
+		st := NewState(64)
+		st.ActivateAll(1)
+		shared, _ := New(Cyclic, st, 0)
+		var mu sync.Mutex
+		claims := map[int]int{}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			s := shared
+			if perGoroutine {
+				s, _ = New(Cyclic, st, uint64(w))
 			}
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for b, c := range claims {
-		if c != 1 {
-			t.Fatalf("block %d claimed %d times", b, c)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					b, ok := s.Next()
+					if !ok {
+						return
+					}
+					mu.Lock()
+					claims[b]++
+					mu.Unlock()
+					st.Done(b)
+				}
+			}()
 		}
-		total++
-	}
-	if total != 64 {
-		t.Fatalf("claimed %d blocks, want 64", total)
+		wg.Wait()
+		total := 0
+		for b, c := range claims {
+			if c != 1 {
+				t.Fatalf("per-goroutine=%v: block %d claimed %d times", perGoroutine, b, c)
+			}
+			total++
+		}
+		if total != 64 {
+			t.Fatalf("per-goroutine=%v: claimed %d blocks, want 64", perGoroutine, total)
+		}
 	}
 }
 
@@ -329,5 +340,401 @@ func TestPrioritySurvivesNaNMass(t *testing.T) {
 	}
 	if !st.Quiescent() {
 		t.Fatal("not quiescent after draining")
+	}
+}
+
+// The per-bit linear scans the word-level schedulers replaced, kept
+// verbatim as the reference: every rule must claim the block its scan
+// claims, leave the same cursor and draw the same random numbers.
+
+// refCyclic scans from a rotating cursor for the next active block.
+type refCyclic struct {
+	st     *State
+	cursor atomic.Int64
+}
+
+func (c *refCyclic) Name() string { return "cyclic" }
+
+func (c *refCyclic) Next() (int, bool) {
+	n := c.st.NumBlocks()
+	if n == 0 {
+		return 0, false
+	}
+	start := int(c.cursor.Load())
+	for i := 0; i < n; i++ {
+		b := (start + i) % n
+		if c.st.Active(b) && !c.st.InFlight(b) && c.st.Claim(b) {
+			c.cursor.Store(int64((b + 1) % n))
+			return b, true
+		}
+	}
+	return 0, false
+}
+
+// refPriority scans for the maximum-mass active block (Gauss-Southwell).
+type refPriority struct{ st *State }
+
+func (p *refPriority) Name() string { return "priority" }
+
+func (p *refPriority) Next() (int, bool) {
+	n := p.st.NumBlocks()
+	for attempt := 0; attempt < 4; attempt++ {
+		best, bestMass, found := 0, -1.0, false
+		for b := 0; b < n; b++ {
+			if !p.st.Active(b) || p.st.InFlight(b) {
+				continue
+			}
+			// The first candidate is always taken so that non-comparable
+			// masses (NaN from a diverging program) cannot starve the
+			// scheduler of progress.
+			if m := p.st.Priority(b); !found || m > bestMass {
+				best, bestMass, found = b, m, true
+			}
+		}
+		if !found {
+			return 0, false
+		}
+		if p.st.Claim(best) {
+			return best, true
+		}
+		// Lost a race for the best block; rescan.
+	}
+	return 0, false
+}
+
+// refRandom picks a uniform active block via reservoir sampling over the scan.
+type refRandom struct {
+	st    *State
+	state uint64 // SplitMix64, mutated under CAS-free single-owner use
+}
+
+func (r *refRandom) Name() string { return "random" }
+
+func (r *refRandom) next64() uint64 {
+	// Scheduler instances are driven by one goroutine; plain state is fine.
+	r.state += 0x9e3779b97f4a7c15
+	z := r.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *refRandom) Next() (int, bool) {
+	n := r.st.NumBlocks()
+	for attempt := 0; attempt < 4; attempt++ {
+		chosen, seen := 0, 0
+		for b := 0; b < n; b++ {
+			if !r.st.Active(b) || r.st.InFlight(b) {
+				continue
+			}
+			seen++
+			if r.next64()%uint64(seen) == 0 {
+				chosen = b
+			}
+		}
+		if seen == 0 {
+			return 0, false
+		}
+		if r.st.Claim(chosen) {
+			return chosen, true
+		}
+	}
+	return 0, false
+}
+
+// pair is one scheduler under test and its reference, each over its own
+// copy of the same State.
+type pair struct {
+	policy    Policy
+	st, ref   *State
+	got, want Scheduler
+}
+
+func newPair(t *testing.T, p Policy, st, ref *State, seed uint64, cursor int64) *pair {
+	t.Helper()
+	got, err := New(p, st, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Scheduler
+	switch p {
+	case Cyclic:
+		c := &refCyclic{st: ref}
+		c.cursor.Store(cursor)
+		got.(*cyclic).cursor.Store(cursor)
+		want = c
+	case Priority:
+		want = &refPriority{st: ref}
+	case Random:
+		want = &refRandom{st: ref, state: seed | 1}
+	}
+	return &pair{policy: p, st: st, ref: ref, got: got, want: want}
+}
+
+// next runs both schedulers' Next and fails on any difference in the
+// claimed block, the cursor, the generator state or the State left behind.
+func (pr *pair) next(t *testing.T, step string) (int, bool) {
+	t.Helper()
+	b, ok := pr.got.Next()
+	wb, wok := pr.want.Next()
+	if b != wb || ok != wok {
+		t.Fatalf("%s: %v Next = (%d, %v), linear scan = (%d, %v)", step, pr.policy, b, ok, wb, wok)
+	}
+	switch s := pr.got.(type) {
+	case *cyclic:
+		if c, wc := s.cursor.Load(), pr.want.(*refCyclic).cursor.Load(); c != wc {
+			t.Fatalf("%s: cyclic cursor %d, linear scan %d", step, c, wc)
+		}
+	case *random:
+		if r, wr := s.state, pr.want.(*refRandom).state; r != wr {
+			t.Fatalf("%s: random generator state %#x, linear scan %#x (different number of draws)", step, r, wr)
+		}
+	}
+	pr.same(t, step)
+	return b, ok
+}
+
+// same fails unless the two States hold identical bits and masses.
+func (pr *pair) same(t *testing.T, step string) {
+	t.Helper()
+	a, b := pr.st, pr.ref
+	for w := 0; w < a.active.NumWords(); w++ {
+		if a.active.Word(w) != b.active.Word(w) || a.inflight.Word(w) != b.inflight.Word(w) {
+			t.Fatalf("%s: word %d active/inflight %#x/%#x, linear scan %#x/%#x", step, w,
+				a.active.Word(w), a.inflight.Word(w), b.active.Word(w), b.inflight.Word(w))
+		}
+	}
+	for i := 0; i < a.NumBlocks(); i++ {
+		if x, y := math.Float64bits(a.Priority(i)), math.Float64bits(b.Priority(i)); x != y {
+			t.Fatalf("%s: block %d mass %#x, linear scan %#x", step, i, x, y)
+		}
+	}
+	if a.outstanding.Load() != b.outstanding.Load() {
+		t.Fatalf("%s: outstanding %d, linear scan %d", step, a.outstanding.Load(), b.outstanding.Load())
+	}
+}
+
+// both applies op to the State under test and to the reference's.
+func (pr *pair) both(op func(*State)) {
+	op(pr.st)
+	op(pr.ref)
+}
+
+// oracleMass draws a mass that stresses the rule's comparisons: NaN, both
+// zeros, infinities, exact ties and arbitrary values.
+func oracleMass(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return 0
+	case 3:
+		return math.Inf(1)
+	case 4:
+		return math.Inf(-1)
+	case 5, 6:
+		return float64(1 + rng.Intn(3))
+	}
+	return rng.Float64() * 10
+}
+
+// TestNextMatchesLinearScan draws random States — active and in-flight
+// bits, masses, cursors and seeds — and checks every rule's first picks
+// against the linear scan's.
+func TestNextMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 1000, 1024} {
+		for trial := 0; trial < 60; trial++ {
+			density := []float64{0, 0.01, 0.1, 0.5, 0.9, 1}[trial%6]
+			type block struct {
+				active, inflight bool
+				bits             uint64
+			}
+			blocks := make([]block, n)
+			for b := range blocks {
+				blocks[b] = block{
+					active:   rng.Float64() < density,
+					inflight: rng.Intn(4) == 0,
+					bits:     math.Float64bits(oracleMass(rng)),
+				}
+			}
+			build := func() *State {
+				st := NewState(n)
+				for b, x := range blocks {
+					if x.active {
+						st.active.Set(b)
+						st.outstanding.Add(1)
+					}
+					if x.inflight {
+						st.inflight.Set(b)
+						st.outstanding.Add(1)
+					}
+					st.priority.Store(b, math.Float64frombits(x.bits))
+				}
+				return st
+			}
+			seed := rng.Uint64()
+			var cursor int64
+			if n > 0 {
+				cursor = int64(rng.Intn(n))
+			}
+			for _, p := range []Policy{Cyclic, Priority, Random} {
+				pr := newPair(t, p, build(), build(), seed, cursor)
+				for i := 0; i < 3; i++ {
+					pr.next(t, fmt.Sprintf("n=%d trial %d pick %d", n, trial, i))
+				}
+			}
+		}
+	}
+}
+
+// TestNextSequenceMatchesLinearScan drives each rule and its reference
+// through the same long run of activations, picks, completions and
+// outside claims — single blocks, and whole waves the way Barrier mode's
+// dispatchWave takes them — comparing after every step, so a word summary
+// that drifts from the State fails at the step it drifts.
+func TestNextSequenceMatchesLinearScan(t *testing.T) {
+	const n, steps = 600, 12000
+	for _, p := range []Policy{Cyclic, Priority, Random} {
+		t.Run(p.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(p) + 7))
+			pr := newPair(t, p, NewState(n), NewState(n), 99, 0)
+			var inflight []int
+			claimOutside := func(b int) {
+				got := pr.st.Active(b) && !pr.st.InFlight(b) && pr.st.Claim(b)
+				want := pr.ref.Active(b) && !pr.ref.InFlight(b) && pr.ref.Claim(b)
+				if got != want {
+					t.Fatalf("outside claim of %d: %v, linear scan's State %v", b, got, want)
+				}
+				if got {
+					inflight = append(inflight, b)
+				}
+			}
+			pr.both(func(st *State) { st.ActivateAll(1) })
+			for step := 0; step < steps; step++ {
+				name := fmt.Sprintf("step %d", step)
+				switch r := rng.Intn(100); {
+				case r < 45:
+					b := rng.Intn(n)
+					m := float64(1 + rng.Intn(4))
+					switch rng.Intn(50) {
+					case 0, 1, 2:
+						m = math.NaN()
+					case 3:
+						m = math.Inf(1)
+					case 4:
+						m = rng.Float64()
+					}
+					pr.both(func(st *State) { st.Activate(b, m) })
+				case r < 70:
+					if b, ok := pr.next(t, name); ok {
+						inflight = append(inflight, b)
+					}
+				case r < 90:
+					if len(inflight) > 0 {
+						i := rng.Intn(len(inflight))
+						b := inflight[i]
+						inflight = append(inflight[:i], inflight[i+1:]...)
+						pr.both(func(st *State) { st.Done(b) })
+					}
+				case r < 94:
+					claimOutside(rng.Intn(n))
+				case r < 97:
+					// The first candidate: the block the NaN rule rests on.
+					for b := 0; b < n; b++ {
+						if pr.st.Active(b) && !pr.st.InFlight(b) {
+							claimOutside(b)
+							break
+						}
+					}
+				case r < 98:
+					for b := 0; b < n; b++ {
+						claimOutside(b)
+					}
+				default:
+					for _, b := range inflight {
+						pr.both(func(st *State) { st.Done(b) })
+					}
+					inflight = inflight[:0]
+				}
+				pr.same(t, name)
+			}
+		})
+	}
+}
+
+// TestPriorityLivenessUnderConcurrentActivation races the transitions
+// that make a block a candidate against one spinning priority driver: in
+// even words a fresh Activate, in odd words the Done of a block that was
+// re-activated in flight. Each word sees exactly one such transition per
+// round, so nothing later in the word can rescue a block whose touched
+// mark was taken before the block looked claimable — it would stay active
+// and never be summarised again, and the drain would stop short of
+// quiescence.
+func TestPriorityLivenessUnderConcurrentActivation(t *testing.T) {
+	const words, rounds = 4, 4000
+	for round := 0; round < rounds; round++ {
+		st := NewState(64 * words)
+		block := func(w int) int { return w*64 + (round*7+w)%64 }
+		for w := 1; w < words; w += 2 {
+			st.Activate(block(w), 1)
+			st.Claim(block(w))
+			st.Activate(block(w), 2)
+		}
+		s, err := New(Priority, st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var finished atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < words; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if w%2 == 0 {
+					st.Activate(block(w), float64(w+1))
+				} else {
+					st.Done(block(w))
+				}
+				finished.Add(1)
+			}(w)
+		}
+		for finished.Load() < words {
+			if b, ok := s.Next(); ok {
+				st.Done(b)
+			}
+		}
+		wg.Wait()
+		for {
+			b, ok := s.Next()
+			if !ok {
+				break
+			}
+			st.Done(b)
+		}
+		if !st.Quiescent() {
+			t.Fatalf("round %d: Next found nothing but %d blocks are still active: a candidate was lost to the scheduler",
+				round, st.NumActive())
+		}
+	}
+}
+
+// A priority scheduler takes the State's touched marks, so a State has at
+// most one; cyclic instances can still share it.
+func TestNewRefusesSecondPriorityScheduler(t *testing.T) {
+	st := NewState(128)
+	if _, err := New(Priority, st, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Priority, st, 0); err == nil {
+		t.Fatal("second priority scheduler over one State accepted; one of the two would miss the touched marks the other takes")
+	}
+	if _, err := New(Cyclic, st, 0); err != nil {
+		t.Fatalf("cyclic beside the priority scheduler: %v", err)
+	}
+	if _, err := New(Priority, NewState(128), 0); err != nil {
+		t.Fatalf("priority scheduler over a fresh State: %v", err)
 	}
 }

@@ -517,8 +517,10 @@ func (m *Manager) run(job *Job) {
 	case cancelled:
 		m.finish(job, StateCancelled, res, nil)
 	default:
-		m.finish(job, StateDone, res, nil)
+		// Publish before announcing: a waiter woken by finish may re-query
+		// straight away and must find the result in the cache.
 		m.cache.Put(key, res)
+		m.finish(job, StateDone, res, nil)
 	}
 }
 

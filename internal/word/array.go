@@ -217,6 +217,18 @@ func (b *Bitset) Get(i int) bool {
 	return atomic.LoadUint64(&b.words[i/64])&(uint64(1)<<uint(i%64)) != 0
 }
 
+// NumWords returns the number of 64-bit words backing the set; bit i lives
+// in word i/64 at position i%64.
+func (b *Bitset) NumWords() int { return len(b.words) }
+
+// Word atomically reads word w: bits 64w..64w+63, one load for a whole
+// run of bits that a scan would otherwise Get one at a time.
+func (b *Bitset) Word(w int) uint64 { return atomic.LoadUint64(&b.words[w]) }
+
+// TakeWord atomically clears word w and returns the bits it held, so each
+// set bit is taken by exactly one caller.
+func (b *Bitset) TakeWord(w int) uint64 { return atomic.SwapUint64(&b.words[w], 0) }
+
 // Any reports whether any bit is set.
 func (b *Bitset) Any() bool {
 	for w := range b.words {

@@ -221,6 +221,12 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 2 {
 		t.Fatalf("Count after clear = %d", b.Count())
 	}
+	if b.NumWords() != 3 || b.Word(0) != 1 || b.Word(1) != 0 || b.Word(2) != 1<<(129-128) {
+		t.Fatalf("words = %d: %#x %#x %#x", b.NumWords(), b.Word(0), b.Word(1), b.Word(2))
+	}
+	if got := b.TakeWord(2); got != 1<<(129-128) || b.Get(129) || b.TakeWord(2) != 0 || !b.Get(0) {
+		t.Fatalf("TakeWord returned %#x; it must clear its word and only its word", got)
+	}
 	b.SetAll()
 	if b.Count() != 130 {
 		t.Fatalf("SetAll: Count = %d", b.Count())

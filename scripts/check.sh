@@ -228,6 +228,13 @@ go test -count=1 -run 'Fuzz' \
 echo "== cluster + chaos suites (direct delivery, seeded fault injection, FailNode; race detector, 3 runs)"
 go test -race -count=3 -timeout 600s ./internal/cluster ./internal/chaos
 
+echo "== scheduler pick vs the per-bit linear scan, and priority liveness (race detector, 20 runs)"
+# The word-level picks must claim what the old per-bit scans claimed, and
+# a touched mark taken early must never strand an active block.
+go test -race -count=20 -timeout 600s \
+    -run '^(TestNextMatchesLinearScan|TestNextSequenceMatchesLinearScan|TestPriorityLivenessUnderConcurrentActivation)$' \
+    ./internal/sched
+
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
 go test -race -count=1 -timeout 300s \
     -run 'PageRankMatchesReference|SSSPExact|BFSExact|CCExact|EmptyAndTinyGraphs|KernelScatter|ReplayMatchesParentCommitTrace' \
