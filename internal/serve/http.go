@@ -61,12 +61,8 @@ type Options struct {
 // result cache, and admission control behind one ServeMux.
 type Server struct {
 	health *telemetry.Health
-	pool   *Pool
-	cache  *Cache
 	mgr    *Manager
 	mux    *http.ServeMux
-	clock  func() time.Time
-	log    *slog.Logger
 
 	rejectsRate  atomic.Int64
 	rejectsQueue atomic.Int64
@@ -98,34 +94,15 @@ func New(opts Options) (*Server, error) {
 	}
 
 	health := telemetry.NewHealth("starting")
-	pool := NewPool(opts.GraphDir, opts.MemoryBudget, health)
-	var jnl *journal
-	if opts.CheckpointDir != "" {
-		var err error
-		if jnl, err = openJournal(opts.CheckpointDir); err != nil {
-			return nil, err
-		}
+	mgr, err := newManager(opts, health)
+	if err != nil {
+		return nil, err
 	}
-	mgr := newManager(managerOptions{
-		runtime: opts.Runtime,
-		pool:    pool,
-		cache:   NewCache(opts.CacheEntries),
-		limiter: NewLimiter(opts.TenantRate, opts.TenantBurst, opts.Clock),
-		base:    opts.EngineDefaults,
-		clock:   opts.Clock,
-		log:     opts.Log,
-		journal: jnl,
-		ckptDir: opts.CheckpointDir, ckptIntv: opts.CheckpointInterval,
-		maxRunning: opts.MaxRunning, queueDepth: opts.QueueDepth,
-	})
-	s := &Server{
-		health: health, pool: pool, cache: mgr.cache, mgr: mgr,
-		clock: opts.Clock, log: opts.Log,
-	}
+	s := &Server{health: health, mgr: mgr}
 	s.routes()
 
 	for _, name := range opts.Preload {
-		_, _, release, err := pool.Acquire(name)
+		_, _, release, err := mgr.pool.Acquire(name)
 		if err != nil {
 			mgr.Close()
 			return nil, fmt.Errorf("serve: preloading %q: %w", name, err)
@@ -133,9 +110,9 @@ func New(opts Options) (*Server, error) {
 		release() // resident but unpinned; the budget may evict it later
 	}
 	if n, err := mgr.Resume(); err != nil {
-		s.log.Error("journal resume failed", "err", err)
+		opts.Log.Error("journal resume failed", "err", err)
 	} else if n > 0 {
-		s.log.Info("resumed durable jobs from journal", "jobs", n)
+		opts.Log.Info("resumed durable jobs from journal", "jobs", n)
 	}
 	health.SetReady(true, "serving")
 	return s, nil
@@ -279,7 +256,7 @@ func (s *Server) status(v JobView, includeValues bool) jobStatus {
 		st.Finished = v.Finished.UTC().Format(time.RFC3339Nano)
 		st.ElapsedMS = float64(v.Finished.Sub(v.Created)) / float64(time.Millisecond)
 	} else {
-		st.ElapsedMS = float64(s.clock().Sub(v.Created)) / float64(time.Millisecond)
+		st.ElapsedMS = float64(s.mgr.o.Clock().Sub(v.Created)) / float64(time.Millisecond)
 	}
 	if res := v.Result; res != nil {
 		st.Stats = &statsBody{
@@ -311,7 +288,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("serve: decoding job request: %w", err))
 		return
 	}
-	job, err := s.mgr.Submit(&req, tenantOf(r))
+	_, v, err := s.mgr.Submit(&req, tenantOf(r))
 	if err != nil {
 		switch {
 		case errors.Is(err, errRateLimited):
@@ -322,9 +299,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	v := job.View()
 	code := http.StatusAccepted
-	if v.State.Terminal() { // cache hit: the job is already done
+	if v.State.Terminal() { // only the cache-hit edge submits straight to done
 		code = http.StatusOK
 	}
 	writeJSON(w, code, s.status(v, v.State.Terminal()))
@@ -351,12 +327,12 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.mgr.Cancel(r.PathValue("id"))
+	v, ok := s.mgr.Cancel(r.PathValue("id"))
 	if !ok {
 		writeError(w, fmt.Errorf("%w: %q", graphabcd.ErrJobNotFound, r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.status(job.View(), false))
+	writeJSON(w, http.StatusAccepted, s.status(v, false))
 }
 
 // sseEvent is the SSE data payload for one runtime event.
@@ -431,8 +407,8 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleGraphs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"graphs":         s.pool.List(),
-		"resident_bytes": s.pool.UsedBytes(),
+		"graphs":         s.mgr.pool.List(),
+		"resident_bytes": s.mgr.pool.UsedBytes(),
 	})
 }
 
@@ -490,8 +466,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := s.clock()
-	job, err := s.mgr.Submit(&req, tenantOf(r))
+	start := s.mgr.o.Clock()
+	job, _, err := s.mgr.Submit(&req, tenantOf(r))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -519,7 +495,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		"graph":      v.Graph,
 		"algorithm":  v.Algorithm,
 		"cached":     v.Cached,
-		"elapsed_ms": float64(s.clock().Sub(start)) / float64(time.Millisecond),
+		"elapsed_ms": float64(s.mgr.o.Clock().Sub(start)) / float64(time.Millisecond),
 	}
 	if len(vertices) > 0 {
 		values := make(map[string]any, len(vertices))
@@ -586,7 +562,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	hits, misses, entries := s.cache.Stats()
+	hits, misses, entries := s.mgr.cache.Stats()
 	depth, capacity := s.mgr.QueueDepth()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Sticky-error line writer, same shape as telemetry's promWriter: the
@@ -602,7 +578,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	line("graphabcdd_cache_hits_total %d\n", hits)
 	line("graphabcdd_cache_misses_total %d\n", misses)
 	line("graphabcdd_cache_entries %d\n", entries)
-	line("graphabcdd_pool_resident_bytes %d\n", s.pool.UsedBytes())
+	line("graphabcdd_pool_resident_bytes %d\n", s.mgr.pool.UsedBytes())
 	line("graphabcdd_queue_depth %d\n", depth)
 	line("graphabcdd_queue_capacity %d\n", capacity)
 	line("graphabcdd_admission_rejected_total{reason=\"rate\"} %d\n", s.rejectsRate.Load())

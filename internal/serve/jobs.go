@@ -3,24 +3,23 @@ package serve
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"graphabcd"
 	"graphabcd/internal/checkpoint"
+	"graphabcd/internal/telemetry"
 )
 
-// State is a job's position in the serving state machine:
-//
-//	queued -> running -> done | failed | cancelled
-//
-// A cache hit skips the machine entirely and materializes a done job.
+// State is a job's position in the serving lifecycle. A job changes state
+// only along an edge of the table below (Manager.to); a cache hit at
+// submit goes straight from new to done.
 type State string
 
-// Job states.
+// Job states. A job is new while only its submitter can reach it.
 const (
+	stateNew       State = ""
 	StateQueued    State = "queued"
 	StateRunning   State = "running"
 	StateDone      State = "done"
@@ -32,6 +31,29 @@ const (
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
+
+// edge is one row of the lifecycle table. cached marks the two edges that
+// finish from the result cache; backlog marks the admission that leaves
+// the queue slot to the caller (Resume waits for one) instead of refusing
+// when the queue is full.
+type edge struct {
+	from, to State
+	cached   bool
+	backlog  bool
+}
+
+// The lifecycle table: Manager.to takes no other edge.
+var (
+	admit        = edge{from: stateNew, to: StateQueued}
+	readmit      = edge{from: stateNew, to: StateQueued, backlog: true}
+	hitAtSubmit  = edge{from: stateNew, to: StateDone, cached: true}
+	start        = edge{from: StateQueued, to: StateRunning}
+	cancelQueued = edge{from: StateQueued, to: StateCancelled}
+	hitOnReprobe = edge{from: StateRunning, to: StateDone, cached: true}
+	succeed      = edge{from: StateRunning, to: StateDone}
+	fail         = edge{from: StateRunning, to: StateFailed}
+	drain        = edge{from: StateRunning, to: StateCancelled}
+)
 
 // JobRequest is the POST /v1/jobs body: which algorithm over which pooled
 // graph, plus the algorithm parameters and engine knobs a tenant may set.
@@ -66,21 +88,23 @@ type Job struct {
 	Tenant  string
 	Durable bool
 	Req     *JobRequest
+	// key is the result-cache key, set by the job's worker once the
+	// graph's epoch is pinned; only that goroutine reads it.
+	key string
 
-	mu        sync.Mutex
-	state     State
-	cached    bool
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	result    *graphabcd.JobResult
-	err       error
-	cancelReq bool
-	cancel    context.CancelFunc
-	done      chan struct{}
-	events    []graphabcd.Event
-	subs      map[chan graphabcd.Event]struct{}
-	closed    bool // event stream terminal-delivered and subs closed
+	mu       sync.Mutex
+	state    State
+	cached   bool
+	created  time.Time
+	finished time.Time
+	result   *graphabcd.JobResult
+	err      error
+	ctx      context.Context // the run's context, from queued→running on
+	cancel   context.CancelFunc
+	done     chan struct{}
+	events   []graphabcd.Event
+	subs     map[chan graphabcd.Event]struct{}
+	closed   bool // event stream terminal-delivered and subs closed
 }
 
 // maxEventLog bounds the per-job event history replayed to late SSE
@@ -97,7 +121,6 @@ type JobView struct {
 	Cached    bool
 	Durable   bool
 	Created   time.Time
-	Started   time.Time
 	Finished  time.Time
 	Err       string
 	Result    *graphabcd.JobResult
@@ -107,10 +130,14 @@ type JobView struct {
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+func (j *Job) viewLocked() JobView {
 	v := JobView{
 		ID: j.ID, Tenant: j.Tenant, Algorithm: j.Req.Algorithm, Graph: j.Req.Graph,
 		State: j.state, Cached: j.cached, Durable: j.Durable,
-		Created: j.created, Started: j.started, Finished: j.finished,
+		Created: j.created, Finished: j.finished,
 	}
 	if j.err != nil {
 		v.Err = j.err.Error()
@@ -198,24 +225,19 @@ func (j *Job) broadcast(ev graphabcd.Event) {
 // Manager owns the job table, the bounded queue, and the worker pool that
 // drives submissions through a graphabcd.Runtime.
 type Manager struct {
-	rt       graphabcd.Runtime
-	pool     *Pool
-	cache    *Cache
-	limiter  *Limiter
-	base     *graphabcd.Config
-	clock    func() time.Time
-	log      *slog.Logger
-	journal  *journal
-	ckptDir  string
-	ckptIntv time.Duration
-	ckptSt   *checkpoint.DirStore
+	o       Options // as defaulted by New: the one copy of the server's settings
+	pool    *Pool
+	cache   *Cache
+	limiter *Limiter
+	journal *journal // nil without a checkpoint directory
+	ckptSt  *checkpoint.DirStore
 
-	ctx      context.Context
-	cancel   context.CancelFunc
-	queue    chan *Job
-	wg       sync.WaitGroup
-	seq      atomic.Int64
-	shutdown atomic.Bool
+	ctx     context.Context // cancelled by Close: shutdown
+	cancel  context.CancelFunc
+	queue   chan *Job
+	wg      sync.WaitGroup // the workers
+	feeding sync.WaitGroup // Resume's backlog feeder
+	seq     atomic.Int64
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -225,54 +247,156 @@ type Manager struct {
 	failedJobs atomic.Int64
 }
 
-type managerOptions struct {
-	runtime    graphabcd.Runtime
-	pool       *Pool
-	cache      *Cache
-	limiter    *Limiter
-	base       *graphabcd.Config
-	clock      func() time.Time
-	log        *slog.Logger
-	journal    *journal
-	ckptDir    string
-	ckptIntv   time.Duration
-	maxRunning int
-	queueDepth int
-}
-
-func newManager(o managerOptions) *Manager {
-	ctx, cancel := context.WithCancel(context.Background())
+// newManager opens the journal and starts the workers. o must already
+// carry New's defaults.
+func newManager(o Options, health *telemetry.Health) (*Manager, error) {
 	m := &Manager{
-		rt: o.runtime, pool: o.pool, cache: o.cache, limiter: o.limiter,
-		base: o.base, clock: o.clock, log: o.log, journal: o.journal,
-		ckptDir: o.ckptDir, ckptIntv: o.ckptIntv,
-		ctx: ctx, cancel: cancel,
-		queue: make(chan *Job, o.queueDepth),
-		jobs:  make(map[string]*Job),
+		o:       o,
+		pool:    NewPool(o.GraphDir, o.MemoryBudget, health),
+		cache:   NewCache(o.CacheEntries),
+		limiter: NewLimiter(o.TenantRate, o.TenantBurst, o.Clock),
+		queue:   make(chan *Job, o.QueueDepth),
+		jobs:    make(map[string]*Job),
 	}
-	if m.ckptDir != "" {
-		if st, err := checkpoint.NewDirStore(m.ckptDir); err == nil {
+	if o.CheckpointDir != "" {
+		var err error
+		if m.journal, err = openJournal(o.CheckpointDir); err != nil {
+			return nil, err
+		}
+		if st, err := checkpoint.NewDirStore(o.CheckpointDir); err == nil {
 			m.ckptSt = st
 		}
 	}
-	for i := 0; i < o.maxRunning; i++ {
+	m.ctx, m.cancel = context.WithCancel(context.Background())
+	for i := 0; i < o.MaxRunning; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	return m
+	return m, nil
 }
 
-// Submit admits, registers, and enqueues one job. The error, when
-// non-nil, wraps one of the graphabcd sentinels: ErrOverloaded (rate
-// limit or full queue), ErrUnknownAlgorithm, or ErrGraphNotFound.
-func (m *Manager) Submit(req *JobRequest, tenant string) (*Job, error) {
-	if !m.limiter.Allow(tenant) {
-		return nil, errRateLimited
+// to takes job along e and runs the edge's side effects in one fixed
+// order:
+//
+//  1. what must happen before anyone can see the job at e.to: the
+//     durable submission record, the clean result's cache entry;
+//  2. the state write, under job.mu;
+//  3. the wake-up: the job joins the table (and, on admit, the queue),
+//     or done closes, the one terminal event goes out and the SSE
+//     subscriptions close;
+//  4. the counters, then the durable terminal record — skipped only when
+//     shutdown cancels the job, so the next server resumes it.
+//
+// It reports false and changes nothing when the job is not at e.from
+// (a DELETE after done, a second terminal transition). Admit also
+// reports false when the queue is full or the manager closed; the job
+// is then dropped, its durable records closed. The view is the job as
+// the edge left it.
+func (m *Manager) to(job *Job, e edge, res *graphabcd.JobResult, err error) (JobView, bool) {
+	// Whether shutdown cancels the job is decided as the edge is taken.
+	shutdownCancel := e.to == StateCancelled && m.ctx.Err() != nil
+	v, release, ok := func() (JobView, context.CancelFunc, bool) {
+		job.mu.Lock()
+		defer job.mu.Unlock()
+		if job.state != e.from {
+			return JobView{}, nil, false
+		}
+		if e.to == StateQueued && job.Durable { // a new job has no readers to block
+			m.journalAppend(journalRecord{ID: job.ID, Tenant: job.Tenant, Request: job.Req})
+		}
+		if e == succeed {
+			m.cache.Put(job.key, res)
+		}
+
+		job.state, job.cached, job.result, job.err = e.to, e.cached, res, err
+		if e == start {
+			job.ctx, job.cancel = context.WithCancel(m.ctx)
+		}
+		if e.to.Terminal() {
+			job.finished = m.o.Clock()
+		}
+		return job.viewLocked(), job.cancel, true
+	}()
+	if !ok {
+		return JobView{}, false
 	}
-	return m.submit(req, tenant, "")
+
+	switch {
+	case e == admit:
+		if !m.enqueue(job) {
+			if job.Durable {
+				m.journalAppend(journalRecord{ID: job.ID, State: string(StateFailed)})
+			}
+			return JobView{}, false
+		}
+	case e.from == stateNew:
+		m.register(job)
+	}
+	if e.to.Terminal() {
+		close(job.done)
+		term := graphabcd.Event{Job: job.ID, Type: graphabcd.EventDone}
+		switch {
+		case err != nil:
+			term = graphabcd.Event{Job: job.ID, Type: graphabcd.EventFailed, Err: err.Error()}
+		case e.to == StateCancelled:
+			term = graphabcd.Event{Job: job.ID, Type: graphabcd.EventFailed, Err: "cancelled"}
+		case res != nil:
+			term.Epoch = int(res.Stats.Epochs)
+		}
+		job.broadcast(term)
+		if release != nil {
+			release()
+		}
+	}
+
+	switch e.to {
+	case StateDone:
+		m.doneJobs.Add(1)
+	case StateFailed:
+		m.failedJobs.Add(1)
+	}
+	if job.Durable && e.to.Terminal() && e.from != stateNew && !shutdownCancel {
+		m.journalAppend(journalRecord{ID: job.ID, State: string(e.to)})
+	}
+	return v, true
 }
 
-func (m *Manager) submit(req *JobRequest, tenant, id string) (*Job, error) {
+// journalAppend logs a failed append: the job runs either way, but may
+// not survive a restart (or may run again after one).
+func (m *Manager) journalAppend(rec journalRecord) {
+	if err := m.journal.append(rec); err != nil {
+		m.o.Log.Error("journal append failed", "job", rec.ID, "err", err)
+	}
+}
+
+// Submit admits, registers, and enqueues one job, returning the job and
+// the view its edge produced: done for a cache hit, queued otherwise. The
+// error, when non-nil, wraps one of the graphabcd sentinels: ErrOverloaded
+// (rate limit or full queue), ErrUnknownAlgorithm, or ErrGraphNotFound.
+func (m *Manager) Submit(req *JobRequest, tenant string) (*Job, JobView, error) {
+	if !m.limiter.Allow(tenant) {
+		return nil, JobView{}, errRateLimited
+	}
+	job, err := m.newJob(req, tenant, "")
+	if err != nil {
+		return nil, JobView{}, err
+	}
+	// A warm cache hit never touches the queue.
+	if epoch, ok := m.pool.Resident(req.Graph); ok {
+		if res, ok := m.cache.Get(cacheKey(req.Graph, epoch, req.Algorithm, canonicalParams(req))); ok {
+			v, _ := m.to(job, hitAtSubmit, res, nil)
+			return job, v, nil
+		}
+	}
+	v, ok := m.to(job, admit, nil, nil)
+	if !ok {
+		return nil, JobView{}, errQueueFull
+	}
+	return job, v, nil
+}
+
+// newJob validates req and builds a new job; id "" draws the next one.
+func (m *Manager) newJob(req *JobRequest, tenant, id string) (*Job, error) {
 	alg, err := graphabcd.LookupAlgorithm(req.Algorithm)
 	if err != nil {
 		return nil, err
@@ -287,78 +411,40 @@ func (m *Manager) submit(req *JobRequest, tenant, id string) (*Job, error) {
 	if req.Durable && req.Cluster != nil {
 		return nil, fmt.Errorf("serve: durable jobs are single-node only; drop \"cluster\" or \"durable\"")
 	}
-	if req.Durable && m.ckptDir == "" {
+	if req.Durable && m.journal == nil {
 		return nil, fmt.Errorf("serve: durable jobs need a checkpoint directory; start the server with -ckpt-dir")
 	}
-
-	now := m.clock()
 	if id == "" {
 		id = fmt.Sprintf("j-%d", m.seq.Add(1))
 	}
-	job := &Job{
+	return &Job{
 		ID: id, Tenant: tenant, Durable: req.Durable, Req: req,
-		state: StateQueued, created: now, done: make(chan struct{}),
-	}
-
-	// A warm cache hit never touches the queue: the job materializes
-	// directly in the done state with the shared cached result.
-	if epoch, ok := m.pool.Resident(req.Graph); ok {
-		key := cacheKey(req.Graph, epoch, req.Algorithm, canonicalParams(req))
-		if res, ok := m.cache.Get(key); ok {
-			m.finishCached(job, res)
-			m.register(job)
-			return job, nil
-		}
-	}
-
-	if err := m.enqueue(job); err != nil {
-		return nil, err
-	}
-
-	if job.Durable && m.journal != nil {
-		if err := m.journal.append(journalRecord{ID: job.ID, Tenant: tenant, Request: req}); err != nil {
-			m.log.Error("journal append failed; job will not survive a restart", "job", job.ID, "err", err)
-		}
-	}
-	return job, nil
+		created: m.o.Clock(), done: make(chan struct{}),
+	}, nil
 }
 
 // enqueue registers job and reserves a queue slot under one lock, so a
 // concurrent Close cannot close the queue between the check and the send;
 // the send never blocks (default arm), so holding m.mu across it is safe.
-func (m *Manager) enqueue(job *Job) error {
+func (m *Manager) enqueue(job *Job) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return errQueueFull
+		return false
 	}
 	select {
 	case m.queue <- job:
 	default:
-		return errQueueFull
+		return false
 	}
 	m.jobs[job.ID] = job
-	return nil
+	return true
 }
 
 func (m *Manager) register(job *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.jobs[job.ID] = job
-}
-
-// finishCached completes job immediately from a cached result.
-func (m *Manager) finishCached(job *Job, res *graphabcd.JobResult) {
-	now := m.clock()
-	job.mu.Lock()
-	job.state = StateDone
-	job.cached = true
-	job.started, job.finished = now, now
-	job.result = res
-	job.mu.Unlock()
-	close(job.done)
-	job.broadcast(graphabcd.Event{Job: job.ID, Type: graphabcd.EventDone, Epoch: int(res.Stats.Epochs)})
-	m.doneJobs.Add(1)
 }
 
 // Get returns the job by id.
@@ -386,42 +472,23 @@ func (m *Manager) List() []JobView {
 
 // Cancel stops a job: a queued job goes terminal immediately (the worker
 // skips it), a running one gets its context cancelled and drains to the
-// cancelled state with its partial result.
-func (m *Manager) Cancel(id string) (*Job, bool) {
+// cancelled state with its partial result. The view is the job after the
+// request.
+func (m *Manager) Cancel(id string) (JobView, bool) {
 	j, ok := m.Get(id)
 	if !ok {
-		return nil, false
+		return JobView{}, false
 	}
-	cancel, terminal := j.beginCancel(m.clock())
-	if terminal {
-		j.broadcast(graphabcd.Event{Job: id, Type: graphabcd.EventFailed, Err: "cancelled"})
-		m.journalTerminal(j)
+	if v, ok := m.to(j, cancelQueued, nil, nil); ok {
+		return v, true
 	}
-	if cancel != nil {
-		cancel()
-	}
-	return j, true
-}
-
-// beginCancel flips the job's state under its lock: a queued job goes
-// terminal immediately (terminal=true; the caller broadcasts and journals
-// outside the lock), a running one records the cancel request and hands
-// back its context cancel to invoke.
-func (j *Job) beginCancel(now time.Time) (cancel context.CancelFunc, terminal bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCancelled
-		j.finished = now
-		close(j.done)
-		return nil, true
-	case StateRunning:
-		j.cancelReq = true
-		return j.cancel, false
-	default:
-		return nil, false
+	stop := j.cancel // nil until the job starts
+	j.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
+	return j.View(), true
 }
 
 // QueueFull reports a saturated queue — the signal /readyz folds in so
@@ -442,60 +509,33 @@ func (m *Manager) worker() {
 	}
 }
 
-// start transitions the job queued→running under its lock, wiring a
-// cancellable context derived from parent. ok=false means the job went
-// terminal (cancelled) while it sat queued.
-func (j *Job) start(parent context.Context, now time.Time) (jctx context.Context, cancel context.CancelFunc, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return nil, nil, false
-	}
-	jctx, cancel = context.WithCancel(parent)
-	j.state = StateRunning
-	j.started = now
-	j.cancel = cancel
-	return jctx, cancel, true
-}
-
 func (m *Manager) run(job *Job) {
-	jctx, cancel, ok := job.start(m.ctx, m.clock())
-	if !ok {
-		return // cancelled while queued
-	}
-	defer cancel()
-
 	if m.ctx.Err() != nil { // shutdown drain: don't load graphs or start engines
-		m.finish(job, StateCancelled, nil, nil)
+		m.to(job, cancelQueued, nil, nil)
 		return
+	}
+	if _, ok := m.to(job, start, nil, nil); !ok {
+		return // cancelled while queued
 	}
 
 	g, epoch, release, err := m.pool.Acquire(job.Req.Graph)
 	if err != nil {
-		m.finish(job, StateFailed, nil, err)
+		m.to(job, fail, nil, err)
 		return
 	}
 	defer release()
 
 	// Re-probe the cache now that the graph (and its epoch) is resident:
 	// an identical job may have completed while this one sat queued.
-	key := cacheKey(job.Req.Graph, epoch, job.Req.Algorithm, canonicalParams(job.Req))
-	if res, ok := m.cache.Get(key); ok {
-		job.mu.Lock()
-		job.cached = true
-		job.mu.Unlock()
-		m.finish(job, StateDone, res, nil)
+	job.key = cacheKey(job.Req.Graph, epoch, job.Req.Algorithm, canonicalParams(job.Req))
+	if res, ok := m.cache.Get(job.key); ok {
+		m.to(job, hitOnReprobe, res, nil)
 		return
 	}
 
-	spec, err := m.buildSpec(job, g)
+	h, err := m.o.Runtime.Run(job.ctx, m.buildSpec(job, g))
 	if err != nil {
-		m.finish(job, StateFailed, nil, err)
-		return
-	}
-	h, err := m.rt.Run(jctx, spec)
-	if err != nil {
-		m.finish(job, StateFailed, nil, err)
+		m.to(job, fail, nil, err)
 		return
 	}
 	for ev := range h.Events() {
@@ -506,32 +546,26 @@ func (m *Manager) run(job *Job) {
 	}
 	res, err := h.Result()
 
-	// jctx.Err() covers both user cancellation and server shutdown; a
-	// drained partial result must neither read as done nor be cached.
-	job.mu.Lock()
-	cancelled := job.cancelReq || jctx.Err() != nil
-	job.mu.Unlock()
+	// The job's context ends on a DELETE and on shutdown alike; a drained
+	// partial result must neither read as done nor be cached.
 	switch {
 	case err != nil:
-		m.finish(job, StateFailed, nil, err)
-	case cancelled:
-		m.finish(job, StateCancelled, res, nil)
+		m.to(job, fail, nil, err)
+	case job.ctx.Err() != nil:
+		m.to(job, drain, res, nil)
 	default:
-		// Publish before announcing: a waiter woken by finish may re-query
-		// straight away and must find the result in the cache.
-		m.cache.Put(key, res)
-		m.finish(job, StateDone, res, nil)
+		m.to(job, succeed, res, nil)
 	}
 }
 
 // buildSpec assembles the JobSpec: server-wide engine defaults, then the
 // request's overrides, then the per-algorithm epoch budget for
 // non-convergent workloads, then checkpoint wiring for durable jobs.
-func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) (graphabcd.JobSpec, error) {
+func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) graphabcd.JobSpec {
 	req := job.Req
 	var cfg graphabcd.Config
-	if m.base != nil {
-		cfg = *m.base
+	if m.o.EngineDefaults != nil {
+		cfg = *m.o.EngineDefaults
 	} else {
 		cfg = graphabcd.DefaultConfig(0) // Runtime applies the |V|/256 heuristic
 	}
@@ -549,10 +583,10 @@ func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) (graphabcd.JobSpec, er
 			cfg.MaxEpochs = alg.DefaultMaxEpochs
 		}
 	}
-	if job.Durable && m.ckptDir != "" {
+	if job.Durable {
 		runID := "job-" + job.ID
-		cfg.Checkpoint.Dir = m.ckptDir
-		cfg.Checkpoint.Interval = m.ckptIntv
+		cfg.Checkpoint.Dir = m.o.CheckpointDir
+		cfg.Checkpoint.Interval = m.o.CheckpointInterval
 		cfg.Checkpoint.RunID = runID
 		if m.ckptSt != nil {
 			if _, err := m.ckptSt.Load(runID); err == nil {
@@ -581,56 +615,19 @@ func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) (graphabcd.JobSpec, er
 			MaxEpochs: cfg.MaxEpochs,
 		}))
 	}
-	return graphabcd.NewJobSpec(req.Algorithm, g, opts...), nil
+	return graphabcd.NewJobSpec(req.Algorithm, g, opts...)
 }
 
-func (m *Manager) finish(job *Job, state State, res *graphabcd.JobResult, err error) {
-	job.mu.Lock()
-	job.state = state
-	job.finished = m.clock()
-	job.result = res
-	job.err = err
-	job.mu.Unlock()
-	close(job.done)
-	var term graphabcd.Event
-	if err != nil {
-		term = graphabcd.Event{Job: job.ID, Type: graphabcd.EventFailed, Err: err.Error()}
-	} else if state == StateCancelled {
-		term = graphabcd.Event{Job: job.ID, Type: graphabcd.EventFailed, Err: "cancelled"}
-	} else {
-		term = graphabcd.Event{Job: job.ID, Type: graphabcd.EventDone}
-		if res != nil {
-			term.Epoch = int(res.Stats.Epochs)
-		}
-	}
-	job.broadcast(term)
-	if state == StateDone {
-		m.doneJobs.Add(1)
-	} else if state == StateFailed {
-		m.failedJobs.Add(1)
-	}
-	m.journalTerminal(job)
-}
-
-// journalTerminal records a durable job's terminal state so a restarted
-// server does not resubmit it. Deliberately skipped during shutdown: a
-// durable job interrupted by shutdown must resume on the next boot.
-func (m *Manager) journalTerminal(job *Job) {
-	if !job.Durable || m.journal == nil || m.shutdown.Load() {
-		return
-	}
-	job.mu.Lock()
-	state := job.state
-	job.mu.Unlock()
-	if err := m.journal.append(journalRecord{ID: job.ID, State: string(state)}); err != nil {
-		m.log.Error("journal terminal append failed", "job", job.ID, "err", err)
-	}
-}
-
-// Resume resubmits every durable job the journal shows as non-terminal,
-// seeding the id sequence past journaled ids. Jobs with committed
-// checkpoint state restart from their last committed epoch (buildSpec
-// probes the store); the rest start fresh.
+// Resume re-admits every durable job the journal shows as non-terminal,
+// under its original id, seeding the id sequence past journaled ids. Jobs
+// with committed checkpoint state restart from their last committed epoch
+// (buildSpec probes the store); the rest start fresh.
+//
+// The journal may hold more jobs than the queue: every re-admitted job is
+// in the table (queued) on return, and one goroutine hands them to the
+// queue in journal order, waiting for each slot. At shutdown it stops
+// waiting, and a job it never handed over takes the shutdown cancel edge,
+// which leaves it in the journal for the next server.
 func (m *Manager) Resume() (int, error) {
 	if m.journal == nil {
 		return 0, nil
@@ -644,44 +641,52 @@ func (m *Manager) Resume() (int, error) {
 			break
 		}
 	}
-	n := 0
+	var backlog []*Job
 	for _, rec := range pending {
 		req := rec.Request
 		req.Durable = true
-		if _, err := m.submit(req, rec.Tenant, rec.ID); err != nil {
-			m.log.Error("journal resume submit failed", "job", rec.ID, "err", err)
+		job, err := m.newJob(req, rec.Tenant, rec.ID)
+		if err != nil {
+			m.o.Log.Error("journal resume submit failed", "job", rec.ID, "err", err)
 			continue
 		}
-		m.log.Info("resumed durable job from journal", "job", rec.ID, "algorithm", req.Algorithm, "graph", req.Graph)
-		n++
+		m.to(job, readmit, nil, nil)
+		m.o.Log.Info("resumed durable job from journal", "job", rec.ID, "algorithm", req.Algorithm, "graph", req.Graph)
+		backlog = append(backlog, job)
 	}
-	return n, nil
+	m.feeding.Add(1)
+	go func() {
+		defer m.feeding.Done()
+		for i, job := range backlog {
+			select {
+			case m.queue <- job:
+			case <-m.ctx.Done():
+				for _, left := range backlog[i:] {
+					m.to(left, cancelQueued, nil, nil)
+				}
+				return
+			}
+		}
+	}()
+	return len(backlog), nil
 }
 
 // Close stops accepting jobs, cancels running ones, and waits for the
 // workers. Durable jobs in flight are NOT journaled as terminal — that is
 // what lets a restarted server resume them.
 func (m *Manager) Close() {
-	if !m.markClosed() {
+	m.mu.Lock()
+	closed := m.closed
+	m.closed = true
+	m.mu.Unlock()
+	if closed {
 		return
 	}
-	m.shutdown.Store(true)
 	m.cancel()
+	m.feeding.Wait() // the feeder sends outside m.mu: it must be gone before the queue closes
 	close(m.queue)
 	m.wg.Wait()
 	if m.journal != nil {
 		m.journal.close()
 	}
-}
-
-// markClosed flips the closed flag under the lock; false means Close
-// already ran.
-func (m *Manager) markClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.closed = true
-	return true
 }

@@ -192,6 +192,21 @@ if [[ -n "$knobs" ]]; then
     exit 1
 fi
 
+echo "== one job lifecycle (only Manager.to changes a job's state)"
+# internal/serve/jobs.go's Manager.to is the one transition: it owns the
+# order of every edge's side effects. A state write or a close of a job's
+# done channel anywhere else is a second, unordered transition.
+transitions=$(awk '
+    /^func / { fn = $0 }
+    /\.state( *,[^=]*)? *=[^=]/ || /close\([A-Za-z_.]*\.done\)/ {
+        if (fn !~ /^func \(m \*Manager\) to\(/) print FILENAME ":" FNR ": " $0
+    }' $(ls internal/serve/*.go | grep -v '_test\.go$'))
+if [[ -n "$transitions" ]]; then
+    echo "internal/serve changes job state outside Manager.to:" >&2
+    echo "$transitions" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -234,6 +249,9 @@ echo "== scheduler pick vs the per-bit linear scan, and priority liveness (race 
 go test -race -count=20 -timeout 600s \
     -run '^(TestNextMatchesLinearScan|TestNextSequenceMatchesLinearScan|TestPriorityLivenessUnderConcurrentActivation)$' \
     ./internal/sched
+
+echo "== serving layer: job lifecycle and handlers (race detector, 20 runs)"
+go test -race -count=20 -timeout 600s ./internal/serve
 
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
 go test -race -count=1 -timeout 300s \
