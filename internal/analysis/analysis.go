@@ -163,8 +163,8 @@ func DefaultConfig() *Config {
 			"internal/accel:RunGather",
 		},
 		ErrcheckIgnoreDeferredClose: true,
-		BoundAllocPkgs:              []string{"internal/edgestore", "internal/graph", "internal/cluster", "internal/chaos/netproxy", "internal/checkpoint", "internal/telemetry", "internal/obslog", "internal/serve"},
-		BoundAllocClamps:            []string{"presizeCap", "growEarned"},
+		BoundAllocPkgs:              []string{"internal/binfmt", "internal/edgestore", "internal/graph", "internal/cluster", "internal/chaos/netproxy", "internal/checkpoint", "internal/telemetry", "internal/obslog", "internal/serve"},
+		BoundAllocClamps:            []string{"PresizeCap", "GrowEarned"},
 		GoroutineOwnedPkgs:          []string{"/cmd/", "internal/telemetry", "internal/obslog", "internal/serve"},
 	}
 }

@@ -36,7 +36,7 @@ var fixtureCases = []struct {
 	{
 		name: "boundalloc",
 		rule: "boundalloc",
-		cfg:  &Config{BoundAllocPkgs: []string{"src/boundalloc"}, BoundAllocClamps: []string{"presizeCap", "growEarned"}},
+		cfg:  &Config{BoundAllocPkgs: []string{"src/boundalloc"}, BoundAllocClamps: []string{"PresizeCap", "GrowEarned"}},
 		dirs: []string{"testdata/src/boundalloc"},
 	},
 	{

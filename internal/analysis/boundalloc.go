@@ -8,14 +8,15 @@ import (
 )
 
 // BoundAlloc guards the decoders against hostile-input allocation: in the
-// configured decoder packages (Config.BoundAllocPkgs — edgestore and the
-// GABS/GABZ snapshot codecs), a make whose length or capacity derives from
-// a value decoded out of the input bytes (encoding/binary fixed-width
-// reads, varints) must flow through a recognized clamp
-// (Config.BoundAllocClamps: presizeCap, growEarned) before allocating. A
-// corrupt or hostile header otherwise turns an 8-byte field into a
-// multi-gigabyte upfront allocation — the exact failure mode DESIGN.md §8
-// documents presizeCap/growEarned as the defense against.
+// configured decoder packages (Config.BoundAllocPkgs — the binfmt section
+// codec and its GABS/GABZ/GABC users, edgestore, the wire codecs), a make
+// whose length or capacity derives from a value decoded out of the input
+// bytes (encoding/binary fixed-width reads, varints) must flow through a
+// recognized clamp (Config.BoundAllocClamps: binfmt.PresizeCap,
+// binfmt.GrowEarned) before allocating. A corrupt or hostile header
+// otherwise turns an 8-byte field into a multi-gigabyte upfront
+// allocation — the failure mode DESIGN.md §10 documents the clamps as the
+// defense against.
 //
 // The analysis is per function: decoded values taint the variables they
 // are assigned to, taint propagates through assignments and expressions,
@@ -163,8 +164,8 @@ func isDecodeCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isClampCall matches a call to one of the configured clamp helpers by
-// name (they are unexported helpers of the decoder packages, so a bare
-// name comparison is unambiguous within them).
+// name (the names are distinctive enough that a bare comparison, package
+// qualifier ignored, is unambiguous in the decoder packages).
 func isClampCall(info *types.Info, call *ast.CallExpr, clamps []string) bool {
 	fn, ok := calleeFunc(info, call)
 	if !ok {

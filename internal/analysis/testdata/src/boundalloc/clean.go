@@ -11,8 +11,8 @@ var errMismatch = errors.New("boundalloc: header mismatch")
 // and via an intermediate variable.
 func DecodeClamped(hdr []byte) ([]uint64, []byte) {
 	n := int(binary.LittleEndian.Uint64(hdr[:8]))
-	vals := make([]uint64, 0, presizeCap(n, 8))
-	capped := presizeCap(n, 1)
+	vals := make([]uint64, 0, PresizeCap(n, 8))
+	capped := PresizeCap(n, 1)
 	raw := make([]byte, capped)
 	return vals, raw
 }

@@ -4,9 +4,9 @@ package boundalloc
 
 import "encoding/binary"
 
-// presizeCap mirrors the real decoders' clamp helper: upfront capacity is
+// PresizeCap mirrors internal/binfmt's clamp helper: upfront capacity is
 // bounded no matter what the header claims.
-func presizeCap(want, entryBytes int) int {
+func PresizeCap(want, entryBytes int) int {
 	const maxBytes = 4 << 20
 	if want <= 0 || entryBytes <= 0 {
 		return 0

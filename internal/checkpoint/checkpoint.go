@@ -5,11 +5,10 @@
 // snapshot of (vertex values, scheduler priorities, progress counters,
 // per-slot write stamps) taken while workers keep running is a valid
 // restart point: the captured state is just another member of the bounded
-// staleness family the convergence analysis already tolerates. The format
-// reuses the GABS snapshot discipline from internal/graph: a fixed
-// little-endian header, fixed-order CRC-trailed sections, and a decoder
-// that never sizes an allocation from a header claim alone
-// (presizeCap/growEarned).
+// staleness family the convergence analysis already tolerates. The file
+// is a fixed little-endian header followed by fixed-order sections in the
+// internal/binfmt framing GABS snapshots use, decoded by the same reader,
+// which never sizes an allocation from a header claim alone.
 //
 // State file layout ("GABC", version 1):
 //
@@ -23,11 +22,9 @@
 //	    node      u32 writing node id (0 for single-process runs)
 //	    nodes     u32 cluster size (1 for single-process runs)
 //	    crc       u32 IEEE CRC-32 of the preceding 40 bytes
-//	sections, in fixed order, each:
-//	    tag        u32   1 meta, 2 values, 3 priority, 4 active, 5 stamps
-//	    payloadLen u64   bytes of payload
-//	    payload    [payloadLen]byte
-//	    crc        u32   IEEE CRC-32 of the payload
+//	sections, in fixed order, in the binfmt framing
+//	(tag u32 | payloadLen u64 | payload | crc32 u32):
+//	    tags 1 meta, 2 values, 3 priority, 4 active, 5 stamps
 //
 // The meta section fixes the node's owned ranges and progress counters
 // (ten u64 fields); values are raw vertex-value words for [VertexLo,
@@ -39,20 +36,19 @@
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+
+	"graphabcd/internal/binfmt"
 )
 
 const (
 	ckptMagic     = "GABC"
 	ckptVersion   = 1
 	ckptHeaderLen = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4
-	ckptSecHdrLen = 4 + 8
-	ckptCRCLen    = 4
 )
 
 // Section tags, in file order.
@@ -183,7 +179,7 @@ func Encode(w io.Writer, st *State) error {
 	if err := st.validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	cw := binfmt.NewWriter(w)
 	var hdr [ckptHeaderLen]byte
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
@@ -197,99 +193,28 @@ func Encode(w io.Writer, st *State) error {
 	// cross-checks counts against section lengths), no flipped size field
 	// can survive into a structurally plausible decode.
 	binary.LittleEndian.PutUint32(hdr[40:44], crc32.ChecksumIEEE(hdr[:40]))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	cw := &ckptWriter{bw: bw}
-	cw.u64Section(secMeta, []uint64{
+	cw.Raw(hdr[:])
+	cw.U64s(secMeta, []uint64{
 		uint64(st.VertexLo), uint64(st.VertexHi),
 		uint64(st.BlockLo), uint64(st.BlockHi),
 		uint64(st.SlotBase), uint64(len(st.Stamps)),
 		uint64(st.Counters.VertexUpdates), uint64(st.Counters.BlockUpdates),
 		uint64(st.Counters.EdgesTraversed), st.Counters.Seq,
 	})
-	cw.u64Section(secValues, st.Values)
-	cw.u64Section(secPriority, st.Priority)
-	cw.byteSection(secActive, st.Active)
-	cw.u64Section(secStamps, st.Stamps)
-	if cw.err != nil {
-		return cw.err
-	}
-	return bw.Flush()
-}
-
-// ckptWriter emits sections, accumulating the first write error — the
-// GABS snapWriter shape.
-type ckptWriter struct {
-	bw  *bufio.Writer
-	err error
-	blk []byte
-}
-
-func (cw *ckptWriter) write(b []byte) {
-	if cw.err == nil {
-		_, cw.err = cw.bw.Write(b)
-	}
-}
-
-func (cw *ckptWriter) sectionHeader(tag uint32, payloadLen int64) {
-	var h [ckptSecHdrLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], tag)
-	binary.LittleEndian.PutUint64(h[4:12], uint64(payloadLen))
-	cw.write(h[:])
-}
-
-func (cw *ckptWriter) crc(sum uint32) {
-	var b [ckptCRCLen]byte
-	binary.LittleEndian.PutUint32(b[:], sum)
-	cw.write(b[:])
-}
-
-// encodeBlockSize is the staging-block size for streaming sections: each
-// full block takes one CRC update and one buffered write.
-const encodeBlockSize = 64 << 10
-
-func (cw *ckptWriter) block() []byte {
-	if cw.blk == nil {
-		cw.blk = make([]byte, encodeBlockSize)
-	}
-	return cw.blk
-}
-
-// u64Section streams vals as little-endian u64, block-buffered.
-func (cw *ckptWriter) u64Section(tag uint32, vals []uint64) {
-	cw.sectionHeader(tag, int64(len(vals))*8)
-	crc := crc32.NewIEEE()
-	blk := cw.block()
-	fill := 0
-	for _, v := range vals {
-		if fill == len(blk) {
-			_, _ = crc.Write(blk) // hash.Hash.Write never fails
-			cw.write(blk)
-			fill = 0
-		}
-		binary.LittleEndian.PutUint64(blk[fill:], v)
-		fill += 8
-	}
-	_, _ = crc.Write(blk[:fill])
-	cw.write(blk[:fill])
-	cw.crc(crc.Sum32())
-}
-
-// byteSection emits a raw byte payload (the active flags).
-func (cw *ckptWriter) byteSection(tag uint32, b []byte) {
-	cw.sectionHeader(tag, int64(len(b)))
-	cw.write(b)
-	cw.crc(crc32.ChecksumIEEE(b))
+	cw.U64s(secValues, st.Values)
+	cw.U64s(secPriority, st.Priority)
+	cw.Bytes(secActive, st.Active)
+	cw.U64s(secStamps, st.Stamps)
+	return cw.Flush()
 }
 
 // Decode reads a GABC state file, verifying every section CRC and every
 // cross-field invariant. Allocation follows delivered bytes, never the
 // header's claims.
 func Decode(r io.Reader) (*State, error) {
-	br := bufio.NewReaderSize(r, 1<<14)
+	cr := binfmt.NewReader(r, "checkpoint:")
 	var hdr [ckptHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if err := cr.Header(hdr[:]); err != nil {
 		return nil, fmt.Errorf("checkpoint: header: %w", err)
 	}
 	if string(hdr[:4]) != ckptMagic {
@@ -319,8 +244,7 @@ func Decode(r io.Reader) (*State, error) {
 	st.NumVertices, st.NumBlocks = int64(n), int64(nb)
 	st.Words, st.Node, st.Nodes = int(words), int(node), int(nodes)
 
-	cr := ckptReader{br: br}
-	meta, err := cr.u64s(secMeta, metaFields)
+	meta, err := cr.U64s(secMeta, metaFields)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +258,7 @@ func Decode(r io.Reader) (*State, error) {
 	st.VertexLo, st.VertexHi = int64(meta[0]), int64(meta[1])
 	st.BlockLo, st.BlockHi = int64(meta[2]), int64(meta[3])
 	st.SlotBase = int64(meta[4])
-	slotCount := int64(meta[5])
+	slotCount := int(meta[5])
 	if st.VertexLo > st.VertexHi || st.VertexHi > st.NumVertices {
 		return nil, fmt.Errorf("checkpoint: vertex range [%d,%d) outside [0,%d)", st.VertexLo, st.VertexHi, st.NumVertices)
 	}
@@ -353,151 +277,27 @@ func Decode(r io.Reader) (*State, error) {
 		Seq:            meta[9],
 	}
 
+	// The owned ranges are bounded by the header counts now, so only the
+	// value word count can still exceed what a run could hold.
 	valueWords := (st.VertexHi - st.VertexLo) * int64(st.Words)
-	if st.Values, err = cr.u64s(secValues, valueWords); err != nil {
+	if valueWords > maxCkptSlots {
+		return nil, fmt.Errorf("checkpoint: section %d wants %d entries, out of range", secValues, valueWords)
+	}
+	if st.Values, err = cr.U64s(secValues, int(valueWords)); err != nil {
 		return nil, err
 	}
-	ownedBlocks := st.BlockHi - st.BlockLo
-	if st.Priority, err = cr.u64s(secPriority, ownedBlocks); err != nil {
+	ownedBlocks := int(st.BlockHi - st.BlockLo)
+	if st.Priority, err = cr.U64s(secPriority, ownedBlocks); err != nil {
 		return nil, err
 	}
-	if st.Active, err = cr.bytes(secActive, ownedBlocks); err != nil {
+	if st.Active, err = cr.Bytes(secActive, ownedBlocks); err != nil {
 		return nil, err
 	}
-	if st.Stamps, err = cr.u64s(secStamps, slotCount); err != nil {
+	if st.Stamps, err = cr.U64s(secStamps, slotCount); err != nil {
 		return nil, err
 	}
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// ckptReader decodes consecutive sections, verifying tag, exact payload
-// length, and CRC.
-type ckptReader struct {
-	br      *bufio.Reader
-	scratch []byte
-}
-
-// presizeCap bounds a decoded array's initial capacity: enough for want
-// entries, capped so a hostile header can cost at most a few megabytes
-// before real payload bytes must arrive.
-func presizeCap(want, entryBytes int) int {
-	const maxUpfront = 4 << 20
-	if want < 0 {
-		return 0
-	}
-	if want > maxUpfront/entryBytes {
-		return maxUpfront / entryBytes
-	}
-	return want
-}
-
-// growEarned makes room for need more entries without trusting the
-// header: capacity quadruples from what delivered payload bytes have
-// already earned, capped at the claimed want.
-func growEarned[T any](s []T, need, want int) []T {
-	if len(s)+need <= cap(s) {
-		return s
-	}
-	newCap := 4 * cap(s)
-	if newCap < len(s)+need {
-		newCap = len(s) + need
-	}
-	if want > len(s)+need && newCap > want {
-		newCap = want
-	}
-	out := make([]T, len(s), newCap)
-	copy(out, s)
-	return out
-}
-
-// section reads one section header, checks the tag, and enforces the
-// exact payload length the already-validated meta fields dictate.
-func (cr *ckptReader) section(tag uint32, wantLen int64) error {
-	var h [ckptSecHdrLen]byte
-	if _, err := io.ReadFull(cr.br, h[:]); err != nil {
-		return fmt.Errorf("checkpoint: section %d header: %w", tag, err)
-	}
-	if got := binary.LittleEndian.Uint32(h[0:4]); got != tag {
-		return fmt.Errorf("checkpoint: section tag %d, want %d", got, tag)
-	}
-	if l := binary.LittleEndian.Uint64(h[4:12]); l != uint64(wantLen) {
-		return fmt.Errorf("checkpoint: section %d is %d bytes, want %d", tag, l, wantLen)
-	}
-	return nil
-}
-
-// payload reads exactly l payload bytes in bounded chunks and verifies
-// the trailing CRC.
-func (cr *ckptReader) payload(tag uint32, l int64, consume func([]byte)) error {
-	crc := crc32.NewIEEE()
-	if cr.scratch == nil {
-		cr.scratch = make([]byte, 1<<20)
-	}
-	for remaining := l; remaining > 0; {
-		k := int64(len(cr.scratch))
-		if k > remaining {
-			k = remaining
-		}
-		if _, err := io.ReadFull(cr.br, cr.scratch[:k]); err != nil {
-			return fmt.Errorf("checkpoint: section %d payload: %w", tag, err)
-		}
-		_, _ = crc.Write(cr.scratch[:k]) // hash.Hash.Write never fails
-		consume(cr.scratch[:k])
-		remaining -= k
-	}
-	var c [ckptCRCLen]byte
-	if _, err := io.ReadFull(cr.br, c[:]); err != nil {
-		return fmt.Errorf("checkpoint: section %d checksum: %w", tag, err)
-	}
-	if got := binary.LittleEndian.Uint32(c[:]); got != crc.Sum32() {
-		return fmt.Errorf("checkpoint: section %d checksum mismatch (file %08x, data %08x)", tag, got, crc.Sum32())
-	}
-	return nil
-}
-
-// u64s decodes a u64 section of exactly count entries.
-func (cr *ckptReader) u64s(tag uint32, count int64) ([]uint64, error) {
-	if count < 0 || count > maxCkptSlots {
-		return nil, fmt.Errorf("checkpoint: section %d wants %d entries, out of range", tag, count)
-	}
-	if err := cr.section(tag, count*8); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, 0, presizeCap(int(count), 8))
-	if err := cr.payload(tag, count*8, func(chunk []byte) {
-		out = growEarned(out, len(chunk)/8, int(count))
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			out = append(out, binary.LittleEndian.Uint64(chunk[i:]))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if int64(len(out)) != count {
-		return nil, fmt.Errorf("checkpoint: section %d has %d entries, want %d", tag, len(out), count)
-	}
-	return out, nil
-}
-
-// bytes decodes a raw byte section of exactly count bytes.
-func (cr *ckptReader) bytes(tag uint32, count int64) ([]byte, error) {
-	if count < 0 || count > maxCkptSlots {
-		return nil, fmt.Errorf("checkpoint: section %d wants %d bytes, out of range", tag, count)
-	}
-	if err := cr.section(tag, count); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, presizeCap(int(count), 1))
-	if err := cr.payload(tag, count, func(chunk []byte) {
-		out = growEarned(out, len(chunk), int(count))
-		out = append(out, chunk...)
-	}); err != nil {
-		return nil, err
-	}
-	if int64(len(out)) != count {
-		return nil, fmt.Errorf("checkpoint: section %d has %d bytes, want %d", tag, len(out), count)
-	}
-	return out, nil
 }

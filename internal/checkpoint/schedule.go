@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"graphabcd/internal/binfmt"
 )
 
 // Schedule recording for deterministic replay: the scheduler appends each
@@ -179,7 +181,7 @@ func ReadSchedule(r io.Reader, numBlocks int) ([]uint32, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trl[8:12]); got != want {
 		return nil, fmt.Errorf("checkpoint: schedule checksum mismatch (file %08x, data %08x)", want, got)
 	}
-	out := make([]uint32, 0, presizeCap(len(body)/4, 4))
+	out := make([]uint32, 0, binfmt.PresizeCap(len(body)/4, 4))
 	for i := 0; i+4 <= len(body); i += 4 {
 		b := binary.LittleEndian.Uint32(body[i:])
 		if int64(b) >= int64(numBlocks) {

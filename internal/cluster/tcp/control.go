@@ -14,6 +14,7 @@ import (
 	"net"
 	"time"
 
+	"graphabcd/internal/binfmt"
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/cluster"
 )
@@ -238,7 +239,7 @@ func decodeAssign(b []byte) (distAssign, error) {
 	case a.ckpt.resumeEpoch > 0 && a.ckpt.runID == "":
 		return a, fmt.Errorf("tcp: assign resumes epoch %d without a run id", a.ckpt.resumeEpoch)
 	}
-	a.addrs = make([]string, 0, presizeCap(a.cfg.Nodes, 16))
+	a.addrs = make([]string, 0, binfmt.PresizeCap(a.cfg.Nodes, 16))
 	for len(a.addrs) < a.cfg.Nodes {
 		if len(rest) < 2 {
 			return a, fmt.Errorf("tcp: assign truncated at address %d/%d", len(a.addrs), a.cfg.Nodes)
@@ -247,7 +248,7 @@ func decodeAssign(b []byte) (distAssign, error) {
 		if alen < 1 || alen > maxCtrlAddr || len(rest) < 2+alen {
 			return a, fmt.Errorf("tcp: assign address %d length %d invalid", len(a.addrs), alen)
 		}
-		a.addrs = growEarned(a.addrs, 1, a.cfg.Nodes)
+		a.addrs = binfmt.GrowEarned(a.addrs, 1, a.cfg.Nodes)
 		a.addrs = append(a.addrs, string(rest[2:2+alen]))
 		rest = rest[2+alen:]
 	}

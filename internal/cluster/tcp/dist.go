@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -75,9 +74,7 @@ type DistConfig struct {
 	// CheckpointDir. The manifest's identity triple and node count must
 	// match this run exactly.
 	Resume string
-	// Transport tunes the coordinator's data-plane sockets.
-	Transport Options
-	// Telemetry, when non-nil, receives the wire gauges.
+	// Telemetry, when non-nil, receives the coordinator's wire gauges.
 	Telemetry *telemetry.Registry
 	// Cluster, when non-nil, receives the merged cluster telemetry: the
 	// coordinator interleaves fStats rounds with its probe rounds and
@@ -268,15 +265,7 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	// Phase 4: run. The coordinator is node 0 of the same data plane.
 	listeners := make([]net.Listener, cfg.Nodes)
 	listeners[0] = dataLn
-	topts := cfg.Transport
-	if topts.Telemetry == nil {
-		topts.Telemetry = cfg.Telemetry
-	}
-	health := topts.Health
-	if health == nil {
-		health = cfg.Health
-	}
-	tr := New(listeners, dataAddrs, topts)
+	tr := New(listeners, dataAddrs, Options{Telemetry: cfg.Telemetry})
 	for _, j := range joiners {
 		if err := j.write(newFrame(fStart)); err != nil {
 			return fail(fmt.Errorf("tcp: start: %w", err))
@@ -286,7 +275,7 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 		"event", "cluster.start", "nodes", cfg.Nodes, "algo", cfg.Algo,
 		"vertices", snap.n, "edges", snap.m)
 	res, err := runDist(ctx, g, selfAssign, tr, distSide{
-		health: health, joiners: joiners, probeEvery: cfg.probeEvery(),
+		health: cfg.Health, joiners: joiners, probeEvery: cfg.probeEvery(),
 		sink: cfg.Cluster, statsEvery: cfg.statsEvery(), began: start,
 	})
 	if err != nil {
@@ -924,36 +913,18 @@ type snapshotSections struct {
 }
 
 func openSnapshotSections(path string) (*snapshotSections, error) {
-	f, err := os.Open(path)
+	f, n, m, l, err := graph.OpenPlainSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("tcp: snapshot header: %w", err)
+	s := &snapshotSections{f: f, n: n, m: m, layout: l}
+	if n < 1 || n > maxDistVertices || m > maxDistEdges {
+		err = fmt.Errorf("tcp: snapshot dimensions V=%d E=%d out of range", n, m)
+	} else if s.inOff, err = s.readOffsets(l.InOff); err == nil {
+		s.outOff, err = s.readOffsets(l.OutOff)
 	}
-	n64, m64, compressed, err := graph.ParseSnapshotHeader(hdr[:])
 	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if compressed {
-		_ = f.Close()
-		return nil, fmt.Errorf("tcp: %s is a compressed snapshot; section distribution needs the plain format (re-save as .gabs)", path)
-	}
-	if n64 < 1 || n64 > maxDistVertices || m64 < 0 || m64 > maxDistEdges {
-		_ = f.Close()
-		return nil, fmt.Errorf("tcp: snapshot dimensions V=%d E=%d out of range", n64, m64)
-	}
-	s := &snapshotSections{f: f, n: int(n64), m: int(m64)}
-	s.layout = graph.SnapshotSectionLayout(s.n, s.m)
-	if s.inOff, err = s.readOffsets(s.layout.InOff); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if s.outOff, err = s.readOffsets(s.layout.OutOff); err != nil {
-		_ = f.Close()
+		s.close()
 		return nil, err
 	}
 	return s, nil
@@ -963,6 +934,8 @@ func (s *snapshotSections) close() { _ = s.f.Close() }
 
 // readOffsets preads one (n+1)-entry u64 offset section and validates
 // the monotone [0, m] span FromSections will re-check on the far side.
+// Its (n+1)*8 bytes are known to be in the file: OpenPlainSnapshot
+// checked the file size against the layout.
 func (s *snapshotSections) readOffsets(off int64) ([]int64, error) {
 	raw := make([]byte, (s.n+1)*8)
 	if _, err := s.f.ReadAt(raw, off); err != nil {

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"graphabcd/internal/binfmt"
 )
 
 // errCRCMismatch marks a frame whose body arrived intact in length but
@@ -89,9 +91,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n < 1 || n > maxFrameBody {
 		return nil, fmt.Errorf("tcp: frame length %d outside [1, %d]", n, maxFrameBody)
 	}
-	body := make([]byte, 0, presizeCap(n, 1))
+	body := make([]byte, 0, binfmt.PresizeCap(n, 1))
 	for len(body) < n {
-		body = growEarned(body, 1, n)
+		body = binfmt.GrowEarned(body, 1, n)
 		take := cap(body) - len(body)
 		if take > n-len(body) {
 			take = n - len(body)
@@ -110,35 +112,4 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: computed %#x, wire says %#x", errCRCMismatch, got, want)
 	}
 	return body, nil
-}
-
-// presizeCap and growEarned are the repo-wide hostile-length allocation
-// clamps (see internal/graph's snapshot decoder for the contract): an
-// upfront allocation from a decoded size is capped at a fixed byte
-// budget, and growth beyond it is earned by bytes actually delivered.
-func presizeCap(want, entryBytes int) int {
-	const maxUpfront = 4 << 20
-	if want < 0 {
-		return 0
-	}
-	if want > maxUpfront/entryBytes {
-		return maxUpfront / entryBytes
-	}
-	return want
-}
-
-func growEarned[T any](s []T, need, want int) []T {
-	if len(s)+need <= cap(s) {
-		return s
-	}
-	newCap := 4 * cap(s)
-	if newCap < len(s)+need {
-		newCap = len(s) + need
-	}
-	if want > len(s)+need && newCap > want {
-		newCap = want
-	}
-	out := make([]T, len(s), newCap)
-	copy(out, s)
-	return out
 }

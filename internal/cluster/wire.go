@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+
+	"graphabcd/internal/binfmt"
 )
 
 // Wire codec for Envelope. Envelope payload fields are unexported on
@@ -125,54 +127,23 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	// a decoder bug can never turn a decoded count into a huge upfront
 	// allocation.
 	off := envelopeHdrLen
-	e.slots = make([]int64, 0, presizeCap(nslots, 8))
+	e.slots = make([]int64, 0, binfmt.PresizeCap(nslots, 8))
 	for i := 0; i < nslots; i++ {
-		e.slots = growEarned(e.slots, 1, nslots)
+		e.slots = binfmt.GrowEarned(e.slots, 1, nslots)
 		e.slots = append(e.slots, int64(binary.LittleEndian.Uint64(b[off:])))
 		off += 8
 	}
-	e.blocks = make([]int32, 0, presizeCap(nslots, 4))
+	e.blocks = make([]int32, 0, binfmt.PresizeCap(nslots, 4))
 	for i := 0; i < nslots; i++ {
-		e.blocks = growEarned(e.blocks, 1, nslots)
+		e.blocks = binfmt.GrowEarned(e.blocks, 1, nslots)
 		e.blocks = append(e.blocks, int32(binary.LittleEndian.Uint32(b[off:])))
 		off += 4
 	}
-	e.words = make([]uint64, 0, presizeCap(nwords, 8))
+	e.words = make([]uint64, 0, binfmt.PresizeCap(nwords, 8))
 	for i := 0; i < nwords; i++ {
-		e.words = growEarned(e.words, 1, nwords)
+		e.words = binfmt.GrowEarned(e.words, 1, nwords)
 		e.words = append(e.words, binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
 	return e, nil
-}
-
-// presizeCap clamps an upfront allocation sized by decoded input to a
-// fixed byte budget; growEarned quadruples capacity from what delivered
-// bytes have earned. Same contract as the internal/graph snapshot
-// decoder's clamps (the abcdlint boundalloc rule recognizes the names).
-func presizeCap(want, entryBytes int) int {
-	const maxUpfront = 4 << 20
-	if want < 0 {
-		return 0
-	}
-	if want > maxUpfront/entryBytes {
-		return maxUpfront / entryBytes
-	}
-	return want
-}
-
-func growEarned[T any](s []T, need, want int) []T {
-	if len(s)+need <= cap(s) {
-		return s
-	}
-	newCap := 4 * cap(s)
-	if newCap < len(s)+need {
-		newCap = len(s) + need
-	}
-	if want > len(s)+need && newCap > want {
-		newCap = want
-	}
-	out := make([]T, len(s), newCap)
-	copy(out, s)
-	return out
 }

@@ -2,8 +2,6 @@ package edgestore
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"graphabcd/internal/graph"
 )
@@ -18,39 +16,15 @@ import (
 // The snapshot must describe the same graph: V and E are checked against
 // g. Compressed snapshots ("GABZ") are not preadable; load them into
 // memory or re-save with graph.FormatSnapshot.
-func OpenSnapshot(g *graph.Graph, path string) (_ Source, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			_ = f.Close() // the validation error supersedes the close error
-		}
-	}()
-	var hdr [24]byte
-	if _, err = io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("edgestore: snapshot header: %w", err)
-	}
-	n, m, compressed, err := graph.ParseSnapshotHeader(hdr[:])
+func OpenSnapshot(g *graph.Graph, path string) (Source, error) {
+	f, n, m, l, err := graph.OpenPlainSnapshot(path)
 	if err != nil {
 		return nil, fmt.Errorf("edgestore: %w", err)
 	}
-	if compressed {
-		return nil, fmt.Errorf("edgestore: %s is a compressed snapshot; only plain snapshots support positioned reads", path)
-	}
-	if int(n) != g.NumVertices() || int(m) != g.NumEdges() {
+	if n != g.NumVertices() || m != g.NumEdges() {
+		_ = f.Close() // the mismatch supersedes the close error
 		return nil, fmt.Errorf("edgestore: snapshot is for V=%d E=%d, graph has V=%d E=%d",
 			n, m, g.NumVertices(), g.NumEdges())
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	srcOff, wOff := graph.SnapshotEdgeSections(g.NumVertices(), g.NumEdges())
-	if fi.Size() < wOff+4*m {
-		return nil, fmt.Errorf("edgestore: snapshot %s truncated: %d bytes, need at least %d",
-			path, fi.Size(), wOff+4*m)
-	}
-	return &fileSource{g: g, f: f, size: fi.Size(), srcOff: srcOff, wOff: wOff}, nil
+	return &fileSource{g: g, f: f, size: l.End, srcOff: l.InSrc, wOff: l.InW}, nil
 }

@@ -1,12 +1,13 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+	"os"
+
+	"graphabcd/internal/binfmt"
 )
 
 // Snapshot format: the dual CSC/CSR layout serialized once so reloading a
@@ -17,11 +18,9 @@ import (
 //	    version u32 currently 1
 //	    n       u64 vertex count
 //	    m       u64 edge count
-//	sections, in fixed order, each:
-//	    tag        u32   1 inOff, 2 inSrc, 3 inW, 4 outOff, 5 outDst, 6 outPos
-//	    payloadLen u64   bytes of payload
-//	    payload    [payloadLen]byte
-//	    crc        u32   IEEE CRC-32 of the payload
+//	sections, in fixed order, in the internal/binfmt framing
+//	(tag u32 | payloadLen u64 | payload | crc32 u32):
+//	    tags 1 inOff, 2 inSrc, 3 inW, 4 outOff, 5 outDst, 6 outPos
 //
 // Plain payloads are the raw little-endian arrays: offsets as u64
 // (n+1 entries), inSrc/outDst as u32, inW as f32 bit patterns, outPos as
@@ -39,8 +38,6 @@ const (
 	snapshotMagicZ    = "GABZ"
 	snapshotVersion   = 1
 	snapshotHeaderLen = 4 + 4 + 8 + 8
-	snapshotSecHdrLen = 4 + 8
-	snapshotCRCLen    = 4
 )
 
 // Section tags, in file order.
@@ -63,9 +60,9 @@ func IsSnapshotMagic(b []byte) bool {
 	return s == snapshotMagic || s == snapshotMagicZ
 }
 
-// ParseSnapshotHeader decodes a snapshot header. It reports the vertex
+// parseSnapshotHeader decodes a snapshot header. It reports the vertex
 // and edge counts and whether the sections are varint-compressed.
-func ParseSnapshotHeader(hdr []byte) (n, m int64, compressed bool, err error) {
+func parseSnapshotHeader(hdr []byte) (n, m int64, compressed bool, err error) {
 	if len(hdr) < snapshotHeaderLen {
 		return 0, 0, false, fmt.Errorf("graph: snapshot header truncated at %d bytes", len(hdr))
 	}
@@ -81,7 +78,10 @@ func ParseSnapshotHeader(hdr []byte) (n, m int64, compressed bool, err error) {
 	}
 	un := binary.LittleEndian.Uint64(hdr[8:16])
 	um := binary.LittleEndian.Uint64(hdr[16:24])
-	if un > math.MaxInt64 || um > math.MaxInt32 {
+	if un > math.MaxInt32 {
+		return 0, 0, false, fmt.Errorf("graph: snapshot vertex count %d out of range", un)
+	}
+	if um > math.MaxInt32 {
 		return 0, 0, false, fmt.Errorf("graph: snapshot sizes V=%d E=%d out of range", un, um)
 	}
 	return int64(un), int64(um), compressed, nil
@@ -101,6 +101,7 @@ type SnapshotLayout struct {
 	OutOff int64 // (n+1) little-endian u64 CSR offsets
 	OutDst int64 // m little-endian u32 out-edge destinations
 	OutPos int64 // m little-endian u64 out-edge CSC slots
+	End    int64 // file size: one past the last section's CRC
 }
 
 // SnapshotSectionLayout computes the plain-snapshot payload offsets for an
@@ -109,11 +110,11 @@ func SnapshotSectionLayout(n, m int) SnapshotLayout {
 	offLen, idLen, posLen := int64(n+1)*8, int64(m)*4, int64(m)*8
 	next := int64(snapshotHeaderLen)
 	sec := func(payloadLen int64) int64 {
-		off := next + snapshotSecHdrLen
-		next = off + payloadLen + snapshotCRCLen
+		off := next + binfmt.SecHdrLen
+		next = off + payloadLen + binfmt.CRCLen
 		return off
 	}
-	return SnapshotLayout{
+	l := SnapshotLayout{
 		InOff:  sec(offLen),
 		InSrc:  sec(idLen),
 		InW:    sec(idLen),
@@ -121,6 +122,8 @@ func SnapshotSectionLayout(n, m int) SnapshotLayout {
 		OutDst: sec(idLen),
 		OutPos: sec(posLen),
 	}
+	l.End = next
+	return l
 }
 
 // SnapshotEdgeSections returns the absolute byte offsets of the inSrc and
@@ -130,6 +133,44 @@ func SnapshotSectionLayout(n, m int) SnapshotLayout {
 func SnapshotEdgeSections(n, m int) (srcOff, wOff int64) {
 	l := SnapshotSectionLayout(n, m)
 	return l.InSrc, l.InW
+}
+
+// OpenPlainSnapshot opens a plain snapshot for positioned reads at its
+// layout's offsets — the one opener behind the snapshot edge store and
+// the cluster coordinator's section server. It refuses a compressed
+// snapshot and any file whose size is not exactly the layout's end, so a
+// header claiming more than the file holds is refused before anything is
+// sized from it. The caller owns the returned file.
+func OpenPlainSnapshot(path string) (f *os.File, n, m int, l SnapshotLayout, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, 0, 0, l, err
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close() // the validation error supersedes the close error
+			f = nil
+		}
+	}()
+	var hdr [snapshotHeaderLen]byte
+	if _, err = io.ReadFull(f, hdr[:]); err != nil {
+		return f, 0, 0, l, fmt.Errorf("graph: snapshot header: %w", err)
+	}
+	n64, m64, compressed, err := parseSnapshotHeader(hdr[:])
+	if err != nil {
+		return f, 0, 0, l, err
+	}
+	if compressed {
+		return f, 0, 0, l, fmt.Errorf("graph: snapshot %s is compressed; positioned reads need the plain format (re-save as .gabs)", path)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return f, 0, 0, l, err
+	}
+	n, m = int(n64), int(m64)
+	if l = SnapshotSectionLayout(n, m); fi.Size() != l.End {
+		return f, 0, 0, l, fmt.Errorf("graph: snapshot %s is %d bytes, V=%d E=%d needs %d", path, fi.Size(), n, m, l.End)
+	}
+	return f, n, m, l, nil
 }
 
 // FromSections assembles a Graph from decoded plain-snapshot section
@@ -180,7 +221,7 @@ func WriteSnapshotCompressed(w io.Writer, g *Graph) error {
 }
 
 func writeSnapshot(w io.Writer, g *Graph, compressed bool) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	sw := binfmt.NewWriter(w)
 	var hdr [snapshotHeaderLen]byte
 	magic := snapshotMagic
 	if compressed {
@@ -190,246 +231,84 @@ func writeSnapshot(w io.Writer, g *Graph, compressed bool) error {
 	binary.LittleEndian.PutUint32(hdr[4:8], snapshotVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.n))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.m))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	sw := &snapWriter{bw: bw}
+	sw.Raw(hdr[:])
 	if compressed {
-		sw.varintSection(secInOff, deltaU64{vals64: g.inOff})
-		sw.varintSection(secInSrc, perVertexAscending32(g.inOff, g.inSrc))
-		sw.f32Section(secInW, g.inW)
-		sw.varintSection(secOutOff, deltaU64{vals64: g.outOff})
-		sw.varintSection(secOutDst, perVertexAscending32(g.outOff, g.outDst))
-		sw.varintSection(secOutPos, perVertexAscending64(g.outOff, g.outPos))
+		// An offset array is one ascending run; buf is reused across
+		// sections because a variable-length payload's size is not known
+		// before it is encoded.
+		whole := []int64{0, int64(g.n + 1)}
+		var buf []byte
+		varint := func(tag uint32, b []byte) {
+			sw.Bytes(tag, b)
+			buf = b[:0]
+		}
+		varint(secInOff, appendRuns(buf, whole, g.inOff))
+		varint(secInSrc, appendRuns(buf, g.inOff, g.inSrc))
+		sw.F32s(secInW, g.inW)
+		varint(secOutOff, appendRuns(buf, whole, g.outOff))
+		varint(secOutDst, appendRuns(buf, g.outOff, g.outDst))
+		varint(secOutPos, appendRuns(buf, g.outOff, g.outPos))
 	} else {
-		sw.u64Section(secInOff, g.inOff)
-		sw.u32Section(secInSrc, g.inSrc)
-		sw.f32Section(secInW, g.inW)
-		sw.u64Section(secOutOff, g.outOff)
-		sw.u32Section(secOutDst, g.outDst)
-		sw.u64Section(secOutPos, g.outPos)
+		sw.I64s(secInOff, g.inOff)
+		sw.U32s(secInSrc, g.inSrc)
+		sw.F32s(secInW, g.inW)
+		sw.I64s(secOutOff, g.outOff)
+		sw.U32s(secOutDst, g.outDst)
+		sw.I64s(secOutPos, g.outPos)
 	}
-	if sw.err != nil {
-		return sw.err
-	}
-	return bw.Flush()
+	return sw.Flush()
 }
 
-// snapWriter emits sections, accumulating the first write error.
-type snapWriter struct {
-	bw      *bufio.Writer
-	err     error
-	scratch [binary.MaxVarintLen64]byte
-	payload []byte // reused encode buffer for variable-length sections
-}
-
-func (sw *snapWriter) sectionHeader(tag uint32, payloadLen int64) {
-	var h [snapshotSecHdrLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], tag)
-	binary.LittleEndian.PutUint64(h[4:12], uint64(payloadLen))
-	sw.write(h[:])
-}
-
-func (sw *snapWriter) write(b []byte) {
-	if sw.err == nil {
-		_, sw.err = sw.bw.Write(b)
-	}
-}
-
-func (sw *snapWriter) crc(sum uint32) {
-	var b [snapshotCRCLen]byte
-	binary.LittleEndian.PutUint32(b[:], sum)
-	sw.write(b[:])
-}
-
-// encodeBlockSize is the staging-block size for streaming plain
-// sections: values encode into a block, and each full block takes one
-// CRC update and one buffered write (keeping the CRC on its fast
-// block path) — no section-sized buffer.
-const encodeBlockSize = 64 << 10
-
-// block returns the reusable staging block (shared with varintSection's
-// encode buffer, so capacity is re-checked each call).
-func (sw *snapWriter) block() []byte {
-	if cap(sw.payload) < encodeBlockSize {
-		sw.payload = make([]byte, encodeBlockSize)
-	}
-	return sw.payload[:encodeBlockSize]
-}
-
-// u64Section streams vals as little-endian u64, block-buffered.
-func (sw *snapWriter) u64Section(tag uint32, vals []int64) {
-	sw.sectionHeader(tag, int64(len(vals))*8)
-	crc := crc32.NewIEEE()
-	blk := sw.block()
-	fill := 0
-	for _, v := range vals {
-		if fill == len(blk) {
-			_, _ = crc.Write(blk) // hash.Hash.Write never fails
-			sw.write(blk)
-			fill = 0
-		}
-		binary.LittleEndian.PutUint64(blk[fill:], uint64(v))
-		fill += 8
-	}
-	_, _ = crc.Write(blk[:fill])
-	sw.write(blk[:fill])
-	sw.crc(crc.Sum32())
-}
-
-func (sw *snapWriter) u32Section(tag uint32, vals []uint32) {
-	sw.sectionHeader(tag, int64(len(vals))*4)
-	crc := crc32.NewIEEE()
-	blk := sw.block()
-	fill := 0
-	for _, v := range vals {
-		if fill == len(blk) {
-			_, _ = crc.Write(blk)
-			sw.write(blk)
-			fill = 0
-		}
-		binary.LittleEndian.PutUint32(blk[fill:], v)
-		fill += 4
-	}
-	_, _ = crc.Write(blk[:fill])
-	sw.write(blk[:fill])
-	sw.crc(crc.Sum32())
-}
-
-func (sw *snapWriter) f32Section(tag uint32, vals []float32) {
-	sw.sectionHeader(tag, int64(len(vals))*4)
-	crc := crc32.NewIEEE()
-	blk := sw.block()
-	fill := 0
-	for _, v := range vals {
-		if fill == len(blk) {
-			_, _ = crc.Write(blk)
-			sw.write(blk)
-			fill = 0
-		}
-		binary.LittleEndian.PutUint32(blk[fill:], math.Float32bits(v))
-		fill += 4
-	}
-	_, _ = crc.Write(blk[:fill])
-	sw.write(blk[:fill])
-	sw.crc(crc.Sum32())
-}
-
-// varintValues enumerates a section's values as uvarint-ready deltas.
-type varintValues interface {
-	encode(emit func(uint64))
-}
-
-// deltaU64 encodes a monotone []int64 (an offset array) as first-value +
-// consecutive deltas.
-type deltaU64 struct{ vals64 []int64 }
-
-func (d deltaU64) encode(emit func(uint64)) {
-	prev := int64(0)
-	for _, v := range d.vals64 {
-		emit(uint64(v - prev))
-		prev = v
-	}
-}
-
-// ascending32 emits per-vertex ascending u32 runs as deltas that reset at
-// each vertex boundary.
-type ascending32 struct {
-	off  []int64
-	vals []uint32
-}
-
-func perVertexAscending32(off []int64, vals []uint32) ascending32 {
-	return ascending32{off: off, vals: vals}
-}
-
-func (a ascending32) encode(emit func(uint64)) {
-	for v := 0; v+1 < len(a.off); v++ {
-		prev := uint32(0)
-		for s := a.off[v]; s < a.off[v+1]; s++ {
-			emit(uint64(a.vals[s] - prev))
-			prev = a.vals[s]
+// appendRuns appends vals as uvarint deltas whose base resets to zero at
+// every boundary of off: per-vertex ascending runs for ids and slots, a
+// single run for an offset array.
+func appendRuns[T uint32 | int64](buf []byte, off []int64, vals []T) []byte {
+	for v := 0; v+1 < len(off); v++ {
+		var prev T
+		for _, x := range vals[off[v]:off[v+1]] {
+			buf = binary.AppendUvarint(buf, uint64(x-prev))
+			prev = x
 		}
 	}
-}
-
-// ascending64 is ascending32 for u64 value arrays (outPos).
-type ascending64 struct {
-	off  []int64
-	vals []int64
-}
-
-func perVertexAscending64(off []int64, vals []int64) ascending64 {
-	return ascending64{off: off, vals: vals}
-}
-
-func (a ascending64) encode(emit func(uint64)) {
-	for v := 0; v+1 < len(a.off); v++ {
-		prev := int64(0)
-		for s := a.off[v]; s < a.off[v+1]; s++ {
-			emit(uint64(a.vals[s] - prev))
-			prev = a.vals[s]
-		}
-	}
-}
-
-// varintSection buffers the encoded payload (its length is not known up
-// front), then emits header, payload, and CRC.
-func (sw *snapWriter) varintSection(tag uint32, vals varintValues) {
-	buf := sw.payload[:0]
-	vals.encode(func(u uint64) {
-		k := binary.PutUvarint(sw.scratch[:], u)
-		buf = append(buf, sw.scratch[:k]...)
-	})
-	sw.payload = buf
-	sw.sectionHeader(tag, int64(len(buf)))
-	sw.write(buf)
-	sw.crc(crc32.ChecksumIEEE(buf))
+	return buf
 }
 
 // ReadSnapshot reads a snapshot written by WriteSnapshot or
 // WriteSnapshotCompressed (distinguished by magic), verifies every
 // section's CRC, validates the layout invariants, and returns the graph.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
-	// The buffer is deliberately small: it serves the 12- and 4-byte
-	// section headers, while the large payload ReadFulls exceed it and
-	// pass straight through to r with no intermediate copy.
-	br := bufio.NewReaderSize(r, 1<<14)
+	sr := binfmt.NewReader(r, "graph: snapshot")
 	var hdr [snapshotHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if err := sr.Header(hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: snapshot header: %w", err)
 	}
-	n64, m64, compressed, err := ParseSnapshotHeader(hdr[:])
+	n64, m64, compressed, err := parseSnapshotHeader(hdr[:])
 	if err != nil {
 		return nil, err
-	}
-	if n64 > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: snapshot vertex count %d out of range", n64)
 	}
 	n, m := int(n64), int(m64)
 
-	sr := snapReader{br: br, compressed: compressed}
-	inOff, err := sr.offsets(secInOff, n, m)
+	inOff, err := readOffsets(sr, compressed, secInOff, n, m)
 	if err != nil {
 		return nil, err
 	}
-	inSrc, err := sr.vertexIDs(secInSrc, inOff, m)
+	inSrc, err := readRuns(sr, compressed, secInSrc, inOff, m, (*binfmt.Reader).U32s)
 	if err != nil {
 		return nil, err
 	}
-	inW, err := sr.f32s(secInW, m)
+	inW, err := sr.F32s(secInW, m)
 	if err != nil {
 		return nil, err
 	}
-	outOff, err := sr.offsets(secOutOff, n, m)
+	outOff, err := readOffsets(sr, compressed, secOutOff, n, m)
 	if err != nil {
 		return nil, err
 	}
-	outDst, err := sr.vertexIDs(secOutDst, outOff, m)
+	outDst, err := readRuns(sr, compressed, secOutDst, outOff, m, (*binfmt.Reader).U32s)
 	if err != nil {
 		return nil, err
 	}
-	outPos, err := sr.slots(secOutPos, outOff, m)
+	outPos, err := readRuns(sr, compressed, secOutPos, outOff, m, (*binfmt.Reader).I64s)
 	if err != nil {
 		return nil, err
 	}
@@ -470,287 +349,89 @@ func newFromArrays(n, m int, inOff []int64, inSrc []uint32, inW []float32,
 	return g, nil
 }
 
-// snapReader decodes consecutive sections, verifying tag order, payload
-// length, and CRC. Allocation always follows delivered bytes, never the
-// header's claims.
-type snapReader struct {
-	br         *bufio.Reader
-	compressed bool
-	scratch    []byte
-}
-
-// presizeCap bounds a decoded array's initial capacity: enough for want
-// entries, capped so a hostile header can cost at most a few megabytes
-// before real payload bytes must arrive (growth past the cap is paid
-// only as data is actually delivered).
-func presizeCap(want, entryBytes int) int {
-	const maxUpfront = 4 << 20
-	if want < 0 {
-		return 0
-	}
-	if want > maxUpfront/entryBytes {
-		return maxUpfront / entryBytes
-	}
-	return want
-}
-
-// growEarned makes room for need more entries without trusting the
-// header: capacity quadruples from what delivered payload bytes have
-// already earned, capped at the claimed want. A lying header therefore
-// over-allocates at most 4x the bytes actually read, while an honest
-// bulk decode reaches full size in O(1) growth steps instead of
-// re-copying the array on append's fine-grained growth schedule.
-func growEarned[T any](s []T, need, want int) []T {
-	if len(s)+need <= cap(s) {
-		return s
-	}
-	newCap := 4 * cap(s)
-	if newCap < len(s)+need {
-		newCap = len(s) + need
-	}
-	if want > len(s)+need && newCap > want {
-		newCap = want
-	}
-	out := make([]T, len(s), newCap)
-	copy(out, s)
-	return out
-}
-
-// section reads one section header and returns its payload length after
-// checking the tag.
-func (sr *snapReader) section(tag uint32) (int64, error) {
-	var h [snapshotSecHdrLen]byte
-	if _, err := io.ReadFull(sr.br, h[:]); err != nil {
-		return 0, fmt.Errorf("graph: snapshot section %d header: %w", tag, err)
-	}
-	if got := binary.LittleEndian.Uint32(h[0:4]); got != tag {
-		return 0, fmt.Errorf("graph: snapshot section tag %d, want %d", got, tag)
-	}
-	l := binary.LittleEndian.Uint64(h[4:12])
-	if l > math.MaxInt64 {
-		return 0, fmt.Errorf("graph: snapshot section %d length %d out of range", tag, l)
-	}
-	return int64(l), nil
-}
-
-// payload reads exactly l payload bytes in bounded chunks (so a lying
-// header cannot force a huge allocation) and verifies the trailing CRC.
-func (sr *snapReader) payload(tag uint32, l int64, consume func([]byte)) error {
-	crc := crc32.NewIEEE()
-	if sr.scratch == nil {
-		sr.scratch = make([]byte, 1<<20)
-	}
-	for remaining := l; remaining > 0; {
-		k := int64(len(sr.scratch))
-		if k > remaining {
-			k = remaining
-		}
-		if _, err := io.ReadFull(sr.br, sr.scratch[:k]); err != nil {
-			return fmt.Errorf("graph: snapshot section %d payload: %w", tag, err)
-		}
-		_, _ = crc.Write(sr.scratch[:k]) // hash.Hash.Write never fails
-		consume(sr.scratch[:k])
-		remaining -= k
-	}
-	var c [snapshotCRCLen]byte
-	if _, err := io.ReadFull(sr.br, c[:]); err != nil {
-		return fmt.Errorf("graph: snapshot section %d checksum: %w", tag, err)
-	}
-	if got := binary.LittleEndian.Uint32(c[:]); got != crc.Sum32() {
-		return fmt.Errorf("graph: snapshot section %d checksum mismatch (file %08x, data %08x)", tag, got, crc.Sum32())
-	}
-	return nil
-}
-
-// wholePayload materializes a variable-length payload (compressed
-// sections decode with look-ahead, so chunked decoding is not practical).
-func (sr *snapReader) wholePayload(tag uint32, l int64) ([]byte, error) {
-	var buf []byte
-	err := sr.payload(tag, l, func(chunk []byte) {
-		buf = growEarned(buf, len(chunk), int(l))
-		buf = append(buf, chunk...)
-	})
-	return buf, err
-}
-
-// offsets decodes an offset section and validates it: n+1 entries,
+// readOffsets decodes an offset section and validates it: n+1 entries,
 // starting at 0, monotone, ending at m.
-func (sr *snapReader) offsets(tag uint32, n, m int) ([]int64, error) {
-	l, err := sr.section(tag)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, presizeCap(n+1, 8))
-	if sr.compressed {
-		raw, err := sr.wholePayload(tag, l)
+func readOffsets(r *binfmt.Reader, compressed bool, tag uint32, n, m int) ([]int64, error) {
+	if !compressed {
+		out, err := r.I64s(tag, n+1)
 		if err != nil {
 			return nil, err
 		}
-		// Every varint is at least one byte, so delivered bytes bound the
-		// entry count and one growth step reaches final capacity.
-		out = growEarned(out, min(n+1, len(raw)), n+1)
-		prev := int64(0)
-		for len(raw) > 0 {
-			d, k := binary.Uvarint(raw)
-			if k <= 0 {
-				return nil, fmt.Errorf("graph: snapshot section %d: corrupt varint", tag)
-			}
-			raw = raw[k:]
-			prev += int64(d)
-			out = append(out, prev)
-			if len(out) > n+1 {
-				return nil, fmt.Errorf("graph: snapshot section %d: more than %d offsets", tag, n+1)
-			}
+		return out, checkOffsets(tag, out, n, m)
+	}
+	raw, err := r.Whole(tag)
+	if err != nil {
+		return nil, err
+	}
+	// Every varint is at least one byte, so delivered bytes bound the
+	// entry count and one growth step reaches final capacity.
+	out := binfmt.GrowEarned([]int64(nil), min(n+1, len(raw)), n+1)
+	prev := int64(0)
+	for len(raw) > 0 {
+		d, k := binary.Uvarint(raw)
+		if k <= 0 {
+			return nil, fmt.Errorf("graph: snapshot section %d: corrupt varint", tag)
 		}
-	} else {
-		if l != int64(n+1)*8 {
-			return nil, fmt.Errorf("graph: snapshot section %d is %d bytes, want %d", tag, l, int64(n+1)*8)
-		}
-		if err := sr.payload(tag, l, func(chunk []byte) {
-			out = growEarned(out, len(chunk)/8, n+1)
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				out = append(out, int64(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		}); err != nil {
-			return nil, err
+		raw = raw[k:]
+		prev += int64(d)
+		out = append(out, prev)
+		if len(out) > n+1 {
+			return nil, fmt.Errorf("graph: snapshot section %d: more than %d offsets", tag, n+1)
 		}
 	}
 	if len(out) != n+1 {
 		return nil, fmt.Errorf("graph: snapshot section %d has %d offsets, want %d", tag, len(out), n+1)
 	}
-	if out[0] != 0 || out[n] != int64(m) {
-		return nil, fmt.Errorf("graph: snapshot section %d offsets span [%d,%d], want [0,%d]", tag, out[0], out[n], m)
+	return out, checkOffsets(tag, out, n, m)
+}
+
+func checkOffsets(tag uint32, off []int64, n, m int) error {
+	if off[0] != 0 || off[n] != int64(m) {
+		return fmt.Errorf("graph: snapshot section %d offsets span [%d,%d], want [0,%d]", tag, off[0], off[n], m)
 	}
 	for v := 0; v < n; v++ {
-		if out[v] > out[v+1] {
-			return nil, fmt.Errorf("graph: snapshot section %d offsets not monotone at vertex %d", tag, v)
+		if off[v] > off[v+1] {
+			return fmt.Errorf("graph: snapshot section %d offsets not monotone at vertex %d", tag, v)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// vertexIDs decodes a u32 id section (inSrc / outDst); compressed runs
-// are per-vertex ascending deltas over off.
-func (sr *snapReader) vertexIDs(tag uint32, off []int64, m int) ([]uint32, error) {
-	l, err := sr.section(tag)
+// readRuns decodes an m-entry vertex-id (inSrc/outDst, T = uint32) or
+// slot (outPos, T = int64) section: plain payloads through plain,
+// compressed ones as per-vertex ascending delta runs over off.
+func readRuns[T uint32 | int64](r *binfmt.Reader, compressed bool, tag uint32, off []int64, m int,
+	plain func(*binfmt.Reader, uint32, int) ([]T, error)) ([]T, error) {
+	if !compressed {
+		return plain(r, tag, m)
+	}
+	raw, err := r.Whole(tag)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint32, 0, presizeCap(m, 4))
-	if sr.compressed {
-		raw, err := sr.wholePayload(tag, l)
-		if err != nil {
-			return nil, err
-		}
-		out = growEarned(out, min(m, len(raw)), m)
-		for v := 0; v+1 < len(off); v++ {
-			prev := uint64(0)
-			for s := off[v]; s < off[v+1]; s++ {
-				d, k := binary.Uvarint(raw)
-				if k <= 0 {
-					return nil, fmt.Errorf("graph: snapshot section %d: corrupt varint at vertex %d", tag, v)
-				}
-				raw = raw[k:]
-				prev += d
-				if prev > math.MaxUint32 {
-					return nil, fmt.Errorf("graph: snapshot section %d: id overflow at vertex %d", tag, v)
-				}
-				out = append(out, uint32(prev))
+	what := "id"
+	if tag == secOutPos {
+		what = "slot"
+	}
+	out := binfmt.GrowEarned([]T(nil), min(m, len(raw)), m)
+	for v := 0; v+1 < len(off); v++ {
+		prev := uint64(0)
+		for s := off[v]; s < off[v+1]; s++ {
+			d, k := binary.Uvarint(raw)
+			if k <= 0 {
+				return nil, fmt.Errorf("graph: snapshot section %d: corrupt varint at vertex %d", tag, v)
 			}
-		}
-		if len(raw) != 0 {
-			return nil, fmt.Errorf("graph: snapshot section %d has %d trailing bytes", tag, len(raw))
-		}
-	} else {
-		if l != int64(m)*4 {
-			return nil, fmt.Errorf("graph: snapshot section %d is %d bytes, want %d", tag, l, int64(m)*4)
-		}
-		if err := sr.payload(tag, l, func(chunk []byte) {
-			out = growEarned(out, len(chunk)/4, m)
-			for i := 0; i+4 <= len(chunk); i += 4 {
-				out = append(out, binary.LittleEndian.Uint32(chunk[i:]))
+			raw = raw[k:]
+			prev += d
+			x := T(prev)
+			if x < 0 || uint64(x) != prev {
+				return nil, fmt.Errorf("graph: snapshot section %d: %s overflow at vertex %d", tag, what, v)
 			}
-		}); err != nil {
-			return nil, err
+			out = append(out, x)
 		}
 	}
-	if len(out) != m {
-		return nil, fmt.Errorf("graph: snapshot section %d has %d entries, want %d", tag, len(out), m)
-	}
-	return out, nil
-}
-
-// f32s decodes the weight section (raw f32 bits in both formats).
-func (sr *snapReader) f32s(tag uint32, m int) ([]float32, error) {
-	l, err := sr.section(tag)
-	if err != nil {
-		return nil, err
-	}
-	if l != int64(m)*4 {
-		return nil, fmt.Errorf("graph: snapshot section %d is %d bytes, want %d", tag, l, int64(m)*4)
-	}
-	out := make([]float32, 0, presizeCap(m, 4))
-	if err := sr.payload(tag, l, func(chunk []byte) {
-		out = growEarned(out, len(chunk)/4, m)
-		for i := 0; i+4 <= len(chunk); i += 4 {
-			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(chunk[i:])))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if len(out) != m {
-		return nil, fmt.Errorf("graph: snapshot section %d has %d entries, want %d", tag, len(out), m)
-	}
-	return out, nil
-}
-
-// slots decodes the outPos section; compressed runs are per-source
-// ascending slot deltas over off.
-func (sr *snapReader) slots(tag uint32, off []int64, m int) ([]int64, error) {
-	l, err := sr.section(tag)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, presizeCap(m, 8))
-	if sr.compressed {
-		raw, err := sr.wholePayload(tag, l)
-		if err != nil {
-			return nil, err
-		}
-		out = growEarned(out, min(m, len(raw)), m)
-		for v := 0; v+1 < len(off); v++ {
-			prev := uint64(0)
-			for s := off[v]; s < off[v+1]; s++ {
-				d, k := binary.Uvarint(raw)
-				if k <= 0 {
-					return nil, fmt.Errorf("graph: snapshot section %d: corrupt varint at vertex %d", tag, v)
-				}
-				raw = raw[k:]
-				prev += d
-				if prev > math.MaxInt64 {
-					return nil, fmt.Errorf("graph: snapshot section %d: slot overflow at vertex %d", tag, v)
-				}
-				out = append(out, int64(prev))
-			}
-		}
-		if len(raw) != 0 {
-			return nil, fmt.Errorf("graph: snapshot section %d has %d trailing bytes", tag, len(raw))
-		}
-	} else {
-		if l != int64(m)*8 {
-			return nil, fmt.Errorf("graph: snapshot section %d is %d bytes, want %d", tag, l, int64(m)*8)
-		}
-		if err := sr.payload(tag, l, func(chunk []byte) {
-			out = growEarned(out, len(chunk)/8, m)
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				out = append(out, int64(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if len(out) != m {
-		return nil, fmt.Errorf("graph: snapshot section %d has %d entries, want %d", tag, len(out), m)
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("graph: snapshot section %d has %d trailing bytes", tag, len(raw))
 	}
 	return out, nil
 }

@@ -207,6 +207,22 @@ if [[ -n "$transitions" ]]; then
     exit 1
 fi
 
+echo "== one binary section codec (internal/binfmt owns the framing and the clamps)"
+# GABS/GABZ snapshots and GABC state files share binfmt's CRC'd section
+# writer and reader, and every decoder sizes allocations through
+# binfmt.PresizeCap / GrowEarned. A clamp definition, a section
+# writer/reader method or a section-header field access (h[4:12])
+# anywhere else is a second codec growing back.
+codecs=$(grep -rnE --include='*.go' \
+    '^func (\([^)]*\) )?(presizeCap|growEarned|PresizeCap|GrowEarned|section|sectionHeader|payload|wholePayload|[a-z0-9]+Section)(\[[^]]*\])?\(|\[4:12\]' . |
+    grep -v -e '_test\.go:' -e '^\./internal/binfmt/' -e '^\./internal/analysis/testdata/' \
+        -e '^\./bench/' -e '^\./\.' || true)
+if [[ -n "$codecs" ]]; then
+    echo "section framing or allocation clamps defined outside internal/binfmt:" >&2
+    echo "$codecs" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -239,6 +255,11 @@ echo "== fuzz corpora seeds (no -fuzz; replays the checked-in seeds)"
 go test -count=1 -run 'Fuzz' \
     ./internal/checkpoint ./internal/cluster ./internal/cluster/tcp \
     ./internal/edgestore ./internal/graph ./internal/word
+
+echo "== binary formats: parent-commit byte goldens and hostile snapshot headers (race detector)"
+go test -race -count=1 \
+    -run '^(TestSnapshotParentGolden|TestCheckpointParentGolden|TestHostileSnapshotHeaderRefused|TestSectionsAcrossBlockBoundaries|TestReaderRefusals|TestHostileLengthCostsOnlyDeliveredBytes)$' \
+    ./internal/binfmt ./internal/graph ./internal/checkpoint ./internal/cluster/tcp
 
 echo "== cluster + chaos suites (direct delivery, seeded fault injection, FailNode; race detector, 3 runs)"
 go test -race -count=3 -timeout 600s ./internal/cluster ./internal/chaos
