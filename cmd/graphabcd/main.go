@@ -55,7 +55,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"graphabcd"
 	"graphabcd/internal/accel"
@@ -81,6 +80,9 @@ func main() {
 }
 
 func run() error {
+	// Every flag that mirrors a config field takes its default from that
+	// field's owner, so -h shows the value a zero field resolves to.
+	engine, clus := core.DefaultConfig(0), cluster.Config{}.WithDefaults()
 	var (
 		algo      = flag.String("algo", "pr", "algorithm: pr | ppr | prdelta | sssp | bfs | cc | lp | kcore | cf")
 		seeds     = flag.String("seeds", "", "ppr: comma-separated personalization seed vertices")
@@ -94,20 +96,20 @@ func run() error {
 		block     = flag.Int("block", 0, "block size (0 = |V|/256 heuristic)")
 		mode      = flag.String("mode", "async", "engine mode: async | barrier | bsp")
 		policy    = flag.String("policy", "cyclic", "block selection: cyclic | priority | random")
-		pes       = flag.Int("pes", 4, "gather-apply workers (accelerator PEs)")
-		scatter   = flag.Int("scatter", 2, "scatter workers (CPU threads)")
+		pes       = flag.Int("pes", engine.NumPEs, "gather-apply workers (accelerator PEs)")
+		scatter   = flag.Int("scatter", engine.NumScatter, "scatter workers (CPU threads)")
 		hybrid    = flag.Bool("hybrid", false, "enable hybrid execution")
-		eps       = flag.Float64("eps", 1e-9, "activation threshold")
+		eps       = flag.Float64("eps", engine.Epsilon, "activation threshold")
 		maxEpochs = flag.Float64("max-epochs", 0, "epoch budget (0 = run to convergence)")
 		useSim    = flag.Bool("sim", false, "attach the HARPv2 accelerator model")
 		store     = flag.String("edgestore", "memory", "edge storage backend: memory | file | compressed | snapshot (non-memory backends spill to a temp file and stream out-of-core)")
 		top       = flag.Int("top", 5, "print the top-K vertices by value")
-		rank      = flag.Int("rank", 8, "cf: factor rank")
+		rank      = flag.Int("rank", graphabcd.DefaultCF().Rank, "cf: factor rank")
 
 		timeout    = flag.Duration("timeout", 0, "cancel the run after this duration and report the partial result (0 = none)")
 		nodes      = flag.Int("nodes", 1, "cluster nodes; >1 runs pr/sssp/bfs/cc on the distributed engine")
-		wpn        = flag.Int("workers-per-node", 2, "distributed: workers per node")
-		batch      = flag.Int("batch", 64, "distributed: remote updates per message batch")
+		wpn        = flag.Int("workers-per-node", clus.WorkersPerNode, "distributed: workers per node")
+		batch      = flag.Int("batch", clus.BatchSize, "distributed: remote updates per message batch")
 		chaosDrop  = flag.Float64("chaos-drop", 0, "distributed: message drop probability")
 		chaosDup   = flag.Float64("chaos-dup", 0, "distributed: message duplication probability")
 		chaosDelay = flag.Duration("chaos-delay", 0, "distributed: max per-message delivery jitter (reorders messages)")
@@ -120,7 +122,7 @@ func run() error {
 		valuesOut  = flag.String("values-out", "", "write the final per-vertex values to this file, one vertex per line")
 
 		ckptDir      = flag.String("ckpt-dir", "", "write committed checkpoint epochs to this directory (single-node and -listen runs)")
-		ckptInterval = flag.Duration("ckpt-interval", 5*time.Second, "checkpoint period (needs -ckpt-dir)")
+		ckptInterval = flag.Duration("ckpt-interval", checkpoint.DefaultInterval, "checkpoint period (needs -ckpt-dir)")
 		runID        = flag.String("run-id", "", "checkpoint run id (default: derived from the algorithm and graph)")
 		resume       = flag.String("resume", "", "resume from a committed checkpoint: a run id, or 'latest' (needs -ckpt-dir)")
 		recordPath   = flag.String("record-schedule", "", "record the async block schedule to this file for -replay-schedule")
@@ -170,6 +172,16 @@ func run() error {
 		}
 	}
 
+	tOpts := telemetryOpts{
+		enabled:     *useTel,
+		tracePath:   *tracePath,
+		traceSample: *traceSample,
+		metricsAddr: *metricsAddr,
+		progress:    *progress,
+		cluster:     *listenAddr != "",
+		distributed: *listenAddr != "" || *nodes > 1,
+	}
+
 	if *joinAddr != "" {
 		// A joiner is configured entirely by its coordinator: no graph,
 		// no dataset, no engine flags — but it serves its own metrics
@@ -180,13 +192,8 @@ func run() error {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		jOpts := telemetryOpts{
-			enabled:     *useTel,
-			tracePath:   *tracePath,
-			traceSample: *traceSample,
-			metricsAddr: *metricsAddr,
-			distributed: true,
-		}
+		jOpts := tOpts
+		jOpts.progress, jOpts.cluster, jOpts.distributed = false, false, true
 		var jses *telemetrySession
 		topts := tcp.Options{}
 		if jOpts.active() {
@@ -209,7 +216,12 @@ func run() error {
 		return nil
 	}
 
-	g, err := loadGraph(*graphFile, *dataset, *shrink, *algo)
+	// Every front end dispatches through the registry: -listen included.
+	alg, err := graphabcd.LookupAlgorithm(*algo)
+	if err != nil {
+		return err
+	}
+	g, err := loadGraph(*graphFile, *dataset, *shrink, alg.Name)
 	if err != nil {
 		return err
 	}
@@ -227,25 +239,12 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	blockSize := *block
-	if blockSize == 0 {
-		blockSize = graph.DefaultBlockSize(g.NumVertices())
-	}
 
 	src := uint32(*source)
 	if !srcSet {
 		src = maxOutDegreeVertex(g)
 	}
 
-	tOpts := telemetryOpts{
-		enabled:     *useTel,
-		tracePath:   *tracePath,
-		traceSample: *traceSample,
-		metricsAddr: *metricsAddr,
-		progress:    *progress,
-		cluster:     *listenAddr != "",
-		distributed: *listenAddr != "" || *nodes > 1,
-	}
 	var tses *telemetrySession
 	var telReg *telemetry.Registry
 	if tOpts.active() {
@@ -255,30 +254,149 @@ func run() error {
 		telReg = tses.reg
 	}
 
-	if *listenAddr != "" {
-		var clus *telemetry.ClusterStats
-		var health *telemetry.Health
-		if tses != nil {
-			clus, health = tses.cluster, tses.health
+	// The flags build one JobSpec. Its Config runs a single-node job; its
+	// Cluster, set for -nodes N and -listen, runs the same job on a
+	// cluster. Zero fields are left for Runtime.Run (or, under -listen,
+	// tcp.Serve) to resolve.
+	cfg := core.Config{
+		BlockSize:  *block,
+		NumPEs:     *pes,
+		NumScatter: *scatter,
+		Hybrid:     *hybrid,
+		Epsilon:    *eps,
+		MaxEpochs:  *maxEpochs,
+		Seed:       1,
+		Telemetry:  telReg,
+		Checkpoint: core.Checkpoint{Dir: *ckptDir, RunID: *runID, Resume: *resume},
+	}
+	if *ckptDir != "" {
+		cfg.Checkpoint.Interval = *ckptInterval
+	}
+	ccfg := cluster.Config{
+		Nodes:          *nodes,
+		BlockSize:      *block,
+		WorkersPerNode: *wpn,
+		BatchSize:      *batch,
+		Epsilon:        *eps,
+		MaxEpochs:      *maxEpochs,
+		Telemetry:      telReg,
+	}
+	cf := graphabcd.DefaultCF()
+	cf.Rank = *rank
+	jopts := []graphabcd.JobOption{graphabcd.WithCFParams(cf)}
+	if alg.NeedsSource {
+		jopts = append(jopts, graphabcd.WithSource(src))
+	}
+	if alg.NeedsSeeds {
+		pprSeeds, err := parseSeeds(*seeds)
+		if err != nil {
+			return err
 		}
-		err := runListen(ctx, g, *listenAddr, distOpts{
-			tel:          telReg,
-			cluster:      clus,
-			health:       health,
-			algo:         *algo,
-			src:          src,
-			top:          *top,
-			valuesOut:    *valuesOut,
-			nodes:        *nodes,
-			blockSize:    blockSize,
-			wpn:          *wpn,
-			batch:        *batch,
-			eps:          *eps,
-			ckptDir:      *ckptDir,
-			ckptInterval: *ckptInterval,
-			runID:        *runID,
-			resume:       *resume,
-		})
+		jopts = append(jopts, graphabcd.WithSeeds(pprSeeds...))
+	}
+	var (
+		sim     *accel.Simulator
+		recFile *os.File
+	)
+	switch {
+	case *listenAddr != "":
+		jopts = append(jopts, graphabcd.WithClusterConfig(ccfg))
+	case *nodes > 1:
+		if *ckptDir != "" || *resume != "" {
+			return fmt.Errorf("the in-process cluster engine does not checkpoint; use -listen for a crash-safe distributed run")
+		}
+		if *chaosDrop > 0 || *chaosDup > 0 || *chaosDelay > 0 || *failNode >= 0 {
+			tcfg := chaos.Config{
+				Seed:     *chaosSeed,
+				DropRate: *chaosDrop,
+				DupRate:  *chaosDup,
+				MaxDelay: *chaosDelay,
+			}
+			if *failNode >= 0 {
+				ctl := make(chan cluster.Control, 1)
+				ccfg.OnStart = func(c cluster.Control) { ctl <- c }
+				tcfg.AfterBatches = *failAfter
+				tcfg.OnFault = func() {
+					c := <-ctl
+					if err := c.FailNode(*failNode); err != nil {
+						fmt.Fprintln(os.Stderr, "graphabcd: fail-node:", err)
+					}
+				}
+			}
+			ccfg.Transport = chaos.New(tcfg)
+			fmt.Printf("chaos: drop=%.2f dup=%.2f delay=%v seed=%d\n", *chaosDrop, *chaosDup, *chaosDelay, *chaosSeed)
+		}
+		jopts = append(jopts, graphabcd.WithClusterConfig(ccfg))
+	default:
+		edges, cleanup, err := openEdgeStore(g, *store)
+		if err != nil {
+			return err
+		}
+		defer cleanup()
+		cfg.Edges = edges
+		switch *mode {
+		case "async":
+			cfg.Mode = core.Async
+		case "barrier":
+			cfg.Mode = core.Barrier
+		case "bsp":
+			cfg.Mode = core.BSP
+		default:
+			return fmt.Errorf("unknown mode %q", *mode)
+		}
+		switch *policy {
+		case "cyclic":
+			cfg.Policy = sched.Cyclic
+		case "priority":
+			cfg.Policy = sched.Priority
+		case "random":
+			cfg.Policy = sched.Random
+		default:
+			return fmt.Errorf("unknown policy %q", *policy)
+		}
+		if *replayPath != "" {
+			f, err := os.Open(*replayPath)
+			if err != nil {
+				return err
+			}
+			// The recording is checked against the block count the run
+			// will use, so resolve the block size the way Runtime.Run will.
+			bs := *block
+			if bs == 0 {
+				bs = graph.DefaultBlockSize(g.NumVertices())
+			}
+			schedule, err := checkpoint.ReadSchedule(f, (g.NumVertices()+bs-1)/bs)
+			_ = f.Close()
+			if err != nil {
+				return err
+			}
+			fmt.Printf("replaying %d scheduled blocks from %s\n", len(schedule), *replayPath)
+			jopts = append(jopts, graphabcd.WithSchedule(schedule))
+		} else if *recordPath != "" {
+			if recFile, err = os.Create(*recordPath); err != nil {
+				return err
+			}
+			defer func() { _ = recFile.Close() }() // double close on success is harmless
+			cfg.RecordSchedule = recFile
+		}
+		if *useSim {
+			sc := accel.DefaultHARPv2()
+			if *pes > sc.NumPEs {
+				sc.NumPEs = *pes
+			}
+			if *scatter > sc.CPUThreads {
+				sc.CPUThreads = *scatter
+			}
+			if sim, err = accel.New(sc); err != nil {
+				return err
+			}
+			cfg.Sim = sim
+		}
+	}
+	spec := graphabcd.NewJobSpec(alg.Name, g, append(jopts, graphabcd.WithConfig(cfg))...)
+
+	if *listenAddr != "" {
+		err := runListen(ctx, alg, spec, *listenAddr, tses, *top, *valuesOut)
 		if tses != nil {
 			tses.finish()
 		}
@@ -291,144 +409,7 @@ func run() error {
 	if tses != nil {
 		tses.health.SetReady(true, "running")
 	}
-
-	if *nodes > 1 {
-		if *ckptDir != "" || *resume != "" {
-			return fmt.Errorf("the in-process cluster engine does not checkpoint; use -listen for a crash-safe distributed run")
-		}
-		err := runDistributed(ctx, g, distOpts{
-			tel:       telReg,
-			algo:      *algo,
-			src:       src,
-			top:       *top,
-			valuesOut: *valuesOut,
-			nodes:     *nodes,
-			blockSize: blockSize,
-			wpn:       *wpn,
-			batch:     *batch,
-			eps:       *eps,
-			maxEpochs: *maxEpochs,
-			drop:      *chaosDrop,
-			dup:       *chaosDup,
-			delay:     *chaosDelay,
-			seed:      *chaosSeed,
-			failNode:  *failNode,
-			failAfter: *failAfter,
-		})
-		if tses != nil {
-			tses.finish()
-		}
-		return err
-	}
-
-	edges, cleanup, err := openEdgeStore(g, *store)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-
-	cfg := core.Config{
-		BlockSize:  blockSize,
-		NumPEs:     *pes,
-		NumScatter: *scatter,
-		Hybrid:     *hybrid,
-		Epsilon:    *eps,
-		MaxEpochs:  *maxEpochs,
-		Seed:       1,
-		Edges:      edges,
-		Telemetry:  telReg,
-	}
-	switch *mode {
-	case "async":
-		cfg.Mode = core.Async
-	case "barrier":
-		cfg.Mode = core.Barrier
-	case "bsp":
-		cfg.Mode = core.BSP
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	switch *policy {
-	case "cyclic":
-		cfg.Policy = sched.Cyclic
-	case "priority":
-		cfg.Policy = sched.Priority
-	case "random":
-		cfg.Policy = sched.Random
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
-	cfg.Checkpoint = core.Checkpoint{Dir: *ckptDir, RunID: *runID, Resume: *resume}
-	if *ckptDir != "" {
-		cfg.Checkpoint.Interval = *ckptInterval
-	}
-	var schedule []uint32
-	if *replayPath != "" {
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			return err
-		}
-		nb := (g.NumVertices() + blockSize - 1) / blockSize
-		schedule, err = checkpoint.ReadSchedule(f, nb)
-		_ = f.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("replaying %d scheduled blocks from %s\n", len(schedule), *replayPath)
-	}
-	var recFile *os.File
-	if *recordPath != "" && schedule == nil {
-		if recFile, err = os.Create(*recordPath); err != nil {
-			return err
-		}
-		defer func() { _ = recFile.Close() }() // double close on success is harmless
-		cfg.RecordSchedule = recFile
-	}
-	var sim *accel.Simulator
-	if *useSim {
-		sc := accel.DefaultHARPv2()
-		if *pes > sc.NumPEs {
-			sc.NumPEs = *pes
-		}
-		if *scatter > sc.CPUThreads {
-			sc.CPUThreads = *scatter
-		}
-		if sim, err = accel.New(sc); err != nil {
-			return err
-		}
-		cfg.Sim = sim
-	}
-
-	// One registry-driven dispatch replaces the per-algorithm switch: the
-	// CLI builds the same JobSpec the HTTP serving layer does, and the
-	// Runtime validates it (engine config included) before starting.
-	alg, err := graphabcd.LookupAlgorithm(*algo)
-	if err != nil {
-		return err
-	}
-	if cfg.MaxEpochs == 0 && alg.DefaultMaxEpochs > 0 {
-		cfg.MaxEpochs = alg.DefaultMaxEpochs // non-convergent workloads need a bound
-	}
-	jopts := []graphabcd.JobOption{graphabcd.WithConfig(cfg)}
-	if alg.NeedsSource {
-		jopts = append(jopts, graphabcd.WithSource(src))
-	}
-	if alg.NeedsSeeds {
-		pprSeeds, err := parseSeeds(*seeds)
-		if err != nil {
-			return err
-		}
-		jopts = append(jopts, graphabcd.WithSeeds(pprSeeds...))
-	}
-	var cfParams bcd.CF
-	if alg.Name == "cf" {
-		cfParams = bcd.CF{Rank: *rank, LearnRate: 0.3, Lambda: 0.01, Seed: 7}
-		jopts = append(jopts, graphabcd.WithCFParams(cfParams))
-	}
-	if schedule != nil {
-		jopts = append(jopts, graphabcd.WithSchedule(schedule))
-	}
-	h, err := graphabcd.NewRuntime().Run(ctx, graphabcd.NewJobSpec(alg.Name, g, jopts...))
+	h, err := graphabcd.NewRuntime().Run(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -447,11 +428,20 @@ func run() error {
 		}
 		fmt.Printf("residual after epoch %d: %.17g\n", i+1, r)
 	}
-	stats := res.Stats
-	printResult(alg, src, *top, res, g, cfParams)
+	printResult(alg, src, *top, res, g)
 
-	fmt.Printf("converged: %v\nepochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
-		stats.Converged, stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
+	stats, clusterStats := res.Stats, res.Cluster
+	fmt.Printf("converged: %v\n", stats.Converged)
+	if clusterStats != nil {
+		fmt.Printf("nodes: %d\n", clusterStats.Nodes)
+	}
+	fmt.Printf("epochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
+		stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
+	if c := clusterStats; c != nil {
+		fmt.Printf("messages: %d in %d batches (%d local writes)\n", c.MessagesSent, c.BatchesSent, c.LocalWrites)
+		fmt.Printf("batches retried: %d, dropped: %d, duplicated: %d\nnodes failed: %d\n",
+			c.BatchesRetried, c.BatchesDropped, c.BatchesDuplicated, c.NodesFailed)
+	}
 	if stats.StallWindows > 0 {
 		fmt.Printf("stall windows: %d\n", stats.StallWindows)
 	}
@@ -494,44 +484,56 @@ func parseSeeds(s string) ([]uint32, error) {
 	return out, nil
 }
 
-// distOpts carries the distributed-run flag values.
-type distOpts struct {
-	tel          *telemetry.Registry
-	cluster      *telemetry.ClusterStats // coordinator: merged fStats sink
-	health       *telemetry.Health       // /readyz state, driven by the dist runtime
-	algo         string
-	src          uint32
-	top          int
-	valuesOut    string
-	nodes        int
-	blockSize    int
-	wpn          int
-	batch        int
-	eps          float64
-	maxEpochs    float64
-	drop, dup    float64
-	delay        time.Duration
-	seed         uint64
-	failNode     int
-	failAfter    int64
-	ckptDir      string
-	ckptInterval time.Duration
-	runID        string
-	resume       string
+// distConfig is the one conversion from the CLI's JobSpec to the -listen
+// coordinator's config. It refuses what a TCP cluster cannot run: an
+// algorithm the registry does not mark distributed, and an epoch budget,
+// which would need a cluster-wide update count the control lane does not
+// keep.
+func distConfig(alg *graphabcd.AlgorithmSpec, spec graphabcd.JobSpec) (tcp.DistConfig, error) {
+	if err := alg.CheckDistributed(); err != nil {
+		return tcp.DistConfig{}, err
+	}
+	c, ck := spec.Cluster, spec.Config.Checkpoint
+	if c.MaxEpochs != 0 {
+		return tcp.DistConfig{}, fmt.Errorf("-max-epochs is not supported with -listen: a TCP cluster runs to convergence (bound it with -timeout)")
+	}
+	return tcp.DistConfig{
+		Nodes:              c.Nodes,
+		Algo:               alg.Name,
+		Source:             spec.Source,
+		BlockSize:          c.BlockSize,
+		WorkersPerNode:     c.WorkersPerNode,
+		BatchSize:          c.BatchSize,
+		Epsilon:            c.Epsilon,
+		Telemetry:          c.Telemetry,
+		CheckpointDir:      ck.Dir,
+		CheckpointInterval: ck.Interval,
+		RunID:              ck.RunID,
+		Resume:             ck.Resume,
+	}, nil
 }
 
-// runListen runs the coordinator side of a TCP cluster: the loaded graph
+// runListen runs the coordinator side of a TCP cluster: the spec's graph
 // is staged as a plain snapshot (the section server needs positioned
 // reads), joiners are awaited on the control listener, and the collected
 // values are reported like a local run.
-func runListen(ctx context.Context, g *graph.Graph, addr string, o distOpts) error {
+func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd.JobSpec, addr string, tses *telemetrySession, top int, valuesOut string) error {
+	cfg, err := distConfig(alg, spec)
+	if err != nil {
+		return err
+	}
+	if tses != nil {
+		cfg.Cluster, cfg.Health = tses.cluster, tses.health
+	}
 	dir, err := os.MkdirTemp("", "graphabcd-dist")
 	if err != nil {
 		return err
 	}
 	defer func() { _ = os.RemoveAll(dir) }() // best-effort temp cleanup
 	snapPath := filepath.Join(dir, "graph.gabs")
-	if err := graph.SaveFormat(snapPath, g, graph.FormatSnapshot); err != nil {
+	// The last use of the spec: from here on the nodes run on sections,
+	// and nothing may keep the whole loaded graph live through Serve.
+	if err := graph.SaveFormat(snapPath, spec.Graph, graph.FormatSnapshot); err != nil {
 		return err
 	}
 	ctrl, err := net.Listen("tcp", addr)
@@ -539,47 +541,27 @@ func runListen(ctx context.Context, g *graph.Graph, addr string, o distOpts) err
 		return err
 	}
 	defer func() { _ = ctrl.Close() }()
-	fmt.Printf("coordinating %d nodes on %s (%d joiners expected)\n", o.nodes, ctrl.Addr(), o.nodes-1)
-	res, err := tcp.Serve(ctx, ctrl, snapPath, tcp.DistConfig{
-		Nodes:              o.nodes,
-		Algo:               o.algo,
-		Source:             o.src,
-		BlockSize:          o.blockSize,
-		WorkersPerNode:     o.wpn,
-		BatchSize:          o.batch,
-		Epsilon:            o.eps,
-		Telemetry:          o.tel,
-		Cluster:            o.cluster,
-		Health:             o.health,
-		CheckpointDir:      o.ckptDir,
-		CheckpointInterval: o.ckptInterval,
-		RunID:              o.runID,
-		Resume:             o.resume,
-	})
-	if err != nil {
-		return err
-	}
-	alg, err := graphabcd.LookupAlgorithm(o.algo)
+	fmt.Printf("coordinating %d nodes on %s (%d joiners expected)\n", cfg.Nodes, ctrl.Addr(), cfg.Nodes-1)
+	res, err := tcp.Serve(ctx, ctrl, snapPath, cfg)
 	if err != nil {
 		return err
 	}
 	values := &graphabcd.JobResult{Float: res.Float, Uint: res.Uint}
-	// No graph: only cf's rmse line reads it, and naming g here would keep
-	// the whole loaded graph live through Serve (the nodes run on sections).
-	printResult(alg, o.src, o.top, values, nil, bcd.CF{})
-	fmt.Printf("nodes: %d\nbatches sent: %d\nwall time: %v\n", o.nodes, res.BatchesSent, res.WallTime)
+	// No graph: only cf's rmse line reads it, and cf never runs here.
+	printResult(alg, cfg.Source, top, values, nil)
+	fmt.Printf("nodes: %d\nbatches sent: %d\nwall time: %v\n", cfg.Nodes, res.BatchesSent, res.WallTime)
 	if w := res.Wire; w.FramesSent > 0 || w.FramesRecv > 0 {
 		fmt.Printf("wire: %d B in %d frames sent, %d B in %d frames recv, %d reconnects, %d drops (%d crc), queue high water %d\n",
 			w.BytesSent, w.FramesSent, w.BytesRecv, w.FramesRecv,
 			w.Reconnects, w.Drops, w.CRCDrops, w.QueueHighWater)
 	}
-	return writeValues(o.valuesOut, values)
+	return writeValues(valuesOut, values)
 }
 
 // printResult prints a finished job's headline lines. The registry
 // entry's value kind picks the shape; every front end (local, -nodes N,
 // -listen) prints through here.
-func printResult(alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphabcd.JobResult, g *graph.Graph, cf bcd.CF) {
+func printResult(alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphabcd.JobResult, g *graph.Graph) {
 	switch alg.Values {
 	case graphabcd.FloatValues:
 		label := "rank"
@@ -589,7 +571,7 @@ func printResult(alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphab
 		}
 		printTopFloat(res.Float, top, label)
 	case graphabcd.VectorValues:
-		fmt.Printf("rmse: %.4f\n", cf.RMSE(g, res.Vectors))
+		fmt.Printf("rmse: %.4f\n", graphabcd.CF{}.RMSE(g, res.Vectors))
 	case graphabcd.UintValues:
 		switch alg.Name {
 		case "bfs":
@@ -631,74 +613,6 @@ func writeValues(path string, res *graphabcd.JobResult) error {
 		fmt.Printf("values: %s\n", path)
 	}
 	return err
-}
-
-// runDistributed executes pr/sssp/bfs/cc on the cluster engine, wiring up
-// the chaos transport and the mid-run node kill when requested.
-func runDistributed(ctx context.Context, g *graph.Graph, o distOpts) error {
-	cfg := cluster.Config{
-		Nodes:          o.nodes,
-		BlockSize:      o.blockSize,
-		WorkersPerNode: o.wpn,
-		BatchSize:      o.batch,
-		Epsilon:        o.eps,
-		MaxEpochs:      o.maxEpochs,
-		Telemetry:      o.tel,
-	}
-	if o.drop > 0 || o.dup > 0 || o.delay > 0 || o.failNode >= 0 {
-		tcfg := chaos.Config{
-			Seed:     o.seed,
-			DropRate: o.drop,
-			DupRate:  o.dup,
-			MaxDelay: o.delay,
-		}
-		if o.failNode >= 0 {
-			ctl := make(chan cluster.Control, 1)
-			cfg.OnStart = func(c cluster.Control) { ctl <- c }
-			tcfg.AfterBatches = o.failAfter
-			tcfg.OnFault = func() {
-				c := <-ctl
-				if err := c.FailNode(o.failNode); err != nil {
-					fmt.Fprintln(os.Stderr, "graphabcd: fail-node:", err)
-				}
-			}
-		}
-		cfg.Transport = chaos.New(tcfg)
-		fmt.Printf("chaos: drop=%.2f dup=%.2f delay=%v seed=%d\n", o.drop, o.dup, o.delay, o.seed)
-	}
-
-	// Distributed dispatch rides the same registry as the single-node
-	// path; the Runtime validates the cluster config before any node
-	// goroutine starts.
-	alg, err := graphabcd.LookupAlgorithm(o.algo)
-	if err != nil {
-		return err
-	}
-	jopts := []graphabcd.JobOption{graphabcd.WithClusterConfig(cfg)}
-	if alg.NeedsSource {
-		jopts = append(jopts, graphabcd.WithSource(o.src))
-	}
-	h, err := graphabcd.NewRuntime().Run(ctx, graphabcd.NewJobSpec(alg.Name, g, jopts...))
-	if err != nil {
-		return err
-	}
-	res, err := h.Wait(context.Background())
-	if err != nil {
-		return err
-	}
-	stats := *res.Cluster
-	printResult(alg, o.src, o.top, res, g, bcd.CF{})
-
-	fmt.Printf("converged: %v\nnodes: %d\nepochs: %.2f\nblock updates: %d\nedges traversed: %d\nwall time: %v\nthroughput: %.1f MTEPS\n",
-		stats.Converged, stats.Nodes, stats.Epochs, stats.BlockUpdates, stats.EdgesTraversed, stats.WallTime, stats.MTEPS())
-	fmt.Printf("messages: %d in %d batches (%d local writes)\n",
-		stats.MessagesSent, stats.BatchesSent, stats.LocalWrites)
-	fmt.Printf("batches retried: %d, dropped: %d, duplicated: %d\nnodes failed: %d\n",
-		stats.BatchesRetried, stats.BatchesDropped, stats.BatchesDuplicated, stats.NodesFailed)
-	if stats.StallWindows > 0 {
-		fmt.Printf("stall windows: %d\n", stats.StallWindows)
-	}
-	return writeValues(o.valuesOut, res)
 }
 
 // openEdgeStore prepares the requested edge storage backend, spilling the

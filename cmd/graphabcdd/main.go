@@ -53,20 +53,21 @@ func main() {
 }
 
 func run() error {
+	def := serve.Options{}.WithDefaults()
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8090", "HTTP listen address")
 		graphsDir = flag.String("graphs", ".", "snapshot directory the graph pool serves from (.gabs/.gabz)")
 		memBudget = flag.Int64("mem-budget", 0, "graph pool memory budget in bytes (0 = unlimited)")
 		preload   = flag.String("preload", "", "comma-separated graph names to load before serving")
 
-		maxRunning = flag.Int("max-running", 2, "jobs executing concurrently")
-		queueDepth = flag.Int("queue", 64, "queued-job backlog bound (full queue answers 503)")
+		maxRunning = flag.Int("max-running", def.MaxRunning, "jobs executing concurrently")
+		queueDepth = flag.Int("queue", def.QueueDepth, "queued-job backlog bound (full queue answers 503)")
 		rate       = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second")
 		burst      = flag.Int("tenant-burst", 0, "per-tenant token bucket size (0 = no limiting)")
-		cacheSize  = flag.Int("cache-entries", 256, "result cache capacity (negative disables)")
+		cacheSize  = flag.Int("cache-entries", def.CacheEntries, "result cache capacity (negative disables)")
 
 		ckptDir  = flag.String("ckpt-dir", "", "durable jobs: journal and checkpoint directory")
-		ckptIntv = flag.Duration("ckpt-interval", 5*time.Second, "durable jobs: checkpoint period")
+		ckptIntv = flag.Duration("ckpt-interval", def.CheckpointInterval, "durable jobs: checkpoint period")
 
 		blockSize = flag.Int("block", 0, "default engine block size (0 = |V|/256 heuristic)")
 		pes       = flag.Int("pes", 0, "default gather-apply workers per job (0 = engine default)")
@@ -87,13 +88,9 @@ func run() error {
 	}
 	log := obslog.L()
 
-	var base *graphabcd.Config
-	if *blockSize > 0 || *pes > 0 {
-		cfg := graphabcd.DefaultConfig(*blockSize)
-		if *pes > 0 {
-			cfg.NumPEs = *pes
-		}
-		base = &cfg
+	base := graphabcd.DefaultConfig(*blockSize)
+	if *pes > 0 {
+		base.NumPEs = *pes
 	}
 
 	srv, err := serve.New(serve.Options{
@@ -106,7 +103,7 @@ func run() error {
 		CacheEntries:       *cacheSize,
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptIntv,
-		EngineDefaults:     base,
+		EngineDefaults:     &base,
 		Preload:            splitList(*preload),
 		Log:                log,
 	})

@@ -10,9 +10,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"graphabcd/internal/obslog"
 )
+
+// DefaultInterval is the CLI's, graphabcdd's and the -listen coordinator's
+// checkpoint period when none is given. (core.Checkpoint.Interval 0 still
+// means no periodic checkpoints.)
+const DefaultInterval = 5 * time.Second
 
 // Manifest is the commit record of one checkpoint epoch. It is written
 // last, atomically, and only after every node's state file is durable —

@@ -61,7 +61,8 @@ type Config struct {
 	Nodes int
 	// BlockSize is the BCD block size within each node.
 	BlockSize int
-	// WorkersPerNode is the number of gather-apply workers per node.
+	// WorkersPerNode is the number of gather-apply workers per node. 0
+	// means 2.
 	WorkersPerNode int
 	// Epsilon is the activation threshold, as in core.Config.
 	Epsilon float64
@@ -116,8 +117,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: Nodes must be positive, got %d", c.Nodes)
 	case c.BlockSize < 0:
 		return fmt.Errorf("cluster: negative block size %d", c.BlockSize)
-	case c.WorkersPerNode <= 0:
-		return fmt.Errorf("cluster: WorkersPerNode must be positive, got %d", c.WorkersPerNode)
+	case c.WorkersPerNode < 0:
+		return fmt.Errorf("cluster: negative WorkersPerNode %d", c.WorkersPerNode)
 	case c.Epsilon < 0:
 		return fmt.Errorf("cluster: negative epsilon %g", c.Epsilon)
 	case c.MaxEpochs < 0:
@@ -135,6 +136,9 @@ func (c Config) Validate() error {
 // result is a fixed point (resolving twice changes nothing), so a
 // resolved Config can travel to another process and be resolved again.
 func (c Config) WithDefaults() Config {
+	if c.WorkersPerNode == 0 {
+		c.WorkersPerNode = 2
+	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}

@@ -110,9 +110,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := baseCfg(2).Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A zero WorkersPerNode is not an error: it resolves to the default.
+	if zero := (Config{Nodes: 1}); zero.Validate() != nil || zero.WithDefaults().WorkersPerNode != 2 {
+		t.Errorf("WorkersPerNode 0: Validate = %v, resolves to %d, want nil and 2",
+			zero.Validate(), zero.WithDefaults().WorkersPerNode)
+	}
 	bad := []Config{
 		{Nodes: 0, WorkersPerNode: 1},
-		{Nodes: 1, WorkersPerNode: 0},
+		{Nodes: 1, WorkersPerNode: -1},
 		{Nodes: 1, WorkersPerNode: 1, BlockSize: -1},
 		{Nodes: 1, WorkersPerNode: 1, Epsilon: -1},
 		{Nodes: 1, WorkersPerNode: 1, MaxEpochs: -1},

@@ -47,9 +47,11 @@ const (
 	algoCC
 )
 
+// algoCode maps a registry name onto its assignment code; "pr" stays
+// valid, and the code (not the spelling) names the checkpoint program.
 func algoCode(name string) (byte, error) {
 	switch name {
-	case "pr":
+	case "pagerank", "pr":
 		return algoPR, nil
 	case "sssp":
 		return algoSSSP, nil
@@ -58,7 +60,7 @@ func algoCode(name string) (byte, error) {
 	case "cc":
 		return algoCC, nil
 	}
-	return 0, fmt.Errorf("tcp: algorithm %q does not support distributed mode (pick pr, sssp, bfs, or cc)", name)
+	return 0, fmt.Errorf("tcp: algorithm %q does not support distributed mode (pick pagerank, sssp, bfs, or cc)", name)
 }
 
 func algoName(code byte) string {

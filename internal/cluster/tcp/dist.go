@@ -35,16 +35,17 @@ type DistConfig struct {
 	// Nodes is the total node count: one coordinator plus Nodes-1
 	// joiners. The coordinator blocks until every joiner has arrived.
 	Nodes int
-	// Algo is the algorithm name: pr | sssp | bfs | cc.
+	// Algo is the algorithm's registry name: pagerank (or pr) | sssp |
+	// bfs | cc.
 	Algo string
 	// Source is the source vertex for sssp/bfs.
 	Source uint32
 	// BlockSize, WorkersPerNode, BatchSize, Epsilon, MaxUnacked and
 	// RetryDeadline mean exactly what they mean in cluster.Config. A zero
-	// BatchSize, MaxUnacked or RetryDeadline takes cluster.Config's
-	// default; a zero BlockSize is graph.DefaultBlockSize and a zero
-	// WorkersPerNode is 2. Epsilon has no default: 0 is literal (exact
-	// convergence), as in cluster.Config.
+	// WorkersPerNode, BatchSize, MaxUnacked or RetryDeadline takes
+	// cluster.Config's default; a zero BlockSize is graph.DefaultBlockSize.
+	// Epsilon has no default: 0 is literal (exact convergence), as in
+	// cluster.Config.
 	BlockSize      int
 	WorkersPerNode int
 	BatchSize      int
@@ -63,7 +64,7 @@ type DistConfig struct {
 	// node reads all of them.
 	CheckpointDir string
 	// CheckpointInterval is the coordinator's checkpoint period (default
-	// 1s when CheckpointDir is set).
+	// checkpoint.DefaultInterval when CheckpointDir is set).
 	CheckpointInterval time.Duration
 	// RunID names the checkpoint run; empty derives a stable id from the
 	// algorithm and the identity triple, so re-serving the same snapshot
@@ -102,7 +103,7 @@ func (c DistConfig) probeEvery() time.Duration {
 
 func (c DistConfig) checkpointInterval() time.Duration {
 	if c.CheckpointInterval <= 0 {
-		return time.Second
+		return checkpoint.DefaultInterval
 	}
 	return c.CheckpointInterval
 }
@@ -160,9 +161,6 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	}
 	if ccfg.BlockSize == 0 {
 		ccfg.BlockSize = graph.DefaultBlockSize(snap.n)
-	}
-	if ccfg.WorkersPerNode == 0 {
-		ccfg.WorkersPerNode = 2
 	}
 	if err := ccfg.Validate(); err != nil {
 		return nil, err

@@ -154,15 +154,16 @@ func DefaultConfig(blockSize int) Config {
 // RunContext) calls it before starting any goroutine, so a bad config
 // fails fast instead of deadlocking or spinning.
 func (c Config) Validate() error {
+	def := DefaultConfig(0)
 	switch {
 	case c.BlockSize < 0:
 		return fmt.Errorf("core: BlockSize %d is negative; use a positive block size (vertices per block), or 0 to default to one block per vertex range — DefaultConfig(256) is a reasonable start", c.BlockSize)
 	case c.NumPEs <= 0:
-		return fmt.Errorf("core: NumPEs %d leaves no GATHER-APPLY workers; set NumPEs >= 1 (DefaultConfig uses 4)", c.NumPEs)
+		return fmt.Errorf("core: NumPEs %d leaves no GATHER-APPLY workers; set NumPEs >= 1 (DefaultConfig uses %d)", c.NumPEs, def.NumPEs)
 	case c.NumScatter <= 0:
-		return fmt.Errorf("core: NumScatter %d leaves no SCATTER workers, so gathered blocks would never publish; set NumScatter >= 1 (DefaultConfig uses 2)", c.NumScatter)
+		return fmt.Errorf("core: NumScatter %d leaves no SCATTER workers, so gathered blocks would never publish; set NumScatter >= 1 (DefaultConfig uses %d)", c.NumScatter, def.NumScatter)
 	case c.Epsilon < 0:
-		return fmt.Errorf("core: Epsilon %g is negative; the activation threshold must be >= 0 (0 keeps every update active, 1e-9 is the default)", c.Epsilon)
+		return fmt.Errorf("core: Epsilon %g is negative; the activation threshold must be >= 0 (0 keeps every update active, %g is the default)", c.Epsilon, def.Epsilon)
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("core: MaxEpochs %g is negative; use 0 to run to convergence or a positive epoch budget", c.MaxEpochs)
 	case c.QueueDepth < 0:

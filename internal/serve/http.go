@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"graphabcd"
+	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/obslog"
 	"graphabcd/internal/telemetry"
 )
@@ -41,10 +42,13 @@ type Options struct {
 	CacheEntries int
 	// CheckpointDir enables durable jobs: the job journal and the
 	// engine's checkpoint epochs live here. Empty rejects "durable".
-	CheckpointDir      string
+	CheckpointDir string
+	// CheckpointInterval is a durable job's checkpoint period; 0 means
+	// checkpoint.DefaultInterval.
 	CheckpointInterval time.Duration
-	// EngineDefaults, when non-nil, is the base engine Config every job
-	// starts from before request overrides apply.
+	// EngineDefaults is the base engine Config every job starts from
+	// before request overrides apply; nil means DefaultConfig(0), whose
+	// zero block size Runtime.Run resolves.
 	EngineDefaults *graphabcd.Config
 	// Runtime overrides the execution runtime (nil means
 	// graphabcd.NewRuntime).
@@ -68,21 +72,32 @@ type Server struct {
 	rejectsQueue atomic.Int64
 }
 
+// WithDefaults returns o with every zero-valued limit resolved to its
+// documented default — the one place those defaults are defined.
+func (o Options) WithDefaults() Options {
+	if o.MaxRunning <= 0 {
+		o.MaxRunning = 2
+	}
+	if o.QueueDepth <= 0 {
+		o.QueueDepth = 64
+	}
+	if o.CacheEntries == 0 {
+		o.CacheEntries = 256
+	}
+	if o.CheckpointInterval <= 0 {
+		o.CheckpointInterval = checkpoint.DefaultInterval
+	}
+	if o.EngineDefaults == nil {
+		cfg := graphabcd.DefaultConfig(0)
+		o.EngineDefaults = &cfg
+	}
+	return o
+}
+
 // New builds a Server: opens the journal, starts the workers, preloads
 // graphs, resumes journaled durable jobs, and flips /readyz to ready.
 func New(opts Options) (*Server, error) {
-	if opts.MaxRunning <= 0 {
-		opts.MaxRunning = 2
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
-	}
-	if opts.CacheEntries == 0 {
-		opts.CacheEntries = 256
-	}
-	if opts.CheckpointInterval <= 0 {
-		opts.CheckpointInterval = 5 * time.Second
-	}
+	opts = opts.WithDefaults()
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
@@ -565,22 +580,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	hits, misses, entries := s.mgr.cache.Stats()
 	depth, capacity := s.mgr.QueueDepth()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Sticky-error line writer, same shape as telemetry's promWriter: the
-	// first failed write (client gone) silences the rest.
-	var werr error
-	line := func(format string, args ...any) {
-		if werr == nil {
-			_, werr = fmt.Fprintf(w, format, args...)
-		}
-	}
-	line("graphabcdd_jobs_done_total %d\n", s.mgr.doneJobs.Load())
-	line("graphabcdd_jobs_failed_total %d\n", s.mgr.failedJobs.Load())
-	line("graphabcdd_cache_hits_total %d\n", hits)
-	line("graphabcdd_cache_misses_total %d\n", misses)
-	line("graphabcdd_cache_entries %d\n", entries)
-	line("graphabcdd_pool_resident_bytes %d\n", s.mgr.pool.UsedBytes())
-	line("graphabcdd_queue_depth %d\n", depth)
-	line("graphabcdd_queue_capacity %d\n", capacity)
-	line("graphabcdd_admission_rejected_total{reason=\"rate\"} %d\n", s.rejectsRate.Load())
-	line("graphabcdd_admission_rejected_total{reason=\"queue\"} %d\n", s.rejectsQueue.Load())
+	p := telemetry.NewPromWriter(w) // a failed write means the scraper left: nothing to report
+	p.Printf("graphabcdd_jobs_done_total %d\n", s.mgr.doneJobs.Load())
+	p.Printf("graphabcdd_jobs_failed_total %d\n", s.mgr.failedJobs.Load())
+	p.Printf("graphabcdd_cache_hits_total %d\n", hits)
+	p.Printf("graphabcdd_cache_misses_total %d\n", misses)
+	p.Printf("graphabcdd_cache_entries %d\n", entries)
+	p.Printf("graphabcdd_pool_resident_bytes %d\n", s.mgr.pool.UsedBytes())
+	p.Printf("graphabcdd_queue_depth %d\n", depth)
+	p.Printf("graphabcdd_queue_capacity %d\n", capacity)
+	p.Printf("graphabcdd_admission_rejected_total{reason=\"rate\"} %d\n", s.rejectsRate.Load())
+	p.Printf("graphabcdd_admission_rejected_total{reason=\"queue\"} %d\n", s.rejectsQueue.Load())
 }

@@ -559,16 +559,12 @@ func (m *Manager) run(job *Job) {
 }
 
 // buildSpec assembles the JobSpec: server-wide engine defaults, then the
-// request's overrides, then the per-algorithm epoch budget for
-// non-convergent workloads, then checkpoint wiring for durable jobs.
+// request's overrides, then checkpoint wiring for durable jobs. What the
+// spec still leaves unset (block size, the per-algorithm epoch budget)
+// Runtime.Run resolves.
 func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) graphabcd.JobSpec {
 	req := job.Req
-	var cfg graphabcd.Config
-	if m.o.EngineDefaults != nil {
-		cfg = *m.o.EngineDefaults
-	} else {
-		cfg = graphabcd.DefaultConfig(0) // Runtime applies the |V|/256 heuristic
-	}
+	cfg := *m.o.EngineDefaults
 	cfg.Telemetry = nil // per-job registries only; a shared one would mix runs
 	if req.BlockSize > 0 {
 		cfg.BlockSize = req.BlockSize
@@ -578,10 +574,6 @@ func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) graphabcd.JobSpec {
 	}
 	if req.MaxEpochs > 0 {
 		cfg.MaxEpochs = req.MaxEpochs
-	} else if cfg.MaxEpochs == 0 {
-		if alg, err := graphabcd.LookupAlgorithm(req.Algorithm); err == nil && alg.DefaultMaxEpochs > 0 {
-			cfg.MaxEpochs = alg.DefaultMaxEpochs
-		}
 	}
 	if job.Durable {
 		runID := "job-" + job.ID
@@ -609,8 +601,8 @@ func (m *Manager) buildSpec(job *Job, g *graphabcd.Graph) graphabcd.JobSpec {
 			Nodes:          req.Cluster.Nodes,
 			WorkersPerNode: req.Cluster.WorkersPerNode,
 			BlockSize:      req.Cluster.BlockSize,
-			// ClusterConfig has no defaults of its own for these two (a zero
-			// Epsilon is literal): it runs with what a plain job would get.
+			// A zero Epsilon is literal in ClusterConfig: a cluster job runs
+			// with what a plain job would get.
 			Epsilon:   cfg.Epsilon,
 			MaxEpochs: cfg.MaxEpochs,
 		}))

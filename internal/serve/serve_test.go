@@ -619,3 +619,43 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestMetricsBodyGolden pins the /metrics exposition byte for byte over a
+// fixed server state: the bench's serve_mix workload parses the cache
+// counters and check.sh --smoke greps the hits line.
+func TestMetricsBodyGolden(t *testing.T) {
+	srv, ts := newTestServer(t, Options{GraphDir: t.TempDir(), QueueDepth: 8})
+	srv.mgr.doneJobs.Add(3)
+	srv.mgr.failedJobs.Add(1)
+	srv.mgr.cache.Put("k", &graphabcd.JobResult{})
+	srv.mgr.cache.Get("k")
+	srv.mgr.cache.Get("absent")
+	srv.rejectsRate.Add(2)
+	srv.rejectsQueue.Add(5)
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `graphabcdd_jobs_done_total 3
+graphabcdd_jobs_failed_total 1
+graphabcdd_cache_hits_total 1
+graphabcdd_cache_misses_total 1
+graphabcdd_cache_entries 1
+graphabcdd_pool_resident_bytes 0
+graphabcdd_queue_depth 0
+graphabcdd_queue_capacity 8
+graphabcdd_admission_rejected_total{reason="rate"} 2
+graphabcdd_admission_rejected_total{reason="queue"} 5
+`
+	if string(body) != want {
+		t.Fatalf("/metrics body:\n%s\nwant:\n%s", body, want)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+}

@@ -31,14 +31,20 @@ func promName(s string) string {
 	return string(out)
 }
 
-// promWriter accumulates exposition lines; the first write error sticks
-// so call sites stay linear.
-type promWriter struct {
+// PromWriter accumulates exposition lines; the first write error (the
+// scraper went away) sticks and silences the rest, so call sites stay
+// linear. It is the one line writer: WritePrometheus and graphabcdd's
+// /metrics both emit through it.
+type PromWriter struct {
 	w   io.Writer
 	err error
 }
 
-func (p *promWriter) printf(format string, args ...any) {
+// NewPromWriter returns a PromWriter over w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+
+// Printf writes one formatted line unless an earlier write failed.
+func (p *PromWriter) Printf(format string, args ...any) {
 	if p.err != nil {
 		return
 	}
@@ -50,7 +56,7 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // writeStageHistogram emits one histogram family series set (buckets,
 // sum, count) for prefix{labels}. scale divides raw observed values into
 // the exposed unit (1e9 for ns→seconds, 1 for milli-epochs).
-func (p *promWriter) writeStageHistogram(name, labels string, h Histogram, scale float64) {
+func (p *PromWriter) writeStageHistogram(name, labels string, h Histogram, scale float64) {
 	bucketLabels := func(le string) string {
 		if labels == "" {
 			return `{le="` + le + `"}`
@@ -68,26 +74,26 @@ func (p *promWriter) writeStageHistogram(name, labels string, h Histogram, scale
 			continue // sparse: emit only occupied boundaries plus +Inf
 		}
 		le := float64(BucketUpper(b)) / scale
-		p.printf("%s_bucket%s %d\n", name, bucketLabels(fmtFloat(le)), cum)
+		p.Printf("%s_bucket%s %d\n", name, bucketLabels(fmtFloat(le)), cum)
 	}
-	p.printf("%s_bucket%s %d\n", name, bucketLabels("+Inf"), h.Count)
-	p.printf("%s_sum%s %s\n", name, plain, fmtFloat(float64(h.Sum)/scale))
-	p.printf("%s_count%s %d\n", name, plain, h.Count)
+	p.Printf("%s_bucket%s %d\n", name, bucketLabels("+Inf"), h.Count)
+	p.Printf("%s_sum%s %s\n", name, plain, fmtFloat(float64(h.Sum)/scale))
+	p.Printf("%s_count%s %d\n", name, plain, h.Count)
 }
 
 // WritePrometheus renders the registry (and, when non-nil, the merged
 // cluster snapshot) as Prometheus text format 0.0.4.
 func WritePrometheus(w io.Writer, r *Registry, cluster *ClusterStats) error {
-	p := &promWriter{w: w}
+	p := NewPromWriter(w)
 
 	totals := r.CounterTotals()
 	if t := r.tracer; t != nil {
 		totals[CtrTraceDropped] += t.Dropped()
 	}
-	p.printf("# HELP graphabcd_counter_total Sharded run counters, cross-shard totals.\n")
-	p.printf("# TYPE graphabcd_counter_total counter\n")
+	p.Printf("# HELP graphabcd_counter_total Sharded run counters, cross-shard totals.\n")
+	p.Printf("# TYPE graphabcd_counter_total counter\n")
 	for c := Counter(0); c < NumCounters; c++ {
-		p.printf("graphabcd_counter_total{name=%q} %d\n", promName(c.Name()), totals[c])
+		p.Printf("graphabcd_counter_total{name=%q} %d\n", promName(c.Name()), totals[c])
 	}
 
 	r.mu.Lock()
@@ -102,19 +108,19 @@ func WritePrometheus(w io.Writer, r *Registry, cluster *ClusterStats) error {
 	}
 	r.mu.Unlock()
 
-	p.printf("# HELP graphabcd_gauge Live engine gauges, sampled at scrape time.\n")
-	p.printf("# TYPE graphabcd_gauge gauge\n")
+	p.Printf("# HELP graphabcd_gauge Live engine gauges, sampled at scrape time.\n")
+	p.Printf("# TYPE graphabcd_gauge gauge\n")
 	sort.Slice(gauges, func(a, b int) bool { return gauges[a].name < gauges[b].name })
 	for _, g := range gauges {
-		p.printf("graphabcd_gauge{name=%q} %s\n", promName(g.name), fmtFloat(g.fn()))
+		p.Printf("graphabcd_gauge{name=%q} %s\n", promName(g.name), fmtFloat(g.fn()))
 	}
-	p.printf("graphabcd_gauge{name=\"vertices\"} %d\n", nv)
-	p.printf("graphabcd_gauge{name=\"residual\"} %s\n", fmtFloat(residual))
-	p.printf("graphabcd_gauge{name=\"active_blocks\"} %d\n", active)
+	p.Printf("graphabcd_gauge{name=\"vertices\"} %d\n", nv)
+	p.Printf("graphabcd_gauge{name=\"residual\"} %s\n", fmtFloat(residual))
+	p.Printf("graphabcd_gauge{name=\"active_blocks\"} %d\n", active)
 
 	if r.timing {
-		p.printf("# HELP graphabcd_stage_duration_seconds Per-stage latency histograms (power-of-two ns buckets).\n")
-		p.printf("# TYPE graphabcd_stage_duration_seconds histogram\n")
+		p.Printf("# HELP graphabcd_stage_duration_seconds Per-stage latency histograms (power-of-two ns buckets).\n")
+		p.Printf("# TYPE graphabcd_stage_duration_seconds histogram\n")
 		for st := Stage(0); st < NumStages; st++ {
 			if st == StageStaleness {
 				continue // milli-epochs, not seconds: its own family below
@@ -127,8 +133,8 @@ func WritePrometheus(w io.Writer, r *Registry, cluster *ClusterStats) error {
 				fmt.Sprintf("stage=%q", promName(st.Name())), h, 1e9)
 		}
 		if h := r.StageHistogram(StageStaleness); h.Count > 0 {
-			p.printf("# HELP graphabcd_staleness_milliepochs Block read-to-publish staleness in milli-epochs.\n")
-			p.printf("# TYPE graphabcd_staleness_milliepochs histogram\n")
+			p.Printf("# HELP graphabcd_staleness_milliepochs Block read-to-publish staleness in milli-epochs.\n")
+			p.Printf("# TYPE graphabcd_staleness_milliepochs histogram\n")
 			p.writeStageHistogram("graphabcd_staleness_milliepochs", "", h, 1)
 		}
 	}
@@ -143,23 +149,23 @@ func WritePrometheus(w io.Writer, r *Registry, cluster *ClusterStats) error {
 // counter and wire counter labeled by node, plus per-node stage
 // histograms — the cluster-wide view a dashboard needs to see which node
 // is the straggler.
-func writeClusterProm(p *promWriter, cluster *ClusterStats) {
+func writeClusterProm(p *PromWriter, cluster *ClusterStats) {
 	nodes := cluster.Nodes()
-	p.printf("# HELP graphabcd_cluster_nodes Nodes that have reported telemetry this run.\n")
-	p.printf("# TYPE graphabcd_cluster_nodes gauge\n")
-	p.printf("graphabcd_cluster_nodes %d\n", len(nodes))
+	p.Printf("# HELP graphabcd_cluster_nodes Nodes that have reported telemetry this run.\n")
+	p.Printf("# TYPE graphabcd_cluster_nodes gauge\n")
+	p.Printf("graphabcd_cluster_nodes %d\n", len(nodes))
 	if len(nodes) == 0 {
 		return
 	}
-	p.printf("# HELP graphabcd_cluster_counter_total Per-node run counters aggregated over the control lane.\n")
-	p.printf("# TYPE graphabcd_cluster_counter_total counter\n")
+	p.Printf("# HELP graphabcd_cluster_counter_total Per-node run counters aggregated over the control lane.\n")
+	p.Printf("# TYPE graphabcd_cluster_counter_total counter\n")
 	for _, n := range nodes {
 		for c := Counter(0); c < NumCounters; c++ {
-			p.printf("graphabcd_cluster_counter_total{node=\"%d\",name=%q} %d\n", n.Node, promName(c.Name()), n.Counters[c])
+			p.Printf("graphabcd_cluster_counter_total{node=\"%d\",name=%q} %d\n", n.Node, promName(c.Name()), n.Counters[c])
 		}
 	}
-	p.printf("# HELP graphabcd_cluster_wire_total Per-node transport socket counters.\n")
-	p.printf("# TYPE graphabcd_cluster_wire_total counter\n")
+	p.Printf("# HELP graphabcd_cluster_wire_total Per-node transport socket counters.\n")
+	p.Printf("# TYPE graphabcd_cluster_wire_total counter\n")
 	for _, n := range nodes {
 		for _, wc := range []struct {
 			name string
@@ -170,16 +176,16 @@ func writeClusterProm(p *promWriter, cluster *ClusterStats) {
 			{"reconnects", n.Wire.Reconnects}, {"drops", n.Wire.Drops},
 			{"crc_drops", n.Wire.CRCDrops}, {"decode_errors", n.Wire.DecodeErrors},
 		} {
-			p.printf("graphabcd_cluster_wire_total{node=\"%d\",name=%q} %d\n", n.Node, wc.name, wc.v)
+			p.Printf("graphabcd_cluster_wire_total{node=\"%d\",name=%q} %d\n", n.Node, wc.name, wc.v)
 		}
 	}
-	p.printf("# HELP graphabcd_cluster_wire_queue_high_water Per-node deepest outbound data queue observed.\n")
-	p.printf("# TYPE graphabcd_cluster_wire_queue_high_water gauge\n")
+	p.Printf("# HELP graphabcd_cluster_wire_queue_high_water Per-node deepest outbound data queue observed.\n")
+	p.Printf("# TYPE graphabcd_cluster_wire_queue_high_water gauge\n")
 	for _, n := range nodes {
-		p.printf("graphabcd_cluster_wire_queue_high_water{node=\"%d\"} %d\n", n.Node, n.Wire.QueueHighWater)
+		p.Printf("graphabcd_cluster_wire_queue_high_water{node=\"%d\"} %d\n", n.Node, n.Wire.QueueHighWater)
 	}
-	p.printf("# HELP graphabcd_cluster_stage_duration_seconds Per-node stage latency histograms.\n")
-	p.printf("# TYPE graphabcd_cluster_stage_duration_seconds histogram\n")
+	p.Printf("# HELP graphabcd_cluster_stage_duration_seconds Per-node stage latency histograms.\n")
+	p.Printf("# TYPE graphabcd_cluster_stage_duration_seconds histogram\n")
 	for _, n := range nodes {
 		for st := Stage(0); st < NumStages; st++ {
 			if st == StageStaleness {
@@ -193,8 +199,8 @@ func writeClusterProm(p *promWriter, cluster *ClusterStats) {
 				fmt.Sprintf("node=\"%d\",stage=%q", n.Node, promName(st.Name())), h, 1e9)
 		}
 	}
-	p.printf("# HELP graphabcd_cluster_staleness_milliepochs Per-node staleness histograms.\n")
-	p.printf("# TYPE graphabcd_cluster_staleness_milliepochs histogram\n")
+	p.Printf("# HELP graphabcd_cluster_staleness_milliepochs Per-node staleness histograms.\n")
+	p.Printf("# TYPE graphabcd_cluster_staleness_milliepochs histogram\n")
 	for _, n := range nodes {
 		h := n.Stages[StageStaleness].Histogram()
 		if h.Count == 0 {

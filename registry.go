@@ -69,9 +69,9 @@ type AlgorithmSpec struct {
 	NeedsSeeds bool
 	// Distributed marks algorithms runnable under WithClusterConfig.
 	Distributed bool
-	// DefaultMaxEpochs is the epoch budget the serving layer applies when
-	// the request sets none — non-convergent workloads (labelprop, cf)
-	// must be bounded to be servable. 0 means run to convergence.
+	// DefaultMaxEpochs is the epoch budget Runtime.Run applies when the
+	// spec sets none — non-convergent workloads (labelprop, cf) must be
+	// bounded to finish. 0 means run to convergence.
 	DefaultMaxEpochs float64
 	// Params documents the algorithm-specific parameters.
 	Params []ParamSpec
@@ -85,6 +85,10 @@ var (
 	paramSeeds  = ParamSpec{Name: "seeds", Type: "[]integer", Required: true, Doc: "personalization seed vertex ids"}
 	paramDamp   = ParamSpec{Name: "damping", Type: "number", Doc: "damping factor in [0,1); 0 means 0.85"}
 )
+
+// DefaultCF returns the cf algorithm's hyperparameters: what Runtime.Run
+// gives a spec that sets none.
+func DefaultCF() CF { return CF{Rank: 8, LearnRate: 0.3, Lambda: 0.01, Seed: 7} }
 
 // registry maps canonical names AND aliases to specs. Built once at
 // package init; read-only afterwards, so lookups need no lock.
@@ -182,14 +186,10 @@ func buildRegistry() map[string]*AlgorithmSpec {
 			Description: "collaborative filtering by low-rank factorization",
 			Values:      VectorValues, DefaultMaxEpochs: 20,
 			Params: []ParamSpec{
-				{Name: "rank", Type: "integer", Doc: "factor dimension (default 8)"},
+				{Name: "rank", Type: "integer", Doc: fmt.Sprintf("factor dimension (default %d)", DefaultCF().Rank)},
 			},
 			run: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
-				params := bcd.CF{Rank: 8, LearnRate: 0.3, Lambda: 0.01, Seed: 7}
-				if spec.CF != nil {
-					params = *spec.CF
-				}
-				res, err := runCoreOrReplay[[]float32, []float64](ctx, spec, params)
+				res, err := runCoreOrReplay[[]float32, []float64](ctx, spec, *spec.CF)
 				if err != nil {
 					return nil, err
 				}
@@ -216,6 +216,16 @@ func LookupAlgorithm(name string) (*AlgorithmSpec, error) {
 		return s, nil
 	}
 	return nil, fmt.Errorf("%w: %q (known: %s)", ErrUnknownAlgorithm, name, strings.Join(algorithmNames(), ", "))
+}
+
+// CheckDistributed reports whether the algorithm may run on a cluster —
+// in process under WithClusterConfig, or across processes over TCP — and
+// otherwise names the ones that can.
+func (a *AlgorithmSpec) CheckDistributed() error {
+	if a.Distributed {
+		return nil
+	}
+	return fmt.Errorf("graphabcd: %s does not support distributed execution (pick pagerank, sssp, bfs, or cc)", a.Name)
 }
 
 // Algorithms lists every registered algorithm, sorted by canonical name.

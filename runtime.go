@@ -24,8 +24,9 @@ type JobSpec struct {
 	// Graph is the graph to run over.
 	Graph *Graph
 	// Config is the engine configuration. A zero BlockSize — here or in
-	// Cluster — is defaulted to the |V|/256 heuristic; the rest is validated by Config.Validate
-	// at the Runtime boundary, before any goroutine starts.
+	// Cluster — is defaulted to the |V|/256 heuristic and a zero MaxEpochs
+	// to the algorithm's DefaultMaxEpochs; the rest is validated by
+	// Config.Validate at the Runtime boundary, before any goroutine starts.
 	Config Config
 	// Cluster, when non-nil, runs the job on the in-process distributed
 	// engine across Cluster.Nodes nodes instead of the single-node
@@ -43,7 +44,7 @@ type JobSpec struct {
 	// 0 means the algorithm default (0.85).
 	Damping float64
 	// CF, when non-nil, overrides the collaborative-filtering
-	// hyperparameters.
+	// hyperparameters (DefaultCF otherwise).
 	CF *CF
 	// Schedule, when non-nil, deterministically replays a recorded block
 	// schedule (core.ReplaySchedule) instead of running live; the
@@ -262,23 +263,7 @@ func (r *localRuntime) Run(ctx context.Context, spec JobSpec) (*Handle, error) {
 		return nil, err
 	}
 	spec.Algorithm = alg.Name // canonicalize aliases for results and logs
-	bs := 0
-	if spec.Graph != nil {
-		bs = graph.DefaultBlockSize(spec.Graph.NumVertices())
-	}
-	if !spec.configSet {
-		spec.Config = DefaultConfig(bs)
-	}
-	if spec.Config.BlockSize == 0 {
-		spec.Config.BlockSize = bs
-	}
-	if spec.Cluster != nil && spec.Cluster.BlockSize == 0 {
-		// Left at 0 the cluster would cut one |V|-sized block and clamp
-		// itself to a single node.
-		c := *spec.Cluster
-		c.BlockSize = bs
-		spec.Cluster = &c
-	}
+	resolveDefaults(alg, &spec)
 	if err := validateSpec(alg, &spec); err != nil {
 		return nil, err
 	}
@@ -362,6 +347,41 @@ func (r *localRuntime) Run(ctx context.Context, spec JobSpec) (*Handle, error) {
 	return h, nil
 }
 
+// resolveDefaults fills every job default a spec leaves unset — the one
+// place they resolve, so every front end runs a spec the same way: the
+// |V|/256 block size (left at 0 a cluster would cut one |V|-sized block
+// and clamp itself to a single node), the registry's epoch budget, and
+// cf's hyperparameters.
+func resolveDefaults(alg *AlgorithmSpec, spec *JobSpec) {
+	bs := 0
+	if spec.Graph != nil {
+		bs = graph.DefaultBlockSize(spec.Graph.NumVertices())
+	}
+	if !spec.configSet {
+		spec.Config = DefaultConfig(bs)
+	}
+	if spec.Config.BlockSize == 0 {
+		spec.Config.BlockSize = bs
+	}
+	if spec.Config.MaxEpochs == 0 {
+		spec.Config.MaxEpochs = alg.DefaultMaxEpochs
+	}
+	if spec.Cluster != nil {
+		c := *spec.Cluster
+		if c.BlockSize == 0 {
+			c.BlockSize = bs
+		}
+		if c.MaxEpochs == 0 {
+			c.MaxEpochs = alg.DefaultMaxEpochs
+		}
+		spec.Cluster = &c
+	}
+	if spec.CF == nil {
+		cf := DefaultCF()
+		spec.CF = &cf
+	}
+}
+
 // validateSpec is the Runtime boundary's one-stop validation: algorithm
 // requirements, graph presence, parameter ranges, and both Config
 // layers. Everything downstream may assume a well-formed spec.
@@ -391,8 +411,8 @@ func validateSpec(alg *AlgorithmSpec, spec *JobSpec) error {
 		return fmt.Errorf("graphabcd: schedule replay is single-process only; drop WithClusterConfig")
 	}
 	if spec.Cluster != nil {
-		if !alg.Distributed {
-			return fmt.Errorf("graphabcd: %s does not support distributed execution (pick pagerank, sssp, bfs, or cc)", alg.Name)
+		if err := alg.CheckDistributed(); err != nil {
+			return err
 		}
 		if err := spec.Cluster.Validate(); err != nil {
 			return err

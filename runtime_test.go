@@ -68,6 +68,37 @@ func TestRuntimeValidatesDistributedConfig(t *testing.T) {
 	}
 }
 
+// TestCFJobStopsAtItsEpochBudget: a cf spec that sets no config runs
+// under the registry's DefaultMaxEpochs, resolved by Runtime.Run, and
+// returns well inside the caller's deadline instead of running into it.
+func TestCFJobStopsAtItsEpochBudget(t *testing.T) {
+	rg, err := Rating(DefaultRating(200, 100, 4000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	h, err := NewRuntime().Run(ctx, NewJobSpec("cf", rg.Graph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := LookupAlgorithm("cf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() != nil || res.Stats.Epochs > alg.DefaultMaxEpochs+1 {
+		t.Fatalf("cf ran %.2f epochs (deadline hit: %v), want it stopped by its %g-epoch budget",
+			res.Stats.Epochs, ctx.Err() != nil, alg.DefaultMaxEpochs)
+	}
+	if len(res.Vectors) != rg.Graph.NumVertices() || len(res.Vectors[0]) != DefaultCF().Rank {
+		t.Fatalf("cf returned %d vectors, want %d of rank %d", len(res.Vectors), rg.Graph.NumVertices(), DefaultCF().Rank)
+	}
+}
+
 func TestRuntimeValidatesSpecParams(t *testing.T) {
 	rt := NewRuntime()
 	g := ring(t, 16)

@@ -223,6 +223,34 @@ if [[ -n "$codecs" ]]; then
     exit 1
 fi
 
+echo "== defaults once (every engine, cluster and server default has one owner)"
+# core.DefaultConfig owns the engine's worker counts and epsilon,
+# cluster.Config.WithDefaults the cluster's batch size and workers per
+# node, serve.Options.WithDefaults the server's limits,
+# checkpoint.DefaultInterval the front ends' checkpoint period, and the
+# registry the per-algorithm epoch budgets (applied only by Runtime.Run)
+# and cf's hyperparameters. A flag default written as a nonzero number in
+# either binary, a read of DefaultMaxEpochs anywhere else, or a
+# WorkersPerNode default outside WithDefaults is a second copy growing
+# back. The flags named below mirror no config field: their defaults are
+# the CLI's own.
+copies=$(
+    grep -nE 'flag\.(Int|Int64|Uint|Uint64|Float64|Duration)\("[a-z-]+", *-?[0-9][0-9.eE+-]*( *\* *time\.[A-Za-z]+)? *[,)]' \
+        cmd/graphabcd/*.go cmd/graphabcdd/*.go |
+        grep -vE -e '_test\.go:' -e '", *0 *,' \
+            -e '"(shrink|top|nodes|chaos-seed|fail-node|fail-after|trace-sample)",' || true
+    grep -rn --include='*.go' '\.DefaultMaxEpochs' . |
+        grep -v -e '_test\.go:' -e '^\./runtime\.go:' -e '^\./internal/serve/http\.go:.*a\.DefaultMaxEpochs' \
+            -e '^\./bench/' -e '^\./\.' || true
+    grep -rnE --include='*.go' 'WorkersPerNode *= *[0-9]' . |
+        grep -v -e '_test\.go:' -e '^\./internal/cluster/cluster\.go:' -e '^\./bench/' -e '^\./\.' || true
+)
+if [[ -n "$copies" ]]; then
+    echo "a default restated outside its owner:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
