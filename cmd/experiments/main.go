@@ -72,7 +72,7 @@ var experiments = []struct {
 		_, err := exp.AblationOperator(o)
 		return err
 	}},
-	{"ablation-staleness", "queue depth (bounded staleness) vs convergence", func(o exp.Options) error {
+	{"ablation-staleness", "read-to-publish delay (bounded staleness) vs convergence, kernel-driven", func(o exp.Options) error {
 		_, err := exp.AblationStaleness(o)
 		return err
 	}},

@@ -96,9 +96,9 @@ func run() error {
 		block     = flag.Int("block", 0, "block size (0 = |V|/256 heuristic)")
 		mode      = flag.String("mode", "async", "engine mode: async | barrier | bsp")
 		policy    = flag.String("policy", "cyclic", "block selection: cyclic | priority | random")
-		pes       = flag.Int("pes", engine.NumPEs, "gather-apply workers (accelerator PEs)")
-		scatter   = flag.Int("scatter", engine.NumScatter, "scatter workers (CPU threads)")
-		hybrid    = flag.Bool("hybrid", false, "enable hybrid execution")
+		pes       = flag.Int("pes", engine.NumPEs, "block workers: each gathers then scatters its own block (the accelerator PEs)")
+		scatter   = flag.Int("scatter", engine.NumScatter, "CPU threads: BSP's scatter sweep, and the extra block workers of -hybrid")
+		hybrid    = flag.Bool("hybrid", false, "hybrid execution: -scatter CPU threads also run blocks")
 		eps       = flag.Float64("eps", engine.Epsilon, "activation threshold")
 		maxEpochs = flag.Float64("max-epochs", 0, "epoch budget (0 = run to convergence)")
 		useSim    = flag.Bool("sim", false, "attach the HARPv2 accelerator model")

@@ -70,7 +70,7 @@ func run() error {
 		ckptIntv = flag.Duration("ckpt-interval", def.CheckpointInterval, "durable jobs: checkpoint period")
 
 		blockSize = flag.Int("block", 0, "default engine block size (0 = |V|/256 heuristic)")
-		pes       = flag.Int("pes", 0, "default gather-apply workers per job (0 = engine default)")
+		pes       = flag.Int("pes", 0, "default block workers per job, each gathering and scattering its own block (0 = engine default)")
 
 		logLevel  = flag.String("log-level", "info", "structured logging level: debug | info | warn | error (empty disables)")
 		logFormat = flag.String("log-format", "text", "structured log encoding: text | json")

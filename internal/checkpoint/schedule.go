@@ -41,9 +41,9 @@ const (
 // replay — so the capacity only has to cover flusher latency.
 const schedRingCap = 1 << 14
 
-// ScheduleRecorder captures the issued block schedule through the same
+// ScheduleRecorder captures a run's block schedule through the same
 // single-producer single-consumer ring shape as the telemetry tracer:
-// the scheduler writes ids with two atomic cursors and no locks, a
+// the producer writes ids with two atomic cursors and no locks, a
 // background flusher drains to the writer on a fixed cadence, and Close
 // drains the tail and seals the trailer.
 type ScheduleRecorder struct {
@@ -81,9 +81,9 @@ func NewScheduleRecorder(w io.Writer) *ScheduleRecorder {
 	return r
 }
 
-// Record appends one issued block id. Called by the single scheduler
-// goroutine; when the ring is full it yields until the flusher catches
-// up rather than dropping.
+// Record appends one block id. Calls must not overlap (one producer at
+// a time); when the ring is full it yields until the flusher catches up
+// rather than dropping.
 func (r *ScheduleRecorder) Record(b int) {
 	v := uint32(b)
 	for {

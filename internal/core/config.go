@@ -2,17 +2,19 @@
 // asynchronous barrierless engine that is the paper's contribution, plus
 // the Barrier and BSP baselines its Fig. 7 ablation compares against.
 //
-// The async engine mirrors the 11-step flow of Sec. IV-C: a scheduler
+// The async engine follows the 11-step flow of Sec. IV-C: a scheduler
 // selects vertex blocks from the active list (cyclic or Gauss-Southwell
-// priority) and pushes them into the accelerator task queue; PE workers
-// dequeue blocks, stream the block's in-edge cache sequentially through
-// the program's GATHER-APPLY, and write the new vertex values; finished
-// block ids flow through the CPU task queue to SCATTER workers, which copy
-// updated values onto out-edge cache slots (random but disjoint writes),
-// accumulate Gauss-Southwell mass onto destination blocks, and update the
-// active list. The only shared mutable state is atomic words — no locks,
-// no barriers — and the termination unit's quiescence test covers blocks
-// active, claimed, and in flight.
+// priority) and pushes them into the accelerator task queue; a pool of
+// block workers dequeues them, and each worker runs its block's
+// GATHER-APPLY (stream the in-edge cache sequentially, write the new
+// vertex values) and then the same block's SCATTER (copy updated values
+// onto out-edge cache slots — random but disjoint writes — accumulate
+// Gauss-Southwell mass onto destination blocks, update the active list).
+// On the paper's platform PEs gather and CPU threads scatter; on a CPU
+// host that split is an attribute of the accelerator cost model (Sim),
+// not of the goroutines. The only shared mutable state is atomic words —
+// no locks, no barriers — and the termination unit's quiescence test
+// covers blocks active, claimed, and in flight.
 package core
 
 import (
@@ -66,12 +68,18 @@ type Config struct {
 	// Policy selects the block scheduling rule (cyclic / priority /
 	// random). BSP ignores it.
 	Policy sched.Policy
-	// NumPEs is the number of GATHER-APPLY workers (accelerator PEs).
+	// NumPEs is the number of block workers, the accelerator PEs: each
+	// runs a scheduled block's GATHER-APPLY and then its SCATTER. BSP's
+	// gather sweep runs on NumPEs workers.
 	NumPEs int
-	// NumScatter is the number of CPU SCATTER workers.
+	// NumScatter is the number of CPU threads: the workers of BSP's
+	// scatter sweep, the extra block workers Hybrid adds, and the CPU
+	// threads the simulator must model.
 	NumScatter int
-	// Hybrid lets SCATTER workers steal GATHER-APPLY tasks when the CPU
-	// side is under-utilized (Sec. IV-B hybrid execution).
+	// Hybrid adds NumScatter block workers: the CPU threads taking
+	// GATHER-APPLY work (Sec. IV-B hybrid execution). Their blocks count
+	// in Stats.HybridBlocks; under Sim their gathers are charged to a CPU
+	// thread while the CPU side has slack.
 	Hybrid bool
 	// Epsilon is the activation threshold: a vertex whose update delta is
 	// <= Epsilon neither scatters nor activates destination blocks.
@@ -82,12 +90,13 @@ type Config struct {
 	MaxEpochs float64
 	// Seed feeds the random scheduler policy.
 	Seed uint64
-	// QueueDepth overrides the task-queue capacity (per queue). The
-	// default 0 means 2x the consuming worker count. The depth is the
-	// engine's staleness bound — the number of block-slots a gather may
-	// run ahead of the scatter publishing fresh values; deep queues
-	// degrade the engine toward Jacobi convergence (see the staleness
-	// ablation in internal/exp).
+	// QueueDepth overrides the accelerator task queue's capacity; the
+	// default 0 means 2x NumPEs. It bounds how far the scheduler's picks
+	// run ahead of the workers: a block is claimed, and chosen from the
+	// priorities of that moment, up to QueueDepth slots before a worker
+	// gathers it. It delays no publish — a worker scatters the block it
+	// gathered — so the read-to-publish staleness ablation in
+	// internal/exp drives the kernel directly.
 	QueueDepth int
 	// Sim, when non-nil, drives the accelerator cost model alongside the
 	// real computation (simulated time, PE/bus utilization, traffic).
@@ -119,10 +128,11 @@ type Config struct {
 	// resume (DESIGN.md §12). The zero value disables checkpointing
 	// entirely — no goroutine starts and the hot path is untouched.
 	Checkpoint Checkpoint
-	// RecordSchedule, when non-nil, receives the issued block schedule in
-	// the GABR format for deterministic replay (ReplaySchedule). Async
-	// and Barrier modes only; the caller owns closing the underlying
-	// file after the run returns.
+	// RecordSchedule, when non-nil, receives the block schedule — ids in
+	// the order the workers took them — in the GABR format for
+	// deterministic replay (ReplaySchedule). Async and Barrier modes
+	// only; the caller owns closing the underlying file after the run
+	// returns.
 	RecordSchedule io.Writer
 	// Telemetry, when non-nil, is the live instrumentation registry the
 	// run emits into: sharded counters, per-stage latency/staleness
@@ -159,15 +169,15 @@ func (c Config) Validate() error {
 	case c.BlockSize < 0:
 		return fmt.Errorf("core: BlockSize %d is negative; use a positive block size (vertices per block), or 0 to default to one block per vertex range — DefaultConfig(256) is a reasonable start", c.BlockSize)
 	case c.NumPEs <= 0:
-		return fmt.Errorf("core: NumPEs %d leaves no GATHER-APPLY workers; set NumPEs >= 1 (DefaultConfig uses %d)", c.NumPEs, def.NumPEs)
+		return fmt.Errorf("core: NumPEs %d leaves no block workers; set NumPEs >= 1 (DefaultConfig uses %d)", c.NumPEs, def.NumPEs)
 	case c.NumScatter <= 0:
-		return fmt.Errorf("core: NumScatter %d leaves no SCATTER workers, so gathered blocks would never publish; set NumScatter >= 1 (DefaultConfig uses %d)", c.NumScatter, def.NumScatter)
+		return fmt.Errorf("core: NumScatter %d leaves BSP's scatter sweep without workers, so a sweep's updates would never publish; set NumScatter >= 1 (DefaultConfig uses %d)", c.NumScatter, def.NumScatter)
 	case c.Epsilon < 0:
 		return fmt.Errorf("core: Epsilon %g is negative; the activation threshold must be >= 0 (0 keeps every update active, %g is the default)", c.Epsilon, def.Epsilon)
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("core: MaxEpochs %g is negative; use 0 to run to convergence or a positive epoch budget", c.MaxEpochs)
 	case c.QueueDepth < 0:
-		return fmt.Errorf("core: QueueDepth %d is negative; use 0 for the default (2x the consuming workers) or a positive staleness bound", c.QueueDepth)
+		return fmt.Errorf("core: QueueDepth %d is negative; use 0 for the default (2x NumPEs) or a positive queue capacity", c.QueueDepth)
 	case c.Mode != Async && c.Mode != Barrier && c.Mode != BSP:
 		return fmt.Errorf("core: unknown mode %v; valid modes are Async, Barrier, and BSP", c.Mode)
 	case c.Policy != sched.Cyclic && c.Policy != sched.Priority && c.Policy != sched.Random:

@@ -107,20 +107,15 @@ type engine[V, M any] struct {
 	// tel is the run's telemetry registry (Config.Telemetry, or a private
 	// bare-counter one). All work accounting goes through its per-worker
 	// shards: shard 0 belongs to the scheduler and the watchdog, shards
-	// 1..NumPEs to the PE workers, the rest to the scatter workers. The
-	// shard split is what keeps counting off shared cache lines — the old
-	// single counter struct false-shared between every worker.
+	// 1..NumPEs to the PE workers, the rest to the CPU threads (hybrid
+	// workers, BSP's scatter sweep). The shard split is what keeps
+	// counting off shared cache lines — the old single counter struct
+	// false-shared between every worker.
 	tel    *telemetry.Registry
 	shards []telemetry.Shard
 	sh0    *telemetry.Shard // scheduler/watchdog shard
 	live   bool             // tel records timings (histograms or tracing)
 	nv     int64            // |V|, cached for the staleness observation
-
-	// free recycles block buffers from the scatter stage back to the
-	// gather stage. A channel the run owns, so it is garbage with the run:
-	// a Pool of package sync here would keep the finished engine reachable
-	// through the runtime's pool list for two more GC cycles.
-	free chan *blockBuf[V]
 
 	// resumed is set when a checkpoint resume seeded values and scheduler
 	// state; runBlocked then skips the fresh-run ActivateAll (resume did
@@ -131,9 +126,15 @@ type engine[V, M any] struct {
 	// that overlapped a capture so checkpoint I/O never counts as an
 	// engine stall (Stats.StallWindows stays a pure progress signal).
 	ckptGen atomic.Int64
-	// rec, when non-nil, records every issued block id for deterministic
-	// replay. Only the scheduler goroutine writes to it.
-	rec *checkpoint.ScheduleRecorder
+	// rec, when non-nil, records every block id for deterministic replay,
+	// in the order the workers take blocks off the queue. That order,
+	// not the dispatch order, is the one a sequential replay must follow:
+	// a block dispatched later can be published before an earlier one is
+	// gathered, and a replay in dispatch order then reads less than the
+	// run did. The recorder's ring has one producer, so workers take
+	// recMu around Record.
+	rec   *checkpoint.ScheduleRecorder
+	recMu sync.Mutex
 
 	// modeled byte widths for the accelerator cost model
 	valueBytes int64 // encoded vertex value width
@@ -171,8 +172,8 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	if e.tel == nil {
 		e.tel = telemetry.New(telemetry.Options{})
 	}
-	// Shard 0 is the scheduler's; gather workers take 1..NumPEs and
-	// scatter workers the rest (the BSP sweeps reuse the same split).
+	// Shard 0 is the scheduler's; PE workers take 1..NumPEs and CPU
+	// threads the rest (the BSP sweeps reuse the same split).
 	e.shards = e.tel.Shards(1 + cfg.NumPEs + cfg.NumScatter)
 	e.sh0 = &e.shards[0]
 	e.live = e.tel.Live()
@@ -180,10 +181,6 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	e.tel.SetVertices(g.NumVertices())
 	e.tel.RegisterGauge("active_blocks", func() float64 { return float64(e.st.NumActive()) })
 	e.tel.RegisterGauge("residual", e.st.PendingMass)
-	// A buffer is live from its gather's start to its scatter's end: at
-	// most one per worker plus the CPU queue's depth, so a put never finds
-	// the list full.
-	e.free = make(chan *blockBuf[V], cfg.NumPEs+cfg.NumScatter+max(cfg.QueueDepth, 2*cfg.NumScatter))
 	e.eachSlice(e.Init)
 	return e, nil
 }
@@ -280,22 +277,27 @@ type blockItem struct {
 	enq int64
 }
 
-// blockBuf is what one block's GATHER-APPLY leaves for its SCATTER, one
-// entry per block vertex.
-type blockBuf[V any] struct {
+// blockWorker is one goroutine of the async/barrier worker pool: a kernel
+// worker plus the scratch its block's GATHER-APPLY leaves for the same
+// block's SCATTER, one entry per block vertex.
+type blockWorker[V, M any] struct {
+	*Worker[V, M]
 	deltas []float64 // update magnitudes
 	dvals  []V       // out-deltas (operation-based programs only)
+	// cpu marks a hybrid worker: one of the NumScatter CPU threads that
+	// take GATHER-APPLY work (Sec. IV-B). It counts HybridBlocks, and the
+	// cost model charges its gathers to a CPU thread while the CPU side
+	// has slack.
+	cpu bool
 }
 
-// task carries one processed block from GATHER-APPLY to SCATTER.
-type task[V any] struct {
-	block int
-	buf   *blockBuf[V] // recycled through engine.free
-	enq   int64        // Stamp at hand-off to the CPU queue
-	// gatherV is the global vertex-update count when the gather read its
-	// inputs; the scatter end subtracts it to observe per-block staleness
-	// in milli-epochs. 0 when timing is disabled.
-	gatherV int64
+// newBlockWorker builds the pool worker that counts into shard i.
+func (e *engine[V, M]) newBlockWorker(i int, cpu bool) *blockWorker[V, M] {
+	w := &blockWorker[V, M]{Worker: e.worker(i), deltas: make([]float64, e.Part.BlockSize()), cpu: cpu}
+	if e.op != nil {
+		w.dvals = make([]V, e.Part.BlockSize())
+	}
+	return w
 }
 
 // runBlocked executes Async and Barrier modes. It reports whether the run
@@ -314,59 +316,38 @@ func (e *engine[V, M]) runBlocked() bool {
 		return false
 	}
 
-	// The task queues are small FIFOs, as on the HARPv2 prototype. Their
-	// depth is the engine's staleness bound: a gather can run at most
-	// ~2xNumPEs block-slots ahead of the scatter that publishes fresh
-	// values, which keeps the asynchronous execution inside the bounded
-	// delay that asynchronous BCD's convergence guarantee requires
-	// (Sec. III-D) and preserves the Gauss-Seidel freshness that makes
-	// small blocks converge faster (Sec. III-C). Deep queues would let
-	// the gather pipeline race arbitrarily far ahead of scatter and
-	// degenerate the engine toward Jacobi.
-	qcap := func(workers int) int {
-		c := e.cfg.QueueDepth
-		if c == 0 {
-			c = 2 * workers
-		}
-		if c > nb {
-			c = nb
-		}
-		if c < 1 {
-			c = 1
-		}
-		return c
+	// The accelerator task queue is a small FIFO, as on the HARPv2
+	// prototype. Its depth bounds how far the scheduler's picks run ahead
+	// of the workers: a block is claimed, and chosen from the priorities
+	// of that moment, up to depth slots before a worker gathers it. A
+	// worker publishes the block it gathered, so no queue sits between a
+	// gather's read and its scatter's publish.
+	depth := e.cfg.QueueDepth
+	if depth == 0 {
+		depth = 2 * e.cfg.NumPEs
 	}
-	accelQ := make(chan blockItem, qcap(e.cfg.NumPEs))
-	cpuQ := make(chan task[V], qcap(e.cfg.NumScatter))
+	accelQ := make(chan blockItem, max(min(depth, nb), 1))
 	e.tel.RegisterGauge("accel_queue_depth", func() float64 { return float64(len(accelQ)) })
-	e.tel.RegisterGauge("cpu_queue_depth", func() float64 { return float64(len(cpuQ)) })
 
-	var peWG, scatWG sync.WaitGroup
-	for i := 0; i < e.cfg.NumPEs; i++ {
-		peWG.Add(1)
+	// One worker per PE; hybrid execution adds the CPU threads as
+	// workers that take GATHER-APPLY work too (Sec. IV-B).
+	workers := e.cfg.NumPEs
+	if e.cfg.Hybrid {
+		workers += e.cfg.NumScatter
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
 		go func(i int) {
-			defer peWG.Done()
-			e.peWorker(i, accelQ, cpuQ)
+			defer wg.Done()
+			e.work(i, accelQ)
 		}(i)
-	}
-	hybridQ := accelQ
-	if !e.cfg.Hybrid {
-		hybridQ = nil
-	}
-	for j := 0; j < e.cfg.NumScatter; j++ {
-		scatWG.Add(1)
-		go func(j int) {
-			defer scatWG.Done()
-			e.scatterWorker(j, cpuQ, hybridQ)
-		}(j)
 	}
 
 	converged := e.schedule(scheduler, accelQ)
 
 	close(accelQ)
-	peWG.Wait()
-	close(cpuQ)
-	scatWG.Wait()
+	wg.Wait()
 	return converged
 }
 
@@ -407,13 +388,10 @@ func (e *engine[V, M]) schedule(s sched.Scheduler, accelQ chan<- blockItem) bool
 	}
 }
 
-// dispatch issues one claimed block: count it, record it for replay,
-// enqueue it. false means the queue can no longer drain (sendBlock).
+// dispatch issues one claimed block: count it, enqueue it. false means
+// the queue can no longer drain (sendBlock).
 func (e *engine[V, M]) dispatch(accelQ chan<- blockItem, b int) bool {
 	e.sh0.Add(telemetry.CtrTasksIssued, 1)
-	if e.rec != nil {
-		e.rec.Record(b)
-	}
 	return e.sendBlock(accelQ, b)
 }
 
@@ -432,19 +410,6 @@ func (e *engine[V, M]) sendBlock(accelQ chan<- blockItem, b int) bool {
 	case <-e.Done():
 		return false
 	case <-cancel:
-		return false
-	}
-}
-
-// sendTask hands a finished gather-apply to the scatter stage with the
-// same failure-aware discipline as sendBlock. Cancellation does not
-// abort it: the scatter stage outlives the gather stage at teardown, so
-// the send completes and the block retires cleanly in the partial result.
-func (e *engine[V, M]) sendTask(cpuQ chan<- task[V], t task[V]) bool {
-	select {
-	case cpuQ <- t:
-		return true
-	case <-e.Done():
 		return false
 	}
 }
@@ -518,153 +483,117 @@ func idle(spins *int) {
 	}
 }
 
-// peWorker is one accelerator PE (steps 3-7): dequeue block, gather-apply,
-// hand off to the CPU task queue. It observes its queue wait and gather
-// latency into its own telemetry shard; both calls are no-ops in the
-// bare-counter mode.
-func (e *engine[V, M]) peWorker(i int, accelQ <-chan blockItem, cpuQ chan<- task[V]) {
+// work is pool worker i (steps 3-11): dequeue a block and run it through
+// step, until the scheduler closes the queue. Workers 0..NumPEs-1 are
+// the PEs; the rest are hybrid CPU threads. The queue wait is observed
+// into the worker's own telemetry shard (a no-op in the bare-counter
+// mode).
+func (e *engine[V, M]) work(i int, accelQ <-chan blockItem) {
 	defer e.Recover(workerPanic)
-	w := e.worker(1 + i)
+	w := e.newBlockWorker(1+i, i >= e.cfg.NumPEs)
+	ran := time.Now()
 	for it := range accelQ {
-		e.stall("gather")
 		now := e.tel.Stamp()
 		w.Sh.Observe(telemetry.StageAccelWait, now-it.enq)
 		w.Sh.Trace(telemetry.StageAccelWait, it.b, it.enq, now-it.enq)
-		t, edges := e.gatherBlock(it.b, w)
-		if sim := e.cfg.Sim; sim != nil {
-			lo, hi := e.Part.VertexRange(it.b)
-			sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes, int64(hi-lo)*e.valueBytes)
+		if e.rec != nil {
+			e.record(it.b)
 		}
-		t.enq = e.tel.Stamp()
-		w.Sh.Observe(telemetry.StageGather, t.enq-now)
-		w.Sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
-		if !e.sendTask(cpuQ, t) {
-			return
+		if e.cfg.Sim != nil {
+			e.chargeGather(it.b, w.cpu)
 		}
-	}
-}
-
-// scatterWorker is one CPU thread (steps 8-11). With hybrid execution it
-// also steals gather-apply tasks from the accelerator queue when no
-// scatter work is pending (Sec. IV-B).
-func (e *engine[V, M]) scatterWorker(j int, cpuQ <-chan task[V], hybridQ <-chan blockItem) {
-	defer e.Recover(workerPanic)
-	w := e.worker(1 + e.cfg.NumPEs + j)
-	runHybrid := func(it blockItem, ok bool) bool {
-		if !ok {
-			return false
-		}
-		e.stall("gather")
-		now := e.tel.Stamp()
-		t, edges := e.gatherBlock(it.b, w)
-		if sim := e.cfg.Sim; sim != nil {
-			sim.LeastLoadedCPU().RunGather(edges, edges*e.edgeBytes)
-		}
-		w.Sh.Add(telemetry.CtrHybridBlocks, 1)
-		t.enq = e.tel.Stamp()
-		w.Sh.Observe(telemetry.StageGather, t.enq-now)
-		w.Sh.Trace(telemetry.StageGather, it.b, now, t.enq-now)
-		e.scatterBlock(t, w)
-		return true
-	}
-	for {
-		// Scatter work first: it retires in-flight blocks and produces
-		// the activations every other stage feeds on.
-		select {
-		case t, ok := <-cpuQ:
-			if !ok {
-				return
-			}
-			e.scatterBlock(t, w)
-			continue
-		default:
-		}
-		hq := hybridQ
-		if hq != nil && e.cfg.Sim != nil && !e.cfg.Sim.CPUHasSlack() {
-			// Under the platform model, steal gather work only while the
-			// host workers' modeled clocks trail the PEs' — the paper's
-			// "runtime detects the CPU is under-utilized" condition
-			// (Sec. IV-B). A host gather costs ~CPUGatherNsPerEdge per
-			// edge, far more than the streaming PE path, so unconditional
-			// stealing would slow the modeled system down.
-			hq = nil
-		}
-		select {
-		case t, ok := <-cpuQ:
-			if !ok {
-				return
-			}
-			e.scatterBlock(t, w)
-		case it, ok := <-hq:
-			if !runHybrid(it, ok) {
-				hybridQ = nil // accelerator queue closed; drain cpuQ only
-			}
+		e.step(it.b, w)
+		switch {
+		case len(accelQ) == 0:
+			ran = time.Now() // the next receive parks: a fresh quantum
+		case time.Since(ran) > yieldAfter:
+			runtime.Gosched()
+			ran = time.Now()
 		}
 	}
 }
 
-// gatherBlock runs the kernel's GATHER-APPLY over block b and packages the
-// per-vertex deltas, in a recycled buffer, as the task the scatter side
-// consumes. It returns the in-edges streamed, for the platform model.
-//
-//abcd:hotpath
-func (e *engine[V, M]) gatherBlock(b int, w *Worker[V, M]) (task[V], int64) {
+// yieldAfter bounds how long a worker runs blocks back to back before it
+// lets another goroutine run. The queue hands a block straight to a
+// parked worker, and on a busy host that worker can wait in the run queue
+// while this one and the scheduler trade the processor — for up to the
+// runtime's 10 ms preemption slice, its claimed block unpublished all the
+// while, so every block run meanwhile reads stale values and runs again.
+// Yielding after every block bounds it too, but where blocks are small
+// and jobs share the host the switches cost more CPU than that saves.
+const yieldAfter = 50 * time.Microsecond
+
+// record appends block b to the schedule recording.
+func (e *engine[V, M]) record(b int) {
+	e.recMu.Lock()
+	defer e.recMu.Unlock()
+	e.rec.Record(b)
+}
+
+// chargeGather bills block b's GATHER-APPLY to the accelerator cost model
+// before it runs (the edges it streams are the partition's). The PE/CPU
+// split is the model's attribute, not the worker's: the gather goes to a
+// PE unless a hybrid worker runs it while the modeled CPU side trails the
+// PEs — the paper's "runtime detects the CPU is under-utilized" condition
+// (Sec. IV-B); a host gather costs ~CPUGatherNsPerEdge per edge, far more
+// than the streaming PE path. step bills every scatter to a CPU thread.
+func (e *engine[V, M]) chargeGather(b int, cpu bool) {
+	sim := e.cfg.Sim
 	lo, hi := e.Part.VertexRange(b)
-	t := task[V]{block: b}
-	select {
-	case t.buf = <-e.free:
-	default:
-		t.buf = e.newBlockBuf()
+	edges := e.G.InOffset(hi) - e.G.InOffset(lo)
+	if cpu && sim.CPUHasSlack() {
+		sim.LeastLoadedCPU().RunGather(edges, edges*e.edgeBytes)
+	} else {
+		sim.LeastLoadedPE().RunBlock(edges, edges*e.edgeBytes, int64(hi-lo)*e.valueBytes)
 	}
-	if e.live {
-		t.gatherV = e.vertexUpdates()
-	}
-	edges, err := e.GatherApply(lo, hi, t.buf.deltas[:hi-lo], t.buf.dvals, w)
-	if err != nil {
-		e.Fail(err)
-		return t, 0
-	}
-	w.Sh.Add(telemetry.CtrBlockUpdates, 1)
-	return t, edges
 }
 
-// newBlockBuf allocates a block buffer; the free list makes that a
-// once-per-pipeline-slot cost.
-func (e *engine[V, M]) newBlockBuf() *blockBuf[V] {
-	b := &blockBuf[V]{deltas: make([]float64, e.Part.BlockSize())} //abcdlint:ignore hotpath -- free-list miss: at most once per pipeline slot per run, recycled from then on
-	if e.op != nil {
-		b.dvals = make([]V, e.Part.BlockSize()) //abcdlint:ignore hotpath -- free-list miss: see deltas above
-	}
-	return b
-}
-
-// scatterBlock runs the kernel's SCATTER for one gathered block and
-// retires it. Marking the block done last keeps the termination unit's
-// quiescence test sound. The CPU-queue wait, the scatter latency, and
-// the block's staleness are observed into the calling worker's shard.
+// step runs one claimed block through the kernel: GATHER-APPLY into the
+// worker's scratch, SCATTER of the same deltas, then retire the block —
+// the shape of cluster.Node.processBlock. Marking the block done last
+// keeps the termination unit's quiescence test sound. The pool workers
+// and ReplaySchedule both run blocks through it. Stage latencies and the
+// block's read-to-publish staleness land in the worker's shard.
 //
 //abcd:hotpath
-func (e *engine[V, M]) scatterBlock(t task[V], w *Worker[V, M]) {
+func (e *engine[V, M]) step(b int, w *blockWorker[V, M]) {
+	e.stall("gather")
+	lo, hi := e.Part.VertexRange(b)
+	deltas := w.deltas[:hi-lo]
+	gStart := e.tel.Stamp()
+	// readV is the global vertex-update count when the gather read its
+	// inputs; the publish end subtracts it to observe the block's
+	// staleness in milli-epochs.
+	var readV int64
+	if e.live {
+		readV = e.vertexUpdates()
+	}
+	if _, err := e.GatherApply(lo, hi, deltas, w.dvals, w.Worker); err != nil {
+		// GatherApply zeroed deltas: the scatter below publishes nothing
+		// and the block still retires.
+		e.Fail(err)
+	} else {
+		w.Sh.Add(telemetry.CtrBlockUpdates, 1)
+	}
+	if w.cpu {
+		w.Sh.Add(telemetry.CtrHybridBlocks, 1)
+	}
+	sStart := e.tel.Stamp()
+	w.Sh.Observe(telemetry.StageGather, sStart-gStart)
+	w.Sh.Trace(telemetry.StageGather, b, gStart, sStart-gStart)
+
 	e.stall("scatter")
-	start := e.tel.Stamp()
-	w.Sh.Observe(telemetry.StageCPUWait, start-t.enq)
-	w.Sh.Trace(telemetry.StageCPUWait, t.block, t.enq, start-t.enq)
-	lo, hi := e.Part.VertexRange(t.block)
-	writes := e.Scatter(lo, hi, t.buf.deltas[:hi-lo], t.buf.dvals, w)
+	writes := e.Scatter(lo, hi, deltas, w.dvals, w.Worker)
 	if sim := e.cfg.Sim; sim != nil && writes > 0 {
 		sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
 	}
-	select {
-	case e.free <- t.buf:
-	default:
-	}
-	e.st.Done(t.block)
+	e.st.Done(b)
 	w.Sh.Add(telemetry.CtrTasksFinished, 1)
 	if end := e.tel.Stamp(); e.live {
-		w.Sh.Observe(telemetry.StageScatter, end-start)
-		w.Sh.Trace(telemetry.StageScatter, t.block, start, end-start)
+		w.Sh.Observe(telemetry.StageScatter, end-sStart)
+		w.Sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)
 		if e.nv > 0 {
-			w.Sh.Observe(telemetry.StageStaleness, (e.vertexUpdates()-t.gatherV)*1000/e.nv)
+			w.Sh.Observe(telemetry.StageStaleness, (e.vertexUpdates()-readV)*1000/e.nv)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"graphabcd/internal/gen"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
+	"graphabcd/internal/telemetry"
 )
 
 // testGraph returns a deterministic skewed graph small enough for -race.
@@ -635,6 +636,44 @@ func TestFinishedRunIsGarbage(t *testing.T) {
 			runtime.GC()
 			if witness.Value() != nil {
 				t.Errorf("%s, %v: the finished run's kernel is still reachable after a collection", prog.Name(), mode)
+			}
+		}
+	}
+}
+
+// TestBlockStepAllocatesNothing pins the pool worker's per-block step —
+// gather-apply, scatter, done — at zero allocations, for a state-based
+// and an operation-based program, with bare counters and with live
+// histograms. A warm-up pass over every block grows the worker's
+// touched-block scratch to its working size first.
+func TestBlockStepAllocatesNothing(t *testing.T) {
+	g := testGraph(t)
+	for _, prog := range []bcd.Program[float64, float64]{bcd.PageRank{}, bcd.PageRankDelta{}} {
+		for _, live := range []bool{false, true} {
+			cfg := Config{BlockSize: 16, Mode: Async, NumPEs: 1, NumScatter: 1, Epsilon: 1e-9}
+			if live {
+				cfg.Telemetry = telemetry.New(telemetry.Options{Histograms: true})
+			}
+			e, err := newEngine(g, prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := e.newBlockWorker(1, false)
+			nb := e.Part.NumBlocks()
+			b := 0
+			step := func() {
+				e.st.ClaimRecorded(b)
+				e.step(b, w)
+				b = (b + 1) % nb
+			}
+			for range nb {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(4*nb, step); allocs != 0 {
+				t.Errorf("%s, live telemetry %v: %.2f allocations per block step, want 0", prog.Name(), live, allocs)
+			}
+			if err := e.Err(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -19,14 +19,15 @@ type ReplayResult[V any] struct {
 
 // ReplaySchedule re-executes a recorded block schedule (Config.
 // RecordSchedule, decoded with checkpoint.ReadSchedule) deterministically:
-// one goroutine runs the fused claim → gather-apply → scatter chain for
-// each recorded block id in order, so every floating-point operation
-// happens in the same sequence every time and two replays of the same
-// schedule produce bit-identical values and residual traces.
+// one goroutine claims each recorded block id in order and runs it
+// through the pool workers' step (gather-apply, scatter, done), so every
+// floating-point operation happens in the same sequence every time and
+// two replays of the same schedule produce bit-identical values and
+// residual traces.
 //
 // The config must describe the same graph, program, and BlockSize as the
 // recording run — block ids are meaningless otherwise. Worker counts,
-// hybrid stealing, the simulator, and the watchdog are forcibly disabled;
+// hybrid workers, the simulator, and the watchdog are forcibly disabled;
 // a Checkpoint.Resume still seeds initial state (replaying the post-resume
 // segment of a crashed run), but no periodic checkpoints are written.
 //
@@ -66,7 +67,7 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 		e.st.ActivateAll(1)
 	}
 	nb := e.Part.NumBlocks()
-	w := e.worker(1)
+	w := e.newBlockWorker(1, false)
 	var residuals []float64
 	n := int64(g.NumVertices())
 	nextEpoch := int64(1)
@@ -79,9 +80,7 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 			break
 		}
 		e.st.ClaimRecorded(int(id))
-		t, _ := e.gatherBlock(int(id), w)
-		e.scatterBlock(t, w)
-		e.st.Done(int(id))
+		e.step(int(id), w)
 		if e.Err() != nil {
 			break
 		}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"testing"
+	"time"
 
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/sched"
@@ -43,8 +46,8 @@ func TestEngineLiveTelemetry(t *testing.T) {
 			t.Errorf("stage %s count = %d, want %d", st.Name(), h.Count, res.Stats.BlockUpdates)
 		}
 	}
-	// Queue waits: one accel-queue wait per issued block, one CPU-queue
-	// wait per scatter task — same block count again.
+	// Queue wait: one accel-queue wait per issued block — the same block
+	// count again.
 	if h := reg.StageHistogram(telemetry.StageAccelWait); h.Count != res.Stats.BlockUpdates {
 		t.Errorf("accel-wait count = %d, want %d", h.Count, res.Stats.BlockUpdates)
 	}
@@ -60,7 +63,7 @@ func TestEngineLiveTelemetry(t *testing.T) {
 	}
 
 	s := reg.Snapshot()
-	for _, gauge := range []string{"active_blocks", "residual", "accel_queue_depth", "cpu_queue_depth"} {
+	for _, gauge := range []string{"active_blocks", "residual", "accel_queue_depth"} {
 		if _, ok := s.Gauges[gauge]; !ok {
 			t.Errorf("gauge %q missing from snapshot (have %v)", gauge, s.Gauges)
 		}
@@ -72,14 +75,24 @@ func TestEngineLiveTelemetry(t *testing.T) {
 
 // TestEngineTraceEndToEnd drives the sampled tracer through a real run and
 // verifies the emitted file is loadable Chrome trace-event JSON containing
-// complete events for every instrumented stage.
+// complete events for every instrumented stage, that each block is
+// gathered and scattered by the same worker, and that with two PEs the
+// scatters are spread over more than one worker.
 func TestEngineTraceEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	var buf bytes.Buffer
 	tr := telemetry.NewTracer(&buf, 1) // trace every block
 	reg := telemetry.New(telemetry.Options{Histograms: true, Tracer: tr})
 	cfg := Config{BlockSize: 64, Mode: Async, Policy: sched.Cyclic,
-		NumPEs: 2, NumScatter: 1, Epsilon: 1e-8, Telemetry: reg}
+		NumPEs: 2, NumScatter: 1, Epsilon: 1e-8, Telemetry: reg,
+		// A worker that sleeps inside each block hands the CPU to the
+		// other: a run this short can otherwise finish on one worker
+		// before the runtime schedules the second.
+		StallHook: func(stage string) {
+			if stage == "scatter" {
+				time.Sleep(20 * time.Microsecond)
+			}
+		}}
 	if _, err := Run[float64, float64](g, bcd.PageRank{}, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +105,51 @@ func TestEngineTraceEndToEnd(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	seen := map[string]int{}
+	// A block id recurs across the run, but a block is in flight on one
+	// worker at a time, so in start-time order a block's k-th gather
+	// pairs with its k-th scatter.
+	type span struct{ ts, tid float64 }
+	gathers, scatters := map[int][]span{}, map[int][]span{}
+	scatterTids := map[float64]bool{}
 	for _, e := range events {
-		if e["ph"] == "X" {
-			seen[e["name"].(string)]++
+		if e["ph"] != "X" {
+			continue
+		}
+		seen[e["name"].(string)]++
+		args, _ := e["args"].(map[string]any)
+		block, sp := int(args["block"].(float64)), span{e["ts"].(float64), e["tid"].(float64)}
+		switch e["name"] {
+		case "gather":
+			gathers[block] = append(gathers[block], sp)
+		case "scatter":
+			scatters[block] = append(scatters[block], sp)
+			scatterTids[sp.tid] = true
 		}
 	}
-	for _, stage := range []string{"gather", "scatter", "accel-wait", "cpu-wait"} {
+	for _, stage := range []string{"gather", "scatter", "accel-wait"} {
 		if seen[stage] == 0 && tr.Dropped() == 0 {
 			t.Errorf("no %q events in trace (saw %v)", stage, seen)
 		}
+	}
+	if tr.Dropped() != 0 {
+		return // a dropped event would misalign the pairing below
+	}
+	byStart := func(a, b span) int { return cmp.Compare(a.ts, b.ts) }
+	for b, gt := range gathers {
+		st := scatters[b]
+		if len(st) != len(gt) {
+			t.Fatalf("block %d: %d gather events, %d scatter events", b, len(gt), len(st))
+		}
+		slices.SortFunc(gt, byStart)
+		slices.SortFunc(st, byStart)
+		for k := range gt {
+			if gt[k].tid != st[k].tid {
+				t.Fatalf("block %d, pass %d: gathered on tid %g, scattered on tid %g", b, k, gt[k].tid, st[k].tid)
+			}
+		}
+	}
+	if len(scatterTids) < 2 {
+		t.Errorf("scatter events came from %d worker(s) %v with NumPEs %d; every worker should scatter", len(scatterTids), scatterTids, cfg.NumPEs)
 	}
 }
 

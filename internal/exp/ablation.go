@@ -1,16 +1,21 @@
 package exp
 
 import (
+	"fmt"
+
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/core"
+	"graphabcd/internal/graph"
 	"graphabcd/internal/metrics"
 	"graphabcd/internal/sched"
+	"graphabcd/internal/telemetry"
 )
 
 // This file holds the ablations of GraphABCD's individual design choices
 // that DESIGN.md calls out, beyond the paper's own figures: the vertex
-// operator's traffic consequences (Sec. IV-A2), the bounded-staleness
-// queue depth (Sec. III-D's convergence condition made measurable), and
+// operator's traffic consequences (Sec. IV-A2), the bounded delay
+// between a block's read and its publish (Sec. III-D's convergence
+// condition made measurable), and
 // the full block-selection policy spectrum including randomized BCD.
 
 // OperatorRow is the modeled CPU-accelerator traffic of one vertex
@@ -66,37 +71,97 @@ func AblationOperator(opt Options) ([]OperatorRow, error) {
 	return rows, tab.Flush()
 }
 
-// StalenessRow is one point of the queue-depth (staleness bound) sweep.
+// StalenessRow is one point of the bounded-delay sweep: QueueDepth is
+// the delay k, the number of gathered blocks whose scatter is pending
+// when the oldest one publishes.
 type StalenessRow struct {
 	QueueDepth int
 	Epochs     float64
 }
 
-// AblationStaleness sweeps the engine's task-queue depth — the bounded
-// delay of asynchronous BCD (Sec. III-D) — on PageRank over the LJ
-// analog. Shallow queues keep gathers close behind scatters
-// (Gauss-Seidel-like freshness, fast convergence); deep queues let the
-// gather pipeline run on stale caches and converge like Jacobi.
+// AblationStaleness sweeps the bounded delay of asynchronous BCD
+// (Sec. III-D) on cyclic PageRank over the LJ analog. With delay k a
+// block's scatter publishes only once k blocks have gathered since its
+// own read began — Blanco et al.'s delay δ. Delay 1 is Gauss-Seidel
+// freshness; a delay of one block count makes every sweep read the
+// previous sweep's values, converging like Jacobi. The engine has no such
+// queue — a worker scatters the block it gathered — so the sweep drives
+// the block kernel on one goroutine with a k-deep FIFO between
+// GATHER-APPLY and SCATTER, and its epoch counts are deterministic.
 func AblationStaleness(opt Options) ([]StalenessRow, error) {
 	g, err := opt.socialGraph("LJ", false)
 	if err != nil {
 		return nil, err
 	}
 	var rows []StalenessRow
-	tab := metrics.NewTable(opt.out(), "queue-depth", "epochs")
-	nb := (g.NumVertices() + defaultBlock(g) - 1) / defaultBlock(g)
+	tab := metrics.NewTable(opt.out(), "delay", "epochs")
+	bs := defaultBlock(g)
+	nb := (g.NumVertices() + bs - 1) / bs
 	for _, depth := range []int{1, 2, 8, 32, nb} {
-		cfg := opt.engineConfig(defaultBlock(g), core.Async, sched.Cyclic, false, prEps(g), 0)
-		cfg.QueueDepth = depth
-		res, err := core.Run[float64, float64](g, bcd.PageRank{}, cfg)
+		epochs, err := delayedPageRank(g, bs, depth, prEps(g))
 		if err != nil {
 			return nil, err
 		}
-		row := StalenessRow{QueueDepth: depth, Epochs: res.Stats.Epochs}
+		row := StalenessRow{QueueDepth: depth, Epochs: epochs}
 		rows = append(rows, row)
 		tab.Row(depth, row.Epochs)
 	}
 	return rows, tab.Flush()
+}
+
+// delayedPageRank runs cyclic PageRank to convergence with every scatter
+// held back in a depth-deep FIFO behind its gather, and returns the
+// epochs it took.
+func delayedPageRank(g *graph.Graph, blockSize, depth int, eps float64) (float64, error) {
+	k, err := core.NewKernel[float64, float64](g, bcd.PageRank{}, blockSize, nil, eps, 0)
+	if err != nil {
+		return 0, err
+	}
+	if err := k.Init(0, g.NumVertices()); err != nil {
+		return 0, err
+	}
+	st := sched.NewState(k.Part.NumBlocks())
+	st.ActivateAll(1)
+	s, err := sched.New(sched.Cyclic, st, 0)
+	if err != nil {
+		return 0, err
+	}
+	tel := telemetry.New(telemetry.Options{})
+	w := k.NewWorker(&tel.Shards(1)[0], 0, st, nil)
+	// A ring of depth gathered blocks, oldest at head, each with the
+	// deltas its scatter will publish.
+	blocks := make([]int, depth)
+	deltas := make([][]float64, depth)
+	for i := range deltas {
+		deltas[i] = make([]float64, blockSize)
+	}
+	head, n := 0, 0
+	publish := func() {
+		lo, hi := k.Part.VertexRange(blocks[head])
+		k.Scatter(lo, hi, deltas[head][:hi-lo], nil, w)
+		st.Done(blocks[head])
+		head, n = (head+1)%depth, n-1
+	}
+	for !st.Quiescent() {
+		b, ok := s.Next()
+		if !ok {
+			if n == 0 {
+				return 0, fmt.Errorf("exp: delayed PageRank stalled with no block claimable")
+			}
+			publish() // every active block is waiting in the FIFO
+			continue
+		}
+		slot := (head + n) % depth
+		lo, hi := k.Part.VertexRange(b)
+		if _, err := k.GatherApply(lo, hi, deltas[slot][:hi-lo], nil, w); err != nil {
+			return 0, err
+		}
+		blocks[slot] = b
+		if n++; n == depth {
+			publish()
+		}
+	}
+	return float64(tel.Total(telemetry.CtrVertexUpdates)) / float64(g.NumVertices()), nil
 }
 
 // PolicyRow is one (policy, app, graph) epoch count.

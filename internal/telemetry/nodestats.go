@@ -87,7 +87,7 @@ type NodeStats struct {
 
 // nodeStatsVersion guards the fixed-layout codec: a peer built with a
 // different counter or stage set fails loudly instead of misaligning.
-const nodeStatsVersion = 1
+const nodeStatsVersion = 2
 
 // NodeStatsWireSize is the exact encoded size of one NodeStats record.
 const NodeStatsWireSize = 1 + 4 +

@@ -97,8 +97,6 @@ const (
 	StageScatter
 	// StageAccelWait is a block's wait in the accelerator task queue (ns).
 	StageAccelWait
-	// StageCPUWait is a finished gather's wait in the CPU task queue (ns).
-	StageCPUWait
 	// StageApply is one remote batch's application on a cluster node (ns).
 	StageApply
 	// StageStaleness is a block's read-to-publish staleness in
@@ -115,7 +113,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"gather", "scatter", "accel-wait", "cpu-wait", "apply", "staleness", "checkpoint",
+	"gather", "scatter", "accel-wait", "apply", "staleness", "checkpoint",
 }
 
 // Name returns the snapshot/trace name of s.

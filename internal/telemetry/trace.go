@@ -110,8 +110,8 @@ type Tracer struct {
 
 // NewTracer starts a tracer writing to w. sampleEvery selects every Nth
 // block id for tracing (1 traces every block); sampling is by block id,
-// so a sampled block's whole lifecycle — queue wait, gather, queue wait,
-// scatter — appears in the trace, not a random subset of stages. The
+// so a sampled block's whole lifecycle — queue wait, gather, scatter —
+// appears in the trace, not a random subset of stages. The
 // caller must Close the tracer after the run to flush the tail and
 // terminate the JSON.
 //

@@ -158,13 +158,25 @@ echo "== no sync.Pool on a run (a used Pool pins its owner past the run)"
 # A Pool that has been used sits in the runtime's global pool list for two
 # more GC cycles, and a Pool that is a field keeps the whole struct around
 # it reachable that long: finished engines (8 MB cache arrays) stacked up
-# under back-to-back jobs. Run state recycles through a run-scoped free
-# list (engine.free) or per-worker scratch.
+# under back-to-back jobs. Run state lives in per-worker scratch.
 pools=$(grep -rn 'sync\.Pool' --include='*.go' internal/core internal/cluster |
     grep -v '_test\.go:' || true)
 if [[ -n "$pools" ]]; then
     echo "internal/core and internal/cluster must not use sync.Pool:" >&2
     echo "$pools" >&2
+    exit 1
+fi
+
+echo "== one block step (a core worker gathers and scatters its own block)"
+# internal/core/engine.go's step runs a block's gather-apply and scatter
+# on the worker that dequeued it, as cluster.Node.processBlock does. A
+# task channel, a PE-only or scatter-only worker, or a CPU-queue gauge
+# under internal/core is the two-stage pipeline growing back.
+stages=$(grep -rnE 'chan task\[|peWorker|scatterWorker|cpuQ' --include='*.go' internal/core |
+    grep -v '_test\.go:' || true)
+if [[ -n "$stages" ]]; then
+    echo "internal/core must not hand a gathered block to another goroutine:" >&2
+    echo "$stages" >&2
     exit 1
 fi
 
@@ -301,6 +313,13 @@ go test -race -count=20 -timeout 600s \
 
 echo "== serving layer: job lifecycle and handlers (race detector, 20 runs)"
 go test -race -count=20 -timeout 600s ./internal/serve
+
+echo "== block-worker convergence pins (race detector, 20 runs)"
+# One gatherer must still follow the priority order closely enough to
+# beat BSP, and hybrid workers must take blocks and still converge.
+go test -race -count=20 -timeout 600s \
+    -run '^(TestSmallerBlocksConvergeInFewerEpochs|TestHybridExecutionProcessesBlocks)$' \
+    ./internal/core
 
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
 go test -race -count=1 -timeout 300s \
