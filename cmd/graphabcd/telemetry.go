@@ -133,9 +133,9 @@ func (s *telemetrySession) progressLoop() {
 		case <-tick.C:
 			snap := s.reg.Snapshot()
 			fmt.Fprintf(os.Stderr,
-				"progress: t=%s epoch=%.2f residual=%.3g active=%d accelQ=%.0f %.1f MTEPS\n",
+				"progress: t=%s epoch=%.2f residual=%.3g active=%d %.1f MTEPS\n",
 				metrics.FormatDuration(snap.ElapsedSec), snap.Epochs, snap.Residual,
-				snap.ActiveBlocks, snap.Gauges["accel_queue_depth"], snap.MTEPS)
+				snap.ActiveBlocks, snap.MTEPS)
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // not check: every shared vertex word must be accessed through sync/atomic
 // (the paper's barrierless, lock-free state-based updates of Sec. IV-A3 are
 // only race-free under that discipline), the GATHER/APPLY/SCATTER inner
-// loops must not allocate per edge, and the scheduler must never hold a
-// lock across a task-queue operation. The analyzers in this package
+// loops must not allocate per edge, and no lock may be held across a
+// channel operation or other blocking call. The analyzers in this package
 // machine-check those rules over the module's type-checked AST, using only
 // the standard library (go/ast, go/parser, go/token, go/types) — no
 // golang.org/x/tools dependency.

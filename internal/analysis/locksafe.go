@@ -9,14 +9,15 @@ import (
 
 // LockSafe polices the few places the engine is allowed to use locks at
 // all. GraphABCD's dataflow is deliberately lock-free (Sec. IV-A3); the
-// mutexes that remain (accelerator-model accounting, baseline sweeps) are
-// leaf-level critical sections. Two hazards would break the engine's
-// liveness story:
+// mutexes that remain (the block workers' pick lock, accelerator-model
+// accounting, baseline sweeps) are leaf-level critical sections. Two
+// hazards would break the engine's liveness story:
 //
 //  1. Holding a mutex across a channel operation or other blocking call —
-//     the scheduler, PE workers, and SCATTER workers coordinate through
-//     bounded task queues, so a lock held across a queue op can deadlock
-//     the gather-apply-scatter pipeline.
+//     every block worker takes the pick lock once per block, so a lock
+//     held across a blocking call stalls them all, and one held across a
+//     channel op (the cluster's send window, a transport queue) can
+//     deadlock them.
 //  2. A Lock whose Unlock is not reached on every path (early return, or
 //     no Unlock at all in the same block) — use defer, or restructure.
 //

@@ -14,8 +14,8 @@ import (
 	"graphabcd/internal/binfmt"
 )
 
-// Schedule recording for deterministic replay: the scheduler appends each
-// issued block id; core.ReplaySchedule re-executes the sequence
+// Schedule recording for deterministic replay: the engine appends each
+// picked block id; core.ReplaySchedule re-executes the sequence
 // single-threaded with fused gather-apply-scatter, so every update reads
 // exactly the values the previous recorded step published.
 //
@@ -36,7 +36,7 @@ const (
 )
 
 // schedRingCap is the recorder's ring capacity (power of two). The
-// producer is the scheduler goroutine; unlike the tracer's ring a full
+// producer is the engine's pick, one worker at a time; unlike the tracer's ring a full
 // ring blocks instead of dropping — a dropped id would corrupt the
 // replay — so the capacity only has to cover flusher latency.
 const schedRingCap = 1 << 14

@@ -2,19 +2,20 @@
 // asynchronous barrierless engine that is the paper's contribution, plus
 // the Barrier and BSP baselines its Fig. 7 ablation compares against.
 //
-// The async engine follows the 11-step flow of Sec. IV-C: a scheduler
-// selects vertex blocks from the active list (cyclic or Gauss-Southwell
-// priority) and pushes them into the accelerator task queue; a pool of
-// block workers dequeues them, and each worker runs its block's
+// The async engine follows the 11-step flow of Sec. IV-C on a pool of
+// block workers: each claims its own next block from the active list
+// (cyclic or Gauss-Southwell priority; one pick at a time, under a lock
+// that guards only the scheduler's cursor and summaries) and runs its
 // GATHER-APPLY (stream the in-edge cache sequentially, write the new
 // vertex values) and then the same block's SCATTER (copy updated values
 // onto out-edge cache slots — random but disjoint writes — accumulate
 // Gauss-Southwell mass onto destination blocks, update the active list).
-// On the paper's platform PEs gather and CPU threads scatter; on a CPU
-// host that split is an attribute of the accelerator cost model (Sim),
-// not of the goroutines. The only shared mutable state is atomic words —
-// no locks, no barriers — and the termination unit's quiescence test
-// covers blocks active, claimed, and in flight.
+// On the paper's platform PEs gather and CPU threads scatter, fed through
+// an accelerator task queue; on a CPU host that split is an attribute of
+// the accelerator cost model (Sim), not of the goroutines, and there is
+// no queue. The dataflow's shared state is atomic words — no locks, no
+// barriers — and the termination unit's quiescence test covers blocks
+// active, claimed, and in flight.
 package core
 
 import (
@@ -69,8 +70,8 @@ type Config struct {
 	// random). BSP ignores it.
 	Policy sched.Policy
 	// NumPEs is the number of block workers, the accelerator PEs: each
-	// runs a scheduled block's GATHER-APPLY and then its SCATTER. BSP's
-	// gather sweep runs on NumPEs workers.
+	// claims a block and runs its GATHER-APPLY and then its SCATTER.
+	// BSP's gather sweep runs on NumPEs workers.
 	NumPEs int
 	// NumScatter is the number of CPU threads: the workers of BSP's
 	// scatter sweep, the extra block workers Hybrid adds, and the CPU
@@ -86,18 +87,13 @@ type Config struct {
 	Epsilon float64
 	// MaxEpochs bounds the work at MaxEpochs * |V| vertex updates; 0
 	// means no bound (run to convergence). Non-convergent workloads such
-	// as CF must set it.
+	// as CF must set it. The first pick past the budget stops the run and
+	// every worker finishes the block it holds, so a run does at most
+	// workers * BlockSize vertex updates more (workers: NumPEs, plus
+	// NumScatter with Hybrid).
 	MaxEpochs float64
 	// Seed feeds the random scheduler policy.
 	Seed uint64
-	// QueueDepth overrides the accelerator task queue's capacity; the
-	// default 0 means 2x NumPEs. It bounds how far the scheduler's picks
-	// run ahead of the workers: a block is claimed, and chosen from the
-	// priorities of that moment, up to QueueDepth slots before a worker
-	// gathers it. It delays no publish — a worker scatters the block it
-	// gathered — so the read-to-publish staleness ablation in
-	// internal/exp drives the kernel directly.
-	QueueDepth int
 	// Sim, when non-nil, drives the accelerator cost model alongside the
 	// real computation (simulated time, PE/bus utilization, traffic).
 	Sim *accel.Simulator
@@ -110,15 +106,16 @@ type Config struct {
 	// block task costs one sequential read regardless of backend.
 	Edges edgestore.Source
 	// StallHook, when non-nil, is invoked by every worker at each stage
-	// boundary with the stage name ("gather", "scatter", "schedule").
+	// boundary with the stage name ("schedule" before each pick,
+	// "gather", "scatter").
 	// It exists for failure-injection tests (randomized delays must not
 	// affect convergence) and must be safe for concurrent use.
 	StallHook func(stage string)
-	// OnEpoch, when non-nil, is invoked by the scheduler each time the
-	// cumulative vertex updates cross another |V| (one epoch-equivalent),
-	// with the epoch count completed so far. Useful for recording
-	// convergence curves from a single run. Called from the scheduler
-	// goroutine; keep it fast.
+	// OnEpoch, when non-nil, is invoked each time the cumulative vertex
+	// updates cross another |V| (one epoch-equivalent), with the epoch
+	// count completed so far. Useful for recording convergence curves
+	// from a single run. Calls are serialized: a worker makes them under
+	// the pick lock, before its pick, so keep it fast.
 	OnEpoch func(epoch int)
 	// Watchdog is the stall-watchdog sampling period: every period that
 	// passes without a single vertex update increments
@@ -129,7 +126,7 @@ type Config struct {
 	// entirely — no goroutine starts and the hot path is untouched.
 	Checkpoint Checkpoint
 	// RecordSchedule, when non-nil, receives the block schedule — ids in
-	// the order the workers took them — in the GABR format for
+	// pick order — in the GABR format for
 	// deterministic replay (ReplaySchedule). Async and Barrier modes
 	// only; the caller owns closing the underlying file after the run
 	// returns.
@@ -176,8 +173,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Epsilon %g is negative; the activation threshold must be >= 0 (0 keeps every update active, %g is the default)", c.Epsilon, def.Epsilon)
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("core: MaxEpochs %g is negative; use 0 to run to convergence or a positive epoch budget", c.MaxEpochs)
-	case c.QueueDepth < 0:
-		return fmt.Errorf("core: QueueDepth %d is negative; use 0 for the default (2x NumPEs) or a positive queue capacity", c.QueueDepth)
 	case c.Mode != Async && c.Mode != Barrier && c.Mode != BSP:
 		return fmt.Errorf("core: unknown mode %v; valid modes are Async, Barrier, and BSP", c.Mode)
 	case c.Policy != sched.Cyclic && c.Policy != sched.Priority && c.Policy != sched.Random:

@@ -30,25 +30,9 @@ func Run[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*Result[
 // stall watchdog samples progress every Config.Watchdog period and
 // reports no-progress windows in Stats.StallWindows.
 func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*Result[V], error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEngine(g, prog, cfg)
+	e, ck, err := prepare(ctx, g, prog, cfg)
 	if err != nil {
 		return nil, err
-	}
-	e.ctx = ctx
-	// Checkpoint setup and resume happen before any worker or watchdog
-	// goroutine starts: a resume failure must abort the run cleanly, and
-	// the restored state must be fully published before anyone reads it.
-	ck, err := newCheckpointer(e, cfg.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil && cfg.Checkpoint.Resume != "" {
-		if err := ck.resume(cfg.Checkpoint.Resume); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.RecordSchedule != nil {
 		e.rec = checkpoint.NewScheduleRecorder(cfg.RecordSchedule)
@@ -89,14 +73,40 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 	return e.result(converged, time.Since(start)), nil
 }
 
+// prepare is the setup RunContext and ReplaySchedule share: validate the
+// config, build the engine, and open the checkpointer and resume from it.
+// It happens before any worker or watchdog goroutine starts: a resume
+// failure must abort the run cleanly, and the restored state must be
+// fully published before anyone reads it.
+func prepare[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*engine[V, M], *checkpointer[V, M], error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	e, err := newEngine(g, prog, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.ctx = ctx
+	ck, err := newCheckpointer(e, cfg.Checkpoint)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ck != nil && cfg.Checkpoint.Resume != "" {
+		if err := ck.resume(cfg.Checkpoint.Resume); err != nil {
+			return nil, nil, err
+		}
+	}
+	return e, ck, nil
+}
+
 // engine holds the shared state of one run: the block kernel (graph,
 // program, partition, value and cache arrays — the single-node engine is
 // its one-owner case) and everything that is scheduling around it.
 type engine[V, M any] struct {
 	*Kernel[V, M]
-	// Latch holds the first failure (an edge-source error, a worker panic);
-	// the scheduler aborts the run when it is set and Run returns it, and
-	// goroutines parked on channel sends abort on its Done channel.
+	// Latch stops the block workers: it trips on the first failure (an
+	// edge-source error, a worker panic), which Run returns, and on the
+	// pick that ends the run (quiescence, the epoch budget, cancellation).
 	*Latch
 	cfg Config
 	// ctx carries the run's cancellation signal; the scheduling loops
@@ -106,19 +116,19 @@ type engine[V, M any] struct {
 	st *sched.State
 	// tel is the run's telemetry registry (Config.Telemetry, or a private
 	// bare-counter one). All work accounting goes through its per-worker
-	// shards: shard 0 belongs to the scheduler and the watchdog, shards
-	// 1..NumPEs to the PE workers, the rest to the CPU threads (hybrid
-	// workers, BSP's scatter sweep). The shard split is what keeps
-	// counting off shared cache lines — the old single counter struct
+	// shards: shard 0 belongs to the watchdog, the checkpointer and BSP's
+	// sweep loop, shards 1..NumPEs to the PE workers, the rest to the CPU
+	// threads (hybrid workers, BSP's scatter sweep). The shard split is
+	// what keeps counting off shared cache lines — the old single counter struct
 	// false-shared between every worker.
 	tel    *telemetry.Registry
 	shards []telemetry.Shard
-	sh0    *telemetry.Shard // scheduler/watchdog shard
+	sh0    *telemetry.Shard // watchdog/checkpointer shard
 	live   bool             // tel records timings (histograms or tracing)
 	nv     int64            // |V|, cached for the staleness observation
 
 	// resumed is set when a checkpoint resume seeded values and scheduler
-	// state; runBlocked then skips the fresh-run ActivateAll (resume did
+	// state; runWorkers then skips the fresh-run ActivateAll (resume did
 	// its own mass-preserving activation).
 	resumed bool
 	// ckptGen increments at the start and end of every checkpoint capture
@@ -126,15 +136,19 @@ type engine[V, M any] struct {
 	// that overlapped a capture so checkpoint I/O never counts as an
 	// engine stall (Stats.StallWindows stays a pure progress signal).
 	ckptGen atomic.Int64
+	// pickMu serializes the picks: the scheduler's private cursor and
+	// summaries, the epoch hook, and the schedule recording. A worker
+	// holds it only while it claims a block; values, the cache, the
+	// active bits and the priorities stay atomic.
+	pickMu sync.Mutex
+	// epochsSeen counts the epoch hook's firings; converged is set by the
+	// pick that finds the run quiescent. Both are guarded by pickMu.
+	epochsSeen int
+	converged  bool
 	// rec, when non-nil, records every block id for deterministic replay,
-	// in the order the workers take blocks off the queue. That order,
-	// not the dispatch order, is the one a sequential replay must follow:
-	// a block dispatched later can be published before an earlier one is
-	// gathered, and a replay in dispatch order then reads less than the
-	// run did. The recorder's ring has one producer, so workers take
-	// recMu around Record.
-	rec   *checkpoint.ScheduleRecorder
-	recMu sync.Mutex
+	// in pick order — the order a sequential replay follows. It has one
+	// producer: the worker holding pickMu.
+	rec *checkpoint.ScheduleRecorder
 
 	// modeled byte widths for the accelerator cost model
 	valueBytes int64 // encoded vertex value width
@@ -172,8 +186,8 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	if e.tel == nil {
 		e.tel = telemetry.New(telemetry.Options{})
 	}
-	// Shard 0 is the scheduler's; PE workers take 1..NumPEs and CPU
-	// threads the rest (the BSP sweeps reuse the same split).
+	// Shard 0 is the engine's own (see tel); PE workers take 1..NumPEs
+	// and CPU threads the rest (the BSP sweeps reuse the same split).
 	e.shards = e.tel.Shards(1 + cfg.NumPEs + cfg.NumScatter)
 	e.sh0 = &e.shards[0]
 	e.live = e.tel.Live()
@@ -237,7 +251,7 @@ func (e *engine[V, M]) cancelled() bool {
 
 // workerPanic names the engine in the failure a recovered worker panic
 // becomes (Latch.Recover). The panicked worker's in-flight block stays
-// unfinished, so the scheduler exits through the failure check rather
+// unfinished, so the other workers exit through the failed latch rather
 // than quiescence.
 const workerPanic = "core: worker panic"
 
@@ -270,13 +284,6 @@ func (e *engine[V, M]) watchdog(stop <-chan struct{}) {
 	}
 }
 
-// blockItem carries one scheduled block into the accelerator queue; enq
-// is the issue Stamp, so the consumer can observe the queue wait.
-type blockItem struct {
-	b   int
-	enq int64
-}
-
 // blockWorker is one goroutine of the async/barrier worker pool: a kernel
 // worker plus the scratch its block's GATHER-APPLY leaves for the same
 // block's SCATTER, one entry per block vertex.
@@ -301,117 +308,163 @@ func (e *engine[V, M]) newBlockWorker(i int, cpu bool) *blockWorker[V, M] {
 }
 
 // runBlocked executes Async and Barrier modes. It reports whether the run
-// converged (as opposed to hitting the MaxEpochs budget).
+// converged (as opposed to hitting the MaxEpochs budget or being
+// cancelled).
 func (e *engine[V, M]) runBlocked() bool {
-	nb := e.Part.NumBlocks()
-	if !e.resumed {
-		e.st.ActivateAll(1)
+	var pick func() (int, bool)
+	if e.cfg.Mode == Barrier {
+		pick = e.nextInWave()
+	} else {
+		s, err := sched.New(e.cfg.Policy, e.st, e.cfg.Seed)
+		if err != nil {
+			// Config.Validate rejects unknown policies, so this is normally
+			// unreachable — but a scheduler failure must surface as an error
+			// from Run, never crash the process.
+			e.Fail(err)
+			return false
+		}
+		pick = func() (int, bool) {
+			if b, ok := s.Next(); ok {
+				return b, true
+			}
+			e.stopIfQuiescent()
+			return 0, false
+		}
 	}
-	scheduler, err := sched.New(e.cfg.Policy, e.st, e.cfg.Seed)
-	if err != nil {
-		// Config.Validate rejects unknown policies, so this is normally
-		// unreachable — but a scheduler failure must surface as an error
-		// from Run, never crash the process.
-		e.Fail(err)
-		return false
-	}
-
-	// The accelerator task queue is a small FIFO, as on the HARPv2
-	// prototype. Its depth bounds how far the scheduler's picks run ahead
-	// of the workers: a block is claimed, and chosen from the priorities
-	// of that moment, up to depth slots before a worker gathers it. A
-	// worker publishes the block it gathered, so no queue sits between a
-	// gather's read and its scatter's publish.
-	depth := e.cfg.QueueDepth
-	if depth == 0 {
-		depth = 2 * e.cfg.NumPEs
-	}
-	accelQ := make(chan blockItem, max(min(depth, nb), 1))
-	e.tel.RegisterGauge("accel_queue_depth", func() float64 { return float64(len(accelQ)) })
-
 	// One worker per PE; hybrid execution adds the CPU threads as
 	// workers that take GATHER-APPLY work too (Sec. IV-B).
 	workers := e.cfg.NumPEs
 	if e.cfg.Hybrid {
 		workers += e.cfg.NumScatter
 	}
+	e.runWorkers(workers, pick)
+	return e.converged
+}
+
+// nextInWave is Barrier mode's pick, the 'Barrier' baseline of Fig. 7: it
+// hands out the current wave's blocks, and once the wave is handed out
+// and fully retired it models the wave barrier and claims a fresh wave —
+// every block claimable now. Blocks activated while a wave runs wait for
+// the next one, which is what distinguishes synchronized execution from
+// the async engine; convergence matches Async, but workers idle at every
+// wave tail. The wave is the pick's private state, guarded by pickMu.
+func (e *engine[V, M]) nextInWave() func() (int, bool) {
+	var wave []int
+	next := 0
+	return func() (int, bool) {
+		if next == len(wave) {
+			if e.tel.Total(telemetry.CtrTasksFinished) < e.tel.Total(telemetry.CtrTasksIssued) {
+				return 0, false // the wave's tail is still in flight
+			}
+			if e.cfg.Sim != nil {
+				e.cfg.Sim.Barrier() // model the wave barrier's idle time
+			}
+			wave, next = wave[:0], 0
+			for b := 0; b < e.Part.NumBlocks(); b++ {
+				if e.st.Active(b) && !e.st.InFlight(b) && e.st.Claim(b) {
+					wave = append(wave, b)
+				}
+			}
+			if len(wave) == 0 {
+				e.stopIfQuiescent()
+				return 0, false
+			}
+		}
+		next++
+		return wave[next-1], true
+	}
+}
+
+// stopIfQuiescent ends the run once nothing is active or in flight: the
+// termination unit of the Sec. IV-C flow. A pick that claimed nothing
+// calls it; quiescence is final, since only an in-flight block's scatter
+// activates blocks.
+func (e *engine[V, M]) stopIfQuiescent() {
+	if e.st.Quiescent() {
+		e.converged = true
+		e.Stop()
+	}
+}
+
+// runWorkers activates every block (unless a resume did) and runs n block
+// workers over pick until the run stops. Workers 0..NumPEs-1 are the PEs;
+// the rest are hybrid CPU threads.
+//
+// Workers that outnumber the processors (GOMAXPROCS) yield after every
+// block. A worker the runtime preempts holds its claimed block
+// unpublished for a whole 10 ms slice, and every block run meanwhile
+// reads stale values and runs again; yielding at block boundaries means
+// the switch lands where nothing is held. Where every worker has a
+// processor there is nothing to yield to.
+func (e *engine[V, M]) runWorkers(n int, pick func() (int, bool)) {
+	if !e.resumed {
+		e.st.ActivateAll(1)
+	}
+	yield := n > runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.work(i, accelQ)
+			e.work(i, pick, yield)
 		}(i)
 	}
-
-	converged := e.schedule(scheduler, accelQ)
-
-	close(accelQ)
 	wg.Wait()
-	return converged
 }
 
-// schedule is the termination unit plus scheduler of the Sec. IV-C flow
-// (steps 1-2): it dispatches blocks until the active list drains
-// (converged) or the epoch budget is exhausted. The only mode-dependent
-// step is what one dispatch is: Async issues the scheduler's next block;
-// Barrier — the 'Barrier' baseline of Fig. 7 — issues a whole wave and
-// drains it.
-func (e *engine[V, M]) schedule(s sched.Scheduler, accelQ chan<- blockItem) bool {
+// work is pool worker i, the Sec. IV-C flow (steps 1-11) on one goroutine:
+// claim a block, run it through step, and back off when nothing is
+// claimable, until the run stops — the shape of cluster.Node.step.
+func (e *engine[V, M]) work(i int, pick func() (int, bool), yield bool) {
+	defer e.Recover(workerPanic)
+	w := e.newBlockWorker(1+i, i >= e.cfg.NumPEs)
 	budget := e.maxVertexUpdates()
 	spins := 0
-	epochsSeen := 0
-	for {
+	for !e.Stopped() {
 		e.stall("schedule")
-		epochsSeen = e.fireEpochHook(epochsSeen)
-		if e.Err() != nil || e.cancelled() || e.vertexUpdates() >= budget {
-			return false
-		}
-		if e.st.Quiescent() {
-			return true
-		}
-		issued, ok := 0, true
-		if e.cfg.Mode == Barrier {
-			issued, ok = e.dispatchWave(accelQ)
-		} else if b, claimed := s.Next(); claimed {
-			issued, ok = 1, e.dispatch(accelQ, b)
-		}
-		switch {
-		case !ok:
-			return false
-		case issued == 0:
-			// Nothing claimable: blocks are in flight. Yield and re-poll.
+		b, ok := e.claim(pick, budget, w.Sh)
+		if !ok {
 			idle(&spins)
-		default:
-			spins = 0
+			continue
+		}
+		spins = 0
+		if e.cfg.Sim != nil {
+			e.chargeGather(b, w.cpu)
+		}
+		e.step(b, w)
+		if yield {
+			runtime.Gosched()
 		}
 	}
 }
 
-// dispatch issues one claimed block: count it, enqueue it. false means
-// the queue can no longer drain (sendBlock).
-func (e *engine[V, M]) dispatch(accelQ chan<- blockItem, b int) bool {
-	e.sh0.Add(telemetry.CtrTasksIssued, 1)
-	return e.sendBlock(accelQ, b)
-}
-
-// sendBlock enqueues a claimed block, aborting if a worker failure or
-// cancellation means the queue may never drain (all consumers of a stage
-// can die when their panics are converted to run failures). The sender
-// parks — no polling — so a full queue costs nothing but a goroutine.
-func (e *engine[V, M]) sendBlock(accelQ chan<- blockItem, b int) bool {
-	var cancel <-chan struct{}
-	if e.ctx != nil {
-		cancel = e.ctx.Done()
+// claim is one pick under pickMu: fire the epoch hook, stop the run if
+// it is cancelled or out of budget, then claim a block, count it and
+// record it. The wait for the lock plus the pick is the worker's
+// StagePick observation. A panic in the hook or the pick releases the
+// lock on its way to the worker's Recover, so the other workers see the
+// failed latch instead of waiting on the lock.
+func (e *engine[V, M]) claim(pick func() (int, bool), budget int64, sh *telemetry.Shard) (int, bool) {
+	asked := e.tel.Stamp()
+	e.pickMu.Lock()
+	defer e.pickMu.Unlock()
+	e.epochsSeen = e.fireEpochHook(e.epochsSeen)
+	if e.cancelled() || e.vertexUpdates() >= budget {
+		e.Stop()
+		return 0, false
 	}
-	select {
-	case accelQ <- blockItem{b: b, enq: e.tel.Stamp()}:
-		return true
-	case <-e.Done():
-		return false
-	case <-cancel:
-		return false
+	b, ok := pick()
+	if !ok {
+		return 0, false
 	}
+	sh.Add(telemetry.CtrTasksIssued, 1)
+	if e.rec != nil {
+		e.rec.Record(b)
+	}
+	held := e.tel.Stamp()
+	sh.Observe(telemetry.StagePick, held-asked)
+	sh.Trace(telemetry.StagePick, b, asked, held-asked)
+	return b, true
 }
 
 // fireEpochHook invokes OnEpoch for every freshly completed
@@ -435,44 +488,6 @@ func (e *engine[V, M]) fireEpochHook(seen int) int {
 	return seen
 }
 
-// dispatchWave issues one Barrier-mode wave and waits for the full drain
-// of the gather-apply-scatter chain that separates consecutive waves.
-// Convergence behaviour matches Async — the same blocks run with the same
-// update rule — but PEs idle at every wave tail.
-func (e *engine[V, M]) dispatchWave(accelQ chan<- blockItem) (wave int, ok bool) {
-	// Snapshot the active set: one wave is the blocks claimable *now*.
-	// Blocks activated while the wave runs wait for the next wave —
-	// that is what distinguishes synchronized execution from the
-	// async engine, where they would be dispatched immediately.
-	for b := 0; b < e.Part.NumBlocks(); b++ {
-		if e.st.Active(b) && !e.st.InFlight(b) && e.st.Claim(b) {
-			if !e.dispatch(accelQ, b) {
-				return wave, false
-			}
-			wave++
-		}
-	}
-	if wave > 0 {
-		e.awaitDrain()
-		if e.cfg.Sim != nil {
-			e.cfg.Sim.Barrier() // model the wave barrier's idle time
-		}
-	}
-	return wave, true
-}
-
-// awaitDrain blocks until every issued task has completed its scatter,
-// or a worker failure makes completion impossible.
-func (e *engine[V, M]) awaitDrain() {
-	spins := 0
-	for e.tel.Total(telemetry.CtrTasksFinished) < e.tel.Total(telemetry.CtrTasksIssued) {
-		if e.Err() != nil {
-			return
-		}
-		idle(&spins)
-	}
-}
-
 // idle backs off a polling loop: first yields, then sleeps briefly.
 func idle(spins *int) {
 	*spins++
@@ -481,53 +496,6 @@ func idle(spins *int) {
 	} else {
 		time.Sleep(10 * time.Microsecond)
 	}
-}
-
-// work is pool worker i (steps 3-11): dequeue a block and run it through
-// step, until the scheduler closes the queue. Workers 0..NumPEs-1 are
-// the PEs; the rest are hybrid CPU threads. The queue wait is observed
-// into the worker's own telemetry shard (a no-op in the bare-counter
-// mode).
-func (e *engine[V, M]) work(i int, accelQ <-chan blockItem) {
-	defer e.Recover(workerPanic)
-	w := e.newBlockWorker(1+i, i >= e.cfg.NumPEs)
-	ran := time.Now()
-	for it := range accelQ {
-		now := e.tel.Stamp()
-		w.Sh.Observe(telemetry.StageAccelWait, now-it.enq)
-		w.Sh.Trace(telemetry.StageAccelWait, it.b, it.enq, now-it.enq)
-		if e.rec != nil {
-			e.record(it.b)
-		}
-		if e.cfg.Sim != nil {
-			e.chargeGather(it.b, w.cpu)
-		}
-		e.step(it.b, w)
-		switch {
-		case len(accelQ) == 0:
-			ran = time.Now() // the next receive parks: a fresh quantum
-		case time.Since(ran) > yieldAfter:
-			runtime.Gosched()
-			ran = time.Now()
-		}
-	}
-}
-
-// yieldAfter bounds how long a worker runs blocks back to back before it
-// lets another goroutine run. The queue hands a block straight to a
-// parked worker, and on a busy host that worker can wait in the run queue
-// while this one and the scheduler trade the processor — for up to the
-// runtime's 10 ms preemption slice, its claimed block unpublished all the
-// while, so every block run meanwhile reads stale values and runs again.
-// Yielding after every block bounds it too, but where blocks are small
-// and jobs share the host the switches cost more CPU than that saves.
-const yieldAfter = 50 * time.Microsecond
-
-// record appends block b to the schedule recording.
-func (e *engine[V, M]) record(b int) {
-	e.recMu.Lock()
-	defer e.recMu.Unlock()
-	e.rec.Record(b)
 }
 
 // chargeGather bills block b's GATHER-APPLY to the accelerator cost model

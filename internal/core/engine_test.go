@@ -383,6 +383,31 @@ func TestHybridExecutionProcessesBlocks(t *testing.T) {
 	}
 }
 
+// TestOversubscribedWorkersYieldAtBlockBoundaries runs two workers on one
+// processor: they must take turns at block boundaries, so the run does
+// the work of the one-worker schedule. A worker the runtime preempts
+// mid-block instead holds its claimed block unpublished for a 10 ms
+// slice, and the blocks run meanwhile read stale values and run again
+// (+10-40% block updates on this graph).
+func TestOversubscribedWorkersYieldAtBlockBoundaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs runs long enough for preemption: ~15 s under -race")
+	}
+	g, err := gen.RMAT(gen.DefaultRMAT(14, 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{BlockSize: graph.DefaultBlockSize(g.NumVertices()), Mode: Async, Policy: sched.Cyclic,
+		NumPEs: 1, NumScatter: 1, Epsilon: 1e-9}
+	one := runPR(t, g, cfg).Stats.BlockUpdates
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg.NumPEs = 2
+	two := runPR(t, g, cfg).Stats.BlockUpdates
+	if float64(two) > 1.02*float64(one) {
+		t.Fatalf("two workers on one processor ran %d blocks, one worker %d", two, one)
+	}
+}
+
 func TestFailureInjectionRandomStalls(t *testing.T) {
 	// Randomized delays at every stage boundary must not affect the
 	// result (asynchronous BCD tolerates bounded staleness).

@@ -19,17 +19,17 @@ type ReplayResult[V any] struct {
 
 // ReplaySchedule re-executes a recorded block schedule (Config.
 // RecordSchedule, decoded with checkpoint.ReadSchedule) deterministically:
-// one goroutine claims each recorded block id in order and runs it
-// through the pool workers' step (gather-apply, scatter, done), so every
-// floating-point operation happens in the same sequence every time and
-// two replays of the same schedule produce bit-identical values and
-// residual traces.
+// RunContext's setup and worker loop, with one worker whose pick claims
+// each recorded block id in order, so every floating-point operation
+// happens in the same sequence every time and two replays of the same
+// schedule produce bit-identical values and residual traces.
 //
 // The config must describe the same graph, program, and BlockSize as the
 // recording run — block ids are meaningless otherwise. Worker counts,
-// hybrid workers, the simulator, and the watchdog are forcibly disabled;
-// a Checkpoint.Resume still seeds initial state (replaying the post-resume
-// segment of a crashed run), but no periodic checkpoints are written.
+// hybrid workers, the epoch budget, the simulator, and the watchdog are
+// forcibly disabled; a Checkpoint.Resume still seeds initial state
+// (replaying the post-resume segment of a crashed run), but no periodic
+// checkpoints are written.
 //
 // Replay exists for debugging divergence: when an async run misbehaves,
 // its recorded schedule pins down *which* update ordering produced the
@@ -40,55 +40,37 @@ func ReplaySchedule[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Prog
 	cfg.Mode = Async
 	cfg.NumPEs, cfg.NumScatter = 1, 1
 	cfg.Hybrid = false
+	cfg.MaxEpochs = 0
 	cfg.Sim = nil
 	cfg.RecordSchedule = nil
 	cfg.StallHook = nil
 	cfg.OnEpoch = nil
 	cfg.Watchdog = -1
 	cfg.Checkpoint.Interval = 0
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEngine(g, prog, cfg)
+	e, _, err := prepare(ctx, g, prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.ctx = ctx
-	ck, err := newCheckpointer(e, cfg.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil && cfg.Checkpoint.Resume != "" {
-		if err := ck.resume(cfg.Checkpoint.Resume); err != nil {
-			return nil, err
-		}
-	}
-	if !e.resumed {
-		e.st.ActivateAll(1)
-	}
-	nb := e.Part.NumBlocks()
-	w := e.newBlockWorker(1, false)
-	var residuals []float64
-	n := int64(g.NumVertices())
-	nextEpoch := int64(1)
-	start := time.Now()
 	for i, id := range schedule {
-		if int(id) >= nb {
+		if int(id) >= e.Part.NumBlocks() {
 			return nil, fmt.Errorf("core: replay step %d: block %d out of range (schedule was recorded with a different BlockSize or graph?)", i, id)
 		}
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		e.st.ClaimRecorded(int(id))
-		e.step(int(id), w)
-		if e.Err() != nil {
-			break
-		}
-		for n > 0 && e.vertexUpdates() >= nextEpoch*n {
-			residuals = append(residuals, e.st.PendingMass())
-			nextEpoch++
-		}
 	}
+	// The residual trace is the epoch hook's: it fires before each pick,
+	// so it samples the state the previous block left.
+	var residuals []float64
+	e.cfg.OnEpoch = func(int) { residuals = append(residuals, e.st.PendingMass()) }
+	start := time.Now()
+	e.runWorkers(1, func() (int, bool) {
+		if len(schedule) == 0 {
+			e.Stop()
+			return 0, false
+		}
+		b := int(schedule[0])
+		schedule = schedule[1:]
+		e.st.ClaimRecorded(b)
+		return b, true
+	})
 	if err := e.Err(); err != nil {
 		return nil, err
 	}

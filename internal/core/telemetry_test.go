@@ -46,10 +46,9 @@ func TestEngineLiveTelemetry(t *testing.T) {
 			t.Errorf("stage %s count = %d, want %d", st.Name(), h.Count, res.Stats.BlockUpdates)
 		}
 	}
-	// Queue wait: one accel-queue wait per issued block — the same block
-	// count again.
-	if h := reg.StageHistogram(telemetry.StageAccelWait); h.Count != res.Stats.BlockUpdates {
-		t.Errorf("accel-wait count = %d, want %d", h.Count, res.Stats.BlockUpdates)
+	// Pick: one claim per processed block — the same block count again.
+	if h := reg.StageHistogram(telemetry.StagePick); h.Count != res.Stats.BlockUpdates {
+		t.Errorf("pick count = %d, want %d", h.Count, res.Stats.BlockUpdates)
 	}
 
 	conv := reg.Convergence()
@@ -63,7 +62,7 @@ func TestEngineLiveTelemetry(t *testing.T) {
 	}
 
 	s := reg.Snapshot()
-	for _, gauge := range []string{"active_blocks", "residual", "accel_queue_depth"} {
+	for _, gauge := range []string{"active_blocks", "residual"} {
 		if _, ok := s.Gauges[gauge]; !ok {
 			t.Errorf("gauge %q missing from snapshot (have %v)", gauge, s.Gauges)
 		}
@@ -126,7 +125,7 @@ func TestEngineTraceEndToEnd(t *testing.T) {
 			scatterTids[sp.tid] = true
 		}
 	}
-	for _, stage := range []string{"gather", "scatter", "accel-wait"} {
+	for _, stage := range []string{"gather", "scatter", "pick"} {
 		if seen[stage] == 0 && tr.Dropped() == 0 {
 			t.Errorf("no %q events in trace (saw %v)", stage, seen)
 		}

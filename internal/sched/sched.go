@@ -2,9 +2,9 @@
 // the active list, per-block Gauss-Southwell priority accumulation, and the
 // block selection rules (cyclic, priority, random).
 //
-// All state transitions are atomic bit/word operations, so the scheduler,
-// the accelerator PEs, and the SCATTER workers coordinate without locks or
-// barriers. The outstanding-work counter gives the termination unit a
+// All state transitions are atomic bit/word operations, so the block
+// workers that claim, process and activate blocks coordinate without locks
+// or barriers. The outstanding-work counter gives the termination unit a
 // single quiescence test that is safe against the classic "empty queue but
 // task in flight" race.
 package sched
@@ -185,10 +185,11 @@ func (s *State) SnapshotBlocks(lo, hi int, pri []uint64, active []byte) {
 // claimed the block (the caller must call State.Done when the block's
 // processing chain finishes).
 //
-// An instance has one driver: Next is not called concurrently on one
-// instance, because random's generator and priority's word summaries are
-// private, unsynchronised state (cyclic's cursor happens to be atomic).
-// Several instances over one State may run concurrently — the cluster
+// Calls to Next on one instance are serialized by its caller: random's
+// generator and priority's word summaries are private, unsynchronised
+// state (cyclic's cursor happens to be atomic), so an instance shared by
+// several workers is called under one lock, as the core engine's workers
+// do. Several instances over one State may run concurrently — the cluster
 // runs one cyclic per worker — since every claim is an atomic State
 // transition; a State has at most one priority scheduler (see New).
 type Scheduler interface {
@@ -369,8 +370,8 @@ func (p *priority) pick() (block, first int) {
 }
 
 // stale reports whether block b has stopped being a candidate since its
-// word was summarised — claimed by someone else, as Barrier mode's
-// dispatchWave does — and if so rebuilds the word. Blocks only become
+// word was summarised — claimed by someone else, through State.Claim —
+// and if so rebuilds the word. Blocks only become
 // candidates with a touched mark, so a summary can hold too many
 // candidates but never too few; checking the two blocks the pick rests on
 // makes it the pick a fresh scan would make.

@@ -592,8 +592,8 @@ func TestNextMatchesLinearScan(t *testing.T) {
 
 // TestNextSequenceMatchesLinearScan drives each rule and its reference
 // through the same long run of activations, picks, completions and
-// outside claims — single blocks, and whole waves the way Barrier mode's
-// dispatchWave takes them — comparing after every step, so a word summary
+// outside claims — single blocks, and whole waves the way Barrier mode
+// claims them — comparing after every step, so a word summary
 // that drifts from the State fails at the step it drifts.
 func TestNextSequenceMatchesLinearScan(t *testing.T) {
 	const n, steps = 600, 12000

@@ -95,8 +95,10 @@ const (
 	StageGather Stage = iota
 	// StageScatter is one block's SCATTER pass (ns).
 	StageScatter
-	// StageAccelWait is a block's wait in the accelerator task queue (ns).
-	StageAccelWait
+	// StagePick is one block claim (ns): from a worker asking for a block
+	// to holding one — the wait for the engine's pick lock plus the
+	// scheduler's Next.
+	StagePick
 	// StageApply is one remote batch's application on a cluster node (ns).
 	StageApply
 	// StageStaleness is a block's read-to-publish staleness in
@@ -113,7 +115,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"gather", "scatter", "accel-wait", "apply", "staleness", "checkpoint",
+	"gather", "scatter", "pick", "apply", "staleness", "checkpoint",
 }
 
 // Name returns the snapshot/trace name of s.
@@ -358,7 +360,7 @@ type ConvSample struct {
 }
 
 // RecordConvergence appends one sample; called at epoch boundaries from
-// the scheduler goroutine, never from a worker's hot loop. No-op when
+// the engine's pick, never from a gather or scatter loop. No-op when
 // timing is disabled so the bare-counter mode stays free.
 func (r *Registry) RecordConvergence(epoch int, residual float64, activeBlocks int) {
 	if !r.timing {

@@ -167,15 +167,17 @@ if [[ -n "$pools" ]]; then
     exit 1
 fi
 
-echo "== one block step (a core worker gathers and scatters its own block)"
-# internal/core/engine.go's step runs a block's gather-apply and scatter
-# on the worker that dequeued it, as cluster.Node.processBlock does. A
-# task channel, a PE-only or scatter-only worker, or a CPU-queue gauge
-# under internal/core is the two-stage pipeline growing back.
-stages=$(grep -rnE 'chan task\[|peWorker|scatterWorker|cpuQ' --include='*.go' internal/core |
-    grep -v '_test\.go:' || true)
+echo "== one block step (a core worker claims, gathers and scatters its own block)"
+# internal/core/engine.go's work loop claims a block under the pick lock
+# and runs its gather-apply and scatter on the same worker, as
+# cluster.Node.step does. A task channel, a PE-only or scatter-only
+# worker, a CPU-queue gauge, or an accelerator queue with its depth knob,
+# send/drain helpers or yield constant under internal/core is a hand-off
+# growing back.
+stages=$(grep -rnE 'chan task\[|peWorker|scatterWorker|cpuQ|accelQ|blockItem|yieldAfter|QueueDepth|sendBlock|awaitDrain' \
+    --include='*.go' internal/core | grep -v '_test\.go:' || true)
 if [[ -n "$stages" ]]; then
-    echo "internal/core must not hand a gathered block to another goroutine:" >&2
+    echo "internal/core must not hand a block to another goroutine:" >&2
     echo "$stages" >&2
     exit 1
 fi
@@ -314,11 +316,12 @@ go test -race -count=20 -timeout 600s \
 echo "== serving layer: job lifecycle and handlers (race detector, 20 runs)"
 go test -race -count=20 -timeout 600s ./internal/serve
 
-echo "== block-worker convergence pins (race detector, 20 runs)"
+echo "== block-worker convergence pins and exit paths (race detector, 20 runs)"
 # One gatherer must still follow the priority order closely enough to
-# beat BSP, and hybrid workers must take blocks and still converge.
+# beat BSP, hybrid workers must take blocks and still converge, and every
+# way a run ends must return in time and leak no goroutine.
 go test -race -count=20 -timeout 600s \
-    -run '^(TestSmallerBlocksConvergeInFewerEpochs|TestHybridExecutionProcessesBlocks)$' \
+    -run '^(TestSmallerBlocksConvergeInFewerEpochs|TestHybridExecutionProcessesBlocks|TestRunExitPaths)$' \
     ./internal/core
 
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
