@@ -5,14 +5,15 @@
 // single CPU-FPGA pair.
 //
 // Each node (Node, node.go) owns a set of vertex blocks: its vertex
-// values, the edge-cache slots of its vertices' in-edges, and a private
-// scheduler and worker set. SCATTER updates whose destination block lives
-// on another node travel as state-based messages through a pluggable
-// Transport. Because updates are state-based, messages are idempotent
-// and tolerate delay and redelivery — the bounded-staleness condition of
-// asynchronous BCD is the only correctness requirement, so there are
-// still no locks and no barriers on the steady-state path, only channels
-// and atomics.
+// values, the edge-cache slots of its vertices' in-edges, and one
+// scheduler, which its workers claim from under one pick lock and run
+// through core's block-worker loop, as the engine's workers do. SCATTER
+// updates whose destination block lives on another node travel as
+// state-based messages through a pluggable Transport. Because updates
+// are state-based, messages are idempotent and tolerate delay and
+// redelivery — the bounded-staleness condition of asynchronous BCD is
+// the only correctness requirement, so the steady-state path has no
+// barriers, only the pick lock, channels and atomics.
 //
 // There is one node implementation and two runtimes around it: Run
 // (inproc.go) hosts every node in this process over shared arrays, and
@@ -67,7 +68,10 @@ type Config struct {
 	// Epsilon is the activation threshold, as in core.Config.
 	Epsilon float64
 	// MaxEpochs bounds total work at MaxEpochs * |V| vertex updates
-	// across the cluster; 0 means run to convergence.
+	// across the cluster; 0 means run to convergence. The first pick past
+	// the budget stops the run and every worker finishes the block it
+	// holds, so a run does at most Nodes * WorkersPerNode * BlockSize
+	// vertex updates more.
 	MaxEpochs float64
 	// BatchSize groups remote updates per message (amortizes the
 	// per-message cost, increases staleness). 0 means 64.

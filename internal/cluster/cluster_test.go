@@ -15,6 +15,7 @@ import (
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/gen"
 	"graphabcd/internal/graph"
+	"graphabcd/internal/telemetry"
 )
 
 // delayed is a Transport that delivers every envelope d late, on a timer
@@ -264,6 +265,37 @@ func TestDistributedBudgetStops(t *testing.T) {
 	}
 	if res.Stats.Epochs > 4 {
 		t.Fatalf("epochs %.1f far beyond budget 2", res.Stats.Epochs)
+	}
+	// The engine's contract (core.Config.MaxEpochs): every worker finishes
+	// at most the one block it holds past the budget.
+	limit := int64(cfg.MaxEpochs)*int64(g.NumVertices()) + int64(cfg.Nodes*cfg.WorkersPerNode*cfg.BlockSize)
+	if res.Stats.VertexUpdates > limit {
+		t.Fatalf("%d vertex updates past the budget's bound %d", res.Stats.VertexUpdates, limit)
+	}
+}
+
+// TestDistributedLiveTelemetry checks that node workers report their
+// picks like the engine's do: with a live registry, one StagePick
+// observation and one issued and one finished task per processed block.
+func TestDistributedLiveTelemetry(t *testing.T) {
+	g := testGraph(t)
+	cfg := baseCfg(2)
+	cfg.Telemetry = telemetry.New(telemetry.Options{Histograms: true})
+	res, err := Run[float64, float64](context.Background(), g, bcd.PageRank{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := res.Stats.BlockUpdates
+	if blocks == 0 {
+		t.Fatalf("run did no work: %+v", res.Stats)
+	}
+	if h := cfg.Telemetry.StageHistogram(telemetry.StagePick); h.Count != blocks {
+		t.Errorf("pick count = %d, want %d", h.Count, blocks)
+	}
+	totals := cfg.Telemetry.CounterTotals()
+	if totals[telemetry.CtrTasksIssued] != blocks || totals[telemetry.CtrTasksFinished] != blocks {
+		t.Errorf("tasks issued %d, finished %d, want %d each",
+			totals[telemetry.CtrTasksIssued], totals[telemetry.CtrTasksFinished], blocks)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 // concurrent use and safe to call after the run has finished (they
 // become errors or no-ops).
 type Control interface {
-	// FailNode kills node id mid-run: its workers stop, its unacked
-	// outgoing batches are abandoned, its blocks are reassigned to the
-	// surviving nodes, and the orphaned edge-cache state is rebuilt by
-	// re-scattering current owner values. The last live node cannot be
-	// failed.
+	// FailNode kills node id mid-run: its workers run no further block,
+	// its unacked outgoing batches are abandoned, its blocks are
+	// reassigned to the surviving nodes, and the orphaned edge-cache state
+	// is rebuilt by re-scattering current owner values. The last live node
+	// cannot be failed.
 	FailNode(id int) error
 	// LiveNodes returns the number of nodes still alive.
 	LiveNodes() int
@@ -58,15 +58,16 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	c.sh0.Add(telemetry.CtrNodesFailed, 1)
 	c.liveNodes.Add(-1)
 
-	// 1. Kill: the node's workers observe the flag and exit; install
-	// refuses its traffic, and retryTick abandons batches addressed to it.
+	// 1. Kill: the node's workers observe the flag and run no further
+	// block, install refuses its traffic, and retryTick abandons batches
+	// addressed to it.
 	c.dead[id].Store(true)
 
 	// 2. Pause the world. The fence write lock waits for every worker's
-	// in-progress claim-process-done iteration (so no scatter is mid-
-	// flight and ownership reads are stable); the per-envelope apply
-	// locks park every node at an envelope boundary (so no cache slot is
-	// being written while we rebuild it).
+	// block step in progress (so no scatter is mid-flight and ownership
+	// reads are stable); the per-envelope apply locks park every node at
+	// an envelope boundary (so no cache slot is being written while we
+	// rebuild it).
 	c.fence.Lock()
 	defer c.fence.Unlock()
 	for _, m := range c.nodes {

@@ -14,23 +14,17 @@ import (
 
 // clusterRun is the in-process runtime: every Node of the cluster over
 // one Shared, plus what only exists when all nodes live in one address
-// space — the failover fence, shared-atomic quiescence detection, and the
-// stall watchdog.
+// space — failover, shared-atomic quiescence detection, and the stall
+// watchdog.
 type clusterRun[V, M any] struct {
 	*Shared[V, M]
 	nodes []*Node[V, M]
 
-	// fence serializes failover against normal execution: workers hold
-	// the read side for each claim-process-done iteration, FailNode
-	// holds the write side while it reassigns blocks and rebuilds cache
-	// slots, so ownership changes are atomic w.r.t. block processing.
-	fence      sync.RWMutex
 	failMu     sync.Mutex   // serializes FailNode calls
 	recovering atomic.Int64 // FailNode calls currently rebuilding state
 	liveNodes  atomic.Int64
 
 	sh0       *telemetry.Shard // watchdog and failover counters
-	budget    int64            // vertex-update budget from MaxEpochs
 	converged atomic.Bool
 }
 
@@ -57,10 +51,6 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 	c := &clusterRun[V, M]{
 		Shared: nodes[0].Shared,
 		nodes:  nodes,
-		budget: 1<<63 - 1,
-	}
-	if cfg.MaxEpochs > 0 {
-		c.budget = int64(cfg.MaxEpochs * float64(g.NumVertices()))
 	}
 	c.sh0 = &c.shards[0]
 	c.liveNodes.Store(int64(len(nodes)))
@@ -72,12 +62,6 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 	return c, nil
 }
 
-// vertexUpdates is the cross-shard total driving the budget checks and
-// the watchdog.
-func (c *clusterRun[V, M]) vertexUpdates() int64 {
-	return c.Tel.Total(telemetry.CtrVertexUpdates)
-}
-
 // batchTotals sums the nodes' created-batch and in-flight counters.
 func (c *clusterRun[V, M]) batchTotals() (sent uint64, inflight int64) {
 	for _, n := range c.nodes {
@@ -87,12 +71,12 @@ func (c *clusterRun[V, M]) batchTotals() (sent uint64, inflight int64) {
 	return sent, inflight
 }
 
-// run starts the nodes (Shared.start: the only goroutines are the
+// run starts the nodes (Shared.Start: the only goroutines are the
 // workers and the retry loop) and the watchdog, coordinates until the run
 // stops, and collects the result.
 func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	start := time.Now()
-	shutdown := c.start(ctx, c.deliver, c.nodes, c.fencedStep)
+	shutdown := c.Start(ctx, c.deliver, c.nodes...)
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
@@ -138,24 +122,6 @@ func (c *clusterRun[V, M]) deliver(to int, e Envelope) {
 	c.nodes[to].Deliver(to, e)
 }
 
-// fencedStep is a worker iteration under the failover fence. Workers
-// police the epoch budget themselves; the coordinator's polling interval
-// would otherwise allow a large overshoot. Backoff naps happen outside
-// the fence (work sleeps after the step returns), so a pending failover
-// is never delayed by an idle worker.
-func (c *clusterRun[V, M]) fencedStep(n *Node[V, M], ws *worker[V, M]) time.Duration {
-	c.fence.RLock()
-	defer c.fence.RUnlock()
-	if c.dead[n.ID].Load() {
-		return -1
-	}
-	if c.vertexUpdates() >= c.budget {
-		c.Stop()
-		return -1
-	}
-	return n.step(ws)
-}
-
 // watchdog samples run progress once per watchdog period and counts the
 // periods in which nothing moved — neither a vertex update nor a batch
 // settled. The count surfaces as Stats.StallWindows so a hung or
@@ -177,7 +143,7 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 		case <-tick.C:
 		}
 		sent, inflight := c.batchTotals()
-		progress := c.vertexUpdates() + int64(sent) - inflight
+		progress := c.Tel.Total(telemetry.CtrVertexUpdates) + int64(sent) - inflight
 		if progress == last {
 			c.sh0.Add(telemetry.CtrStallWindows, 1)
 		}
@@ -186,15 +152,14 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 }
 
 // coordinate is the cluster's termination unit. It stops the run when the
-// context is cancelled, a failure is recorded, the epoch budget is
-// exhausted, or distributed quiescence is certain.
+// context is cancelled or distributed quiescence is certain; a failure or
+// the node pick that finds the epoch budget spent has stopped it already.
 func (c *clusterRun[V, M]) coordinate(ctx context.Context) {
 	for !c.Stopped() {
 		switch {
 		case ctx.Err() != nil:
 			// Graceful cancellation: stop scheduling, keep the partial
 			// result. Converged stays false.
-		case c.vertexUpdates() >= c.budget:
 		case c.checkQuiescence():
 			c.converged.Store(true)
 		default:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +43,12 @@ type Shared[V, M any] struct {
 
 	dead []atomic.Bool // node id -> killed by failover (never set across processes)
 	seq  atomic.Uint64 // logical batch ids / write stamps
+	// fence serializes failover against block processing: every block
+	// step holds the read side, FailNode holds the write side while it
+	// reassigns blocks and rebuilds cache slots, so ownership changes are
+	// atomic w.r.t. block processing. Only the in-process runtime ever
+	// takes the write side.
+	fence sync.RWMutex
 
 	cfg    Config // defaults resolved
 	tr     Transport
@@ -50,7 +57,8 @@ type Shared[V, M any] struct {
 }
 
 // Node is one member of the cluster: a caller of the block kernel for
-// the blocks it owns, and the at-least-once delivery state machine
+// the blocks it owns, through the block-worker loop (core.Loop) over one
+// cyclic scheduler, and the at-least-once delivery state machine
 // (unacked table, send window, stamp-guarded apply, retry) that carries
 // the batches the kernel's scatter builds for other owners over the
 // Transport. Both runtimes run this type and launch it through
@@ -67,6 +75,9 @@ type Node[V, M any] struct {
 	// written only under applyMu. workers holds one shard per worker.
 	Ctl     *telemetry.Shard
 	workers []telemetry.Shard
+	// loop is the node's pick seam: its workers claim blocks from one
+	// cyclic scheduler over Sched, under the loop's lock.
+	loop *core.Loop
 
 	// Termination accounting. sent and applied are monotone; inflight
 	// counts batches created but neither acked nor abandoned. They stay
@@ -228,6 +239,10 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		tr:      cfg.Transport,
 		now:     time.Now,
 	}
+	budget := int64(math.MaxInt64) // MaxEpochs as vertex updates over Tel's total
+	if cfg.MaxEpochs > 0 {
+		budget = int64(cfg.MaxEpochs * float64(g.NumVertices()))
+	}
 	if s.Tel == nil {
 		s.Tel = telemetry.New(telemetry.Options{})
 	}
@@ -258,6 +273,11 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		if cfg.MaxUnacked > 0 {
 			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
+		pick, err := core.CyclicPick(s.Latch, s.Tel, n.Sched, budget)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: node %d scheduler: %w", id, err)
+		}
+		n.loop = &core.Loop{Latch: s.Latch, Tel: s.Tel, Pick: pick, Panic: "cluster: worker panic"}
 		n.registerRTOGauges()
 		if err := s.Init(s.VertexRange(id)); err != nil {
 			return nil, err
@@ -317,26 +337,26 @@ func (s *Shared[V, M]) VertexRange(i int) (lo, hi int) {
 }
 
 // Start is the launch sequence both runtimes run: bind the transport to
-// deliver, start WorkersPerNode workers for each hosted node, and start
-// the retry loop. The returned shutdown is the matching teardown — stop
-// the run, join those goroutines, then close the transport, in that
-// order: once the workers and retries are gone no new data envelope can
-// originate, so Close only has in-flight deliveries left to drain.
+// deliver, start WorkersPerNode workers of the block-worker loop for each
+// hosted node, and start the retry loop. The workers yield at block
+// boundaries when this process's workers outnumber GOMAXPROCS. The
+// returned shutdown is the matching teardown — stop the run, join those
+// goroutines, then close the transport, in that order: once the workers
+// and retries are gone no new data envelope can originate, so Close only
+// has in-flight deliveries left to drain.
 func (s *Shared[V, M]) Start(ctx context.Context, deliver func(to int, e Envelope), nodes ...*Node[V, M]) (shutdown func()) {
-	return s.start(ctx, deliver, nodes, (*Node[V, M]).step)
-}
-
-// start is Start with the worker iteration made explicit: the in-process
-// runtime passes step wrapped in its failover fence and epoch budget.
-func (s *Shared[V, M]) start(ctx context.Context, deliver func(to int, e Envelope), nodes []*Node[V, M], step func(*Node[V, M], *worker[V, M]) time.Duration) (shutdown func()) {
 	s.tr.Bind(s.cfg.Nodes, deliver)
+	yield := len(nodes)*s.cfg.WorkersPerNode > runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for _, n := range nodes {
 		for w := 0; w < s.cfg.WorkersPerNode; w++ {
 			wg.Add(1)
 			go func(n *Node[V, M], w int) {
 				defer wg.Done()
-				n.work(w, step)
+				kw := n.NewWorker(&n.workers[w], n.ID, n.Sched, n.flush)
+				kw.Out = make([]core.Batch, n.cfg.Nodes)
+				ws := &worker[V, M]{Worker: kw, deltas: make([]float64, n.Part.BlockSize())}
+				n.loop.Work(ws.Sh, yield, func(b int) { n.runBlock(b, ws) })
 			}(n, w)
 		}
 	}
@@ -372,63 +392,23 @@ func (s *Shared[V, M]) RestoreStamps(lo int64, src []uint64) {
 }
 
 // worker is one worker goroutine: its kernel worker (scratch, telemetry
-// shard, per-owner building batches), scheduler cursor and delta buffer.
+// shard, per-owner building batches) and delta buffer.
 type worker[V, M any] struct {
 	*core.Worker[V, M]
-	sch    sched.Scheduler
-	spins  int
 	deltas []float64
 }
 
-func (n *Node[V, M]) newWorker(w int) (*worker[V, M], error) {
-	sch, err := sched.New(sched.Cyclic, n.Sched, uint64(n.ID*n.cfg.WorkersPerNode+w+1))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: node %d scheduler: %w", n.ID, err)
+// runBlock is a node worker's block step: process the claimed block and
+// retire it, under the failover fence. A dead node's worker runs no
+// further block; what it claims stays in its orphaned scheduler state,
+// and its blocks belong to their heirs.
+func (n *Node[V, M]) runBlock(b int, ws *worker[V, M]) {
+	n.fence.RLock()
+	defer n.fence.RUnlock()
+	if !n.dead[n.ID].Load() {
+		n.processBlock(b, ws)
+		n.Sched.Done(b)
 	}
-	kw := n.NewWorker(&n.workers[w], n.ID, n.Sched, n.flush)
-	kw.Out = make([]core.Batch, n.cfg.Nodes)
-	return &worker[V, M]{Worker: kw, sch: sch, deltas: make([]float64, n.Part.BlockSize())}, nil
-}
-
-// work runs worker w, one step per iteration, until step says to exit.
-func (n *Node[V, M]) work(w int, step func(*Node[V, M], *worker[V, M]) time.Duration) {
-	defer n.Recover("cluster: worker panic")
-	ws, err := n.newWorker(w)
-	if err != nil {
-		n.Fail(err)
-		return
-	}
-	for {
-		nap := step(n, ws)
-		if nap < 0 {
-			return
-		}
-		if nap > 0 {
-			time.Sleep(nap)
-		}
-	}
-}
-
-// step runs one claim-process-done iteration. It returns a backoff
-// duration (0 = progress was made), or a negative duration when the
-// worker should exit.
-func (n *Node[V, M]) step(ws *worker[V, M]) time.Duration {
-	if n.Stopped() {
-		return -1
-	}
-	b, ok := ws.sch.Next()
-	if !ok {
-		ws.spins++
-		if ws.spins < 64 {
-			// Another worker may hold every active block; yield.
-			return time.Microsecond
-		}
-		return 50 * time.Microsecond
-	}
-	ws.spins = 0
-	n.processBlock(b, ws)
-	n.Sched.Done(b)
-	return 0
 }
 
 // processBlock runs the block kernel's two halves back to back for one

@@ -106,8 +106,8 @@ type Config struct {
 	// block task costs one sequential read regardless of backend.
 	Edges edgestore.Source
 	// StallHook, when non-nil, is invoked by every worker at each stage
-	// boundary with the stage name ("schedule" before each pick,
-	// "gather", "scatter").
+	// boundary with the stage name ("gather", "scatter", and "schedule"
+	// after each block, before the worker's next pick).
 	// It exists for failure-injection tests (randomized delays must not
 	// affect convergence) and must be safe for concurrent use.
 	StallHook func(stage string)

@@ -136,18 +136,15 @@ type engine[V, M any] struct {
 	// that overlapped a capture so checkpoint I/O never counts as an
 	// engine stall (Stats.StallWindows stays a pure progress signal).
 	ckptGen atomic.Int64
-	// pickMu serializes the picks: the scheduler's private cursor and
-	// summaries, the epoch hook, and the schedule recording. A worker
-	// holds it only while it claims a block; values, the cache, the
-	// active bits and the priorities stay atomic.
-	pickMu sync.Mutex
 	// epochsSeen counts the epoch hook's firings; converged is set by the
-	// pick that finds the run quiescent. Both are guarded by pickMu.
+	// pick that finds the run quiescent. Both are guarded by the loop's
+	// pick lock (Loop), as are the scheduler and the schedule recording;
+	// values, the cache, the active bits and the priorities stay atomic.
 	epochsSeen int
 	converged  bool
 	// rec, when non-nil, records every block id for deterministic replay,
 	// in pick order — the order a sequential replay follows. It has one
-	// producer: the worker holding pickMu.
+	// producer: the worker holding the pick lock.
 	rec *checkpoint.ScheduleRecorder
 
 	// modeled byte widths for the accelerator cost model
@@ -311,9 +308,9 @@ func (e *engine[V, M]) newBlockWorker(i int, cpu bool) *blockWorker[V, M] {
 // converged (as opposed to hitting the MaxEpochs budget or being
 // cancelled).
 func (e *engine[V, M]) runBlocked() bool {
-	var pick func() (int, bool)
+	var next func() (int, bool)
 	if e.cfg.Mode == Barrier {
-		pick = e.nextInWave()
+		next = e.nextInWave()
 	} else {
 		s, err := sched.New(e.cfg.Policy, e.st, e.cfg.Seed)
 		if err != nil {
@@ -323,7 +320,7 @@ func (e *engine[V, M]) runBlocked() bool {
 			e.Fail(err)
 			return false
 		}
-		pick = func() (int, bool) {
+		next = func() (int, bool) {
 			if b, ok := s.Next(); ok {
 				return b, true
 			}
@@ -337,7 +334,7 @@ func (e *engine[V, M]) runBlocked() bool {
 	if e.cfg.Hybrid {
 		workers += e.cfg.NumScatter
 	}
-	e.runWorkers(workers, pick)
+	e.runWorkers(workers, next)
 	return e.converged
 }
 
@@ -347,7 +344,8 @@ func (e *engine[V, M]) runBlocked() bool {
 // every block claimable now. Blocks activated while a wave runs wait for
 // the next one, which is what distinguishes synchronized execution from
 // the async engine; convergence matches Async, but workers idle at every
-// wave tail. The wave is the pick's private state, guarded by pickMu.
+// wave tail. The wave is the pick's private state, guarded by the loop's
+// lock.
 func (e *engine[V, M]) nextInWave() func() (int, bool) {
 	var wave []int
 	next := 0
@@ -386,85 +384,46 @@ func (e *engine[V, M]) stopIfQuiescent() {
 	}
 }
 
-// runWorkers activates every block (unless a resume did) and runs n block
-// workers over pick until the run stops. Workers 0..NumPEs-1 are the PEs;
-// the rest are hybrid CPU threads.
-//
-// Workers that outnumber the processors (GOMAXPROCS) yield after every
-// block. A worker the runtime preempts holds its claimed block
-// unpublished for a whole 10 ms slice, and every block run meanwhile
-// reads stale values and runs again; yielding at block boundaries means
-// the switch lands where nothing is held. Where every worker has a
-// processor there is nothing to yield to.
-func (e *engine[V, M]) runWorkers(n int, pick func() (int, bool)) {
+// runWorkers activates every block (unless a resume did) and runs n
+// workers of the block-worker loop until the run stops, each running its
+// blocks through step. Workers 0..NumPEs-1 are the PEs; the rest are
+// hybrid CPU threads. The loop's pick, under its lock, fires the epoch
+// hook, stops the run if it is cancelled or out of budget, then claims a
+// block through next and records it.
+func (e *engine[V, M]) runWorkers(n int, next func() (int, bool)) {
 	if !e.resumed {
 		e.st.ActivateAll(1)
 	}
+	budget := e.maxVertexUpdates()
+	loop := &Loop{Latch: e.Latch, Tel: e.tel, Panic: workerPanic, Pick: func() (int, bool) {
+		e.epochsSeen = e.fireEpochHook(e.epochsSeen)
+		if e.cancelled() || e.vertexUpdates() >= budget {
+			e.Stop()
+			return 0, false
+		}
+		b, ok := next()
+		if ok && e.rec != nil {
+			e.rec.Record(b)
+		}
+		return b, ok
+	}}
 	yield := n > runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.work(i, pick, yield)
+			w := e.newBlockWorker(1+i, i >= e.cfg.NumPEs)
+			loop.Work(w.Sh, yield, func(b int) {
+				if e.cfg.Sim != nil {
+					e.chargeGather(b, w.cpu)
+				}
+				e.step(b, w)
+				e.stall("schedule")
+			})
 		}(i)
 	}
 	wg.Wait()
-}
-
-// work is pool worker i, the Sec. IV-C flow (steps 1-11) on one goroutine:
-// claim a block, run it through step, and back off when nothing is
-// claimable, until the run stops — the shape of cluster.Node.step.
-func (e *engine[V, M]) work(i int, pick func() (int, bool), yield bool) {
-	defer e.Recover(workerPanic)
-	w := e.newBlockWorker(1+i, i >= e.cfg.NumPEs)
-	budget := e.maxVertexUpdates()
-	spins := 0
-	for !e.Stopped() {
-		e.stall("schedule")
-		b, ok := e.claim(pick, budget, w.Sh)
-		if !ok {
-			idle(&spins)
-			continue
-		}
-		spins = 0
-		if e.cfg.Sim != nil {
-			e.chargeGather(b, w.cpu)
-		}
-		e.step(b, w)
-		if yield {
-			runtime.Gosched()
-		}
-	}
-}
-
-// claim is one pick under pickMu: fire the epoch hook, stop the run if
-// it is cancelled or out of budget, then claim a block, count it and
-// record it. The wait for the lock plus the pick is the worker's
-// StagePick observation. A panic in the hook or the pick releases the
-// lock on its way to the worker's Recover, so the other workers see the
-// failed latch instead of waiting on the lock.
-func (e *engine[V, M]) claim(pick func() (int, bool), budget int64, sh *telemetry.Shard) (int, bool) {
-	asked := e.tel.Stamp()
-	e.pickMu.Lock()
-	defer e.pickMu.Unlock()
-	e.epochsSeen = e.fireEpochHook(e.epochsSeen)
-	if e.cancelled() || e.vertexUpdates() >= budget {
-		e.Stop()
-		return 0, false
-	}
-	b, ok := pick()
-	if !ok {
-		return 0, false
-	}
-	sh.Add(telemetry.CtrTasksIssued, 1)
-	if e.rec != nil {
-		e.rec.Record(b)
-	}
-	held := e.tel.Stamp()
-	sh.Observe(telemetry.StagePick, held-asked)
-	sh.Trace(telemetry.StagePick, b, asked, held-asked)
-	return b, true
 }
 
 // fireEpochHook invokes OnEpoch for every freshly completed
@@ -488,16 +447,6 @@ func (e *engine[V, M]) fireEpochHook(seen int) int {
 	return seen
 }
 
-// idle backs off a polling loop: first yields, then sleeps briefly.
-func idle(spins *int) {
-	*spins++
-	if *spins < 64 {
-		runtime.Gosched()
-	} else {
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
 // chargeGather bills block b's GATHER-APPLY to the accelerator cost model
 // before it runs (the edges it streams are the partition's). The PE/CPU
 // split is the model's attribute, not the worker's: the gather goes to a
@@ -517,8 +466,8 @@ func (e *engine[V, M]) chargeGather(b int, cpu bool) {
 }
 
 // step runs one claimed block through the kernel: GATHER-APPLY into the
-// worker's scratch, SCATTER of the same deltas, then retire the block —
-// the shape of cluster.Node.processBlock. Marking the block done last
+// worker's scratch, SCATTER of the same deltas, then retire the block, as
+// a cluster node's block step does. Marking the block done last
 // keeps the termination unit's quiescence test sound. The pool workers
 // and ReplaySchedule both run blocks through it. Stage latencies and the
 // block's read-to-publish staleness land in the worker's shard.
@@ -556,7 +505,6 @@ func (e *engine[V, M]) step(b int, w *blockWorker[V, M]) {
 		sim.LeastLoadedCPU().RunScatter(writes, writes*e.valueBytes)
 	}
 	e.st.Done(b)
-	w.Sh.Add(telemetry.CtrTasksFinished, 1)
 	if end := e.tel.Stamp(); e.live {
 		w.Sh.Observe(telemetry.StageScatter, end-sStart)
 		w.Sh.Trace(telemetry.StageScatter, b, sStart, end-sStart)

@@ -188,10 +188,10 @@ func (s *State) SnapshotBlocks(lo, hi int, pri []uint64, active []byte) {
 // Calls to Next on one instance are serialized by its caller: random's
 // generator and priority's word summaries are private, unsynchronised
 // state (cyclic's cursor happens to be atomic), so an instance shared by
-// several workers is called under one lock, as the core engine's workers
-// do. Several instances over one State may run concurrently — the cluster
-// runs one cyclic per worker — since every claim is an atomic State
-// transition; a State has at most one priority scheduler (see New).
+// several workers is called under one lock, as core's block-worker loop
+// does for the engine and for each cluster node. Several instances over
+// one State may still run concurrently, since every claim is an atomic
+// State transition; a State has at most one priority scheduler (see New).
 type Scheduler interface {
 	// Name identifies the selection rule in reports.
 	Name() string

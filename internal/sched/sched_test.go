@@ -279,7 +279,8 @@ func TestPropertyOutstandingBalanced(t *testing.T) {
 
 // Concurrent schedulers must never claim the same block twice at once:
 // eight goroutines sharing one cyclic (its cursor is atomic), and one
-// cyclic per goroutine over one State, the cluster's per-worker shape.
+// cyclic per goroutine over one State (every claim is an atomic State
+// transition).
 func TestConcurrentClaimExclusive(t *testing.T) {
 	for _, perGoroutine := range []bool{false, true} {
 		st := NewState(64)

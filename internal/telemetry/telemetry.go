@@ -96,8 +96,8 @@ const (
 	// StageScatter is one block's SCATTER pass (ns).
 	StageScatter
 	// StagePick is one block claim (ns): from a worker asking for a block
-	// to holding one — the wait for the engine's pick lock plus the
-	// scheduler's Next.
+	// to holding one — the wait for the block-worker loop's pick lock
+	// (the engine's, or a cluster node's) plus the pick.
 	StagePick
 	// StageApply is one remote batch's application on a cluster node (ns).
 	StageApply

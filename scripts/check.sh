@@ -167,17 +167,23 @@ if [[ -n "$pools" ]]; then
     exit 1
 fi
 
-echo "== one block step (a core worker claims, gathers and scatters its own block)"
-# internal/core/engine.go's work loop claims a block under the pick lock
-# and runs its gather-apply and scatter on the same worker, as
-# cluster.Node.step does. A task channel, a PE-only or scatter-only
-# worker, a CPU-queue gauge, or an accelerator queue with its depth knob,
-# send/drain helpers or yield constant under internal/core is a hand-off
-# growing back.
-stages=$(grep -rnE 'chan task\[|peWorker|scatterWorker|cpuQ|accelQ|blockItem|yieldAfter|QueueDepth|sendBlock|awaitDrain' \
-    --include='*.go' internal/core | grep -v '_test\.go:' || true)
+echo "== one block step, one worker loop (core.Loop claims, gathers and scatters)"
+# internal/core/loop.go's Loop is the one block-worker loop: a worker
+# claims a block under the pick lock and runs its gather-apply and scatter
+# itself, for the engine and for every cluster node. A task channel, a
+# PE-only or scatter-only worker, a CPU-queue gauge, or an accelerator
+# queue with its depth knob, send/drain helpers or yield constant under
+# internal/core is a hand-off growing back; a scheduler built, a spin
+# count kept, or a work/step method on Node under internal/cluster is a
+# second worker loop.
+stages=$(
+    grep -rnE 'chan task\[|peWorker|scatterWorker|cpuQ|accelQ|blockItem|yieldAfter|QueueDepth|sendBlock|awaitDrain' \
+        --include='*.go' internal/core | grep -v '_test\.go:' || true
+    grep -rnE 'sched\.New\(|spins|Node.*\) (work|step)\(' \
+        --include='*.go' internal/cluster | grep -v '_test\.go:' || true
+)
 if [[ -n "$stages" ]]; then
-    echo "internal/core must not hand a block to another goroutine:" >&2
+    echo "a block hand-off or a second worker loop:" >&2
     echo "$stages" >&2
     exit 1
 fi
@@ -323,6 +329,9 @@ echo "== block-worker convergence pins and exit paths (race detector, 20 runs)"
 go test -race -count=20 -timeout 600s \
     -run '^(TestSmallerBlocksConvergeInFewerEpochs|TestHybridExecutionProcessesBlocks|TestRunExitPaths)$' \
     ./internal/core
+
+echo "== scale-out shape (one strict sweep per run, 5 runs; no detector: -race skips the ratios)"
+go test -count=5 -run '^TestScaleOut$' ./internal/exp
 
 echo "== kernel-caller oracle tables (every runtime shape vs bcd.Ref*, race detector)"
 go test -race -count=1 -timeout 300s \
