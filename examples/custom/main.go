@@ -36,8 +36,12 @@ func (p PersonalizedPR) InitEdge(src uint32, g *graphabcd.Graph) float64 {
 	return p.ScatterValue(src, p.Init(src, g), g)
 }
 
-func (p PersonalizedPR) EdgeGather(acc *float64, _ float64, _ float32, src float64) {
-	*acc += src
+// Gather folds a run of in-edges: words holds each edge's cached
+// src/outdeg, encoded by Codec (F64Codec: the float64's bits).
+func (p PersonalizedPR) Gather(acc *float64, _ float64, _ []float32, words []uint64) {
+	for _, w := range words {
+		*acc += math.Float64frombits(w)
+	}
 }
 
 func (p PersonalizedPR) Apply(v uint32, _ float64, acc *float64, _ int64, _ *graphabcd.Graph) float64 {

@@ -13,6 +13,14 @@ func E(src, dst uint32, w float32) graph.Edge {
 	return graph.Edge{Src: src, Dst: dst, Weight: w}
 }
 
+// gatherOne folds one in-edge with cached source value src: the
+// one-edge run of Program.Gather.
+func gatherOne[V, M any](p Program[V, M], acc *M, dst V, weight float32, src V) {
+	words := make([]uint64, p.Codec().Words())
+	p.Codec().Encode(src, words)
+	p.Gather(acc, dst, []float32{weight}, words)
+}
+
 func mustGraph(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
 	t.Helper()
 	g, err := graph.FromEdges(n, edges)
@@ -49,7 +57,7 @@ func TestPageRankStepOnCycle(t *testing.T) {
 	old := p.Init(0, g)
 	acc := p.NewAccum()
 	p.ResetAccum(&acc)
-	p.EdgeGather(&acc, old, 1, p.InitEdge(3, g))
+	gatherOne(p, &acc, old, 1, p.InitEdge(3, g))
 	got := p.Apply(0, old, &acc, 1, g)
 	if math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("Apply on stationary cycle = %g, want 0.25", got)
@@ -99,8 +107,8 @@ func TestSSSPGatherApply(t *testing.T) {
 	}
 	acc := s.NewAccum()
 	s.ResetAccum(&acc)
-	s.EdgeGather(&acc, math.Inf(1), 2.5, 1.0) // src dist 1, weight 2.5
-	s.EdgeGather(&acc, math.Inf(1), 9, 0.5)
+	gatherOne(s, &acc, math.Inf(1), 2.5, 1.0) // src dist 1, weight 2.5
+	gatherOne(s, &acc, math.Inf(1), 9, 0.5)
 	if acc != 3.5 {
 		t.Fatalf("gather min = %g, want 3.5", acc)
 	}
@@ -137,11 +145,11 @@ func TestBFSProgram(t *testing.T) {
 	}
 	acc := b.NewAccum()
 	b.ResetAccum(&acc)
-	b.EdgeGather(&acc, Unreached, 1, Unreached) // unreached src ignored
+	gatherOne(b, &acc, Unreached, 1, Unreached) // unreached src ignored
 	if acc != Unreached {
 		t.Fatal("unreached source must not relax")
 	}
-	b.EdgeGather(&acc, Unreached, 1, 3)
+	gatherOne(b, &acc, Unreached, 1, 3)
 	if acc != 4 {
 		t.Fatalf("gather = %d, want 4", acc)
 	}
@@ -164,8 +172,8 @@ func TestCCProgram(t *testing.T) {
 	}
 	acc := c.NewAccum()
 	c.ResetAccum(&acc)
-	c.EdgeGather(&acc, 3, 1, 7)
-	c.EdgeGather(&acc, 3, 1, 2)
+	gatherOne(c, &acc, 3, 1, 7)
+	gatherOne(c, &acc, 3, 1, 2)
 	if acc != 2 {
 		t.Fatalf("gather min = %d", acc)
 	}
@@ -182,17 +190,17 @@ func TestLabelPropMajority(t *testing.T) {
 	l := LabelProp{}
 	acc := l.NewAccum()
 	l.ResetAccum(&acc)
-	l.EdgeGather(&acc, 9, 1.0, 5)
-	l.EdgeGather(&acc, 9, 2.0, 7)
-	l.EdgeGather(&acc, 9, 0.5, 5)
+	gatherOne(l, &acc, 9, 1.0, 5)
+	gatherOne(l, &acc, 9, 2.0, 7)
+	gatherOne(l, &acc, 9, 0.5, 5)
 	// 7 has weight 2.0, 5 has 1.5.
 	if got := l.Apply(0, 9, &acc, 3, g); got != 7 {
 		t.Fatalf("majority label = %d, want 7", got)
 	}
 	// Tie breaks toward smaller label.
 	l.ResetAccum(&acc)
-	l.EdgeGather(&acc, 9, 1.0, 8)
-	l.EdgeGather(&acc, 9, 1.0, 3)
+	gatherOne(l, &acc, 9, 1.0, 8)
+	gatherOne(l, &acc, 9, 1.0, 3)
 	if got := l.Apply(0, 9, &acc, 2, g); got != 3 {
 		t.Fatalf("tie-break label = %d, want 3", got)
 	}
@@ -253,7 +261,7 @@ func TestCFGradientStepReducesError(t *testing.T) {
 	update := func(v, other int) {
 		acc := c.NewAccum()
 		c.ResetAccum(&acc)
-		c.EdgeGather(&acc, x[v], 4, x[other])
+		gatherOne(c, &acc, x[v], 4, x[other])
 		x[v] = c.Apply(uint32(v), x[v], &acc, 1, g)
 	}
 	before := math.Abs(4 - pred())

@@ -88,17 +88,28 @@ func (CF) ResetAccum(acc *[]float64) {
 	}
 }
 
-// EdgeGather implements Program: accumulate err * x_src.
-func (CF) EdgeGather(acc *[]float64, dst []float32, weight float32, src []float32) {
-	dot := 0.0
-	for k := range dst {
-		dot += float64(dst[k]) * float64(src[k])
-	}
-	err := float64(weight) - dot
+// Gather implements Program: accumulate err * x_src, reading x_src's
+// lanes straight from its Vec32 words.
+func (CF) Gather(acc *[]float64, dst []float32, weights []float32, words []uint64) {
 	a := *acc
-	for k := range a {
-		a[k] += err * float64(src[k])
+	n := (len(dst) + 1) / 2 // words per vector
+	for e, weight := range weights {
+		src := words[e*n : (e+1)*n]
+		dot := 0.0
+		for k := range dst {
+			dot += float64(dst[k]) * float64(lane(src, k))
+		}
+		err := float64(weight) - dot
+		for k := range a {
+			a[k] += err * float64(lane(src, k))
+		}
 	}
+}
+
+// lane decodes lane k of a Vec32 encoding: two lanes per word, low half
+// first.
+func lane(words []uint64, k int) float32 {
+	return math.Float32frombits(uint32(words[k/2] >> (32 * (k % 2))))
 }
 
 // Apply implements Program.

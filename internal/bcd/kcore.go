@@ -42,9 +42,9 @@ func (KCore) NewAccum() KCoreAccum { return KCoreAccum{ests: make([]uint64, 0, 6
 // ResetAccum implements Program.
 func (KCore) ResetAccum(acc *KCoreAccum) { acc.ests = acc.ests[:0] }
 
-// EdgeGather implements Program.
-func (KCore) EdgeGather(acc *KCoreAccum, _ uint64, _ float32, src uint64) {
-	acc.ests = append(acc.ests, src) //abcdlint:ignore hotalloc,hotpath -- amortized: ResetAccum keeps the capacity across vertices
+// Gather implements Program.
+func (KCore) Gather(acc *KCoreAccum, _ uint64, _ []float32, words []uint64) {
+	acc.ests = append(acc.ests, words...) //abcdlint:ignore hotalloc,hotpath -- amortized: ResetAccum keeps the capacity across vertices
 }
 
 // Apply implements Program: min(old, h-index of the gathered estimates).

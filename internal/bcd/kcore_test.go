@@ -53,16 +53,16 @@ func TestKCoreProgramBasics(t *testing.T) {
 	acc := k.NewAccum()
 	k.ResetAccum(&acc)
 	// Vertex 2's neighbours claim estimates 2, 2, 1 -> h-index 2.
-	k.EdgeGather(&acc, 3, 1, 2)
-	k.EdgeGather(&acc, 3, 1, 2)
-	k.EdgeGather(&acc, 3, 1, 1)
+	gatherOne(k, &acc, 3, 1, 2)
+	gatherOne(k, &acc, 3, 1, 2)
+	gatherOne(k, &acc, 3, 1, 1)
 	if got := k.Apply(2, 3, &acc, 3, g); got != 2 {
 		t.Fatalf("Apply = %d, want h-index 2", got)
 	}
 	// Apply never raises an estimate.
 	k.ResetAccum(&acc)
-	k.EdgeGather(&acc, 1, 1, 9)
-	k.EdgeGather(&acc, 1, 1, 9)
+	gatherOne(k, &acc, 1, 1, 9)
+	gatherOne(k, &acc, 1, 1, 9)
 	if got := k.Apply(0, 1, &acc, 2, g); got != 1 {
 		t.Fatalf("Apply raised the estimate to %d", got)
 	}
@@ -111,7 +111,7 @@ func TestKCoreFixpointMatchesPeeling(t *testing.T) {
 		for v := 0; v < n; v++ {
 			acc := k.NewAccum()
 			for s := g.InOffset(v); s < g.InOffset(v+1); s++ {
-				k.EdgeGather(&acc, est[v], 1, est[g.InSrc(s)])
+				gatherOne(k, &acc, est[v], 1, est[g.InSrc(s)])
 			}
 			nv := k.Apply(uint32(v), est[v], &acc, g.InOffset(v+1)-g.InOffset(v), g)
 			if nv != est[v] {

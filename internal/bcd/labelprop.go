@@ -40,9 +40,11 @@ func (LabelProp) NewAccum() LPAccum { return LPAccum{votes: make(map[uint64]floa
 // ResetAccum implements Program.
 func (LabelProp) ResetAccum(acc *LPAccum) { clear(acc.votes) }
 
-// EdgeGather implements Program.
-func (LabelProp) EdgeGather(acc *LPAccum, _ uint64, weight float32, src uint64) {
-	acc.votes[src] += float64(weight)
+// Gather implements Program.
+func (LabelProp) Gather(acc *LPAccum, _ uint64, weights []float32, words []uint64) {
+	for e, w := range weights {
+		acc.votes[words[e]] += float64(w)
+	}
 }
 
 // Apply implements Program.

@@ -48,9 +48,17 @@ func (PageRank) NewAccum() float64 { return 0 }
 // ResetAccum implements Program.
 func (PageRank) ResetAccum(acc *float64) { *acc = 0 }
 
-// EdgeGather implements Program: sum of cached src/outdeg contributions.
-func (PageRank) EdgeGather(acc *float64, _ float64, _ float32, src float64) {
-	*acc += src
+// Gather implements Program: sum of cached src/outdeg contributions.
+func (PageRank) Gather(acc *float64, _ float64, _ []float32, words []uint64) {
+	*acc = sumF64(*acc, words)
+}
+
+// sumF64 adds the float64s encoded in words to sum, in order.
+func sumF64(sum float64, words []uint64) float64 {
+	for _, w := range words {
+		sum += math.Float64frombits(w)
+	}
+	return sum
 }
 
 // Apply implements Program.

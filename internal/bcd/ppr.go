@@ -96,9 +96,9 @@ func (PPR) NewAccum() float64 { return 0 }
 // ResetAccum implements Program.
 func (PPR) ResetAccum(acc *float64) { *acc = 0 }
 
-// EdgeGather implements Program: sum of cached src/outdeg contributions.
-func (PPR) EdgeGather(acc *float64, _ float64, _ float32, src float64) {
-	*acc += src
+// Gather implements Program: sum of cached src/outdeg contributions.
+func (PPR) Gather(acc *float64, _ float64, _ []float32, words []uint64) {
+	*acc = sumF64(*acc, words)
 }
 
 // Apply implements Program.

@@ -71,9 +71,9 @@ func (PageRankDelta) NewAccum() float64 { return 0 }
 // ResetAccum implements Program.
 func (PageRankDelta) ResetAccum(acc *float64) { *acc = 0 }
 
-// EdgeGather implements Program: sum the consumed pending deltas.
-func (PageRankDelta) EdgeGather(acc *float64, _ float64, _ float32, src float64) {
-	*acc += src
+// Gather implements Program: sum the consumed pending deltas.
+func (PageRankDelta) Gather(acc *float64, _ float64, _ []float32, words []uint64) {
+	*acc = sumF64(*acc, words)
 }
 
 // Apply implements Program: fold the accumulated incoming change into the

@@ -5,10 +5,10 @@
 //
 // Each algorithm is a Program in pull-push GAS form (Fig. 3c): the GATHER
 // stage folds the cached source values stored on a vertex's in-edges into
-// an accumulator, APPLY produces the new vertex value, and SCATTER copies
-// the (possibly re-scaled) new value onto the vertex's out-edge slots.
-// Programs carry no mutable state of their own, so one Program value can be
-// shared by every engine worker.
+// an accumulator, a run of raw cache words per call, APPLY produces the
+// new vertex value, and SCATTER copies the (possibly re-scaled) new value
+// onto the vertex's out-edge slots. Programs carry no mutable state of
+// their own, so one Program value can be shared by every engine worker.
 package bcd
 
 import (
@@ -45,10 +45,16 @@ type Program[V, M any] interface {
 	// reuse one accumulator per worker.
 	ResetAccum(acc *M)
 
-	// EdgeGather folds one in-edge into the accumulator. dst is the
-	// current value of the destination vertex, src the cached source
-	// value stored on the edge slot, weight the static edge weight.
-	EdgeGather(acc *M, dst V, weight float32, src V)
+	// Gather folds a run of the destination vertex's in-edges into the
+	// accumulator, in CSC slot order: edge e has static weight
+	// weights[e] and its cached source value encoded in
+	// words[e*W:(e+1)*W], W = Codec().Words(). dst is the current value
+	// of the destination vertex. The engine hands a vertex's in-edges
+	// over in one or more consecutive runs between ResetAccum and Apply,
+	// so the fold must give the same bits however its run is split; a
+	// per-edge loop that decodes in place does. words is scratch valid
+	// for the call only.
+	Gather(acc *M, dst V, weights []float32, words []uint64)
 
 	// Apply computes the new value of vertex v from its old value and the
 	// gathered accumulator. nEdges is the number of in-edges folded (0

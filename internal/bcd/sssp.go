@@ -41,10 +41,12 @@ func (SSSP) NewAccum() float64 { return math.Inf(1) }
 // ResetAccum implements Program.
 func (SSSP) ResetAccum(acc *float64) { *acc = math.Inf(1) }
 
-// EdgeGather implements Program: min-plus relaxation.
-func (SSSP) EdgeGather(acc *float64, _ float64, weight float32, src float64) {
-	if cand := src + float64(weight); cand < *acc {
-		*acc = cand
+// Gather implements Program: min-plus relaxation.
+func (SSSP) Gather(acc *float64, _ float64, weights []float32, words []uint64) {
+	for e, w := range weights {
+		if cand := math.Float64frombits(words[e]) + float64(w); cand < *acc {
+			*acc = cand
+		}
 	}
 }
 

@@ -41,10 +41,12 @@ func (BFS) NewAccum() uint64 { return Unreached }
 // ResetAccum implements Program.
 func (BFS) ResetAccum(acc *uint64) { *acc = Unreached }
 
-// EdgeGather implements Program.
-func (BFS) EdgeGather(acc *uint64, _ uint64, _ float32, src uint64) {
-	if src != Unreached && src+1 < *acc {
-		*acc = src + 1
+// Gather implements Program.
+func (BFS) Gather(acc *uint64, _ uint64, _ []float32, words []uint64) {
+	for _, src := range words {
+		if src != Unreached && src+1 < *acc {
+			*acc = src + 1
+		}
 	}
 }
 
@@ -92,10 +94,12 @@ func (CC) NewAccum() uint64 { return Unreached }
 // ResetAccum implements Program.
 func (CC) ResetAccum(acc *uint64) { *acc = Unreached }
 
-// EdgeGather implements Program.
-func (CC) EdgeGather(acc *uint64, _ uint64, _ float32, src uint64) {
-	if src < *acc {
-		*acc = src
+// Gather implements Program.
+func (CC) Gather(acc *uint64, _ uint64, _ []float32, words []uint64) {
+	for _, src := range words {
+		if src < *acc {
+			*acc = src
+		}
 	}
 }
 

@@ -92,9 +92,14 @@ type Config struct {
 	// The window keeps the retry scan bounded when the transport is
 	// slower than the workers — without it a lossy, backpressured wire
 	// lets the unacked set (and with it the retransmission backlog)
-	// grow until retries arrive too late to beat RetryDeadline. 0 means
-	// 1024; negative means unbounded (the pre-window behavior, which
-	// perfect in-process transports never notice).
+	// grow until retries arrive too late to beat RetryDeadline. The
+	// window is also the deepest queue ahead of a slow receiver, so it
+	// must drain within the 1 s retransmission ceiling, or every batch
+	// times out and the resends feed the queue: a receiver slowed to
+	// ~1 ms per batch (the race detector on a loaded host) drains 256 in
+	// a quarter second. 0 means 256; negative means unbounded (the
+	// pre-window behavior, which perfect in-process transports never
+	// notice).
 	MaxUnacked int
 	// Watchdog is the stall-watchdog sampling period: every period with
 	// zero progress (no vertex update, no batch settled) increments
@@ -147,7 +152,7 @@ func (c Config) WithDefaults() Config {
 		c.BatchSize = 64
 	}
 	if c.MaxUnacked == 0 {
-		c.MaxUnacked = 1024
+		c.MaxUnacked = 256
 	} else if c.MaxUnacked < 0 {
 		c.MaxUnacked = -1 // unbounded
 	}

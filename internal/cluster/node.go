@@ -524,6 +524,13 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	}
 	start := n.Tel.Stamp()
 	n.Ctl.FlowRecv(e.from, e.id, start)
+	// Take the batch's slot lines for writing up front, so their misses
+	// overlap instead of each stalling its own load and store below.
+	for _, slot := range e.slots {
+		if slot >= 0 && slot < int64(len(n.slotSeq)) {
+			n.Cache.Prefetch(slot)
+		}
+	}
 	for i, slot := range e.slots {
 		b := int(e.blocks[i])
 		if slot < 0 || slot >= int64(len(n.slotSeq)) || b < 0 || b >= len(n.Owner) || int(n.Owner[b].Load()) != n.ID {

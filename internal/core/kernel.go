@@ -38,9 +38,15 @@ type Kernel[V, M any] struct {
 	BatchSize int // per-owner batch length that triggers the flush hook
 	// op is non-nil when Prog is operation-based (bcd.OpBased): edge slots
 	// then hold pending deltas that Scatter accumulates with atomic
-	// read-modify-writes and GatherApply consumes with atomic swaps.
-	op bcd.OpBased[V, M]
+	// read-modify-writes and GatherApply consumes with atomic swaps to
+	// zero, op.ZeroDelta() encoded.
+	op   bcd.OpBased[V, M]
+	zero uint64
 }
+
+// gatherRun is how many in-edges GatherApply copies out of the cache and
+// hands to one Program.Gather call; a longer in-edge run takes several.
+const gatherRun = 128
 
 // NewKernel partitions g into blocks of blockSize vertices and allocates
 // the value and cache arrays; Init fills them. A nil edges streams
@@ -69,6 +75,9 @@ func NewKernel[V, M any](g *graph.Graph, prog bcd.Program[V, M], blockSize int, 
 				prog.Name(), codec.Words())
 		}
 		k.op = op
+		enc := make([]uint64, 1)
+		codec.Encode(op.ZeroDelta(), enc)
+		k.zero = enc[0]
 	}
 	return k, nil
 }
@@ -98,11 +107,12 @@ type Worker[V, M any] struct {
 	st    *sched.State
 	flush func(to int, b *Batch, sh *telemetry.Shard)
 
-	acc           M
-	old, src, val V
-	buf, enc      []uint64  // word-array transfer buffer; encoded scatter value
-	mass          []float64 // per-block mass of the scatter in progress
-	touched       []int     // blocks with non-zero mass
+	acc      M
+	old, val V
+	buf, enc []uint64  // word-array transfer buffer; encoded scatter value
+	run      []uint64  // one gatherRun of raw cache words
+	mass     []float64 // per-block mass of the scatter in progress
+	touched  []int     // blocks with non-zero mass
 }
 
 // NewWorker builds a worker of node self. flush must empty the batch it
@@ -114,6 +124,7 @@ func (k *Kernel[V, M]) NewWorker(sh *telemetry.Shard, self int, st *sched.State,
 		acc:     k.Prog.NewAccum(),
 		buf:     make([]uint64, max(words, 2)), // word.Array.RMW needs two transfer slots
 		enc:     make([]uint64, words),
+		run:     make([]uint64, gatherRun*words),
 		mass:    make([]float64, k.Part.NumBlocks()),
 		touched: make([]int, 0, 64),
 	}
@@ -180,10 +191,12 @@ func (k *Kernel[V, M]) CollectValues() []V {
 
 // GatherApply runs GATHER-APPLY over vertices [vlo, vhi) (steps 4-6 of
 // the Sec. IV-C flow): stream the range's in-edge cache sequentially —
-// one contiguous edge-source read, by the pull-push layout — store the
-// new values, and leave each vertex's update magnitude in deltas[v-vlo]
-// (and an operation-based program's out-delta in dvals[v-vlo]) for
-// Scatter. It returns the in-edges streamed; on an edge-source error
+// one contiguous edge-source read, by the pull-push layout — copying each
+// vertex's in-edge run out gatherRun slots at a time (swapped to the zero
+// delta if operation-based) and folding each copy with one Program.Gather
+// call, store the new values, and leave each vertex's update magnitude in
+// deltas[v-vlo] (and an operation-based program's out-delta in
+// dvals[v-vlo]) for Scatter. It returns the in-edges streamed; on an edge-source error
 // nothing is updated and deltas is zeroed.
 //
 //abcd:hotpath
@@ -203,15 +216,17 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 		k.Values.LoadBuf(int64(v), &w.old, w.buf)
 		prog.ResetAccum(&w.acc)
 		slo, shi := g.InOffset(v), g.InOffset(v+1)
-		for s := slo; s < shi; s++ {
+		for lo := slo; lo < shi; lo += gatherRun {
+			hi := min(lo+gatherRun, shi)
+			var n int
 			if k.op != nil {
-				// Consume the pending delta: swap the slot to the zero
+				// Consume the pending deltas: swap the slots to the zero
 				// delta so concurrent scatters can keep accumulating.
-				k.Cache.SwapValue(s, k.op.ZeroDelta(), w.buf, &w.src)
+				n = k.Cache.TakeWords(lo, hi, k.zero, w.run)
 			} else {
-				k.Cache.LoadBuf(s, &w.src, w.buf)
+				n = k.Cache.SnapshotWords(lo, hi, w.run)
 			}
-			prog.EdgeGather(&w.acc, w.old, weights[s-blo], w.src)
+			prog.Gather(&w.acc, w.old, weights[lo-blo:hi-blo], w.run[:n])
 		}
 		newVal := prog.Apply(uint32(v), w.old, &w.acc, shi-slo, g)
 		if prog.Delta(w.old, newVal) == 0 {
@@ -249,15 +264,16 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 // number of slots written.
 //
 // The store path: a vertex's image is the same on all its out-edges, so
-// it is encoded once, and its out-edge run is walked twice. Pass one only
-// loads the owned destination slots — ordinary MOVs, so the run's cache
-// misses are in flight together. Pass two does the atomic stores, each an
-// XCHG on amd64, a full fence. The split is per vertex and whole: in the
-// sizing runs, loading a fixed distance ahead inside the store loop was
-// slower than not loading at all (every XCHG drains the loads issued
-// before it) and a touch pass over a whole block's slots slower than the
-// per-vertex one. What each half is worth on the last host it was
-// measured on is in EXPERIMENTS.md.
+// it is encoded once, and its out-edge run is walked twice. Pass one
+// prefetches the owned destination slots for writing (PREFETCHW on
+// amd64), so the run's ownership misses are in flight together. Pass two
+// does the atomic stores, each an XCHG on amd64, a full fence. A plain
+// load in pass one would fetch each line shared and be an earlier load
+// every XCHG waits for, so each store would still stall on its line's
+// upgrade; PREFETCHW is no load, nothing waits for it, and the line
+// arrives writable. On a 2-vCPU x86-64 Xeon guest, a pr_rmat job's
+// scatter time per slot write went from 60 to 43 ns (EXPERIMENTS.md,
+// "Kernel per-edge cost").
 //
 //abcd:hotpath
 func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Worker[V, M]) int64 {
@@ -284,7 +300,7 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 		writes += ohi - olo
 		for i := olo; i < ohi; i++ {
 			if int(k.Owner[k.Part.BlockOf(g.OutDst(i))].Load()) == w.self {
-				k.Cache.Touch(g.OutPos(i))
+				k.Cache.Prefetch(g.OutPos(i))
 			}
 		}
 		for i := olo; i < ohi; i++ {

@@ -233,6 +233,126 @@ func TestScatterStorePath(t *testing.T) {
 	scatterMatchesPerEdgeStores[uint64, bcd.LPAccum](t, dg, bcd.LabelProp{}, 0)
 }
 
+// TestGatherRunFold checks GatherApply's run fold at its edges: hubs of
+// in-degree 0, 1, gatherRun-1, gatherRun, gatherRun+1 and 3*gatherRun+7
+// gather through zero, one or several Program.Gather calls, and every
+// registry program must leave the value and delta bits a per-edge fold
+// leaves — cf at an odd and an even rank, pagerank-delta through
+// TakeWords.
+func TestGatherRunFold(t *testing.T) {
+	degs := []int{0, 1, gatherRun - 1, gatherRun, gatherRun + 1, 3*gatherRun + 7}
+	var edges []graph.Edge
+	leaf := len(degs)
+	for hub, d := range degs {
+		for range d {
+			edges = append(edges, graph.Edge{Src: uint32(leaf), Dst: uint32(hub), Weight: float32(1 + leaf%5)})
+			leaf++
+		}
+	}
+	g, err := graph.FromEdges(leaf, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs := len(degs)
+	f64 := func(i int) float64 { return 1 / float64(i+3) }
+	u64 := func(i int) uint64 { return uint64(i * 7919 % 613) }
+	ppr, err := bcd.NewPPR(0.85, []uint32{0, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFoldMatchesPerEdge(t, g, hubs, bcd.PageRank{}, f64)
+	runFoldMatchesPerEdge(t, g, hubs, bcd.PageRankDelta{}, f64)
+	runFoldMatchesPerEdge(t, g, hubs, ppr, f64)
+	runFoldMatchesPerEdge(t, g, hubs, bcd.SSSP{}, func(i int) float64 {
+		if i%11 == 0 {
+			return math.Inf(1)
+		}
+		return f64(i)
+	})
+	runFoldMatchesPerEdge(t, g, hubs, bcd.BFS{}, func(i int) uint64 {
+		if i%11 == 0 {
+			return bcd.Unreached
+		}
+		return u64(i)
+	})
+	runFoldMatchesPerEdge(t, g, hubs, bcd.CC{}, u64)
+	runFoldMatchesPerEdge(t, g, hubs, bcd.LabelProp{}, func(i int) uint64 { return uint64(i % 7) })
+	runFoldMatchesPerEdge(t, g, hubs, bcd.KCore{}, u64)
+	for _, rank := range []int{7, 8} {
+		cf := bcd.CF{Rank: rank, LearnRate: 0.3, Lambda: 0.01}
+		runFoldMatchesPerEdge(t, g, hubs, cf, func(i int) []float32 { return cf.Init(uint32(i), g) })
+	}
+}
+
+// runFoldMatchesPerEdge fills values and cache slots from val, folds each
+// of vertices [0, hubs) one in-edge per Gather call as the reference,
+// then runs GatherApply over them and compares the bits.
+func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, prog bcd.Program[V, M], val func(int) V) {
+	t.Helper()
+	n, ne := g.NumVertices(), g.NumEdges()
+	k, err := NewKernel(g, prog, n, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		k.Values.Store(int64(v), val(v))
+	}
+	for s := 0; s < ne; s++ {
+		k.Cache.Store(int64(s), val(n+s))
+	}
+	codec, words := prog.Codec(), k.Cache.Words()
+	want, enc := make([]uint64, hubs*words), make([]uint64, words)
+	wantDeltas := make([]float64, hubs)
+	for h := 0; h < hubs; h++ {
+		var old, src V
+		k.Values.Load(int64(h), &old)
+		acc := prog.NewAccum()
+		slo, shi := g.InOffset(h), g.InOffset(h+1)
+		for s := slo; s < shi; s++ {
+			k.Cache.Load(s, &src)
+			codec.Encode(src, enc)
+			prog.Gather(&acc, old, []float32{g.InWeight(s)}, enc)
+		}
+		nv := prog.Apply(uint32(h), old, &acc, shi-slo, g)
+		switch {
+		case prog.Delta(old, nv) == 0:
+			nv = old
+		case k.op != nil:
+			wantDeltas[h] = prog.Delta(old, nv)
+		default:
+			wantDeltas[h] = prog.Delta(prog.ScatterValue(uint32(h), old, g), prog.ScatterValue(uint32(h), nv, g))
+		}
+		codec.Encode(nv, want[h*words:(h+1)*words])
+	}
+
+	tel := telemetry.New(telemetry.Options{})
+	w := k.NewWorker(&tel.Shards(1)[0], 0, sched.NewState(k.Part.NumBlocks()), nil)
+	deltas, dvals := make([]float64, hubs), make([]V, hubs)
+	if _, err := k.GatherApply(0, hubs, deltas, dvals, w); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint64, hubs*words)
+	k.Values.SnapshotWords(0, int64(hubs), got)
+	for h := 0; h < hubs; h++ {
+		deg := g.InOffset(h+1) - g.InOffset(h)
+		if !slices.Equal(got[h*words:(h+1)*words], want[h*words:(h+1)*words]) {
+			t.Errorf("%s: in-degree %d: value %#x, per-edge fold %#x", prog.Name(), deg, got[h*words:(h+1)*words], want[h*words:(h+1)*words])
+		}
+		if math.Float64bits(deltas[h]) != math.Float64bits(wantDeltas[h]) {
+			t.Errorf("%s: in-degree %d: delta %g, per-edge fold %g", prog.Name(), deg, deltas[h], wantDeltas[h])
+		}
+	}
+	if k.op != nil {
+		taken := make([]uint64, g.InOffset(hubs))
+		k.Cache.SnapshotWords(0, g.InOffset(hubs), taken)
+		for s, word := range taken {
+			if word != k.zero {
+				t.Fatalf("%s: consumed slot %d holds %#x, want the zero delta", prog.Name(), s, word)
+			}
+		}
+	}
+}
+
 // BenchmarkScatterStore times the edge-cache store path alone: every
 // vertex of an R-MAT graph scatters its value each iteration, block after
 // block as the engine's one scatter worker does. ns/slot-write is the

@@ -23,8 +23,8 @@ func (w stateWrapped) InitEdge(src uint32, g *graph.Graph) float64 {
 }
 func (w stateWrapped) NewAccum() float64       { return w.p.NewAccum() }
 func (w stateWrapped) ResetAccum(acc *float64) { w.p.ResetAccum(acc) }
-func (w stateWrapped) EdgeGather(acc *float64, dst float64, wt float32, src float64) {
-	w.p.EdgeGather(acc, dst, wt, src)
+func (w stateWrapped) Gather(acc *float64, dst float64, wts []float32, words []uint64) {
+	w.p.Gather(acc, dst, wts, words)
 }
 func (w stateWrapped) Apply(v uint32, old float64, acc *float64, n int64, g *graph.Graph) float64 {
 	return w.p.Apply(v, old, acc, n, g)

@@ -133,6 +133,14 @@ func TestCFLearnsAndMatchesBCDCF(t *testing.T) {
 	}
 }
 
+// gatherOne folds one in-edge with cached source value src through
+// Program.Gather (internal/bcd's test helper of the same name).
+func gatherOne[V, M any](p bcd.Program[V, M], acc *M, dst V, weight float32, src V) {
+	words := make([]uint64, p.Codec().Words())
+	p.Codec().Encode(src, words)
+	p.Gather(acc, dst, []float32{weight}, words)
+}
+
 // The CF message algebra (B - A x) must equal the direct per-edge gradient
 // that the GraphABCD engine computes.
 func TestCFMessageAlgebraEquivalence(t *testing.T) {
@@ -149,7 +157,7 @@ func TestCFMessageAlgebraEquivalence(t *testing.T) {
 	// Direct gather (GraphABCD path) at vertex 1.
 	acc := bc.NewAccum()
 	bc.ResetAccum(&acc)
-	bc.EdgeGather(&acc, x1, 4, x0)
+	gatherOne(bc, &acc, x1, 4, x0)
 	direct := bc.Apply(1, x1, &acc, 1, g)
 
 	// Message path (GraphMat).

@@ -63,16 +63,6 @@ func (a *Array[V]) StoreBuf(i int64, v V, buf []uint64) {
 	}
 }
 
-// Touch reads the first word of value i and drops it: an ordinary load
-// whose only effect is to start the slot's cache line on its way in. A
-// run of Touches has its misses in flight together; a run of atomic
-// stores is a run of XCHGs, full fences, and overlaps only as far as the
-// core speculates past one — so a writer about to store scattered slots
-// touches them all first (core.Kernel.Scatter).
-func (a *Array[V]) Touch(i int64) {
-	atomic.LoadUint64(&a.data[i*int64(a.words)])
-}
-
 // Fill stores v into every slot, encoding it once. Not atomic with respect
 // to concurrent writers; intended for initialization.
 func (a *Array[V]) Fill(v V) {

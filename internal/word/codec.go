@@ -9,7 +9,8 @@
 // lock-free" design (Sec. IV-A3) while remaining data-race-free under the
 // Go memory model: readers of multi-word values may observe a mix of old
 // and new words, which asynchronous BCD tolerates as bounded staleness
-// (Sec. III-D).
+// (Sec. III-D). Array.Prefetch is not an access: it moves a cache line
+// and reads or writes no bytes of it.
 package word
 
 import "math"

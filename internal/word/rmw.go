@@ -11,7 +11,7 @@ import "sync/atomic"
 // covers the whole value.
 
 // SingleWord reports whether the array's values fit one word, the
-// precondition for SwapValue and RMW.
+// precondition for SwapValue, TakeWords and RMW.
 func (a *Array[V]) SingleWord() bool { return a.words == 1 }
 
 // SwapValue atomically replaces value i with v and returns the previous
@@ -22,6 +22,18 @@ func (a *Array[V]) SwapValue(i int64, v V, buf []uint64, old *V) {
 	prev := atomic.SwapUint64(&a.data[i], buf[0])
 	buf[0] = prev
 	a.codec.DecodeInto(buf[:1], old)
+}
+
+// TakeWords atomically swaps values [lo, hi) to the zero word, one word
+// at a time as SwapValue does, and copies the words they held into dst:
+// each pending delta is taken by exactly one caller. It returns the words
+// written. Panics on multi-word arrays.
+func (a *Array[V]) TakeWords(lo, hi int64, zero uint64, dst []uint64) int {
+	a.mustSingle()
+	for i := lo; i < hi; i++ {
+		dst[i-lo] = atomic.SwapUint64(&a.data[i], zero)
+	}
+	return int(hi - lo)
 }
 
 // RMW atomically applies f to value i via a CAS loop, decoding and

@@ -351,7 +351,7 @@ func TestRMWPanicsOnMultiWord(t *testing.T) {
 
 // The pre-encoded paths must leave exactly the words the per-value
 // StoreBuf leaves: one value encoded once into every slot (StoreWords,
-// Fill), and a Touch in between changes nothing.
+// Fill), and a Prefetch in between changes nothing.
 func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 	codec := Vec32{Dim: 3} // 2 words per value, one padding lane
 	val := []float32{1.5, -2, 3.25}
@@ -362,7 +362,7 @@ func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		want.StoreBuf(i, val, buf)
 		stored.StoreWords(i, enc)
-		stored.Touch(i)
+		stored.Prefetch(i)
 	}
 	filled.Fill(val)
 	snap := func(a *Array[[]float32]) []uint64 {
@@ -370,9 +370,44 @@ func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 		a.SnapshotWords(0, 5, out)
 		return out
 	}
-	for name, a := range map[string]*Array[[]float32]{"StoreWords+Touch": stored, "Fill": filled} {
+	for name, a := range map[string]*Array[[]float32]{"StoreWords+Prefetch": stored, "Fill": filled} {
 		if got := snap(a); !slices.Equal(got, snap(want)) {
 			t.Errorf("%s left words %#x, StoreBuf leaves %#x", name, got, snap(want))
+		}
+	}
+}
+
+// Prefetch changes no value at either end of arrays of 1-, 2- and 8-word
+// values, and an index past either end panics as an indexed load does.
+func TestPrefetchLeavesValues(t *testing.T) {
+	for _, codec := range []Vec32{{Dim: 1}, {Dim: 3}, {Dim: 16}} {
+		const n = 7
+		a := NewArray[[]float32](codec, n)
+		val := make([]float32, codec.Dim)
+		for i := int64(0); i < n; i++ {
+			for k := range val {
+				val[k] = float32(i)*10 + float32(k) + 0.5
+			}
+			a.Store(i, val)
+		}
+		before := make([]uint64, n*codec.Words())
+		a.SnapshotWords(0, n, before)
+		a.Prefetch(0)
+		a.Prefetch(int64(a.Len() - 1))
+		after := make([]uint64, n*codec.Words())
+		a.SnapshotWords(0, n, after)
+		if !slices.Equal(before, after) {
+			t.Errorf("%d words: Prefetch changed %#x to %#x", codec.Words(), before, after)
+		}
+		for _, i := range []int64{-1, n} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d words: Prefetch(%d) did not panic", codec.Words(), i)
+					}
+				}()
+				a.Prefetch(i)
+			}()
 		}
 	}
 }
