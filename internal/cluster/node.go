@@ -312,17 +312,10 @@ func (n *Node[V, M]) registerRTOGauges() {
 	}
 }
 
-// BlockRange returns the contiguous global block span [lo, hi) node i of
-// nodes is seeded with out of numBlocks. Across processes the split is
-// static; in-process failover reassigns blocks afterwards through the
-// owner table.
-func BlockRange(numBlocks, nodes, i int) (lo, hi int) {
-	return i * numBlocks / nodes, (i + 1) * numBlocks / nodes
-}
-
-// BlockRange is the package-level BlockRange under this run's shape.
+// BlockRange is core.BlockRange under this run's shape: the block span
+// node i is seeded with.
 func (s *Shared[V, M]) BlockRange(i int) (lo, hi int) {
-	return BlockRange(s.Part.NumBlocks(), s.cfg.Nodes, i)
+	return core.BlockRange(s.Part.NumBlocks(), s.cfg.Nodes, i)
 }
 
 // VertexRange returns the vertex span of node i's BlockRange.

@@ -25,6 +25,7 @@ import (
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/cluster"
+	"graphabcd/internal/core"
 	"graphabcd/internal/graph"
 	"graphabcd/internal/obslog"
 	"graphabcd/internal/telemetry"
@@ -343,125 +344,6 @@ func Join(ctx context.Context, coordAddr string, opts Options) error {
 	return err
 }
 
-// ckptPlan is the coordinator's resolved checkpoint/resume decision,
-// broadcast to every node through the assignment. dir names a store
-// directory every node can reach (the protocol assumes a shared
-// filesystem); empty disables checkpointing. resumeEpoch > 0 restores
-// that committed epoch before the run starts, and seqBase then seeds
-// every node's envelope sequence above every stamp the restored state
-// can hold, so the staleness filter never drops a fresh post-resume
-// write.
-type ckptPlan struct {
-	dir         string
-	runID       string
-	interval    time.Duration
-	resumeEpoch uint64
-	seqBase     uint64
-}
-
-// resolveCheckpointPlan turns the serve config into the cluster's
-// checkpoint plan, validating a requested resume against the snapshot
-// before any joiner is assigned: the manifest's identity triple
-// (program, graph digest, config hash) and node count must match this
-// run exactly, and every node's state file of the committed epoch must
-// decode. The files' maximum envelope sequence/stamp seeds seqBase so
-// no post-resume envelope id ever loses a staleness race against a
-// restored write stamp.
-func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int) (ckptPlan, error) {
-	var p ckptPlan
-	if cfg.CheckpointDir == "" {
-		if cfg.Resume != "" {
-			return p, errors.New("tcp: Resume needs CheckpointDir")
-		}
-		if cfg.RunID != "" {
-			return p, errors.New("tcp: RunID needs CheckpointDir")
-		}
-		return p, nil
-	}
-	code, err := algoCode(cfg.Algo)
-	if err != nil {
-		return p, err
-	}
-	program := algoName(code)
-	words, err := algoWords(code)
-	if err != nil {
-		return p, err
-	}
-	id := checkpoint.Identity{
-		Program:     program,
-		GraphDigest: checkpoint.DigestOffsets(int64(snap.n), int64(snap.m), snap.inOff, snap.outOff),
-		NumVertices: int64(snap.n), NumBlocks: int64((snap.n + blockSize - 1) / blockSize),
-		Words: words, Nodes: cfg.Nodes,
-	}
-	p.dir = cfg.CheckpointDir
-	p.interval = cfg.checkpointInterval()
-	p.runID = cfg.RunID
-	if p.runID == "" {
-		p.runID = id.RunID()
-	}
-	if !checkpoint.ValidRunID(p.runID) {
-		return p, fmt.Errorf("tcp: checkpoint run id %q invalid (want [A-Za-z0-9._-], no leading dot)", p.runID)
-	}
-	if cfg.Resume == "" {
-		return p, nil
-	}
-	store, err := checkpoint.NewDirStore(cfg.CheckpointDir)
-	if err != nil {
-		return p, err
-	}
-	m, err := checkpoint.Lookup(store, cfg.Resume)
-	if err != nil {
-		return p, err
-	}
-	if err := id.Check(m); err != nil {
-		return p, fmt.Errorf("tcp: resume: %w", err)
-	}
-	p.runID = m.RunID
-	p.resumeEpoch = m.Epoch
-	for node := 0; node < m.Nodes; node++ {
-		rc, err := store.ReadState(m.RunID, m.Epoch, node)
-		if err != nil {
-			return p, err
-		}
-		st, err := checkpoint.Decode(rc)
-		_ = rc.Close()
-		if err != nil {
-			return p, fmt.Errorf("tcp: resume epoch %d node %d: %w", m.Epoch, node, err)
-		}
-		hi := st.Counters.Seq
-		for _, s := range st.Stamps {
-			if s > hi {
-				hi = s
-			}
-		}
-		// A fuzzy capture may stamp a receiver's slot with an envelope id
-		// above the sender's own captured sequence (the batch was in
-		// flight between the two capture points), so the base takes the
-		// max over stamps as well as sequences, cluster-wide.
-		if hi+1 > p.seqBase {
-			p.seqBase = hi + 1
-		}
-	}
-	return p, nil
-}
-
-// algoWords is the codec width each dist algorithm's program uses —
-// part of the config hash, needed before the generic dispatch picks a
-// concrete program type.
-func algoWords(code byte) (int, error) {
-	switch code {
-	case algoPR:
-		return bcd.PageRank{}.Codec().Words(), nil
-	case algoSSSP:
-		return bcd.SSSP{}.Codec().Words(), nil
-	case algoBFS:
-		return bcd.BFS{}.Codec().Words(), nil
-	case algoCC:
-		return bcd.CC{}.Codec().Words(), nil
-	}
-	return 0, fmt.Errorf("tcp: unknown algorithm code %d", code)
-}
-
 // listenSameHost opens an ephemeral TCP listener on the host part of
 // addr and returns it with its advertisable address.
 func listenSameHost(addr net.Addr) (net.Listener, string, error) {
@@ -526,10 +408,7 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 		t.SetProcess(a.node, fmt.Sprintf("graphabcd-node%d", a.node))
 	}
 	if a.ckpt.dir != "" {
-		if d.ckpt, err = newDistCheckpointer(d); err == nil && a.ckpt.resumeEpoch > 0 {
-			err = d.ckpt.resumeNode()
-		}
-		if err != nil {
+		if err := d.openCheckpoint(); err != nil {
 			if d.cc != nil {
 				d.cc.sendError(err)
 			}
@@ -562,8 +441,9 @@ type distRun[V, M any] struct {
 	// touches it.
 	lastShipped telemetry.NodeStats
 
-	// ckpt is non-nil when the assignment carries a checkpoint plan.
-	ckpt *distCheckpointer[V, M]
+	// ckpt is this node's checkpoint share, non-nil when the assignment
+	// carries a checkpoint plan.
+	ckpt *core.Share[V, M]
 }
 
 // start launches the node (cluster.Shared.Start: bind, workers, retry
@@ -820,7 +700,7 @@ func (d *distRun[V, M]) follow(ctx context.Context) error {
 			// that concurrency is the fuzziness. The ack promises only
 			// that this node's state file is durable; the coordinator
 			// commits the manifest once every node has promised.
-			if err := d.ckpt.captureNode(epoch); err != nil {
+			if err := d.ckpt.Capture(epoch); err != nil {
 				cc.sendError(err)
 				return err
 			}
@@ -958,7 +838,7 @@ func (s *snapshotSections) readOffsets(off int64) ([]int64, error) {
 // assignment's partition.
 func (s *snapshotSections) nodeRanges(a distAssign, node int) (vlo, vhi int, inLo, inHi, outLo, outHi int64) {
 	nb := (s.n + a.cfg.BlockSize - 1) / a.cfg.BlockSize
-	blo, bhi := cluster.BlockRange(nb, a.cfg.Nodes, node)
+	blo, bhi := core.BlockRange(nb, a.cfg.Nodes, node)
 	if blo >= bhi {
 		return 0, 0, 0, 0, 0, 0
 	}

@@ -1,206 +1,175 @@
 // Distributed fuzzy checkpointing for the -listen/-join runtime
-// (DESIGN.md §12). The coordinator drives cluster-wide checkpoint epochs
-// over the control lane: on each tick it captures its own node state,
-// sends fCkpt to every joiner, and commits the epoch's manifest only
-// after every joiner has acked its state file durable — so a crash at
-// any point leaves either the previous fully-acked epoch or nothing, and
-// a torn checkpoint is never resumable.
-//
-// The capture is fuzzy: no node pauses its workers, and the nodes
-// capture at slightly different moments, so a batch in flight between
-// two capture points may be present in the sender's values and absent
-// from the receiver's cache. That is safe for the state-based programs
-// the dist runtime serves, because resume does not restore caches at
-// all: every node re-derives its owned in-edge cache slots from the
-// restored global values array (each node's state file carries its owned
-// vertex range; the store is a shared filesystem, so every node reads
-// all of them), which reconstructs exactly the updates any lost batch
-// would have delivered. Missed activations are covered the same way the
-// single-process resume covers them — every owned block restarts active.
+// (DESIGN.md §12). Each node owns one core.Share — the capture, shape
+// check and restore the single-process engine runs as node 0 of 1 — over
+// its owned span, slot stamps and send sequence. The cluster keeps only
+// the epoch round and the resume plan: the coordinator commits an
+// epoch's manifest after every joiner has acked its shard durable, so a
+// crash leaves the previous fully-acked epoch or nothing. Nodes capture
+// at slightly different moments while their workers run, so a batch in
+// flight across two capture points may be missing from the receiver's
+// cache; a resume re-derives every cache from the restored values, which
+// reconstructs exactly what that batch carried.
 package tcp
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"math"
+	"time"
 
+	"graphabcd/internal/bcd"
 	"graphabcd/internal/checkpoint"
-	"graphabcd/internal/obslog"
-	"graphabcd/internal/telemetry"
+	"graphabcd/internal/core"
 )
 
-// distCheckpointer is one node's view of the cluster checkpoint plan.
-type distCheckpointer[V, M any] struct {
-	d     *distRun[V, M]
-	store *checkpoint.DirStore
-	runID string
-	id    checkpoint.Identity
-	epoch uint64 // last locally written epoch (committed only on node 0)
+// ckptPlan is the coordinator's resolved checkpoint/resume decision,
+// broadcast to every node through the assignment. dir names a store
+// directory every node can reach (the protocol assumes a shared
+// filesystem); empty disables checkpointing. resumeEpoch > 0 restores
+// that committed epoch before the run starts, and seqBase then seeds
+// every node's envelope sequence above every stamp the restored state
+// can hold, so the staleness filter never drops a fresh post-resume
+// write.
+type ckptPlan struct {
+	dir         string
+	runID       string
+	interval    time.Duration
+	resumeEpoch uint64
+	seqBase     uint64
 }
 
-func newDistCheckpointer[V, M any](d *distRun[V, M]) (*distCheckpointer[V, M], error) {
+// resolveCheckpointPlan turns the serve config into the cluster's
+// checkpoint plan, validating a requested resume against the snapshot
+// before any joiner is assigned: core.Layout.Open refuses a manifest
+// whose identity or node count differs from this run, and every shard
+// of the committed epoch that does not decode or is not its owner's
+// span. The shards' maximum envelope sequence/stamp seeds seqBase so no
+// post-resume envelope id ever loses a staleness race against a
+// restored write stamp.
+func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int) (ckptPlan, error) {
+	var p ckptPlan
+	if cfg.CheckpointDir == "" {
+		if cfg.Resume != "" {
+			return p, errors.New("tcp: Resume needs CheckpointDir")
+		}
+		if cfg.RunID != "" {
+			return p, errors.New("tcp: RunID needs CheckpointDir")
+		}
+		return p, nil
+	}
+	code, err := algoCode(cfg.Algo)
+	if err != nil {
+		return p, err
+	}
+	words, err := algoWords(code)
+	if err != nil {
+		return p, err
+	}
+	layout := core.NewLayout(algoName(code),
+		checkpoint.DigestOffsets(int64(snap.n), int64(snap.m), snap.inOff, snap.outOff),
+		snap.n, (snap.n+blockSize-1)/blockSize, blockSize, words, cfg.Nodes,
+		func(v int) int64 { return snap.inOff[v] })
+	p.dir = cfg.CheckpointDir
+	p.interval = cfg.checkpointInterval()
+	p.runID = cfg.RunID
+	if p.runID == "" {
+		p.runID = layout.ID.RunID()
+	}
+	if !checkpoint.ValidRunID(p.runID) {
+		return p, fmt.Errorf("tcp: checkpoint run id %q invalid (want [A-Za-z0-9._-], no leading dot)", p.runID)
+	}
+	if cfg.Resume == "" {
+		return p, nil
+	}
+	store, err := checkpoint.NewDirStore(cfg.CheckpointDir)
+	if err != nil {
+		return p, err
+	}
+	m, shards, err := layout.Open(store, cfg.Resume)
+	if err != nil {
+		return p, err
+	}
+	p.runID, p.resumeEpoch = m.RunID, m.Epoch
+	for _, st := range shards {
+		hi := st.Counters.Seq
+		for _, s := range st.Stamps {
+			hi = max(hi, s)
+		}
+		// A fuzzy capture may stamp a receiver's slot with an envelope id
+		// above the sender's own captured sequence (the batch was in
+		// flight between the two capture points), so the base takes the
+		// max over stamps as well as sequences, cluster-wide.
+		p.seqBase = max(p.seqBase, hi+1)
+	}
+	return p, nil
+}
+
+// algoWords is the codec width each dist algorithm's program uses —
+// part of the config hash, needed before the generic dispatch picks a
+// concrete program type.
+func algoWords(code byte) (int, error) {
+	switch code {
+	case algoPR:
+		return bcd.PageRank{}.Codec().Words(), nil
+	case algoSSSP:
+		return bcd.SSSP{}.Codec().Words(), nil
+	case algoBFS:
+		return bcd.BFS{}.Codec().Words(), nil
+	case algoCC:
+		return bcd.CC{}.Codec().Words(), nil
+	}
+	return 0, fmt.Errorf("tcp: unknown algorithm code %d", code)
+}
+
+// openCheckpoint builds this node's checkpoint share and, when the plan
+// resumes, restores the planned epoch into it. The envelope sequence then
+// restarts at the plan's seqBase, which the coordinator computed above
+// every stamp and sequence in the epoch.
+func (d *distRun[V, M]) openCheckpoint() error {
 	store, err := checkpoint.NewDirStore(d.a.ckpt.dir)
 	if err != nil {
-		return nil, err
-	}
-	return &distCheckpointer[V, M]{
-		d:     d,
-		store: store,
-		runID: d.a.ckpt.runID,
-		// The partial graphs carry both full offset arrays, so every node
-		// computes the same digest the coordinator computed from the
-		// snapshot file — and the same one a single-process run computes.
-		id: checkpoint.Identity{
-			Program: algoName(d.a.algo), GraphDigest: checkpoint.DigestGraph(d.G),
-			NumVertices: int64(d.G.NumVertices()), NumBlocks: int64(d.Part.NumBlocks()),
-			Words: d.Values.Words(), Nodes: d.a.cfg.Nodes,
-		},
-		epoch: d.a.ckpt.resumeEpoch,
-	}, nil
-}
-
-// captureNode writes this node's state file for the given epoch: owned
-// vertex values, owned block priorities and active flags, owned slot
-// stamps, and the envelope sequence — all read with the same atomics the
-// workers use, while the workers keep running.
-func (dc *distCheckpointer[V, M]) captureNode(epoch uint64) error {
-	d := dc.d
-	ckStart := d.Tel.Stamp()
-	vlo, vhi, slo, shi, blo, bhi := dc.nodeSpans(d.ID)
-	words := d.Values.Words()
-	st := &checkpoint.State{
-		NumVertices: int64(d.G.NumVertices()),
-		NumBlocks:   int64(d.Part.NumBlocks()),
-		Words:       words,
-		Node:        d.ID,
-		Nodes:       d.a.cfg.Nodes,
-		VertexLo:    vlo, VertexHi: vhi,
-		BlockLo: int64(blo), BlockHi: int64(bhi),
-		SlotBase: slo,
-		Values:   make([]uint64, (vhi-vlo)*int64(words)),
-		Priority: make([]uint64, bhi-blo),
-		Active:   make([]byte, bhi-blo),
-		Stamps:   make([]uint64, shi-slo),
-		Counters: checkpoint.Counters{Seq: d.Seq()},
-	}
-	d.Values.SnapshotWords(vlo, vhi, st.Values)
-	d.Sched.SnapshotBlocks(blo, bhi, st.Priority, st.Active)
-	d.SnapshotStamps(slo, st.Stamps)
-	var written int64
-	if err := dc.store.WriteState(dc.runID, epoch, d.ID, func(w io.Writer) (err error) {
-		written, err = checkpoint.EncodeCounted(w, st)
-		return err
-	}); err != nil {
 		return err
 	}
-	// The durability cost of this epoch, on the control-plane shard: the
-	// capture runs on the control goroutine, never a worker.
-	d.Ctl.Add(telemetry.CtrCkptEpochs, 1)
-	d.Ctl.Add(telemetry.CtrCkptBytes, written)
-	d.Ctl.Observe(telemetry.StageCkpt, d.Tel.Stamp()-ckStart)
-	dc.epoch = epoch
-	return nil
-}
-
-// resumeNode restores this node from the assignment's committed epoch.
-// Every node's state file contributes its owned vertex values (the full
-// global iterate); only this node's file contributes scheduler mass and
-// slot stamps. The owned cache is then rebuilt from the restored values,
-// and the envelope sequence restarts above every stamp in the cluster
-// (assign.seqBase, computed by the coordinator from all state files).
-func (dc *distCheckpointer[V, M]) resumeNode() error {
-	d := dc.d
-	epoch := d.a.ckpt.resumeEpoch
+	// The partial graphs carry both full offset arrays, so every node
+	// computes the same digest the coordinator computed from the snapshot
+	// file — and the same one a single-process run computes.
+	ck := core.NewShare(d.Kernel, algoName(d.a.algo), d.ID, d.a.cfg.Nodes, d.Sched, d.Tel, d.Ctl, d.Shared)
+	ck.Store, ck.RunID = store, d.a.ckpt.runID
+	d.ckpt = ck
+	if d.a.ckpt.resumeEpoch == 0 {
+		return nil
+	}
 	// A scrape mid-restore would read a half-restored iterate: the node
-	// is explicitly not ready until the rebuild below completes (start()
-	// flips it back).
+	// is explicitly not ready until the restore completes (start() flips
+	// it back).
 	d.setReady(false, "checkpoint resume")
-	obslog.L().Info("resuming from checkpoint",
-		"event", "ckpt.resume", "node", d.ID, "runID", dc.runID, "epoch", epoch)
-	n := int64(d.G.NumVertices())
-	nb := int64(d.Part.NumBlocks())
-	words := d.Values.Words()
-	for node := 0; node < d.a.cfg.Nodes; node++ {
-		st, err := dc.readState(epoch, node)
-		if err != nil {
-			return err
-		}
-		if st.NumVertices != n || st.NumBlocks != nb || st.Words != words {
-			return fmt.Errorf("tcp: resume epoch %d node %d: state shape %dx%dx%d does not match the run (%dx%dx%d)",
-				epoch, node, st.NumVertices, st.NumBlocks, st.Words, n, nb, words)
-		}
-		wantVlo, wantVhi, wantSlo, wantShi, blo, bhi := dc.nodeSpans(node)
-		if st.VertexLo != wantVlo || st.VertexHi != wantVhi {
-			return fmt.Errorf("tcp: resume epoch %d node %d: vertex range [%d,%d), want [%d,%d)",
-				epoch, node, st.VertexLo, st.VertexHi, wantVlo, wantVhi)
-		}
-		d.Values.StoreWords(st.VertexLo, st.Values)
-		if node != d.ID {
-			continue
-		}
-		if st.SlotBase != wantSlo || int64(len(st.Stamps)) != wantShi-wantSlo {
-			return fmt.Errorf("tcp: resume epoch %d node %d: slot range [%d,+%d), want [%d,+%d)",
-				epoch, node, st.SlotBase, len(st.Stamps), wantSlo, wantShi-wantSlo)
-		}
-		d.RestoreStamps(st.SlotBase, st.Stamps)
-		// Add the captured Gauss-Southwell mass on top of the baseline
-		// activation the node was seeded with: every owned block restarts
-		// active (a fuzzy capture may have missed an activation), and
-		// the restored priorities preserve the scheduling order.
-		for b := blo; b < bhi; b++ {
-			d.Sched.Activate(b, math.Float64frombits(st.Priority[b-blo]))
-		}
+	m, shards, err := ck.Open(store, ck.RunID)
+	if err != nil {
+		return err
 	}
-	// Re-derive every owned in-edge cache slot from the restored global
-	// values — this is what reconstructs any update batch the fuzzy
-	// capture lost in flight. The restored stamps stay: seqBase already
-	// sits above all of them.
-	if err := d.RebuildInEdges(d.VertexRange(d.ID)); err != nil {
+	if m.Epoch != d.a.ckpt.resumeEpoch {
+		return fmt.Errorf("tcp: resume %s: committed epoch is %d, the coordinator planned %d", m.RunID, m.Epoch, d.a.ckpt.resumeEpoch)
+	}
+	if err := ck.Restore(m, shards); err != nil {
 		return err
 	}
 	d.SetSeq(d.a.ckpt.seqBase)
 	return nil
 }
 
-// nodeSpans mirrors the owned ranges any node computes for itself.
-func (dc *distCheckpointer[V, M]) nodeSpans(node int) (vlo, vhi, slo, shi int64, blo, bhi int) {
-	d := dc.d
-	blo, bhi = d.BlockRange(node)
-	lo, hi := d.VertexRange(node)
-	return int64(lo), int64(hi), d.G.InOffset(lo), d.G.InOffset(hi), blo, bhi
-}
-
-func (dc *distCheckpointer[V, M]) readState(epoch uint64, node int) (*checkpoint.State, error) {
-	rc, err := dc.store.ReadState(dc.runID, epoch, node)
-	if err != nil {
-		return nil, err
-	}
-	st, err := checkpoint.Decode(rc)
-	_ = rc.Close()
-	if err != nil {
-		return nil, fmt.Errorf("tcp: resume epoch %d node %d: %w", epoch, node, err)
-	}
-	if st.Node != node || st.Nodes != dc.d.a.cfg.Nodes {
-		return nil, fmt.Errorf("tcp: resume epoch %d: state file claims node %d/%d, want %d/%d",
-			epoch, st.Node, st.Nodes, node, dc.d.a.cfg.Nodes)
-	}
-	return st, nil
-}
-
 // checkpointRound drives one cluster-wide checkpoint epoch from the
-// coordinator: own capture, fCkpt to every joiner, all acks, then — and
+// coordinator: fCkpt to every joiner, own capture, all acks, then — and
 // only then — the manifest commit. The control lane is lockstep, so the
 // acks arrive in joiner order; the fuzziness is in when each node's
 // capture samples its live state, not in the commit.
 func (d *distRun[V, M]) checkpointRound(joiners []*ctrlConn) error {
-	dc := d.ckpt
-	epoch := dc.epoch + 1
+	ck := d.ckpt
+	epoch := ck.Epoch + 1
 	for _, j := range joiners {
 		if err := j.write(appendEpoch(newFrame(fCkpt), epoch)); err != nil {
 			return fmt.Errorf("tcp: checkpoint epoch %d: %w", epoch, err)
 		}
 	}
-	if err := dc.captureNode(epoch); err != nil {
+	if err := ck.Capture(epoch); err != nil {
 		return err
 	}
 	for i, j := range joiners {
@@ -216,10 +185,5 @@ func (d *distRun[V, M]) checkpointRound(joiners []*ctrlConn) error {
 			return fmt.Errorf("tcp: node %d acked checkpoint epoch %d, want %d", i+1, got, epoch)
 		}
 	}
-	if err := dc.store.Commit(dc.id.Manifest(dc.runID, epoch)); err != nil {
-		return err
-	}
-	obslog.L().Info("checkpoint epoch committed",
-		"event", "ckpt.commit", "runID", dc.runID, "epoch", epoch, "nodes", d.a.cfg.Nodes)
-	return nil
+	return ck.Commit(epoch)
 }

@@ -7,7 +7,9 @@ package tcp_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -332,4 +334,88 @@ func TestDistResumeRefusesMismatchedManifest(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestDistResumeRefusesForeignSpans re-encodes one CRC-valid shard of
+// the parent-commit fixture with one span changed — a state file that
+// decodes cleanly but does not describe its owner's part of the run —
+// and requires a resume through Serve, with a joiner, to return an
+// error. A shard's block range used to index the owner's priorities
+// unchecked, so a short one panicked the node.
+func TestDistResumeRefusesForeignSpans(t *testing.T) {
+	const runID = "parent-bdc79d5"
+	fixture := filepath.Join("testdata", "parent_ckpt")
+	cases := []struct {
+		name   string
+		mutate func(st *checkpoint.State)
+		want   string
+	}{
+		{"block range", func(st *checkpoint.State) {
+			st.BlockHi--
+			st.Priority, st.Active = st.Priority[:len(st.Priority)-1], st.Active[:len(st.Active)-1]
+		}, "block range"},
+		{"vertex range", func(st *checkpoint.State) {
+			st.VertexHi--
+			st.Values = st.Values[:len(st.Values)-st.Words]
+		}, "vertex range"},
+		{"slot range", func(st *checkpoint.State) { st.SlotBase++ }, "slot range"},
+		{"node id", func(st *checkpoint.State) { st.Node = 1 - st.Node }, "claims node"},
+		{"node count", func(st *checkpoint.State) { st.Nodes = 3 }, "claims node"},
+	}
+	for _, tc := range cases {
+		for node := 0; node < 2; node++ {
+			ckdir := filepath.Join(t.TempDir(), "ckpt")
+			if err := os.CopyFS(ckdir, os.DirFS(filepath.Join(fixture, "ckpt"))); err != nil {
+				t.Fatal(err)
+			}
+			reencodeShard(t, filepath.Join(ckdir, runID, fmt.Sprintf("ep0000000000000001-n%04d.gabc", node)), tc.mutate)
+			cfg := distConfig(2, "pr")
+			cfg.CheckpointDir = ckdir
+			cfg.Resume = runID
+			err := serveWithJoiner(t, filepath.Join(fixture, "graph.gabs"), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s of shard %d: err = %v, want one naming the %s", tc.name, node, err, tc.want)
+			}
+		}
+	}
+}
+
+// reencodeShard rewrites the state file at path with mutate applied.
+func reencodeShard(t *testing.T, path string, mutate func(*checkpoint.State)) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(st)
+	var buf bytes.Buffer
+	if err := checkpoint.Encode(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serveWithJoiner runs Serve with one joiner and returns Serve's error,
+// once the joiner has returned too.
+func serveWithJoiner(t *testing.T, snap string, cfg tcp.DistConfig) error {
+	t.Helper()
+	ctrl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	joinCh := make(chan error, 1)
+	go func() { joinCh <- tcp.Join(ctx, ctrl.Addr().String(), tcp.Options{}) }()
+	_, err = tcp.Serve(ctx, ctrl, snap, cfg)
+	cancel()
+	_ = ctrl.Close() // resets a joiner still waiting in the accept queue
+	<-joinCh
+	return err
 }

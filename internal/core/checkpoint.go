@@ -4,34 +4,252 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"graphabcd/internal/checkpoint"
 	"graphabcd/internal/obslog"
+	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
 )
 
-// checkpointer drives the single-process crash-safety loop: every
-// Config.Checkpoint.Interval it captures a fuzzy snapshot of the engine —
-// vertex values, scheduler priorities and active flags, progress counters
-// — while the workers keep running, and commits it through the store.
-// Asynchronous BCD's convergence analysis is what licenses the fuzziness:
-// a snapshot whose words were written at slightly different moments is
-// just another bounded-staleness iterate, and resuming from it converges
-// to the same fixed point (DESIGN.md §12).
-type checkpointer[V, M any] struct {
-	e        *engine[V, M]
-	store    checkpoint.Store
-	interval time.Duration
-	id       checkpoint.Identity
-	runID    string
-	epoch    uint64 // last written checkpoint epoch
+// Checkpoints (DESIGN.md §12). A checkpoint epoch is one state file, a
+// shard, per owner of the run's vertex values: the single-process engine
+// is node 0 of 1, a -listen/-join node is node i of N. Every runtime
+// captures, checks and restores its shard through one Share. The capture
+// is fuzzy — workers keep running — and asynchronous BCD's convergence
+// analysis is what licenses that: a snapshot whose words were written at
+// slightly different moments is just another bounded-staleness iterate,
+// and resuming from it converges to the same fixed point.
 
-	// Capture buffers, allocated once: a checkpoint must not grow the
-	// engine's allocation footprint every interval.
-	valbuf []uint64
-	pribuf []uint64
-	actbuf []byte
+// Layout is a checkpointed run's shape: the identity its manifests carry,
+// and how its blocks, vertices and in-edge slots split among its owners.
+type Layout struct {
+	ID        checkpoint.Identity
+	blockSize int
+	inOffset  func(v int) int64
+}
+
+// NewLayout describes a run of program over a graph (by digest) of n
+// vertices whose in-edge offsets inOffset gives, cut into numBlocks
+// blocks of blockSize vertices holding words-wide values, and split among
+// nodes owners. It is the one place a checkpoint.Identity is built.
+func NewLayout(program, digest string, n, numBlocks, blockSize, words, nodes int, inOffset func(v int) int64) Layout {
+	return Layout{
+		ID: checkpoint.Identity{
+			Program: program, GraphDigest: digest,
+			NumVertices: int64(n), NumBlocks: int64(numBlocks),
+			Words: words, Nodes: nodes,
+		},
+		blockSize: blockSize,
+		inOffset:  inOffset,
+	}
+}
+
+// BlockRange returns the contiguous block span [lo, hi) node i of nodes
+// owns out of numBlocks. Across processes the split is static; in-process
+// cluster failover reassigns blocks afterwards through the owner table.
+func BlockRange(numBlocks, nodes, i int) (lo, hi int) {
+	return i * numBlocks / nodes, (i + 1) * numBlocks / nodes
+}
+
+// owner returns node's part of the run as a shard header without arrays
+// — its BlockRange, those blocks' vertices, and the first of their
+// in-edge slots — and the number of those slots.
+func (l Layout) owner(node int) (hdr checkpoint.State, slots int64) {
+	blo, bhi := BlockRange(int(l.ID.NumBlocks), l.ID.Nodes, node)
+	var vlo, vhi int
+	if blo < bhi {
+		vlo, vhi = blo*l.blockSize, min(bhi*l.blockSize, int(l.ID.NumVertices))
+	}
+	return checkpoint.State{
+		NumVertices: l.ID.NumVertices, NumBlocks: l.ID.NumBlocks, Words: l.ID.Words,
+		Node: node, Nodes: l.ID.Nodes,
+		VertexLo: int64(vlo), VertexHi: int64(vhi),
+		BlockLo: int64(blo), BlockHi: int64(bhi),
+		SlotBase: l.inOffset(vlo),
+	}, l.inOffset(vhi) - l.inOffset(vlo)
+}
+
+// Open resolves resume (a run id, or "latest") to its last committed
+// epoch in s, refuses a manifest written under another run shape, and
+// decodes every owner's shard of that epoch. A shard is refused unless
+// its node, dimensions and vertex, block and slot spans are its owner's;
+// slot stamps are optional (the engine keeps none), but stamps that are
+// there cover exactly the owner's in-edge slots.
+func (l Layout) Open(s checkpoint.Store, resume string) (*checkpoint.Manifest, []*checkpoint.State, error) {
+	m, err := checkpoint.Lookup(s, resume)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := l.ID.Check(m); err != nil {
+		return nil, nil, fmt.Errorf("core: resume: %w", err)
+	}
+	shards := make([]*checkpoint.State, m.Nodes)
+	for node := range shards {
+		rc, err := s.ReadState(m.RunID, m.Epoch, node)
+		if err != nil {
+			return nil, nil, err
+		}
+		st, err := checkpoint.Decode(rc)
+		_ = rc.Close()
+		if err == nil {
+			err = l.check(st, node)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: resume %s epoch %d node %d: %w", m.RunID, m.Epoch, node, err)
+		}
+		shards[node] = st
+	}
+	return m, shards, nil
+}
+
+// check refuses a decoded shard that is not node's part of the run.
+func (l Layout) check(st *checkpoint.State, node int) error {
+	want, slots := l.owner(node)
+	switch {
+	case st.Node != want.Node || st.Nodes != want.Nodes:
+		return fmt.Errorf("state file claims node %d/%d", st.Node, st.Nodes)
+	case st.NumVertices != want.NumVertices || st.NumBlocks != want.NumBlocks || st.Words != want.Words:
+		return fmt.Errorf("state shape %dx%dx%d, this run is %dx%dx%d (vertices x blocks x words)",
+			st.NumVertices, st.NumBlocks, st.Words, want.NumVertices, want.NumBlocks, want.Words)
+	case st.VertexLo != want.VertexLo || st.VertexHi != want.VertexHi:
+		return fmt.Errorf("vertex range [%d,%d), want [%d,%d)", st.VertexLo, st.VertexHi, want.VertexLo, want.VertexHi)
+	case st.BlockLo != want.BlockLo || st.BlockHi != want.BlockHi:
+		return fmt.Errorf("block range [%d,%d), want [%d,%d)", st.BlockLo, st.BlockHi, want.BlockLo, want.BlockHi)
+	case st.SlotBase != want.SlotBase || (len(st.Stamps) > 0 && int64(len(st.Stamps)) != slots):
+		return fmt.Errorf("slot range [%d,+%d), want [%d,+%d)", st.SlotBase, len(st.Stamps), want.SlotBase, slots)
+	}
+	return nil
+}
+
+// Stamps is a cluster node's per-slot write stamps and envelope send
+// sequence (cluster.Shared), which its share captures and restores beside
+// the owned span. The engine has none.
+type Stamps interface {
+	Seq() uint64
+	SnapshotStamps(lo int64, dst []uint64)
+	RestoreStamps(lo int64, src []uint64)
+}
+
+// Share is one owner's part of a checkpointed run: it captures the owned
+// span into the store and restores the whole iterate from an opened
+// epoch. The run's one committer commits an epoch's manifest once every
+// owner's shard of it is durable.
+type Share[V, M any] struct {
+	Layout
+	Store checkpoint.Store
+	RunID string
+	Epoch uint64 // the last epoch this owner captured or resumed from
+
+	k      *Kernel[V, M]
+	st     *sched.State
+	tel    *telemetry.Registry
+	sh     *telemetry.Shard // capture cost and restored progress counters
+	stamps Stamps           // nil: no slot stamps or send sequence
+	// buf is the owner's shard header and capture buffers, allocated
+	// once: a checkpoint must not grow the run's allocation footprint
+	// every epoch.
+	buf checkpoint.State
+}
+
+// NewShare builds node's share of a run of program over k split among
+// nodes owners, whose blocks activate in st and whose capture cost and
+// restored counters land in sh; stamps may be nil.
+func NewShare[V, M any](k *Kernel[V, M], program string, node, nodes int, st *sched.State, tel *telemetry.Registry, sh *telemetry.Shard, stamps Stamps) *Share[V, M] {
+	l := NewLayout(program, checkpoint.DigestGraph(k.G), k.G.NumVertices(), k.Part.NumBlocks(), k.Part.BlockSize(),
+		k.Values.Words(), nodes, k.G.InOffset)
+	buf, slots := l.owner(node)
+	buf.Values = make([]uint64, (buf.VertexHi-buf.VertexLo)*int64(buf.Words))
+	buf.Priority = make([]uint64, buf.BlockHi-buf.BlockLo)
+	buf.Active = make([]byte, buf.BlockHi-buf.BlockLo)
+	if stamps != nil {
+		buf.Stamps = make([]uint64, slots)
+	}
+	return &Share[V, M]{Layout: l, k: k, st: st, tel: tel, sh: sh, stamps: stamps, buf: buf}
+}
+
+// Capture writes this owner's shard of epoch: owned values, owned block
+// priorities and active flags, progress counters, and any slot stamps and
+// send sequence — all read with the same atomics the workers use, while
+// they keep running.
+func (s *Share[V, M]) Capture(epoch uint64) error {
+	start := s.tel.Stamp()
+	st := &s.buf
+	s.k.Values.SnapshotWords(st.VertexLo, st.VertexHi, st.Values)
+	s.st.SnapshotBlocks(int(st.BlockLo), int(st.BlockHi), st.Priority, st.Active)
+	if s.stamps != nil {
+		st.Counters.Seq = s.stamps.Seq()
+		s.stamps.SnapshotStamps(st.SlotBase, st.Stamps)
+	}
+	st.Counters.VertexUpdates = s.tel.Total(telemetry.CtrVertexUpdates)
+	st.Counters.BlockUpdates = s.tel.Total(telemetry.CtrBlockUpdates)
+	st.Counters.EdgesTraversed = s.tel.Total(telemetry.CtrEdgesTraversed)
+	var written int64
+	if err := s.Store.WriteState(s.RunID, epoch, st.Node, func(w io.Writer) (err error) {
+		written, err = checkpoint.EncodeCounted(w, st)
+		return err
+	}); err != nil {
+		return err
+	}
+	s.sh.Add(telemetry.CtrCkptEpochs, 1)
+	s.sh.Add(telemetry.CtrCkptBytes, written)
+	s.sh.Observe(telemetry.StageCkpt, s.tel.Stamp()-start)
+	s.Epoch = epoch
+	return nil
+}
+
+// Commit publishes epoch's manifest: a crash before it leaves the
+// previous committed epoch in effect.
+func (s *Share[V, M]) Commit(epoch uint64) error {
+	if err := s.Store.Commit(s.ID.Manifest(s.RunID, epoch)); err != nil {
+		return err
+	}
+	obslog.L().Info("checkpoint epoch committed",
+		"event", "ckpt.commit", "runID", s.RunID, "epoch", epoch, "nodes", s.ID.Nodes)
+	return nil
+}
+
+// Restore seeds this owner from an epoch Open returned, before anything
+// runs on it. Every shard contributes its owned values — together the
+// whole iterate; this owner's own shard its slot stamps and progress
+// counters (so Stats and an epoch budget span the logical run). The
+// owned in-edge cache is never checkpointed: it is rebuilt from the
+// restored values, which also reconstructs any batch a fuzzy capture
+// lost in flight. Every owned block is then activated with its restored
+// priority mass, even one the capture saw inactive: an activation racing
+// the capture may be missing from it, and one redundant sweep of a
+// self-healing state-based program is cheap insurance against a silently
+// premature fixed point.
+func (s *Share[V, M]) Restore(m *checkpoint.Manifest, shards []*checkpoint.State) error {
+	for _, st := range shards {
+		s.k.Values.StoreWords(st.VertexLo, st.Values)
+	}
+	own := shards[s.buf.Node]
+	if s.stamps != nil {
+		s.stamps.RestoreStamps(own.SlotBase, own.Stamps)
+	}
+	s.sh.Add(telemetry.CtrVertexUpdates, own.Counters.VertexUpdates)
+	s.sh.Add(telemetry.CtrBlockUpdates, own.Counters.BlockUpdates)
+	s.sh.Add(telemetry.CtrEdgesTraversed, own.Counters.EdgesTraversed)
+	if err := eachSlice(int(own.VertexLo), int(own.VertexHi), runtime.GOMAXPROCS(0), s.k.RebuildInEdges); err != nil {
+		return err
+	}
+	for i, p := range own.Priority {
+		s.st.Activate(int(own.BlockLo)+i, math.Float64frombits(p))
+	}
+	s.RunID, s.Epoch = m.RunID, m.Epoch
+	obslog.L().Info("resumed from checkpoint",
+		"event", "ckpt.resume", "node", own.Node, "runID", m.RunID, "epoch", m.Epoch)
+	return nil
+}
+
+// checkpointer drives the single-process crash-safety loop: every
+// Config.Checkpoint.Interval it captures the engine's share (node 0 of 1)
+// while the workers keep running and commits it.
+type checkpointer[V, M any] struct {
+	*Share[V, M]
+	e *engine[V, M]
 }
 
 // newCheckpointer builds the run's checkpointer, or returns nil when
@@ -59,80 +277,25 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 		}
 		store = ds
 	}
-	id := checkpoint.Identity{
-		Program: e.Prog.Name(), GraphDigest: checkpoint.DigestGraph(e.G),
-		NumVertices: e.nv, NumBlocks: int64(e.Part.NumBlocks()),
-		Words: e.Values.Words(), Nodes: 1,
-	}
-	ck := &checkpointer[V, M]{
-		e:        e,
-		store:    store,
-		interval: cc.Interval,
-		id:       id,
-		runID:    cc.RunID,
-		valbuf:   make([]uint64, id.NumVertices*int64(id.Words)),
-		pribuf:   make([]uint64, id.NumBlocks),
-		actbuf:   make([]byte, id.NumBlocks),
-	}
-	if ck.runID == "" {
-		ck.runID = id.RunID()
+	ck := &checkpointer[V, M]{NewShare(e.Kernel, e.Prog.Name(), 0, 1, e.st, e.tel, e.sh0, nil), e}
+	ck.Store, ck.RunID = store, cc.RunID
+	if ck.RunID == "" {
+		ck.RunID = ck.ID.RunID()
 	}
 	return ck, nil
 }
 
-// resume restores the engine from the named run's last committed epoch:
-// vertex values and progress counters seed from the decoded state, the
-// edge caches are rebuilt by re-scattering the restored values (the PR 2
-// failover discipline), and every block is activated with its restored
-// priority mass. Re-activating even blocks the checkpoint saw inactive is
-// the fuzzy-capture correctness rule: an activation racing the capture
-// may be missing from the snapshot, and one redundant sweep of a
-// self-healing state-based program is cheap insurance against a silently
-// premature fixed point.
+// resume restores the engine from the named run's last committed epoch;
+// runWorkers then skips its fresh-run activation.
 func (ck *checkpointer[V, M]) resume(resumeID string) error {
-	e := ck.e
-	m, err := checkpoint.Lookup(ck.store, resumeID)
+	m, shards, err := ck.Open(ck.Store, resumeID)
 	if err != nil {
 		return err
 	}
-	if err := ck.id.Check(m); err != nil {
-		return fmt.Errorf("core: resume: %w", err)
-	}
-	rc, err := ck.store.ReadState(m.RunID, m.Epoch, 0)
-	if err != nil {
+	if err := ck.Restore(m, shards); err != nil {
 		return err
 	}
-	st, err := checkpoint.Decode(rc)
-	_ = rc.Close()
-	if err != nil {
-		return fmt.Errorf("core: resume %s epoch %d: %w", m.RunID, m.Epoch, err)
-	}
-	n, nb := ck.id.NumVertices, ck.id.NumBlocks
-	if st.Nodes != 1 || st.NumVertices != n || st.NumBlocks != nb || st.Words != ck.id.Words ||
-		st.VertexLo != 0 || st.VertexHi != n || st.BlockLo != 0 || st.BlockHi != nb {
-		return fmt.Errorf("core: resume %s epoch %d: state shape does not match the manifest", m.RunID, m.Epoch)
-	}
-	e.Values.StoreWords(0, st.Values)
-	// The cache is deliberately not checkpointed — it is |E| derived words
-	// whose ground truth is the |V| values array, and re-scattering is the
-	// same O(E) pass initialization already pays.
-	e.eachSlice(e.RebuildInEdges)
-	if err := e.Err(); err != nil {
-		return err // an edge-source failure during the rebuild
-	}
-	// Seed the progress counters so Stats and the MaxEpochs budget span
-	// the whole logical run, not just the post-resume segment.
-	e.sh0.Add(telemetry.CtrVertexUpdates, st.Counters.VertexUpdates)
-	e.sh0.Add(telemetry.CtrBlockUpdates, st.Counters.BlockUpdates)
-	e.sh0.Add(telemetry.CtrEdgesTraversed, st.Counters.EdgesTraversed)
-	for b := 0; b < int(nb); b++ {
-		e.st.Activate(b, math.Float64frombits(st.Priority[b]))
-	}
-	e.resumed = true
-	ck.runID = m.RunID
-	ck.epoch = m.Epoch
-	obslog.L().Info("resumed from checkpoint",
-		"event", "ckpt.resume", "runID", m.RunID, "epoch", m.Epoch)
+	ck.e.resumed = true
 	return nil
 }
 
@@ -140,7 +303,7 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 // fails the run: the caller asked for durability, so losing it silently
 // is not an option.
 func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
-	t := time.NewTicker(ck.interval)
+	t := time.NewTicker(ck.e.cfg.Checkpoint.Interval)
 	defer t.Stop()
 	for {
 		select {
@@ -149,55 +312,25 @@ func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		if err := ck.capture(); err != nil {
-			ck.e.Fail(fmt.Errorf("core: checkpoint epoch %d: %w", ck.epoch+1, err))
+			ck.e.Fail(err)
 			return
 		}
 	}
 }
 
-// capture writes one checkpoint epoch and commits its manifest. Workers
-// are never paused: values, priorities, and flags are read with the same
-// atomics the workers use, and the watchdog is told (via ckptGen) not to
-// count the capture's I/O time as an engine stall.
+// capture writes and commits one checkpoint epoch. The watchdog is told
+// (via ckptGen) not to count the capture's I/O time as an engine stall.
 func (ck *checkpointer[V, M]) capture() error {
 	e := ck.e
 	e.ckptGen.Add(1) // odd: capture in progress
 	defer e.ckptGen.Add(1)
-	ckStart := e.tel.Stamp()
-	n, nb := ck.id.NumVertices, ck.id.NumBlocks
-	e.Values.SnapshotWords(0, n, ck.valbuf)
-	e.st.SnapshotBlocks(0, int(nb), ck.pribuf, ck.actbuf)
-	st := &checkpoint.State{
-		NumVertices: n, NumBlocks: nb, Words: ck.id.Words,
-		Node: 0, Nodes: 1,
-		VertexLo: 0, VertexHi: n,
-		BlockLo: 0, BlockHi: nb,
-		Values: ck.valbuf, Priority: ck.pribuf, Active: ck.actbuf,
-		Counters: checkpoint.Counters{
-			VertexUpdates:  e.tel.Total(telemetry.CtrVertexUpdates),
-			BlockUpdates:   e.tel.Total(telemetry.CtrBlockUpdates),
-			EdgesTraversed: e.tel.Total(telemetry.CtrEdgesTraversed),
-		},
+	epoch := ck.Epoch + 1
+	err := ck.Capture(epoch)
+	if err == nil {
+		err = ck.Commit(epoch)
 	}
-	epoch := ck.epoch + 1
-	var written int64
-	if err := ck.store.WriteState(ck.runID, epoch, 0, func(w io.Writer) (err error) {
-		written, err = checkpoint.EncodeCounted(w, st)
-		return err
-	}); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("core: checkpoint epoch %d: %w", epoch, err)
 	}
-	if err := ck.store.Commit(ck.id.Manifest(ck.runID, epoch)); err != nil {
-		return err
-	}
-	// The epoch's durability cost, observed on the checkpoint goroutine's
-	// shard (sh0 belongs to the engine's housekeeping goroutines, whose
-	// counter slots are atomics — concurrent adds are safe).
-	e.sh0.Add(telemetry.CtrCkptEpochs, 1)
-	e.sh0.Add(telemetry.CtrCkptBytes, written)
-	e.sh0.Observe(telemetry.StageCkpt, e.tel.Stamp()-ckStart)
-	obslog.L().Info("checkpoint epoch committed",
-		"event", "ckpt.commit", "runID", ck.runID, "epoch", epoch, "bytes", written)
-	ck.epoch = epoch
 	return nil
 }

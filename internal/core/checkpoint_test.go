@@ -49,7 +49,7 @@ func partialCheckpoint[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[
 	if err := ck.capture(); err != nil {
 		t.Fatal(err)
 	}
-	return ck.runID, e.vertexUpdates()
+	return ck.RunID, e.vertexUpdates()
 }
 
 func TestResumeEquivalencePageRank(t *testing.T) {
@@ -241,6 +241,59 @@ func TestResumeRefusesTornAndMismatched(t *testing.T) {
 	}
 	if err := resume(runID, nil); err == nil {
 		t.Fatal("resume from a torn state file succeeded")
+	}
+}
+
+// TestResumeRefusesForeignSpans re-encodes the engine's one shard with
+// one span changed — a state file that decodes cleanly but is not node 0
+// of 1's whole run — and requires the resume to refuse it.
+func TestResumeRefusesForeignSpans(t *testing.T) {
+	g := testGraph(t)
+	cfg := Config{BlockSize: 64, Mode: Async, Policy: sched.Cyclic, NumPEs: 2, NumScatter: 1,
+		Epsilon: 1e-12, MaxEpochs: 3}
+	cases := []struct {
+		name   string
+		mutate func(st *checkpoint.State)
+		want   string
+	}{
+		{"block range", func(st *checkpoint.State) {
+			st.BlockHi--
+			st.Priority, st.Active = st.Priority[:len(st.Priority)-1], st.Active[:len(st.Active)-1]
+		}, "block range"},
+		{"vertex range", func(st *checkpoint.State) {
+			st.VertexHi--
+			st.Values = st.Values[:len(st.Values)-st.Words]
+		}, "vertex range"},
+		{"slot range", func(st *checkpoint.State) { st.SlotBase++ }, "slot range"},
+		{"node id", func(st *checkpoint.State) { st.Node, st.Nodes = 1, 2 }, "claims node"},
+		{"node count", func(st *checkpoint.State) { st.Nodes = 2 }, "claims node"},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		runID, _ := partialCheckpoint(t, g, bcd.PageRank{}, cfg, dir)
+		path := filepath.Join(dir, runID, "ep0000000000000001-n0000.gabc")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := checkpoint.Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(st)
+		var buf bytes.Buffer
+		if err := checkpoint.Encode(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.MaxEpochs = 0
+		c.Checkpoint = Checkpoint{Dir: dir, Resume: runID}
+		if _, err := Run[float64, float64](g, bcd.PageRank{}, c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one naming the %s", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -45,7 +46,7 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 		defer watch.Done()
 		e.watchdog(stopWatch)
 	}()
-	if ck != nil && ck.interval > 0 {
+	if ck != nil && cfg.Checkpoint.Interval > 0 {
 		watch.Add(1)
 		go func() {
 			defer watch.Done()
@@ -192,7 +193,9 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	e.tel.SetVertices(g.NumVertices())
 	e.tel.RegisterGauge("active_blocks", func() float64 { return float64(e.st.NumActive()) })
 	e.tel.RegisterGauge("residual", e.st.PendingMass)
-	e.eachSlice(e.Init)
+	if err := eachSlice(0, g.NumVertices(), cfg.NumPEs+cfg.NumScatter, e.Init); err != nil {
+		e.Fail(err)
+	}
 	return e, nil
 }
 
@@ -202,22 +205,20 @@ func (e *engine[V, M]) worker(i int) *Worker[V, M] {
 	return e.NewWorker(&e.shards[i], 0, e.st, nil)
 }
 
-// eachSlice runs fn over the vertex set cut into one contiguous slice per
-// worker, in parallel; an edge-source error fails the run.
-func (e *engine[V, M]) eachSlice(fn func(vlo, vhi int) error) {
-	n := e.G.NumVertices()
-	workers := e.cfg.NumPEs + e.cfg.NumScatter
+// eachSlice runs fn over [lo, hi) cut into k contiguous slices, in
+// parallel, and returns their errors joined.
+func eachSlice(lo, hi, k int, fn func(lo, hi int) error) error {
+	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range k {
 		wg.Add(1)
-		go func(vlo, vhi int) {
+		go func(w int) {
 			defer wg.Done()
-			if err := fn(vlo, vhi); err != nil {
-				e.Fail(err)
-			}
-		}(w*n/workers, (w+1)*n/workers)
+			errs[w] = fn(lo+w*(hi-lo)/k, lo+(w+1)*(hi-lo)/k)
+		}(w)
 	}
 	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // maxVertexUpdates translates MaxEpochs into a vertex-update budget.

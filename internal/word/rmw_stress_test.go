@@ -51,62 +51,7 @@ func TestRMWContentionStress(t *testing.T) {
 	}
 }
 
-// TestSwapValueContentionStress checks the exchange invariant of
-// SwapValue under contention: every value ever stored in the slot is
-// observed exactly once — either as some later swap's old value or as the
-// final slot content. With each worker writing distinct values, the sum
-// of all observed old values plus the final value must equal the sum of
-// all values written.
-func TestSwapValueContentionStress(t *testing.T) {
-	workers := 2 * runtime.GOMAXPROCS(0)
-	if workers < 8 {
-		workers = 8
-	}
-	iters := 2000
-	if testing.Short() {
-		iters = 200
-	}
-
-	a := NewArray[uint64](U64{}, 1)
-	observed := make([]uint64, workers) // per-worker sum of old values seen
-	var written uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := make([]uint64, 1)
-			var old uint64
-			base := uint64(w*iters) + 1 // distinct nonzero values per worker
-			var sum uint64
-			for i := 0; i < iters; i++ {
-				a.SwapValue(0, base+uint64(i), buf, &old)
-				sum += old
-			}
-			observed[w] = sum
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		base := uint64(w*iters) + 1
-		for i := 0; i < iters; i++ {
-			written += base + uint64(i)
-		}
-	}
-	wg.Wait()
-
-	var final uint64
-	a.Load(0, &final)
-	var drained uint64
-	for _, s := range observed {
-		drained += s
-	}
-	if drained+final != written {
-		t.Fatalf("SwapValue lost or duplicated a value: observed %d + final %d != written %d",
-			drained, final, written)
-	}
-}
-
-// TestTakeWordsContentionStress is TestSwapValueContentionStress for the
+// TestTakeWordsContentionStress checks the exchange invariant of the
 // gather side of operation-based updates: accumulators RMW-add into a
 // run of slots while takers swap the whole run to zero. Every unit added
 // is taken exactly once or still pending at the end.

@@ -288,20 +288,11 @@ func TestPropertyVec32Roundtrip(t *testing.T) {
 	}
 }
 
-func TestSwapValueAndRMW(t *testing.T) {
+func TestRMW(t *testing.T) {
 	a := NewArray[float64](F64{}, 4)
-	a.Store(1, 5)
+	a.Store(1, 9)
 	buf := make([]uint64, 2)
-	var old float64
-	a.SwapValue(1, 9, buf, &old)
-	if old != 5 {
-		t.Fatalf("SwapValue old = %g", old)
-	}
 	var cur float64
-	a.Load(1, &cur)
-	if cur != 9 {
-		t.Fatalf("after swap: %g", cur)
-	}
 	a.RMW(1, buf, &cur, func(v float64) float64 { return v + 0.5 })
 	a.Load(1, &cur)
 	if cur != 9.5 {

@@ -256,6 +256,21 @@ if [[ -n "$codecs" ]]; then
     exit 1
 fi
 
+echo "== one checkpoint share (core/checkpoint.go captures, checks and restores every owner's span)"
+# The engine (node 0 of 1) and each -listen/-join node (node i of N) run
+# one core.Share: it snapshots the owned span, encodes it, and decodes and
+# span-checks every shard on resume. A state encode, a scheduler snapshot
+# or a state decode anywhere else is a second capture or restore growing
+# back beside it.
+shares=$(grep -rnE --include='*.go' 'checkpoint\.EncodeCounted\(|\.SnapshotBlocks\(|checkpoint\.Decode\(' . |
+    grep -v -e '_test\.go:' -e '^\./internal/checkpoint/' -e '^\./internal/core/checkpoint\.go:' \
+        -e '^\./bench/' -e '^\./\.' || true)
+if [[ -n "$shares" ]]; then
+    echo "checkpoint capture or restore outside internal/core/checkpoint.go:" >&2
+    echo "$shares" >&2
+    exit 1
+fi
+
 echo "== defaults once (every engine, cluster and server default has one owner)"
 # core.DefaultConfig owns the engine's worker counts and epsilon,
 # cluster.Config.WithDefaults the cluster's batch size and workers per
