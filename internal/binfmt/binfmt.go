@@ -91,6 +91,13 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<20), blk: make([]byte, blockSize)}
 }
 
+// Reset points w at dst with its error cleared, keeping its buffers: an
+// owner that encodes again and again allocates them once.
+func (w *Writer) Reset(dst io.Writer) {
+	w.bw.Reset(dst)
+	w.err = nil
+}
+
 // Raw writes b unframed: a format's own header.
 func (w *Writer) Raw(b []byte) {
 	if w.err == nil {

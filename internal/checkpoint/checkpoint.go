@@ -165,21 +165,34 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// EncodeCounted is Encode that also reports the bytes written, so the
-// checkpoint cost counters reflect actual state file sizes.
-func EncodeCounted(w io.Writer, st *State) (int64, error) {
-	cw := &countingWriter{w: w}
-	err := Encode(cw, st)
-	return cw.n, err
+// Encoder writes GABC state files through one set of write buffers, so
+// an owner that captures every epoch allocates them once. The zero value
+// is ready to use.
+type Encoder struct {
+	out countingWriter
+	cw  *binfmt.Writer
 }
 
 // Encode writes st in the GABC format. The writer is buffered internally;
 // callers pair it with Store.WriteState for atomic temp+rename placement.
 func Encode(w io.Writer, st *State) error {
+	_, err := new(Encoder).EncodeState(w, st)
+	return err
+}
+
+// EncodeState is Encode that also reports the bytes written, so the
+// checkpoint cost counters reflect actual state file sizes.
+func (e *Encoder) EncodeState(w io.Writer, st *State) (int64, error) {
 	if err := st.validate(); err != nil {
-		return err
+		return 0, err
 	}
-	cw := binfmt.NewWriter(w)
+	e.out = countingWriter{w: w}
+	if e.cw == nil {
+		e.cw = binfmt.NewWriter(&e.out)
+	} else {
+		e.cw.Reset(&e.out)
+	}
+	cw := e.cw
 	var hdr [ckptHeaderLen]byte
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
@@ -205,7 +218,10 @@ func Encode(w io.Writer, st *State) error {
 	cw.U64s(secPriority, st.Priority)
 	cw.Bytes(secActive, st.Active)
 	cw.U64s(secStamps, st.Stamps)
-	return cw.Flush()
+	err := cw.Flush()
+	n := e.out.n
+	e.out.w = nil // hold no reference to w past the encode
+	return n, err
 }
 
 // Decode reads a GABC state file, verifying every section CRC and every

@@ -15,13 +15,14 @@
 // the only correctness requirement, so the steady-state path has no
 // barriers, only the pick lock, channels and atomics.
 //
-// There is one node implementation and two runtimes around it: Run
-// (inproc.go) hosts every node in this process over shared arrays, and
-// internal/cluster/tcp hosts one node per OS process over real sockets.
-// Both launch their nodes through Shared.Start and reach them one way:
-// the Transport is bound straight to Node.Deliver, so an envelope is
-// applied by whoever carries it and a node has no receive goroutine.
-// Latency, loss and reordering therefore belong to the Transport alone.
+// There is one node implementation, one coordinator, and two runtimes
+// around them: Run (inproc.go) hosts every node in this process over
+// shared arrays, and internal/cluster/tcp hosts one node per OS process
+// over real sockets. Both launch their nodes through Shared.Start and
+// reach them one way: the Transport is bound straight to Node.Deliver,
+// so an envelope is applied by whoever carries it and a node has no
+// receive goroutine. Latency, loss and reordering therefore belong to
+// the Transport alone.
 //
 // The transport contract is deliberately weak: messages may be dropped,
 // duplicated, delayed, or reordered (internal/chaos injects exactly
@@ -29,18 +30,16 @@
 // unacked batches are retried after a timeout learned from each peer's
 // ack round trips, backing off while they keep timing out — and per-slot
 // write stamps that discard stale redeliveries. Nodes may also be killed
-// mid-run (Control.FailNode): the dead node's blocks are reassigned to
-// survivors and the orphaned edge-cache state is rebuilt by
-// re-scattering current owner values, which is exactly the idempotent
-// write the normal path performs.
+// mid-run (Control.FailNode, in-process only): the dead node's blocks
+// are reassigned to survivors and the orphaned edge-cache state is
+// rebuilt by re-scattering current owner values, which is exactly the
+// idempotent write the normal path performs.
 //
-// Termination uses an exact, ack-based distributed-quiescence check: a
-// monotone created-batch counter, an in-flight counter decremented only
-// after the receiving node has applied (and re-activated from) a batch
-// and its acknowledgment has come back, and a coordinator that accepts
-// termination only when no rebuild is in progress, no batch is
-// unsettled, every live node is quiescent, and nothing changed while it
-// looked. See checkQuiescence in inproc.go for the argument.
+// Termination is ack-based and exact: a batch stays in flight until the
+// receiver has applied (and re-activated from) it and its ack is back.
+// The one Coordinator (coord.go) probes every node over a Lane — direct
+// calls in its process, control frames to a TCP joiner — until two
+// consecutive rounds find nothing moved; see quiet there.
 package cluster
 
 import (

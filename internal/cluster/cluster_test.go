@@ -79,19 +79,24 @@ func degenerateGraph(t *testing.T, seed int64, maxWeight int, symmetric bool) *g
 
 // eachClusterShape runs prog over g on 1 and 3 nodes with block sizes 1,
 // 7 and |V| — the last leaves one block, so 3 nodes exceed the block
-// count — and hands every converged result to check.
+// count — and hands every converged result to check, once the exact
+// quiescence check has confirmed the run's declared quiescence.
 func eachClusterShape[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64, check func(name string, vals []V)) {
 	t.Helper()
 	for _, nodes := range []int{1, 3} {
 		for _, blockSize := range []int{1, 7, max(1, g.NumVertices())} {
 			name := fmt.Sprintf("%d nodes, block %d", nodes, blockSize)
 			cfg := Config{Nodes: nodes, BlockSize: blockSize, WorkersPerNode: 2, Epsilon: eps}
+			checked := oracleChecks.Load()
 			res, err := Run[V, M](context.Background(), g, prog, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if !res.Stats.Converged {
 				t.Fatalf("%s: did not converge", name)
+			}
+			if n := oracleChecks.Load() - checked; n != 1 {
+				t.Fatalf("%s: the exact check confirmed %d declared quiescences, want 1", name, n)
 			}
 			if nb := max(1, (g.NumVertices()+blockSize-1)/blockSize); res.Stats.Nodes != min(nodes, nb) {
 				t.Fatalf("%s: ran on %d nodes over %d blocks", name, res.Stats.Nodes, nb)
@@ -237,12 +242,16 @@ func TestDistributedToleratesNetworkDelay(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.Transport = &delayed{d: 2 * time.Millisecond}
 	cfg.BatchSize = 16
+	checked := oracleChecks.Load()
 	res, err := Run[float64, float64](context.Background(), g, bcd.PageRank{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.Converged {
 		t.Fatal("did not converge under network delay")
+	}
+	if n := oracleChecks.Load() - checked; n != 1 {
+		t.Fatalf("the exact check confirmed %d declared quiescences, want 1", n)
 	}
 	for v := range want {
 		if d := math.Abs(res.Values[v] - want[v]); d > 1e-7 {

@@ -25,7 +25,7 @@ type Control interface {
 	BatchesSent() int64
 }
 
-func (c *clusterRun[V, M]) LiveNodes() int     { return int(c.liveNodes.Load()) }
+func (c *clusterRun[V, M]) LiveNodes() int     { return len(c.nodes) - int(c.failures.Load()) }
 func (c *clusterRun[V, M]) BatchesSent() int64 { return c.Tel.Total(telemetry.CtrBatchesSent) }
 
 // FailNode implements Control. The recovery argument mirrors the paper's
@@ -44,19 +44,18 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		return fmt.Errorf("cluster: FailNode(%d): no such node", id)
 	case c.dead[id].Load():
 		return fmt.Errorf("cluster: FailNode(%d): node already failed", id)
-	case c.liveNodes.Load() <= 1:
+	case c.LiveNodes() <= 1:
 		return fmt.Errorf("cluster: FailNode(%d): cannot fail the last live node", id)
 	case c.Stopped():
 		return fmt.Errorf("cluster: FailNode(%d): run already stopping", id)
 	}
 
-	// Gate quiescence for the whole recovery: the termination detector
-	// must not accept a snapshot taken between "batches to the dead node
-	// abandoned" and "compensating re-activations registered".
+	// No probe is quiet during the recovery, and the failure count moves,
+	// so no probe round can straddle it and still extend a quiet streak.
 	c.recovering.Add(1)
 	defer c.recovering.Add(-1)
+	c.failures.Add(1)
 	c.sh0.Add(telemetry.CtrNodesFailed, 1)
-	c.liveNodes.Add(-1)
 
 	// 1. Kill: the node's workers observe the flag and run no further
 	// block, install refuses its traffic, and retryTick abandons batches

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphabcd/internal/bcd"
@@ -12,21 +11,29 @@ import (
 	"graphabcd/internal/telemetry"
 )
 
+// inprocProbeEvery is the in-process coordinator's probe cadence: a
+// round over direct lanes is a few atomic loads per node.
+const inprocProbeEvery = 20 * time.Microsecond
+
 // clusterRun is the in-process runtime: every Node of the cluster over
-// one Shared, plus what only exists when all nodes live in one address
-// space — failover, shared-atomic quiescence detection, and the stall
-// watchdog.
+// one Shared, ended by the coordinator over one direct lane per node,
+// plus what only exists when all nodes live in one address space —
+// failover and the stall watchdog.
 type clusterRun[V, M any] struct {
 	*Shared[V, M]
 	nodes []*Node[V, M]
 
-	failMu     sync.Mutex   // serializes FailNode calls
-	recovering atomic.Int64 // FailNode calls currently rebuilding state
-	liveNodes  atomic.Int64
-
-	sh0       *telemetry.Shard // watchdog and failover counters
-	converged atomic.Bool
+	// failMu serializes FailNode calls and the stop at declared
+	// quiescence: a failover either began before the coordinator's last
+	// probe round or is refused.
+	failMu sync.Mutex
+	sh0    *telemetry.Shard // watchdog and failover counters
 }
+
+// quiescedHook, when set, sees every in-process run at the moment its
+// coordinator declares quiescence, before it stops. Tests install the
+// exact shared-memory quiescence check here.
+var quiescedHook func(run any)
 
 func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*clusterRun[V, M], error) {
 	part, err := graph.NewPartition(g, cfg.BlockSize)
@@ -53,8 +60,7 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 		nodes:  nodes,
 	}
 	c.sh0 = &c.shards[0]
-	c.liveNodes.Store(int64(len(nodes)))
-	c.Tel.RegisterGauge("live_nodes", func() float64 { return float64(c.liveNodes.Load()) })
+	c.Tel.RegisterGauge("live_nodes", func() float64 { return float64(c.LiveNodes()) })
 	c.Tel.RegisterGauge("inflight_batches", func() float64 {
 		_, inflight := c.batchTotals()
 		return float64(inflight)
@@ -71,9 +77,30 @@ func (c *clusterRun[V, M]) batchTotals() (sent uint64, inflight int64) {
 	return sent, inflight
 }
 
+// coordinator is the run's coordinator: one direct lane per node.
+func (c *clusterRun[V, M]) coordinator() *Coordinator {
+	lanes := make([]Lane, len(c.nodes))
+	for i, n := range c.nodes {
+		lanes[i] = &Direct[V, M]{Node: n}
+	}
+	return &Coordinator{Lanes: lanes, Latch: c.Latch, Every: inprocProbeEvery, Quiesced: c.quiesced}
+}
+
+// quiesced stops the run at declared quiescence.
+func (c *clusterRun[V, M]) quiesced() {
+	c.failMu.Lock()
+	defer c.failMu.Unlock()
+	if quiescedHook != nil {
+		quiescedHook(c)
+	}
+	c.Stop()
+}
+
 // run starts the nodes (Shared.Start: the only goroutines are the
 // workers and the retry loop) and the watchdog, coordinates until the run
-// stops, and collects the result.
+// stops, and collects the result. A cancelled run keeps its partial
+// result; a failure or the node pick that finds the epoch budget spent
+// stops it early.
 func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	start := time.Now()
 	shutdown := c.Start(ctx, c.deliver, c.nodes...)
@@ -86,11 +113,13 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 		c.cfg.OnStart(c)
 	}
 
-	c.coordinate(ctx)
+	converged, _, err := c.coordinator().Run(ctx)
 	shutdown()
 	<-watched
-
-	if err := c.Err(); err != nil {
+	if err == nil || ctx.Err() != nil {
+		err = c.Err()
+	}
+	if err != nil {
 		return nil, err
 	}
 	res := &Result[V]{Values: c.CollectValues()}
@@ -103,7 +132,7 @@ func (c *clusterRun[V, M]) run(ctx context.Context) (*Result[V], error) {
 	}
 	t := c.Tel.CounterTotals()
 	res.Stats = Stats{
-		Stats:             core.StatsFromTelemetry(c.Tel, c.G.NumVertices(), c.converged.Load(), time.Since(start)),
+		Stats:             core.StatsFromTelemetry(c.Tel, c.G.NumVertices(), converged, time.Since(start)),
 		Nodes:             c.cfg.Nodes,
 		MessagesSent:      t[telemetry.CtrMessagesSent],
 		BatchesSent:       t[telemetry.CtrBatchesSent],
@@ -149,60 +178,4 @@ func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
 		}
 		last = progress
 	}
-}
-
-// coordinate is the cluster's termination unit. It stops the run when the
-// context is cancelled or distributed quiescence is certain; a failure or
-// the node pick that finds the epoch budget spent has stopped it already.
-func (c *clusterRun[V, M]) coordinate(ctx context.Context) {
-	for !c.Stopped() {
-		switch {
-		case ctx.Err() != nil:
-			// Graceful cancellation: stop scheduling, keep the partial
-			// result. Converged stays false.
-		case c.checkQuiescence():
-			c.converged.Store(true)
-		default:
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		c.Stop()
-	}
-}
-
-// checkQuiescence implements the exact distributed termination test,
-// ack-based so it stays exact under retries, duplicates, and node death.
-//
-// Order of observation: (1) snapshot the monotone per-node sent counters;
-// (2) require no failover rebuild in progress — a rebuild is about to
-// re-activate blocks, so the system is not quiet; (3) require every
-// node's inflight == 0 — every logical batch ever created has either
-// been acked (the receiver raised the destination's active bit *before*
-// sending the ack, and the sender decremented inflight only after
-// processing the ack, so all resulting activations are visible) or been
-// abandoned at a failed node *after* the rebuild that compensates for it
-// started, which step (2) covers; retries and duplicate deliveries never
-// touch the counters, and duplicate acks find the unacked entry already
-// gone; (4) require every live node quiescent — any worker still
-// processing holds its block in-flight and would fail this (dead nodes'
-// scheduler state is orphaned by reassignment and excluded); (5) require
-// the sent counters unchanged and still no rebuild — no new batch was
-// created and no node died while we looked (a failover that ran start to
-// finish inside the window shows up as a changed live count). Each sent
-// counter is monotone, so an unchanged sum means every one of them held
-// still across steps (2)–(4), during which inflight could only fall. If
-// all five hold, no work exists anywhere.
-func (c *clusterRun[V, M]) checkQuiescence() bool {
-	live := c.liveNodes.Load()
-	s1, inflight := c.batchTotals()
-	if c.recovering.Load() != 0 || inflight != 0 {
-		return false
-	}
-	for _, n := range c.nodes {
-		if !c.dead[n.ID].Load() && !n.Sched.Quiescent() {
-			return false
-		}
-	}
-	s2, inflight := c.batchTotals()
-	return s2 == s1 && inflight == 0 && c.recovering.Load() == 0 && c.liveNodes.Load() == live
 }

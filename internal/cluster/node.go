@@ -41,8 +41,12 @@ type Shared[V, M any] struct {
 	// of one slot never coexist (failover fences the handover).
 	slotSeq []atomic.Uint64 //abcd:stamped
 
-	dead []atomic.Bool // node id -> killed by failover (never set across processes)
-	seq  atomic.Uint64 // logical batch ids / write stamps
+	// Failover state, never set across processes: killed nodes, rebuilds
+	// in progress, FailNode calls begun.
+	dead       []atomic.Bool
+	recovering atomic.Int64
+	failures   atomic.Int64
+	seq        atomic.Uint64 // logical batch ids / write stamps
 	// fence serializes failover against block processing: every block
 	// step holds the read side, FailNode holds the write side while it
 	// reassigns blocks and rebuilds cache slots, so ownership changes are
@@ -61,8 +65,8 @@ type Shared[V, M any] struct {
 // cyclic scheduler, and the at-least-once delivery state machine
 // (unacked table, send window, stamp-guarded apply, retry) that carries
 // the batches the kernel's scatter builds for other owners over the
-// Transport. Both runtimes run this type and launch it through
-// Shared.Start; they differ only in how termination is detected. An
+// Transport. Both runtimes run this type, launch it through
+// Shared.Start and end it through one Coordinator (coord.go). An
 // envelope is delivered by whoever carries it — a worker or the retry
 // loop on a direct transport, a timer goroutine under injected delay, a
 // socket read loop over TCP: a node has no receive goroutine.
@@ -671,8 +675,12 @@ func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
 	}
 }
 
-// Probe returns the node's termination accounting: monotone batches
-// sent and applied, exact inflight, and scheduler quiescence.
-func (n *Node[V, M]) Probe() (sent, applied uint64, inflight int64, quiescent bool) {
-	return n.sent.Load(), n.applied.Load(), n.inflight.Load(), n.Sched.Quiescent()
+// Probe returns the node's termination accounting. A failover that
+// begins while it reads makes the node not quiet, so an equal failure
+// count in two quiet probes means none began between them.
+func (n *Node[V, M]) Probe() Probe {
+	f := n.failures.Load()
+	p := Probe{Sent: n.sent.Load(), Applied: n.applied.Load(), Inflight: n.inflight.Load(), Failures: f}
+	p.Quiet = n.recovering.Load() == 0 && (n.dead[n.ID].Load() || n.Sched.Quiescent()) && n.failures.Load() == f
+	return p
 }

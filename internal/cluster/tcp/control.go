@@ -318,34 +318,28 @@ func decodeSectionChunk(b []byte) (sectionChunk, error) {
 	return c, nil
 }
 
-// probeReply is one node's termination accounting snapshot: monotone
-// sent/applied counters, exact inflight, and scheduler quiescence.
-type probeReply struct {
-	sent, applied uint64
-	inflight      int64
-	quiescent     bool
-}
-
-func appendProbeReply(f []byte, r probeReply) []byte {
-	f = binary.LittleEndian.AppendUint64(f, r.sent)
-	f = binary.LittleEndian.AppendUint64(f, r.applied)
-	f = binary.LittleEndian.AppendUint64(f, uint64(r.inflight))
+// appendProbeReply / decodeProbeReply carry a cluster.Probe's sent,
+// applied, inflight and quiet; a joiner's failure count is always 0.
+func appendProbeReply(f []byte, r cluster.Probe) []byte {
+	f = binary.LittleEndian.AppendUint64(f, r.Sent)
+	f = binary.LittleEndian.AppendUint64(f, r.Applied)
+	f = binary.LittleEndian.AppendUint64(f, uint64(r.Inflight))
 	q := byte(0)
-	if r.quiescent {
+	if r.Quiet {
 		q = 1
 	}
 	return append(f, q)
 }
 
-func decodeProbeReply(b []byte) (probeReply, error) {
-	var r probeReply
+func decodeProbeReply(b []byte) (cluster.Probe, error) {
+	var r cluster.Probe
 	if len(b) != 25 {
 		return r, fmt.Errorf("tcp: probe reply %d bytes, want 25", len(b))
 	}
-	r.sent = binary.LittleEndian.Uint64(b[0:])
-	r.applied = binary.LittleEndian.Uint64(b[8:])
-	r.inflight = int64(binary.LittleEndian.Uint64(b[16:]))
-	r.quiescent = b[24] == 1
+	r.Sent = binary.LittleEndian.Uint64(b[0:])
+	r.Applied = binary.LittleEndian.Uint64(b[8:])
+	r.Inflight = int64(binary.LittleEndian.Uint64(b[16:]))
+	r.Quiet = b[24] == 1
 	return r, nil
 }
 

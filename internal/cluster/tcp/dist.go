@@ -1,15 +1,13 @@
-// The -listen/-join distributed runtime: Serve runs the coordinator
-// (node 0) against a plain GABS snapshot file and Join runs one joiner
-// process. Unlike cluster.Run, which hosts every node inside one
-// process, each process here hosts exactly one cluster.Node — the same
-// type, kernel and delivery state machine — over a partial graph: it
-// receives only its own blocks' slices of the snapshot's edge sections
-// (positioned reads at SnapshotSectionLayout offsets — a joiner never
-// sees the rest of the graph's edges) and exchanges state-based update
-// batches with its peers over the TCP transport. What this file adds is
-// only what crossing processes needs: join/assign/section shipping, the
-// coordinator's two-round quiescence probe over the control
-// connections, telemetry rounds, and value collection.
+// The -listen/-join distributed runtime: Serve runs node 0 and the
+// cluster's coordinator against a plain GABS snapshot file and Join runs
+// one joiner process. Unlike cluster.Run, which hosts every node inside
+// one process, each process here hosts exactly one cluster.Node over a
+// partial graph: it receives only its own blocks' slices of the
+// snapshot's edge sections (positioned reads at SnapshotSectionLayout
+// offsets — a joiner never sees the rest of the graph's edges). What
+// this file adds is only what crossing processes needs: join/assign/
+// section shipping, the joiner's answers to the coordinator's rounds
+// (lane.go asks them), and value shipping.
 package tcp
 
 import (
@@ -53,10 +51,6 @@ type DistConfig struct {
 	Epsilon        float64
 	MaxUnacked     int
 	RetryDeadline  time.Duration
-	// ProbeEvery is the coordinator's quiescence probe period (default
-	// 2ms). Termination needs two consecutive all-quiet rounds, so it
-	// bounds the detection latency at roughly twice this.
-	ProbeEvery time.Duration
 	// CheckpointDir enables cluster-wide fuzzy checkpoints (DESIGN.md
 	// §12): the coordinator periodically has every node write its owned
 	// state into this directory and commits a manifest once all nodes
@@ -95,12 +89,10 @@ type DistConfig struct {
 	Health *telemetry.Health
 }
 
-func (c DistConfig) probeEvery() time.Duration {
-	if c.ProbeEvery <= 0 {
-		return 2 * time.Millisecond
-	}
-	return c.ProbeEvery
-}
+// probeEvery is the coordinator's probe cadence over the control
+// connections. Termination needs two consecutive all-quiet rounds, so it
+// bounds the detection latency at roughly twice this.
+const probeEvery = 2 * time.Millisecond
 
 func (c DistConfig) checkpointInterval() time.Duration {
 	if c.CheckpointInterval <= 0 {
@@ -169,7 +161,13 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 	// Every remaining zero knob takes cluster.Config's default here, once;
 	// the assignment ships resolved values to the joiners.
 	ccfg = ccfg.WithDefaults()
-	plan, err := resolveCheckpointPlan(cfg, snap, ccfg.BlockSize)
+	var store checkpoint.Store
+	if cfg.CheckpointDir != "" {
+		if store, err = checkpoint.NewDirStore(cfg.CheckpointDir); err != nil {
+			return nil, err
+		}
+	}
+	plan, err := resolveCheckpointPlan(cfg, snap, ccfg.BlockSize, store)
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +272,8 @@ func Serve(ctx context.Context, ctrl net.Listener, snapshotPath string, cfg Dist
 		"event", "cluster.start", "nodes", cfg.Nodes, "algo", cfg.Algo,
 		"vertices", snap.n, "edges", snap.m)
 	res, err := runDist(ctx, g, selfAssign, tr, distSide{
-		health: cfg.Health, joiners: joiners, probeEvery: cfg.probeEvery(),
-		sink: cfg.Cluster, statsEvery: cfg.statsEvery(), began: start,
+		health: cfg.Health, joiners: joiners, began: start,
+		coord: cluster.Coordinator{Every: probeEvery, Sink: cfg.Cluster, StatsEvery: cfg.statsEvery()},
 	})
 	if err != nil {
 		return fail(err)
@@ -363,18 +361,15 @@ func listenSameHost(addr net.Addr) (net.Listener, string, error) {
 	return ln, net.JoinHostPort(host, port), nil
 }
 
-// distSide is the program-independent part of a distRun: which end of
-// the control lane this process is on, and where it reports. A joiner
-// has cc; the coordinator has the joiners and its round settings.
+// distSide is the program-independent part of a distRun: a joiner has
+// cc, the coordinator the joiners and its round settings.
 type distSide struct {
 	health *telemetry.Health // readiness transitions; may be nil
-	cc     *ctrlConn         // joiner: the lane to the coordinator
+	cc     *ctrlConn         // joiner: the connection to the coordinator
 
-	joiners    []*ctrlConn
-	probeEvery time.Duration
-	sink       *telemetry.ClusterStats // merged telemetry; nil disables fStats rounds
-	statsEvery time.Duration
-	began      time.Time // Serve's entry, for DistResult.WallTime
+	joiners []*ctrlConn
+	coord   cluster.Coordinator // cadences and sink; lead adds the lanes
+	began   time.Time           // Serve's entry, for DistResult.WallTime
 }
 
 // runDist dispatches on the assignment's algorithm code to the generic
@@ -419,16 +414,15 @@ func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, pr
 	shutdown := d.start(ctx)
 	defer shutdown()
 	if d.cc == nil {
-		return d.coordinate(ctx)
+		return d.lead(ctx)
 	}
 	return nil, d.follow(ctx)
 }
 
 // distRun is one process's share of a -listen/-join run: the cluster
-// node every runtime runs (kernel, delivery state machine, owned state)
-// plus what only exists across processes — the control-lane rounds that
-// replace shared-memory quiescence detection, telemetry shipping, value
-// collection, and checkpoint epochs (dist_ckpt.go).
+// node every runtime runs plus what only exists across processes — the
+// control connections, telemetry and value shipping, and the node's
+// checkpoint share (dist_ckpt.go).
 type distRun[V, M any] struct {
 	*cluster.Node[V, M]
 	distSide
@@ -437,8 +431,7 @@ type distRun[V, M any] struct {
 
 	// lastShipped is the cumulative NodeStats snapshot as of the last
 	// fStats delta this node shipped (or, on the coordinator, folded into
-	// its own sink). Only the control goroutine (follow/coordinate)
-	// touches it.
+	// its own sink). Only the control goroutine (follow/lead) touches it.
 	lastShipped telemetry.NodeStats
 
 	// ckpt is this node's checkpoint share, non-nil when the assignment
@@ -468,178 +461,38 @@ func (d *distRun[V, M]) setReady(ready bool, reason string) {
 	}
 }
 
-func (d *distRun[V, M]) probe() probeReply {
-	var r probeReply
-	r.sent, r.applied, r.inflight, r.quiescent = d.Probe()
-	return r
-}
-
-// collectStats snapshots this node's cumulative telemetry — registry
-// counters and histograms plus the transport's socket counters.
-func (d *distRun[V, M]) collectStats() telemetry.NodeStats {
-	s := d.Tel.CollectNodeStats(d.ID)
-	s.Wire = d.tr.WireStats()
-	return s
-}
-
-// shipStatsDelta returns the delta since the last shipped snapshot and
-// advances the watermark. Only the control goroutine calls it.
+// shipStatsDelta snapshots this node's cumulative telemetry — registry
+// counters and histograms plus the transport's socket counters — and
+// returns the delta since the last shipped snapshot, advancing the
+// watermark. Only the control goroutine calls it.
 func (d *distRun[V, M]) shipStatsDelta() telemetry.NodeStats {
-	cur := d.collectStats()
+	cur := d.Tel.CollectNodeStats(d.ID)
+	cur.Wire = d.tr.WireStats()
 	delta := cur.DeltaFrom(&d.lastShipped)
 	d.lastShipped = cur
 	return delta
 }
 
-// statsRound is one control-lane telemetry aggregation round: the
-// coordinator folds its own delta into the sink, then asks every joiner
-// for theirs. Rounds interleave with probe and checkpoint rounds on the
-// same lockstep control lane; a round reads counters without mutating
-// engine state, so it cannot disturb quiescence detection.
-func (d *distRun[V, M]) statsRound() error {
-	sink := d.sink
-	if sink == nil {
-		return nil
+// lead runs the cluster's coordinator on node 0, over a direct lane to
+// this node and a control-connection lane to each joiner.
+func (d *distRun[V, M]) lead(ctx context.Context) (*DistResult, error) {
+	co := d.coord
+	co.Lanes = []cluster.Lane{&cluster.Direct[V, M]{Node: d.Node, Share: d.ckpt, Stats: d.shipStatsDelta}}
+	for i, j := range d.joiners {
+		vlo, vhi := d.VertexRange(i + 1)
+		co.Lanes = append(co.Lanes, &joinerLane[V]{ctrlConn: j, node: i + 1, vlo: vlo, vhi: vhi, values: d.Values})
 	}
-	begin := time.Now()
-	var waited time.Duration
-	defer func() {
-		span := time.Since(begin)
-		sink.NoteRound(span-waited, span)
-	}()
-	own := d.shipStatsDelta()
-	sink.Apply(&own)
-	for _, j := range d.joiners {
-		if err := j.write(newFrame(fStats)); err != nil {
-			return fmt.Errorf("tcp: stats round: %w", err)
-		}
-		w0 := time.Now()
-		body, err := j.expect(fStatsReply)
-		waited += time.Since(w0)
-		if err != nil {
-			return fmt.Errorf("tcp: stats reply: %w", err)
-		}
-		ns, err := telemetry.DecodeNodeStats(body[1:])
-		if err != nil {
-			return err
-		}
-		sink.Apply(&ns)
-	}
-	obslog.L().Debug("cluster telemetry round merged",
-		"event", "dist.stats_round", "nodes", sink.Len())
-	return nil
-}
-
-// coordinate runs the coordinator's probe/terminate protocol over the
-// joiner control connections while this process's own node works.
-// Termination: two consecutive probe rounds in which every node is
-// scheduler-quiescent with zero unacked batches and identical monotone
-// sent/applied counters — nothing moved between the observations, so no
-// update exists anywhere in the system.
-func (d *distRun[V, M]) coordinate(ctx context.Context) (*DistResult, error) {
-	joiners := d.joiners
-	var prev []probeReply
-	quietRounds := 0
-	var nextCkpt time.Time
+	co.Latch, co.Quiesced = d.Latch, d.Stop
 	if d.ckpt != nil {
-		nextCkpt = time.Now().Add(d.a.ckpt.interval)
+		co.Commit, co.Epoch, co.CkptEvery = d.ckpt.Commit, d.ckpt.Epoch, d.a.ckpt.interval
 	}
-	var nextStats time.Time
-	if d.sink != nil {
-		nextStats = time.Now().Add(d.statsEvery)
-	}
-	for quietRounds < 2 {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(d.probeEvery):
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		// Checkpoint rounds interleave with probe rounds on the same
-		// lockstep control lane. A capture reads counters and state
-		// without mutating either, so it cannot disturb the two-round
-		// quiescence detection below.
-		if d.ckpt != nil && !time.Now().Before(nextCkpt) {
-			if err := d.checkpointRound(joiners); err != nil {
-				return nil, err
-			}
-			nextCkpt = time.Now().Add(d.a.ckpt.interval)
-		}
-		// Telemetry aggregation rounds interleave the same way.
-		if !nextStats.IsZero() && !time.Now().Before(nextStats) {
-			if err := d.statsRound(); err != nil {
-				return nil, err
-			}
-			nextStats = time.Now().Add(d.statsEvery)
-		}
-		round := make([]probeReply, 0, len(joiners)+1)
-		round = append(round, d.probe())
-		for _, j := range joiners {
-			if err := j.write(newFrame(fProbe)); err != nil {
-				return nil, fmt.Errorf("tcp: probe: %w", err)
-			}
-			body, err := j.expect(fProbeReply)
-			if err != nil {
-				return nil, fmt.Errorf("tcp: probe reply: %w", err)
-			}
-			r, err := decodeProbeReply(body[1:])
-			if err != nil {
-				return nil, err
-			}
-			round = append(round, r)
-		}
-		ok := prev != nil
-		for _, r := range round {
-			if !r.quiescent || r.inflight != 0 {
-				ok = false
-			}
-		}
-		if ok {
-			for i := range round {
-				if round[i].sent != prev[i].sent || round[i].applied != prev[i].applied {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			quietRounds++
-		} else {
-			quietRounds = 0
-		}
-		prev = round
-	}
-
-	// Quiesced: run one final stats round so the merged snapshot covers
-	// the tail interval, then stop everyone and collect values.
-	if err := d.statsRound(); err != nil {
+	// A TCP run has no epoch budget, so the rounds end quiesced or with
+	// an error.
+	_, sent, err := co.Run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	obslog.L().Info("cluster quiescent, collecting values",
-		"event", "dist.quiesce", "nodes", d.a.cfg.Nodes)
-	var sent int64
-	for _, r := range prev {
-		sent += int64(r.sent)
-	}
-	d.Stop()
-	res := &DistResult{Algo: algoName(d.a.algo), BatchesSent: sent}
-	for _, j := range joiners {
-		if err := j.write(newFrame(fStop)); err != nil {
-			return nil, fmt.Errorf("tcp: stop: %w", err)
-		}
-	}
-	for i, j := range joiners {
-		if err := d.receiveValues(j, i+1); err != nil {
-			return nil, err
-		}
-		if err := j.write(newFrame(fDone)); err != nil {
-			return nil, fmt.Errorf("tcp: done: %w", err)
-		}
-	}
-	res.WallTime = time.Since(d.began)
-	res.Wire = d.tr.WireStats()
+	res := &DistResult{Algo: algoName(d.a.algo), BatchesSent: int64(sent), WallTime: time.Since(d.began), Wire: d.tr.WireStats()}
 	// Every node's owned range now sits in this node's value array.
 	switch vals := any(d.CollectValues()).(type) {
 	case []float64:
@@ -650,13 +503,13 @@ func (d *distRun[V, M]) coordinate(ctx context.Context) (*DistResult, error) {
 	return res, nil
 }
 
-// follow is the joiner side of coordinate: answer probes until fStop,
-// then ship the owned values and wait for fDone. The read deadline
-// keeps the loop responsive to cancellation and local engine failure;
-// control frames are small single-segment writes, so a deadline firing
-// mid-frame (which would desync the stream) needs the kernel to split a
-// tens-of-bytes loopback write — treated as the connection loss it
-// effectively is.
+// follow is the joiner's side of the coordinator's rounds: answer them
+// until fStop, then ship the owned values and wait for fDone. The read
+// deadline keeps the loop responsive to cancellation and local engine
+// failure; control frames are small single-segment writes, so a deadline
+// firing mid-frame (which would desync the stream) needs the kernel to
+// split a tens-of-bytes loopback write — treated as the connection loss
+// it effectively is.
 func (d *distRun[V, M]) follow(ctx context.Context) error {
 	cc := d.cc
 	for {
@@ -675,38 +528,30 @@ func (d *distRun[V, M]) follow(ctx context.Context) error {
 			}
 			return fmt.Errorf("tcp: control connection: %w", err)
 		}
+		var reply []byte
 		switch body[0] {
 		case fProbe:
-			if err := cc.write(appendProbeReply(newFrame(fProbeReply), d.probe())); err != nil {
-				return err
-			}
+			reply = appendProbeReply(newFrame(fProbeReply), d.Probe())
 		case fStats:
 			delta := d.shipStatsDelta()
-			if err := cc.write(telemetry.AppendNodeStats(newFrame(fStatsReply), &delta)); err != nil {
-				return err
-			}
+			reply = telemetry.AppendNodeStats(newFrame(fStatsReply), &delta)
 		case fCkpt:
 			epoch, err := decodeEpoch(body[1:])
-			if err != nil {
-				cc.sendError(err)
-				return err
-			}
-			if d.ckpt == nil {
-				err := errors.New("tcp: coordinator requested a checkpoint but the assignment carried no checkpoint plan")
-				cc.sendError(err)
-				return err
+			if err == nil && d.ckpt == nil {
+				err = errors.New("tcp: coordinator requested a checkpoint but the assignment carried no checkpoint plan")
 			}
 			// Capture on the control goroutine while the workers run —
 			// that concurrency is the fuzziness. The ack promises only
 			// that this node's state file is durable; the coordinator
 			// commits the manifest once every node has promised.
-			if err := d.ckpt.Capture(epoch); err != nil {
+			if err == nil {
+				err = d.ckpt.Capture(epoch)
+			}
+			if err != nil {
 				cc.sendError(err)
 				return err
 			}
-			if err := cc.write(appendEpoch(newFrame(fCkptAck), epoch)); err != nil {
-				return err
-			}
+			reply = appendEpoch(newFrame(fCkptAck), epoch)
 		case fStop:
 			d.Stop()
 			_ = cc.c.SetReadDeadline(time.Time{})
@@ -719,6 +564,9 @@ func (d *distRun[V, M]) follow(ctx context.Context) error {
 			return nil
 		default:
 			return fmt.Errorf("tcp: unexpected control frame %d mid-run", body[0])
+		}
+		if err := cc.write(reply); err != nil {
+			return err
 		}
 	}
 }
@@ -741,43 +589,6 @@ func (d *distRun[V, M]) sendValues(cc *ctrlConn) error {
 		}
 	}
 	return cc.write(newFrame(fDone))
-}
-
-// receiveValues installs one joiner's owned range from its fValues
-// stream into this node's value array (which nothing reads outside its
-// own range once the run has stopped).
-func (d *distRun[V, M]) receiveValues(cc *ctrlConn, node int) error {
-	words := d.Values.Words()
-	vlo, vhi := d.VertexRange(node)
-	for {
-		body, err := cc.read()
-		if err != nil {
-			return fmt.Errorf("tcp: values from node %d: %w", node, err)
-		}
-		if body[0] == fDone {
-			return nil
-		}
-		if body[0] != fValues {
-			return fmt.Errorf("tcp: unexpected frame %d in node %d's value stream", body[0], node)
-		}
-		c, err := decodeValuesChunk(body[1:])
-		if err != nil {
-			return err
-		}
-		if len(c.words)%(words*8) != 0 {
-			return fmt.Errorf("tcp: node %d values chunk %d bytes, not a multiple of %d", node, len(c.words), words*8)
-		}
-		count := len(c.words) / (words * 8)
-		if c.vlo < int64(vlo) || c.vlo+int64(count) > int64(vhi) {
-			return fmt.Errorf("tcp: node %d values [%d,%d) outside its owned range [%d,%d)",
-				node, c.vlo, c.vlo+int64(count), vlo, vhi)
-		}
-		raw := make([]uint64, count*words)
-		for i := range raw {
-			raw[i] = binary.LittleEndian.Uint64(c.words[i*8:])
-		}
-		d.Values.StoreWords(c.vlo, raw)
-	}
 }
 
 // snapshotSections is the coordinator's positioned-read view of a plain

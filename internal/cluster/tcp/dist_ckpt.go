@@ -1,14 +1,14 @@
 // Distributed fuzzy checkpointing for the -listen/-join runtime
 // (DESIGN.md §12). Each node owns one core.Share — the capture, shape
 // check and restore the single-process engine runs as node 0 of 1 — over
-// its owned span, slot stamps and send sequence. The cluster keeps only
-// the epoch round and the resume plan: the coordinator commits an
-// epoch's manifest after every joiner has acked its shard durable, so a
-// crash leaves the previous fully-acked epoch or nothing. Nodes capture
-// at slightly different moments while their workers run, so a batch in
-// flight across two capture points may be missing from the receiver's
-// cache; a resume re-derives every cache from the restored values, which
-// reconstructs exactly what that batch carried.
+// its owned span, slot stamps and send sequence; the coordinator's
+// checkpoint round commits an epoch's manifest after every node has
+// acked its shard durable, so a crash leaves the previous fully-acked
+// epoch or nothing. Nodes capture at slightly different moments while
+// their workers run, so a batch in flight across two capture points may
+// be missing from the receiver's cache; a resume re-derives every cache
+// from the restored values, which reconstructs exactly what that batch
+// carried.
 package tcp
 
 import (
@@ -35,18 +35,23 @@ type ckptPlan struct {
 	interval    time.Duration
 	resumeEpoch uint64
 	seqBase     uint64
+
+	// Only in the coordinator's process: its store, and the shards the
+	// plan decoded, which node 0 restores without decoding them again.
+	store  checkpoint.Store
+	shards []*checkpoint.State
 }
 
 // resolveCheckpointPlan turns the serve config into the cluster's
-// checkpoint plan, validating a requested resume against the snapshot
-// before any joiner is assigned: core.Layout.Open refuses a manifest
-// whose identity or node count differs from this run, and every shard
-// of the committed epoch that does not decode or is not its owner's
-// span. The shards' maximum envelope sequence/stamp seeds seqBase so no
-// post-resume envelope id ever loses a staleness race against a
-// restored write stamp.
-func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int) (ckptPlan, error) {
-	var p ckptPlan
+// checkpoint plan over store (nil without CheckpointDir), validating a
+// requested resume against the snapshot before any joiner is assigned:
+// core.Layout.Open refuses a manifest whose identity or node count
+// differs from this run, and every shard of the committed epoch that
+// does not decode or is not its owner's span. The shards' maximum
+// envelope sequence/stamp seeds seqBase so no post-resume envelope id
+// ever loses a staleness race against a restored write stamp.
+func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int, store checkpoint.Store) (ckptPlan, error) {
+	p := ckptPlan{store: store}
 	if cfg.CheckpointDir == "" {
 		if cfg.Resume != "" {
 			return p, errors.New("tcp: Resume needs CheckpointDir")
@@ -80,15 +85,11 @@ func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int
 	if cfg.Resume == "" {
 		return p, nil
 	}
-	store, err := checkpoint.NewDirStore(cfg.CheckpointDir)
-	if err != nil {
-		return p, err
-	}
 	m, shards, err := layout.Open(store, cfg.Resume)
 	if err != nil {
 		return p, err
 	}
-	p.runID, p.resumeEpoch = m.RunID, m.Epoch
+	p.runID, p.resumeEpoch, p.shards = m.RunID, m.Epoch, shards
 	for _, st := range shards {
 		hi := st.Counters.Seq
 		for _, s := range st.Stamps {
@@ -125,9 +126,13 @@ func algoWords(code byte) (int, error) {
 // restarts at the plan's seqBase, which the coordinator computed above
 // every stamp and sequence in the epoch.
 func (d *distRun[V, M]) openCheckpoint() error {
-	store, err := checkpoint.NewDirStore(d.a.ckpt.dir)
-	if err != nil {
-		return err
+	store := d.a.ckpt.store // the coordinator's; a joiner opens the shared directory
+	if store == nil {
+		ds, err := checkpoint.NewDirStore(d.a.ckpt.dir)
+		if err != nil {
+			return err
+		}
+		store = ds
 	}
 	// The partial graphs carry both full offset arrays, so every node
 	// computes the same digest the coordinator computed from the snapshot
@@ -142,7 +147,17 @@ func (d *distRun[V, M]) openCheckpoint() error {
 	// is explicitly not ready until the restore completes (start() flips
 	// it back).
 	d.setReady(false, "checkpoint resume")
-	m, shards, err := ck.Open(store, ck.RunID)
+	// Node 0 re-reads only the manifest, to refuse an epoch committed
+	// since its plan; a joiner decodes its own copies of the shards.
+	var m *checkpoint.Manifest
+	shards := d.a.ckpt.shards
+	var err error
+	if shards == nil {
+		m, shards, err = ck.Open(store, ck.RunID)
+	} else {
+		m, err = checkpoint.Lookup(store, ck.RunID)
+	}
+	d.a.ckpt.shards = nil // the run must not pin a decoded copy of every shard
 	if err != nil {
 		return err
 	}
@@ -154,36 +169,4 @@ func (d *distRun[V, M]) openCheckpoint() error {
 	}
 	d.SetSeq(d.a.ckpt.seqBase)
 	return nil
-}
-
-// checkpointRound drives one cluster-wide checkpoint epoch from the
-// coordinator: fCkpt to every joiner, own capture, all acks, then — and
-// only then — the manifest commit. The control lane is lockstep, so the
-// acks arrive in joiner order; the fuzziness is in when each node's
-// capture samples its live state, not in the commit.
-func (d *distRun[V, M]) checkpointRound(joiners []*ctrlConn) error {
-	ck := d.ckpt
-	epoch := ck.Epoch + 1
-	for _, j := range joiners {
-		if err := j.write(appendEpoch(newFrame(fCkpt), epoch)); err != nil {
-			return fmt.Errorf("tcp: checkpoint epoch %d: %w", epoch, err)
-		}
-	}
-	if err := ck.Capture(epoch); err != nil {
-		return err
-	}
-	for i, j := range joiners {
-		body, err := j.expect(fCkptAck)
-		if err != nil {
-			return fmt.Errorf("tcp: checkpoint ack from node %d: %w", i+1, err)
-		}
-		got, err := decodeEpoch(body[1:])
-		if err != nil {
-			return err
-		}
-		if got != epoch {
-			return fmt.Errorf("tcp: node %d acked checkpoint epoch %d, want %d", i+1, got, epoch)
-		}
-	}
-	return ck.Commit(epoch)
 }

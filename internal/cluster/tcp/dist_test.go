@@ -94,7 +94,6 @@ func distConfig(nodes int, algo string) tcp.DistConfig {
 		BatchSize:      8,
 		MaxUnacked:     256,
 		RetryDeadline:  60 * time.Second,
-		ProbeEvery:     time.Millisecond,
 	}
 }
 

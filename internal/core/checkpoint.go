@@ -147,10 +147,11 @@ type Share[V, M any] struct {
 	tel    *telemetry.Registry
 	sh     *telemetry.Shard // capture cost and restored progress counters
 	stamps Stamps           // nil: no slot stamps or send sequence
-	// buf is the owner's shard header and capture buffers, allocated
-	// once: a checkpoint must not grow the run's allocation footprint
-	// every epoch.
+	// buf is the owner's shard header and capture buffers and enc its
+	// encoder's write buffers, allocated once: a checkpoint must not grow
+	// the run's allocation footprint every epoch.
 	buf checkpoint.State
+	enc checkpoint.Encoder
 }
 
 // NewShare builds node's share of a run of program over k split among
@@ -187,7 +188,7 @@ func (s *Share[V, M]) Capture(epoch uint64) error {
 	st.Counters.EdgesTraversed = s.tel.Total(telemetry.CtrEdgesTraversed)
 	var written int64
 	if err := s.Store.WriteState(s.RunID, epoch, st.Node, func(w io.Writer) (err error) {
-		written, err = checkpoint.EncodeCounted(w, st)
+		written, err = s.enc.EncodeState(w, st)
 		return err
 	}); err != nil {
 		return err

@@ -214,6 +214,27 @@ if [[ -n "$queues" ]]; then
     exit 1
 fi
 
+echo "== one coordinator (cluster.Coordinator ends every cluster run)"
+# internal/cluster/coord.go is the one round loop — probe, stats,
+# checkpoint, stop — for cluster.Run's direct lanes and tcp.Serve's
+# joiner lanes (tcp/lane.go). A second termination test (checkQuiescence
+# lives on only as a test oracle), a polling sleep under internal/cluster,
+# or a probe, stats or checkpoint request written outside the joiner lane
+# is a second coordinator growing back.
+coords=$(
+    grep -rn --include='*.go' 'checkQuiescence' . |
+        grep -v -e '_test\.go:' -e '^\./internal/cluster/coord\.go:' -e '^\./bench/' -e '^\./\.' || true
+    grep -rn --include='*.go' 'time\.Sleep(' internal/cluster |
+        grep -v -e '_test\.go:' -e '^internal/cluster/coord\.go:' || true
+    grep -rnE --include='*.go' 'newFrame\(f(Probe|Stats|Ckpt)\)' internal/cluster/tcp |
+        grep -v -e '_test\.go:' -e '^internal/cluster/tcp/lane\.go:' || true
+)
+if [[ -n "$coords" ]]; then
+    echo "a second coordinator outside internal/cluster/coord.go and tcp/lane.go:" >&2
+    echo "$coords" >&2
+    exit 1
+fi
+
 echo "== learned retransmission timeout (no fixed retry base)"
 # A node learns each peer's retransmission timeout from its ack round
 # trips (internal/cluster/node.go, peerRTO). A RetryBase knob under
@@ -262,7 +283,7 @@ echo "== one checkpoint share (core/checkpoint.go captures, checks and restores 
 # span-checks every shard on resume. A state encode, a scheduler snapshot
 # or a state decode anywhere else is a second capture or restore growing
 # back beside it.
-shares=$(grep -rnE --include='*.go' 'checkpoint\.EncodeCounted\(|\.SnapshotBlocks\(|checkpoint\.Decode\(' . |
+shares=$(grep -rnE --include='*.go' 'checkpoint\.Encode(r|\()|\.SnapshotBlocks\(|checkpoint\.Decode\(' . |
     grep -v -e '_test\.go:' -e '^\./internal/checkpoint/' -e '^\./internal/core/checkpoint\.go:' \
         -e '^\./bench/' -e '^\./\.' || true)
 if [[ -n "$shares" ]]; then
