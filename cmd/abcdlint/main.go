@@ -14,15 +14,13 @@
 //
 //	-rules rule1,rule2   run a subset ("-rules list" prints the suite)
 //	-list                list available rules and exit
-//	-format text|json|sarif
-//	                     finding output format (default text)
-//	-baseline file       grandfather findings recorded in file: they are
-//	                     reported but do not fail the run
-//	-update-baseline     rewrite the -baseline file from current findings
+//	-format text|json    finding output format (default text)
 //	-ignored             audit every //abcdlint:ignore suppression and exit
 //
-// Exits 0 when no fresh finding survives suppression and the baseline,
-// 1 on fresh findings, 2 on usage or load errors.
+// Hot code declares itself with //abcd:hotpath; there is no root list to
+// configure. Exits 0 when no finding survives suppression, 1 on any
+// finding (an //abcdlint:ignore naming no rule is one), 2 on usage or
+// load errors.
 package main
 
 import (
@@ -37,12 +35,10 @@ import (
 func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run, or \"list\" (default: all)")
 	list := flag.Bool("list", false, "list available rules and exit")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings")
+	format := flag.String("format", "text", "output format: text or json")
 	ignored := flag.Bool("ignored", false, "list every //abcdlint:ignore suppression and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: abcdlint [-rules rule1,rule2] [-format text|json|sarif] [-baseline file [-update-baseline]] [-ignored] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: abcdlint [-rules rule1,rule2] [-format text|json] [-ignored] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,13 +50,9 @@ func main() {
 		return
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "abcdlint: unknown format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintf(os.Stderr, "abcdlint: -update-baseline requires -baseline\n")
+		fmt.Fprintf(os.Stderr, "abcdlint: unknown format %q (want text or json)\n", *format)
 		os.Exit(2)
 	}
 
@@ -101,49 +93,18 @@ func main() {
 		return
 	}
 
-	fresh := len(rep.Findings)
-	if *baselinePath != "" {
-		if *updateBaseline {
-			if err := analysis.BaselineFromReport(rep).Write(*baselinePath); err != nil {
-				fmt.Fprintf(os.Stderr, "abcdlint: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "abcdlint: baseline %s updated with %d finding(s)\n", *baselinePath, len(rep.Findings))
-			return
-		}
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "abcdlint: %v\n", err)
-			os.Exit(2)
-		}
-		fresh = base.Apply(rep)
-	}
-
-	switch *format {
-	case "json":
+	if *format == "json" {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "abcdlint: %v\n", err)
 			os.Exit(2)
 		}
-	case "sarif":
-		if err := rep.WriteSARIF(os.Stdout, analyzers); err != nil {
-			fmt.Fprintf(os.Stderr, "abcdlint: %v\n", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, f := range rep.Findings {
-			suffix := ""
-			if f.Grandfathered {
-				suffix = " (baseline)"
-			}
-			fmt.Printf("%s:%d:%d: [%s] %s%s\n", f.File, f.Line, f.Col, f.Rule, f.Message, suffix)
+			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Rule, f.Message)
 		}
-	}
-	if fresh > 0 {
-		fmt.Fprintf(os.Stderr, "abcdlint: %d fresh finding(s)\n", fresh)
-		os.Exit(1)
 	}
 	if n := len(rep.Findings); n > 0 {
-		fmt.Fprintf(os.Stderr, "abcdlint: %d grandfathered finding(s), none fresh\n", n)
+		fmt.Fprintf(os.Stderr, "abcdlint: %d finding(s)\n", n)
+		os.Exit(1)
 	}
 }

@@ -304,7 +304,7 @@ func (b *bus) acquire(bytes int64, nowNs float64) (startNs, endNs float64) {
 		return nowNs, nowNs // nothing to move
 	}
 	dur := float64(bytes) / b.bytesPerNs
-	b.mu.Lock()
+	b.mu.Lock() //abcdlint:ignore hotpath -- simulator clock: the shared bus queue orders simulated transfers in -sim runs, not the measured data path
 	if nowNs > b.lastNs {
 		// Idle time since the last request drains the backlog.
 		b.backlogNs -= nowNs - b.lastNs
@@ -315,6 +315,7 @@ func (b *bus) acquire(bytes int64, nowNs float64) (startNs, endNs float64) {
 	}
 	start := nowNs + b.backlogNs
 	b.backlogNs += dur
+	//abcdlint:ignore hotpath -- simulator clock: see the matching Lock above
 	b.mu.Unlock()
 	b.busyNs.add(dur)
 	return start, start + dur
@@ -341,9 +342,11 @@ type PE struct {
 // overlaps the previous block's compute), the GATHER-APPLY pipeline, and
 // the vertex-block write-back. It returns the PE's new local time.
 // Safe for concurrent use; concurrent callers serialize on the PE.
+//
+//abcd:hotpath
 func (pe *PE) RunBlock(edges, edgeBytes, writeBytes int64) float64 {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
+	pe.mu.Lock()         //abcdlint:ignore hotpath -- simulator clock: serializes one PE's simulated-time accounting in -sim runs, not the measured data path
+	defer pe.mu.Unlock() //abcdlint:ignore hotpath -- simulator clock: see the matching Lock above
 	cfg := pe.sim.cfg
 	// The fetch may issue once the DMA engine is free and the buffer the
 	// block two tasks ago used has drained.
@@ -394,6 +397,8 @@ func (w *CPUWorker) RunScatter(edges, bytes int64) float64 {
 
 // RunGather advances the worker across a software GATHER-APPLY task
 // (hybrid execution or the all-software baseline).
+//
+//abcd:hotpath
 func (w *CPUWorker) RunGather(edges, bytes int64) float64 {
 	dur := float64(edges) * w.sim.cfg.CPUGatherNsPerEdge
 	w.sim.addTraffic(RandRead, bytes)

@@ -15,7 +15,8 @@
 //	//abcdlint:ignore rule1,rule2 -- reason why this is a false positive
 //
 // The reason after "--" is mandatory; a suppression without one is not
-// honored.
+// honored. A suppression naming a rule the suite does not have is itself
+// reported.
 package analysis
 
 import (
@@ -27,7 +28,6 @@ import (
 // Rule names, usable in //abcdlint:ignore suppressions and -rules flags.
 const (
 	atomicWordName = "atomicword"
-	hotAllocName   = "hotalloc"
 	hotPathName    = "hotpath"
 	lockSafeName   = "locksafe"
 	errCheckName   = "errcheck"
@@ -35,6 +35,10 @@ const (
 	ctxLoopName    = "ctxloop"
 	publishName    = "publish"
 	boundAllocName = "boundalloc"
+
+	// staleIgnoreName labels the driver's own finding: an
+	// //abcdlint:ignore naming a rule that is not in All().
+	staleIgnoreName = "abcdlint"
 )
 
 // ChainHop is one step of an interprocedural finding's call chain: the
@@ -104,7 +108,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{AtomicWord, HotAlloc, HotPath, LockSafe, ErrCheck, GoroutineHygiene, CtxLoop, Publish, BoundAlloc}
+	return []*Analyzer{AtomicWord, HotPath, LockSafe, ErrCheck, GoroutineHygiene, CtxLoop, Publish, BoundAlloc}
 }
 
 // ByName returns the analyzer with the given rule name, or nil.
@@ -120,13 +124,6 @@ func ByName(name string) *Analyzer {
 // Config tunes the analyzers. The zero value is not useful; start from
 // DefaultConfig.
 type Config struct {
-	// HotRoots seeds hotalloc's reachability analysis with the functions
-	// containing the engine's hot loops. Each entry is "pkg:func": a
-	// package import-path suffix and a function or method name. Allocation
-	// sites inside a root's loops are flagged, as is any allocation in a
-	// function called (transitively) from such a loop.
-	HotRoots []string
-
 	// ErrcheckIgnoreDeferredClose makes errcheck accept `defer f.Close()`
 	// with a dropped error, the ubiquitous cleanup idiom.
 	ErrcheckIgnoreDeferredClose bool
@@ -147,21 +144,10 @@ type Config struct {
 	GoroutineOwnedPkgs []string
 }
 
-// DefaultConfig returns the configuration used by cmd/abcdlint: the hot
-// roots are the engine's GATHER-APPLY loop, the SCATTER loop, the cluster
-// node's fused worker and batch delivery, and the accelerator model's
-// per-task accounting — the paths a block task traverses on every update.
+// DefaultConfig returns the configuration used by cmd/abcdlint. Hot code
+// needs no entry here: it declares itself with //abcd:hotpath.
 func DefaultConfig() *Config {
 	return &Config{
-		HotRoots: []string{
-			"internal/core:GatherApply",
-			"internal/core:Scatter",
-			"internal/cluster:processBlock",
-			"internal/cluster:Deliver",
-			"internal/accel:RunBlock",
-			"internal/accel:RunScatter",
-			"internal/accel:RunGather",
-		},
 		ErrcheckIgnoreDeferredClose: true,
 		BoundAllocPkgs:              []string{"internal/binfmt", "internal/edgestore", "internal/graph", "internal/cluster", "internal/chaos/netproxy", "internal/checkpoint", "internal/telemetry", "internal/obslog", "internal/serve"},
 		BoundAllocClamps:            []string{"PresizeCap", "GrowEarned"},

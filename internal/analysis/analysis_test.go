@@ -20,12 +20,6 @@ var fixtureCases = []struct {
 	dirs []string
 }{
 	{name: "atomicword", rule: "atomicword", dirs: []string{"testdata/src/atomicword"}},
-	{
-		name: "hotalloc",
-		rule: "hotalloc",
-		cfg:  &Config{HotRoots: []string{"src/hotalloc:HotLoop"}},
-		dirs: []string{"testdata/src/hotalloc"},
-	},
 	{name: "hotpath", rule: "hotpath", dirs: []string{"testdata/src/hotpath"}},
 	{name: "locksafe", rule: "locksafe", dirs: []string{"testdata/src/locksafe"}},
 	{name: "errcheck", rule: "errcheck", dirs: []string{"testdata/src/errcheck"}},

@@ -6,14 +6,13 @@ import (
 )
 
 // This file builds the package-level call graph the interprocedural
-// analyzers (hotalloc, hotpath) share. The graph is computed once per
-// module pass over the go/types-checked ASTs:
+// hotpath analyzer walks. The graph is computed once per module pass over
+// the go/types-checked ASTs:
 //
 //   - one node per declared function or method with a body;
-//   - one edge per call expression, carrying the call site and whether it
-//     sits lexically inside a for/range loop (function literals inherit
-//     the enclosing declaration's loop context, since they run on the same
-//     path when invoked there);
+//   - one edge per call expression, carrying the call site (calls inside
+//     function literals count as calls of the enclosing declaration,
+//     since they run on the same path when invoked there);
 //   - direct and method calls resolve to their static callee; calls
 //     through an interface fan out, class-hierarchy style, to every
 //     scanned concrete method with the same name and arity. That
@@ -28,7 +27,6 @@ import (
 type cgEdge struct {
 	callee *types.Func
 	site   *ast.CallExpr
-	inLoop bool
 }
 
 // cgNode is one declared function in the scanned module.
@@ -76,40 +74,17 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	return g
 }
 
-// collectEdges walks one function body recording resolved call edges and
-// whether each call site is inside a loop.
+// collectEdges records one resolved edge per call site in a function
+// body, function literals included (they run on the same path).
 func (g *callGraph) collectEdges(node *cgNode) {
-	info := node.pkg.Info
-	var walk func(n ast.Node, inLoop bool)
-	walk = func(n ast.Node, inLoop bool) {
-		switch n := n.(type) {
-		case nil:
-			return
-		case *ast.ForStmt:
-			if n.Init != nil {
-				walk(n.Init, inLoop)
-			}
-			if n.Cond != nil {
-				walk(n.Cond, inLoop)
-			}
-			if n.Post != nil {
-				walk(n.Post, inLoop)
-			}
-			walk(n.Body, true)
-			return
-		case *ast.RangeStmt:
-			walk(n.X, inLoop)
-			walk(n.Body, true)
-			return
-		case *ast.CallExpr:
-			for _, callee := range g.resolveCallees(info, n) {
-				node.edges = append(node.edges, cgEdge{callee: callee, site: n, inLoop: inLoop})
+	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			for _, callee := range g.resolveCallees(node.pkg.Info, call) {
+				node.edges = append(node.edges, cgEdge{callee: callee, site: call})
 			}
 		}
-		// Generic descent.
-		children(n, func(c ast.Node) { walk(c, inLoop) })
-	}
-	walk(node.decl.Body, false)
+		return true
+	})
 }
 
 // resolveCallees maps a call expression to the function objects it may

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -73,7 +74,7 @@ func Analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 
 // analyze is the shared core: collect suppressions first (interprocedural
 // analyzers honor them as propagation boundaries), run the analyzers,
-// filter, sort.
+// filter, report suppressions that name no rule, sort.
 func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []Suppression) {
 	sup, supList := collectSuppressions(fset, pkgs)
 	suppressedAt := func(pos token.Pos, rule string) bool {
@@ -94,6 +95,17 @@ func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 	for _, d := range diags {
 		if !sup.suppressedAt(fset, d.Pos, d.Rule) {
 			kept = append(kept, d)
+		}
+	}
+	// A suppression naming no rule of the suite (a typo, a deleted rule)
+	// silences nothing; say so whatever subset ran. No comment can
+	// suppress this finding.
+	for _, s := range supList {
+		for _, r := range s.Rules {
+			if r != "all" && ByName(r) == nil {
+				kept = append(kept, Diagnostic{Pos: s.Pos, Rule: staleIgnoreName,
+					Message: fmt.Sprintf("//abcdlint:ignore names %q, which is no abcdlint rule, so it suppresses nothing", r)})
+			}
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {
@@ -215,6 +227,30 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
+}
+
+// children invokes fn on the direct children of n.
+func children(n ast.Node, fn func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if c != nil {
+			fn(c)
+		}
+		return false
+	})
+}
+
+// namedRecvType unwraps a receiver type to its named type, if any.
+func namedRecvType(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // parentMap records the parent of every node in a file, for upward

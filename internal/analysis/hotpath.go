@@ -16,9 +16,12 @@ import (
 // for its own body but for everything it calls. The analyzer walks the
 // shared call graph from every annotated function and flags violating
 // sites in every reachable callee, reporting the call chain that makes the
-// site hot. Allocation sites use the same classification as hotalloc
-// (make/new/append, fmt, word.Array's allocating conveniences); lock use
-// flags any sync.Mutex / sync.RWMutex method call, because the hot path's
+// site hot. Allocation sites are make, new, append, any call into package
+// fmt, and the word.Array Load/Store/Fill conveniences, whose
+// documentation already directs hot paths to LoadBuf/StoreBuf: the GATHER
+// pipeline's one edge per cycle (Sec. IV-A1) survives in software only if
+// the per-edge path does not turn into GC pressure. Lock use flags any
+// sync.Mutex / sync.RWMutex method call, because the hot path's
 // concurrency discipline is atomics and single-writer shards only
 // (DESIGN.md §7, §9).
 //
@@ -180,4 +183,52 @@ func hotPathMutexCall(info *types.Info, call *ast.CallExpr) string {
 		return "sync." + obj.Name() + "." + fn.Name()
 	}
 	return ""
+}
+
+// allocMessage classifies a call as an allocation site, returning a short
+// description or "".
+func allocMessage(info *types.Info, call *ast.CallExpr) string {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if b, ok := info.Uses[fun].(*types.Builtin); ok {
+			switch b.Name() {
+			case "make", "new":
+				return b.Name() + " allocates"
+			case "append":
+				return "append may grow and allocate"
+			}
+		}
+	case *ast.SelectorExpr:
+		fn, ok := info.Uses[fun.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil {
+			return ""
+		}
+		if fn.Pkg().Path() == "fmt" {
+			return "fmt." + fn.Name() + " allocates and reflects"
+		}
+		if sig := fn.Type().(*types.Signature); sig.Recv() != nil {
+			if named := namedRecvType(sig.Recv().Type()); named != nil {
+				obj := named.Obj()
+				if obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/word") && obj.Name() == "Array" {
+					switch fn.Name() {
+					case "Load", "Store", "Fill":
+						return "word.Array." + fn.Name() + " allocates a transfer buffer per call"
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// allocAdvice returns the remediation hint for an allocation class.
+func allocAdvice(msg string) string {
+	switch {
+	case strings.Contains(msg, "word.Array"):
+		return "use LoadBuf/StoreBuf with a per-worker buffer"
+	case strings.Contains(msg, "fmt."):
+		return "move formatting out of the hot path"
+	default:
+		return "hoist the buffer into per-worker scratch or a run-scoped free list"
+	}
 }

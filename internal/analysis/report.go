@@ -2,16 +2,13 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/token"
 	"io"
-	"os"
 )
 
-// This file renders analysis results machine-readably: a JSON report for
-// scripts/check.sh's baseline diff, SARIF 2.1.0 for code-scanning UIs, and
-// the checked-in baseline that grandfathers known findings so only new
-// ones fail the gate.
+// This file renders analysis results machine-readably: the JSON report
+// scripts/check.sh keeps as lint_report.json, findings with their call
+// chains plus the full suppression inventory.
 
 // Finding is one diagnostic resolved to file coordinates.
 type Finding struct {
@@ -21,9 +18,6 @@ type Finding struct {
 	Col     int         `json:"col"`
 	Message string      `json:"message"`
 	Chain   []ChainStep `json:"chain,omitempty"`
-	// Grandfathered marks a finding matched by the baseline: tracked, not
-	// failing.
-	Grandfathered bool `json:"grandfathered,omitempty"`
 }
 
 // ChainStep is one resolved hop of an interprocedural finding's call
@@ -92,227 +86,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ---- SARIF 2.1.0 ----
-
-// The structs model the subset of SARIF 2.1.0 that GitHub code scanning
-// consumes: one run, a tool driver with rule metadata, results with
-// physical locations, and codeFlows carrying the call chains.
-
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	RuleIndex int             `json:"ruleIndex"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-	CodeFlows []sarifCodeFlow `json:"codeFlows,omitempty"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-	Message          *sarifMessage         `json:"message,omitempty"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-type sarifCodeFlow struct {
-	ThreadFlows []sarifThreadFlow `json:"threadFlows"`
-}
-
-type sarifThreadFlow struct {
-	Locations []sarifThreadFlowLocation `json:"locations"`
-}
-
-type sarifThreadFlowLocation struct {
-	Location sarifLocation `json:"location"`
-}
-
-// sarifRuleID namespaces a rule name for code-scanning display.
-func sarifRuleID(rule string) string { return "abcdlint/" + rule }
-
-// WriteSARIF renders the report's findings as SARIF 2.1.0. analyzers
-// supplies the rule metadata; every finding's rule must be among them.
-func (r *Report) WriteSARIF(w io.Writer, analyzers []*Analyzer) error {
-	ruleIndex := make(map[string]int, len(analyzers))
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		ruleIndex[a.Name] = len(rules)
-		rules = append(rules, sarifRule{ID: sarifRuleID(a.Name), ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	run := sarifRun{
-		Tool: sarifTool{Driver: sarifDriver{
-			Name:           "abcdlint",
-			InformationURI: "https://example.invalid/graphabcd/abcdlint",
-			Rules:          rules,
-		}},
-		Results: []sarifResult{},
-	}
-	for _, f := range r.Findings {
-		idx, ok := ruleIndex[f.Rule]
-		if !ok {
-			return fmt.Errorf("sarif: finding with unknown rule %q", f.Rule)
-		}
-		level := "error"
-		if f.Grandfathered {
-			level = "warning" // tracked debt, not a gate failure
-		}
-		res := sarifResult{
-			RuleID:    sarifRuleID(f.Rule),
-			RuleIndex: idx,
-			Level:     level,
-			Message:   sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{sarifLoc(f.File, f.Line, f.Col, "")},
-		}
-		if len(f.Chain) > 0 {
-			tf := sarifThreadFlow{}
-			for _, hop := range f.Chain {
-				file, line := hop.File, hop.Line
-				if file == "" { // chain root: anchor at the finding
-					file, line = f.File, f.Line
-				}
-				loc := sarifLoc(file, line, 0, hop.Func)
-				tf.Locations = append(tf.Locations, sarifThreadFlowLocation{Location: loc})
-			}
-			res.CodeFlows = []sarifCodeFlow{{ThreadFlows: []sarifThreadFlow{tf}}}
-		}
-		run.Results = append(run.Results, res)
-	}
-	log := sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs:    []sarifRun{run},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-func sarifLoc(file string, line, col int, msg string) sarifLocation {
-	loc := sarifLocation{PhysicalLocation: sarifPhysicalLocation{
-		ArtifactLocation: sarifArtifactLocation{URI: file, URIBaseID: "%SRCROOT%"},
-		Region:           sarifRegion{StartLine: line, StartColumn: col},
-	}}
-	if msg != "" {
-		loc.Message = &sarifMessage{Text: msg}
-	}
-	return loc
-}
-
-// ---- baseline ----
-
-// BaselineEntry identifies one grandfathered finding. Line numbers are
-// deliberately absent so unrelated edits do not churn the baseline; a
-// finding matches on (rule, file, message).
-type BaselineEntry struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-}
-
-// Baseline is the checked-in set of known findings.
-type Baseline struct {
-	Comment  string          `json:"comment,omitempty"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// LoadBaseline reads a baseline file. A missing file is an empty baseline.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Baseline{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// BaselineFromReport converts the report's current findings into a
-// baseline (the -update-baseline path).
-func BaselineFromReport(r *Report) *Baseline {
-	b := &Baseline{
-		Comment:  "abcdlint grandfathered findings; regenerate with `go run ./cmd/abcdlint -baseline lint_baseline.json -update-baseline ./...`",
-		Findings: []BaselineEntry{},
-	}
-	for _, f := range r.Findings {
-		b.Findings = append(b.Findings, BaselineEntry{Rule: f.Rule, File: f.File, Message: f.Message})
-	}
-	return b
-}
-
-// Write saves the baseline.
-func (b *Baseline) Write(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Apply marks report findings matched by the baseline as grandfathered
-// (multiset semantics: N baseline entries absorb at most N identical
-// findings) and returns how many findings remain fresh.
-func (b *Baseline) Apply(r *Report) (fresh int) {
-	budget := make(map[BaselineEntry]int)
-	for _, e := range b.Findings {
-		budget[e]++
-	}
-	for i := range r.Findings {
-		key := BaselineEntry{Rule: r.Findings[i].Rule, File: r.Findings[i].File, Message: r.Findings[i].Message}
-		if budget[key] > 0 {
-			budget[key]--
-			r.Findings[i].Grandfathered = true
-		} else {
-			fresh++
-		}
-	}
-	return fresh
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -73,122 +72,5 @@ func TestJSONReport(t *testing.T) {
 	last := chained.Chain[len(chained.Chain)-1]
 	if last.File == "" || last.Line == 0 {
 		t.Errorf("chain hop lacks a resolved call site: %+v", last)
-	}
-}
-
-// TestSARIFShape pins the SARIF 2.1.0 envelope GitHub code scanning
-// consumes: version, $schema, tool.driver with rules, and results with
-// ruleId, message.text, and a physical location with a region.
-func TestSARIFShape(t *testing.T) {
-	res, base := fixtureResult(t, "hotpath", nil, "testdata/src/hotpath")
-	rep := BuildReport(res, base)
-	var buf bytes.Buffer
-	if err := rep.WriteSARIF(&buf, All()); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	var log map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if v := log["version"]; v != "2.1.0" {
-		t.Errorf("version = %v, want 2.1.0", v)
-	}
-	if s, _ := log["$schema"].(string); !strings.Contains(s, "sarif-2.1.0") {
-		t.Errorf("$schema = %v, want a sarif-2.1.0 schema URI", log["$schema"])
-	}
-	runs, ok := log["runs"].([]any)
-	if !ok || len(runs) != 1 {
-		t.Fatalf("runs = %v, want exactly one", log["runs"])
-	}
-	run := runs[0].(map[string]any)
-	driver := run["tool"].(map[string]any)["driver"].(map[string]any)
-	if driver["name"] != "abcdlint" {
-		t.Errorf("driver name = %v", driver["name"])
-	}
-	rules := driver["rules"].([]any)
-	if len(rules) != len(All()) {
-		t.Errorf("driver rules = %d, want %d", len(rules), len(All()))
-	}
-	results, ok := run["results"].([]any)
-	if !ok || len(results) != len(rep.Findings) {
-		t.Fatalf("results = %d, want %d", len(results), len(rep.Findings))
-	}
-	sawCodeFlow := false
-	for _, r := range results {
-		res := r.(map[string]any)
-		ruleID, _ := res["ruleId"].(string)
-		if !strings.HasPrefix(ruleID, "abcdlint/") {
-			t.Errorf("ruleId = %q, want abcdlint/ prefix", ruleID)
-		}
-		if msg := res["message"].(map[string]any)["text"].(string); msg == "" {
-			t.Error("result with empty message.text")
-		}
-		locs := res["locations"].([]any)
-		phys := locs[0].(map[string]any)["physicalLocation"].(map[string]any)
-		if uri := phys["artifactLocation"].(map[string]any)["uri"].(string); uri == "" || strings.HasPrefix(uri, "/") {
-			t.Errorf("artifactLocation.uri = %q, want a relative path", uri)
-		}
-		if line := phys["region"].(map[string]any)["startLine"].(float64); line < 1 {
-			t.Errorf("region.startLine = %v", line)
-		}
-		if _, ok := res["codeFlows"]; ok {
-			sawCodeFlow = true
-		}
-	}
-	if !sawCodeFlow {
-		t.Error("no result carries a codeFlow despite transitive hotpath findings")
-	}
-}
-
-func TestBaseline(t *testing.T) {
-	res, base := fixtureResult(t, "hotpath", nil, "testdata/src/hotpath")
-	rep := BuildReport(res, base)
-	if len(rep.Findings) == 0 {
-		t.Fatal("no findings to baseline")
-	}
-
-	// A baseline built from the report grandfathers everything.
-	b := BaselineFromReport(rep)
-	if fresh := b.Apply(rep); fresh != 0 {
-		t.Errorf("self-baseline left %d fresh finding(s)", fresh)
-	}
-	for _, f := range rep.Findings {
-		if !f.Grandfathered {
-			t.Errorf("finding not grandfathered by self-baseline: %s", f.Message)
-		}
-	}
-
-	// Round-trip through disk.
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := b.Write(path); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	rep2 := BuildReport(res, base)
-	if fresh := loaded.Apply(rep2); fresh != 0 {
-		t.Errorf("disk round-trip left %d fresh finding(s)", fresh)
-	}
-
-	// A finding not in the baseline stays fresh; multiset semantics mean a
-	// duplicate of a known finding is fresh too.
-	rep3 := BuildReport(res, base)
-	rep3.Findings = append(rep3.Findings,
-		Finding{Rule: "hotpath", File: "new.go", Line: 1, Message: "brand new"},
-		rep3.Findings[0])
-	if fresh := loaded.Apply(rep3); fresh != 2 {
-		t.Errorf("fresh = %d, want 2 (one new, one duplicate beyond budget)", fresh)
-	}
-
-	// A missing baseline file is empty, not an error.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline(absent): %v", err)
-	}
-	rep4 := BuildReport(res, base)
-	if fresh := empty.Apply(rep4); fresh != len(rep4.Findings) {
-		t.Errorf("empty baseline grandfathered something: fresh=%d want %d", fresh, len(rep4.Findings))
 	}
 }

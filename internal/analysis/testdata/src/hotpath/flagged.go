@@ -4,6 +4,8 @@ package hotpath
 import (
 	"fmt"
 	"sync"
+
+	"graphabcd/internal/word"
 )
 
 type counters struct {
@@ -19,6 +21,26 @@ func (c *counters) AllocInHot(n int) []int {
 	buf := make([]int, n)      // want: make allocates
 	c.vals = append(c.vals, n) // want: append may grow
 	return buf
+}
+
+// NewInHot allocates with new inside an annotated function.
+//
+//abcd:hotpath
+func (c *counters) NewInHot(n int) int {
+	p := new(int) // want: new allocates
+	*p = n
+	return *p
+}
+
+// WordsInHot uses word.Array's allocating conveniences instead of
+// LoadBuf/StoreBuf.
+//
+//abcd:hotpath
+func WordsInHot(arr *word.Array[uint64], i int64) {
+	var v uint64
+	arr.Load(i, &v) // want: word.Array.Load
+	arr.Store(i, v) // want: word.Array.Store
+	arr.Fill(v)     // want: word.Array.Fill
 }
 
 // LockInHot takes mutexes inside an annotated function.

@@ -1,6 +1,7 @@
 // Package suppress is an abcdlint fixture for the suppression comment
 // syntax: //abcdlint:ignore rule -- reason, on the flagged line or the
-// line directly above. A suppression without a reason is not honored.
+// line directly above. A suppression without a reason is not honored, and
+// one naming no rule of the suite is reported.
 package suppress
 
 import "errors"
@@ -17,8 +18,11 @@ func Cases() {
 	//abcdlint:ignore errcheck
 	fail() // want: suppression without a reason is not honored
 
-	//abcdlint:ignore hotalloc -- fixture: a different rule does not cover errcheck
+	//abcdlint:ignore locksafe -- fixture: a different rule does not cover errcheck
 	fail() // want: wrong rule
 
 	fail() // want: no suppression at all
+
+	//abcdlint:ignore hotpaht -- fixture: want a report, the suite has no such rule
+	_ = fail()
 }

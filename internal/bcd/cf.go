@@ -115,12 +115,12 @@ func lane(words []uint64, k int) float32 {
 // Apply implements Program.
 func (c CF) Apply(_ uint32, old []float32, acc *[]float64, nEdges int64, _ *graph.Graph) []float32 {
 	if nEdges == 0 {
-		//abcdlint:ignore hotalloc,hotpath -- Apply must return a fresh slice: the engine still reads old to compute Delta
+		//abcdlint:ignore hotpath -- Apply must return a fresh slice: the engine still reads old to compute Delta
 		return append([]float32(nil), old...)
 	}
 	lr, lam := c.learnRate(), c.lambda()
 	inv := 1 / float64(nEdges)
-	//abcdlint:ignore hotalloc,hotpath -- fresh per-vertex value; the engine still reads old to compute Delta
+	//abcdlint:ignore hotpath -- fresh per-vertex value; the engine still reads old to compute Delta
 	out := make([]float32, len(old))
 	for k := range old {
 		out[k] = float32(float64(old[k]) + lr*((*acc)[k]*inv-lam*float64(old[k])))

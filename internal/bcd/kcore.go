@@ -44,7 +44,7 @@ func (KCore) ResetAccum(acc *KCoreAccum) { acc.ests = acc.ests[:0] }
 
 // Gather implements Program.
 func (KCore) Gather(acc *KCoreAccum, _ uint64, _ []float32, words []uint64) {
-	acc.ests = append(acc.ests, words...) //abcdlint:ignore hotalloc,hotpath -- amortized: ResetAccum keeps the capacity across vertices
+	acc.ests = append(acc.ests, words...) //abcdlint:ignore hotpath -- amortized: ResetAccum keeps the capacity across vertices
 }
 
 // Apply implements Program: min(old, h-index of the gathered estimates).

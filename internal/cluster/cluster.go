@@ -100,10 +100,6 @@ type Config struct {
 	// pre-window behavior, which perfect in-process transports never
 	// notice).
 	MaxUnacked int
-	// Watchdog is the stall-watchdog sampling period: every period with
-	// zero progress (no vertex update, no batch settled) increments
-	// Stats.StallWindows. 0 means 500ms; negative disables the watchdog.
-	Watchdog time.Duration
 	// OnStart, when non-nil, receives the run's Control handle right
 	// after the workers start — the hook from which tests and chaos
 	// harnesses schedule mid-run node failures.
@@ -157,9 +153,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetryDeadline == 0 {
 		c.RetryDeadline = 30 * time.Second
-	}
-	if c.Watchdog == 0 {
-		c.Watchdog = 500 * time.Millisecond
 	}
 	return c
 }

@@ -18,15 +18,10 @@ type Control interface {
 	// is rebuilt by re-scattering current owner values. The last live node
 	// cannot be failed.
 	FailNode(id int) error
-	// LiveNodes returns the number of nodes still alive.
-	LiveNodes() int
-	// BatchesSent returns the number of logical batches created so far,
-	// a convenient progress probe for scheduling mid-run faults.
-	BatchesSent() int64
 }
 
-func (c *clusterRun[V, M]) LiveNodes() int     { return len(c.nodes) - int(c.failures.Load()) }
-func (c *clusterRun[V, M]) BatchesSent() int64 { return c.Tel.Total(telemetry.CtrBatchesSent) }
+// liveNodes returns the number of nodes still alive.
+func (c *clusterRun[V, M]) liveNodes() int { return len(c.nodes) - int(c.failures.Load()) }
 
 // FailNode implements Control. The recovery argument mirrors the paper's
 // correctness story: vertex values are the ground truth of a state-based
@@ -44,7 +39,7 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		return fmt.Errorf("cluster: FailNode(%d): no such node", id)
 	case c.dead[id].Load():
 		return fmt.Errorf("cluster: FailNode(%d): node already failed", id)
-	case c.LiveNodes() <= 1:
+	case c.liveNodes() <= 1:
 		return fmt.Errorf("cluster: FailNode(%d): cannot fail the last live node", id)
 	case c.Stopped():
 		return fmt.Errorf("cluster: FailNode(%d): run already stopping", id)

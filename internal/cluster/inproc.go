@@ -60,7 +60,7 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 		nodes:  nodes,
 	}
 	c.sh0 = &c.shards[0]
-	c.Tel.RegisterGauge("live_nodes", func() float64 { return float64(c.LiveNodes()) })
+	c.Tel.RegisterGauge("live_nodes", func() float64 { return float64(c.liveNodes()) })
 	c.Tel.RegisterGauge("inflight_batches", func() float64 {
 		_, inflight := c.batchTotals()
 		return float64(inflight)
@@ -151,16 +151,15 @@ func (c *clusterRun[V, M]) deliver(to int, e Envelope) {
 	c.nodes[to].Deliver(to, e)
 }
 
-// watchdog samples run progress once per watchdog period and counts the
+// watchdogPeriod is the stall watchdog's sampling period.
+const watchdogPeriod = 500 * time.Millisecond
+
+// watchdog samples run progress once per watchdogPeriod and counts the
 // periods in which nothing moved — neither a vertex update nor a batch
 // settled. The count surfaces as Stats.StallWindows so a hung or
 // partitioned run is visible even when it eventually completes.
 func (c *clusterRun[V, M]) watchdog(ctx context.Context) {
-	period := c.cfg.Watchdog
-	if period <= 0 {
-		return
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(watchdogPeriod)
 	defer tick.Stop()
 	last := int64(-1)
 	for {

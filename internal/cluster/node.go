@@ -449,7 +449,7 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	if n.window != nil {
 		select {
-		case n.window <- struct{}{}: //abcdlint:ignore hotpath -- MaxUnacked flow control: one channel op per batch, amortized over BatchSize slot updates
+		case n.window <- struct{}{}:
 		case <-n.Done():
 			// Teardown: the batch dies with the run. Under a partition
 			// the window slots held by undeliverable batches are never
@@ -463,9 +463,9 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 		from:   n.ID,
 		id:     n.seq.Add(1),
 		sentAt: now,
-		slots:  append([]int64(nil), p.Slots...),  //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		blocks: append([]int32(nil), p.Blocks...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		words:  append([]uint64(nil), p.Words...), //abcdlint:ignore hotalloc,hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		slots:  append([]int64(nil), p.Slots...),  //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		blocks: append([]int32(nil), p.Blocks...), //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		words:  append([]uint64(nil), p.Words...), //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
 	}
 	p.Slots, p.Blocks, p.Words = p.Slots[:0], p.Blocks[:0], p.Words[:0]
 	n.sent.Add(1)
@@ -473,11 +473,12 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(to, e.id, n.Tel.Stamp())
-	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotalloc,hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
+	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
 	u.armed.Store(math.MaxInt64)
 	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
 	n.unacked[e.id] = u
-	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
+	//abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
+	n.unackedMu.Unlock()
 	n.tr.Send(n.ID, to, e)
 	// The retransmission clock starts once the first transmission has been
 	// handed over, not before: Send may deliver inline or block on
@@ -492,6 +493,8 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 // every time, even when every slot was stale, because a duplicate usually
 // means the previous ack was lost. Only a batch install refuses goes
 // unacked.
+//
+//abcd:hotpath
 func (n *Node[V, M]) Deliver(to int, e Envelope) {
 	switch {
 	case to != n.ID: // misrouted frame: a peer dialed the wrong address
@@ -514,8 +517,8 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	if len(e.blocks) != len(e.slots) || len(e.words) != len(e.slots)*words {
 		return false
 	}
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
+	n.applyMu.Lock()         //abcdlint:ignore hotpath -- amortized: one lock per delivered batch, over BatchSize slot installs
+	defer n.applyMu.Unlock() //abcdlint:ignore hotpath -- amortized: see the matching Lock above
 	if n.dead[n.ID].Load() {
 		return false
 	}
@@ -569,13 +572,13 @@ func (n *Node[V, M]) install(e Envelope) bool {
 // it cannot say which transmission it answers.
 func (n *Node[V, M]) settle(id uint64) {
 	now := n.now()
-	n.unackedMu.Lock()
+	n.unackedMu.Lock() //abcdlint:ignore hotpath -- amortized: one lock per acked batch, over BatchSize slot updates
 	p, ok := n.unacked[id]
 	if ok {
 		n.peers[p.to].settled(p.attempts, now.Sub(p.env.sentAt), now.UnixNano())
 		delete(n.unacked, id)
 	}
-	n.unackedMu.Unlock()
+	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- amortized: see the matching Lock above
 	if ok {
 		n.retire(1)
 	}

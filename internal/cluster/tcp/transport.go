@@ -23,13 +23,6 @@ type Options struct {
 	// DialBackoff is the initial redial delay after a failed connect;
 	// it doubles per attempt up to 64x. Default 2ms.
 	DialBackoff time.Duration
-	// QueueDepth is the per-destination outbound frame queue. A full
-	// queue drops the frame (the engine's retry loop re-sends).
-	// Default 256.
-	QueueDepth int
-	// CoalesceMax caps how many queued frames one writer flush batches
-	// into a single syscall. Default 64.
-	CoalesceMax int
 	// SocketBuffer, when positive, caps the kernel send/receive
 	// buffers on every connection. Backpressure can only pace the
 	// engine as far as the kernel lets it: on a lossy path where
@@ -52,19 +45,14 @@ func (o Options) dialBackoff() time.Duration {
 	return o.DialBackoff
 }
 
-func (o Options) queueDepth() int {
-	if o.QueueDepth <= 0 {
-		return 256
-	}
-	return o.QueueDepth
-}
+// queueDepth is the per-destination outbound data frame queue (acks get
+// four times as much): a full data queue blocks Send until the writer
+// frees a slot.
+const queueDepth = 256
 
-func (o Options) coalesceMax() int {
-	if o.CoalesceMax <= 0 {
-		return 64
-	}
-	return o.CoalesceMax
-}
+// coalesceMax caps how many queued frames one writer flush batches into
+// a single syscall.
+const coalesceMax = 64
 
 // WireStats is a point-in-time snapshot of a Transport's socket-level
 // counters — the same block a NodeStats record carries.
@@ -137,8 +125,8 @@ func New(listeners []net.Listener, addrs []string, opts Options) *Transport {
 	t.links = make([]*link, len(addrs))
 	for i, a := range addrs {
 		t.links[i] = &link{addr: a,
-			dataQ: make(chan []byte, opts.queueDepth()),
-			ackQ:  make(chan []byte, 4*opts.queueDepth()),
+			dataQ: make(chan []byte, queueDepth),
+			ackQ:  make(chan []byte, 4*queueDepth),
 		}
 	}
 	return t
@@ -215,7 +203,7 @@ func (t *Transport) Send(from, to int, e cluster.Envelope) {
 	if t.shut.Load() || to < 0 || to >= len(t.links) {
 		return
 	}
-	b := make([]byte, frameLenSize, frameLenSize+1+cluster.EnvelopeWireSize(e)+frameCRCSize) //abcdlint:ignore hotalloc,hotpath -- one frame buffer per envelope batch, amortized over BatchSize slot updates
+	b := make([]byte, frameLenSize, frameLenSize+1+cluster.EnvelopeWireSize(e)+frameCRCSize) //abcdlint:ignore hotpath -- one frame buffer per envelope batch, amortized over BatchSize slot updates
 	b = append(b, fEnvelope)
 	b = cluster.AppendEnvelope(b, e) //abcdlint:ignore hotpath -- marshal into the per-batch frame buffer, amortized over BatchSize slot updates
 	b = sealFrame(b)                 //abcdlint:ignore hotpath -- crc + length fixup once per batch frame
@@ -399,7 +387,7 @@ func (t *Transport) writer(l *link) {
 	var nextDial time.Time
 	backoff := t.opts.dialBackoff()
 	maxBackoff := 64 * t.opts.dialBackoff()
-	batch := make([][]byte, 0, t.opts.coalesceMax())
+	batch := make([][]byte, 0, coalesceMax)
 	for {
 		batch = batch[:0]
 		select {

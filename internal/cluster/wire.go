@@ -63,7 +63,7 @@ func EnvelopeWireSize(e Envelope) int {
 // AppendEnvelope appends the wire encoding of e to dst and returns the
 // extended slice.
 func AppendEnvelope(dst []byte, e Envelope) []byte {
-	dst = append(dst, byte(e.kind)) //abcdlint:ignore hotalloc -- callers presize dst via EnvelopeWireSize, so these appends never grow
+	dst = append(dst, byte(e.kind))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.from))
 	dst = binary.LittleEndian.AppendUint64(dst, e.id)
 	var ns int64

@@ -644,6 +644,14 @@ func TestKCoreExactOnSymmetricGraph(t *testing.T) {
 // struct that holds the arrays. (Two sync.Pool fields on the engine once
 // did: a used Pool sits in the runtime's global pool list for two more GC
 // cycles, so back-to-back jobs stacked their engines up.)
+//
+// Each witness gets exactly one collection: a Pool lets go after two, so
+// a second collection would hide the bug. But under CPU load a finished
+// run's objects occasionally outlive one collection with nothing in the
+// program holding them — on a loaded 2-vCPU host, about 1 check in 1600,
+// none in 21600 with GODEBUG=asyncpreemptoff=1, and with every run
+// goroutine already gone. A pin holds on every run, so a survivor counts
+// only if a fresh run's witness survives its one collection too.
 func TestFinishedRunIsGarbage(t *testing.T) {
 	g := testGraph(t)
 	run := func(prog bcd.Program[float64, float64], mode Mode) weak.Pointer[failingSource] {
@@ -655,12 +663,15 @@ func TestFinishedRunIsGarbage(t *testing.T) {
 		}
 		return weak.Make(witness)
 	}
+	survives := func(prog bcd.Program[float64, float64], mode Mode) bool {
+		witness := run(prog, mode)
+		runtime.GC()
+		return witness.Value() != nil
+	}
 	for _, prog := range []bcd.Program[float64, float64]{bcd.PageRank{}, bcd.PageRankDelta{}} {
 		for _, mode := range []Mode{Async, Barrier, BSP} {
-			witness := run(prog, mode)
-			runtime.GC()
-			if witness.Value() != nil {
-				t.Errorf("%s, %v: the finished run's kernel is still reachable after a collection", prog.Name(), mode)
+			if survives(prog, mode) && survives(prog, mode) {
+				t.Errorf("%s, %v: the finished run's kernel is still reachable after a collection, on two runs in a row", prog.Name(), mode)
 			}
 		}
 	}

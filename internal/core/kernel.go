@@ -308,9 +308,9 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 			db := k.Part.BlockOf(g.OutDst(i))
 			if owner := int(k.Owner[db].Load()); owner != w.self {
 				p := &w.Out[owner]
-				p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-				p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-				p.Words = append(p.Words, w.enc...)    //abcdlint:ignore hotalloc,hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+				p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+				p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+				p.Words = append(p.Words, w.enc...)    //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
 				if len(p.Slots) >= k.BatchSize {
 					w.flush(owner, p, w.Sh)
 				}
@@ -326,7 +326,7 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 			}
 			if activate {
 				if w.mass[db] == 0 {
-					w.touched = append(w.touched, db) //abcdlint:ignore hotalloc,hotpath -- amortized: per-worker buffer, reset to [:0] below with capacity retained
+					w.touched = append(w.touched, db) //abcdlint:ignore hotpath -- amortized: per-worker buffer, reset to [:0] below with capacity retained
 				}
 				w.mass[db] += d
 			}

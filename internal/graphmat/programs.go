@@ -274,7 +274,7 @@ func (c CF) Apply(v uint32, old []float32, acc CFMsg, received bool, g *graph.Gr
 	k := len(old)
 	deg := float64(g.InDegree(v))
 	lr, lam := c.learnRate(), c.lambda()
-	//abcdlint:ignore hotalloc,hotpath -- fresh per-vertex value; the sweep still reads old for the gradient
+	//abcdlint:ignore hotpath -- fresh per-vertex value; the sweep still reads old for the gradient
 	out := make([]float32, k)
 	for i := 0; i < k; i++ {
 		ax := 0.0
@@ -316,7 +316,7 @@ func (a cfAdapter) Send(v uint32, val []float32, g *graph.Graph) (CFMsg, bool) {
 	// Defer expansion: pack the factor into B and mark A nil; Process
 	// finishes the job. This keeps Send cheap for high-degree vertices.
 	k := len(val)
-	b := make([]float64, k) //abcdlint:ignore hotalloc,hotpath -- false positive: name-based interface resolution reaches this from cluster.Transport.Send; graphmat's sweep never runs under the cluster's hot roots
+	b := make([]float64, k) //abcdlint:ignore hotpath -- false positive: name-based interface resolution reaches this from cluster.Transport.Send; graphmat's sweep never runs on the cluster's hot path
 	for i := range val {
 		b[i] = float64(val[i])
 	}

@@ -54,8 +54,6 @@ func (f *fakeRuntime) Run(ctx context.Context, spec graphabcd.JobSpec) (*graphab
 	return f.inner.Run(ctx, spec)
 }
 
-func (f *fakeRuntime) Events() <-chan graphabcd.Event { return f.inner.Events() }
-
 // fakeClock advances one millisecond per reading.
 func fakeClock() func() time.Time {
 	var ticks atomic.Int64

@@ -77,7 +77,7 @@ func (c Vec32) Encode(v []float32, dst []uint64) {
 // DecodeInto implements Codec. It reuses *v when it already has length Dim.
 func (c Vec32) DecodeInto(src []uint64, v *[]float32) {
 	if len(*v) != c.Dim {
-		*v = make([]float32, c.Dim) //abcdlint:ignore hotalloc,hotpath -- grow-once: steady state reuses *v, this runs only on first decode
+		*v = make([]float32, c.Dim) //abcdlint:ignore hotpath -- grow-once: steady state reuses *v, this runs only on first decode
 	}
 	out := *v
 	for w, word := range src {

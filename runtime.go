@@ -162,11 +162,9 @@ type Event struct {
 // Run validates the spec once (algorithm lookup, graph presence, core
 // and cluster Config.Validate) before any goroutine starts, dispatches
 // through the algorithm registry, and returns a Handle the caller polls,
-// waits on, or streams events from. Events is the merged event stream of
-// every job started on the runtime; per-job streams hang off the Handle.
+// waits on, or streams the job's events from.
 type Runtime interface {
 	Run(ctx context.Context, spec JobSpec) (*Handle, error)
-	Events() <-chan Event
 }
 
 // Handle tracks one running job.
@@ -229,28 +227,14 @@ func (h *Handle) finish(res *JobResult, err error) {
 
 // localRuntime is the in-process Runtime over the algorithm registry.
 type localRuntime struct {
-	seq    atomic.Int64
-	events chan Event
+	seq atomic.Int64
 }
 
 // NewRuntime returns the in-process Runtime: jobs run on this process's
 // engines (single-node, or the in-process cluster engine under
 // WithClusterConfig).
 func NewRuntime() Runtime {
-	return &localRuntime{events: make(chan Event, 256)}
-}
-
-// Events implements Runtime. The merged stream is never closed and drops
-// EventEpoch entries rather than block a job; terminal events may also
-// be dropped if nothing drains the channel — per-job Handle streams are
-// the lossless-terminal surface.
-func (r *localRuntime) Events() <-chan Event { return r.events }
-
-func (r *localRuntime) publish(ev Event) {
-	select {
-	case r.events <- ev:
-	default:
-	}
+	return &localRuntime{}
 }
 
 // Run implements Runtime. The spec is validated synchronously — an
@@ -305,7 +289,6 @@ func (r *localRuntime) Run(ctx context.Context, spec JobSpec) (*Handle, error) {
 		case h.events <- ev:
 		default: // slow consumer: drop progress, never block the scheduler
 		}
-		r.publish(ev)
 	}
 
 	go func() {
@@ -342,7 +325,6 @@ func (r *localRuntime) Run(ctx context.Context, spec JobSpec) (*Handle, error) {
 			}
 		}
 		close(h.events)
-		r.publish(term)
 	}()
 	return h, nil
 }
