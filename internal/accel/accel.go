@@ -406,8 +406,8 @@ func (w *CPUWorker) RunGather(edges, bytes int64) float64 {
 }
 
 func (w *CPUWorker) advance(durNs float64) float64 {
-	w.mu.Lock() //abcdlint:ignore hotpath -- simulator clock: advance serializes simulated-time accounting in -sim runs, not the measured data path
-	defer w.mu.Unlock()
+	w.mu.Lock()         //abcdlint:ignore hotpath -- simulator clock: advance serializes simulated-time accounting in -sim runs, not the measured data path
+	defer w.mu.Unlock() //abcdlint:ignore hotpath -- simulator clock: see the matching Lock above
 	end := w.localNs.load() + durNs
 	w.localNs.store(end)
 	w.busyNs.add(durNs)

@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -129,14 +131,16 @@ func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 type suppressions map[string]map[int][]string
 
 // collectSuppressions gathers every well-formed
-// "//abcdlint:ignore rules -- reason" comment. A malformed suppression
-// (missing rule list or missing reason) is ignored, so the finding it was
-// meant to silence still surfaces.
+// "//abcdlint:ignore rules -- reason" comment. One on a line of its own
+// covers the next line; one trailing code covers only its own line. A
+// malformed suppression (missing rule list or missing reason) is ignored,
+// so the finding it was meant to silence still surfaces.
 func collectSuppressions(fset *token.FileSet, pkgs []*Package) (suppressions, []Suppression) {
 	sup := make(suppressions)
 	var list []Suppression
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
+			var src []byte // read once, at the file's first suppression
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					rules, reason, ok := parseSuppression(c.Text)
@@ -150,7 +154,15 @@ func collectSuppressions(fset *token.FileSet, pkgs []*Package) (suppressions, []
 						byLine = make(map[int][]string)
 						sup[pos.Filename] = byLine
 					}
-					byLine[pos.Line] = append(byLine[pos.Line], rules...)
+					line := pos.Line
+					if src == nil {
+						src, _ = os.ReadFile(pos.Filename) // unreadable: every suppression counts as trailing
+					}
+					if start := pos.Offset - (pos.Column - 1); start >= 0 && pos.Offset <= len(src) &&
+						len(bytes.TrimSpace(src[start:pos.Offset])) == 0 {
+						line++ // alone on its line: it covers the next
+					}
+					byLine[line] = append(byLine[line], rules...)
 				}
 			}
 		}
@@ -181,19 +193,12 @@ func parseSuppression(text string) ([]string, string, bool) {
 	return rules, reason, len(rules) > 0
 }
 
-// suppressedAt reports whether a suppression for rule covers pos: one on
-// the same line or the line directly above.
+// suppressedAt reports whether a suppression for rule covers pos's line.
 func (s suppressions) suppressedAt(fset *token.FileSet, pos token.Pos, rule string) bool {
 	p := fset.Position(pos)
-	byLine := s[p.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, r := range byLine[line] {
-			if r == rule || r == "all" {
-				return true
-			}
+	for _, r := range s[p.Filename][p.Line] {
+		if r == rule || r == "all" {
+			return true
 		}
 	}
 	return false

@@ -1,7 +1,8 @@
 // Package suppress is an abcdlint fixture for the suppression comment
-// syntax: //abcdlint:ignore rule -- reason, on the flagged line or the
-// line directly above. A suppression without a reason is not honored, and
-// one naming no rule of the suite is reported.
+// syntax: //abcdlint:ignore rule -- reason, trailing the flagged line or
+// alone on the line directly above. A trailing suppression covers only its
+// own line, one without a reason is not honored, and one naming no rule
+// of the suite is reported.
 package suppress
 
 import "errors"
@@ -14,6 +15,11 @@ func Cases() {
 	fail()
 
 	fail() //abcdlint:ignore errcheck -- fixture: suppressed on the same line
+	fail() // want: a trailing suppression does not cover the next line
+
+	//abcdlint:ignore errcheck -- fixture: alone on its line, it covers the next line only
+	fail()
+	fail() // want: two lines below an own-line suppression
 
 	//abcdlint:ignore errcheck
 	fail() // want: suppression without a reason is not honored

@@ -34,8 +34,10 @@ type Program[V, M any] interface {
 	// Init returns the initial value of vertex v.
 	Init(v uint32, g *graph.Graph) V
 
-	// InitEdge returns the initial cached value of the in-edge slot whose
-	// source is src — normally the scatter image of Init(src).
+	// InitEdge returns the initial cached value of the in-edge slots whose
+	// source is src — normally the scatter image of Init(src). It must be
+	// a function of src alone: the kernel evaluates it once per source
+	// vertex and copies the result into every out-edge slot of src.
 	InitEdge(src uint32, g *graph.Graph) V
 
 	// NewAccum allocates a gather accumulator initialized to the identity.

@@ -95,15 +95,24 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 	buf := make([]uint64, c.Values.Words())
 	enc := make([]uint64, c.Values.Words())
 	var val V
-	for _, b := range adopted {
-		// 5a. In-edge slots: batches in flight *to* the dead node were
-		// refused; recompute every slot from the source vertex's
-		// current value and re-activate the block on its heir so the
-		// refreshed inputs are re-processed.
-		lo, hi := c.Part.VertexRange(b)
+	// 5a. In-edge slots: batches in flight *to* the dead node were
+	// refused; recompute every slot from the source vertex's current
+	// value, one rebuild per run of consecutive adopted blocks (the dead
+	// node's BlockRange is one run), and re-activate each block on its
+	// heir so the refreshed inputs are re-processed.
+	for i := 0; i < len(adopted); {
+		j := i + 1
+		for j < len(adopted) && adopted[j] == adopted[j-1]+1 {
+			j++
+		}
+		lo, _ := c.Part.VertexRange(adopted[i])
+		_, hi := c.Part.VertexRange(adopted[j-1])
 		if err := c.RebuildInEdges(lo, hi); err != nil {
 			return err
 		}
+		i = j
+	}
+	for _, b := range adopted {
 		for sl, shi := c.Part.EdgeRange(b); sl < shi; sl++ {
 			c.slotSeq[sl].Store(fenceSeq)
 		}
@@ -113,6 +122,7 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 		// *from* the dead node (step 3) carried scatter images of these
 		// vertices; rewrite every out-slot from the current value and
 		// re-activate the destination blocks on their owners.
+		lo, hi := c.Part.VertexRange(b)
 		for v := lo; v < hi; v++ {
 			c.Values.LoadBuf(int64(v), &val, buf)
 			c.Prog.Codec().Encode(c.Prog.ScatterValue(uint32(v), val, c.G), enc)

@@ -223,12 +223,21 @@ func (p *peerRTO) expired(armed, now int64) {
 
 // NewNodes builds the shared state for a cfg.Nodes-node cluster over g
 // and the nodes with the given ids on top of it. Blocks are split
-// contiguously (BlockRange); each node initializes and activates only
-// what it owns — its vertex values and the only in-edge slots it ever
-// gathers from, which is all a partial graph carries.
+// contiguously (BlockRange); the kernel is built with only what the
+// hosted nodes own initialised — their vertex values and the only in-edge
+// slots they ever gather from, which is all a partial graph carries — and
+// each node activates only its own blocks. The ids are consecutive: every
+// node in process, one per -listen/-join process.
 func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids []int) ([]*Node[V, M], error) {
 	cfg = cfg.WithDefaults()
-	kern, err := core.NewKernel(g, prog, cfg.BlockSize, nil, cfg.Epsilon, cfg.BatchSize)
+	part, err := graph.NewPartition(g, cfg.BlockSize)
+	if err != nil {
+		return nil, err
+	}
+	blo, _ := core.BlockRange(part.NumBlocks(), cfg.Nodes, ids[0])
+	_, bhi := core.BlockRange(part.NumBlocks(), cfg.Nodes, ids[len(ids)-1])
+	nv, bs := g.NumVertices(), part.BlockSize()
+	kern, err := core.NewKernel(g, prog, cfg.BlockSize, nil, cfg.Epsilon, cfg.BatchSize, min(blo*bs, nv), min(bhi*bs, nv))
 	if err != nil {
 		return nil, err
 	}
@@ -283,9 +292,6 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		}
 		n.loop = &core.Loop{Latch: s.Latch, Tel: s.Tel, Pick: pick, Panic: "cluster: worker panic"}
 		n.registerRTOGauges()
-		if err := s.Init(s.VertexRange(id)); err != nil {
-			return nil, err
-		}
 		lo, hi := s.BlockRange(id)
 		for b := lo; b < hi; b++ {
 			n.Sched.Activate(b, 1)
@@ -526,9 +532,9 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	n.Ctl.FlowRecv(e.from, e.id, start)
 	// Take the batch's slot lines for writing up front, so their misses
 	// overlap instead of each stalling its own load and store below.
-	for _, slot := range e.slots {
+	for i, slot := range e.slots {
 		if slot >= 0 && slot < int64(len(n.slotSeq)) {
-			n.Cache.Prefetch(slot)
+			n.Cache.Prefetch(e.slots[i : i+1])
 		}
 	}
 	for i, slot := range e.slots {

@@ -204,6 +204,7 @@ func (t *Transport) Send(from, to int, e cluster.Envelope) {
 		return
 	}
 	b := make([]byte, frameLenSize, frameLenSize+1+cluster.EnvelopeWireSize(e)+frameCRCSize) //abcdlint:ignore hotpath -- one frame buffer per envelope batch, amortized over BatchSize slot updates
+	//abcdlint:ignore hotpath -- amortized: one byte into the per-batch frame buffer sized above
 	b = append(b, fEnvelope)
 	b = cluster.AppendEnvelope(b, e) //abcdlint:ignore hotpath -- marshal into the per-batch frame buffer, amortized over BatchSize slot updates
 	b = sealFrame(b)                 //abcdlint:ignore hotpath -- crc + length fixup once per batch frame

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"graphabcd/internal/checkpoint"
@@ -233,7 +232,7 @@ func (s *Share[V, M]) Restore(m *checkpoint.Manifest, shards []*checkpoint.State
 	s.sh.Add(telemetry.CtrVertexUpdates, own.Counters.VertexUpdates)
 	s.sh.Add(telemetry.CtrBlockUpdates, own.Counters.BlockUpdates)
 	s.sh.Add(telemetry.CtrEdgesTraversed, own.Counters.EdgesTraversed)
-	if err := eachSlice(int(own.VertexLo), int(own.VertexHi), runtime.GOMAXPROCS(0), s.k.RebuildInEdges); err != nil {
+	if err := s.k.RebuildInEdges(int(own.VertexLo), int(own.VertexHi)); err != nil {
 		return err
 	}
 	for i, p := range own.Priority {

@@ -99,15 +99,18 @@ func (f *failingSource) Close() error { return f.inner.Close() }
 func TestEngineSurfacesEdgeSourceErrors(t *testing.T) {
 	g := testGraph(t)
 	for _, mode := range []Mode{Async, Barrier, BSP} {
-		// left=20 survives initialization (NumPEs+NumScatter ranges) and a
-		// few block reads, then fails mid-run.
-		fs := &failingSource{inner: edgestore.InMemory(g)}
-		fs.left.Store(20)
-		cfg := Config{BlockSize: 16, Mode: mode, Policy: sched.Cyclic,
-			NumPEs: 2, NumScatter: 1, Epsilon: 1e-12, Edges: fs}
-		_, err := Run[float64, float64](g, bcd.PageRank{}, cfg)
-		if !errors.Is(err, errInjected) {
-			t.Fatalf("%v: err = %v, want injected failure", mode, err)
+		// left=0 fails the kernel build's first read; left=20 survives the
+		// build (one read per GOMAXPROCS slice) and a few block reads,
+		// then fails mid-run.
+		for _, left := range []int64{0, 20} {
+			fs := &failingSource{inner: edgestore.InMemory(g)}
+			fs.left.Store(left)
+			cfg := Config{BlockSize: 16, Mode: mode, Policy: sched.Cyclic,
+				NumPEs: 2, NumScatter: 1, Epsilon: 1e-12, Edges: fs}
+			_, err := Run[float64, float64](g, bcd.PageRank{}, cfg)
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("%v, %d reads left: err = %v, want injected failure", mode, left, err)
+			}
 		}
 	}
 }

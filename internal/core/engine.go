@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -158,7 +157,7 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	if cfg.Mode == BSP {
 		blockSize = g.NumVertices() // full-gradient Jacobi
 	}
-	k, err := NewKernel(g, prog, blockSize, cfg.Edges, cfg.Epsilon, 0)
+	k, err := NewKernel(g, prog, blockSize, cfg.Edges, cfg.Epsilon, 0, 0, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -193,9 +192,6 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 	e.tel.SetVertices(g.NumVertices())
 	e.tel.RegisterGauge("active_blocks", func() float64 { return float64(e.st.NumActive()) })
 	e.tel.RegisterGauge("residual", e.st.PendingMass)
-	if err := eachSlice(0, g.NumVertices(), cfg.NumPEs+cfg.NumScatter, e.Init); err != nil {
-		e.Fail(err)
-	}
 	return e, nil
 }
 
@@ -203,22 +199,6 @@ func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*e
 // node 0 of a one-owner table, so it has no flush hook.
 func (e *engine[V, M]) worker(i int) *Worker[V, M] {
 	return e.NewWorker(&e.shards[i], 0, e.st, nil)
-}
-
-// eachSlice runs fn over [lo, hi) cut into k contiguous slices, in
-// parallel, and returns their errors joined.
-func eachSlice(lo, hi, k int, fn func(lo, hi int) error) error {
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for w := range k {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(lo+w*(hi-lo)/k, lo+(w+1)*(hi-lo)/k)
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // maxVertexUpdates translates MaxEpochs into a vertex-update budget.

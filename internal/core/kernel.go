@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"graphabcd/internal/bcd"
@@ -28,7 +31,7 @@ type Kernel[V, M any] struct {
 	Values *word.Array[V] // vertex values, |V| entries
 	Cache  *word.Array[V] // cached source values per in-edge slot, |E| entries
 	// Edges streams the static in-edge structure: weights for the gather,
-	// source ids for Init and RebuildInEdges.
+	// source ids for the build and RebuildInEdges.
 	Edges   edgestore.Source
 	Epsilon float64 // activation threshold
 	// Owner maps a block to the node owning its vertex values and in-edge
@@ -48,10 +51,12 @@ type Kernel[V, M any] struct {
 // hands to one Program.Gather call; a longer in-edge run takes several.
 const gatherRun = 128
 
-// NewKernel partitions g into blocks of blockSize vertices and allocates
-// the value and cache arrays; Init fills them. A nil edges streams
-// zero-copy from g.
-func NewKernel[V, M any](g *graph.Graph, prog bcd.Program[V, M], blockSize int, edges edgestore.Source, epsilon float64, batchSize int) (*Kernel[V, M], error) {
+// NewKernel partitions g into blocks of blockSize vertices and builds
+// the value and cache arrays with vertices [vlo, vhi) and their in-edge
+// slots already at the program's initial state — the range its caller
+// runs; everything else decodes from zero words. A nil edges streams
+// zero-copy from g. An edge-source error during the build is returned.
+func NewKernel[V, M any](g *graph.Graph, prog bcd.Program[V, M], blockSize int, edges edgestore.Source, epsilon float64, batchSize, vlo, vhi int) (*Kernel[V, M], error) {
 	part, err := graph.NewPartition(g, blockSize)
 	if err != nil {
 		return nil, err
@@ -62,8 +67,6 @@ func NewKernel[V, M any](g *graph.Graph, prog bcd.Program[V, M], blockSize int, 
 	codec := prog.Codec()
 	k := &Kernel[V, M]{
 		G: g, Prog: prog, Part: part,
-		Values:    word.NewArray(codec, g.NumVertices()),
-		Cache:     word.NewArray(codec, g.NumEdges()),
 		Edges:     edges,
 		Epsilon:   epsilon,
 		Owner:     make([]atomic.Int32, part.NumBlocks()),
@@ -79,7 +82,82 @@ func NewKernel[V, M any](g *graph.Graph, prog bcd.Program[V, M], blockSize int, 
 		codec.Encode(op.ZeroDelta(), enc)
 		k.zero = enc[0]
 	}
+	values, cache, err := k.build(vlo, vhi)
+	if err != nil {
+		return nil, err
+	}
+	k.Values, k.Cache = word.Adopt(codec, values), word.Adopt(codec, cache)
 	return k, nil
+}
+
+// build encodes the initial words of the value and cache arrays with
+// vertices [vlo, vhi) and their in-edge slots set. Program.InitEdge is a
+// function of the source alone, so it is encoded once per vertex of the
+// graph, and each slot of the range copies its source's image. Every
+// write goes to fresh slices that no other goroutine can reach until
+// NewKernel wraps them.
+func (k *Kernel[V, M]) build(vlo, vhi int) (values, cache []uint64, err error) {
+	g, prog, codec := k.G, k.Prog, k.Prog.Codec()
+	w := codec.Words()
+	values, cache = make([]uint64, g.NumVertices()*w), make([]uint64, g.NumEdges()*w)
+	if vlo == vhi {
+		return values, cache, nil
+	}
+	img := make([]uint64, len(values))
+	_ = eachSlice(0, g.NumVertices(), func(lo, hi int) error { // encoding cannot fail
+		for v := lo; v < hi; v++ {
+			codec.Encode(prog.InitEdge(uint32(v), g), img[v*w:(v+1)*w])
+			if v >= vlo && v < vhi {
+				codec.Encode(prog.Init(uint32(v), g), values[v*w:(v+1)*w])
+			}
+		}
+		return nil
+	})
+	err = k.eachInEdgeRun(vlo, vhi, func(slo int64, srcs []uint32) {
+		for i, src := range srcs {
+			dst, from := cache[(slo+int64(i))*int64(w):], img[int(src)*w:]
+			for j := range w {
+				dst[j] = from[j]
+			}
+		}
+	})
+	return values, cache, err
+}
+
+// eachInEdgeRun reads the source ids of the in-edge slots of vertices
+// [vlo, vhi) from the edge source in parallel slices and hands each
+// slice's run to fill, with the slot the run starts at.
+func (k *Kernel[V, M]) eachInEdgeRun(vlo, vhi int, fill func(slo int64, srcs []uint32)) error {
+	return eachSlice(vlo, vhi, func(lo, hi int) error {
+		if lo == hi {
+			return nil
+		}
+		slo, shi := k.G.InOffset(lo), k.G.InOffset(hi)
+		srcs, _, release, err := k.Edges.Block(lo, hi, slo, shi)
+		if err != nil {
+			return err
+		}
+		defer release()
+		fill(slo, srcs)
+		return nil
+	})
+}
+
+// eachSlice runs fn over [lo, hi) cut into GOMAXPROCS contiguous slices,
+// in parallel, and returns their errors joined.
+func eachSlice(lo, hi int, fn func(lo, hi int) error) error {
+	k := runtime.GOMAXPROCS(0)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for w := range k {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = fn(lo+w*(hi-lo)/k, lo+(w+1)*(hi-lo)/k)
+		}(w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Batch is a building buffer of state-based slot updates for blocks that
@@ -130,52 +208,35 @@ func (k *Kernel[V, M]) NewWorker(sh *telemetry.Shard, self int, st *sched.State,
 	}
 }
 
-// Init sets the values of vertices [vlo, vhi) and their in-edge cache
-// slots to the program's initial state.
-func (k *Kernel[V, M]) Init(vlo, vhi int) error {
-	if vlo == vhi {
-		return nil
-	}
-	slo, shi := k.G.InOffset(vlo), k.G.InOffset(vhi)
-	srcs, _, release, err := k.Edges.Block(vlo, vhi, slo, shi)
-	if err != nil {
-		return err
-	}
-	defer release()
-	buf := make([]uint64, k.Values.Words())
-	for v := vlo; v < vhi; v++ {
-		k.Values.StoreBuf(int64(v), k.Prog.Init(uint32(v), k.G), buf)
-	}
-	for s := slo; s < shi; s++ {
-		k.Cache.StoreBuf(s, k.Prog.InitEdge(srcs[s-slo], k.G), buf)
-	}
-	return nil
-}
-
 // RebuildInEdges re-derives the in-edge cache slots of vertices
 // [vlo, vhi) from the current values: slot s caches the scatter image of
 // its source vertex, whoever owns it — the same idempotent write Scatter
-// performs. This is what lets a checkpoint store only the |V| values and
-// what reconstructs a batch lost in flight (to a dead node, or across a
-// fuzzy checkpoint). Nothing else may touch the range meanwhile.
+// performs. Each vertex's image is derived once, then copied into its
+// slots with atomic stores, in parallel slices. This is what lets a
+// checkpoint store only the |V| values and what reconstructs a batch lost
+// in flight (to a dead node, or across a fuzzy checkpoint). Nothing else
+// may touch the range meanwhile.
 func (k *Kernel[V, M]) RebuildInEdges(vlo, vhi int) error {
 	if vlo == vhi {
 		return nil
 	}
-	slo, shi := k.G.InOffset(vlo), k.G.InOffset(vhi)
-	srcs, _, release, err := k.Edges.Block(vlo, vhi, slo, shi)
-	if err != nil {
-		return err
-	}
-	defer release()
-	buf := make([]uint64, k.Values.Words())
-	var val V
-	for s := slo; s < shi; s++ {
-		src := srcs[s-slo]
-		k.Values.LoadBuf(int64(src), &val, buf)
-		k.Cache.StoreBuf(s, k.Prog.ScatterValue(src, val, k.G), buf)
-	}
-	return nil
+	g, prog, codec := k.G, k.Prog, k.Prog.Codec()
+	w := codec.Words()
+	img := make([]uint64, g.NumVertices()*w)
+	_ = eachSlice(0, g.NumVertices(), func(lo, hi int) error { // deriving cannot fail
+		buf := make([]uint64, w)
+		var val V
+		for v := lo; v < hi; v++ {
+			k.Values.LoadBuf(int64(v), &val, buf)
+			codec.Encode(prog.ScatterValue(uint32(v), val, g), img[v*w:(v+1)*w])
+		}
+		return nil
+	})
+	return k.eachInEdgeRun(vlo, vhi, func(slo int64, srcs []uint32) {
+		for i, src := range srcs {
+			k.Cache.StoreWords(slo+int64(i), img[int(src)*w:(int(src)+1)*w])
+		}
+	})
 }
 
 // CollectValues decodes the whole value array; exact once every writer
@@ -266,7 +327,9 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 // The store path: a vertex's image is the same on all its out-edges, so
 // it is encoded once, and its out-edge run is walked twice. Pass one
 // prefetches the owned destination slots for writing (PREFETCHW on
-// amd64), so the run's ownership misses are in flight together. Pass two
+// amd64), so the run's ownership misses are in flight together: the
+// whole run in one call when the worker's node owns every block (w.Out
+// is nil), which also spares pass two its per-edge owner load. Pass two
 // does the atomic stores, each an XCHG on amd64, a full fence. A plain
 // load in pass one would fetch each line shared and be an earlier load
 // every XCHG waits for, so each store would still stall on its line's
@@ -277,7 +340,10 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 //
 //abcd:hotpath
 func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Worker[V, M]) int64 {
-	g := k.G
+	g, part := k.G, k.Part
+	// No batches to build: the worker's node owns every block (every
+	// engine run), so no slot needs its owner looked up.
+	oneOwner := w.Out == nil
 	var writes, remote int64
 	for v := vlo; v < vhi; v++ {
 		d := deltas[v-vlo]
@@ -297,25 +363,32 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 			k.Prog.Codec().Encode(k.Prog.ScatterValue(uint32(v), w.val, g), w.enc)
 		}
 		olo, ohi := g.OutOffset(v), g.OutOffset(v+1)
+		slots, dsts := g.OutPosRange(olo, ohi), g.OutDstRange(olo, ohi)
+		dsts = dsts[:len(slots)]
 		writes += ohi - olo
-		for i := olo; i < ohi; i++ {
-			if int(k.Owner[k.Part.BlockOf(g.OutDst(i))].Load()) == w.self {
-				k.Cache.Prefetch(g.OutPos(i))
+		if oneOwner {
+			k.Cache.Prefetch(slots)
+		} else {
+			for i, dst := range dsts {
+				if int(k.Owner[part.BlockOf(dst)].Load()) == w.self {
+					k.Cache.Prefetch(slots[i : i+1])
+				}
 			}
 		}
-		for i := olo; i < ohi; i++ {
-			slot := g.OutPos(i)
-			db := k.Part.BlockOf(g.OutDst(i))
-			if owner := int(k.Owner[db].Load()); owner != w.self {
-				p := &w.Out[owner]
-				p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-				p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-				p.Words = append(p.Words, w.enc...)    //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-				if len(p.Slots) >= k.BatchSize {
-					w.flush(owner, p, w.Sh)
+		for i, slot := range slots {
+			db := part.BlockOf(dsts[i])
+			if !oneOwner {
+				if owner := int(k.Owner[db].Load()); owner != w.self {
+					p := &w.Out[owner]
+					p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+					p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+					p.Words = append(p.Words, w.enc...)    //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+					if len(p.Slots) >= k.BatchSize {
+						w.flush(owner, p, w.Sh)
+					}
+					remote++
+					continue
 				}
-				remote++
-				continue
 			}
 			if k.op != nil {
 				k.Cache.RMW(slot, w.buf, &w.val, func(cur V) V {

@@ -22,16 +22,13 @@ import (
 func TestKernelScatterTwoOwners(t *testing.T) {
 	g := degenerateGraph(t, 21, 1, false)
 	const blockSize, batchSize, eps = 7, 4, 0.25
-	k, err := NewKernel[float64, float64](g, bcd.PageRank{}, blockSize, nil, eps, batchSize)
+	k, err := NewKernel[float64, float64](g, bcd.PageRank{}, blockSize, nil, eps, batchSize, 0, g.NumVertices())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := k.Part.NumBlocks()
 	for b := 1; b < nb; b += 2 {
 		k.Owner[b].Store(1)
-	}
-	if err := k.Init(0, g.NumVertices()); err != nil {
-		t.Fatal(err)
 	}
 	type update struct {
 		slot  int64
@@ -144,16 +141,13 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 	t.Helper()
 	n, ne := g.NumVertices(), int64(g.NumEdges())
 	for _, owners := range []int{1, 2} {
-		k, err := NewKernel(g, prog, 7, nil, eps, math.MaxInt)
+		k, err := NewKernel(g, prog, 7, nil, eps, math.MaxInt, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nb := k.Part.NumBlocks()
 		for b := 1; b < nb && owners == 2; b += 2 {
 			k.Owner[b].Store(1)
-		}
-		if err := k.Init(0, n); err != nil {
-			t.Fatal(err)
 		}
 		tel := telemetry.New(telemetry.Options{})
 		w := k.NewWorker(&tel.Shards(1)[0], 0, sched.NewState(nb), nil)
@@ -290,7 +284,7 @@ func TestGatherRunFold(t *testing.T) {
 func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, prog bcd.Program[V, M], val func(int) V) {
 	t.Helper()
 	n, ne := g.NumVertices(), g.NumEdges()
-	k, err := NewKernel(g, prog, n, nil, 0, 0)
+	k, err := NewKernel(g, prog, n, nil, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +361,8 @@ func BenchmarkScatterStore(b *testing.B) {
 				b.Fatal(err)
 			}
 			n := g.NumVertices()
-			k, err := NewKernel[float64, float64](g, bcd.PageRank{}, n/256, nil, 1e-9, 0)
+			k, err := NewKernel[float64, float64](g, bcd.PageRank{}, n/256, nil, 1e-9, 0, 0, n)
 			if err != nil {
-				b.Fatal(err)
-			}
-			if err := k.Init(0, n); err != nil {
 				b.Fatal(err)
 			}
 			tel := telemetry.New(telemetry.Options{})

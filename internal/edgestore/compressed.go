@@ -200,7 +200,7 @@ func (s *compSource) Block(vlo, vhi int, slo, shi int64) ([]uint32, []float32, f
 	}
 	if cap(bb.src) < n {
 		bb.src = make([]uint32, n) //abcdlint:ignore hotpath -- grow-once: pooled buffer, reallocates only when a larger block class first appears
-		bb.w = make([]float32, n)
+		bb.w = make([]float32, n)  //abcdlint:ignore hotpath -- grow-once: pooled buffer, see above
 	}
 	raw := bb.raw[:rawLen]
 	src, w := bb.src[:n], bb.w[:n]

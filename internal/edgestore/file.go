@@ -138,8 +138,8 @@ func (s *fileSource) Block(vlo, vhi int, slo, shi int64) ([]uint32, []float32, f
 	}
 	if cap(bb.raw) < 4*n {
 		bb.raw = make([]byte, 4*n) //abcdlint:ignore hotpath -- grow-once: pooled buffer, reallocates only when a larger block class first appears
-		bb.src = make([]uint32, n)
-		bb.w = make([]float32, n) //abcdlint:ignore hotpath -- grow-once: pooled buffer, see above
+		bb.src = make([]uint32, n) //abcdlint:ignore hotpath -- grow-once: pooled buffer, see above
+		bb.w = make([]float32, n)  //abcdlint:ignore hotpath -- grow-once: pooled buffer, see above
 	}
 	bb.src, bb.w = bb.src[:n], bb.w[:n]
 

@@ -113,11 +113,8 @@ func AblationStaleness(opt Options) ([]StalenessRow, error) {
 // held back in a depth-deep FIFO behind its gather, and returns the
 // epochs it took.
 func delayedPageRank(g *graph.Graph, blockSize, depth int, eps float64) (float64, error) {
-	k, err := core.NewKernel[float64, float64](g, bcd.PageRank{}, blockSize, nil, eps, 0)
+	k, err := core.NewKernel[float64, float64](g, bcd.PageRank{}, blockSize, nil, eps, 0, 0, g.NumVertices())
 	if err != nil {
-		return 0, err
-	}
-	if err := k.Init(0, g.NumVertices()); err != nil {
 		return 0, err
 	}
 	st := sched.NewState(k.Part.NumBlocks())

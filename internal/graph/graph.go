@@ -197,6 +197,14 @@ func (g *Graph) OutDst(i int64) uint32 { return g.outDst[i] }
 // OutPos returns the CSC slot that out-edge i writes to during SCATTER.
 func (g *Graph) OutPos(i int64) int64 { return g.outPos[i] }
 
+// OutDstRange returns the destinations of out-edges [lo, hi), aliasing
+// internal storage; read-only.
+func (g *Graph) OutDstRange(lo, hi int64) []uint32 { return g.outDst[lo:hi] }
+
+// OutPosRange returns the CSC slots of out-edges [lo, hi), aliasing
+// internal storage; read-only.
+func (g *Graph) OutPosRange(lo, hi int64) []int64 { return g.outPos[lo:hi] }
+
 // OutDegree returns the out-degree of vertex v.
 func (g *Graph) OutDegree(v uint32) int32 { return g.outDeg[v] }
 

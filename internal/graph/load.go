@@ -73,7 +73,7 @@ func LoadFormat(path string, f Format) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer file.Close() //abcdlint:ignore errcheck -- read-only close
+	defer file.Close()
 	g, err := ReadFormat(file, f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -18,8 +18,15 @@ type Array[V any] struct {
 
 // NewArray allocates an n-value array; all values decode from zero words.
 func NewArray[V any](codec Codec[V], n int) *Array[V] {
-	w := codec.Words()
-	return &Array[V]{codec: codec, words: w, data: make([]uint64, n*w)}
+	return Adopt(codec, make([]uint64, n*codec.Words()))
+}
+
+// Adopt wraps data, len(data)/codec.Words() values already encoded, as an
+// Array: construct, then publish. The caller fills data with plain writes
+// while no other goroutine can reach it, and hands it over here; from then
+// on every access goes through the Array's atomics.
+func Adopt[V any](codec Codec[V], data []uint64) *Array[V] {
+	return &Array[V]{codec: codec, words: codec.Words(), data: data}
 }
 
 // Len returns the number of values.

@@ -353,7 +353,7 @@ func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		want.StoreBuf(i, val, buf)
 		stored.StoreWords(i, enc)
-		stored.Prefetch(i)
+		stored.Prefetch([]int64{i})
 	}
 	filled.Fill(val)
 	snap := func(a *Array[[]float32]) []uint64 {
@@ -368,8 +368,10 @@ func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 	}
 }
 
-// Prefetch changes no value at either end of arrays of 1-, 2- and 8-word
-// values, and an index past either end panics as an indexed load does.
+// Prefetch changes no value for an empty run, one index at either end,
+// or a run over every value (repeats included) of arrays of 1-, 2- and
+// 8-word values, and an index past either end panics as an indexed load
+// does, alone or after in-range indices.
 func TestPrefetchLeavesValues(t *testing.T) {
 	for _, codec := range []Vec32{{Dim: 1}, {Dim: 3}, {Dim: 16}} {
 		const n = 7
@@ -383,21 +385,24 @@ func TestPrefetchLeavesValues(t *testing.T) {
 		}
 		before := make([]uint64, n*codec.Words())
 		a.SnapshotWords(0, n, before)
-		a.Prefetch(0)
-		a.Prefetch(int64(a.Len() - 1))
+		a.Prefetch(nil)
+		a.Prefetch([]int64{})
+		a.Prefetch([]int64{0})
+		a.Prefetch([]int64{int64(a.Len() - 1)})
+		a.Prefetch([]int64{6, 0, 3, 3, 1, 5, 2, 4, 0})
 		after := make([]uint64, n*codec.Words())
 		a.SnapshotWords(0, n, after)
 		if !slices.Equal(before, after) {
 			t.Errorf("%d words: Prefetch changed %#x to %#x", codec.Words(), before, after)
 		}
-		for _, i := range []int64{-1, n} {
+		for _, idx := range [][]int64{{-1}, {n}, {0, 2, n}, {n - 1, -1, 0}} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%d words: Prefetch(%d) did not panic", codec.Words(), i)
+						t.Errorf("%d words: Prefetch(%v) did not panic", codec.Words(), idx)
 					}
 				}()
-				a.Prefetch(i)
+				a.Prefetch(idx)
 			}()
 		}
 	}

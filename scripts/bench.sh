@@ -9,7 +9,8 @@
 # Usage:
 #   scripts/bench.sh            full run (shrink 4, scale 18, benchtime 10x, count 3)
 #   scripts/bench.sh --smoke    quick correctness pass (shrink 6, scale 12, 1x,
-#                               count 1), writes to a temp file; wired into check.sh
+#                               count 1), writes to a temp file removed on exit
+#                               unless BENCH_OUT names the output; wired into check.sh
 #
 # Environment overrides:
 #   GRAPHABCD_BENCH_SHRINK  dataset scale-down exponent (default per mode)
@@ -22,6 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode=full
+smoke_out= # the smoke run's own temp output, removed on exit
 if [[ "${1:-}" == "--smoke" ]]; then
     mode=smoke
 fi
@@ -31,7 +33,10 @@ if [[ "$mode" == "smoke" ]]; then
     scale="${GRAPHABCD_BENCH_SCALE:-12}"
     benchtime="${BENCH_TIME:-1x}"
     count="${BENCH_COUNT:-1}"
-    out="${BENCH_OUT:-$(mktemp -t bench_smoke_XXXXXX.json)}"
+    if [[ -z "${BENCH_OUT:-}" ]]; then
+        smoke_out=$(mktemp -t bench_smoke_XXXXXX.json)
+    fi
+    out="${BENCH_OUT:-$smoke_out}"
 else
     shrink="${GRAPHABCD_BENCH_SHRINK:-4}"
     scale="${GRAPHABCD_BENCH_SCALE:-18}"
@@ -41,7 +46,7 @@ else
 fi
 
 raw=$(mktemp -t bench_raw_XXXXXX.txt)
-trap 'rm -f "$raw"' EXIT
+trap 'rm -f "$raw" ${smoke_out:+"$smoke_out"}' EXIT
 
 echo "== bench (mode=$mode shrink=$shrink scale=$scale benchtime=$benchtime count=$count)"
 GRAPHABCD_BENCH_SHRINK="$shrink" GRAPHABCD_BENCH_SCALE="$scale" go test -run '^$' \
