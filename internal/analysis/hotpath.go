@@ -17,7 +17,7 @@ import (
 // shared call graph from every annotated function and flags violating
 // sites in every reachable callee, reporting the call chain that makes the
 // site hot. Allocation sites are make, new, append, any call into package
-// fmt, and the word.Array Load/Store/Fill conveniences, whose
+// fmt, and the word.Array Load/Store conveniences, whose
 // documentation already directs hot paths to LoadBuf/StoreBuf: the GATHER
 // pipeline's one edge per cycle (Sec. IV-A1) survives in software only if
 // the per-edge path does not turn into GC pressure. Lock use flags any
@@ -211,7 +211,7 @@ func allocMessage(info *types.Info, call *ast.CallExpr) string {
 				obj := named.Obj()
 				if obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/word") && obj.Name() == "Array" {
 					switch fn.Name() {
-					case "Load", "Store", "Fill":
+					case "Load", "Store":
 						return "word.Array." + fn.Name() + " allocates a transfer buffer per call"
 					}
 				}

@@ -40,7 +40,6 @@ func WordsInHot(arr *word.Array[uint64], i int64) {
 	var v uint64
 	arr.Load(i, &v) // want: word.Array.Load
 	arr.Store(i, v) // want: word.Array.Store
-	arr.Fill(v)     // want: word.Array.Fill
 }
 
 // LockInHot takes mutexes inside an annotated function.

@@ -123,9 +123,9 @@ func (t *Transport) Send(from, to int, e cluster.Envelope) {
 	}
 	if n := t.sends.Add(1); t.cfg.AfterBatches > 0 && n >= t.cfg.AfterBatches &&
 		t.cfg.OnFault != nil && t.fired.CompareAndSwap(false, true) {
-		// The callback typically calls Control.FailNode, which pauses
-		// the world — run it off the sender's goroutine so a worker
-		// never deadlocks against its own fault.
+		// The callback typically calls Control.FailNode, which stops
+		// the run for a restart — run it off the sender's goroutine so
+		// a worker never blocks on its own fault.
 		obslog.L().Warn("injected fault fired",
 			"event", "chaos.fault_fired", "afterBatches", t.cfg.AfterBatches, "sends", n)
 		go t.cfg.OnFault()

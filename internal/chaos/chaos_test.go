@@ -3,7 +3,7 @@
 // through a transport that drops 20% of messages, duplicates 10%,
 // reorders via per-delivery jitter, and loses a node mid-run — because
 // every mechanism the cluster layers on top (at-least-once retries,
-// write-stamped applies, failover re-scatter) exists to make exactly
+// write-stamped applies, the restart from the shared values) exists to make exactly
 // that true.
 package chaos_test
 

@@ -19,7 +19,7 @@
 // around them: Run (inproc.go) hosts every node in this process over
 // shared arrays, and internal/cluster/tcp hosts one node per OS process
 // over real sockets. Both launch their nodes through Shared.Start and
-// reach them one way: the Transport is bound straight to Node.Deliver,
+// reach them one way: the Transport delivers straight to Node.Deliver,
 // so an envelope is applied by whoever carries it and a node has no
 // receive goroutine. Latency, loss and reordering therefore belong to
 // the Transport alone.
@@ -30,10 +30,9 @@
 // unacked batches are retried after a timeout learned from each peer's
 // ack round trips, backing off while they keep timing out — and per-slot
 // write stamps that discard stale redeliveries. Nodes may also be killed
-// mid-run (Control.FailNode, in-process only): the dead node's blocks
-// are reassigned to survivors and the orphaned edge-cache state is
-// rebuilt by re-scattering current owner values, which is exactly the
-// idempotent write the normal path performs.
+// mid-run (Control.FailNode, in-process only): the run restarts on the
+// survivors from the values in shared memory, rebuilding every edge-cache
+// slot from them as a checkpoint resume does.
 //
 // Termination is ack-based and exact: a batch stays in flight until the
 // receiver has applied (and re-activated from) it and its ack is back.
@@ -81,10 +80,9 @@ type Config struct {
 	// one (drops, duplicates, delay jitter, partitions). It is the one
 	// place latency is injected.
 	Transport Transport
-	// RetryDeadline bounds how long one batch may stay undelivered to a
-	// live node before the run fails (an unbounded partition is the one
-	// fault the cluster does not tolerate — see DESIGN.md §8). 0 means
-	// 30s.
+	// RetryDeadline bounds how long one batch may stay undelivered
+	// before the run fails (an unbounded partition is the one fault the
+	// cluster does not tolerate — see DESIGN.md §8). 0 means 30s.
 	RetryDeadline time.Duration
 	// MaxUnacked caps each node's sent-but-unacknowledged batches: a
 	// worker flushing past the cap waits for acks before creating more.
@@ -100,9 +98,8 @@ type Config struct {
 	// pre-window behavior, which perfect in-process transports never
 	// notice).
 	MaxUnacked int
-	// OnStart, when non-nil, receives the run's Control handle right
-	// after the workers start — the hook from which tests and chaos
-	// harnesses schedule mid-run node failures.
+	// OnStart, when non-nil, receives the run's Control handle once the
+	// first workers start: the hook for mid-run node failures.
 	OnStart func(Control)
 	// Telemetry, when non-nil, is the live instrumentation registry the
 	// run emits into (internal/telemetry): the same registry the single-
@@ -174,7 +171,7 @@ type Stats struct {
 	// batches.
 	BatchesRetried int64
 	// BatchesDropped counts envelopes lost in the transport (injected
-	// faults) plus batches abandoned because their destination failed.
+	// faults).
 	BatchesDropped int64
 	// BatchesDuplicated counts envelopes the transport delivered more
 	// than once (injected faults).

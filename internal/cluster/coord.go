@@ -9,15 +9,11 @@ import (
 	"graphabcd/internal/telemetry"
 )
 
-// Probe is one node's termination accounting. Quiet: no failover rebuild
-// runs in the node's process, none began while the probe read, and the
-// node's scheduler is quiescent or the node is dead. Failures counts the
-// failovers begun in its process, never any across processes.
+// Probe is one node's termination accounting.
 type Probe struct {
 	Sent, Applied uint64 // monotone counts of batches created and installed
-	Inflight      int64  // batches created but neither acked nor abandoned
-	Quiet         bool
-	Failures      int64
+	Inflight      int64  // batches created but not yet acked
+	Quiet         bool   // the node's scheduler is quiescent
 }
 
 // RoundKind names what a round asks of every node: a Probe, its stats
@@ -96,7 +92,9 @@ type Coordinator struct {
 	Epoch     uint64
 	CkptEvery time.Duration
 
-	Quiesced func() // stops this process's nodes once quiescence is declared
+	// Quiesced stops this process's nodes at declared quiescence; false
+	// declines it (in process: a kill stopped the run first).
+	Quiesced func() bool
 }
 
 // Run drives the rounds; sent is the cluster's batch total from the last
@@ -148,8 +146,10 @@ func (c *Coordinator) Run(ctx context.Context) (quiesced bool, sent uint64, err 
 			return false, 0, err
 		}
 	}
+	if !c.Quiesced() {
+		return false, 0, c.Latch.Err()
+	}
 	obslog.L().Info("cluster quiescent, collecting values", "event", "dist.quiesce", "nodes", len(c.Lanes))
-	c.Quiesced()
 	if _, _, err := c.round(Round{Kind: RoundStop}); err != nil {
 		return false, 0, err
 	}
@@ -161,10 +161,9 @@ func (c *Coordinator) Run(ctx context.Context) (quiesced bool, sent uint64, err 
 
 // quiet reports whether probe round cur extends a quiet streak after
 // prev: every node quiet with nothing in flight, and its probe equal to
-// its last. Between two such probes a node applied and created nothing
-// and no failover began in its process (Failures held, and Quiet means
-// none was running), so nothing could activate it; two such rounds in a
-// row bracket a moment when every node was idle and no batch existed.
+// its last. Between two such probes a node applied and created nothing,
+// so nothing could activate it; two such rounds in a row bracket a moment
+// when every node was idle and no batch existed.
 func quiet(prev, cur []Probe) bool {
 	for i, p := range cur {
 		if prev == nil || !p.Quiet || p.Inflight != 0 || p != prev[i] {

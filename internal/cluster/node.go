@@ -23,10 +23,9 @@ import (
 // the slot stamps, the envelope sequence, and the stop latch (a worker
 // blocked on a full send window, e.g. under a partition, parks on its
 // Done channel — the retry loop strands the window slots of not-yet-due
-// batches when it exits). The in-process runtime hosts every node over
-// one Shared; a -listen/-join process hosts one node over its own
-// (internal/cluster/tcp), whose graph carries only that node's edge
-// sections.
+// batches when it exits). The in-process runtime hosts each generation's
+// nodes over one Shared, a -listen/-join process one node over its own,
+// whose graph carries only that node's edge sections.
 type Shared[V, M any] struct {
 	*core.Kernel[V, M]
 	*core.Latch
@@ -38,23 +37,13 @@ type Shared[V, M any] struct {
 	// slot's is skipped, so redelivery can never regress a slot to a
 	// stale value. Local scatter writes bypass the stamps — a slot's
 	// writer is its source vertex's owner, so local and remote writers
-	// of one slot never coexist (failover fences the handover).
+	// of one slot never coexist. A restart stamps every slot above every
+	// envelope id issued before it.
 	slotSeq []atomic.Uint64 //abcd:stamped
+	seq     atomic.Uint64   // logical batch ids / write stamps
 
-	// Failover state, never set across processes: killed nodes, rebuilds
-	// in progress, FailNode calls begun.
-	dead       []atomic.Bool
-	recovering atomic.Int64
-	failures   atomic.Int64
-	seq        atomic.Uint64 // logical batch ids / write stamps
-	// fence serializes failover against block processing: every block
-	// step holds the read side, FailNode holds the write side while it
-	// reassigns blocks and rebuilds cache slots, so ownership changes are
-	// atomic w.r.t. block processing. Only the in-process runtime ever
-	// takes the write side.
-	fence sync.RWMutex
-
-	cfg    Config // defaults resolved
+	nodes  []*Node[V, M] // the nodes this process hosts over it
+	cfg    Config        // defaults resolved
 	tr     Transport
 	shards []telemetry.Shard
 	now    func() time.Time // every clock read of the delivery state machine; time.Now outside tests
@@ -84,7 +73,7 @@ type Node[V, M any] struct {
 	loop *core.Loop
 
 	// Termination accounting. sent and applied are monotone; inflight
-	// counts batches created but neither acked nor abandoned. They stay
+	// counts batches created but not yet acked. They stay
 	// exact single atomics: quiescence detection needs linearizable
 	// counters, not the merged view a sharded sum gives.
 	sent     atomic.Uint64
@@ -100,16 +89,14 @@ type Node[V, M any] struct {
 	peers     []peerRTO
 
 	// window is the MaxUnacked flow-control semaphore: flush acquires a
-	// slot per batch it registers, and every path that retires an unacked
-	// entry (first ack, dead-destination abandon, deadline failure,
-	// failover orphan sweep) releases one. nil means unbounded. Safe
-	// against deadlock because acks are produced by apply, which never
-	// waits on the window.
+	// slot per batch it registers, and its first ack releases it. nil
+	// means unbounded. Safe against deadlock because acks are produced by
+	// apply, which never waits on the window.
 	window chan struct{}
 
 	// applyMu serializes applies (transport read loops may deliver
-	// concurrently) and guards the transfer scratch; failover holds it to
-	// park the node at an envelope boundary.
+	// concurrently) and guards the transfer scratch; shutdown takes it
+	// once to wait out an apply still running.
 	applyMu       sync.Mutex
 	old, incoming V
 	buf           []uint64
@@ -222,63 +209,77 @@ func (p *peerRTO) expired(armed, now int64) {
 }
 
 // NewNodes builds the shared state for a cfg.Nodes-node cluster over g
-// and the nodes with the given ids on top of it. Blocks are split
-// contiguously (BlockRange); the kernel is built with only what the
-// hosted nodes own initialised — their vertex values and the only in-edge
-// slots they ever gather from, which is all a partial graph carries — and
-// each node activates only its own blocks. The ids are consecutive: every
-// node in process, one per -listen/-join process.
-func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids []int) ([]*Node[V, M], error) {
+// and nodes lo..hi-1 on top of it: every node in process, one per
+// -listen/-join process. Blocks are split contiguously (BlockRange); the
+// kernel is built with only what the hosted nodes own initialised — their
+// vertex values and the only in-edge slots they ever gather from, which
+// is all a partial graph carries — and each node activates only its own
+// blocks.
+func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, lo, hi int) ([]*Node[V, M], error) {
 	cfg = cfg.WithDefaults()
 	part, err := graph.NewPartition(g, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}
-	blo, _ := core.BlockRange(part.NumBlocks(), cfg.Nodes, ids[0])
-	_, bhi := core.BlockRange(part.NumBlocks(), cfg.Nodes, ids[len(ids)-1])
+	blo, _ := core.BlockRange(part.NumBlocks(), cfg.Nodes, lo)
+	_, bhi := core.BlockRange(part.NumBlocks(), cfg.Nodes, hi-1)
 	nv, bs := g.NumVertices(), part.BlockSize()
 	kern, err := core.NewKernel(g, prog, cfg.BlockSize, nil, cfg.Epsilon, cfg.BatchSize, min(blo*bs, nv), min(bhi*bs, nv))
 	if err != nil {
 		return nil, err
 	}
-	nb := kern.Part.NumBlocks()
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.New(telemetry.Options{})
+	}
+	cfg.Telemetry.SetVertices(nv)
+	// Shard 0 belongs to the runtime's auxiliary goroutines (watchdog,
+	// kills); each node then gets one shard per worker plus its Ctl.
+	return newShared(kern, cfg, cfg.Telemetry.Shards(1+(hi-lo)*(cfg.WorkersPerNode+1)), lo, hi, 0).nodes, nil
+}
+
+// newShared builds one Shared over kern for a cfg.Nodes-node cluster
+// owning the blocks by BlockRange, and nodes lo..hi-1 over it, the k-th
+// counting into shards[1+k*(WorkersPerNode+1):] and activating its own
+// blocks. The envelope sequence and every slot stamp start at seq. A
+// restart calls it over the run's kernel and shards, so counters, the
+// epoch budget and the stamps carry on across generations.
+func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry.Shard, lo, hi int, seq uint64) *Shared[V, M] {
 	s := &Shared[V, M]{
 		Kernel:  kern,
 		Latch:   core.NewLatch(),
 		Tel:     cfg.Telemetry,
-		slotSeq: make([]atomic.Uint64, g.NumEdges()),
-		dead:    make([]atomic.Bool, cfg.Nodes),
+		slotSeq: make([]atomic.Uint64, kern.G.NumEdges()),
 		cfg:     cfg,
 		tr:      cfg.Transport,
+		shards:  shards,
 		now:     time.Now,
+	}
+	s.SetSeq(seq)
+	if seq > 0 {
+		for i := range s.slotSeq {
+			s.slotSeq[i].Store(seq)
+		}
 	}
 	budget := int64(math.MaxInt64) // MaxEpochs as vertex updates over Tel's total
 	if cfg.MaxEpochs > 0 {
-		budget = int64(cfg.MaxEpochs * float64(g.NumVertices()))
+		budget = int64(cfg.MaxEpochs * float64(kern.G.NumVertices()))
 	}
-	if s.Tel == nil {
-		s.Tel = telemetry.New(telemetry.Options{})
-	}
-	s.Tel.SetVertices(g.NumVertices())
-	// Shard 0 belongs to the runtime's auxiliary goroutines (watchdog,
-	// failover); each node then gets one shard per worker plus its Ctl.
-	per := cfg.WorkersPerNode + 1
-	s.shards = s.Tel.Shards(1 + len(ids)*per)
 	for i := 0; i < cfg.Nodes; i++ {
 		lo, hi := s.BlockRange(i)
 		for b := lo; b < hi; b++ {
 			s.Owner[b].Store(int32(i))
 		}
 	}
-	nodes := make([]*Node[V, M], len(ids))
-	for k, id := range ids {
-		base := 1 + k*per
+	per := cfg.WorkersPerNode + 1
+	s.nodes = make([]*Node[V, M], hi-lo)
+	for id := lo; id < hi; id++ {
+		base := 1 + (id-lo)*per
 		n := &Node[V, M]{
 			Shared:  s,
 			ID:      id,
-			Sched:   sched.NewState(nb),
-			Ctl:     &s.shards[base+cfg.WorkersPerNode],
-			workers: s.shards[base : base+cfg.WorkersPerNode],
+			Sched:   sched.NewState(kern.Part.NumBlocks()),
+			Ctl:     &shards[base+cfg.WorkersPerNode],
+			workers: shards[base : base+cfg.WorkersPerNode],
 			unacked: make(map[uint64]*pending),
 			peers:   make([]peerRTO, cfg.Nodes),
 			buf:     make([]uint64, max(s.Values.Words(), 2)),
@@ -286,19 +287,16 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, ids 
 		if cfg.MaxUnacked > 0 {
 			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
-		pick, err := core.CyclicPick(s.Latch, s.Tel, n.Sched, budget)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d scheduler: %w", id, err)
-		}
+		pick := core.CyclicPick(s.Latch, s.Tel, n.Sched, budget)
 		n.loop = &core.Loop{Latch: s.Latch, Tel: s.Tel, Pick: pick, Panic: "cluster: worker panic"}
 		n.registerRTOGauges()
-		lo, hi := s.BlockRange(id)
-		for b := lo; b < hi; b++ {
+		blo, bhi := s.BlockRange(id)
+		for b := blo; b < bhi; b++ {
 			n.Sched.Activate(b, 1)
 		}
-		nodes[k] = n
+		s.nodes[id-lo] = n
 	}
-	return nodes, nil
+	return s
 }
 
 // registerRTOGauges exposes what the retransmission timer learned about
@@ -339,19 +337,17 @@ func (s *Shared[V, M]) VertexRange(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Start is the launch sequence both runtimes run: bind the transport to
-// deliver, start WorkersPerNode workers of the block-worker loop for each
-// hosted node, and start the retry loop. The workers yield at block
-// boundaries when this process's workers outnumber GOMAXPROCS. The
-// returned shutdown is the matching teardown — stop the run, join those
-// goroutines, then close the transport, in that order: once the workers
-// and retries are gone no new data envelope can originate, so Close only
-// has in-flight deliveries left to drain.
-func (s *Shared[V, M]) Start(ctx context.Context, deliver func(to int, e Envelope), nodes ...*Node[V, M]) (shutdown func()) {
-	s.tr.Bind(s.cfg.Nodes, deliver)
-	yield := len(nodes)*s.cfg.WorkersPerNode > runtime.GOMAXPROCS(0)
+// Start is the launch sequence both runtimes run once their transport is
+// bound to the nodes: WorkersPerNode workers of the block-worker loop
+// per hosted node, yielding at block boundaries when this process's
+// workers outnumber GOMAXPROCS, and their retry loop. The returned
+// shutdown stops the run, joins those goroutines and waits out any apply
+// still running; install refuses every later delivery, so the kernel is
+// then the caller's alone, to collect or to restart from.
+func (s *Shared[V, M]) Start(ctx context.Context) (shutdown func()) {
+	yield := len(s.nodes)*s.cfg.WorkersPerNode > runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	for _, n := range nodes {
+	for _, n := range s.nodes {
 		for w := 0; w < s.cfg.WorkersPerNode; w++ {
 			wg.Add(1)
 			go func(n *Node[V, M], w int) {
@@ -359,19 +355,22 @@ func (s *Shared[V, M]) Start(ctx context.Context, deliver func(to int, e Envelop
 				kw := n.NewWorker(&n.workers[w], n.ID, n.Sched, n.flush)
 				kw.Out = make([]core.Batch, n.cfg.Nodes)
 				ws := &worker[V, M]{Worker: kw, deltas: make([]float64, n.Part.BlockSize())}
-				n.loop.Work(ws.Sh, yield, func(b int) { n.runBlock(b, ws) })
+				n.loop.Work(ws.Sh, yield, func(b int) { n.processBlock(b, ws) })
 			}(n, w)
 		}
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		retryLoop(ctx, nodes)
+		s.retryLoop(ctx)
 	}()
 	return func() {
 		s.Stop()
 		wg.Wait()
-		s.tr.Close()
+		for _, n := range s.nodes { // an apply in progress holds applyMu
+			n.applyMu.Lock()
+			n.applyMu.Unlock()
+		}
 	}
 }
 
@@ -401,26 +400,14 @@ type worker[V, M any] struct {
 	deltas []float64
 }
 
-// runBlock is a node worker's block step: process the claimed block and
-// retire it, under the failover fence. A dead node's worker runs no
-// further block; what it claims stays in its orphaned scheduler state,
-// and its blocks belong to their heirs.
-func (n *Node[V, M]) runBlock(b int, ws *worker[V, M]) {
-	n.fence.RLock()
-	defer n.fence.RUnlock()
-	if !n.dead[n.ID].Load() {
-		n.processBlock(b, ws)
-		n.Sched.Done(b)
-	}
-}
-
-// processBlock runs the block kernel's two halves back to back for one
-// owned block: gather-apply, then scatter — owned slots store directly,
-// the rest leave as batches through flush. Stage timings land in the
-// calling worker's shard.
+// processBlock is a node worker's block step: the block kernel's two
+// halves back to back for one owned block, gather-apply then scatter —
+// owned slots store directly, the rest leave as batches through flush —
+// and Done. Stage timings land in the calling worker's shard.
 //
 //abcd:hotpath
 func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
+	defer n.Sched.Done(b)
 	lo, hi := n.Part.VertexRange(b)
 	deltas := ws.deltas[:hi-lo]
 	gStart := n.Tel.Stamp()
@@ -450,8 +437,7 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 // at-least-once retry, and hands it to the transport, honoring the
 // MaxUnacked send window. Counter order matters for termination: sent
 // and inflight rise before the send, and inflight falls only when the
-// ack comes back (or the destination dies and the failover rebuild takes
-// over the batch's duty).
+// ack comes back.
 func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	if n.window != nil {
 		select {
@@ -516,8 +502,9 @@ func (n *Node[V, M]) Deliver(to int, e Envelope) {
 // every effective change re-activates its destination block. Envelopes
 // come off a wire: a batch whose lengths disagree is refused whole (the
 // sender's retry re-delivers), an entry naming a slot out of range or a
-// block this node does not own is skipped. A dead node refuses all
-// traffic.
+// block this node does not own is skipped. A node whose run has stopped
+// refuses all traffic: after a restart, its slots are the next
+// generation's.
 func (n *Node[V, M]) install(e Envelope) bool {
 	words := n.Cache.Words()
 	if len(e.blocks) != len(e.slots) || len(e.words) != len(e.slots)*words {
@@ -525,7 +512,7 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	}
 	n.applyMu.Lock()         //abcdlint:ignore hotpath -- amortized: one lock per delivered batch, over BatchSize slot installs
 	defer n.applyMu.Unlock() //abcdlint:ignore hotpath -- amortized: see the matching Lock above
-	if n.dead[n.ID].Load() {
+	if n.Stopped() {
 		return false
 	}
 	start := n.Tel.Stamp()
@@ -585,59 +572,34 @@ func (n *Node[V, M]) settle(id uint64) {
 		delete(n.unacked, id)
 	}
 	n.unackedMu.Unlock() //abcdlint:ignore hotpath -- amortized: see the matching Lock above
-	if ok {
-		n.retire(1)
+	if !ok {
+		return
 	}
-}
-
-// retire accounts for k unacked entries leaving the table: inflight
-// falls and k window slots free up. Acquire and release are one-to-one
-// with the table, so the non-blocking receive never actually misses; it
-// only keeps a bookkeeping bug from turning into a hang.
-func (n *Node[V, M]) retire(k int) {
-	n.inflight.Add(int64(-k))
-	for ; k > 0 && n.window != nil; k-- {
+	// Acquire and release of the window are one-to-one with the table,
+	// so the non-blocking receive never misses; it only keeps a
+	// bookkeeping bug from turning into a hang.
+	n.inflight.Add(-1)
+	if n.window != nil {
 		select {
 		case <-n.window:
 		default:
-			return
 		}
 	}
 }
 
-// abandonAll drops every unacked batch of a node that just died: nobody
-// will retry them, and the failover rebuild re-derives their payloads
-// from the values.
-func (n *Node[V, M]) abandonAll() {
-	n.unackedMu.Lock()
-	k := len(n.unacked)
-	clear(n.unacked)
-	n.unackedMu.Unlock()
-	n.Ctl.Add(telemetry.CtrBatchesDropped, int64(k))
-	n.retire(k)
-}
-
 // retryTick is one pass of the at-least-once delivery engine at time
 // now: it retransmits the batches that waited out their peer's timeout
-// (backing the peer off), abandons batches whose destination died (the
-// failover rebuild is their compensation), and fails the run if a batch
-// to a live node outlived its delivery deadline. Scan under the lock,
-// send outside it.
+// (backing the peer off), and fails the run if a batch outlived its
+// delivery deadline. Scan under the lock, send outside it.
 func (n *Node[V, M]) retryTick(now time.Time) {
 	n.due = n.due[:0]
-	abandoned := 0
 	n.unackedMu.Lock()
 	for id, p := range n.unacked {
 		peer := &n.peers[p.to]
 		switch {
-		case n.dead[p.to].Load():
-			delete(n.unacked, id)
-			abandoned++
 		case time.Duration(now.UnixNano()-p.armed.Load()) < peer.timeout():
 		case now.After(p.deadline):
-			delete(n.unacked, id)
-			abandoned++
-			n.Fail(fmt.Errorf("cluster: batch %d from node %d to live node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
+			n.Fail(fmt.Errorf("cluster: batch %d from node %d to node %d undelivered after %v (%d attempts): transport partitioned beyond the retry deadline",
 				id, n.ID, p.to, n.cfg.RetryDeadline, p.attempts))
 		default:
 			if p.attempts == 0 {
@@ -649,10 +611,6 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 		}
 	}
 	n.unackedMu.Unlock()
-	if abandoned > 0 {
-		n.Ctl.Add(telemetry.CtrBatchesDropped, int64(abandoned))
-		n.retire(abandoned)
-	}
 	for _, p := range n.due {
 		if n.Stopped() {
 			return
@@ -662,10 +620,9 @@ func (n *Node[V, M]) retryTick(now time.Time) {
 	}
 }
 
-// retryLoop drives retryTick for the given nodes of one Shared until the
-// run stops or ctx ends.
-func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
-	s := nodes[0].Shared
+// retryLoop drives retryTick for the hosted nodes until the run stops or
+// ctx ends.
+func (s *Shared[V, M]) retryLoop(ctx context.Context) {
 	timer := time.NewTimer(retryEvery)
 	defer timer.Stop()
 	for {
@@ -678,18 +635,13 @@ func retryLoop[V, M any](ctx context.Context, nodes []*Node[V, M]) {
 		}
 		timer.Reset(retryEvery)
 		now := s.now()
-		for _, n := range nodes {
+		for _, n := range s.nodes {
 			n.retryTick(now)
 		}
 	}
 }
 
-// Probe returns the node's termination accounting. A failover that
-// begins while it reads makes the node not quiet, so an equal failure
-// count in two quiet probes means none began between them.
+// Probe returns the node's termination accounting.
 func (n *Node[V, M]) Probe() Probe {
-	f := n.failures.Load()
-	p := Probe{Sent: n.sent.Load(), Applied: n.applied.Load(), Inflight: n.inflight.Load(), Failures: f}
-	p.Quiet = n.recovering.Load() == 0 && (n.dead[n.ID].Load() || n.Sched.Quiescent()) && n.failures.Load() == f
-	return p
+	return Probe{Sent: n.sent.Load(), Applied: n.applied.Load(), Inflight: n.inflight.Load(), Quiet: n.Sched.Quiescent()}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,92 +27,118 @@ func init() {
 	}
 }
 
-// checkQuiescence is the exact distributed termination test of a run
-// whose nodes share one address space, ack-based so it stays exact under
-// retries, duplicates, and node death. It was the in-process runtime's
-// detector; the probe rounds replaced it, and it remains their oracle.
+// checkQuiescence is the exact distributed termination test of a
+// generation whose nodes share one address space, ack-based so it stays
+// exact under retries and duplicates. It was the in-process runtime's
+// detector; the probe rounds replaced it, and it remains their oracle. It
+// reads the schedulers' bits, never the outstanding counters that the
+// probes' Quiet reads, so it checks them rather than trusting them.
 //
-// Order of observation: (1) snapshot the failure count and the monotone
-// per-node sent counters; (2) require no failover rebuild in progress —
-// a rebuild is about to re-activate blocks, so the system is not quiet;
-// (3) require every node's inflight == 0 — every logical batch ever
-// created has either been acked (the receiver raised the destination's
-// active bit *before* sending the ack, and the sender decremented
-// inflight only after processing the ack, so all resulting activations
-// are visible) or been abandoned at a failed node *after* the rebuild
-// that compensates for it started, which step (2) covers; retries and
-// duplicate deliveries never touch the counters, and duplicate acks find
-// the unacked entry already gone; (4) require every live node quiescent
-// — any worker still processing holds its block in-flight and would fail
-// this (dead nodes' scheduler state is orphaned by reassignment and
-// excluded); (5) require the sent counters and the failure count
-// unchanged and still no rebuild — no new batch was created and no
-// failover began while we looked. Each sent counter is monotone, so an
-// unchanged sum means every one of them held still across steps (2)–(4),
-// during which inflight could only fall. If all five hold, no work
-// exists anywhere.
-func (c *clusterRun[V, M]) checkQuiescence() bool {
-	failures := c.failures.Load()
-	s1, inflight := c.batchTotals()
-	if c.recovering.Load() != 0 || inflight != 0 {
+// Order of observation: (1) snapshot the monotone per-node sent
+// counters; (2) require every node's inflight == 0 — every logical batch
+// ever created has been acked (the receiver raised the destination's
+// active bit *before* sending the ack, and the sender decremented inflight
+// only after processing the ack, so all resulting activations are
+// visible); retries and duplicate deliveries never touch the counters,
+// and duplicate acks find the unacked entry already gone; (3) require
+// every node's active and in-flight bits clear — any worker still
+// processing holds its block's in-flight bit; (4) require the sent
+// counters unchanged and inflight still 0 — no new batch was created
+// while we looked. Each sent counter is monotone, so an unchanged sum
+// means every one of them held still across (2)–(3). If all four hold, no
+// work exists anywhere.
+func (s *Shared[V, M]) checkQuiescence() bool {
+	s1, inflight := s.batchTotals()
+	if inflight != 0 {
 		return false
 	}
-	for _, n := range c.nodes {
-		if !c.dead[n.ID].Load() && !n.Sched.Quiescent() {
+	for _, n := range s.nodes {
+		if n.Sched.Leftover() >= 0 {
 			return false
 		}
 	}
-	s2, inflight := c.batchTotals()
-	return s2 == s1 && inflight == 0 && c.recovering.Load() == 0 && c.failures.Load() == failures
+	s2, inflight := s.batchTotals()
+	return s2 == s1 && inflight == 0
 }
 
-// TestFailNodeBetweenProbeRoundsResetsQuietStreak runs a whole failover
-// between two probe rounds of a settled cluster and lets the heirs
-// re-process what it re-activated. At CC's fixed point that sends and
-// applies nothing, so the two rounds differ only in the failure count —
-// which must break the quiet streak.
-func TestFailNodeBetweenProbeRoundsResetsQuietStreak(t *testing.T) {
+// killingLane is a coordinator lane that runs kill when a probe round's
+// answer is awaited.
+type killingLane struct {
+	Lane
+	kill func()
+}
+
+func (l killingLane) Await(r Round) (Probe, error) {
+	if r.Kind == RoundProbe {
+		l.kill()
+	}
+	return l.Lane.Await(r)
+}
+
+// TestFailNodeBetweenQuietProbeRoundsRestarts kills a node of a settled
+// cluster after the probe round that completes the quiet streak has read
+// every node, the last moment before its coordinator declares
+// quiescence. The generation must not be declared quiescent — the exact
+// check never runs on it — and the run must restart and converge, with
+// one declared quiescence, on the survivors.
+func TestFailNodeBetweenQuietProbeRoundsRestarts(t *testing.T) {
+	g := testGraph(t)
 	cfg := baseCfg(3)
 	cfg.Epsilon = 0
-	c, err := newCluster(testGraph(t), bcd.CC{}, cfg)
+	c, err := newCluster(g, bcd.CC{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shutdown := c.Start(context.Background(), c.deliver, c.nodes...)
-	defer shutdown()
-	co := c.coordinator()
-	settle := func() {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !c.checkQuiescence(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("cluster never settled")
+	first := c.gen.Load()
+	first.tr.Bind(first.cfg.Nodes, c.deliver)
+	shutdown := first.Start(context.Background())
+	for deadline := time.Now().Add(10 * time.Second); !first.checkQuiescence(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			shutdown()
+			t.Fatal("cluster never settled")
+		}
+	}
+	co := c.coordinator(first)
+	rounds, attempted := 0, false
+	last := len(co.Lanes) - 1
+	co.Lanes[last] = killingLane{Lane: co.Lanes[last], kill: func() {
+		// Round 1 has no predecessor, rounds 2 and 3 are quiet: the
+		// coordinator declares right after round 3.
+		if rounds++; rounds == 3 {
+			if err := c.FailNode(1); err != nil {
+				t.Errorf("FailNode: %v", err)
 			}
 		}
-	}
-	round := func() []Probe {
-		t.Helper()
-		r, _, err := co.round(Round{Kind: RoundProbe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	settle()
-	r0 := round()
-	r1 := round()
-	if !quiet(r0, r1) {
-		t.Fatalf("two rounds of a settled cluster do not extend a streak: %+v then %+v", r0, r1)
-	}
-	if err := c.FailNode(1); err != nil {
+	}}
+	declare := co.Quiesced
+	co.Quiesced = func() bool { attempted = true; return declare() }
+	checked := oracleChecks.Load()
+	declared, _, err := co.Run(context.Background())
+	shutdown()
+	if err != nil {
 		t.Fatal(err)
 	}
-	settle()
-	r2 := round()
-	if quiet(r1, r2) {
-		t.Fatalf("a failover between two probe rounds kept the quiet streak: %+v then %+v", r1, r2)
+	if !attempted || rounds != 3 {
+		t.Fatalf("the streak did not complete at round 3: %d rounds, declaration attempted %v", rounds, attempted)
 	}
-	if r3 := round(); !quiet(r2, r3) {
-		t.Fatalf("the streak did not restart after the failover: %+v then %+v", r2, r3)
+	if declared || oracleChecks.Load() != checked {
+		t.Fatal("a kill between the quiet rounds and the declaration let the generation be declared quiescent")
+	}
+
+	res, err := c.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Converged || res.Stats.NodesFailed != 1 {
+		t.Fatalf("after the restart: converged %v, NodesFailed %d", res.Stats.Converged, res.Stats.NodesFailed)
+	}
+	if n := oracleChecks.Load() - checked; n != 1 {
+		t.Fatalf("the exact check confirmed %d declared quiescences, want 1", n)
+	}
+	if len(c.gen.Load().nodes) != 2 {
+		t.Fatalf("the restart runs %d nodes, want 2", len(c.gen.Load().nodes))
+	}
+	if want := bcd.RefCC(g); !slices.Equal(res.Values, want) {
+		t.Fatal("labels after the restart differ from the reference")
 	}
 }

@@ -391,7 +391,7 @@ func runDist(ctx context.Context, g *graph.Graph, a distAssign, tr *Transport, s
 func runDistProg[V, M any](ctx context.Context, g *graph.Graph, a distAssign, prog bcd.Program[V, M], tr *Transport, side distSide) (*DistResult, error) {
 	cfg := a.cfg
 	cfg.Transport, cfg.Telemetry = tr, tr.opts.Telemetry
-	nodes, err := cluster.NewNodes(g, prog, cfg, []int{a.node})
+	nodes, err := cluster.NewNodes(g, prog, cfg, a.node, a.node+1)
 	if err != nil {
 		return nil, err
 	}
@@ -439,11 +439,12 @@ type distRun[V, M any] struct {
 	ckpt *core.Share[V, M]
 }
 
-// start launches the node (cluster.Shared.Start: bind, workers, retry
-// loop) and returns its shutdown. The node is ready — joined, assigned,
-// state initialized or restored — once start returns.
+// start binds the transport to the node and launches it (Shared.Start);
+// its shutdown closes the transport last. The node is ready — joined,
+// assigned, state initialized or restored — once start returns.
 func (d *distRun[V, M]) start(ctx context.Context) (shutdown func()) {
-	stop := d.Start(ctx, d.Deliver, d.Node)
+	d.tr.Bind(d.a.cfg.Nodes, d.Deliver)
+	stop := d.Start(ctx)
 	d.setReady(true, "running")
 	lo, hi := d.BlockRange(d.ID)
 	obslog.L().Info("dist node running",
@@ -452,6 +453,7 @@ func (d *distRun[V, M]) start(ctx context.Context) (shutdown func()) {
 	return func() {
 		d.setReady(false, "stopped")
 		stop()
+		d.tr.Close()
 	}
 }
 
@@ -482,7 +484,7 @@ func (d *distRun[V, M]) lead(ctx context.Context) (*DistResult, error) {
 		vlo, vhi := d.VertexRange(i + 1)
 		co.Lanes = append(co.Lanes, &joinerLane[V]{ctrlConn: j, node: i + 1, vlo: vlo, vhi: vhi, values: d.Values})
 	}
-	co.Latch, co.Quiesced = d.Latch, d.Stop
+	co.Latch, co.Quiesced = d.Latch, func() bool { d.Stop(); return true }
 	if d.ckpt != nil {
 		co.Commit, co.Epoch, co.CkptEvery = d.ckpt.Commit, d.ckpt.Epoch, d.a.ckpt.interval
 	}

@@ -34,7 +34,7 @@ func TestRepeatedCaptureReusesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{Nodes: 2, BlockSize: 1024}.WithDefaults()
-	nodes, err := cluster.NewNodes(g, bcd.PageRank{}, cfg, []int{1})
+	nodes, err := cluster.NewNodes(g, bcd.PageRank{}, cfg, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestResumeReadsEachShardOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := cluster.NewNodes(g, bcd.PageRank{}, cfg, []int{0})
+	nodes, err := cluster.NewNodes(g, bcd.PageRank{}, cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

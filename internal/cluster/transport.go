@@ -45,8 +45,8 @@ type Transport interface {
 	// envelope to node `to` on the calling goroutine and, for a data
 	// batch, sends the ack back through this Transport before it
 	// returns — so Send is re-entered from inside deliver, and deliver
-	// may be called from any number of goroutines at once. A failed node
-	// refuses its traffic silently.
+	// may be called from any number of goroutines at once. A node whose
+	// run has stopped refuses its traffic silently.
 	Bind(numNodes int, deliver func(to int, e Envelope))
 	// Send conveys e from node `from` to node `to`, asynchronously.
 	Send(from, to int, e Envelope)

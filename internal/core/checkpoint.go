@@ -46,8 +46,8 @@ func NewLayout(program, digest string, n, numBlocks, blockSize, words, nodes int
 }
 
 // BlockRange returns the contiguous block span [lo, hi) node i of nodes
-// owns out of numBlocks. Across processes the split is static; in-process
-// cluster failover reassigns blocks afterwards through the owner table.
+// owns out of numBlocks: the static split of every cluster run, and of
+// each in-process generation after a kill.
 func BlockRange(numBlocks, nodes, i int) (lo, hi int) {
 	return i * numBlocks / nodes, (i + 1) * numBlocks / nodes
 }

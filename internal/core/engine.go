@@ -60,6 +60,11 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 	}
 	close(stopWatch)
 	watch.Wait()
+	if b := e.st.Leftover(); converged && b >= 0 {
+		// The workers have joined, so the bits hold still: a set one means
+		// the quiescence counter read 0 while work remained.
+		e.Fail(fmt.Errorf("core: run reported convergence with block %d still active or in flight", b))
+	}
 	if e.rec != nil {
 		// A lost schedule is a corrupt replay; surface the sink's first
 		// error as the run's.

@@ -214,8 +214,8 @@ func (k *Kernel[V, M]) NewWorker(sh *telemetry.Shard, self int, st *sched.State,
 // performs. Each vertex's image is derived once, then copied into its
 // slots with atomic stores, in parallel slices. This is what lets a
 // checkpoint store only the |V| values and what reconstructs a batch lost
-// in flight (to a dead node, or across a fuzzy checkpoint). Nothing else
-// may touch the range meanwhile.
+// in flight (before a cluster restart, or across a fuzzy checkpoint).
+// Nothing else may touch the range meanwhile.
 func (k *Kernel[V, M]) RebuildInEdges(vlo, vhi int) error {
 	if vlo == vhi {
 		return nil

@@ -27,18 +27,15 @@ type Loop struct {
 // CyclicPick returns a pick that claims st's blocks in round-robin id
 // order until tel counts budget vertex updates, then stops l: a cluster
 // node's pick.
-func CyclicPick(l *Latch, tel *telemetry.Registry, st *sched.State, budget int64) (func() (int, bool), error) {
-	s, err := sched.New(sched.Cyclic, st, 0)
-	if err != nil {
-		return nil, err
-	}
+func CyclicPick(l *Latch, tel *telemetry.Registry, st *sched.State, budget int64) func() (int, bool) {
+	s := sched.NewCyclic(st)
 	return func() (int, bool) {
 		if tel.Total(telemetry.CtrVertexUpdates) >= budget {
 			l.Stop()
 			return 0, false
 		}
 		return s.Next()
-	}, nil
+	}
 }
 
 // Work runs one worker, counting into sh, until the latch stops: claim a

@@ -6,7 +6,11 @@
 // workers that claim, process and activate blocks coordinate without locks
 // or barriers. The outstanding-work counter gives the termination unit a
 // single quiescence test that is safe against the classic "empty queue but
-// task in flight" race.
+// task in flight" race, because every transition keeps one invariant: at
+// every instant, outstanding >= set active bits + set in-flight bits. A
+// bit is counted before it is set and uncounted after it is cleared, so
+// outstanding reads 0 only when no block is active, none is in flight,
+// and no Activate is between its two steps.
 package sched
 
 import (
@@ -59,15 +63,33 @@ func (s *State) NumBlocks() int { return s.active.Len() }
 
 // Activate adds incoming gradient mass to block b and marks it active.
 // Safe to call from any worker at any time, including while b is in
-// flight (it will be rescheduled after completion).
+// flight (it will be rescheduled after completion). A block already
+// active only gains the mass; any other takes activateSteps.
 func (s *State) Activate(b int, mass float64) {
 	s.priority.Add(b, mass)
-	if s.active.Set(b) {
-		s.outstanding.Add(1)
+	if !s.active.Get(b) {
+		for _, step := range activateSteps {
+			step(s, b)
+		}
 	}
 	if t := s.touched.Load(); t != nil {
 		mark(t, b)
 	}
+}
+
+// activateSteps are Activate's steps on a block not seen active, in
+// order: count the activation, then set the bit, giving the count back if
+// another activation set it first. Counting first is what the invariant
+// needs: a Claim can take the bit and a Done retire it the moment it is
+// set, and were it not counted yet, outstanding could read 0 while the
+// block whose scatter is activating b is still in flight.
+var activateSteps = [...]func(s *State, b int){
+	func(s *State, _ int) { s.outstanding.Add(1) },
+	func(s *State, b int) {
+		if !s.active.Set(b) {
+			s.outstanding.Add(-1)
+		}
+	},
 }
 
 // mark sets block b's touched bit, after the transition that made b a
@@ -107,10 +129,11 @@ func (s *State) Claim(b int) bool { return s.claim(b, true) }
 func (s *State) ClaimRecorded(b int) bool { return s.claim(b, false) }
 
 func (s *State) claim(b int, mustBeActive bool) bool {
+	s.outstanding.Add(1) // counted before the bit, as in activateSteps
 	if !s.inflight.Set(b) {
+		s.outstanding.Add(-1)
 		return false
 	}
-	s.outstanding.Add(1)
 	if s.active.Clear(b) {
 		s.outstanding.Add(-1)
 	} else if mustBeActive {
@@ -133,6 +156,20 @@ func (s *State) Done(b int) {
 			mark(t, b)
 		}
 	}
+}
+
+// Leftover returns a block whose active or in-flight bit is set, or -1
+// when none is. It reads the bitsets a word at a time, not the
+// outstanding counter: a run that reports convergence checks it once its
+// workers have joined and the bits hold still, so a miscount that let the
+// counter read 0 too early fails the run instead of passing silently.
+func (s *State) Leftover() int {
+	for w := 0; w < s.active.NumWords(); w++ {
+		if x := s.active.Word(w) | s.inflight.Word(w); x != 0 {
+			return 64*w + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }
 
 // Active reports whether block b has pending mass.
@@ -234,7 +271,7 @@ func (p Policy) String() string {
 func New(p Policy, st *State, seed uint64) (Scheduler, error) {
 	switch p {
 	case Cyclic:
-		return &cyclic{st: st}, nil
+		return NewCyclic(st), nil
 	case Priority:
 		touched := word.NewBitset(st.NumBlocks())
 		if !st.touched.CompareAndSwap(nil, touched) {
@@ -246,6 +283,10 @@ func New(p Policy, st *State, seed uint64) (Scheduler, error) {
 	}
 	return nil, fmt.Errorf("sched: unknown policy %v", p)
 }
+
+// NewCyclic is New(Cyclic, st, 0), which cannot fail: the cyclic rule
+// keeps no state on st.
+func NewCyclic(st *State) Scheduler { return &cyclic{st: st} }
 
 // cyclic scans from a rotating cursor for the next active block.
 type cyclic struct {

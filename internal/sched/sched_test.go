@@ -44,6 +44,61 @@ func TestStateLifecycle(t *testing.T) {
 	}
 }
 
+// Activate's steps, interleaved by hand with another worker: block 0 is
+// in flight, its scatter activating block 1, and between every two steps
+// of that activation another worker claims and finishes block 1 whenever
+// it can. No interleaving may read quiescent while block 0 is still in
+// flight — a run would then report convergence and drop block 0's
+// activations. The steps run are activateSteps themselves, in Activate's
+// order.
+func TestActivateStepsNeverReadQuiescent(t *testing.T) {
+	st := NewState(4)
+	st.Activate(0, 1)
+	if !st.Claim(0) {
+		t.Fatal("claim of block 0 failed")
+	}
+	for i, step := range activateSteps {
+		step(st, 1)
+		if st.Quiescent() {
+			t.Fatalf("quiescent after step %d of block 1's activation, block 0 in flight", i)
+		}
+		if st.Claim(1) {
+			st.Done(1)
+		}
+		if st.Quiescent() {
+			t.Fatalf("a Claim and Done of block 1 after step %d of its activation read quiescent, block 0 in flight", i)
+		}
+	}
+	st.Done(0)
+	if !st.Quiescent() || st.Leftover() != -1 {
+		t.Fatalf("after block 0's Done: quiescent %v, leftover %d", st.Quiescent(), st.Leftover())
+	}
+}
+
+// Leftover reads the bits, not the counter: it names the lowest block
+// whose active or in-flight bit is set, in any word.
+func TestLeftoverNamesASetBit(t *testing.T) {
+	st := NewState(200)
+	if b := st.Leftover(); b != -1 {
+		t.Fatalf("fresh state: leftover %d", b)
+	}
+	st.Activate(130, 1)
+	st.Activate(190, 1)
+	if b := st.Leftover(); b != 130 {
+		t.Fatalf("leftover %d, want 130", b)
+	}
+	if !st.Claim(130) {
+		t.Fatal("claim failed")
+	}
+	if b := st.Leftover(); b != 130 {
+		t.Fatalf("in-flight block: leftover %d, want 130", b)
+	}
+	st.Done(130)
+	if b := st.Leftover(); b != 190 {
+		t.Fatalf("leftover %d, want 190", b)
+	}
+}
+
 // The scheduler double-claim, interleaved by hand: worker A sees block 1
 // claimable, worker B claims and finishes it, then A's Claim lands. It
 // must fail — the block is no longer active, and succeeding would process

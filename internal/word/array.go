@@ -70,16 +70,6 @@ func (a *Array[V]) StoreBuf(i int64, v V, buf []uint64) {
 	}
 }
 
-// Fill stores v into every slot, encoding it once. Not atomic with respect
-// to concurrent writers; intended for initialization.
-func (a *Array[V]) Fill(v V) {
-	enc := make([]uint64, a.words)
-	a.codec.Encode(v, enc)
-	for i := int64(0); i < int64(a.Len()); i++ {
-		a.StoreWords(i, enc)
-	}
-}
-
 // Bytes returns the backing storage size in bytes, used by the accelerator
 // model's traffic accounting.
 func (a *Array[V]) Bytes() int64 { return int64(len(a.data)) * 8 }

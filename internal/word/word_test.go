@@ -97,13 +97,6 @@ func TestArrayLoadStore(t *testing.T) {
 	if v != 0 {
 		t.Fatalf("zero value = %g", v)
 	}
-	a.Fill(7)
-	for i := int64(0); i < 10; i++ {
-		a.Load(i, &v)
-		if v != 7 {
-			t.Fatalf("Fill: slot %d = %g", i, v)
-		}
-	}
 	if a.Bytes() != 80 {
 		t.Fatalf("Bytes = %d", a.Bytes())
 	}
@@ -341,30 +334,27 @@ func TestRMWPanicsOnMultiWord(t *testing.T) {
 }
 
 // The pre-encoded paths must leave exactly the words the per-value
-// StoreBuf leaves: one value encoded once into every slot (StoreWords,
-// Fill), and a Prefetch in between changes nothing.
+// StoreBuf leaves: one value encoded once into every slot (StoreWords),
+// and a Prefetch in between changes nothing.
 func TestArrayWordStoresMatchStoreBuf(t *testing.T) {
 	codec := Vec32{Dim: 3} // 2 words per value, one padding lane
 	val := []float32{1.5, -2, 3.25}
 	enc := make([]uint64, codec.Words())
 	codec.Encode(val, enc)
-	want, stored, filled := NewArray[[]float32](codec, 5), NewArray[[]float32](codec, 5), NewArray[[]float32](codec, 5)
+	want, stored := NewArray[[]float32](codec, 5), NewArray[[]float32](codec, 5)
 	buf := make([]uint64, codec.Words())
 	for i := int64(0); i < 5; i++ {
 		want.StoreBuf(i, val, buf)
 		stored.StoreWords(i, enc)
 		stored.Prefetch([]int64{i})
 	}
-	filled.Fill(val)
 	snap := func(a *Array[[]float32]) []uint64 {
 		out := make([]uint64, 5*codec.Words())
 		a.SnapshotWords(0, 5, out)
 		return out
 	}
-	for name, a := range map[string]*Array[[]float32]{"StoreWords+Prefetch": stored, "Fill": filled} {
-		if got := snap(a); !slices.Equal(got, snap(want)) {
-			t.Errorf("%s left words %#x, StoreBuf leaves %#x", name, got, snap(want))
-		}
+	if got := snap(stored); !slices.Equal(got, snap(want)) {
+		t.Errorf("StoreWords+Prefetch left words %#x, StoreBuf leaves %#x", got, snap(want))
 	}
 }
 

@@ -234,6 +234,27 @@ if [[ -n "$coords" ]]; then
     exit 1
 fi
 
+echo "== one recovery path (a killed node restarts the survivors from the shared iterate)"
+# A kill in process ends the current generation of nodes, and the run
+# restarts the survivors from the values in shared memory: inproc.go's
+# restart rebuilds every cache slot through core.Kernel.RebuildInEdges,
+# as a checkpoint resume does. A reader-writer lock under internal/cluster
+# (the old failover lock every block step took), the pause-the-world
+# failover's fence, recovering or abandonAll, or a caller of
+# RebuildInEdges outside internal/core other than the restart is a second
+# recovery path growing back.
+recovery=$(grep -rnE --include='*.go' 'sync\.RWMutex|\b(fence|recovering|abandonAll)\b' internal/cluster |
+    grep -v '_test\.go:' || true)
+rebuilds=$(grep -rn --include='*.go' 'RebuildInEdges(' . |
+    grep -v -e '_test\.go:' -e '^\./internal/core/' -e '^\./bench/' -e '^\./\.' || true)
+if [[ -n "$recovery" || $(grep -c . <<<"$rebuilds") -ne 1 || "$rebuilds" != ./internal/cluster/inproc.go:* ]]; then
+    echo "a second recovery path beside the restart in internal/cluster/inproc.go:" >&2
+    echo "$recovery" >&2
+    echo "RebuildInEdges callers outside internal/core (want only the restart):" >&2
+    echo "$rebuilds" >&2
+    exit 1
+fi
+
 echo "== learned retransmission timeout (no fixed retry base)"
 # A node learns each peer's retransmission timeout from its ack round
 # trips (internal/cluster/node.go, peerRTO). A RetryBase knob under
