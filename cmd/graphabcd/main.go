@@ -109,7 +109,7 @@ func run() error {
 		timeout    = flag.Duration("timeout", 0, "cancel the run after this duration and report the partial result (0 = none)")
 		nodes      = flag.Int("nodes", 1, "cluster nodes; >1 runs pr/sssp/bfs/cc on the distributed engine")
 		wpn        = flag.Int("workers-per-node", clus.WorkersPerNode, "distributed: workers per node")
-		batch      = flag.Int("batch", clus.BatchSize, "distributed: remote updates per message batch")
+		batch      = flag.Int("batch", clus.BatchSize, "distributed: changed-vertex images per message batch")
 		chaosDrop  = flag.Float64("chaos-drop", 0, "distributed: message drop probability")
 		chaosDup   = flag.Float64("chaos-dup", 0, "distributed: message duplication probability")
 		chaosDelay = flag.Duration("chaos-delay", 0, "distributed: max per-message delivery jitter (reorders messages)")
@@ -396,7 +396,7 @@ func run() error {
 	spec := graphabcd.NewJobSpec(alg.Name, g, append(jopts, graphabcd.WithConfig(cfg))...)
 
 	if *listenAddr != "" {
-		err := runListen(ctx, alg, spec, *listenAddr, tses, *top, *valuesOut)
+		err := runListen(ctx, alg, spec, *graphFile, *listenAddr, tses, *top, *valuesOut)
 		if tses != nil {
 			tses.finish()
 		}
@@ -514,10 +514,11 @@ func distConfig(alg *graphabcd.AlgorithmSpec, spec graphabcd.JobSpec) (tcp.DistC
 }
 
 // runListen runs the coordinator side of a TCP cluster: the spec's graph
-// is staged as a plain snapshot (the section server needs positioned
-// reads), joiners are awaited on the control listener, and the collected
-// values are reported like a local run.
-func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd.JobSpec, addr string, tses *telemetrySession, top int, valuesOut string) error {
+// is served from a plain snapshot (the section server needs positioned
+// reads) — graphFile, the file it was loaded from, when it is one —
+// joiners are awaited on the control listener, and the collected values
+// are reported like a local run.
+func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd.JobSpec, graphFile, addr string, tses *telemetrySession, top int, valuesOut string) error {
 	cfg, err := distConfig(alg, spec)
 	if err != nil {
 		return err
@@ -525,17 +526,13 @@ func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd
 	if tses != nil {
 		cfg.Cluster, cfg.Health = tses.cluster, tses.health
 	}
-	dir, err := os.MkdirTemp("", "graphabcd-dist")
+	// The last use of the spec: from here on the nodes run on sections,
+	// and nothing may keep the whole loaded graph live through Serve.
+	snapPath, cleanup, err := stageSnapshot(graphFile, spec.Graph)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = os.RemoveAll(dir) }() // best-effort temp cleanup
-	snapPath := filepath.Join(dir, "graph.gabs")
-	// The last use of the spec: from here on the nodes run on sections,
-	// and nothing may keep the whole loaded graph live through Serve.
-	if err := graph.SaveFormat(snapPath, spec.Graph, graph.FormatSnapshot); err != nil {
-		return err
-	}
+	defer cleanup()
 	ctrl, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -556,6 +553,30 @@ func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd
 			w.Reconnects, w.Drops, w.CRCDrops, w.QueueHighWater)
 	}
 	return writeValues(valuesOut, values)
+}
+
+// stageSnapshot returns the path of a plain snapshot of g for tcp.Serve's
+// positioned section reads: file itself when it is one — g was loaded
+// from it unchanged — and otherwise g saved into a fresh temp dir, which
+// cleanup removes.
+func stageSnapshot(file string, g *graph.Graph) (path string, cleanup func(), err error) {
+	if file != "" {
+		if f, _, _, _, err := graph.OpenPlainSnapshot(file); err == nil {
+			_ = f.Close() // opened read-only to validate; nothing to flush
+			return file, func() {}, nil
+		}
+	}
+	dir, err := os.MkdirTemp("", "graphabcd-dist")
+	if err != nil {
+		return "", nil, err
+	}
+	cleanup = func() { _ = os.RemoveAll(dir) } // best-effort temp cleanup
+	path = filepath.Join(dir, "graph.gabs")
+	if err := graph.SaveFormat(path, g, graph.FormatSnapshot); err != nil {
+		cleanup()
+		return "", nil, err
+	}
+	return path, cleanup, nil
 }
 
 // printResult prints a finished job's headline lines. The registry

@@ -13,7 +13,11 @@
 // are state-based, messages are idempotent and tolerate delay and
 // redelivery — the bounded-staleness condition of asynchronous BCD is
 // the only correctness requirement, so the steady-state path has no
-// barriers, only the pick lock, channels and atomics.
+// barriers, only the pick lock, channels and atomics. A vertex's scatter
+// image is one value on all its out-edges, so it travels once per peer:
+// an envelope carries (source vertex, image) entries, and the receiver
+// stores each image on every in-edge slot that source feeds there,
+// through a source index it builds per node when the node is made.
 //
 // There is one node implementation, one coordinator, and two runtimes
 // around them: Run (inproc.go) hosts every node in this process over
@@ -28,8 +32,9 @@
 // duplicated, delayed, or reordered (internal/chaos injects exactly
 // those faults). The cluster compensates with at-least-once delivery —
 // unacked batches are retried after a timeout learned from each peer's
-// ack round trips, backing off while they keep timing out — and per-slot
-// write stamps that discard stale redeliveries. Nodes may also be killed
+// ack round trips, backing off while they keep timing out — and write
+// stamps, one per receiving node and source vertex, that discard stale
+// redeliveries. Nodes may also be killed
 // mid-run (Control.FailNode, in-process only): the run restarts on the
 // survivors from the values in shared memory, rebuilding every edge-cache
 // slot from them as a checkpoint resume does.
@@ -72,7 +77,9 @@ type Config struct {
 	// vertex updates more.
 	MaxEpochs float64
 	// BatchSize groups remote updates per message (amortizes the
-	// per-message cost, increases staleness). 0 means 64.
+	// per-message cost, increases staleness), counted in images: one
+	// changed vertex's value for every slot it feeds on the receiver.
+	// 0 means 64.
 	BatchSize int
 
 	// Transport overrides how envelopes move between nodes. nil means

@@ -424,8 +424,9 @@ func TestDistributedCancellation(t *testing.T) {
 	}
 }
 
-// BatchSize 1 sends one message per remote slot update — the worst-case
-// message pattern must still be exact.
+// BatchSize 1 sends one batch per remote image — the worst-case message
+// pattern must still be exact. An image stands for every slot its source
+// feeds on the receiver, so batches can only undercount slot updates.
 func TestDistributedUnbatchedMessages(t *testing.T) {
 	g := testGraph(t)
 	want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
@@ -438,8 +439,8 @@ func TestDistributedUnbatchedMessages(t *testing.T) {
 	if !res.Stats.Converged {
 		t.Fatal("did not converge")
 	}
-	if res.Stats.BatchesSent != res.Stats.MessagesSent {
-		t.Fatalf("batch size 1: %d batches for %d messages",
+	if res.Stats.BatchesSent == 0 || res.Stats.BatchesSent > res.Stats.MessagesSent {
+		t.Fatalf("batch size 1: %d batches for %d remote slot updates",
 			res.Stats.BatchesSent, res.Stats.MessagesSent)
 	}
 	for v := range want {

@@ -60,14 +60,14 @@ func newCluster[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*
 	if cfg.Transport == nil {
 		cfg.Transport = &directTransport{}
 	}
-	nodes, err := NewNodes(g, prog, cfg, 0, cfg.Nodes)
+	first, err := buildShared(g, prog, cfg, 0, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
 	c := &clusterRun[V, M]{killed: make([]bool, cfg.Nodes), live: cfg.Nodes}
-	first := nodes[0].Shared
 	c.gen.Store(first)
 	c.sh0 = &first.shards[0]
+	registerRTOGauges(first.Tel, 0, cfg.Nodes, cfg.Nodes, c.gen.Load)
 	first.Tel.RegisterGauge("live_nodes", func() float64 { return float64(len(c.gen.Load().nodes)) })
 	first.Tel.RegisterGauge("inflight_batches", func() float64 {
 		_, inflight := c.gen.Load().batchTotals()
@@ -210,10 +210,10 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 
 // restart follows a generation a kill ended, once it is shut down, and
 // reports whether there was one: the next generation runs on the live
-// nodes from the values, the whole iterate (DESIGN.md §8). Its slots are
-// stamped above every envelope id issued so far and rebuilt from the
-// values, which also re-derives every batch the old generation lost;
-// newShared activates every block. Only then does deliver reach it.
+// nodes from the values, the whole iterate (DESIGN.md §8). Its sources
+// are stamped above every envelope id issued so far and its slots rebuilt
+// from the values, which also re-derives every batch the old generation
+// lost; newShared activates every block. Only then does deliver reach it.
 func (c *clusterRun[V, M]) restart(g *Shared[V, M]) (bool, error) {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
@@ -222,7 +222,10 @@ func (c *clusterRun[V, M]) restart(g *Shared[V, M]) (bool, error) {
 	}
 	cfg := g.cfg
 	cfg.Nodes = c.live
-	next := newShared(g.Kernel, cfg, g.shards, 0, c.live, g.Seq()+1)
+	next, err := newShared(g.Kernel, cfg, g.shards, 0, c.live, g.Seq()+1)
+	if err != nil {
+		return false, err
+	}
 	if err := g.RebuildInEdges(0, g.G.NumVertices()); err != nil {
 		return false, err
 	}

@@ -20,7 +20,7 @@ import (
 // common: the block kernel (graph, program, partition, the value and
 // edge-cache arrays, and the block ownership table — each vertex value
 // is owned by one node, each in-edge slot by its destination's node),
-// the slot stamps, the envelope sequence, and the stop latch (a worker
+// the envelope sequence, and the stop latch (a worker
 // blocked on a full send window, e.g. under a partition, parks on its
 // Done channel — the retry loop strands the window slots of not-yet-due
 // batches when it exits). The in-process runtime hosts each generation's
@@ -31,16 +31,7 @@ type Shared[V, M any] struct {
 	*core.Latch
 	Tel *telemetry.Registry // never nil: a bare counter registry when the caller passed none
 
-	// slotSeq holds the write stamp of the last update applied to each
-	// cache slot over the transport. Remote applies are guarded by it:
-	// a retried or reordered envelope whose stamp is older than the
-	// slot's is skipped, so redelivery can never regress a slot to a
-	// stale value. Local scatter writes bypass the stamps — a slot's
-	// writer is its source vertex's owner, so local and remote writers
-	// of one slot never coexist. A restart stamps every slot above every
-	// envelope id issued before it.
-	slotSeq []atomic.Uint64 //abcd:stamped
-	seq     atomic.Uint64   // logical batch ids / write stamps
+	seq atomic.Uint64 // logical batch ids / write stamps
 
 	nodes  []*Node[V, M] // the nodes this process hosts over it
 	cfg    Config        // defaults resolved
@@ -72,6 +63,21 @@ type Node[V, M any] struct {
 	// cyclic scheduler over Sched, under the loop's lock.
 	loop *core.Loop
 
+	// in is the node's source index: the in-edge slots each other
+	// node's vertex feeds here, where install stores that vertex's image.
+	in srcIndex
+	// srcSeq holds, per source vertex, the write stamp of the last image
+	// applied here over the transport. Remote applies are guarded by it:
+	// a retried or reordered envelope whose stamp is older than the
+	// source's is skipped, so redelivery can never regress a slot to a
+	// stale value. The stamps are the node's own: in process, a source
+	// feeding two receivers reaches them in two envelopes, and one
+	// receiver's newer id must not shadow the other's. Local scatter
+	// writes bypass them — a slot's writer is its source vertex's owner,
+	// so local and remote writers of one slot never coexist. A restart
+	// stamps every source above every envelope id issued before it.
+	srcSeq []atomic.Uint64 //abcd:stamped
+
 	// Termination accounting. sent and applied are monotone; inflight
 	// counts batches created but not yet acked. They stay
 	// exact single atomics: quiescence detection needs linearizable
@@ -95,11 +101,78 @@ type Node[V, M any] struct {
 	window chan struct{}
 
 	// applyMu serializes applies (transport read loops may deliver
-	// concurrently) and guards the transfer scratch; shutdown takes it
-	// once to wait out an apply still running.
+	// concurrently) and guards the transfer and activation scratch;
+	// shutdown takes it once to wait out an apply still running.
 	applyMu       sync.Mutex
 	old, incoming V
 	buf           []uint64
+	mass          []float64 // per-block mass of the apply in progress
+	touched       []int     // blocks with non-zero mass
+}
+
+// srcIndex groups a node's in-edge slots by source vertex, a CSR over
+// the sources: vertex u feeds slots[off[u]:off[u+1]], the i-th of them
+// in block blocks[i], in slot order. A vertex of the node's own range
+// has an empty run — its owner writes those slots locally — and so has
+// one that feeds the node nothing.
+type srcIndex struct {
+	off    []int64 // |V|+1
+	slots  []int64
+	blocks []int32
+}
+
+// newSrcIndex builds the source index of the in-edge slots of vertices
+// [vlo, vhi) with a counting sort, reading their sources from the
+// kernel's edge source — all a -join node's partial graph carries.
+func newSrcIndex[V, M any](k *core.Kernel[V, M], vlo, vhi int) (srcIndex, error) {
+	nv := k.G.NumVertices()
+	x := srcIndex{off: make([]int64, nv+1)}
+	if vlo == vhi {
+		return x, nil
+	}
+	slo, shi := k.G.InOffset(vlo), k.G.InOffset(vhi)
+	srcs, _, release, err := k.Edges.Block(vlo, vhi, slo, shi)
+	if err != nil {
+		return srcIndex{}, err
+	}
+	defer release()
+	remote := func(u uint32) bool { return int(u) < vlo || int(u) >= vhi }
+	for _, u := range srcs {
+		if int(u) >= nv {
+			return srcIndex{}, fmt.Errorf("cluster: in-edge source %d out of range (%d vertices)", u, nv)
+		}
+		if remote(u) {
+			x.off[u+1]++
+		}
+	}
+	for u := range nv {
+		x.off[u+1] += x.off[u]
+	}
+	x.slots, x.blocks = make([]int64, x.off[nv]), make([]int32, x.off[nv])
+	// Fill with off[u] as u's cursor, which leaves it at u+1's start;
+	// shifting by one restores the offsets.
+	for v := vlo; v < vhi; v++ {
+		b := int32(k.Part.BlockOf(uint32(v)))
+		for s := k.G.InOffset(v); s < k.G.InOffset(v+1); s++ {
+			if u := srcs[s-slo]; remote(u) {
+				x.slots[x.off[u]], x.blocks[x.off[u]] = s, b
+				x.off[u]++
+			}
+		}
+	}
+	copy(x.off[1:], x.off[:nv])
+	x.off[0] = 0
+	return x, nil
+}
+
+// run returns the slots source u feeds and their blocks; empty for a
+// vertex id past the graph.
+func (x *srcIndex) run(u uint32) ([]int64, []int32) {
+	if int(u) >= len(x.off)-1 {
+		return nil, nil
+	}
+	lo, hi := x.off[u], x.off[u+1]
+	return x.slots[lo:hi], x.blocks[lo:hi]
 }
 
 // pending is one unacknowledged batch awaiting its ack or retransmission.
@@ -214,8 +287,19 @@ func (p *peerRTO) expired(armed, now int64) {
 // kernel is built with only what the hosted nodes own initialised — their
 // vertex values and the only in-edge slots they ever gather from, which
 // is all a partial graph carries — and each node activates only its own
-// blocks.
+// blocks. It registers the hosted nodes' retransmission gauges.
 func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, lo, hi int) ([]*Node[V, M], error) {
+	s, err := buildShared(g, prog, cfg, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	registerRTOGauges(s.Tel, lo, hi, s.cfg.Nodes, func() *Shared[V, M] { return s })
+	return s.nodes, nil
+}
+
+// buildShared is NewNodes but for the gauges, which the in-process
+// runtime registers over its generations instead.
+func buildShared[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, lo, hi int) (*Shared[V, M], error) {
 	cfg = cfg.WithDefaults()
 	part, err := graph.NewPartition(g, cfg.BlockSize)
 	if err != nil {
@@ -234,32 +318,27 @@ func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, lo, 
 	cfg.Telemetry.SetVertices(nv)
 	// Shard 0 belongs to the runtime's auxiliary goroutines (watchdog,
 	// kills); each node then gets one shard per worker plus its Ctl.
-	return newShared(kern, cfg, cfg.Telemetry.Shards(1+(hi-lo)*(cfg.WorkersPerNode+1)), lo, hi, 0).nodes, nil
+	return newShared(kern, cfg, cfg.Telemetry.Shards(1+(hi-lo)*(cfg.WorkersPerNode+1)), lo, hi, 0)
 }
 
 // newShared builds one Shared over kern for a cfg.Nodes-node cluster
 // owning the blocks by BlockRange, and nodes lo..hi-1 over it, the k-th
-// counting into shards[1+k*(WorkersPerNode+1):] and activating its own
-// blocks. The envelope sequence and every slot stamp start at seq. A
-// restart calls it over the run's kernel and shards, so counters, the
-// epoch budget and the stamps carry on across generations.
-func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry.Shard, lo, hi int, seq uint64) *Shared[V, M] {
+// counting into shards[1+k*(WorkersPerNode+1):], indexing the sources of
+// its in-edge slots and activating its own blocks. The envelope sequence
+// and every source stamp start at seq. A restart calls it over the run's
+// kernel and shards, so counters, the epoch budget and the stamps carry
+// on across generations.
+func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry.Shard, lo, hi int, seq uint64) (*Shared[V, M], error) {
 	s := &Shared[V, M]{
-		Kernel:  kern,
-		Latch:   core.NewLatch(),
-		Tel:     cfg.Telemetry,
-		slotSeq: make([]atomic.Uint64, kern.G.NumEdges()),
-		cfg:     cfg,
-		tr:      cfg.Transport,
-		shards:  shards,
-		now:     time.Now,
+		Kernel: kern,
+		Latch:  core.NewLatch(),
+		Tel:    cfg.Telemetry,
+		cfg:    cfg,
+		tr:     cfg.Transport,
+		shards: shards,
+		now:    time.Now,
 	}
 	s.SetSeq(seq)
-	if seq > 0 {
-		for i := range s.slotSeq {
-			s.slotSeq[i].Store(seq)
-		}
-	}
 	budget := int64(math.MaxInt64) // MaxEpochs as vertex updates over Tel's total
 	if cfg.MaxEpochs > 0 {
 		budget = int64(cfg.MaxEpochs * float64(kern.G.NumVertices()))
@@ -271,53 +350,85 @@ func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry
 		}
 	}
 	per := cfg.WorkersPerNode + 1
+	nb := kern.Part.NumBlocks()
 	s.nodes = make([]*Node[V, M], hi-lo)
 	for id := lo; id < hi; id++ {
 		base := 1 + (id-lo)*per
+		vlo, vhi := s.VertexRange(id)
+		in, err := newSrcIndex(kern, vlo, vhi)
+		if err != nil {
+			return nil, err
+		}
 		n := &Node[V, M]{
 			Shared:  s,
 			ID:      id,
-			Sched:   sched.NewState(kern.Part.NumBlocks()),
+			Sched:   sched.NewState(nb),
 			Ctl:     &shards[base+cfg.WorkersPerNode],
 			workers: shards[base : base+cfg.WorkersPerNode],
+			in:      in,
+			srcSeq:  make([]atomic.Uint64, kern.G.NumVertices()),
 			unacked: make(map[uint64]*pending),
 			peers:   make([]peerRTO, cfg.Nodes),
 			buf:     make([]uint64, max(s.Values.Words(), 2)),
+			mass:    make([]float64, nb),
+		}
+		if seq > 0 {
+			for u := range n.srcSeq {
+				n.srcSeq[u].Store(seq)
+			}
 		}
 		if cfg.MaxUnacked > 0 {
 			n.window = make(chan struct{}, cfg.MaxUnacked)
 		}
 		pick := core.CyclicPick(s.Latch, s.Tel, n.Sched, budget)
 		n.loop = &core.Loop{Latch: s.Latch, Tel: s.Tel, Pick: pick, Panic: "cluster: worker panic"}
-		n.registerRTOGauges()
 		blo, bhi := s.BlockRange(id)
 		for b := blo; b < bhi; b++ {
 			n.Sched.Activate(b, 1)
 		}
 		s.nodes[id-lo] = n
 	}
-	return s
+	return s, nil
 }
 
-// registerRTOGauges exposes what the retransmission timer learned about
-// each peer: the smoothed round trip and the timeout a batch sent now
-// would wait, both in ms.
-func (n *Node[V, M]) registerRTOGauges() {
-	for peer := range n.peers {
-		if peer == n.ID {
-			continue
-		}
-		read := func(f func(p *peerRTO) time.Duration) func() float64 {
-			return func() float64 {
-				n.unackedMu.Lock()
-				defer n.unackedMu.Unlock()
-				return float64(f(&n.peers[peer])) / float64(time.Millisecond)
+// registerRTOGauges exposes what the retransmission timers learned, for
+// every node id in [lo, hi) and each of its peers among nodes: the
+// smoothed round trip and the timeout a batch sent now would wait, both
+// in ms. Each gauge reads the node gen returns at scrape time — so a
+// restart re-points it instead of pinning the generation it was
+// registered under — and reads 0 where gen has no such node or peer.
+func registerRTOGauges[V, M any](tel *telemetry.Registry, lo, hi, nodes int, gen func() *Shared[V, M]) {
+	for id := lo; id < hi; id++ {
+		for peer := range nodes {
+			if peer == id {
+				continue
 			}
+			read := func(f func(p *peerRTO) time.Duration) func() float64 {
+				return func() float64 {
+					n := gen().node(id)
+					if n == nil || peer >= len(n.peers) {
+						return 0
+					}
+					n.unackedMu.Lock()
+					defer n.unackedMu.Unlock()
+					return float64(f(&n.peers[peer])) / float64(time.Millisecond)
+				}
+			}
+			prefix := fmt.Sprintf("node%d_peer%d_", id, peer)
+			tel.RegisterGauge(prefix+"srtt_ms", read(func(p *peerRTO) time.Duration { return p.srtt }))
+			tel.RegisterGauge(prefix+"rto_ms", read(func(p *peerRTO) time.Duration { return p.timeout() }))
 		}
-		prefix := fmt.Sprintf("node%d_peer%d_", n.ID, peer)
-		n.Tel.RegisterGauge(prefix+"srtt_ms", read(func(p *peerRTO) time.Duration { return p.srtt }))
-		n.Tel.RegisterGauge(prefix+"rto_ms", read(func(p *peerRTO) time.Duration { return p.timeout() }))
 	}
+}
+
+// node returns the hosted node with the given id, or nil.
+func (s *Shared[V, M]) node(id int) *Node[V, M] {
+	for _, n := range s.nodes {
+		if n.ID == id {
+			return n
+		}
+	}
+	return nil
 }
 
 // BlockRange is core.BlockRange under this run's shape: the block span
@@ -379,17 +490,31 @@ func (s *Shared[V, M]) Start(ctx context.Context) (shutdown func()) {
 func (s *Shared[V, M]) Seq() uint64     { return s.seq.Load() }
 func (s *Shared[V, M]) SetSeq(v uint64) { s.seq.Store(v) }
 
-// SnapshotStamps copies the write stamps of slots [lo, lo+len(dst)) with
-// atomic loads; RestoreStamps is its inverse.
-func (s *Shared[V, M]) SnapshotStamps(lo int64, dst []uint64) {
-	for i := range dst {
-		dst[i] = s.slotSeq[lo+int64(i)].Load()
-	}
+// SnapshotStamps writes the stamps of in-edge slots [lo, lo+len(dst))
+// in the checkpoint's per-slot layout: each slot the source index lists
+// gets its source's stamp, read atomically, and every other slot 0 —
+// its writes are local and unstamped.
+func (n *Node[V, M]) SnapshotStamps(lo int64, dst []uint64) {
+	clear(dst)
+	n.eachIndexedSlot(lo, len(dst), func(u int, i int64) { dst[i] = n.srcSeq[u].Load() })
 }
 
-func (s *Shared[V, M]) RestoreStamps(lo int64, src []uint64) {
-	for i, stamp := range src {
-		s.slotSeq[lo+int64(i)].Store(stamp)
+// RestoreStamps is SnapshotStamps' inverse, before the node runs: each
+// source takes the highest stamp among its slots in [lo, lo+len(src)),
+// so no envelope older than any of them lands.
+func (n *Node[V, M]) RestoreStamps(lo int64, src []uint64) {
+	n.eachIndexedSlot(lo, len(src), func(u int, i int64) { n.srcSeq[u].Store(max(n.srcSeq[u].Load(), src[i])) })
+}
+
+// eachIndexedSlot calls fn with the source of each slot in [lo, lo+count)
+// that the source index lists, and the slot's offset from lo.
+func (n *Node[V, M]) eachIndexedSlot(lo int64, count int, fn func(u int, i int64)) {
+	for u := range len(n.in.off) - 1 {
+		for _, s := range n.in.slots[n.in.off[u]:n.in.off[u+1]] {
+			if i := s - lo; i >= 0 && i < int64(count) {
+				fn(u, i)
+			}
+		}
 	}
 }
 
@@ -423,7 +548,7 @@ func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
 	}
 	n.Scatter(lo, hi, deltas, nil, ws.Worker)
 	for owner := range ws.Out {
-		if len(ws.Out[owner].Slots) > 0 {
+		if len(ws.Out[owner].Srcs) > 0 {
 			n.flush(owner, &ws.Out[owner], ws.Sh)
 		}
 	}
@@ -451,23 +576,21 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	}
 	now := n.now()
 	e := Envelope{
-		kind:   envData,
+		kind:   envImages,
 		from:   n.ID,
 		id:     n.seq.Add(1),
 		sentAt: now,
-		slots:  append([]int64(nil), p.Slots...),  //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
-		blocks: append([]int32(nil), p.Blocks...), //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
+		srcs:   append([]uint32(nil), p.Srcs...),  //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
 		words:  append([]uint64(nil), p.Words...), //abcdlint:ignore hotpath -- ownership copy: the envelope crosses the transport while p is reused
 	}
-	p.Slots, p.Blocks, p.Words = p.Slots[:0], p.Blocks[:0], p.Words[:0]
+	p.Srcs, p.Words = p.Srcs[:0], p.Words[:0]
 	n.sent.Add(1)
 	n.inflight.Add(1)
-	sh.Add(telemetry.CtrMessagesSent, int64(len(e.slots)))
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(to, e.id, n.Tel.Stamp())
-	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize slot updates
+	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize images
 	u.armed.Store(math.MaxInt64)
-	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize slot updates
+	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize images
 	n.unacked[e.id] = u
 	//abcdlint:ignore hotpath -- at-least-once bookkeeping: see the matching Lock above
 	n.unackedMu.Unlock()
@@ -497,52 +620,62 @@ func (n *Node[V, M]) Deliver(to int, e Envelope) {
 	}
 }
 
-// install writes one data batch into the cache under the per-slot
-// write-stamp guard: a slot never regresses past a newer write, and
-// every effective change re-activates its destination block. Envelopes
-// come off a wire: a batch whose lengths disagree is refused whole (the
-// sender's retry re-delivers), an entry naming a slot out of range or a
-// block this node does not own is skipped. A node whose run has stopped
-// refuses all traffic: after a restart, its slots are the next
+// install writes one data batch into the cache under the per-source
+// write-stamp guard, entry by entry: a source's slots never regress past
+// a newer image, and every effective change re-activates the blocks it
+// lands in, each once per batch with the summed mass, as a local scatter
+// does. Envelopes come off a wire: a batch whose word count disagrees
+// with its entries is refused whole (the sender's retry re-delivers), an
+// entry naming a vertex past the graph or one that feeds this node
+// nothing — its own vertices included — is skipped. A node whose run has
+// stopped refuses all traffic: after a restart, its slots are the next
 // generation's.
 func (n *Node[V, M]) install(e Envelope) bool {
 	words := n.Cache.Words()
-	if len(e.blocks) != len(e.slots) || len(e.words) != len(e.slots)*words {
+	if len(e.words) != len(e.srcs)*words {
 		return false
 	}
-	n.applyMu.Lock()         //abcdlint:ignore hotpath -- amortized: one lock per delivered batch, over BatchSize slot installs
+	n.applyMu.Lock()         //abcdlint:ignore hotpath -- amortized: one lock per delivered batch, over BatchSize image installs
 	defer n.applyMu.Unlock() //abcdlint:ignore hotpath -- amortized: see the matching Lock above
 	if n.Stopped() {
 		return false
 	}
 	start := n.Tel.Stamp()
 	n.Ctl.FlowRecv(e.from, e.id, start)
-	// Take the batch's slot lines for writing up front, so their misses
-	// overlap instead of each stalling its own load and store below.
-	for i, slot := range e.slots {
-		if slot >= 0 && slot < int64(len(n.slotSeq)) {
-			n.Cache.Prefetch(e.slots[i : i+1])
+	codec := n.Prog.Codec()
+	for i, u := range e.srcs {
+		slots, blocks := n.in.run(u)
+		if len(slots) == 0 || n.srcSeq[u].Load() > e.id {
+			continue // nothing to feed here, or a stale redelivery: a newer image already landed
 		}
-	}
-	for i, slot := range e.slots {
-		b := int(e.blocks[i])
-		if slot < 0 || slot >= int64(len(n.slotSeq)) || b < 0 || b >= len(n.Owner) || int(n.Owner[b].Load()) != n.ID {
-			continue
-		}
-		if n.slotSeq[slot].Load() > e.id {
-			continue // stale redelivery: a newer write already landed
-		}
-		n.Cache.LoadBuf(slot, &n.old, n.buf)
 		// The wire words are the sender's encoding: stored as they came,
-		// decoded only for the delta.
+		// decoded only for the delta. Every slot of a source holds the
+		// same image — the build, a rebuild and this loop write whole
+		// runs — so the run's first slot stands for all of them.
 		enc := e.words[i*words : (i+1)*words]
-		n.Prog.Codec().DecodeInto(enc, &n.incoming)
-		n.Cache.StoreWords(slot, enc)
-		n.slotSeq[slot].Store(e.id)
-		if d := n.Prog.Delta(n.old, n.incoming); d > n.cfg.Epsilon {
-			n.Sched.Activate(b, d)
+		codec.DecodeInto(enc, &n.incoming)
+		n.Cache.LoadBuf(slots[0], &n.old, n.buf)
+		d := n.Prog.Delta(n.old, n.incoming)
+		// Take the run's lines for writing up front, so their misses
+		// overlap instead of each stalling its own store below.
+		n.Cache.Prefetch(slots)
+		for j, slot := range slots {
+			n.Cache.StoreWords(slot, enc)
+			if d > n.cfg.Epsilon {
+				b := int(blocks[j])
+				if n.mass[b] == 0 {
+					n.touched = append(n.touched, b) //abcdlint:ignore hotpath -- amortized: per-node buffer, reset to [:0] below with capacity retained
+				}
+				n.mass[b] += d
+			}
 		}
+		n.srcSeq[u].Store(e.id)
 	}
+	for _, b := range n.touched {
+		n.Sched.Activate(b, n.mass[b])
+		n.mass[b] = 0
+	}
+	n.touched = n.touched[:0]
 	n.applied.Add(1)
 	if end := n.Tel.Stamp(); end > 0 {
 		n.Ctl.Observe(telemetry.StageApply, end-start)
@@ -565,7 +698,7 @@ func (n *Node[V, M]) install(e Envelope) bool {
 // it cannot say which transmission it answers.
 func (n *Node[V, M]) settle(id uint64) {
 	now := n.now()
-	n.unackedMu.Lock() //abcdlint:ignore hotpath -- amortized: one lock per acked batch, over BatchSize slot updates
+	n.unackedMu.Lock() //abcdlint:ignore hotpath -- amortized: one lock per acked batch, over BatchSize images
 	p, ok := n.unacked[id]
 	if ok {
 		n.peers[p.to].settled(p.attempts, now.Sub(p.env.sentAt), now.UnixNano())

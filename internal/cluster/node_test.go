@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,14 +56,16 @@ type rig struct {
 	t        *testing.T
 	tr       *scriptTransport
 	src, dst *Node[float64, float64]
-	edges    []remoteEdge // src-owned vertex -> dst-owned vertex
+	edges    []remoteEdge // src-owned vertices feeding dst-owned slots
 	acked    uint64       // first acks the script delivered to src
 	t0       time.Time
 	clock    time.Time // what the nodes' now returns; only at and tick move it
 }
 
-// remoteEdge is one scatter target crossing from node 0 to node 1.
+// remoteEdge is a vertex of node 0 with out-edges into node 1's blocks,
+// and one of the slots it feeds there, in block `block`.
 type remoteEdge struct {
+	src   uint32
 	slot  int64
 	block int32
 }
@@ -89,12 +92,13 @@ func newRig(t *testing.T, tune func(*Config)) *rig {
 	for v := lo; v < hi; v++ {
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
 			if b := r.src.Part.BlockOf(g.OutDst(i)); int(r.src.Owner[b].Load()) == 1 {
-				r.edges = append(r.edges, remoteEdge{g.OutPos(i), int32(b)})
+				r.edges = append(r.edges, remoteEdge{uint32(v), g.OutPos(i), int32(b)})
+				break
 			}
 		}
 	}
 	if len(r.edges) < 4 {
-		t.Fatalf("test graph has only %d node0->node1 edges", len(r.edges))
+		t.Fatalf("test graph has only %d node0 vertices feeding node1", len(r.edges))
 	}
 	// Retire the receiver's seed activations so that any activation seen
 	// later was caused by an apply.
@@ -128,15 +132,15 @@ func (r *rig) check() {
 	}
 }
 
-// batchFor builds a one-update batch carrying value val on edge e.
+// batchFor builds a one-image batch carrying value val from e's source.
 func (r *rig) batchFor(e remoteEdge, val float64) *core.Batch {
-	p := &core.Batch{Slots: []int64{e.slot}, Blocks: []int32{e.block}, Words: make([]uint64, 1)}
+	p := &core.Batch{Srcs: []uint32{e.src}, Words: make([]uint64, 1)}
 	r.src.Prog.Codec().Encode(val, p.Words)
 	return p
 }
 
-// sendBatch flushes one batch carrying value val on edge e and returns the data
-// envelope the transport saw (nil if flush sent nothing).
+// sendBatch flushes one batch carrying value val from e's source and
+// returns the data envelope the transport saw (nil if flush sent nothing).
 func (r *rig) sendBatch(e remoteEdge, val float64) *Envelope {
 	r.t.Helper()
 	r.src.flush(1, r.batchFor(e, val), &r.src.workers[0])
@@ -145,7 +149,7 @@ func (r *rig) sendBatch(e remoteEdge, val float64) *Envelope {
 	if len(sends) == 0 {
 		return nil
 	}
-	if len(sends) != 1 || sends[0].to != 1 || sends[0].env.kind != envData {
+	if len(sends) != 1 || sends[0].to != 1 || sends[0].env.kind != envImages {
 		r.t.Fatalf("flush produced %+v", sends)
 	}
 	return &sends[0].env
@@ -246,7 +250,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 					t.Fatalf("after ack + duplicate ack: inflight %d, window %d; want 1, 1", in, w)
 				}
 				r.ack(r.deliver(*b)[0], true)
-				if !r.dst.Sched.Active(int(a.blocks[0])) {
+				if !r.dst.Sched.Active(int(r.edges[0].block)) {
 					t.Fatal("applied update did not activate its destination block")
 				}
 			}},
@@ -295,7 +299,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			// The direct and chaos transports deliver on the sender's
 			// goroutine: the batch settles before flush arms its timer.
 			r.tr.inline = func(e Envelope) {
-				if e.kind == envData {
+				if e.kind == envImages {
 					r.at(3 * ms)
 					r.dst.Deliver(1, e)
 				} else {
@@ -432,7 +436,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			if v := r.slotValue(e.slot); v != 0.75 {
 				t.Fatalf("slot regressed to %g", v)
 			}
-			if stamp := r.dst.slotSeq[e.slot].Load(); stamp != newer.id {
+			if stamp := r.dst.srcSeq[e.src].Load(); stamp != newer.id {
 				t.Fatalf("stamp %d, want %d", stamp, newer.id)
 			}
 			r.ack(acks[0], true)
@@ -467,7 +471,7 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				r.acked++
 				r.src.Deliver(0, acks[0])
 				<-done
-				if got := r.tr.take(); len(got) != 1 || got[0].env.kind != envData {
+				if got := r.tr.take(); len(got) != 1 || got[0].env.kind != envImages {
 					t.Fatalf("unblocked flush sent %+v", got)
 				}
 				r.check()
@@ -484,33 +488,37 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			}},
 		{name: "malformed envelopes are dropped without panic", run: func(t *testing.T, r *rig) {
 			e := r.edges[0]
-			before := r.slotValue(e.slot)
-			ownedBySrc, _ := r.src.BlockRange(0)
+			cache := func() []uint64 {
+				out := make([]uint64, r.dst.G.NumEdges())
+				r.dst.Cache.SnapshotWords(0, int64(len(out)), out)
+				return out
+			}
+			before := cache()
+			own, _ := r.dst.VertexRange(1)
 			bad := []struct {
 				name  string
 				env   Envelope
 				acked bool
 			}{
-				{"blocks shorter than slots", Envelope{kind: envData, id: 90, slots: []int64{e.slot, e.slot}, blocks: []int32{e.block}, words: []uint64{1, 2}}, false},
-				{"words not slots*codec width", Envelope{kind: envData, id: 91, slots: []int64{e.slot}, blocks: []int32{e.block}, words: []uint64{1, 2, 3}}, false},
-				{"slot past the edge array", Envelope{kind: envData, id: 92, slots: []int64{int64(r.dst.G.NumEdges()) + 7}, blocks: []int32{e.block}, words: []uint64{1}}, true},
-				{"negative slot", Envelope{kind: envData, id: 93, slots: []int64{-1}, blocks: []int32{e.block}, words: []uint64{1}}, true},
-				{"block out of range", Envelope{kind: envData, id: 94, slots: []int64{e.slot}, blocks: []int32{int32(r.dst.Part.NumBlocks())}, words: []uint64{1}}, true},
-				{"negative block", Envelope{kind: envData, id: 95, slots: []int64{e.slot}, blocks: []int32{-3}, words: []uint64{1}}, true},
-				{"foreign block", Envelope{kind: envData, id: 96, slots: []int64{e.slot}, blocks: []int32{int32(ownedBySrc)}, words: []uint64{1}}, true},
+				{"words not images*codec width", Envelope{kind: envImages, id: 90, srcs: []uint32{e.src}, words: []uint64{1, 2, 3}}, false},
+				{"words without images", Envelope{kind: envImages, id: 91, words: []uint64{1}}, false},
+				{"one image short of its words", Envelope{kind: envImages, id: 92, srcs: []uint32{e.src}, words: []uint64{1, 2}}, false},
+				{"src past the vertex array", Envelope{kind: envImages, id: 93, srcs: []uint32{uint32(r.dst.G.NumVertices()) + 7}, words: []uint64{1}}, true},
+				{"src at the vertex count", Envelope{kind: envImages, id: 94, srcs: []uint32{uint32(r.dst.G.NumVertices())}, words: []uint64{1}}, true},
+				{"src the receiver owns", Envelope{kind: envImages, id: 95, srcs: []uint32{uint32(own)}, words: []uint64{1}}, true},
 			}
 			for _, b := range bad {
 				if acks := r.deliver(b.env); (len(acks) == 1) != b.acked {
 					t.Fatalf("%s: %d acks, want acked=%v", b.name, len(acks), b.acked)
 				}
-				if v := r.slotValue(e.slot); v != before {
-					t.Fatalf("%s: slot changed to %g", b.name, v)
+				if !slices.Equal(cache(), before) {
+					t.Fatalf("%s: a cache slot changed", b.name)
 				}
 				if !r.dst.Sched.Quiescent() {
 					t.Fatalf("%s: activated a block on the receiver", b.name)
 				}
 			}
-			r.dst.Deliver(0, Envelope{kind: envData, id: 97, slots: []int64{e.slot}, blocks: []int32{e.block}, words: []uint64{1}})
+			r.dst.Deliver(0, Envelope{kind: envImages, id: 97, srcs: []uint32{e.src}, words: []uint64{1}})
 			if got := r.tr.take(); len(got) != 0 {
 				t.Fatalf("misrouted envelope produced %+v", got)
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"graphabcd/internal/bcd"
 	"graphabcd/internal/core"
@@ -10,9 +11,9 @@ import (
 
 // TestStaleEnvelopeLosesToTheRestart holds back one data envelope of the
 // first generation and delivers it after the restart, to a node that owns
-// its slot in both generations. It must change no cache slot and no
-// stamp and activate no block: the restart stamped every slot above every
-// envelope id issued before it. The same batch under a fresh id does
+// a slot its source feeds in both generations. It must change no cache
+// slot and no stamp and activate no block: the restart stamped every
+// source above every envelope id issued before it. The same batch under a fresh id does
 // land, so the stamp alone refused it. An envelope for a node index the
 // new generation does not have is refused.
 func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
@@ -26,12 +27,13 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 	nb := first.Part.NumBlocks()
 	heir, _ := core.BlockRange(nb, 2, 1) // node 1's first block after the restart
 	var slot int64
+	var src uint32
 	block := -1
 	lo, hi := first.VertexRange(0)
 	for v := lo; v < hi && block < 0; v++ {
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
 			if b := first.Part.BlockOf(g.OutDst(i)); int(first.Owner[b].Load()) == 1 && b >= heir {
-				slot, block = g.OutPos(i), b
+				slot, src, block = g.OutPos(i), uint32(v), b
 				break
 			}
 		}
@@ -40,13 +42,13 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 		t.Fatal("no edge from node 0 into a block node 1 owns in both generations")
 	}
 	batch := func() *core.Batch {
-		p := &core.Batch{Slots: []int64{slot}, Blocks: []int32{int32(block)}, Words: make([]uint64, 1)}
+		p := &core.Batch{Srcs: []uint32{src}, Words: make([]uint64, 1)}
 		first.Prog.Codec().Encode(0.25, p.Words)
 		return p
 	}
 	first.nodes[0].flush(1, batch(), &first.nodes[0].workers[0])
 	sends := tr.take()
-	if len(sends) != 1 || sends[0].to != 1 || sends[0].env.kind != envData {
+	if len(sends) != 1 || sends[0].to != 1 || sends[0].env.kind != envImages {
 		t.Fatalf("flush sent %+v", sends)
 	}
 	held := sends[0].env
@@ -75,8 +77,12 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 		return out
 	}
 	stamps := func() []uint64 {
-		out := make([]uint64, g.NumEdges())
-		next.SnapshotStamps(0, out)
+		var out []uint64
+		for _, n := range next.nodes {
+			for u := range n.srcSeq {
+				out = append(out, n.srcSeq[u].Load())
+			}
+		}
 		return out
 	}
 	cache, stamped := words(), stamps()
@@ -97,5 +103,51 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 	c.deliver(1, fresh)
 	if after := words(); after[slot] == cache[slot] || !next.nodes[1].Sched.Active(block) {
 		t.Fatal("the same batch under a fresh id did not land: the test shows nothing")
+	}
+}
+
+// TestRestartRepointsRTOGauges checks that the node<k>_peer<j>_ gauges
+// read the current generation: after a kill and the restart, the killed
+// id's gauges and every gauge of a peer the new generation lacks read 0,
+// and the survivors' read their new timers — none reads the old
+// generation's, which the gauges would otherwise keep alive.
+func TestRestartRepointsRTOGauges(t *testing.T) {
+	tr := &scriptTransport{}
+	c, err := newCluster(testGraph(t), bcd.PageRank{}, Config{Nodes: 3, BlockSize: 32, WorkersPerNode: 1, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setSRTT := func(g *Shared[float64, float64], base int) {
+		for _, n := range g.nodes {
+			for p := range n.peers {
+				n.peers[p].srtt = time.Duration(base+10*n.ID+p) * time.Millisecond
+			}
+		}
+	}
+	first := c.gen.Load()
+	setSRTT(first, 1)
+	gauges := first.Tel.Snapshot().Gauges
+	for name, want := range map[string]float64{"node0_peer2_srtt_ms": 3, "node2_peer0_srtt_ms": 21, "node2_peer1_srtt_ms": 22} {
+		if got := gauges[name]; got != want {
+			t.Fatalf("first generation: %s = %g, want %g", name, got, want)
+		}
+	}
+
+	if err := c.FailNode(2); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.restart(first); !ok || err != nil {
+		t.Fatalf("restart: %v, %v", ok, err)
+	}
+	setSRTT(c.gen.Load(), 101)
+	gauges = first.Tel.Snapshot().Gauges
+	for name, want := range map[string]float64{
+		"node0_peer1_srtt_ms": 102, "node1_peer0_srtt_ms": 111,
+		"node0_peer2_srtt_ms": 0, "node1_peer2_srtt_ms": 0, "node0_peer2_rto_ms": 0,
+		"node2_peer0_srtt_ms": 0, "node2_peer1_srtt_ms": 0, "node2_peer0_rto_ms": 0, "node2_peer1_rto_ms": 0,
+	} {
+		if got, ok := gauges[name]; !ok || got != want {
+			t.Errorf("after the restart: %s = %g (registered %v), want %g", name, got, ok, want)
+		}
 	}
 }

@@ -137,7 +137,7 @@ func (d *distRun[V, M]) openCheckpoint() error {
 	// The partial graphs carry both full offset arrays, so every node
 	// computes the same digest the coordinator computed from the snapshot
 	// file — and the same one a single-process run computes.
-	ck := core.NewShare(d.Kernel, algoName(d.a.algo), d.ID, d.a.cfg.Nodes, d.Sched, d.Tel, d.Ctl, d.Shared)
+	ck := core.NewShare(d.Kernel, algoName(d.a.algo), d.ID, d.a.cfg.Nodes, d.Sched, d.Tel, d.Ctl, d.Node)
 	ck.Store, ck.RunID = store, d.a.ckpt.runID
 	d.ckpt = ck
 	if d.a.ckpt.resumeEpoch == 0 {

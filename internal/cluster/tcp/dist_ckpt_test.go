@@ -158,6 +158,12 @@ func TestDistResumeParentCommitCheckpoint(t *testing.T) {
 	}
 }
 
+// childEnv is the environment of a spawned binary: TMPDIR points into the
+// test's own temp dir, so what a SIGKILLed child staged is removed with it.
+func childEnv(t *testing.T) []string {
+	return append(os.Environ(), "TMPDIR="+t.TempDir())
+}
+
 // startCoordProcess launches the built binary as a two-node PageRank
 // coordinator and scrapes the control address it announces.
 func startCoordProcess(t *testing.T, bin, snap, ckdir, valuesPath string, resume bool) (*exec.Cmd, string) {
@@ -172,6 +178,7 @@ func startCoordProcess(t *testing.T, bin, snap, ckdir, valuesPath string, resume
 		args = append(args, "-resume", "latest")
 	}
 	coord := exec.Command(bin, args...)
+	coord.Env = childEnv(t)
 	stdout, err := coord.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +234,7 @@ func TestDistTwoProcessKillAndResume(t *testing.T) {
 	// commits — mid-flight batches, possibly mid-checkpoint-round.
 	coord, addr := startCoordProcess(t, bin, snap, ckdir, valuesPath, false)
 	joiner := exec.Command(bin, "-join", addr, "-timeout", "2m")
+	joiner.Env = childEnv(t)
 	joiner.Stdout, joiner.Stderr = os.Stderr, os.Stderr
 	if err := joiner.Start(); err != nil {
 		t.Fatal(err)
@@ -254,7 +262,9 @@ func TestDistTwoProcessKillAndResume(t *testing.T) {
 
 	// Resume segment: a fresh cluster restarts from the committed epoch.
 	coord2, addr2 := startCoordProcess(t, bin, snap, ckdir, valuesPath, true)
-	join2, err := exec.Command(bin, "-join", addr2, "-timeout", "2m").CombinedOutput()
+	join2cmd := exec.Command(bin, "-join", addr2, "-timeout", "2m")
+	join2cmd.Env = childEnv(t)
+	join2, err := join2cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("resumed joiner: %v\n%s", err, join2)
 	}

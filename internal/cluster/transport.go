@@ -2,12 +2,15 @@ package cluster
 
 import "time"
 
-// envKind distinguishes the two message classes on the wire.
+// envKind distinguishes the two message classes on the wire; it is the
+// envelope's first byte and its layout version. Kind 0 was a batch of
+// per-slot updates (slot, block, image): it is refused, so a peer built
+// before the image layout fails loudly instead of being misread.
 type envKind int8
 
 const (
-	envData envKind = iota // a batch of state-based edge-cache updates
-	envAck                 // acknowledgment that a data envelope was applied
+	envAck    envKind = 1 // acknowledgment that a data envelope was applied
+	envImages envKind = 2 // a batch of (source vertex, scatter image) entries
 )
 
 // Envelope is one transport message between nodes. Payload fields are
@@ -20,9 +23,8 @@ type Envelope struct {
 	from   int    // sending node
 	id     uint64 // logical batch id, also the payload's write stamp
 	sentAt time.Time
-	slots  []int64  // CSC slot indices on the receiving node
-	blocks []int32  // global block id per slot
-	words  []uint64 // encoded values, len = len(slots) * codec.Words()
+	srcs   []uint32 // source vertex per entry
+	words  []uint64 // encoded scatter images, len = len(srcs) * codec.Words()
 }
 
 // IsAck reports whether the envelope is an acknowledgment rather than a
@@ -36,7 +38,7 @@ func (e Envelope) ID() uint64 { return e.id }
 // Transport moves envelopes between cluster nodes. Implementations may
 // drop, duplicate, delay, or reorder envelopes arbitrarily — the cluster
 // layers at-least-once delivery (unacked batches are retried with
-// backoff) and per-slot write stamps on top, so faults degrade progress,
+// backoff) and per-source write stamps on top, so faults degrade progress,
 // never correctness. Send must not block indefinitely and must be safe
 // for concurrent use; envelopes handed to deliver after Close are the
 // implementation's responsibility to suppress.

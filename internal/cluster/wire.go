@@ -15,21 +15,24 @@ import (
 //
 // Layout, little-endian throughout:
 //
-//	kind    u8    envData=0 | envAck=1
+//	kind    u8    envImages=2 | envAck=1; the layout's version
 //	from    u32   sending node id
 //	id      u64   logical batch id / write stamp
 //	sentAt  i64   unix nanoseconds, 0 for the zero time
-//	nslots  u32   number of slot entries
-//	nwords  u32   number of encoded value words
-//	slots   nslots x u64   CSC slot indices
-//	blocks  nslots x u32   global block id per slot
-//	words   nwords x u64   encoded values
+//	nsrcs   u32   number of image entries
+//	nwords  u32   number of encoded image words
+//	srcs    nsrcs x u32   source vertex per entry
+//	words   nwords x u64  encoded scatter images
 //
-// A data envelope requires nwords to be a multiple of nslots (the codec
-// word width times the slot count); an ack carries no payload. Decoding
-// validates the byte length exactly against the declared counts, so a
-// header that lies about its counts is rejected before any payload
-// allocation happens.
+// A data entry is a source vertex and its image, 4 + 8·codec-width
+// bytes; the receiver stores the image on every in-edge slot the source
+// feeds on it. A data envelope requires nwords to be a multiple of nsrcs
+// (the codec word width times the entry count); an ack carries no
+// payload. Any other kind is refused — kind 0, the per-slot layout
+// before it, included — so peers of two layouts fail instead of
+// misreading each other. Decoding validates the byte length exactly
+// against the declared counts, so a header that lies about its counts is
+// rejected before any payload allocation happens.
 
 const envelopeHdrLen = 1 + 4 + 8 + 8 + 4 + 4
 
@@ -40,10 +43,9 @@ const maxWireNode = 1 << 20
 
 // NewDataEnvelope builds a data-batch envelope (codec tests and fuzzers;
 // the node's flush builds its own). The slices are retained, not copied.
-// len(words) must be a multiple of len(slots) (codec words per slot).
-func NewDataEnvelope(from int, id uint64, sentAt time.Time, slots []int64, blocks []int32, words []uint64) Envelope {
-	return Envelope{kind: envData, from: from, id: id, sentAt: sentAt,
-		slots: slots, blocks: blocks, words: words}
+// len(words) must be a multiple of len(srcs) (codec words per image).
+func NewDataEnvelope(from int, id uint64, sentAt time.Time, srcs []uint32, words []uint64) Envelope {
+	return Envelope{kind: envImages, from: from, id: id, sentAt: sentAt, srcs: srcs, words: words}
 }
 
 // NewAck builds an acknowledgment for the data envelope with the given
@@ -57,7 +59,7 @@ func (e Envelope) From() int { return e.from }
 
 // EnvelopeWireSize returns the exact encoded size of e in bytes.
 func EnvelopeWireSize(e Envelope) int {
-	return envelopeHdrLen + len(e.slots)*12 + len(e.words)*8
+	return envelopeHdrLen + len(e.srcs)*4 + len(e.words)*8
 }
 
 // AppendEnvelope appends the wire encoding of e to dst and returns the
@@ -71,13 +73,10 @@ func AppendEnvelope(dst []byte, e Envelope) []byte {
 		ns = e.sentAt.UnixNano()
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ns))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.slots)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.srcs)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.words)))
-	for _, s := range e.slots {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
-	}
-	for _, b := range e.blocks {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(b))
+	for _, s := range e.srcs {
+		dst = binary.LittleEndian.AppendUint32(dst, s)
 	}
 	for _, w := range e.words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -94,27 +93,27 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("cluster: envelope truncated: %d bytes, header needs %d", len(b), envelopeHdrLen)
 	}
 	kind := b[0]
-	if kind != byte(envData) && kind != byte(envAck) {
+	if kind != byte(envImages) && kind != byte(envAck) {
 		return Envelope{}, fmt.Errorf("cluster: unknown envelope kind %d", kind)
 	}
 	from := binary.LittleEndian.Uint32(b[1:])
 	id := binary.LittleEndian.Uint64(b[5:])
 	sentNS := int64(binary.LittleEndian.Uint64(b[13:]))
-	nslots := int(binary.LittleEndian.Uint32(b[21:]))
+	nsrcs := int(binary.LittleEndian.Uint32(b[21:]))
 	nwords := int(binary.LittleEndian.Uint32(b[25:]))
 	if from >= maxWireNode {
 		return Envelope{}, fmt.Errorf("cluster: envelope sender %d out of range", from)
 	}
-	if kind == byte(envAck) && (nslots != 0 || nwords != 0) {
-		return Envelope{}, fmt.Errorf("cluster: ack envelope carries payload (%d slots, %d words)", nslots, nwords)
+	if kind == byte(envAck) && (nsrcs != 0 || nwords != 0) {
+		return Envelope{}, fmt.Errorf("cluster: ack envelope carries payload (%d images, %d words)", nsrcs, nwords)
 	}
-	if nslots == 0 && nwords != 0 {
-		return Envelope{}, fmt.Errorf("cluster: %d words with zero slots", nwords)
+	if nsrcs == 0 && nwords != 0 {
+		return Envelope{}, fmt.Errorf("cluster: %d words with zero images", nwords)
 	}
-	if nslots > 0 && nwords%nslots != 0 {
-		return Envelope{}, fmt.Errorf("cluster: %d words not a multiple of %d slots", nwords, nslots)
+	if nsrcs > 0 && nwords%nsrcs != 0 {
+		return Envelope{}, fmt.Errorf("cluster: %d words not a multiple of %d images", nwords, nsrcs)
 	}
-	want := int64(envelopeHdrLen) + int64(nslots)*12 + int64(nwords)*8
+	want := int64(envelopeHdrLen) + int64(nsrcs)*4 + int64(nwords)*8
 	if int64(len(b)) != want {
 		return Envelope{}, fmt.Errorf("cluster: envelope length %d, counts declare %d", len(b), want)
 	}
@@ -127,16 +126,10 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	// a decoder bug can never turn a decoded count into a huge upfront
 	// allocation.
 	off := envelopeHdrLen
-	e.slots = make([]int64, 0, binfmt.PresizeCap(nslots, 8))
-	for i := 0; i < nslots; i++ {
-		e.slots = binfmt.GrowEarned(e.slots, 1, nslots)
-		e.slots = append(e.slots, int64(binary.LittleEndian.Uint64(b[off:])))
-		off += 8
-	}
-	e.blocks = make([]int32, 0, binfmt.PresizeCap(nslots, 4))
-	for i := 0; i < nslots; i++ {
-		e.blocks = binfmt.GrowEarned(e.blocks, 1, nslots)
-		e.blocks = append(e.blocks, int32(binary.LittleEndian.Uint32(b[off:])))
+	e.srcs = make([]uint32, 0, binfmt.PresizeCap(nsrcs, 4))
+	for i := 0; i < nsrcs; i++ {
+		e.srcs = binfmt.GrowEarned(e.srcs, 1, nsrcs)
+		e.srcs = append(e.srcs, binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 	}
 	e.words = make([]uint64, 0, binfmt.PresizeCap(nwords, 8))

@@ -122,9 +122,11 @@ func (l Layout) check(st *checkpoint.State, node int) error {
 	return nil
 }
 
-// Stamps is a cluster node's per-slot write stamps and envelope send
-// sequence (cluster.Shared), which its share captures and restores beside
-// the owned span. The engine has none.
+// Stamps is a cluster node's write stamps and envelope send sequence
+// (cluster.Node), which its share captures and restores beside the owned
+// span, one stamp per owned in-edge slot: SnapshotStamps fills the
+// stamps of slots [lo, lo+len(dst)), RestoreStamps takes them back. The
+// engine has none.
 type Stamps interface {
 	Seq() uint64
 	SnapshotStamps(lo int64, dst []uint64)

@@ -145,6 +145,11 @@ func eachKernelCaller[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A state-based replay ends on the fixed point; an operation-based
+		// one ends with its recorded ids (ReplaySchedule's doc).
+		if _, opBased := any(prog).(bcd.OpBased[V, M]); !opBased && !rr.Stats.Converged {
+			t.Fatalf("replay, block %d: did not converge (%d tail claims)", blockSize, rr.Tail)
+		}
 		check("replay", rr.Values)
 	}
 }

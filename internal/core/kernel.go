@@ -38,7 +38,7 @@ type Kernel[V, M any] struct {
 	// slots. A single-node run is the one-owner case: the table is all
 	// zeros, every Worker is node 0, and Scatter's batch path never runs.
 	Owner     []atomic.Int32
-	BatchSize int // per-owner batch length that triggers the flush hook
+	BatchSize int // per-owner batch length, in images, that triggers the flush hook
 	// op is non-nil when Prog is operation-based (bcd.OpBased): edge slots
 	// then hold pending deltas that Scatter accumulates with atomic
 	// read-modify-writes and GatherApply consumes with atomic swaps to
@@ -160,13 +160,14 @@ func eachSlice(lo, hi int, fn func(lo, hi int) error) error {
 	return errors.Join(errs...)
 }
 
-// Batch is a building buffer of state-based slot updates for blocks that
-// one other node owns: entry i sets cache slot Slots[i] of block
-// Blocks[i] to the encoded value Words[i*words:(i+1)*words].
+// Batch is a building buffer of state-based updates for one other node:
+// entry i is the scatter image of source vertex Srcs[i], encoded as
+// Words[i*words:(i+1)*words], for every in-edge slot it feeds there.
 type Batch struct {
-	Slots  []int64
-	Blocks []int32
-	Words  []uint64
+	Srcs  []uint32
+	Words []uint64
+
+	mark uint64 // the Worker.tick of the last vertex appended
 }
 
 // Worker is one goroutine's place in a run: the telemetry shard its work
@@ -191,6 +192,7 @@ type Worker[V, M any] struct {
 	run      []uint64  // one gatherRun of raw cache words
 	mass     []float64 // per-block mass of the scatter in progress
 	touched  []int     // blocks with non-zero mass
+	tick     uint64    // counts scattering vertices: Batch.mark dedups per owner
 }
 
 // NewWorker builds a worker of node self. flush must empty the batch it
@@ -319,24 +321,27 @@ func (k *Kernel[V, M]) GatherApply(vlo, vhi int, deltas []float64, dvals []V, w 
 // for vertices [vlo, vhi) (steps 9-11). Out-edge slots of blocks the
 // worker's node owns are stored directly (random but disjoint writes),
 // the change summed per destination block and each touched block
-// activated once with its mass; slots of other owners are appended to
-// the owner's batch in w.Out, handed to the flush hook every BatchSize
-// entries — the receiver stores and activates on arrival. It returns the
-// number of slots written.
+// activated once with its mass. A vertex with out-edges into another
+// owner's blocks is appended to that owner's batch in w.Out once, as
+// its source id and image — the receiver stores the image on every slot
+// the vertex feeds there and activates on arrival — and a batch is
+// handed to the flush hook every BatchSize images. It returns the number
+// of slots written, local and remote.
 //
 // The store path: a vertex's image is the same on all its out-edges, so
 // it is encoded once, and its out-edge run is walked twice. Pass one
 // prefetches the owned destination slots for writing (PREFETCHW on
 // amd64), so the run's ownership misses are in flight together: the
 // whole run in one call when the worker's node owns every block (w.Out
-// is nil), which also spares pass two its per-edge owner load. Pass two
-// does the atomic stores, each an XCHG on amd64, a full fence. A plain
-// load in pass one would fetch each line shared and be an earlier load
-// every XCHG waits for, so each store would still stall on its line's
-// upgrade; PREFETCHW is no load, nothing waits for it, and the line
-// arrives writable. On a 2-vCPU x86-64 Xeon guest, a pr_rmat job's
-// scatter time per slot write went from 60 to 43 ns (EXPERIMENTS.md,
-// "Kernel per-edge cost").
+// is nil), which also spares pass two its per-edge owner load; with
+// other owners, pass one also builds their batch entries. Pass two does
+// the atomic stores, each an XCHG on amd64, a full fence. A plain load
+// in pass one would fetch each line shared and be an earlier load every
+// XCHG waits for, so each store would still stall on its line's upgrade;
+// PREFETCHW is no load, nothing waits for it, and the line arrives
+// writable. On a 2-vCPU x86-64 Xeon guest, a pr_rmat job's scatter time
+// per slot write went from 60 to 43 ns (EXPERIMENTS.md, "Kernel per-edge
+// cost").
 //
 //abcd:hotpath
 func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Worker[V, M]) int64 {
@@ -369,26 +374,28 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 		if oneOwner {
 			k.Cache.Prefetch(slots)
 		} else {
+			w.tick++
 			for i, dst := range dsts {
-				if int(k.Owner[part.BlockOf(dst)].Load()) == w.self {
+				owner := int(k.Owner[part.BlockOf(dst)].Load())
+				if owner == w.self {
 					k.Cache.Prefetch(slots[i : i+1])
+					continue
+				}
+				remote++
+				if p := &w.Out[owner]; p.mark != w.tick {
+					p.mark = w.tick
+					p.Srcs = append(p.Srcs, uint32(v))  //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+					p.Words = append(p.Words, w.enc...) //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
+					if len(p.Srcs) >= k.BatchSize {
+						w.flush(owner, p, w.Sh)
+					}
 				}
 			}
 		}
 		for i, slot := range slots {
 			db := part.BlockOf(dsts[i])
-			if !oneOwner {
-				if owner := int(k.Owner[db].Load()); owner != w.self {
-					p := &w.Out[owner]
-					p.Slots = append(p.Slots, slot)        //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-					p.Blocks = append(p.Blocks, int32(db)) //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-					p.Words = append(p.Words, w.enc...)    //abcdlint:ignore hotpath -- amortized: flush resets the batch to [:0], capacity is retained
-					if len(p.Slots) >= k.BatchSize {
-						w.flush(owner, p, w.Sh)
-					}
-					remote++
-					continue
-				}
+			if !oneOwner && int(k.Owner[db].Load()) != w.self {
+				continue
 			}
 			if k.op != nil {
 				k.Cache.RMW(slot, w.buf, &w.val, func(cur V) V {
@@ -414,5 +421,8 @@ func (k *Kernel[V, M]) Scatter(vlo, vhi int, deltas []float64, dvals []V, w *Wor
 	w.touched = w.touched[:0]
 	w.Sh.Add(telemetry.CtrScatterWrites, writes)
 	w.Sh.Add(telemetry.CtrLocalWrites, writes-remote)
+	if remote > 0 {
+		w.Sh.Add(telemetry.CtrMessagesSent, remote)
+	}
 	return writes
 }

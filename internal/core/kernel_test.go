@@ -16,9 +16,11 @@ import (
 
 // TestKernelScatterTwoOwners drives Scatter over a vertex range by hand, on the
 // calling goroutine, under a two-owner table: slots of node 0's blocks
-// must be stored and their blocks activated with the summed mass, and
-// exactly the slots of node 1's blocks must leave through the per-owner
-// batch — whole batches via the flush hook, the remainder left in Out.
+// must be stored and their blocks activated with the summed mass, none
+// of node 1's, and exactly the vertices with an out-edge into node 1's
+// blocks must leave through the per-owner batch, each once, as its id
+// and image — whole batches via the flush hook, the remainder left in
+// Out — while the counters still count every remote slot.
 func TestKernelScatterTwoOwners(t *testing.T) {
 	g := degenerateGraph(t, 21, 1, false)
 	const blockSize, batchSize, eps = 7, 4, 0.25
@@ -35,18 +37,22 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 		block int32
 		word  uint64
 	}
-	var flushed []update
+	type image struct {
+		src  uint32
+		word uint64
+	}
+	var flushed []image
 	flushes := 0
 	st := sched.NewState(nb)
 	tel := telemetry.New(telemetry.Options{})
 	w := k.NewWorker(&tel.Shards(1)[0], 0, st, func(to int, b *Batch, _ *telemetry.Shard) {
-		if to != 1 || len(b.Slots) != batchSize || len(b.Blocks) != batchSize || len(b.Words) != batchSize {
-			t.Fatalf("flush hook got %d/%d/%d entries for node %d, want %d for node 1", len(b.Slots), len(b.Blocks), len(b.Words), to, batchSize)
+		if to != 1 || len(b.Srcs) != batchSize || len(b.Words) != batchSize {
+			t.Fatalf("flush hook got %d/%d entries for node %d, want %d for node 1", len(b.Srcs), len(b.Words), to, batchSize)
 		}
-		for i := range b.Slots {
-			flushed = append(flushed, update{b.Slots[i], b.Blocks[i], b.Words[i]})
+		for i := range b.Srcs {
+			flushed = append(flushed, image{b.Srcs[i], b.Words[i]})
 		}
-		b.Slots, b.Blocks, b.Words = b.Slots[:0], b.Blocks[:0], b.Words[:0]
+		b.Srcs, b.Words = b.Srcs[:0], b.Words[:0]
 		flushes++
 	})
 	w.Out = make([]Batch, 2)
@@ -54,9 +60,10 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 	// Two blocks' worth of vertices just changed; vertex 2 did not move and
 	// vertices 3 and 8 moved by no more than epsilon, so they do not scatter.
 	deltas := []float64{0.5, 1, 0, 0.1, 2.5, 3, 3.5, 4, 0.25, 5, 5.5, 6, 6.5, 7}
-	var wantRemote, wantStored []update
+	var wantStored []update
+	var wantRemote []image
 	wantMass := make([]float64, nb)
-	var wantWrites int64
+	var wantWrites, remoteSlots int64
 	untouched := map[int64]bool{}
 	for v := range deltas {
 		k.Values.Store(int64(v), float64(100+v))
@@ -70,8 +77,11 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 				untouched[slot] = true
 			case k.Owner[db].Load() == 1:
 				untouched[slot] = true
-				wantRemote = append(wantRemote, update{slot, int32(db), enc[0]})
+				if n := len(wantRemote); n == 0 || wantRemote[n-1].src != uint32(v) {
+					wantRemote = append(wantRemote, image{uint32(v), enc[0]})
+				}
 				wantWrites++
+				remoteSlots++
 			default:
 				wantMass[db] += deltas[v]
 				wantWrites++
@@ -79,8 +89,9 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 			}
 		}
 	}
-	if len(wantRemote) <= batchSize || len(wantRemote)%batchSize == 0 {
-		t.Fatalf("fixture has %d remote updates; want more than one batch and a remainder", len(wantRemote))
+	if len(wantRemote) <= batchSize || len(wantRemote)%batchSize == 0 || remoteSlots == int64(len(wantRemote)) {
+		t.Fatalf("fixture has %d remote images over %d slots; want more than one batch, a remainder, and a vertex feeding two remote slots",
+			len(wantRemote), remoteSlots)
 	}
 	before := make(map[int64]float64, len(untouched))
 	for slot := range untouched {
@@ -105,15 +116,15 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 		}
 	}
 	if flushes != len(wantRemote)/batchSize {
-		t.Errorf("flush hook called %d times for %d remote updates at batch size %d", flushes, len(wantRemote), batchSize)
+		t.Errorf("flush hook called %d times for %d remote images at batch size %d", flushes, len(wantRemote), batchSize)
 	}
 	rest := w.Out[1]
-	if len(rest.Slots) != len(wantRemote)%batchSize || len(w.Out[0].Slots) != 0 {
-		t.Fatalf("Out holds %d entries for node 1 and %d for node 0, want %d and 0", len(rest.Slots), len(w.Out[0].Slots), len(wantRemote)%batchSize)
+	if len(rest.Srcs) != len(wantRemote)%batchSize || len(w.Out[0].Srcs) != 0 {
+		t.Fatalf("Out holds %d entries for node 1 and %d for node 0, want %d and 0", len(rest.Srcs), len(w.Out[0].Srcs), len(wantRemote)%batchSize)
 	}
 	got := flushed
-	for i := range rest.Slots {
-		got = append(got, update{rest.Slots[i], rest.Blocks[i], rest.Words[i]})
+	for i := range rest.Srcs {
+		got = append(got, image{rest.Srcs[i], rest.Words[i]})
 	}
 	if !slices.Equal(got, wantRemote) {
 		t.Errorf("remote updates %v, want %v", got, wantRemote)
@@ -126,8 +137,8 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 			t.Fatalf("fixture bug: mass expected on node 1's block %d", b)
 		}
 	}
-	if sw, lw := tel.Total(telemetry.CtrScatterWrites), tel.Total(telemetry.CtrLocalWrites); sw != wantWrites || lw != wantWrites-int64(len(wantRemote)) {
-		t.Errorf("counted %d scatter / %d local writes, want %d / %d", sw, lw, wantWrites, wantWrites-int64(len(wantRemote)))
+	if sw, lw, mw := tel.Total(telemetry.CtrScatterWrites), tel.Total(telemetry.CtrLocalWrites), tel.Total(telemetry.CtrMessagesSent); sw != wantWrites || lw != wantWrites-remoteSlots || mw != remoteSlots {
+		t.Errorf("counted %d scatter / %d local / %d remote writes, want %d / %d / %d", sw, lw, mw, wantWrites, wantWrites-remoteSlots, remoteSlots)
 	}
 }
 
@@ -136,7 +147,8 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 // rounds, the cache array after Scatter must be word-for-word what one
 // codec-encoding StoreBuf (or accumulating RMW) per owned out-edge leaves
 // — so every slot of node 1's blocks still holds what it held — and node
-// 1's batch must carry exactly the updates the loop skipped, in order.
+// 1's batch must carry, in order, the image of each vertex with an
+// out-edge the loop skipped, once.
 func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64) {
 	t.Helper()
 	n, ne := g.NumVertices(), int64(g.NumEdges())
@@ -178,10 +190,9 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 					slot, db := g.OutPos(i), k.Part.BlockOf(g.OutDst(i))
 					switch {
 					case k.Owner[db].Load() != 0:
-						if k.op == nil {
+						if n := len(remote.Srcs); k.op == nil && (n == 0 || remote.Srcs[n-1] != uint32(v)) {
 							codec.Encode(prog.ScatterValue(uint32(v), val, g), enc)
-							remote.Slots = append(remote.Slots, slot)
-							remote.Blocks = append(remote.Blocks, int32(db))
+							remote.Srcs = append(remote.Srcs, uint32(v))
 							remote.Words = append(remote.Words, enc...)
 						}
 					case k.op != nil:
@@ -205,11 +216,11 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 				}
 			}
 			if out := &w.Out[1]; k.op == nil {
-				if !slices.Equal(out.Slots, remote.Slots) || !slices.Equal(out.Blocks, remote.Blocks) || !slices.Equal(out.Words, remote.Words) {
-					t.Fatalf("%s, %d owner(s), round %d: node 1's batch holds %d updates, want the %d the per-edge loop skipped",
-						prog.Name(), owners, round, len(out.Slots), len(remote.Slots))
+				if !slices.Equal(out.Srcs, remote.Srcs) || !slices.Equal(out.Words, remote.Words) {
+					t.Fatalf("%s, %d owner(s), round %d: node 1's batch holds %d images, want the %d of the vertices the per-edge loop skipped",
+						prog.Name(), owners, round, len(out.Srcs), len(remote.Srcs))
 				}
-				out.Slots, out.Blocks, out.Words = out.Slots[:0], out.Blocks[:0], out.Words[:0]
+				out.Srcs, out.Words = out.Srcs[:0], out.Words[:0]
 			}
 		}
 	}

@@ -255,6 +255,23 @@ if [[ -n "$recovery" || $(grep -c . <<<"$rebuilds") -ne 1 || "$rebuilds" != ./in
     exit 1
 fi
 
+echo "== one image per source (remote updates ship per source vertex, not per slot)"
+# A node ships a changed vertex's scatter image once per peer, as a
+# (source, image) entry that the receiver fans out to its slots through
+# its source index, stamped per source. A per-slot write-stamp array
+# (slotSeq) under internal/cluster, or a per-slot block field on the
+# envelope or the kernel's batch, is the per-edge remote path growing
+# back beside it.
+slotstamps=$(grep -rnw --include='*.go' 'slotSeq' internal/cluster | grep -v '_test\.go:' || true)
+perslot=$(find internal/cluster internal/core -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 awk '/^type (Envelope|Batch) struct/ { f = 1 } f && /^[[:space:]]+(blocks|Blocks)[[:space:],]/ { print FILENAME ":" FNR ": " $0 } f && /^}/ { f = 0 }')
+if [[ -n "$slotstamps" || -n "$perslot" ]]; then
+    echo "a per-slot remote update path beside the per-source images:" >&2
+    echo "$slotstamps" >&2
+    echo "$perslot" >&2
+    exit 1
+fi
+
 echo "== learned retransmission timeout (no fixed retry base)"
 # A node learns each peer's retransmission timeout from its ack round
 # trips (internal/cluster/node.go, peerRTO). A RetryBase knob under
