@@ -52,7 +52,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -221,16 +220,36 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	g, err := loadGraph(*graphFile, *dataset, *shrink, alg.Name)
-	if err != nil {
-		return err
+	// A -listen coordinator serves a plain snapshot in place (stageSnapshot)
+	// and never runs on the graph, so it reads only the header and, for a
+	// default source, the out-offsets.
+	needSrc := alg.NeedsSource && !srcSet
+	src := uint32(*source)
+	var g *graph.Graph
+	peeked := false
+	if *listenAddr != "" && *saveGraph == "" && *graphFile != "" {
+		if n, m, best, err := peekPlainSnapshot(*graphFile, needSrc); err == nil {
+			fmt.Printf("graph: graph{V=%d E=%d}\n", n, m)
+			if needSrc {
+				src = best
+			}
+			peeked = true
+		}
 	}
-	fmt.Printf("graph: %s\n", g)
-	if *saveGraph != "" {
-		if err := graph.Save(*saveGraph, g); err != nil {
+	if !peeked {
+		if g, err = loadGraph(*graphFile, *dataset, *shrink, alg.Name); err != nil {
 			return err
 		}
-		fmt.Printf("saved: %s (%s)\n", *saveGraph, graph.DetectSaveFormat(*saveGraph, graph.FormatAuto))
+		fmt.Printf("graph: %s\n", g)
+		if *saveGraph != "" {
+			if err := graph.Save(*saveGraph, g); err != nil {
+				return err
+			}
+			fmt.Printf("saved: %s (%s)\n", *saveGraph, graph.DetectSaveFormat(*saveGraph, graph.FormatAuto))
+		}
+		if needSrc {
+			src = maxOutDegreeVertex(g.NumVertices(), g.OutOffset)
+		}
 	}
 
 	ctx := context.Background()
@@ -238,11 +257,6 @@ func run() error {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	src := uint32(*source)
-	if !srcSet {
-		src = maxOutDegreeVertex(g)
 	}
 
 	var tses *telemetrySession
@@ -555,6 +569,25 @@ func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd
 	return writeValues(valuesOut, values)
 }
 
+// peekPlainSnapshot reports the vertex and edge counts of file when it is
+// a plain snapshot, and, when needSrc, its max out-degree vertex, read
+// from the out-offset section alone.
+func peekPlainSnapshot(file string, needSrc bool) (n, m int, src uint32, err error) {
+	f, n, m, _, err := graph.OpenPlainSnapshot(file)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer func() { _ = f.Close() }() // read-only: nothing to flush
+	if needSrc {
+		off, err := graph.ReadPlainOffsets(f, n, m, true)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		src = maxOutDegreeVertex(n, func(v int) int64 { return off[v] })
+	}
+	return n, m, src, nil
+}
+
 // stageSnapshot returns the path of a plain snapshot of g for tcp.Serve's
 // positioned section reads: file itself when it is one — g was loaded
 // from it unchanged — and otherwise g saved into a fresh temp dir, which
@@ -618,12 +651,16 @@ func writeValues(path string, res *graphabcd.JobResult) error {
 	}
 	err := checkpoint.AtomicWriteFile(path, func(out io.Writer) error {
 		// bufio's error is sticky: a failed write here surfaces at Flush.
+		// strconv writes the bytes fmt's %.17g and %d would.
 		w := bufio.NewWriter(out)
+		var line []byte
 		for _, v := range res.Float {
-			_, _ = fmt.Fprintf(w, "%.17g\n", v)
+			line = append(strconv.AppendFloat(line[:0], v, 'g', 17, 64), '\n')
+			_, _ = w.Write(line)
 		}
 		for _, v := range res.Uint {
-			_, _ = fmt.Fprintf(w, "%d\n", v)
+			line = append(strconv.AppendUint(line[:0], v, 10), '\n')
+			_, _ = w.Write(line)
 		}
 		for _, v := range res.Vectors {
 			_, _ = fmt.Fprintln(w, strings.Trim(fmt.Sprint(v), "[]"))
@@ -696,31 +733,43 @@ func loadGraph(file, dataset string, shrink int, algo string) (*graph.Graph, err
 	return nil, fmt.Errorf("provide -graph FILE or -dataset NAME")
 }
 
-func maxOutDegreeVertex(g *graph.Graph) uint32 {
-	best, deg := uint32(0), int32(-1)
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(uint32(v)); d > deg {
+// maxOutDegreeVertex is the default sssp/bfs source: the lowest-id vertex
+// of largest out-degree among n vertices with CSR offsets outOff.
+func maxOutDegreeVertex(n int, outOff func(v int) int64) uint32 {
+	best, deg := uint32(0), int64(-1)
+	for v := 0; v < n; v++ {
+		if d := outOff(v+1) - outOff(v); d > deg {
 			best, deg = uint32(v), d
 		}
 	}
 	return best
 }
 
+// printTopFloat prints the k largest values, largest first and ties by
+// lower vertex id, keeping k candidates instead of sorting all of vals.
 func printTopFloat(vals []float64, k int, label string) {
-	type vv struct {
-		v uint32
-		x float64
+	k = min(k, len(vals))
+	if k <= 0 {
+		return
 	}
-	all := make([]vv, 0, len(vals))
+	top := make([]uint32, 0, k) // vertex ids, best first
 	for v, x := range vals {
-		all = append(all, vv{uint32(v), x})
+		i := len(top)
+		if i == k {
+			if !(x > vals[top[k-1]]) {
+				continue
+			}
+			i--
+		} else {
+			top = append(top, 0)
+		}
+		for ; i > 0 && x > vals[top[i-1]]; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = uint32(v)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].x > all[b].x })
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		fmt.Printf("top %s %d: vertex %d = %g\n", label, i+1, all[i].v, all[i].x)
+	for i, v := range top {
+		fmt.Printf("top %s %d: vertex %d = %g\n", label, i+1, v, vals[v])
 	}
 }
 

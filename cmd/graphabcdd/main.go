@@ -64,7 +64,7 @@ func run() error {
 		queueDepth = flag.Int("queue", def.QueueDepth, "queued-job backlog bound (full queue answers 503)")
 		rate       = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second")
 		burst      = flag.Int("tenant-burst", 0, "per-tenant token bucket size (0 = no limiting)")
-		cacheSize  = flag.Int("cache-entries", def.CacheEntries, "result cache capacity (negative disables)")
+		cacheSize  = flag.Int("cache-entries", def.CacheEntries, "finished results kept: repeat submits are answered from them, and a job's GET reads its values from them (410 once evicted); negative stops only the repeat answers")
 
 		ckptDir  = flag.String("ckpt-dir", "", "durable jobs: journal and checkpoint directory")
 		ckptIntv = flag.Duration("ckpt-interval", def.CheckpointInterval, "durable jobs: checkpoint period")

@@ -611,8 +611,8 @@ func openSnapshotSections(path string) (*snapshotSections, error) {
 	s := &snapshotSections{f: f, n: n, m: m, layout: l}
 	if n < 1 || n > maxDistVertices || m > maxDistEdges {
 		err = fmt.Errorf("tcp: snapshot dimensions V=%d E=%d out of range", n, m)
-	} else if s.inOff, err = s.readOffsets(l.InOff); err == nil {
-		s.outOff, err = s.readOffsets(l.OutOff)
+	} else if s.inOff, err = graph.ReadPlainOffsets(f, n, m, false); err == nil {
+		s.outOff, err = graph.ReadPlainOffsets(f, n, m, true)
 	}
 	if err != nil {
 		s.close()
@@ -622,30 +622,6 @@ func openSnapshotSections(path string) (*snapshotSections, error) {
 }
 
 func (s *snapshotSections) close() { _ = s.f.Close() }
-
-// readOffsets preads one (n+1)-entry u64 offset section and validates
-// the monotone [0, m] span FromSections will re-check on the far side.
-// Its (n+1)*8 bytes are known to be in the file: OpenPlainSnapshot
-// checked the file size against the layout.
-func (s *snapshotSections) readOffsets(off int64) ([]int64, error) {
-	raw := make([]byte, (s.n+1)*8)
-	if _, err := s.f.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("tcp: snapshot offsets at %d: %w", off, err)
-	}
-	out := make([]int64, s.n+1)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	if out[0] != 0 || out[s.n] != int64(s.m) {
-		return nil, fmt.Errorf("tcp: snapshot offsets span [%d,%d], want [0,%d]", out[0], out[s.n], s.m)
-	}
-	for i := 0; i < s.n; i++ {
-		if out[i] > out[i+1] {
-			return nil, fmt.Errorf("tcp: snapshot offsets not monotone at %d", i)
-		}
-	}
-	return out, nil
-}
 
 // nodeRanges computes one node's owned vertex and edge ranges under the
 // assignment's partition.

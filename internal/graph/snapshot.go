@@ -173,6 +173,28 @@ func OpenPlainSnapshot(path string) (f *os.File, n, m int, l SnapshotLayout, err
 	return f, n, m, l, nil
 }
 
+// ReadPlainOffsets preads the CSC (out false) or CSR (out true) offset
+// section of a plain snapshot that OpenPlainSnapshot opened as f, with
+// its n and m, and validates it as a full load does: n+1 entries starting
+// at 0, monotone, ending at m. OpenPlainSnapshot checked the file against
+// the layout, so the read stays inside it.
+func ReadPlainOffsets(f io.ReaderAt, n, m int, out bool) ([]int64, error) {
+	l, tag := SnapshotSectionLayout(n, m), secInOff
+	off := l.InOff
+	if out {
+		off, tag = l.OutOff, secOutOff
+	}
+	raw := make([]byte, (n+1)*8)
+	if _, err := f.ReadAt(raw, off); err != nil {
+		return nil, fmt.Errorf("graph: snapshot section %d at %d: %w", tag, off, err)
+	}
+	offs := make([]int64, n+1)
+	for i := range offs {
+		offs[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return offs, checkOffsets(tag, offs, n, m)
+}
+
 // FromSections assembles a Graph from decoded plain-snapshot section
 // arrays, applying the same validation ReadSnapshot performs: array
 // lengths, offset monotonicity spanning [0, m], and every cross-array

@@ -13,13 +13,16 @@ import (
 	"graphabcd"
 )
 
-// Cache is the LRU result cache. Keys carry the graph's pool epoch, so an
-// evict/reload cycle (or a future snapshot refresh) invalidates every
+// Cache is the LRU result cache, and the one owner of finished jobs'
+// values: a job keeps only its stats and its key, and reads its values
+// back from here (Manager.Values). Keys carry the graph's pool epoch, so
+// an evict/reload cycle (or a future snapshot refresh) invalidates every
 // cached result for that graph without any explicit flush. Cached
 // *JobResult values are shared — readers must not mutate them.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
+	shared  bool // Get may answer a job from another job's result
 	entries map[string]*list.Element
 	ll      *list.List
 
@@ -32,15 +35,22 @@ type cacheItem struct {
 	res *graphabcd.JobResult
 }
 
-// NewCache returns an LRU cache holding up to capacity results;
-// capacity <= 0 disables caching (every Get misses, Put is a no-op).
+// NewCache returns an LRU cache holding up to capacity results. A
+// capacity <= 0 turns off cross-job hits — every Get misses — but the
+// cache still retains the default number of results, so no setting loses
+// a job's values before its own client can read them.
 func NewCache(capacity int) *Cache {
-	return &Cache{cap: capacity, entries: make(map[string]*list.Element), ll: list.New()}
+	c := &Cache{cap: capacity, shared: true, entries: make(map[string]*list.Element), ll: list.New()}
+	if capacity <= 0 {
+		c.cap, c.shared = defaultCacheEntries, false
+	}
+	return c
 }
 
-// Get returns the cached result for key, if any.
+// Get answers a job from the result cached under key, if any, counting a
+// hit or a miss and refreshing the entry.
 func (c *Cache) Get(key string) (*graphabcd.JobResult, bool) {
-	if c.cap <= 0 {
+	if !c.shared {
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -56,10 +66,23 @@ func (c *Cache) Get(key string) (*graphabcd.JobResult, bool) {
 	return el.Value.(*cacheItem).res, true
 }
 
+// Values returns the result stored under key for the job that finished
+// with it. Reading a job's own values is not a hit: it counts nothing and
+// does not refresh the entry.
+func (c *Cache) Values(key string) (*graphabcd.JobResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheItem).res, true
+}
+
 // Put stores res under key, evicting the least recently used entry when
 // the cache is full.
 func (c *Cache) Put(key string, res *graphabcd.JobResult) {
-	if c.cap <= 0 || res == nil {
+	if res == nil {
 		return
 	}
 	c.mu.Lock()

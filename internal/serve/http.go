@@ -37,8 +37,11 @@ type Options struct {
 	// bucket (tokens/second, bucket size). Burst 0 disables limiting.
 	TenantRate  float64
 	TenantBurst int
-	// CacheEntries bounds the result cache; 0 means 256, negative
-	// disables caching.
+	// CacheEntries bounds the result cache, which both answers repeat
+	// submissions and holds every finished job's values: a job's GET
+	// answers 410 once its entry is evicted. 0 means 256; negative turns
+	// off answering one job from another's result, and the cache then
+	// still keeps the default number of results for the jobs' own reads.
 	CacheEntries int
 	// CheckpointDir enables durable jobs: the job journal and the
 	// engine's checkpoint epochs live here. Empty rejects "durable".
@@ -72,6 +75,10 @@ type Server struct {
 	rejectsQueue atomic.Int64
 }
 
+// defaultCacheEntries is Options.CacheEntries' default, also the
+// retention bound of a cache that answers no repeats (NewCache).
+const defaultCacheEntries = 256
+
 // WithDefaults returns o with every zero-valued limit resolved to its
 // documented default — the one place those defaults are defined.
 func (o Options) WithDefaults() Options {
@@ -82,7 +89,7 @@ func (o Options) WithDefaults() Options {
 		o.QueueDepth = 64
 	}
 	if o.CacheEntries == 0 {
-		o.CacheEntries = 256
+		o.CacheEntries = defaultCacheEntries
 	}
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = checkpoint.DefaultInterval
@@ -166,10 +173,10 @@ func tenantOf(r *http.Request) string {
 }
 
 // writeError maps the graphabcd sentinels onto HTTP statuses: unknown
-// algorithm 400, unknown graph/job 404, tenant rate limit 429, shared
-// overload 503. Everything else is a 400 — submissions fail fast on
-// malformed input, and engine-side failures surface as job state, not
-// transport errors.
+// algorithm 400, unknown graph/job 404, evicted values 410, tenant rate
+// limit 429, shared overload 503. Everything else is a 400 — submissions
+// fail fast on malformed input, and engine-side failures surface as job
+// state, not transport errors.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
@@ -181,6 +188,8 @@ func writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, graphabcd.ErrGraphNotFound), errors.Is(err, graphabcd.ErrJobNotFound):
 		code = http.StatusNotFound
+	case errors.Is(err, errValuesGone):
+		code = http.StatusGone
 	case errors.Is(err, graphabcd.ErrUnknownAlgorithm):
 		code = http.StatusBadRequest
 	}
@@ -260,7 +269,8 @@ type statsBody struct {
 	Nodes          int     `json:"nodes,omitempty"`
 }
 
-func (s *Server) status(v JobView, includeValues bool) jobStatus {
+// status renders v, with the values of res when it is non-nil.
+func (s *Server) status(v JobView, res *graphabcd.JobResult) jobStatus {
 	st := jobStatus{
 		ID: v.ID, Algorithm: v.Algorithm, Graph: v.Graph,
 		State: string(v.State), Cached: v.Cached, Durable: v.Durable, Tenant: v.Tenant,
@@ -273,28 +283,39 @@ func (s *Server) status(v JobView, includeValues bool) jobStatus {
 	} else {
 		st.ElapsedMS = float64(s.mgr.o.Clock().Sub(v.Created)) / float64(time.Millisecond)
 	}
-	if res := v.Result; res != nil {
+	if v.Stats != nil {
 		st.Stats = &statsBody{
-			Epochs:         res.Stats.Epochs,
-			Converged:      res.Stats.Converged,
-			VertexUpdates:  res.Stats.VertexUpdates,
-			EdgesTraversed: res.Stats.EdgesTraversed,
-			WallMS:         float64(res.Stats.WallTime) / float64(time.Millisecond),
+			Epochs:         v.Stats.Epochs,
+			Converged:      v.Stats.Converged,
+			VertexUpdates:  v.Stats.VertexUpdates,
+			EdgesTraversed: v.Stats.EdgesTraversed,
+			WallMS:         float64(v.Stats.WallTime) / float64(time.Millisecond),
 		}
-		if res.Cluster != nil {
-			st.Stats.Nodes = res.Cluster.Nodes
+		if v.Cluster != nil {
+			st.Stats.Nodes = v.Cluster.Nodes
 		}
-		if includeValues {
-			st.Uint, st.Vectors = res.Uint, res.Vectors
-			if len(res.Float) > 0 {
-				st.Float = jsonFloats(res.Float)
-			}
-			if len(res.Residuals) > 0 {
-				st.Residuals = jsonFloats(res.Residuals)
-			}
+	}
+	if res != nil {
+		st.Uint, st.Vectors = res.Uint, res.Vectors
+		if len(res.Float) > 0 {
+			st.Float = jsonFloats(res.Float)
+		}
+		if len(res.Residuals) > 0 {
+			st.Residuals = jsonFloats(res.Residuals)
 		}
 	}
 	return st
+}
+
+// writeJob answers with v and its values — 410 when a done job's values
+// have been evicted.
+func (s *Server) writeJob(w http.ResponseWriter, code int, v JobView) {
+	res, err := s.mgr.Values(v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, code, s.status(v, res))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -314,11 +335,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	code := http.StatusAccepted
 	if v.State.Terminal() { // only the cache-hit edge submits straight to done
-		code = http.StatusOK
+		s.writeJob(w, http.StatusOK, v)
+		return
 	}
-	writeJSON(w, code, s.status(v, v.State.Terminal()))
+	writeJSON(w, http.StatusAccepted, s.status(v, nil))
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
@@ -326,7 +347,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
 	sort.Slice(views, func(i, j int) bool { return views[i].Created.Before(views[j].Created) })
 	out := make([]jobStatus, len(views))
 	for i, v := range views {
-		out[i] = s.status(v, false)
+		out[i] = s.status(v, nil)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
@@ -337,8 +358,11 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %q", graphabcd.ErrJobNotFound, r.PathValue("id")))
 		return
 	}
-	includeValues := r.URL.Query().Get("values") != "false"
-	writeJSON(w, http.StatusOK, s.status(job.View(), includeValues))
+	if r.URL.Query().Get("values") == "false" {
+		writeJSON(w, http.StatusOK, s.status(job.View(), nil))
+		return
+	}
+	s.writeJob(w, http.StatusOK, job.View())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +371,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %q", graphabcd.ErrJobNotFound, r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.status(v, false))
+	writeJSON(w, http.StatusAccepted, s.status(v, nil))
 }
 
 // sseEvent is the SSE data payload for one runtime event.
@@ -493,11 +517,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := job.View()
-	if v.State != StateDone || v.Result == nil {
+	if v.State != StateDone {
 		writeError(w, fmt.Errorf("serve: query job %s ended %s: %s", v.ID, v.State, v.Err))
 		return
 	}
-	res := v.Result
+	res, err := s.mgr.Values(v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	value := func(i uint32) any {
 		if res.Float != nil {
 			return jsonFloat(res.Float[i])

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -82,14 +83,17 @@ type ClusterRequest struct {
 	BlockSize      int `json:"block_size,omitempty"`
 }
 
-// Job is one tracked submission.
+// Job is one tracked submission. A finished job keeps its result's header
+// — stats — and its result-cache key, never its values: those live only
+// in the cache, which bounds how many the server holds (Manager.Values).
 type Job struct {
 	ID      string
 	Tenant  string
 	Durable bool
 	Req     *JobRequest
-	// key is the result-cache key, set by the job's worker once the
-	// graph's epoch is pinned; only that goroutine reads it.
+	// key is the result-cache key, set by Submit on a hit or by the job's
+	// worker once the graph's epoch is pinned, before the edge to done;
+	// others read it only from a done job.
 	key string
 
 	mu       sync.Mutex
@@ -97,7 +101,8 @@ type Job struct {
 	cached   bool
 	created  time.Time
 	finished time.Time
-	result   *graphabcd.JobResult
+	stats    *graphabcd.Stats        // of the result the job ran or hit; nil without one
+	cluster  *graphabcd.ClusterStats // a cluster job's counters
 	err      error
 	ctx      context.Context // the run's context, from queued→running on
 	cancel   context.CancelFunc
@@ -123,7 +128,13 @@ type JobView struct {
 	Created   time.Time
 	Finished  time.Time
 	Err       string
-	Result    *graphabcd.JobResult
+	// Stats and Cluster are the header of the result a terminal job ran
+	// or hit; nil without one.
+	Stats   *graphabcd.Stats
+	Cluster *graphabcd.ClusterStats
+	// key is the result-cache key a done job's values live under; "" in
+	// every other state.
+	key string
 }
 
 // View snapshots the job under its lock.
@@ -143,7 +154,10 @@ func (j *Job) viewLocked() JobView {
 		v.Err = j.err.Error()
 	}
 	if j.state.Terminal() {
-		v.Result = j.result
+		v.Stats, v.Cluster = j.stats, j.cluster
+	}
+	if j.state == StateDone {
+		v.key = j.key
 	}
 	return v
 }
@@ -308,7 +322,11 @@ func (m *Manager) to(job *Job, e edge, res *graphabcd.JobResult, err error) (Job
 			m.cache.Put(job.key, res)
 		}
 
-		job.state, job.cached, job.result, job.err = e.to, e.cached, res, err
+		job.state, job.cached, job.err = e.to, e.cached, err
+		if res != nil { // the header only: the values stay with the cache
+			st := res.Stats
+			job.stats, job.cluster = &st, res.Cluster
+		}
 		if e == start {
 			job.ctx, job.cancel = context.WithCancel(m.ctx)
 		}
@@ -383,7 +401,8 @@ func (m *Manager) Submit(req *JobRequest, tenant string) (*Job, JobView, error) 
 	}
 	// A warm cache hit never touches the queue.
 	if epoch, ok := m.pool.Resident(req.Graph); ok {
-		if res, ok := m.cache.Get(cacheKey(req.Graph, epoch, req.Algorithm, canonicalParams(req))); ok {
+		job.key = cacheKey(req.Graph, epoch, req.Algorithm, canonicalParams(req))
+		if res, ok := m.cache.Get(job.key); ok {
 			v, _ := m.to(job, hitAtSubmit, res, nil)
 			return job, v, nil
 		}
@@ -455,6 +474,23 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
+// errValuesGone answers a done job's values once the cache evicted them.
+var errValuesGone = errors.New("values no longer retained; resubmit")
+
+// Values returns the values of the job v shows, read from the result
+// cache under its key: nil for a job that is not done, errValuesGone once
+// the entry is evicted. They may come from a later run of the identical
+// spec at the same graph epoch, as a cache hit does.
+func (m *Manager) Values(v JobView) (*graphabcd.JobResult, error) {
+	if v.State != StateDone {
+		return nil, nil
+	}
+	if res, ok := m.cache.Values(v.key); ok {
+		return res, nil
+	}
+	return nil, fmt.Errorf("serve: job %s: %w", v.ID, errValuesGone)
+}
+
 // List snapshots every tracked job, newest id last.
 func (m *Manager) List() []JobView {
 	m.mu.Lock()
@@ -472,8 +508,8 @@ func (m *Manager) List() []JobView {
 
 // Cancel stops a job: a queued job goes terminal immediately (the worker
 // skips it), a running one gets its context cancelled and drains to the
-// cancelled state with its partial result. The view is the job after the
-// request.
+// cancelled state with its partial result's stats (never its values,
+// which are not cached). The view is the job after the request.
 func (m *Manager) Cancel(id string) (JobView, bool) {
 	j, ok := m.Get(id)
 	if !ok {

@@ -191,9 +191,10 @@ func (r *rig) snap(job *Job) snapshot {
 // TestJobLifecycle walks every edge of the job state machine and checks
 // the side effects the transition owns: done closed once, one terminal
 // event and it is the last, SSE subscriptions closed, a cache entry only
-// after a clean run, the done/failed counters, and the journal lines of
-// durable jobs in order — none for a job shutdown cancelled. Then every
-// illegal edge out of the finished job must change nothing.
+// after a clean run, values (read through the cache) only on done, the
+// done/failed counters, and the journal lines of durable jobs in order —
+// none for a job shutdown cancelled. Then every illegal edge out of the
+// finished job must change nothing.
 func TestJobLifecycle(t *testing.T) {
 	pagerank := JobRequest{Algorithm: "pagerank", Graph: "ring"}
 	durable := func(req JobRequest) JobRequest { req.Durable = true; return req }
@@ -312,6 +313,9 @@ func TestJobLifecycle(t *testing.T) {
 					t.Fatalf("cancel of a running job: %v %+v", ok, v)
 				}
 				await(t, job.Done(), "the job to drain")
+				if v := job.View(); v.Stats == nil || v.Stats.Converged || v.key != "" {
+					t.Fatalf("drained view %+v, want the partial result's stats and no values", v)
+				}
 				return []*Job{job}
 			},
 			want: StateCancelled, journal: []string{"submit", "cancelled"},
@@ -374,6 +378,9 @@ func TestJobLifecycle(t *testing.T) {
 					t.Fatalf("%s: state %s cached %v, want %s cached %v (err %q)", job.ID, v.State, v.Cached, tc.want, tc.cached, v.Err)
 				}
 				checkTerminalEvent(t, job, r.subs[job], tc.want)
+				if res, err := r.srv.mgr.Values(v); err != nil || (res != nil) != (tc.want == StateDone) {
+					t.Fatalf("%s: values %v (err %v), want them exactly when done", job.ID, res != nil, err)
+				}
 				if got := r.cacheHas(job); got != tc.cacheEntry {
 					t.Fatalf("%s: cache entry %v, want %v", job.ID, got, tc.cacheEntry)
 				}
@@ -453,7 +460,7 @@ func TestSubmitAnswersFromItsEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	await(t, job.Done(), "the job")
-	if v.State != StateQueued || v.Result != nil {
+	if v.State != StateQueued || v.Stats != nil {
 		t.Fatalf("Submit's view %+v, want queued without a result", v)
 	}
 

@@ -348,6 +348,71 @@ func TestCancelRunningJob(t *testing.T) {
 	if final["state"] != "cancelled" {
 		t.Fatalf("job ended %v, want cancelled", final["state"])
 	}
+	// A drained job keeps its partial result's stats, never its values:
+	// a partial result is not cached, and the cache owns every value.
+	if _, ok := final["stats"]; !ok || final["float"] != nil {
+		t.Fatalf("drained job: stats %v, values %v; want stats and no values", final["stats"], final["float"] != nil)
+	}
+}
+
+// TestFinishedValuesHaveOneOwner runs more jobs than the cache holds: the
+// server keeps the values of only the newest CacheEntries, read through
+// the cache. An evicted job still answers ?values=false, and 410 with its
+// values.
+func TestFinishedValuesHaveOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	writeRing(t, dir, "ring", 64)
+	const entries, jobs = 4, 10
+	srv, ts := newTestServer(t, Options{GraphDir: dir, CacheEntries: entries})
+	var ids []string
+	for src := 0; src < jobs; src++ { // distinct sources: distinct cache keys
+		code, body := postJob(t, ts, "", fmt.Sprintf(`{"algorithm":"bfs","graph":"ring","source":%d}`, src))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d (%v)", src, code, body)
+		}
+		ids = append(ids, body["id"].(string))
+		if final := waitState(t, ts, ids[src]); final["state"] != "done" {
+			t.Fatalf("job %s ended %v: %v", ids[src], final["state"], final["error"])
+		}
+	}
+	if _, _, n := srv.mgr.cache.Stats(); n != entries {
+		t.Fatalf("cache holds %d results, want %d", n, entries)
+	}
+	for i, id := range ids {
+		code, body := getJSON(t, ts, "/v1/jobs/"+id)
+		levels, _ := body["uint"].([]any)
+		switch kept := i >= jobs-entries; {
+		case kept && (code != http.StatusOK || len(levels) != 64):
+			t.Fatalf("job %s of the newest %d: %d (%v), want its 64 values", id, entries, code, body)
+		case !kept && (code != http.StatusGone || !strings.Contains(fmt.Sprint(body["error"]), "values no longer retained; resubmit")):
+			t.Fatalf("evicted job %s: %d (%v), want 410 values no longer retained", id, code, body)
+		}
+		code, slim := getJSON(t, ts, "/v1/jobs/"+id+"?values=false")
+		if code != http.StatusOK || slim["state"] != "done" || slim["stats"] == nil {
+			t.Fatalf("job %s ?values=false: %d (%v), want done with stats", id, code, slim)
+		}
+	}
+}
+
+// A negative CacheEntries answers no job from another's result, yet every
+// job still reads its own values.
+func TestNoCrossJobHitsKeepsOwnValues(t *testing.T) {
+	dir := t.TempDir()
+	writeRing(t, dir, "ring", 64)
+	srv, ts := newTestServer(t, Options{GraphDir: dir, CacheEntries: -1})
+	for i := 0; i < 2; i++ {
+		code, body := postJob(t, ts, "", `{"algorithm":"pagerank","graph":"ring"}`)
+		if code != http.StatusAccepted || body["cached"] == true {
+			t.Fatalf("submit %d: %d (%v), want a fresh run", i, code, body)
+		}
+		final := waitState(t, ts, body["id"].(string))
+		if ranks, _ := final["float"].([]any); final["state"] != "done" || final["cached"] == true || len(ranks) != 64 {
+			t.Fatalf("job %d: %v, want done, not cached, with its 64 values", i, final)
+		}
+	}
+	if hits, _, _ := srv.mgr.cache.Stats(); hits != 0 {
+		t.Fatalf("%d cache hits with cross-job hits off", hits)
+	}
 }
 
 func TestSSEEventStream(t *testing.T) {

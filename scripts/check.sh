@@ -298,6 +298,29 @@ if [[ -n "$transitions" ]]; then
     exit 1
 fi
 
+echo "== one owner for finished values (a job keeps its stats and key, the cache its values)"
+# A finished job's values live only in the result cache (internal/serve/
+# cache.go), which bounds how many the server holds; a job keeps its
+# result's stats and its cache key, and a GET reads the values back by
+# key (410 once evicted). A JobResult, a value slice or a field named for
+# values on serve.Job is a second owner growing back: the job table would
+# hold every finished result for the life of the server.
+owners=$(awk '
+    /^type Job struct/ { f = 1; next }
+    f && /^}/ { f = 0 }
+    f {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (line ~ /JobResult|\[\](\[\])?(float32|float64|uint32|uint64)/ ||
+            line ~ /^[[:space:]]+(res|result|results|values|vals|Float|Uint|Vectors|Residuals)[[:space:],]/)
+            print FILENAME ":" FNR ": " $0
+    }' $(ls internal/serve/*.go | grep -v '_test\.go$'))
+if [[ -n "$owners" ]]; then
+    echo "serve.Job holds result values beside the cache:" >&2
+    echo "$owners" >&2
+    exit 1
+fi
+
 echo "== one binary section codec (internal/binfmt owns the framing and the clamps)"
 # GABS/GABZ snapshots and GABC state files share binfmt's CRC'd section
 # writer and reader, and every decoder sizes allocations through
