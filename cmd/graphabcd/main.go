@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -442,7 +443,7 @@ func run() error {
 		}
 		fmt.Printf("residual after epoch %d: %.17g\n", i+1, r)
 	}
-	printResult(alg, src, *top, res, g)
+	printResult(os.Stdout, alg, src, *top, res, g)
 
 	stats, clusterStats := res.Stats, res.Cluster
 	fmt.Printf("converged: %v\n", stats.Converged)
@@ -559,7 +560,7 @@ func runListen(ctx context.Context, alg *graphabcd.AlgorithmSpec, spec graphabcd
 	}
 	values := &graphabcd.JobResult{Float: res.Float, Uint: res.Uint}
 	// No graph: only cf's rmse line reads it, and cf never runs here.
-	printResult(alg, cfg.Source, top, values, nil)
+	printResult(os.Stdout, alg, cfg.Source, top, values, nil)
 	fmt.Printf("nodes: %d\nbatches sent: %d\nwall time: %v\n", cfg.Nodes, res.BatchesSent, res.WallTime)
 	if w := res.Wire; w.FramesSent > 0 || w.FramesRecv > 0 {
 		fmt.Printf("wire: %d B in %d frames sent, %d B in %d frames recv, %d reconnects, %d drops (%d crc), queue high water %d\n",
@@ -615,27 +616,27 @@ func stageSnapshot(file string, g *graph.Graph) (path string, cleanup func(), er
 // printResult prints a finished job's headline lines. The registry
 // entry's value kind picks the shape; every front end (local, -nodes N,
 // -listen) prints through here.
-func printResult(alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphabcd.JobResult, g *graph.Graph) {
+func printResult(out io.Writer, alg *graphabcd.AlgorithmSpec, src uint32, top int, res *graphabcd.JobResult, g *graph.Graph) {
 	switch alg.Values {
 	case graphabcd.FloatValues:
 		label := "rank"
 		if alg.NeedsSource {
-			fmt.Printf("source: %d\n", src)
+			_, _ = fmt.Fprintf(out, "source: %d, reached: %d\n", src, countFinite(res.Float))
 			label = "dist"
 		}
-		printTopFloat(res.Float, top, label)
+		printTopFloat(out, res.Float, top, label)
 	case graphabcd.VectorValues:
-		fmt.Printf("rmse: %.4f\n", graphabcd.CF{}.RMSE(g, res.Vectors))
+		_, _ = fmt.Fprintf(out, "rmse: %.4f\n", graphabcd.CF{}.RMSE(g, res.Vectors))
 	case graphabcd.UintValues:
 		switch alg.Name {
 		case "bfs":
-			fmt.Printf("source: %d, reached: %d\n", src, countReached(res.Uint))
+			_, _ = fmt.Fprintf(out, "source: %d, reached: %d\n", src, countReached(res.Uint))
 		case "kcore":
-			fmt.Printf("max core: %d\n", slices.Max(append(res.Uint, 0)))
+			_, _ = fmt.Fprintf(out, "max core: %d\n", slices.Max(append(res.Uint, 0)))
 		case "labelprop":
-			fmt.Printf("communities: %d\n", countComponents(res.Uint))
+			_, _ = fmt.Fprintf(out, "communities: %d\n", countComponents(res.Uint))
 		default:
-			fmt.Printf("components: %d\n", countComponents(res.Uint))
+			_, _ = fmt.Fprintf(out, "components: %d\n", countComponents(res.Uint))
 		}
 	}
 }
@@ -747,13 +748,19 @@ func maxOutDegreeVertex(n int, outOff func(v int) int64) uint32 {
 
 // printTopFloat prints the k largest values, largest first and ties by
 // lower vertex id, keeping k candidates instead of sorting all of vals.
-func printTopFloat(vals []float64, k int, label string) {
+// printTopFloat prints the k vertices with the largest finite values,
+// largest first: the top ranks, or the farthest reached vertices of a
+// shortest-path run, whose unreached vertices sit at +Inf.
+func printTopFloat(out io.Writer, vals []float64, k int, label string) {
 	k = min(k, len(vals))
 	if k <= 0 {
 		return
 	}
 	top := make([]uint32, 0, k) // vertex ids, best first
 	for v, x := range vals {
+		if math.IsInf(x, 1) {
+			continue
+		}
 		i := len(top)
 		if i == k {
 			if !(x > vals[top[k-1]]) {
@@ -769,8 +776,19 @@ func printTopFloat(vals []float64, k int, label string) {
 		top[i] = uint32(v)
 	}
 	for i, v := range top {
-		fmt.Printf("top %s %d: vertex %d = %g\n", label, i+1, v, vals[v])
+		_, _ = fmt.Fprintf(out, "top %s %d: vertex %d = %g\n", label, i+1, v, vals[v])
 	}
+}
+
+// countFinite counts the vertices a shortest-path run reached.
+func countFinite(dists []float64) int {
+	n := 0
+	for _, d := range dists {
+		if !math.IsInf(d, 1) {
+			n++
+		}
+	}
+	return n
 }
 
 func countReached(levels []uint64) int {

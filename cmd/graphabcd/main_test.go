@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"graphabcd"
 )
 
 // buildCLI builds this command into a test temp dir.
@@ -96,9 +100,10 @@ func TestListenRunsRegistryNames(t *testing.T) {
 
 // TestListenPlainSnapshotMatchesLocalRun: a -listen coordinator reads a
 // plain .gabs's header and out-offsets instead of loading it, yet prints
-// the graph line, default source and top-k lines of a local run on the
-// same graph — all 512, so the order of the +Inf ties and of the finite
-// distances both count — and writes the same values file, every float in
+// the graph line, default source and reached count, and the top-k lines
+// of a local run on the same graph — one per reached vertex of the 512,
+// so the order of the finite distances and of their ties counts, and no
+// unreached one — and writes the same values file, every float in
 // %.17g. SSSP's fixed point is exact, unreachable vertices included.
 func TestListenPlainSnapshotMatchesLocalRun(t *testing.T) {
 	bin := buildCLI(t)
@@ -121,7 +126,7 @@ func TestListenPlainSnapshotMatchesLocalRun(t *testing.T) {
 		return out
 	}
 	want, got := headline(strings.Split(string(local), "\n")), headline(listen)
-	if len(want) != 2+512 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+	if len(want) < 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("-listen printed\n%s\nwant the local run's\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
@@ -150,6 +155,9 @@ func TestListenPlainSnapshotMatchesLocalRun(t *testing.T) {
 	if len(lines) != 512 || inf == 0 || inf == len(lines) {
 		t.Fatalf("%d values, %d unreachable: want 512 with some of each", len(lines), inf)
 	}
+	if len(want) != 2+len(lines)-inf {
+		t.Fatalf("the local run printed %d top lines, want one per reached vertex (%d)", len(want)-2, len(lines)-inf)
+	}
 }
 
 // TestListenRefusesWhatTCPCannotRun: the spec-to-DistConfig conversion
@@ -173,5 +181,41 @@ func TestListenRefusesWhatTCPCannotRun(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "coordinating") {
 			t.Fatalf("%v: want the refusal %q before listening, got:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestSSSPPrintsFarthestReached runs SSSP on a path 0→1→2→3 beside two
+// vertices the source cannot reach, and checks the printed result: the
+// reached count, and the k farthest reached vertices — never a +Inf one.
+func TestSSSPPrintsFarthestReached(t *testing.T) {
+	g, err := graphabcd.NewGraph(6, []graphabcd.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2}, {Src: 2, Dst: 3, Weight: 4}, {Src: 4, Dst: 5, Weight: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := graphabcd.LookupAlgorithm("sssp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := graphabcd.NewRuntime().Run(context.Background(), graphabcd.NewJobSpec("sssp", g, graphabcd.WithSource(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(res.Float[5], 1) {
+		t.Fatalf("vertex 5 is at %g, want unreached", res.Float[5])
+	}
+	var out bytes.Buffer
+	printResult(&out, alg, 0, 3, res, g)
+	want := "source: 0, reached: 4\n" +
+		"top dist 1: vertex 3 = 7\n" +
+		"top dist 2: vertex 2 = 3\n" +
+		"top dist 3: vertex 1 = 1\n"
+	if out.String() != want {
+		t.Fatalf("printed\n%s\nwant\n%s", out.String(), want)
 	}
 }

@@ -8,10 +8,12 @@ import (
 	"graphabcd/internal/core"
 )
 
-// TestKernelBuildMatchesPerSlotInit: the value and cache arrays the
-// kernel builds for this user-defined program hold, bit for bit, one
-// Init per vertex and one InitEdge per in-edge slot of the built range,
-// and zero elsewhere — over the whole graph and over a middle range.
+// TestKernelBuildMatchesPerSlotInit: the arrays the kernel builds for
+// this user-defined program hold, bit for bit, one Init per vertex of the
+// built range and zero elsewhere, and one image per vertex that every
+// in-edge slot of the range reads as one InitEdge of its source would
+// leave it — over the whole graph and over a middle range — and no
+// per-slot array.
 func TestKernelBuildMatchesPerSlotInit(t *testing.T) {
 	g, err := graphabcd.RMAT(graphabcd.DefaultRMAT(8, 4, 321))
 	if err != nil {
@@ -24,6 +26,9 @@ func TestKernelBuildMatchesPerSlotInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if k.Slots != nil || len(k.Images) != 1 || k.Images[0].Len() != n {
+			t.Fatalf("range %v: want one image array of %d entries and no per-slot array", r, n)
+		}
 		in := func(v int) bool { return v >= r[0] && v < r[1] }
 		for v := 0; v < n; v++ {
 			var got, want float64
@@ -34,12 +39,13 @@ func TestKernelBuildMatchesPerSlotInit(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("range %v: value %d is %g, want %g", r, v, got, want)
 			}
+			if !in(v) {
+				continue
+			}
 			for s := g.InOffset(v); s < g.InOffset(v+1); s++ {
-				var got, want float64
-				k.Cache.Load(s, &got)
-				if in(v) {
-					want = prog.InitEdge(g.InSrc(s), g)
-				}
+				var got float64
+				k.Images[0].Load(int64(g.InSrc(s)), &got)
+				want := prog.InitEdge(g.InSrc(s), g)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("range %v: slot %d of vertex %d is %g, want %g", r, s, v, got, want)
 				}

@@ -16,7 +16,7 @@ import (
 // point-query form of PageRank — "rank the graph from the perspective of
 // these vertices" — and the workload the serving layer's seed queries
 // dispatch. Everything except the teleport term is shared with PageRank:
-// edge caches hold x_src/outdeg(src) and GATHER is the same streaming sum.
+// scatter images hold x_src/outdeg(src) and GATHER is the same streaming sum.
 //
 // Construct values with NewPPR so the seed-membership set is built once;
 // the zero value is not runnable.

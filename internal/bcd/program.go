@@ -27,8 +27,9 @@ type Program[V, M any] interface {
 	// Name identifies the algorithm in logs and reports.
 	Name() string
 
-	// Codec describes how vertex values (and the per-edge cached source
-	// values, which share the type) are stored in atomic word arrays.
+	// Codec describes how vertex values (and the scatter images the
+	// gather reads, which share the type) are stored in atomic word
+	// arrays.
 	Codec() word.Codec[V]
 
 	// Init returns the initial value of vertex v.

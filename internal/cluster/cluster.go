@@ -5,8 +5,8 @@
 // single CPU-FPGA pair.
 //
 // Each node (Node, node.go) owns a set of vertex blocks: its vertex
-// values, the edge-cache slots of its vertices' in-edges, and one
-// scheduler, which its workers claim from under one pick lock and run
+// values, one scatter image per vertex of the graph that its vertices'
+// in-edges read, and one scheduler, which its workers claim from under one pick lock and run
 // through core's block-worker loop, as the engine's workers do. SCATTER
 // updates whose destination block lives on another node travel as
 // state-based messages through a pluggable Transport. Because updates
@@ -16,8 +16,9 @@
 // barriers, only the pick lock, channels and atomics. A vertex's scatter
 // image is one value on all its out-edges, so it travels once per peer:
 // an envelope carries (source vertex, image) entries, and the receiver
-// stores each image on every in-edge slot that source feeds there,
-// through a source index it builds per node when the node is made.
+// stores each image once in its image array and activates the blocks
+// that source feeds there, through a source index it builds per node
+// when the node is made.
 //
 // There is one node implementation, one coordinator, and two runtimes
 // around them: Run (inproc.go) hosts every node in this process over
@@ -36,8 +37,8 @@
 // stamps, one per receiving node and source vertex, that discard stale
 // redeliveries. Nodes may also be killed
 // mid-run (Control.FailNode, in-process only): the run restarts on the
-// survivors from the values in shared memory, rebuilding every edge-cache
-// slot from them as a checkpoint resume does.
+// survivors from the values in shared memory, rebuilding every image
+// from them as a checkpoint resume does.
 //
 // Termination is ack-based and exact: a batch stays in flight until the
 // receiver has applied (and re-activated from) it and its ack is back.
@@ -78,7 +79,7 @@ type Config struct {
 	MaxEpochs float64
 	// BatchSize groups remote updates per message (amortizes the
 	// per-message cost, increases staleness), counted in images: one
-	// changed vertex's value for every slot it feeds on the receiver.
+	// changed vertex's value for all the slots it feeds on the receiver.
 	// 0 means 64.
 	BatchSize int
 
@@ -167,7 +168,8 @@ type Stats struct {
 	// Nodes is the effective node count the run used (after clamping to
 	// the block count).
 	Nodes int
-	// MessagesSent counts individual remote slot updates.
+	// MessagesSent counts remote slot updates: the out-edges into
+	// another node's blocks of each changed vertex.
 	MessagesSent int64
 	// BatchesSent counts logical network messages (batches of updates);
 	// retransmissions of the same batch are counted in BatchesRetried.

@@ -13,15 +13,16 @@ import (
 	"graphabcd/internal/telemetry"
 )
 
-// TestImagesMatchPerSlotStores checks the per-source remote path against
-// the per-slot store it replaced. For 2 and 3 nodes over an R-MAT graph
-// and a grid, under PageRank, SSSP and CC, each node in turn gathers and
-// scatters its vertex range, and its batches are installed directly on
-// their receivers. After every such step, every cache word must be what
-// one store per out-edge of each changed vertex leaves, and every
-// block's activation mass what those stores' deltas sum to; each
-// (vertex, receiver) pair must have been shipped exactly once, and the
-// remote writes counted per slot.
+// TestImagesMatchPerSlotStores checks the per-source images, local and
+// remote, against the per-slot stores they replaced. For 2 and 3 nodes
+// over an R-MAT graph and a grid, under PageRank, SSSP and CC, each node
+// in turn gathers and scatters its vertex range, and its batches are
+// installed directly on their receivers. After every such step, every
+// in-edge slot must gather — from its destination's owner's image of its
+// source — what one store per out-edge of each changed vertex leaves,
+// and every block's activation mass must be what those stores' deltas
+// sum to; each (vertex, receiver) pair must have been shipped exactly
+// once, and the remote writes counted per slot.
 func TestImagesMatchPerSlotStores(t *testing.T) {
 	rmat, err := gen.RMAT(gen.DefaultRMAT(8, 6, 41))
 	if err != nil {
@@ -53,11 +54,19 @@ func imagesMatchPerSlot[V, M any](t *testing.T, name string, g *graph.Graph, pro
 		t.Fatal(err)
 	}
 	s := ns[0].Shared
-	nb, ne, words := s.Part.NumBlocks(), int64(g.NumEdges()), s.Cache.Words()
+	nb, ne, words := s.Part.NumBlocks(), int64(g.NumEdges()), s.Values.Words()
 	codec, eps := prog.Codec(), s.cfg.Epsilon
+	// snapshot fans the images out to the in-edge slots: what each slot
+	// gathers, the per-slot cache the images replaced.
 	snapshot := func() []uint64 {
 		out := make([]uint64, ne*int64(words))
-		s.Cache.SnapshotWords(0, ne, out)
+		for x := range g.NumVertices() {
+			img := ns[s.Owner[s.Part.BlockOf(uint32(x))].Load()].img
+			for slot := g.InOffset(x); slot < g.InOffset(x+1); slot++ {
+				u := int64(g.InSrc(slot))
+				img.SnapshotWords(u, u+1, out[slot*int64(words):])
+			}
+		}
 		return out
 	}
 	decode := func(w []uint64) V {
@@ -142,7 +151,7 @@ func imagesMatchPerSlot[V, M any](t *testing.T, name string, g *graph.Graph, pro
 			if got := snapshot(); !slices.Equal(got, want) {
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s: round %d, sender %d: cache word %d is %#x, the per-slot stores leave %#x", name, round, sender.ID, i, got[i], want[i])
+						t.Fatalf("%s: round %d, sender %d: slot word %d is %#x, the per-slot stores leave %#x", name, round, sender.ID, i, got[i], want[i])
 					}
 				}
 			}

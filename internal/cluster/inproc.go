@@ -211,8 +211,8 @@ func (c *clusterRun[V, M]) FailNode(id int) error {
 // restart follows a generation a kill ended, once it is shut down, and
 // reports whether there was one: the next generation runs on the live
 // nodes from the values, the whole iterate (DESIGN.md §8). Its sources
-// are stamped above every envelope id issued so far and its slots rebuilt
-// from the values, which also re-derives every batch the old generation
+// are stamped above every envelope id issued so far and its images
+// rebuilt from the values, which also re-derives every batch the old generation
 // lost; newShared activates every block. Only then does deliver reach it.
 func (c *clusterRun[V, M]) restart(g *Shared[V, M]) (bool, error) {
 	c.failMu.Lock()

@@ -14,13 +14,13 @@ import (
 	"graphabcd/internal/graph"
 	"graphabcd/internal/sched"
 	"graphabcd/internal/telemetry"
+	"graphabcd/internal/word"
 )
 
 // Shared is the engine state the nodes hosted by one process hold in
-// common: the block kernel (graph, program, partition, the value and
-// edge-cache arrays, and the block ownership table — each vertex value
-// is owned by one node, each in-edge slot by its destination's node),
-// the envelope sequence, and the stop latch (a worker
+// common: the block kernel (graph, program, partition, the value array,
+// one image array per hosted node, and the block ownership table — each
+// vertex value is owned by one node), the envelope sequence, and the stop latch (a worker
 // blocked on a full send window, e.g. under a partition, parks on its
 // Done channel — the retry loop strands the window slots of not-yet-due
 // batches when it exits). The in-process runtime hosts each generation's
@@ -63,18 +63,23 @@ type Node[V, M any] struct {
 	// cyclic scheduler over Sched, under the loop's lock.
 	loop *core.Loop
 
-	// in is the node's source index: the in-edge slots each other
-	// node's vertex feeds here, where install stores that vertex's image.
+	// img is the node's image array (Kernel.Images[ID]): its own
+	// vertices' images, stored by its workers' scatter, and other nodes'
+	// vertices' images, stored by install. The node's gather reads
+	// nothing else.
+	img *word.Array[V]
+	// in is the node's source index: the blocks each other node's vertex
+	// feeds here, which install activates when that vertex's image moves.
 	in srcIndex
 	// srcSeq holds, per source vertex, the write stamp of the last image
 	// applied here over the transport. Remote applies are guarded by it:
 	// a retried or reordered envelope whose stamp is older than the
-	// source's is skipped, so redelivery can never regress a slot to a
+	// source's is skipped, so redelivery can never regress an image to a
 	// stale value. The stamps are the node's own: in process, a source
 	// feeding two receivers reaches them in two envelopes, and one
 	// receiver's newer id must not shadow the other's. Local scatter
-	// writes bypass them — a slot's writer is its source vertex's owner,
-	// so local and remote writers of one slot never coexist. A restart
+	// writes bypass them — an image's writer is its vertex's owner, so
+	// local and remote writers of one image never coexist. A restart
 	// stamps every source above every envelope id issued before it.
 	srcSeq []atomic.Uint64 //abcd:stamped
 
@@ -110,14 +115,14 @@ type Node[V, M any] struct {
 	touched       []int     // blocks with non-zero mass
 }
 
-// srcIndex groups a node's in-edge slots by source vertex, a CSR over
-// the sources: vertex u feeds slots[off[u]:off[u+1]], the i-th of them
-// in block blocks[i], in slot order. A vertex of the node's own range
-// has an empty run — its owner writes those slots locally — and so has
-// one that feeds the node nothing.
+// srcIndex lists, per source vertex, the blocks of the node's in-edge
+// slots it feeds — a CSR over the sources: vertex u feeds one slot in
+// each entry of blocks[off[u]:off[u+1]], in slot order, so a block fed
+// twice is listed twice. A vertex of the node's own range has an empty
+// run — its owner's scatter activates those blocks — and so has one that
+// feeds the node nothing.
 type srcIndex struct {
 	off    []int64 // |V|+1
-	slots  []int64
 	blocks []int32
 }
 
@@ -148,14 +153,14 @@ func newSrcIndex[V, M any](k *core.Kernel[V, M], vlo, vhi int) (srcIndex, error)
 	for u := range nv {
 		x.off[u+1] += x.off[u]
 	}
-	x.slots, x.blocks = make([]int64, x.off[nv]), make([]int32, x.off[nv])
+	x.blocks = make([]int32, x.off[nv])
 	// Fill with off[u] as u's cursor, which leaves it at u+1's start;
 	// shifting by one restores the offsets.
 	for v := vlo; v < vhi; v++ {
 		b := int32(k.Part.BlockOf(uint32(v)))
 		for s := k.G.InOffset(v); s < k.G.InOffset(v+1); s++ {
 			if u := srcs[s-slo]; remote(u) {
-				x.slots[x.off[u]], x.blocks[x.off[u]] = s, b
+				x.blocks[x.off[u]] = b
 				x.off[u]++
 			}
 		}
@@ -165,14 +170,13 @@ func newSrcIndex[V, M any](k *core.Kernel[V, M], vlo, vhi int) (srcIndex, error)
 	return x, nil
 }
 
-// run returns the slots source u feeds and their blocks; empty for a
+// run returns the blocks source u feeds, one per slot; empty for a
 // vertex id past the graph.
-func (x *srcIndex) run(u uint32) ([]int64, []int32) {
+func (x *srcIndex) run(u uint32) []int32 {
 	if int(u) >= len(x.off)-1 {
-		return nil, nil
+		return nil
 	}
-	lo, hi := x.off[u], x.off[u+1]
-	return x.slots[lo:hi], x.blocks[lo:hi]
+	return x.blocks[x.off[u]:x.off[u+1]]
 }
 
 // pending is one unacknowledged batch awaiting its ack or retransmission.
@@ -284,10 +288,9 @@ func (p *peerRTO) expired(armed, now int64) {
 // NewNodes builds the shared state for a cfg.Nodes-node cluster over g
 // and nodes lo..hi-1 on top of it: every node in process, one per
 // -listen/-join process. Blocks are split contiguously (BlockRange); the
-// kernel is built with only what the hosted nodes own initialised — their
-// vertex values and the only in-edge slots they ever gather from, which
-// is all a partial graph carries — and each node activates only its own
-// blocks. It registers the hosted nodes' retransmission gauges.
+// kernel is built with only the hosted nodes' vertex values initialised,
+// and every vertex's initial image, and each node activates only its
+// own blocks. It registers the hosted nodes' retransmission gauges.
 func NewNodes[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, lo, hi int) ([]*Node[V, M], error) {
 	s, err := buildShared(g, prog, cfg, lo, hi)
 	if err != nil {
@@ -323,8 +326,9 @@ func buildShared[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, l
 
 // newShared builds one Shared over kern for a cfg.Nodes-node cluster
 // owning the blocks by BlockRange, and nodes lo..hi-1 over it, the k-th
-// counting into shards[1+k*(WorkersPerNode+1):], indexing the sources of
-// its in-edge slots and activating its own blocks. The envelope sequence
+// counting into shards[1+k*(WorkersPerNode+1):], over its own image
+// array (Kernel.Host), indexing the sources of its in-edge slots and
+// activating its own blocks. The envelope sequence
 // and every source stamp start at seq. A restart calls it over the run's
 // kernel and shards, so counters, the epoch budget and the stamps carry
 // on across generations.
@@ -349,6 +353,7 @@ func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry
 			s.Owner[b].Store(int32(i))
 		}
 	}
+	kern.Host(lo, hi)
 	per := cfg.WorkersPerNode + 1
 	nb := kern.Part.NumBlocks()
 	s.nodes = make([]*Node[V, M], hi-lo)
@@ -365,6 +370,7 @@ func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry
 			Sched:   sched.NewState(nb),
 			Ctl:     &shards[base+cfg.WorkersPerNode],
 			workers: shards[base : base+cfg.WorkersPerNode],
+			img:     kern.Images[id],
 			in:      in,
 			srcSeq:  make([]atomic.Uint64, kern.G.NumVertices()),
 			unacked: make(map[uint64]*pending),
@@ -491,29 +497,34 @@ func (s *Shared[V, M]) Seq() uint64     { return s.seq.Load() }
 func (s *Shared[V, M]) SetSeq(v uint64) { s.seq.Store(v) }
 
 // SnapshotStamps writes the stamps of in-edge slots [lo, lo+len(dst))
-// in the checkpoint's per-slot layout: each slot the source index lists
-// gets its source's stamp, read atomically, and every other slot 0 —
-// its writes are local and unstamped.
+// in the checkpoint's per-slot layout: each slot of the node's own
+// vertices whose source another node owns gets that source's stamp,
+// read atomically, and every other slot 0 — its writes are local and
+// unstamped.
 func (n *Node[V, M]) SnapshotStamps(lo int64, dst []uint64) {
 	clear(dst)
-	n.eachIndexedSlot(lo, len(dst), func(u int, i int64) { dst[i] = n.srcSeq[u].Load() })
+	n.eachRemoteSlot(lo, len(dst), func(u uint32, i int64) { dst[i] = n.srcSeq[u].Load() })
 }
 
 // RestoreStamps is SnapshotStamps' inverse, before the node runs: each
 // source takes the highest stamp among its slots in [lo, lo+len(src)),
 // so no envelope older than any of them lands.
 func (n *Node[V, M]) RestoreStamps(lo int64, src []uint64) {
-	n.eachIndexedSlot(lo, len(src), func(u int, i int64) { n.srcSeq[u].Store(max(n.srcSeq[u].Load(), src[i])) })
+	n.eachRemoteSlot(lo, len(src), func(u uint32, i int64) { n.srcSeq[u].Store(max(n.srcSeq[u].Load(), src[i])) })
 }
 
-// eachIndexedSlot calls fn with the source of each slot in [lo, lo+count)
-// that the source index lists, and the slot's offset from lo.
-func (n *Node[V, M]) eachIndexedSlot(lo int64, count int, fn func(u int, i int64)) {
-	for u := range len(n.in.off) - 1 {
-		for _, s := range n.in.slots[n.in.off[u]:n.in.off[u+1]] {
-			if i := s - lo; i >= 0 && i < int64(count) {
-				fn(u, i)
-			}
+// eachRemoteSlot calls fn with the source of each slot in [lo, lo+count)
+// that feeds one of the node's own vertices from another node's, and
+// the slot's offset from lo. The graph's in-edge source ids say which.
+func (n *Node[V, M]) eachRemoteSlot(lo int64, count int, fn func(u uint32, i int64)) {
+	vlo, vhi := n.VertexRange(n.ID)
+	slo, shi := max(lo, n.G.InOffset(vlo)), min(lo+int64(count), n.G.InOffset(vhi))
+	if slo >= shi {
+		return
+	}
+	for i, u := range n.G.InSrcs(slo, shi) {
+		if int(u) < vlo || int(u) >= vhi {
+			fn(u, slo-lo+int64(i))
 		}
 	}
 }
@@ -527,8 +538,9 @@ type worker[V, M any] struct {
 
 // processBlock is a node worker's block step: the block kernel's two
 // halves back to back for one owned block, gather-apply then scatter —
-// owned slots store directly, the rest leave as batches through flush —
-// and Done. Stage timings land in the calling worker's shard.
+// each changed vertex's image stored once in the node's image array, and
+// sent once to every other node it feeds, as batches through flush — and
+// Done. Stage timings land in the calling worker's shard.
 //
 //abcd:hotpath
 func (n *Node[V, M]) processBlock(b int, ws *worker[V, M]) {
@@ -605,7 +617,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 // directly on the delivering goroutine — settle only takes the unacked
 // lock, so it can never block on an apply and never deadlocks two nodes
 // acking each other. Data envelopes install inline and are acknowledged
-// every time, even when every slot was stale, because a duplicate usually
+// every time, even when every entry was stale, because a duplicate usually
 // means the previous ack was lost. Only a batch install refuses goes
 // unacked.
 //
@@ -620,18 +632,19 @@ func (n *Node[V, M]) Deliver(to int, e Envelope) {
 	}
 }
 
-// install writes one data batch into the cache under the per-source
-// write-stamp guard, entry by entry: a source's slots never regress past
-// a newer image, and every effective change re-activates the blocks it
-// lands in, each once per batch with the summed mass, as a local scatter
-// does. Envelopes come off a wire: a batch whose word count disagrees
-// with its entries is refused whole (the sender's retry re-delivers), an
-// entry naming a vertex past the graph or one that feeds this node
-// nothing — its own vertices included — is skipped. A node whose run has
-// stopped refuses all traffic: after a restart, its slots are the next
+// install writes one data batch into the node's image array under the
+// per-source write-stamp guard, entry by entry: one store per source,
+// which never regresses past a newer image, and every effective change
+// re-activates the blocks it feeds here, each once per batch with the
+// summed mass — the change once per slot, as a local scatter adds it.
+// Envelopes come off a wire: a batch whose word count disagrees with its
+// entries is refused whole (the sender's retry re-delivers), an entry
+// naming a vertex past the graph or one that feeds this node nothing —
+// its own vertices included — is skipped. A node whose run has stopped
+// refuses all traffic: after a restart, its image array is the next
 // generation's.
 func (n *Node[V, M]) install(e Envelope) bool {
-	words := n.Cache.Words()
+	words := n.img.Words()
 	if len(e.words) != len(e.srcs)*words {
 		return false
 	}
@@ -644,27 +657,20 @@ func (n *Node[V, M]) install(e Envelope) bool {
 	n.Ctl.FlowRecv(e.from, e.id, start)
 	codec := n.Prog.Codec()
 	for i, u := range e.srcs {
-		slots, blocks := n.in.run(u)
-		if len(slots) == 0 || n.srcSeq[u].Load() > e.id {
+		blocks := n.in.run(u)
+		if len(blocks) == 0 || n.srcSeq[u].Load() > e.id {
 			continue // nothing to feed here, or a stale redelivery: a newer image already landed
 		}
 		// The wire words are the sender's encoding: stored as they came,
-		// decoded only for the delta. Every slot of a source holds the
-		// same image — the build, a rebuild and this loop write whole
-		// runs — so the run's first slot stands for all of them.
+		// decoded only for the delta.
 		enc := e.words[i*words : (i+1)*words]
 		codec.DecodeInto(enc, &n.incoming)
-		n.Cache.LoadBuf(slots[0], &n.old, n.buf)
-		d := n.Prog.Delta(n.old, n.incoming)
-		// Take the run's lines for writing up front, so their misses
-		// overlap instead of each stalling its own store below.
-		n.Cache.Prefetch(slots)
-		for j, slot := range slots {
-			n.Cache.StoreWords(slot, enc)
-			if d > n.cfg.Epsilon {
-				b := int(blocks[j])
+		n.img.LoadBuf(int64(u), &n.old, n.buf)
+		n.img.StoreWords(int64(u), enc)
+		if d := n.Prog.Delta(n.old, n.incoming); d > n.cfg.Epsilon {
+			for _, b := range blocks {
 				if n.mass[b] == 0 {
-					n.touched = append(n.touched, b) //abcdlint:ignore hotpath -- amortized: per-node buffer, reset to [:0] below with capacity retained
+					n.touched = append(n.touched, int(b)) //abcdlint:ignore hotpath -- amortized: per-node buffer, reset to [:0] below with capacity retained
 				}
 				n.mass[b] += d
 			}

@@ -221,9 +221,11 @@ func (r *rig) roundTrip(d, rtt time.Duration) peerRTO {
 	return r.peer()
 }
 
+// slotValue is what the receiver's in-edge slot gathers: its image of
+// the slot's source.
 func (r *rig) slotValue(slot int64) float64 {
 	var v float64
-	r.dst.Cache.LoadBuf(slot, &v, make([]uint64, 2))
+	r.dst.img.LoadBuf(int64(r.dst.G.InSrc(slot)), &v, make([]uint64, 2))
 	return v
 }
 
@@ -488,12 +490,12 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 			}},
 		{name: "malformed envelopes are dropped without panic", run: func(t *testing.T, r *rig) {
 			e := r.edges[0]
-			cache := func() []uint64 {
-				out := make([]uint64, r.dst.G.NumEdges())
-				r.dst.Cache.SnapshotWords(0, int64(len(out)), out)
+			images := func() []uint64 {
+				out := make([]uint64, r.dst.G.NumVertices())
+				r.dst.img.SnapshotWords(0, int64(len(out)), out)
 				return out
 			}
-			before := cache()
+			before := images()
 			own, _ := r.dst.VertexRange(1)
 			bad := []struct {
 				name  string
@@ -511,8 +513,8 @@ func TestNodeDeliveryStateMachine(t *testing.T) {
 				if acks := r.deliver(b.env); (len(acks) == 1) != b.acked {
 					t.Fatalf("%s: %d acks, want acked=%v", b.name, len(acks), b.acked)
 				}
-				if !slices.Equal(cache(), before) {
-					t.Fatalf("%s: a cache slot changed", b.name)
+				if !slices.Equal(images(), before) {
+					t.Fatalf("%s: an image changed", b.name)
 				}
 				if !r.dst.Sched.Quiescent() {
 					t.Fatalf("%s: activated a block on the receiver", b.name)

@@ -11,8 +11,8 @@ import (
 
 // TestStaleEnvelopeLosesToTheRestart holds back one data envelope of the
 // first generation and delivers it after the restart, to a node that owns
-// a slot its source feeds in both generations. It must change no cache
-// slot and no stamp and activate no block: the restart stamped every
+// a slot its source feeds in both generations. It must change no node's
+// image and no stamp and activate no block: the restart stamped every
 // source above every envelope id issued before it. The same batch under a fresh id does
 // land, so the stamp alone refused it. An envelope for a node index the
 // new generation does not have is refused.
@@ -26,14 +26,13 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 	first := c.gen.Load()
 	nb := first.Part.NumBlocks()
 	heir, _ := core.BlockRange(nb, 2, 1) // node 1's first block after the restart
-	var slot int64
 	var src uint32
 	block := -1
 	lo, hi := first.VertexRange(0)
 	for v := lo; v < hi && block < 0; v++ {
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
 			if b := first.Part.BlockOf(g.OutDst(i)); int(first.Owner[b].Load()) == 1 && b >= heir {
-				slot, src, block = g.OutPos(i), uint32(v), b
+				src, block = uint32(v), b
 				break
 			}
 		}
@@ -72,8 +71,12 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 		}
 	}
 	words := func() []uint64 {
-		out := make([]uint64, g.NumEdges())
-		next.Cache.SnapshotWords(0, int64(g.NumEdges()), out)
+		var out []uint64
+		for _, n := range next.nodes {
+			img := make([]uint64, g.NumVertices())
+			n.img.SnapshotWords(0, int64(len(img)), img)
+			out = append(out, img...)
+		}
 		return out
 	}
 	stamps := func() []uint64 {
@@ -90,7 +93,7 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 	c.deliver(1, held)
 	c.deliver(2, held) // no node 2 any more
 	if !slices.Equal(words(), cache) || !slices.Equal(stamps(), stamped) {
-		t.Fatal("an envelope of the killed generation changed the restarted cache")
+		t.Fatal("an envelope of the killed generation changed the restarted images")
 	}
 	for _, n := range next.nodes {
 		if b := n.Sched.Leftover(); b >= 0 {
@@ -101,7 +104,7 @@ func TestStaleEnvelopeLosesToTheRestart(t *testing.T) {
 	fresh := held
 	fresh.id = next.seq.Add(1)
 	c.deliver(1, fresh)
-	if after := words(); after[slot] == cache[slot] || !next.nodes[1].Sched.Active(block) {
+	if at, after := g.NumVertices()+int(src), words(); after[at] == cache[at] || !next.nodes[1].Sched.Active(block) {
 		t.Fatal("the same batch under a fresh id did not land: the test shows nothing")
 	}
 }

@@ -6,7 +6,7 @@
 // acked its shard durable, so a crash leaves the previous fully-acked
 // epoch or nothing. Nodes capture at slightly different moments while
 // their workers run, so a batch in flight across two capture points may
-// be missing from the receiver's cache; a resume re-derives every cache
+// be missing from the receiver's images; a resume re-derives every image
 // from the restored values, which reconstructs exactly what that batch
 // carried.
 package tcp

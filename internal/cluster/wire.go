@@ -25,8 +25,8 @@ import (
 //	words   nwords x u64  encoded scatter images
 //
 // A data entry is a source vertex and its image, 4 + 8·codec-width
-// bytes; the receiver stores the image on every in-edge slot the source
-// feeds on it. A data envelope requires nwords to be a multiple of nsrcs
+// bytes; the receiver stores the image once, for every in-edge slot the
+// source feeds on it. A data envelope requires nwords to be a multiple of nsrcs
 // (the codec word width times the entry count); an ack carries no
 // payload. Any other kind is refused — kind 0, the per-slot layout
 // before it, included — so peers of two layouts fail instead of

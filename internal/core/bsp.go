@@ -9,8 +9,8 @@ import (
 // runBSP executes the Bulk Synchronous Processing baseline: block size
 // |V|, a full Jacobi sweep per iteration, and a global barrier between the
 // gather-apply and scatter phases of every sweep (Sec. II-A, the GraphMat
-// execution model). All vertices read the edge caches written at the end
-// of the previous sweep, so updates within a sweep never see each other.
+// execution model). All vertices read the scatter images written at the
+// end of the previous sweep, so updates within a sweep never see each other.
 // The update rule is the shared kernel's; what is BSP here is only the
 // schedule: the one block is claimed per sweep, each worker runs its
 // vertex slice of the kernel between the two barriers, and the sweep's
@@ -65,7 +65,7 @@ func (e *engine[V, M]) runBSP() bool {
 		}
 
 		// Phase 1: gather-apply every vertex against the previous sweep's
-		// edge caches.
+		// scatter images.
 		sweep("gather", 1, e.cfg.NumPEs, func(vlo, vhi int, w *Worker[V, M]) {
 			d, dv := slice(vlo, vhi)
 			edges, err := e.GatherApply(vlo, vhi, d, dv, w)
@@ -78,7 +78,7 @@ func (e *engine[V, M]) runBSP() bool {
 		})
 		e.sh0.Add(telemetry.CtrBlockUpdates, 1)
 
-		// Phase 2: commit all updates to the edge caches at once.
+		// Phase 2: commit all updates to the scatter images at once.
 		sweep("scatter", 1+e.cfg.NumPEs, e.cfg.NumScatter, func(vlo, vhi int, w *Worker[V, M]) {
 			d, dv := slice(vlo, vhi)
 			writes := e.Scatter(vlo, vhi, d, dv, w)

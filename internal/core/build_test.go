@@ -17,7 +17,9 @@ import (
 // against the fill they replace — one Init per vertex of the range and
 // one InitEdge per in-edge slot of it, each stored on its own — word for
 // word, for every registry program (cf at an odd and an even rank), on a
-// graph with self-loops and vertices of in- or out-degree 0.
+// graph with self-loops and vertices of in- or out-degree 0. A
+// state-based program's slots are its images fanned out through the
+// in-edge source ids (perSlot), and it must hold no |E|-sized array.
 func TestKernelBuildMatchesPerSlotInit(t *testing.T) {
 	g := degenerateGraph(t, 15, 5, false)
 	ppr, err := bcd.NewPPR(0.85, []uint32{1, 5})
@@ -59,26 +61,53 @@ func buildMatchesPerSlotInit[V, M any](t *testing.T, g *graph.Graph, prog bcd.Pr
 		if err != nil {
 			t.Fatal(err)
 		}
-		codec := prog.Codec()
+		if k.op == nil && (k.Slots != nil || len(k.Images) != 1 || k.Images[0].Len() != n) {
+			t.Fatalf("%s, %s: a state-based kernel must hold one image array of %d entries and no per-slot array", prog.Name(), c.name, n)
+		}
+		codec, words := prog.Codec(), prog.Codec().Words()
 		values, cache := word.NewArray(codec, n), word.NewArray(codec, g.NumEdges())
-		buf := make([]uint64, codec.Words())
+		buf := make([]uint64, words)
 		for v := c.vlo; v < c.vhi; v++ {
 			values.StoreBuf(int64(v), prog.Init(uint32(v), c.g), buf)
 		}
-		for s := c.g.InOffset(c.vlo); s < c.g.InOffset(c.vhi); s++ {
+		slo, shi := c.g.InOffset(c.vlo), c.g.InOffset(c.vhi)
+		for s := slo; s < shi; s++ {
 			cache.StoreBuf(s, prog.InitEdge(c.g.InSrc(s), c.g), buf)
+		}
+		gotSlots, wantSlots := perSlot(k, 0), snapshot(cache)
+		if k.op == nil {
+			// Only the range's slots are ever gathered: elsewhere the
+			// images of a partial graph's zero source ids fan out.
+			gotSlots, wantSlots = gotSlots[slo*int64(words):shi*int64(words)], wantSlots[slo*int64(words):shi*int64(words)]
 		}
 		for _, a := range []struct {
 			name      string
-			got, want *word.Array[V]
-		}{{"value", k.Values, values}, {"cache", k.Cache, cache}} {
-			got, want := snapshot(a.got), snapshot(a.want)
-			if i := firstDiff(got, want); i >= 0 {
+			got, want []uint64
+		}{{"value", snapshot(k.Values), snapshot(values)}, {"slot", gotSlots, wantSlots}} {
+			if i := firstDiff(a.got, a.want); i >= 0 {
 				t.Fatalf("%s, %s: %s word %d is %#x after the build, the per-slot fill leaves %#x",
-					prog.Name(), c.name, a.name, i, got[i], want[i])
+					prog.Name(), c.name, a.name, i, a.got[i], a.want[i])
 			}
 		}
 	}
+}
+
+// perSlot is the per-slot in-edge cache the images replaced, as a test
+// oracle: the words each in-edge slot of k gathers, slot by slot — an
+// operation-based program's pending deltas as they are, a state-based
+// one's images of owner fanned out to the CSC slots through the in-edge
+// source ids.
+func perSlot[V, M any](k *Kernel[V, M], owner int) []uint64 {
+	if k.op != nil {
+		return snapshot(k.Slots)
+	}
+	img, w := snapshot(k.Images[owner]), k.Values.Words()
+	out := make([]uint64, k.G.NumEdges()*w)
+	for s := range k.G.NumEdges() {
+		u := int(k.G.InSrc(int64(s)))
+		copy(out[s*w:(s+1)*w], img[u*w:(u+1)*w])
+	}
+	return out
 }
 
 // partialGraph is g as a -listen/-join node owning vertices [vlo, vhi)
@@ -126,9 +155,9 @@ func firstDiff(a, b []uint64) int {
 }
 
 // TestScatterOneOwnerMatchesOwnerTable checks Scatter's one-owner case
-// (w.Out nil: no owner loads, one prefetch per run) against the filtered
-// path over an owner table naming the worker's own node for every block:
-// over three gather-scatter rounds both must leave the same cache words
+// (w.Out nil: no owner loads) against the filtered path over an owner
+// table naming the worker's own node for every block: over three
+// gather-scatter rounds both must leave the same per-slot words
 // and the same per-block activation mass, at a power-of-two and an odd
 // block size, for a state-based and an operation-based program.
 func TestScatterOneOwnerMatchesOwnerTable(t *testing.T) {
@@ -168,7 +197,7 @@ func scatterOneOwnerMatches[V, M any](t *testing.T, g *graph.Graph, prog bcd.Pro
 				}
 				k.Scatter(lo, hi, deltas[lo:hi], dvals[lo:hi], w)
 			}
-			s := state{cache: snapshot(k.Cache), mass: make([]float64, nb)}
+			s := state{cache: perSlot(k, 0), mass: make([]float64, nb)}
 			for b := range s.mass {
 				if st.Active(b) {
 					s.mass[b] = st.Priority(b)
@@ -182,7 +211,7 @@ func scatterOneOwnerMatches[V, M any](t *testing.T, g *graph.Graph, prog bcd.Pro
 	for round := range one {
 		name := fmt.Sprintf("%s, block size %d, round %d", prog.Name(), blockSize, round)
 		if i := firstDiff(one[round].cache, table[round].cache); i >= 0 {
-			t.Fatalf("%s: cache word %d is %#x with no batches, %#x over the all-self owner table",
+			t.Fatalf("%s: slot word %d is %#x with no batches, %#x over the all-self owner table",
 				name, i, one[round].cache[i], table[round].cache[i])
 		}
 		if !slices.Equal(one[round].mass, table[round].mass) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -148,6 +149,10 @@ type Share[V, M any] struct {
 	tel    *telemetry.Registry
 	sh     *telemetry.Shard // capture cost and restored progress counters
 	stamps Stamps           // nil: no slot stamps or send sequence
+	// abandon, when non-nil, is asked once the shard is encoded: true
+	// drops it before anything reaches the store's durable write, and
+	// Capture returns errAbandoned.
+	abandon func() bool
 	// buf is the owner's shard header and capture buffers and enc its
 	// encoder's write buffers, allocated once: a checkpoint must not grow
 	// the run's allocation footprint every epoch.
@@ -190,6 +195,9 @@ func (s *Share[V, M]) Capture(epoch uint64) error {
 	var written int64
 	if err := s.Store.WriteState(s.RunID, epoch, st.Node, func(w io.Writer) (err error) {
 		written, err = s.enc.EncodeState(w, st)
+		if err == nil && s.abandon != nil && s.abandon() {
+			err = errAbandoned
+		}
 		return err
 	}); err != nil {
 		return err
@@ -216,7 +224,7 @@ func (s *Share[V, M]) Commit(epoch uint64) error {
 // runs on it. Every shard contributes its owned values — together the
 // whole iterate; this owner's own shard its slot stamps and progress
 // counters (so Stats and an epoch budget span the logical run). The
-// owned in-edge cache is never checkpointed: it is rebuilt from the
+// scatter images are never checkpointed: they are rebuilt from the
 // restored values, which also reconstructs any batch a fuzzy capture
 // lost in flight. Every owned block is then activated with its restored
 // priority mass, even one the capture saw inactive: an activation racing
@@ -280,7 +288,7 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 		store = ds
 	}
 	ck := &checkpointer[V, M]{NewShare(e.Kernel, e.Prog.Name(), 0, 1, e.st, e.tel, e.sh0, nil), e}
-	ck.Store, ck.RunID = store, cc.RunID
+	ck.Store, ck.RunID, ck.abandon = store, cc.RunID, e.fixedPoint.Load
 	if ck.RunID == "" {
 		ck.RunID = ck.ID.RunID()
 	}
@@ -301,9 +309,12 @@ func (ck *checkpointer[V, M]) resume(resumeID string) error {
 	return nil
 }
 
+// errAbandoned is a capture dropped because the run converged meanwhile.
+var errAbandoned = errors.New("checkpoint abandoned: the run converged")
+
 // loop runs the periodic capture until the run stops. A capture failure
 // fails the run: the caller asked for durability, so losing it silently
-// is not an option.
+// is not an option. An abandoned capture ends the loop quietly.
 func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
 	t := time.NewTicker(ck.e.cfg.Checkpoint.Interval)
 	defer t.Stop()
@@ -313,7 +324,9 @@ func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		if err := ck.capture(); err != nil {
+		if err := ck.capture(); errors.Is(err, errAbandoned) {
+			return
+		} else if err != nil {
 			ck.e.Fail(err)
 			return
 		}
@@ -322,12 +335,25 @@ func (ck *checkpointer[V, M]) loop(stop <-chan struct{}) {
 
 // capture writes and commits one checkpoint epoch. The watchdog is told
 // (via ckptGen) not to count the capture's I/O time as an engine stall.
+// Once the run has converged the epoch protects nothing — the result is
+// final — so capture gives it up at the next step that would block on
+// the store: before the snapshot, before the shard's fsync (abandon) and
+// before the manifest's. A shard written without its manifest is what a
+// crash between the two leaves, which the store already ignores. A run
+// stopped by its epoch budget or by cancellation keeps every capture: it
+// may be resumed.
 func (ck *checkpointer[V, M]) capture() error {
 	e := ck.e
 	e.ckptGen.Add(1) // odd: capture in progress
 	defer e.ckptGen.Add(1)
 	epoch := ck.Epoch + 1
+	if e.fixedPoint.Load() {
+		return errAbandoned
+	}
 	err := ck.Capture(epoch)
+	if err == nil && e.fixedPoint.Load() {
+		return errAbandoned
+	}
 	if err == nil {
 		err = ck.Commit(epoch)
 	}

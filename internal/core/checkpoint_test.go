@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +297,83 @@ func TestResumeRefusesForeignSpans(t *testing.T) {
 		if _, err := Run[float64, float64](g, bcd.PageRank{}, c); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want one naming the %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// flipStore is a checkpoint.Store that marks the run converged as a
+// shard write begins: the race of a capture caught in flight by the
+// run's fixed point.
+type flipStore struct {
+	checkpoint.Store
+	flip func()
+}
+
+func (s flipStore) WriteState(runID string, epoch uint64, node int, write func(io.Writer) error) error {
+	s.flip()
+	return s.Store.WriteState(runID, epoch, node, write)
+}
+
+// TestConvergedRunAbandonsItsCapture: once a run has converged, a capture
+// still in flight is dropped before its fsyncs — nothing of its epoch
+// reaches the store and the last committed epoch stays in effect — while
+// a capture of a run that has not converged commits as before.
+func TestConvergedRunAbandonsItsCapture(t *testing.T) {
+	g := testGraph(t)
+	dir := t.TempDir()
+	cfg := Config{BlockSize: 64, Mode: Async, Policy: sched.Cyclic, NumPEs: 2, NumScatter: 1,
+		Epsilon: 1e-12, Checkpoint: Checkpoint{Dir: dir, RunID: "fixed"}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(g, bcd.PageRank{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := newCheckpointer(e, cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.runBlocked() {
+		t.Fatal("run did not converge")
+	}
+	files := func() []string {
+		ents, err := os.ReadDir(filepath.Join(dir, "fixed"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ent := range ents {
+			names = append(names, ent.Name())
+		}
+		return names
+	}
+
+	if err := ck.capture(); err != nil { // fixed point not yet published
+		t.Fatal(err)
+	}
+	committed := files()
+	if len(committed) != 2 {
+		t.Fatalf("after one committed epoch the run dir holds %v, want its shard and manifest", committed)
+	}
+
+	dirStore := ck.Store
+	ck.Store = flipStore{dirStore, func() { e.fixedPoint.Store(true) }}
+	if err := ck.capture(); !errors.Is(err, errAbandoned) {
+		t.Fatalf("capture in flight at convergence: err %v, want errAbandoned", err)
+	}
+	ck.Store = dirStore
+	if err := ck.capture(); !errors.Is(err, errAbandoned) {
+		t.Fatalf("capture after convergence: err %v, want errAbandoned", err)
+	}
+	if got := files(); !slices.Equal(got, committed) {
+		t.Fatalf("abandoned captures left %v, want only %v", got, committed)
+	}
+	m, err := dirStore.Load("fixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Epoch != 1 || ck.Epoch != 1 {
+		t.Fatalf("committed epoch %d, share epoch %d after abandoned captures, want 1 and 1", m.Epoch, ck.Epoch)
 	}
 }
 

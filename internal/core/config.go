@@ -6,9 +6,9 @@
 // block workers: each claims its own next block from the active list
 // (cyclic or Gauss-Southwell priority; one pick at a time, under a lock
 // that guards only the scheduler's cursor and summaries) and runs its
-// GATHER-APPLY (stream the in-edge cache sequentially, write the new
-// vertex values) and then the same block's SCATTER (copy updated values
-// onto out-edge cache slots — random but disjoint writes — accumulate
+// GATHER-APPLY (stream the in-edges sequentially, reading each source's
+// scatter image, write the new vertex values) and then the same block's
+// SCATTER (store each changed vertex's image once, accumulate
 // Gauss-Southwell mass onto destination blocks, update the active list).
 // On the paper's platform PEs gather and CPU threads scatter, fed through
 // an accelerator task queue; on a CPU host that split is an attribute of

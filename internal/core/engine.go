@@ -58,6 +58,7 @@ func RunContext[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[
 	} else {
 		converged = e.runBlocked()
 	}
+	e.fixedPoint.Store(converged)
 	close(stopWatch)
 	watch.Wait()
 	if b := e.st.Leftover(); converged && b >= 0 {
@@ -105,7 +106,7 @@ func prepare[V, M any](ctx context.Context, g *graph.Graph, prog bcd.Program[V, 
 }
 
 // engine holds the shared state of one run: the block kernel (graph,
-// program, partition, value and cache arrays — the single-node engine is
+// program, partition, value and image arrays — the single-node engine is
 // its one-owner case) and everything that is scheduling around it.
 type engine[V, M any] struct {
 	*Kernel[V, M]
@@ -141,10 +142,15 @@ type engine[V, M any] struct {
 	// that overlapped a capture so checkpoint I/O never counts as an
 	// engine stall (Stats.StallWindows stays a pure progress signal).
 	ckptGen atomic.Int64
+	// fixedPoint is set once the run has converged, before the
+	// checkpointer is stopped: a capture still in flight then protects
+	// nothing and is abandoned (checkpointer.capture), so a run that
+	// converges just after a tick does not wait for that epoch's fsyncs.
+	fixedPoint atomic.Bool
 	// epochsSeen counts the epoch hook's firings; converged is set by the
 	// pick that finds the run quiescent. Both are guarded by the loop's
 	// pick lock (Loop), as are the scheduler and the schedule recording;
-	// values, the cache, the active bits and the priorities stay atomic.
+	// values, the images, the active bits and the priorities stay atomic.
 	epochsSeen int
 	converged  bool
 	// rec, when non-nil, records every block id for deterministic replay,
@@ -154,7 +160,7 @@ type engine[V, M any] struct {
 
 	// modeled byte widths for the accelerator cost model
 	valueBytes int64 // encoded vertex value width
-	edgeBytes  int64 // streamed per-edge payload: weight + cached value
+	edgeBytes  int64 // modeled per-edge stream: weight + the source's value, as the paper's in-edge copy holds it
 }
 
 func newEngine[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config) (*engine[V, M], error) {

@@ -15,12 +15,14 @@ import (
 )
 
 // TestKernelScatterTwoOwners drives Scatter over a vertex range by hand, on the
-// calling goroutine, under a two-owner table: slots of node 0's blocks
-// must be stored and their blocks activated with the summed mass, none
-// of node 1's, and exactly the vertices with an out-edge into node 1's
-// blocks must leave through the per-owner batch, each once, as its id
-// and image — whole batches via the flush hook, the remainder left in
-// Out — while the counters still count every remote slot.
+// calling goroutine, under a two-owner table: each vertex that moved by
+// more than epsilon must store its image once in node 0's image array,
+// the others keep theirs; node 0's blocks must be activated with the
+// summed mass, none of node 1's; and exactly the vertices with an
+// out-edge into node 1's blocks must leave through the per-owner batch,
+// each once, as its id and image — whole batches via the flush hook, the
+// remainder left in Out — while the counters still count every remote
+// slot.
 func TestKernelScatterTwoOwners(t *testing.T) {
 	g := degenerateGraph(t, 21, 1, false)
 	const blockSize, batchSize, eps = 7, 4, 0.25
@@ -31,11 +33,6 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 	nb := k.Part.NumBlocks()
 	for b := 1; b < nb; b += 2 {
 		k.Owner[b].Store(1)
-	}
-	type update struct {
-		slot  int64
-		block int32
-		word  uint64
 	}
 	type image struct {
 		src  uint32
@@ -60,23 +57,23 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 	// Two blocks' worth of vertices just changed; vertex 2 did not move and
 	// vertices 3 and 8 moved by no more than epsilon, so they do not scatter.
 	deltas := []float64{0.5, 1, 0, 0.1, 2.5, 3, 3.5, 4, 0.25, 5, 5.5, 6, 6.5, 7}
-	var wantStored []update
 	var wantRemote []image
+	wantImages := snapshot(k.Images[0])
 	wantMass := make([]float64, nb)
 	var wantWrites, remoteSlots int64
-	untouched := map[int64]bool{}
 	for v := range deltas {
 		k.Values.Store(int64(v), float64(100+v))
 		sval := k.Prog.ScatterValue(uint32(v), float64(100+v), g)
 		enc := make([]uint64, 1)
 		k.Prog.Codec().Encode(sval, enc)
+		if deltas[v] > eps {
+			wantImages[v] = enc[0]
+		}
 		for i := g.OutOffset(v); i < g.OutOffset(v+1); i++ {
-			slot, db := g.OutPos(i), k.Part.BlockOf(g.OutDst(i))
+			db := k.Part.BlockOf(g.OutDst(i))
 			switch {
 			case deltas[v] <= eps:
-				untouched[slot] = true
 			case k.Owner[db].Load() == 1:
-				untouched[slot] = true
 				if n := len(wantRemote); n == 0 || wantRemote[n-1].src != uint32(v) {
 					wantRemote = append(wantRemote, image{uint32(v), enc[0]})
 				}
@@ -85,7 +82,6 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 			default:
 				wantMass[db] += deltas[v]
 				wantWrites++
-				wantStored = append(wantStored, update{slot, int32(db), enc[0]})
 			}
 		}
 	}
@@ -93,26 +89,13 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 		t.Fatalf("fixture has %d remote images over %d slots; want more than one batch, a remainder, and a vertex feeding two remote slots",
 			len(wantRemote), remoteSlots)
 	}
-	before := make(map[int64]float64, len(untouched))
-	for slot := range untouched {
-		var v float64
-		k.Cache.Load(slot, &v)
-		before[slot] = v
-	}
-
 	if writes := k.Scatter(0, len(deltas), deltas, nil, w); writes != wantWrites {
 		t.Fatalf("Scatter wrote %d slots, want %d", writes, wantWrites)
 	}
 
-	for _, u := range wantStored {
-		if got := make([]uint64, 1); k.Cache.SnapshotWords(u.slot, u.slot+1, got) != 1 || got[0] != u.word {
-			t.Errorf("owned slot %d of block %d holds word %#x, want the source's scatter image %#x", u.slot, u.block, got[0], u.word)
-		}
-	}
-	for slot, old := range before {
-		var v float64
-		if k.Cache.Load(slot, &v); v != old {
-			t.Errorf("slot %d (sub-epsilon source, or owned by node 1) was stored: %g -> %g", slot, old, v)
+	for v, got := range snapshot(k.Images[0]) {
+		if got != wantImages[v] {
+			t.Errorf("vertex %d's image is %#x, want %#x (its scatter image if it moved by more than epsilon, else unchanged)", v, got, wantImages[v])
 		}
 	}
 	if flushes != len(wantRemote)/batchSize {
@@ -142,13 +125,14 @@ func TestKernelScatterTwoOwners(t *testing.T) {
 	}
 }
 
-// scatterMatchesPerEdgeStores checks Scatter's store path against the loop
-// it replaced: for one owner and for two, over three gather-scatter
-// rounds, the cache array after Scatter must be word-for-word what one
-// codec-encoding StoreBuf (or accumulating RMW) per owned out-edge leaves
-// — so every slot of node 1's blocks still holds what it held — and node
-// 1's batch must carry, in order, the image of each vertex with an
-// out-edge the loop skipped, once.
+// scatterMatchesPerEdgeStores checks Scatter's store path against the
+// per-slot loop it replaced: for one owner and for two, over three
+// gather-scatter rounds, every in-edge slot of node 0's blocks must then
+// gather (perSlot) word for word what one codec-encoding StoreBuf (or
+// accumulating RMW) per owned out-edge leaves — and an operation-based
+// program's slots of node 1's blocks must still hold what they held —
+// and node 1's batch must carry, in order, the image of each vertex with
+// an out-edge the loop skipped, once.
 func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M], eps float64) {
 	t.Helper()
 	n, ne := g.NumVertices(), int64(g.NumEdges())
@@ -164,7 +148,7 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 		tel := telemetry.New(telemetry.Options{})
 		w := k.NewWorker(&tel.Shards(1)[0], 0, sched.NewState(nb), nil)
 		w.Out = make([]Batch, 2)
-		codec, words := prog.Codec(), k.Cache.Words()
+		codec, words := prog.Codec(), k.Values.Words()
 		ref := word.NewArray(codec, int(ne))
 		got, want := make([]uint64, ne*int64(words)), make([]uint64, ne*int64(words))
 		buf, enc := make([]uint64, max(words, 2)), make([]uint64, words)
@@ -177,8 +161,7 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 			if _, err := k.GatherApply(0, n, deltas, dvals, w); err != nil {
 				t.Fatal(err)
 			}
-			k.Cache.SnapshotWords(0, ne, want)
-			ref.StoreWords(0, want)
+			ref.StoreWords(0, perSlot(k, 0))
 			var remote Batch
 			var val, cur V
 			for v := 0; v < n; v++ {
@@ -206,11 +189,14 @@ func scatterMatchesPerEdgeStores[V, M any](t *testing.T, g *graph.Graph, prog bc
 
 			k.Scatter(0, n, deltas, dvals, w)
 
-			k.Cache.SnapshotWords(0, ne, got)
-			if !slices.Equal(got, want) {
-				for s := range got {
+			copy(got, perSlot(k, 0))
+			for v := 0; v < n; v++ {
+				if k.op == nil && k.Owner[k.Part.BlockOf(uint32(v))].Load() != 0 {
+					continue // node 1 gathers from its own images, not node 0's
+				}
+				for s := g.InOffset(v) * int64(words); s < g.InOffset(v+1)*int64(words); s++ {
 					if got[s] != want[s] {
-						t.Fatalf("%s, %d owner(s), round %d: cache word %d is %#x after Scatter, the per-edge loop leaves %#x",
+						t.Fatalf("%s, %d owner(s), round %d: slot word %d is %#x after Scatter, the per-edge loop leaves %#x",
 							prog.Name(), owners, round, s, got[s], want[s])
 					}
 				}
@@ -289,9 +275,11 @@ func TestGatherRunFold(t *testing.T) {
 	}
 }
 
-// runFoldMatchesPerEdge fills values and cache slots from val, folds each
-// of vertices [0, hubs) one in-edge per Gather call as the reference,
-// then runs GatherApply over them and compares the bits.
+// runFoldMatchesPerEdge fills values and in-edge slots from val — every
+// in-edge has a source of its own, so a state-based program's slots are
+// its sources' images — folds each of vertices [0, hubs) one in-edge per
+// Gather call as the reference, then runs GatherApply over them and
+// compares the bits.
 func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, prog bcd.Program[V, M], val func(int) V) {
 	t.Helper()
 	n, ne := g.NumVertices(), g.NumEdges()
@@ -303,9 +291,14 @@ func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, pro
 		k.Values.Store(int64(v), val(v))
 	}
 	for s := 0; s < ne; s++ {
-		k.Cache.Store(int64(s), val(n+s))
+		if k.op != nil {
+			k.Slots.Store(int64(s), val(n+s))
+		} else {
+			k.Images[0].Store(int64(g.InSrc(int64(s))), val(n+s))
+		}
 	}
-	codec, words := prog.Codec(), k.Cache.Words()
+	codec, words := prog.Codec(), k.Values.Words()
+	slots := perSlot(k, 0)
 	want, enc := make([]uint64, hubs*words), make([]uint64, words)
 	wantDeltas := make([]float64, hubs)
 	for h := 0; h < hubs; h++ {
@@ -314,7 +307,7 @@ func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, pro
 		acc := prog.NewAccum()
 		slo, shi := g.InOffset(h), g.InOffset(h+1)
 		for s := slo; s < shi; s++ {
-			k.Cache.Load(s, &src)
+			codec.DecodeInto(slots[s*int64(words):(s+1)*int64(words)], &src)
 			codec.Encode(src, enc)
 			prog.Gather(&acc, old, []float32{g.InWeight(s)}, enc)
 		}
@@ -349,7 +342,7 @@ func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, pro
 	}
 	if k.op != nil {
 		taken := make([]uint64, g.InOffset(hubs))
-		k.Cache.SnapshotWords(0, g.InOffset(hubs), taken)
+		k.Slots.SnapshotWords(0, g.InOffset(hubs), taken)
 		for s, word := range taken {
 			if word != k.zero {
 				t.Fatalf("%s: consumed slot %d holds %#x, want the zero delta", prog.Name(), s, word)
@@ -358,12 +351,100 @@ func runFoldMatchesPerEdge[V, M any](t *testing.T, g *graph.Graph, hubs int, pro
 	}
 }
 
-// BenchmarkScatterStore times the edge-cache store path alone: every
-// vertex of an R-MAT graph scatters its value each iteration, block after
-// block as the engine's one scatter worker does. ns/slot-write is the
-// number to compare across commits. At scale 14 the 2 MB cache array
-// mostly stays in L2; scale 16 is the pr_rmat workload's shape (1M edges,
-// 8 MB), where the stores miss.
+// TestImageGatherMatchesPerSlotGather checks the image gather against
+// the per-slot gather it replaced, bit for bit: over two sequential
+// sweeps of every state-based registry program (cf at an odd and an even
+// rank), each block's GatherApply must leave the value and delta bits
+// that the per-slot fold leaves — the images fanned out to the CSC slots
+// (perSlot), then folded gatherRun slots per Program.Gather call.
+func TestImageGatherMatchesPerSlotGather(t *testing.T) {
+	g := degenerateGraph(t, 29, 5, false)
+	ppr, err := bcd.NewPPR(0.85, []uint32{1, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imageGatherMatchesPerSlot[float64, float64](t, g, bcd.PageRank{})
+	imageGatherMatchesPerSlot[float64, float64](t, g, ppr)
+	imageGatherMatchesPerSlot[float64, float64](t, g, bcd.SSSP{Source: 3})
+	imageGatherMatchesPerSlot[uint64, uint64](t, g, bcd.BFS{Source: 3})
+	imageGatherMatchesPerSlot[uint64, uint64](t, g, bcd.CC{})
+	imageGatherMatchesPerSlot[uint64, bcd.LPAccum](t, g, bcd.LabelProp{})
+	imageGatherMatchesPerSlot[uint64, bcd.KCoreAccum](t, g, bcd.KCore{})
+	for _, rank := range []int{7, 8} {
+		imageGatherMatchesPerSlot[[]float32, []float64](t, g, bcd.CF{Rank: rank, LearnRate: 0.3, Lambda: 0.01})
+	}
+}
+
+func imageGatherMatchesPerSlot[V, M any](t *testing.T, g *graph.Graph, prog bcd.Program[V, M]) {
+	t.Helper()
+	const blockSize = 7
+	n := g.NumVertices()
+	k, err := NewKernel(g, prog, blockSize, nil, 0, 0, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.op != nil {
+		t.Fatalf("%s is operation-based: its slots are per-edge state, not images", prog.Name())
+	}
+	nb, codec, words := k.Part.NumBlocks(), prog.Codec(), k.Values.Words()
+	tel := telemetry.New(telemetry.Options{})
+	w := k.NewWorker(&tel.Shards(1)[0], 0, sched.NewState(nb), nil)
+	deltas := make([]float64, blockSize)
+	changed := 0
+	for sweep := range 2 {
+		for b := range nb {
+			lo, hi := k.Part.VertexRange(b)
+			slots := perSlot(k, 0)
+			want, wantDeltas := make([]uint64, (hi-lo)*words), make([]float64, hi-lo)
+			for v := lo; v < hi; v++ {
+				var old V
+				k.Values.Load(int64(v), &old)
+				acc := prog.NewAccum()
+				slo, shi := g.InOffset(v), g.InOffset(v+1)
+				for rlo := slo; rlo < shi; rlo += gatherRun {
+					rhi := min(rlo+gatherRun, shi)
+					prog.Gather(&acc, old, g.InWeightsRange(rlo, rhi), slots[rlo*int64(words):rhi*int64(words)])
+				}
+				nv := prog.Apply(uint32(v), old, &acc, shi-slo, g)
+				if prog.Delta(old, nv) == 0 {
+					nv = old
+				} else {
+					wantDeltas[v-lo] = prog.Delta(prog.ScatterValue(uint32(v), old, g), prog.ScatterValue(uint32(v), nv, g))
+				}
+				codec.Encode(nv, want[(v-lo)*words:(v-lo+1)*words])
+			}
+			if _, err := k.GatherApply(lo, hi, deltas[:hi-lo], nil, w); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]uint64, (hi-lo)*words)
+			k.Values.SnapshotWords(int64(lo), int64(hi), got)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("%s, sweep %d, block %d: value word %d is %#x from the images, %#x from the per-slot gather",
+					prog.Name(), sweep, b, i, got[i], want[i])
+			}
+			for i, d := range deltas[:hi-lo] {
+				if math.Float64bits(d) != math.Float64bits(wantDeltas[i]) {
+					t.Fatalf("%s, sweep %d: vertex %d's delta is %g from the images, %g from the per-slot gather",
+						prog.Name(), sweep, lo+i, d, wantDeltas[i])
+				}
+				if d != 0 {
+					changed++
+				}
+			}
+			k.Scatter(lo, hi, deltas[:hi-lo], nil, w)
+		}
+	}
+	if changed == 0 {
+		t.Fatalf("%s: no vertex changed over the sweeps: the comparison shows nothing", prog.Name())
+	}
+}
+
+// BenchmarkScatterStore times the scatter alone: every vertex of an
+// R-MAT graph scatters its value each iteration, block after block as
+// an engine worker does — one image store per vertex and the activation
+// walk over its out-edges. ns/out-edge is the number to compare across
+// commits. Scale 16 is the pr_rmat workload's shape (65k vertices, 1M
+// edges).
 func BenchmarkScatterStore(b *testing.B) {
 	for _, scale := range []int{14, 16} {
 		b.Run(fmt.Sprintf("rmat%d", scale), func(b *testing.B) {
@@ -390,7 +471,7 @@ func BenchmarkScatterStore(b *testing.B) {
 					writes += k.Scatter(lo, hi, deltas[lo:hi], nil, w)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(writes), "ns/slot-write")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(writes), "ns/out-edge")
 		})
 	}
 }

@@ -25,7 +25,7 @@ type Stats struct {
 	BlockUpdates   int64
 	VertexUpdates  int64
 	EdgesTraversed int64
-	ScatterWrites  int64 // out-edge cache slots written by SCATTER
+	ScatterWrites  int64 // out-edges of the vertices SCATTER published: the paper's slot writes
 	HybridBlocks   int64 // blocks processed by CPU workers (hybrid mode)
 	Epochs         float64
 	Converged      bool // false when MaxEpochs or cancellation stopped the run

@@ -89,6 +89,29 @@ func (a *Array[V]) SnapshotWords(lo, hi int64, dst []uint64) int {
 	return int(n)
 }
 
+// GatherWords copies the raw words of values idx[0], idx[1], … into dst,
+// in idx order, with per-word atomic loads, and returns the words
+// written: SnapshotWords through an index, the gather's read of each
+// in-edge's source image by the in-edge source ids. The same bounded
+// staleness holds. dst must hold at least len(idx)*Words() entries.
+func (a *Array[V]) GatherWords(idx []uint32, dst []uint64) int {
+	if a.words == 1 {
+		for i, u := range idx {
+			dst[i] = atomic.LoadUint64(&a.data[u])
+		}
+		return len(idx)
+	}
+	n := 0
+	for _, u := range idx {
+		base := int64(u) * int64(a.words)
+		for w := range int64(a.words) {
+			dst[n] = atomic.LoadUint64(&a.data[base+w])
+			n++
+		}
+	}
+	return n
+}
+
 // StoreWords stores src's raw words into values [lo, lo+len/words) with
 // per-word atomic stores and no codec call: one value a writer encoded
 // once for many slots (SCATTER) or took off the wire already encoded, or

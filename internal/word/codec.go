@@ -3,8 +3,8 @@
 // bitset, and CAS-accumulated float arrays.
 //
 // Every mutable value shared between the asynchronous engine's stages
-// (vertex values, per-edge cached source values, active bits, block
-// priorities) lives in one of these structures, accessed exclusively with
+// (vertex values, scatter images, per-edge pending deltas, active bits,
+// block priorities) lives in one of these structures, accessed exclusively with
 // sync/atomic word operations. This realizes the paper's "barrierless and
 // lock-free" design (Sec. IV-A3) while remaining data-race-free under the
 // Go memory model: readers of multi-word values may observe a mix of old

@@ -12,8 +12,9 @@ func prefetchw(data []uint64, words int, idx []int64) int
 // PREFETCHW on amd64, one assembly loop for the whole run. It reads and
 // writes no bytes, so it is not an access under the Go memory model, and
 // a later locked store does not wait for it the way it waits for an
-// earlier load. A writer about to store scattered slots prefetches them
-// all first (core.Kernel.Scatter), so their ownership misses overlap.
+// earlier load. A writer about to update scattered slots prefetches
+// them all first (core.Kernel.Scatter's operation-based read-modify-
+// writes), so their ownership misses overlap.
 // An index out of range panics, after the lines of the indices before
 // it were requested.
 func (a *Array[V]) Prefetch(idx []int64) {

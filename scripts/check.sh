@@ -272,6 +272,28 @@ if [[ -n "$slotstamps" || -n "$perslot" ]]; then
     exit 1
 fi
 
+echo "== one image per vertex (a state-based scatter stores a changed vertex once)"
+# A state-based program keeps one scatter image per vertex and owner
+# (core.Kernel.Images), which the gather reads through the in-edge source
+# ids; only an operation-based program's pending deltas live per in-edge
+# slot (Kernel.Slots, read-modify-written and swapped, never stored). A
+# per-slot array under internal/cluster (the cluster runs state-based
+# programs only), a Cache array back in internal/core, a plain store into
+# the slots, or any store in Kernel.Scatter but the one image store per
+# vertex is the |E|-word copy growing back.
+slotarrays=$(grep -rnE --include='*.go' '\.(Cache|Slots)\b' internal/cluster | grep -v '_test\.go:' || true)
+cachearrays=$(grep -rnE --include='*.go' '\bCache +\*word\.Array|\.Cache\.|Slots\.(Store|StoreBuf|StoreWords)\(' internal/core |
+    grep -v '_test\.go:' || true)
+scatterstores=$(awk '/^func \(k \*Kernel\[V, M\]\) Scatter\(/ { f = 1 } f && /\.(Store|StoreBuf|StoreWords|Prefetch)\(/ { print FILENAME ":" FNR ": " $0 } f && /^}/ { f = 0 }' internal/core/kernel.go |
+    grep -v -e 'w\.img\.StoreWords(int64(v), w\.enc)$' -e 'k\.Slots\.Prefetch(slots)$' || true)
+if [[ -n "$slotarrays" || -n "$cachearrays" || -n "$scatterstores" ]]; then
+    echo "a per-slot store path beside the per-vertex images:" >&2
+    echo "$slotarrays" >&2
+    echo "$cachearrays" >&2
+    echo "$scatterstores" >&2
+    exit 1
+fi
+
 echo "== learned retransmission timeout (no fixed retry base)"
 # A node learns each peer's retransmission timeout from its ack round
 # trips (internal/cluster/node.go, peerRTO). A RetryBase knob under
