@@ -19,8 +19,9 @@
 //
 // Hot code declares itself with //abcd:hotpath; there is no root list to
 // configure. Exits 0 when no finding survives suppression, 1 on any
-// finding (an //abcdlint:ignore naming no rule is one), 2 on usage or
-// load errors.
+// finding (an //abcdlint:ignore naming no rule, or one silencing nothing
+// outside a nested module such as bench/, is one), 2 on usage or load
+// errors.
 package main
 
 import (

@@ -16,7 +16,8 @@
 //
 // The reason after "--" is mandatory; a suppression without one is not
 // honored. A suppression naming a rule the suite does not have is itself
-// reported.
+// reported, and so is one naming a rule that ran but neither silenced a
+// finding of it nor cut a call edge the rule propagates through.
 package analysis
 
 import (
@@ -37,7 +38,8 @@ const (
 	boundAllocName = "boundalloc"
 
 	// staleIgnoreName labels the driver's own finding: an
-	// //abcdlint:ignore naming a rule that is not in All().
+	// //abcdlint:ignore naming a rule that is not in All(), or one that
+	// silences nothing.
 	staleIgnoreName = "abcdlint"
 )
 
@@ -65,6 +67,10 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+	// Nested marks a package of a module nested in the loaded one (a
+	// directory with its own go.mod, such as bench/): analyzed like the
+	// rest, but its stale suppressions are not reported.
+	Nested bool
 }
 
 // Pass is the per-package unit of work handed to an analyzer's Run.

@@ -76,9 +76,9 @@ func Analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 
 // analyze is the shared core: collect suppressions first (interprocedural
 // analyzers honor them as propagation boundaries), run the analyzers,
-// filter, report suppressions that name no rule, sort.
+// filter, report suppressions that name no rule or silence nothing, sort.
 func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []Suppression) {
-	sup, supList := collectSuppressions(fset, pkgs)
+	sup := collectSuppressions(fset, pkgs)
 	suppressedAt := func(pos token.Pos, rule string) bool {
 		return sup.suppressedAt(fset, pos, rule)
 	}
@@ -100,13 +100,23 @@ func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 		}
 	}
 	// A suppression naming no rule of the suite (a typo, a deleted rule)
-	// silences nothing; say so whatever subset ran. No comment can
-	// suppress this finding.
-	for _, s := range supList {
+	// silences nothing; say so whatever subset ran. One naming a rule that
+	// ran but neither silenced a finding of it nor cut a call edge it
+	// propagates through is stale too. No comment can suppress these
+	// findings.
+	ran := map[string]bool{"all": len(analyzers) == len(All())}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for i, s := range sup.list {
 		for _, r := range s.Rules {
-			if r != "all" && ByName(r) == nil {
+			switch {
+			case r != "all" && ByName(r) == nil:
 				kept = append(kept, Diagnostic{Pos: s.Pos, Rule: staleIgnoreName,
 					Message: fmt.Sprintf("//abcdlint:ignore names %q, which is no abcdlint rule, so it suppresses nothing", r)})
+			case ran[r] && !sup.used[i][r] && !sup.nested[i]:
+				kept = append(kept, Diagnostic{Pos: s.Pos, Rule: staleIgnoreName,
+					Message: fmt.Sprintf("//abcdlint:ignore %s silences no finding and cuts no call edge; delete it", r)})
 			}
 		}
 	}
@@ -123,21 +133,28 @@ func analyze(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *C
 		}
 		return kept[i].Rule < kept[j].Rule
 	})
-	sort.Slice(supList, func(i, j int) bool { return supList[i].Pos < supList[j].Pos })
-	return kept, supList
+	sort.Slice(sup.list, func(i, j int) bool { return sup.list[i].Pos < sup.list[j].Pos })
+	return kept, sup.list
 }
 
-// suppressions maps file -> line -> rules suppressed on that line.
-type suppressions map[string]map[int][]string
+// suppressions is every well-formed suppression in collection order,
+// indexed by file and covered line, and the rules each one has applied.
+type suppressions struct {
+	list []Suppression
+	at   map[string]map[int][]int // file -> covered line -> indexes into list
+	used []map[string]bool        // per suppression: rules that silenced a finding or cut an edge
+	// nested marks a suppression in a Package.Nested package, which
+	// changes with its own module: it is never reported as stale.
+	nested []bool
+}
 
 // collectSuppressions gathers every well-formed
 // "//abcdlint:ignore rules -- reason" comment. One on a line of its own
 // covers the next line; one trailing code covers only its own line. A
 // malformed suppression (missing rule list or missing reason) is ignored,
 // so the finding it was meant to silence still surfaces.
-func collectSuppressions(fset *token.FileSet, pkgs []*Package) (suppressions, []Suppression) {
-	sup := make(suppressions)
-	var list []Suppression
+func collectSuppressions(fset *token.FileSet, pkgs []*Package) *suppressions {
+	sup := &suppressions{at: make(map[string]map[int][]int)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			var src []byte // read once, at the file's first suppression
@@ -147,12 +164,14 @@ func collectSuppressions(fset *token.FileSet, pkgs []*Package) (suppressions, []
 					if !ok {
 						continue
 					}
-					list = append(list, Suppression{Pos: c.Pos(), Rules: rules, Reason: reason})
+					sup.list = append(sup.list, Suppression{Pos: c.Pos(), Rules: rules, Reason: reason})
+					sup.used = append(sup.used, make(map[string]bool))
+					sup.nested = append(sup.nested, pkg.Nested)
 					pos := fset.Position(c.Pos())
-					byLine := sup[pos.Filename]
+					byLine := sup.at[pos.Filename]
 					if byLine == nil {
-						byLine = make(map[int][]string)
-						sup[pos.Filename] = byLine
+						byLine = make(map[int][]int)
+						sup.at[pos.Filename] = byLine
 					}
 					line := pos.Line
 					if src == nil {
@@ -162,12 +181,12 @@ func collectSuppressions(fset *token.FileSet, pkgs []*Package) (suppressions, []
 						len(bytes.TrimSpace(src[start:pos.Offset])) == 0 {
 						line++ // alone on its line: it covers the next
 					}
-					byLine[line] = append(byLine[line], rules...)
+					byLine[line] = append(byLine[line], len(sup.list)-1)
 				}
 			}
 		}
 	}
-	return sup, list
+	return sup
 }
 
 // parseSuppression extracts the rule list and reason from one comment,
@@ -193,15 +212,19 @@ func parseSuppression(text string) ([]string, string, bool) {
 	return rules, reason, len(rules) > 0
 }
 
-// suppressedAt reports whether a suppression for rule covers pos's line.
-func (s suppressions) suppressedAt(fset *token.FileSet, pos token.Pos, rule string) bool {
+// suppressedAt reports whether a suppression for rule covers pos's line,
+// and records every one that does as applied.
+func (s *suppressions) suppressedAt(fset *token.FileSet, pos token.Pos, rule string) bool {
 	p := fset.Position(pos)
-	for _, r := range s[p.Filename][p.Line] {
-		if r == rule || r == "all" {
-			return true
+	hit := false
+	for _, i := range s.at[p.Filename][p.Line] {
+		for _, r := range s.list[i].Rules {
+			if r == rule || r == "all" {
+				s.used[i][r], hit = true, true
+			}
 		}
 	}
-	return false
+	return hit
 }
 
 // FormatDiagnostic renders one finding as "file:line:col: [rule] message",

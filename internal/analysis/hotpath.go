@@ -72,14 +72,14 @@ func runHotPath(pass *ModulePass) {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, e := range cur.node.edges {
+				callee, ok := graph.funcs[e.callee]
+				if !ok || annotated[e.callee] != nil {
+					continue // outside the scanned module, or a root checked on its own
+				}
 				if pass.suppressedAt(e.site.Pos(), hotPathName) {
 					continue // boundary suppression: edge declared amortized
 				}
-				callee, ok := graph.funcs[e.callee]
-				if !ok {
-					continue // outside the scanned module
-				}
-				if annotated[e.callee] != nil || visited[e.callee] {
+				if visited[e.callee] {
 					continue
 				}
 				visited[e.callee] = true

@@ -146,12 +146,20 @@ func (l *Loader) loadDir(abs string) (*Package, error) {
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("analysis: type errors in %s: %v", importPath, typeErrs[0])
 	}
+	nested := false
+	for d := abs; len(d) > len(l.ModRoot); d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			nested = true
+			break
+		}
+	}
 	return &Package{
 		Dir:        abs,
 		ImportPath: importPath,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
+		Nested:     nested,
 	}, nil
 }
 

@@ -2,7 +2,7 @@
 // syntax: //abcdlint:ignore rule -- reason, trailing the flagged line or
 // alone on the line directly above. A trailing suppression covers only its
 // own line, one without a reason is not honored, and one naming no rule
-// of the suite is reported.
+// of the suite or silencing no finding is reported.
 package suppress
 
 import "errors"
@@ -30,5 +30,8 @@ func Cases() {
 	fail() // want: no suppression at all
 
 	//abcdlint:ignore hotpaht -- fixture: want a report, the suite has no such rule
+	_ = fail()
+
+	//abcdlint:ignore errcheck -- fixture: want a report, the next line drops no error
 	_ = fail()
 }

@@ -2,9 +2,8 @@
 // deterministic schedule replay for GraphABCD runs (DESIGN.md §12).
 //
 // Asynchronous BCD converges from any intermediate iterate, so a fuzzy
-// snapshot of (vertex values, scheduler priorities, progress counters,
-// per-slot write stamps) taken while workers keep running is a valid
-// restart point: the captured state is just another member of the bounded
+// snapshot of (vertex values, scheduler priorities, progress counters)
+// taken while workers keep running is a valid restart point: the captured state is just another member of the bounded
 // staleness family the convergence analysis already tolerates. The file
 // is a fixed little-endian header followed by fixed-order sections in the
 // internal/binfmt framing GABS snapshots use, decoded by the same reader,
@@ -29,9 +28,13 @@
 // The meta section fixes the node's owned ranges and progress counters
 // (ten u64 fields); values are raw vertex-value words for [VertexLo,
 // VertexHi); priority is float64 bits and active one byte per block in
-// [BlockLo, BlockHi); stamps are the per-slot envelope write stamps for
-// SlotCount in-edge slots starting at SlotBase (empty for single-process
-// runs). Every cross-field invariant is validated on decode, so a torn or
+// [BlockLo, BlockHi). The runtimes write the slot base, the stamps
+// section and the envelope sequence zero or empty, and ignore them when
+// read: files of
+// older commits carry a distributed node's per-slot write stamps there,
+// which a resume never needs, since it rebuilds every image from the
+// values. They stay in the format so those files still decode. Every
+// cross-field invariant is validated on decode, so a torn or
 // bit-flipped file yields an error, never a bad resume.
 package checkpoint
 
@@ -79,15 +82,13 @@ type Counters struct {
 	VertexUpdates  int64
 	BlockUpdates   int64
 	EdgesTraversed int64
-	// Seq is the distributed node's envelope send sequence at capture
-	// time. The resume coordinator restarts every node's sequence above
-	// the cluster-wide maximum so restored per-slot stamps can never
-	// reject post-resume writes as stale. Zero for single-process runs.
+	// Seq is written zero and ignored when read; files of older commits
+	// hold a distributed node's envelope send sequence here.
 	Seq uint64
 }
 
 // State is one node's decoded engine state. A single-process run is the
-// Node=0, Nodes=1 case owning every vertex, block, and no slot stamps.
+// Node=0, Nodes=1 case owning every vertex and block.
 type State struct {
 	NumVertices int64 // total vertices of the run
 	NumBlocks   int64 // total blocks of the run
@@ -96,12 +97,12 @@ type State struct {
 
 	VertexLo, VertexHi int64 // owned vertex range [lo, hi)
 	BlockLo, BlockHi   int64 // owned block range [lo, hi)
-	SlotBase           int64 // first owned in-edge slot (stamps)
+	SlotBase           int64 // written zero, ignored when read (older files: first owned in-edge slot)
 
 	Values   []uint64 // (VertexHi-VertexLo)*Words raw value words
 	Priority []uint64 // (BlockHi-BlockLo) float64 bit patterns
 	Active   []byte   // (BlockHi-BlockLo) 0/1 active flags
-	Stamps   []uint64 // per-slot write stamps, may be empty
+	Stamps   []uint64 // written empty, ignored when read (older files: per-slot write stamps)
 
 	Counters Counters
 }

@@ -174,24 +174,4 @@ func imagesMatchPerSlot[V, M any](t *testing.T, name string, g *graph.Graph, pro
 			}
 		}
 	}
-
-	// The stamps survive the checkpoint's per-slot layout: a capture of
-	// each node's slots restored into fresh nodes gives every source its
-	// stamp back.
-	fresh, err := NewNodes(g, prog, Config{Nodes: nodes, BlockSize: 16, WorkersPerNode: 1, Transport: &scriptTransport{}}, 0, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range ns {
-		vlo, vhi := s.VertexRange(n.ID)
-		slo := g.InOffset(vlo)
-		slots := make([]uint64, g.InOffset(vhi)-slo)
-		n.SnapshotStamps(slo, slots)
-		fresh[i].RestoreStamps(slo, slots)
-		for u := range n.srcSeq {
-			if got, want := fresh[i].srcSeq[u].Load(), n.srcSeq[u].Load(); got != want {
-				t.Fatalf("%s: node %d: source %d restored with stamp %d, captured %d", name, n.ID, u, got, want)
-			}
-		}
-	}
 }

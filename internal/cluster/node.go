@@ -328,10 +328,11 @@ func buildShared[V, M any](g *graph.Graph, prog bcd.Program[V, M], cfg Config, l
 // owning the blocks by BlockRange, and nodes lo..hi-1 over it, the k-th
 // counting into shards[1+k*(WorkersPerNode+1):], over its own image
 // array (Kernel.Host), indexing the sources of its in-edge slots and
-// activating its own blocks. The envelope sequence
-// and every source stamp start at seq. A restart calls it over the run's
-// kernel and shards, so counters, the epoch budget and the stamps carry
-// on across generations.
+// activating its own blocks. The envelope sequence and every source stamp
+// start at seq: 0 for a fresh or resumed run, whose process has never
+// seen an envelope. A restart calls it over the run's kernel and shards,
+// above the killed generation's sequence, so counters, the epoch budget
+// and the stamps carry on across generations.
 func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry.Shard, lo, hi int, seq uint64) (*Shared[V, M], error) {
 	s := &Shared[V, M]{
 		Kernel: kern,
@@ -342,7 +343,7 @@ func newShared[V, M any](kern *core.Kernel[V, M], cfg Config, shards []telemetry
 		shards: shards,
 		now:    time.Now,
 	}
-	s.SetSeq(seq)
+	s.seq.Store(seq)
 	budget := int64(math.MaxInt64) // MaxEpochs as vertex updates over Tel's total
 	if cfg.MaxEpochs > 0 {
 		budget = int64(cfg.MaxEpochs * float64(kern.G.NumVertices()))
@@ -492,42 +493,8 @@ func (s *Shared[V, M]) Start(ctx context.Context) (shutdown func()) {
 }
 
 // Seq returns the envelope sequence — an upper bound on every write
-// stamp this process has issued. SetSeq restarts it (checkpoint resume).
-func (s *Shared[V, M]) Seq() uint64     { return s.seq.Load() }
-func (s *Shared[V, M]) SetSeq(v uint64) { s.seq.Store(v) }
-
-// SnapshotStamps writes the stamps of in-edge slots [lo, lo+len(dst))
-// in the checkpoint's per-slot layout: each slot of the node's own
-// vertices whose source another node owns gets that source's stamp,
-// read atomically, and every other slot 0 — its writes are local and
-// unstamped.
-func (n *Node[V, M]) SnapshotStamps(lo int64, dst []uint64) {
-	clear(dst)
-	n.eachRemoteSlot(lo, len(dst), func(u uint32, i int64) { dst[i] = n.srcSeq[u].Load() })
-}
-
-// RestoreStamps is SnapshotStamps' inverse, before the node runs: each
-// source takes the highest stamp among its slots in [lo, lo+len(src)),
-// so no envelope older than any of them lands.
-func (n *Node[V, M]) RestoreStamps(lo int64, src []uint64) {
-	n.eachRemoteSlot(lo, len(src), func(u uint32, i int64) { n.srcSeq[u].Store(max(n.srcSeq[u].Load(), src[i])) })
-}
-
-// eachRemoteSlot calls fn with the source of each slot in [lo, lo+count)
-// that feeds one of the node's own vertices from another node's, and
-// the slot's offset from lo. The graph's in-edge source ids say which.
-func (n *Node[V, M]) eachRemoteSlot(lo int64, count int, fn func(u uint32, i int64)) {
-	vlo, vhi := n.VertexRange(n.ID)
-	slo, shi := max(lo, n.G.InOffset(vlo)), min(lo+int64(count), n.G.InOffset(vhi))
-	if slo >= shi {
-		return
-	}
-	for i, u := range n.G.InSrcs(slo, shi) {
-		if int(u) < vlo || int(u) >= vhi {
-			fn(u, slo-lo+int64(i))
-		}
-	}
-}
+// stamp this process has issued.
+func (s *Shared[V, M]) Seq() uint64 { return s.seq.Load() }
 
 // worker is one worker goroutine: its kernel worker (scratch, telemetry
 // shard, per-owner building batches) and delta buffer.
@@ -600,7 +567,7 @@ func (n *Node[V, M]) flush(to int, p *core.Batch, sh *telemetry.Shard) {
 	n.inflight.Add(1)
 	sh.Add(telemetry.CtrBatchesSent, 1)
 	sh.FlowSend(to, e.id, n.Tel.Stamp())
-	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)} //abcdlint:ignore hotpath -- at-least-once bookkeeping: one entry per batch, amortized over BatchSize images
+	u := &pending{to: to, env: e, deadline: now.Add(n.cfg.RetryDeadline)}
 	u.armed.Store(math.MaxInt64)
 	n.unackedMu.Lock() //abcdlint:ignore hotpath -- at-least-once bookkeeping: one lock per batch, amortized over BatchSize images
 	n.unacked[e.id] = u

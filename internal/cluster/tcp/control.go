@@ -160,12 +160,10 @@ func appendAssign(f []byte, a distAssign) []byte {
 	f = binary.LittleEndian.AppendUint32(f, uint32(int32(a.cfg.MaxUnacked)))
 	f = append(f, a.algo)
 	f = binary.LittleEndian.AppendUint32(f, a.source)
-	f = binary.LittleEndian.AppendUint64(f, 0) // reserved, zero: retry timing is learned per peer, not assigned
 	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.cfg.RetryDeadline)))
 	f = binary.LittleEndian.AppendUint64(f, math.Float64bits(a.cfg.Epsilon))
 	f = binary.LittleEndian.AppendUint64(f, uint64(int64(a.ckpt.interval)))
 	f = binary.LittleEndian.AppendUint64(f, a.ckpt.resumeEpoch)
-	f = binary.LittleEndian.AppendUint64(f, a.ckpt.seqBase)
 	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckpt.dir)))
 	f = append(f, a.ckpt.dir...)
 	f = binary.LittleEndian.AppendUint16(f, uint16(len(a.ckpt.runID)))
@@ -182,7 +180,7 @@ func appendAssign(f []byte, a distAssign) []byte {
 // downstream code allocates from it.
 func decodeAssign(b []byte) (distAssign, error) {
 	var a distAssign
-	const fixed = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 8 + 8 + 8 + 8 + 8
+	const fixed = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 8 + 8 + 8
 	if len(b) < fixed {
 		return a, fmt.Errorf("tcp: assign frame %d bytes, want at least %d", len(b), fixed)
 	}
@@ -196,11 +194,10 @@ func decodeAssign(b []byte) (distAssign, error) {
 	a.cfg.MaxUnacked = int(int32(binary.LittleEndian.Uint32(b[36:]))) // signed: negative means unbounded
 	a.algo = b[40]
 	a.source = binary.LittleEndian.Uint32(b[41:])
-	a.cfg.RetryDeadline = time.Duration(binary.LittleEndian.Uint64(b[53:]))
-	a.cfg.Epsilon = math.Float64frombits(binary.LittleEndian.Uint64(b[61:]))
-	a.ckpt.interval = time.Duration(binary.LittleEndian.Uint64(b[69:]))
-	a.ckpt.resumeEpoch = binary.LittleEndian.Uint64(b[77:])
-	a.ckpt.seqBase = binary.LittleEndian.Uint64(b[85:])
+	a.cfg.RetryDeadline = time.Duration(binary.LittleEndian.Uint64(b[45:]))
+	a.cfg.Epsilon = math.Float64frombits(binary.LittleEndian.Uint64(b[53:]))
+	a.ckpt.interval = time.Duration(binary.LittleEndian.Uint64(b[61:]))
+	a.ckpt.resumeEpoch = binary.LittleEndian.Uint64(b[69:])
 	switch {
 	case a.cfg.Nodes < 1 || a.cfg.Nodes > maxDistNodes:
 		return a, fmt.Errorf("tcp: assign nodes %d outside [1, %d]", a.cfg.Nodes, maxDistNodes)

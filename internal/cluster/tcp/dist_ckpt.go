@@ -1,14 +1,16 @@
 // Distributed fuzzy checkpointing for the -listen/-join runtime
 // (DESIGN.md §12). Each node owns one core.Share — the capture, shape
 // check and restore the single-process engine runs as node 0 of 1 — over
-// its owned span, slot stamps and send sequence; the coordinator's
-// checkpoint round commits an epoch's manifest after every node has
-// acked its shard durable, so a crash leaves the previous fully-acked
-// epoch or nothing. Nodes capture at slightly different moments while
-// their workers run, so a batch in flight across two capture points may
-// be missing from the receiver's images; a resume re-derives every image
-// from the restored values, which reconstructs exactly what that batch
-// carried.
+// its owned values, priorities and counters; the coordinator's checkpoint
+// round commits an epoch's manifest after every node has acked its shard
+// durable, so a crash leaves the previous fully-acked epoch or nothing.
+// Nodes capture at slightly different moments while their workers run, so
+// a batch in flight across two capture points may be missing from the
+// receiver's images; a resume re-derives every image from the restored
+// values, which reconstructs exactly what that batch carried. The resumed
+// nodes are fresh processes that never see an envelope of the run they
+// resume, so their envelope sequences and stamps start at 0, as a fresh
+// run's do.
 package tcp
 
 import (
@@ -25,16 +27,12 @@ import (
 // broadcast to every node through the assignment. dir names a store
 // directory every node can reach (the protocol assumes a shared
 // filesystem); empty disables checkpointing. resumeEpoch > 0 restores
-// that committed epoch before the run starts, and seqBase then seeds
-// every node's envelope sequence above every stamp the restored state
-// can hold, so the staleness filter never drops a fresh post-resume
-// write.
+// that committed epoch before the run starts.
 type ckptPlan struct {
 	dir         string
 	runID       string
 	interval    time.Duration
 	resumeEpoch uint64
-	seqBase     uint64
 
 	// Only in the coordinator's process: its store, and the shards the
 	// plan decoded, which node 0 restores without decoding them again.
@@ -47,9 +45,7 @@ type ckptPlan struct {
 // requested resume against the snapshot before any joiner is assigned:
 // core.Layout.Open refuses a manifest whose identity or node count
 // differs from this run, and every shard of the committed epoch that
-// does not decode or is not its owner's span. The shards' maximum
-// envelope sequence/stamp seeds seqBase so no post-resume envelope id
-// ever loses a staleness race against a restored write stamp.
+// does not decode or is not its owner's span.
 func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int, store checkpoint.Store) (ckptPlan, error) {
 	p := ckptPlan{store: store}
 	if cfg.CheckpointDir == "" {
@@ -71,8 +67,7 @@ func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int
 	}
 	layout := core.NewLayout(algoName(code),
 		checkpoint.DigestOffsets(int64(snap.n), int64(snap.m), snap.inOff, snap.outOff),
-		snap.n, (snap.n+blockSize-1)/blockSize, blockSize, words, cfg.Nodes,
-		func(v int) int64 { return snap.inOff[v] })
+		snap.n, (snap.n+blockSize-1)/blockSize, blockSize, words, cfg.Nodes)
 	p.dir = cfg.CheckpointDir
 	p.interval = cfg.checkpointInterval()
 	p.runID = cfg.RunID
@@ -90,17 +85,6 @@ func resolveCheckpointPlan(cfg DistConfig, snap *snapshotSections, blockSize int
 		return p, err
 	}
 	p.runID, p.resumeEpoch, p.shards = m.RunID, m.Epoch, shards
-	for _, st := range shards {
-		hi := st.Counters.Seq
-		for _, s := range st.Stamps {
-			hi = max(hi, s)
-		}
-		// A fuzzy capture may stamp a receiver's slot with an envelope id
-		// above the sender's own captured sequence (the batch was in
-		// flight between the two capture points), so the base takes the
-		// max over stamps as well as sequences, cluster-wide.
-		p.seqBase = max(p.seqBase, hi+1)
-	}
 	return p, nil
 }
 
@@ -122,9 +106,7 @@ func algoWords(code byte) (int, error) {
 }
 
 // openCheckpoint builds this node's checkpoint share and, when the plan
-// resumes, restores the planned epoch into it. The envelope sequence then
-// restarts at the plan's seqBase, which the coordinator computed above
-// every stamp and sequence in the epoch.
+// resumes, restores the planned epoch into it.
 func (d *distRun[V, M]) openCheckpoint() error {
 	store := d.a.ckpt.store // the coordinator's; a joiner opens the shared directory
 	if store == nil {
@@ -137,7 +119,7 @@ func (d *distRun[V, M]) openCheckpoint() error {
 	// The partial graphs carry both full offset arrays, so every node
 	// computes the same digest the coordinator computed from the snapshot
 	// file — and the same one a single-process run computes.
-	ck := core.NewShare(d.Kernel, algoName(d.a.algo), d.ID, d.a.cfg.Nodes, d.Sched, d.Tel, d.Ctl, d.Node)
+	ck := core.NewShare(d.Kernel, algoName(d.a.algo), d.ID, d.a.cfg.Nodes, d.Sched, d.Tel, d.Ctl)
 	ck.Store, ck.RunID = store, d.a.ckpt.runID
 	d.ckpt = ck
 	if d.a.ckpt.resumeEpoch == 0 {
@@ -164,9 +146,5 @@ func (d *distRun[V, M]) openCheckpoint() error {
 	if m.Epoch != d.a.ckpt.resumeEpoch {
 		return fmt.Errorf("tcp: resume %s: committed epoch is %d, the coordinator planned %d", m.RunID, m.Epoch, d.a.ckpt.resumeEpoch)
 	}
-	if err := ck.Restore(m, shards); err != nil {
-		return err
-	}
-	d.SetSeq(d.a.ckpt.seqBase)
-	return nil
+	return ck.Restore(m, shards)
 }

@@ -110,9 +110,10 @@ func TestDistCheckpointResumePageRank(t *testing.T) {
 // snapshot plus the epoch a two-node PageRank run of the commit *before*
 // the refactor (bdc79d5, the dist.go engine copy) committed mid-run —
 // manifest and both GABC shards, byte for byte as that binary wrote
-// them. The current runtime must accept the identity triple, restore the
-// shards (values, priorities, stamps, sequence), rebuild its caches and
-// converge to the reference ranks.
+// them, slot stamps and sequence included. The current runtime must
+// accept the identity triple, restore the shards' values, priorities and
+// counters, ignore their stamps and sequence, rebuild its images from the
+// values and converge to the reference ranks.
 func TestDistResumeParentCommitCheckpoint(t *testing.T) {
 	const runID = "parent-bdc79d5"
 	fixture := filepath.Join("testdata", "parent_ckpt")
@@ -155,6 +156,48 @@ func TestDistResumeParentCommitCheckpoint(t *testing.T) {
 	}
 	if after.Epoch < before.Epoch || after.GraphDigest != before.GraphDigest || after.ConfigHash != before.ConfigHash {
 		t.Fatalf("manifest after resume %+v does not continue %+v", after, before)
+	}
+}
+
+// TestDistResumeIgnoresShardStamps re-encodes each shard of the
+// parent-commit fixture in turn with every slot stamp at 2^64−1 — a
+// CRC-valid file whose stamps no envelope could ever beat — and requires
+// the resumed run to converge to the reference ranks. A resume rebuilds
+// every image from the restored values, so a shard's stamps and sequence
+// must not reach the run: honouring them drops every remote image as
+// stale, and the run still reports success, off by ~1e-2.
+func TestDistResumeIgnoresShardStamps(t *testing.T) {
+	const runID = "parent-bdc79d5"
+	fixture := filepath.Join("testdata", "parent_ckpt")
+	snap := filepath.Join(fixture, "graph.gabs")
+	g, err := graph.Load(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bcd.RefPageRank(g, 0.85, 1e-13, 1000)
+	for node := 0; node < 2; node++ {
+		ckdir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.CopyFS(ckdir, os.DirFS(filepath.Join(fixture, "ckpt"))); err != nil {
+			t.Fatal(err)
+		}
+		reencodeShard(t, filepath.Join(ckdir, runID, fmt.Sprintf("ep0000000000000001-n%04d.gabc", node)), func(st *checkpoint.State) {
+			if len(st.Stamps) == 0 {
+				t.Fatalf("fixture shard %d carries no stamps", node)
+			}
+			for i := range st.Stamps {
+				st.Stamps[i] = math.MaxUint64
+			}
+		})
+		cfg := distConfig(2, "pr")
+		cfg.Epsilon = 1e-12
+		cfg.CheckpointDir = ckdir
+		cfg.Resume = runID
+		res := runDistLoopback(t, snap, cfg)
+		for v := range want {
+			if d := math.Abs(res.Float[v] - want[v]); d > 1e-7 {
+				t.Fatalf("shard %d stamped 2^64-1: rank[%d] off by %g", node, v, d)
+			}
+		}
 	}
 }
 
@@ -368,7 +411,6 @@ func TestDistResumeRefusesForeignSpans(t *testing.T) {
 			st.VertexHi--
 			st.Values = st.Values[:len(st.Values)-st.Words]
 		}, "vertex range"},
-		{"slot range", func(st *checkpoint.State) { st.SlotBase++ }, "slot range"},
 		{"node id", func(st *checkpoint.State) { st.Node = 1 - st.Node }, "claims node"},
 		{"node count", func(st *checkpoint.State) { st.Nodes = 3 }, "claims node"},
 	}

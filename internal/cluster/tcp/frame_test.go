@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"graphabcd/internal/cluster"
 )
 
 func frameFixture() []byte {
@@ -87,6 +91,44 @@ func TestFrameRejectsHostileLength(t *testing.T) {
 		in := append(hdr, bytes.Repeat([]byte{0xab}, 64)...)
 		if _, err := readFrame(bytes.NewReader(in)); err == nil {
 			t.Fatalf("claimed length %d accepted", n)
+		}
+	}
+}
+
+// TestAssignRoundTrip encodes assignments with every field set to a
+// distinct value and requires decodeAssign to return each one, the fixed
+// part to be 77 bytes, and every strict prefix of the frame to be
+// refused: the offsets decodeAssign reads are written by hand.
+func TestAssignRoundTrip(t *testing.T) {
+	for _, window := range []int{-1, 0, 7} {
+		want := distAssign{
+			node: 2, n: 1000, m: 5000, algo: algoSSSP, source: 17,
+			cfg: cluster.Config{
+				Nodes: 3, BlockSize: 64, WorkersPerNode: 5, BatchSize: 33,
+				MaxUnacked: window, RetryDeadline: 9 * time.Second, Epsilon: 1.5e-9,
+			},
+			ckpt:  ckptPlan{dir: "/ckpt/dir", runID: "run-1", interval: 40 * time.Millisecond, resumeEpoch: 12},
+			addrs: []string{"127.0.0.1:7001", "127.0.0.1:7002", "[::1]:7003"},
+		}
+		body := appendAssign(nil, want)
+		variable := 2 + len(want.ckpt.dir) + 2 + len(want.ckpt.runID)
+		for _, a := range want.addrs {
+			variable += 2 + len(a)
+		}
+		if fixed := len(body) - variable; fixed != 77 {
+			t.Fatalf("window %d: fixed part %d bytes, want 77", window, fixed)
+		}
+		got, err := decodeAssign(body)
+		if err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %d: decoded %+v, encoded %+v", window, got, want)
+		}
+		for i := range body {
+			if _, err := decodeAssign(body[:i]); err == nil {
+				t.Fatalf("window %d: a %d-byte prefix of the %d-byte assignment decoded", window, i, len(body))
+			}
 		}
 	}
 }

@@ -23,18 +23,17 @@ import (
 // and resuming from it converges to the same fixed point.
 
 // Layout is a checkpointed run's shape: the identity its manifests carry,
-// and how its blocks, vertices and in-edge slots split among its owners.
+// and how its blocks and vertices split among its owners.
 type Layout struct {
 	ID        checkpoint.Identity
 	blockSize int
-	inOffset  func(v int) int64
 }
 
 // NewLayout describes a run of program over a graph (by digest) of n
-// vertices whose in-edge offsets inOffset gives, cut into numBlocks
-// blocks of blockSize vertices holding words-wide values, and split among
-// nodes owners. It is the one place a checkpoint.Identity is built.
-func NewLayout(program, digest string, n, numBlocks, blockSize, words, nodes int, inOffset func(v int) int64) Layout {
+// vertices, cut into numBlocks blocks of blockSize vertices holding
+// words-wide values, and split among nodes owners. It is the one place a
+// checkpoint.Identity is built.
+func NewLayout(program, digest string, n, numBlocks, blockSize, words, nodes int) Layout {
 	return Layout{
 		ID: checkpoint.Identity{
 			Program: program, GraphDigest: digest,
@@ -42,7 +41,6 @@ func NewLayout(program, digest string, n, numBlocks, blockSize, words, nodes int
 			Words: words, Nodes: nodes,
 		},
 		blockSize: blockSize,
-		inOffset:  inOffset,
 	}
 }
 
@@ -53,10 +51,9 @@ func BlockRange(numBlocks, nodes, i int) (lo, hi int) {
 	return i * numBlocks / nodes, (i + 1) * numBlocks / nodes
 }
 
-// owner returns node's part of the run as a shard header without arrays
-// — its BlockRange, those blocks' vertices, and the first of their
-// in-edge slots — and the number of those slots.
-func (l Layout) owner(node int) (hdr checkpoint.State, slots int64) {
+// owner returns node's part of the run as a shard header without arrays:
+// its BlockRange and those blocks' vertices.
+func (l Layout) owner(node int) checkpoint.State {
 	blo, bhi := BlockRange(int(l.ID.NumBlocks), l.ID.Nodes, node)
 	var vlo, vhi int
 	if blo < bhi {
@@ -67,16 +64,15 @@ func (l Layout) owner(node int) (hdr checkpoint.State, slots int64) {
 		Node: node, Nodes: l.ID.Nodes,
 		VertexLo: int64(vlo), VertexHi: int64(vhi),
 		BlockLo: int64(blo), BlockHi: int64(bhi),
-		SlotBase: l.inOffset(vlo),
-	}, l.inOffset(vhi) - l.inOffset(vlo)
+	}
 }
 
 // Open resolves resume (a run id, or "latest") to its last committed
 // epoch in s, refuses a manifest written under another run shape, and
 // decodes every owner's shard of that epoch. A shard is refused unless
-// its node, dimensions and vertex, block and slot spans are its owner's;
-// slot stamps are optional (the engine keeps none), but stamps that are
-// there cover exactly the owner's in-edge slots.
+// its node, dimensions and vertex and block spans are its owner's; its
+// slot stamps and sequence, which a file of an older commit may carry,
+// are never read.
 func (l Layout) Open(s checkpoint.Store, resume string) (*checkpoint.Manifest, []*checkpoint.State, error) {
 	m, err := checkpoint.Lookup(s, resume)
 	if err != nil {
@@ -106,7 +102,7 @@ func (l Layout) Open(s checkpoint.Store, resume string) (*checkpoint.Manifest, [
 
 // check refuses a decoded shard that is not node's part of the run.
 func (l Layout) check(st *checkpoint.State, node int) error {
-	want, slots := l.owner(node)
+	want := l.owner(node)
 	switch {
 	case st.Node != want.Node || st.Nodes != want.Nodes:
 		return fmt.Errorf("state file claims node %d/%d", st.Node, st.Nodes)
@@ -117,21 +113,8 @@ func (l Layout) check(st *checkpoint.State, node int) error {
 		return fmt.Errorf("vertex range [%d,%d), want [%d,%d)", st.VertexLo, st.VertexHi, want.VertexLo, want.VertexHi)
 	case st.BlockLo != want.BlockLo || st.BlockHi != want.BlockHi:
 		return fmt.Errorf("block range [%d,%d), want [%d,%d)", st.BlockLo, st.BlockHi, want.BlockLo, want.BlockHi)
-	case st.SlotBase != want.SlotBase || (len(st.Stamps) > 0 && int64(len(st.Stamps)) != slots):
-		return fmt.Errorf("slot range [%d,+%d), want [%d,+%d)", st.SlotBase, len(st.Stamps), want.SlotBase, slots)
 	}
 	return nil
-}
-
-// Stamps is a cluster node's write stamps and envelope send sequence
-// (cluster.Node), which its share captures and restores beside the owned
-// span, one stamp per owned in-edge slot: SnapshotStamps fills the
-// stamps of slots [lo, lo+len(dst)), RestoreStamps takes them back. The
-// engine has none.
-type Stamps interface {
-	Seq() uint64
-	SnapshotStamps(lo int64, dst []uint64)
-	RestoreStamps(lo int64, src []uint64)
 }
 
 // Share is one owner's part of a checkpointed run: it captures the owned
@@ -144,11 +127,10 @@ type Share[V, M any] struct {
 	RunID string
 	Epoch uint64 // the last epoch this owner captured or resumed from
 
-	k      *Kernel[V, M]
-	st     *sched.State
-	tel    *telemetry.Registry
-	sh     *telemetry.Shard // capture cost and restored progress counters
-	stamps Stamps           // nil: no slot stamps or send sequence
+	k   *Kernel[V, M]
+	st  *sched.State
+	tel *telemetry.Registry
+	sh  *telemetry.Shard // capture cost and restored progress counters
 	// abandon, when non-nil, is asked once the shard is encoded: true
 	// drops it before anything reaches the store's durable write, and
 	// Capture returns errAbandoned.
@@ -162,33 +144,25 @@ type Share[V, M any] struct {
 
 // NewShare builds node's share of a run of program over k split among
 // nodes owners, whose blocks activate in st and whose capture cost and
-// restored counters land in sh; stamps may be nil.
-func NewShare[V, M any](k *Kernel[V, M], program string, node, nodes int, st *sched.State, tel *telemetry.Registry, sh *telemetry.Shard, stamps Stamps) *Share[V, M] {
+// restored counters land in sh.
+func NewShare[V, M any](k *Kernel[V, M], program string, node, nodes int, st *sched.State, tel *telemetry.Registry, sh *telemetry.Shard) *Share[V, M] {
 	l := NewLayout(program, checkpoint.DigestGraph(k.G), k.G.NumVertices(), k.Part.NumBlocks(), k.Part.BlockSize(),
-		k.Values.Words(), nodes, k.G.InOffset)
-	buf, slots := l.owner(node)
+		k.Values.Words(), nodes)
+	buf := l.owner(node)
 	buf.Values = make([]uint64, (buf.VertexHi-buf.VertexLo)*int64(buf.Words))
 	buf.Priority = make([]uint64, buf.BlockHi-buf.BlockLo)
 	buf.Active = make([]byte, buf.BlockHi-buf.BlockLo)
-	if stamps != nil {
-		buf.Stamps = make([]uint64, slots)
-	}
-	return &Share[V, M]{Layout: l, k: k, st: st, tel: tel, sh: sh, stamps: stamps, buf: buf}
+	return &Share[V, M]{Layout: l, k: k, st: st, tel: tel, sh: sh, buf: buf}
 }
 
 // Capture writes this owner's shard of epoch: owned values, owned block
-// priorities and active flags, progress counters, and any slot stamps and
-// send sequence — all read with the same atomics the workers use, while
-// they keep running.
+// priorities and active flags, and progress counters — all read with the
+// same atomics the workers use, while they keep running.
 func (s *Share[V, M]) Capture(epoch uint64) error {
 	start := s.tel.Stamp()
 	st := &s.buf
 	s.k.Values.SnapshotWords(st.VertexLo, st.VertexHi, st.Values)
 	s.st.SnapshotBlocks(int(st.BlockLo), int(st.BlockHi), st.Priority, st.Active)
-	if s.stamps != nil {
-		st.Counters.Seq = s.stamps.Seq()
-		s.stamps.SnapshotStamps(st.SlotBase, st.Stamps)
-	}
 	st.Counters.VertexUpdates = s.tel.Total(telemetry.CtrVertexUpdates)
 	st.Counters.BlockUpdates = s.tel.Total(telemetry.CtrBlockUpdates)
 	st.Counters.EdgesTraversed = s.tel.Total(telemetry.CtrEdgesTraversed)
@@ -222,23 +196,20 @@ func (s *Share[V, M]) Commit(epoch uint64) error {
 
 // Restore seeds this owner from an epoch Open returned, before anything
 // runs on it. Every shard contributes its owned values — together the
-// whole iterate; this owner's own shard its slot stamps and progress
-// counters (so Stats and an epoch budget span the logical run). The
-// scatter images are never checkpointed: they are rebuilt from the
-// restored values, which also reconstructs any batch a fuzzy capture
-// lost in flight. Every owned block is then activated with its restored
-// priority mass, even one the capture saw inactive: an activation racing
-// the capture may be missing from it, and one redundant sweep of a
-// self-healing state-based program is cheap insurance against a silently
-// premature fixed point.
+// whole iterate; this owner's own shard its progress counters (so Stats
+// and an epoch budget span the logical run). The scatter images are never
+// checkpointed: they are rebuilt from the restored values, which also
+// reconstructs any batch a fuzzy capture lost in flight, so no write
+// stamp or envelope sequence carries over either. Every owned block is
+// then activated with its restored priority mass, even one the capture
+// saw inactive: an activation racing the capture may be missing from it,
+// and one redundant sweep of a self-healing state-based program is cheap
+// insurance against a silently premature fixed point.
 func (s *Share[V, M]) Restore(m *checkpoint.Manifest, shards []*checkpoint.State) error {
 	for _, st := range shards {
 		s.k.Values.StoreWords(st.VertexLo, st.Values)
 	}
 	own := shards[s.buf.Node]
-	if s.stamps != nil {
-		s.stamps.RestoreStamps(own.SlotBase, own.Stamps)
-	}
 	s.sh.Add(telemetry.CtrVertexUpdates, own.Counters.VertexUpdates)
 	s.sh.Add(telemetry.CtrBlockUpdates, own.Counters.BlockUpdates)
 	s.sh.Add(telemetry.CtrEdgesTraversed, own.Counters.EdgesTraversed)
@@ -287,7 +258,7 @@ func newCheckpointer[V, M any](e *engine[V, M], cc Checkpoint) (*checkpointer[V,
 		}
 		store = ds
 	}
-	ck := &checkpointer[V, M]{NewShare(e.Kernel, e.Prog.Name(), 0, 1, e.st, e.tel, e.sh0, nil), e}
+	ck := &checkpointer[V, M]{NewShare(e.Kernel, e.Prog.Name(), 0, 1, e.st, e.tel, e.sh0), e}
 	ck.Store, ck.RunID, ck.abandon = store, cc.RunID, e.fixedPoint.Load
 	if ck.RunID == "" {
 		ck.RunID = ck.ID.RunID()

@@ -267,7 +267,6 @@ func TestResumeRefusesForeignSpans(t *testing.T) {
 			st.VertexHi--
 			st.Values = st.Values[:len(st.Values)-st.Words]
 		}, "vertex range"},
-		{"slot range", func(st *checkpoint.State) { st.SlotBase++ }, "slot range"},
 		{"node id", func(st *checkpoint.State) { st.Node, st.Nodes = 1, 2 }, "claims node"},
 		{"node count", func(st *checkpoint.State) { st.Nodes = 2 }, "claims node"},
 	}

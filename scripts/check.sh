@@ -374,6 +374,21 @@ if [[ -n "$shares" ]]; then
     exit 1
 fi
 
+echo "== a resume carries the iterate (no write stamp or envelope sequence in a checkpoint)"
+# A resume rebuilds every scatter image from the restored values, and its
+# nodes are fresh processes that never see an envelope of the run they
+# resume, so a checkpoint holds values, priorities and counters only. A
+# stamp capture or restore, a sequence base or setter, or a stamps
+# interface under internal/core or internal/cluster is the per-slot stamp
+# plumbing growing back.
+stamps=$(grep -rnE --include='*.go' '\b(SnapshotStamps|RestoreStamps|seqBase|SetSeq)\b|Stamps +interface' \
+    internal/core internal/cluster | grep -v '_test\.go:' || true)
+if [[ -n "$stamps" ]]; then
+    echo "checkpoint stamp or sequence plumbing beside the value resume:" >&2
+    echo "$stamps" >&2
+    exit 1
+fi
+
 echo "== defaults once (every engine, cluster and server default has one owner)"
 # core.DefaultConfig owns the engine's worker counts and epsilon,
 # cluster.Config.WithDefaults the cluster's batch size and workers per
